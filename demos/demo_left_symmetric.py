@@ -11,11 +11,13 @@ from crlie import (
     catalog, check_left_symmetric, induced_bracket, left_symmetric_product,
     parse_document,
 )
+from crlie.report import fmt_vec
 
 
 def main():
     payloads = parse_document(catalog.get("aff_aff").document)
     g = payloads.algebra
+    names = g.names
     k = payloads.kahler
 
     product = left_symmetric_product(k)
@@ -25,9 +27,9 @@ def main():
         for b in range(m):
             value = product.table[(a, b)]
             if any(value):
-                x = g.format_vector(product.H_basis[a])
-                y = g.format_vector(product.H_basis[b])
-                print(f"  ({x}) * ({y}) = {g.format_vector(value)}")
+                x = fmt_vec(names, product.H_basis[a])
+                y = fmt_vec(names, product.H_basis[b])
+                print(f"  ({x}) * ({y}) = {fmt_vec(names, value)}")
 
     print("\ncommutator x*y - y*x versus the ambient bracket:")
     comm = induced_bracket(k, product)
@@ -35,8 +37,8 @@ def main():
         for b in range(a + 1, m):
             x, y = product.H_basis[a], product.H_basis[b]
             agree = comm[(a, b)] == g.bracket(x, y)
-            print(f"  [{g.format_vector(x)}, {g.format_vector(y)}]'"
-                  f" = {g.format_vector(comm[(a, b)])}"
+            print(f"  [{fmt_vec(names, x)}, {fmt_vec(names, y)}]'"
+                  f" = {fmt_vec(names, comm[(a, b)])}"
                   f"  (matches bracket: {agree})")
 
     print("\nidentity checks:")

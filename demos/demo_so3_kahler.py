@@ -10,6 +10,7 @@ from crlie import (
     catalog, check_cr, check_kahler, parse_document, semisimple_exactness,
 )
 from crlie.linalg import basis_vector, format_rat
+from crlie.report import fmt_vec
 
 
 def main():
@@ -21,7 +22,7 @@ def main():
     for a in range(3):
         for b in range(a + 1, 3):
             lhs = g.bracket(basis_vector(3, a), basis_vector(3, b))
-            print(f"  [e{a + 1}, e{b + 1}] = {g.format_vector(lhs)}")
+            print(f"  [e{a + 1}, e{b + 1}] = {fmt_vec(g.names, lhs)}")
 
     print("\nCR conditions (bracket stability of the i-eigenspace):")
     print(check_cr(payloads.cr).to_text())
@@ -32,7 +33,7 @@ def main():
     alpha, X, L, rep = semisimple_exactness(k)
     print("\nexactness on a semisimple algebra: omega(x, y) = alpha([x, y])")
     print(f"  alpha = ({', '.join(format_rat(a) for a in alpha)}) in the dual basis")
-    print(f"  Killing-dual element X = {g.format_vector(X)}")
+    print(f"  Killing-dual element X = {fmt_vec(g.names, X)}")
     print(f"  centralizer of X has dimension {L.dim} = codim H")
     print(rep.to_text())
 

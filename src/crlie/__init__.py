@@ -2,7 +2,7 @@
 on finite-dimensional Lie algebras given by rational structure constants."""
 
 from .linalg import Matrix, Rational, Subspace, Vector, kernel, rat, solve, vector
-from .lie import LieAlgebra, StructureError, aff_r, heisenberg3, sl2, so3
+from .lie import LieAlgebra, StructureError, heisenberg3, sl2, so3
 from .multivector import (
     Bivector, Trivector, extend_derivation_2, extend_derivation_3, extend_map_2,
     in_wedge_subspace, schouten, wedge, wedge3,
@@ -26,7 +26,7 @@ from . import catalog
 
 __all__ = [
     "Matrix", "Rational", "Subspace", "Vector", "kernel", "rat", "solve", "vector",
-    "LieAlgebra", "StructureError", "aff_r", "heisenberg3", "sl2", "so3",
+    "LieAlgebra", "StructureError", "heisenberg3", "sl2", "so3",
     "Bivector", "Trivector", "extend_derivation_2", "extend_derivation_3",
     "extend_map_2", "in_wedge_subspace", "schouten", "wedge", "wedge3",
     "CRData", "KahlerCRData", "LeftSymmetricProduct", "build_extension",

@@ -1,9 +1,10 @@
 """Check driver: runs every verification applicable to a parsed document.
 
-Checks always run and report in the fixed order below, so structured
-reports are stable and diffable.  Checks that depend on the Kahler layer
-being valid (product, radical, center, exactness) are skipped when any of
-the three Kahler validity checks fail.
+Checks report in the order `run_checks` calls them, so structured reports
+are stable and diffable.  Checks that depend on the Kahler layer being valid
+(product, radical, center, exactness) are skipped when any of the three
+Kahler validity checks fail.  Each layer is called through its name in this
+module's namespace, where `bench/spans.py` wraps it for per-layer timing.
 """
 
 from __future__ import annotations
@@ -16,36 +17,6 @@ from .crkahler import (
 from .inputdoc import Payloads
 from .poisson import check_j_invariance, check_pseudo_poisson, coboundary_pi
 from .report import Report, witness
-
-CHECK_ORDER = (
-    "cr.condition2",
-    "cr.condition3",
-    "kahler.omega_antisymmetric",
-    "kahler.omega_closed",
-    "kahler.omega_h_nondegenerate",
-    "leftsym.identity1",
-    "leftsym.jacobi_induced",
-    "leftsym.identity2",
-    "radical.subalgebra",
-    "radical.orthogonal_h",
-    "center_u.commutative",
-    "center_u.stabilizes_h",
-    "exactness.alpha_exact",
-    "exactness.killing_dual",
-    "exactness.radical_match",
-    "poisson.schouten_membership",
-    "poisson.j_invariance",
-    "poisson.coboundary_invariance",
-    "ideal.valid_input",
-    "ideal.jacobi",
-    "ideal.complex_structure",
-    "extension.valid_input",
-    "extension.jacobi",
-    "extension.alpha_j_invariant",
-    "extension.cyclic",
-    "extension.omega_closed",
-)
-
 
 def run_checks(p: Payloads) -> Report:
     rep = Report()
@@ -92,6 +63,4 @@ def run_checks(p: Payloads) -> Report:
         else:
             rep.extend(ext_rep)
 
-    order = {cid: k for k, cid in enumerate(CHECK_ORDER)}
-    rep.results.sort(key=lambda r: order.get(r.check_id, len(order)))
     return rep

@@ -16,7 +16,7 @@ from .crkahler import induced_bracket, left_symmetric_product
 from .inputdoc import InputError, dump_document, parse_text
 from .multivector import schouten
 from .poisson import check_pseudo_poisson
-from .report import Report
+from .report import Report, fmt_vec
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -61,22 +61,17 @@ def cmd_construct(args) -> int:
         product = left_symmetric_product(payloads.kahler)
     except ValueError as e:
         raise InputError([str(e)])
-    alg = payloads.algebra
-    names = alg.names
+    names = payloads.algebra.names
+    basis = [fmt_vec(names, h) for h in product.H_basis]
     print("left-symmetric product on H:")
-    m = len(product.H_basis)
-    for a in range(m):
-        for b in range(m):
-            x = alg.format_vector(product.H_basis[a])
-            y = alg.format_vector(product.H_basis[b])
-            print(f"  ({x}) * ({y}) = {alg.format_vector(product.table[(a, b)])}")
+    for a, x in enumerate(basis):
+        for b, y in enumerate(basis):
+            print(f"  ({x}) * ({y}) = {fmt_vec(names, product.table[(a, b)])}")
     print("induced bracket [x,y]' = xy - yx:")
     comm = induced_bracket(payloads.kahler, product)
-    for a in range(m):
-        for b in range(a + 1, m):
-            x = alg.format_vector(product.H_basis[a])
-            y = alg.format_vector(product.H_basis[b])
-            print(f"  [{x}, {y}]' = {alg.format_vector(comm[(a, b)])}")
+    for a, x in enumerate(basis):
+        for b in range(a + 1, len(basis)):
+            print(f"  [{x}, {basis[b]}]' = {fmt_vec(names, comm[(a, b)])}")
     return EXIT_PASS
 
 

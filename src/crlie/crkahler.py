@@ -14,12 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .lie import LieAlgebra, StructureError, validate_structure
+from .lie import LieAlgebra, validate_structure
 from .linalg import (
     Matrix, Subspace, Vector,
-    basis_vector, is_zero, kernel, solve, vadd, vector, vscale, vsub, zero_vector,
+    basis_vector, bilinear, is_zero, kernel, lincomb, solve, vadd, vdot, vector,
+    vscale, vsub, zero_vector,
 )
 from .report import Report, fmt_vec, witness
 
@@ -54,11 +56,6 @@ class CRData:
             if not is_zero(vadd(j2.matvec(h), h)):
                 raise ValueError("j^2 is not -Id on H")
 
-    @property
-    def j_vanishes_off_H(self) -> bool:
-        """True when j is zero on the coordinate complement of H."""
-        return all(is_zero(self.j.matvec(v)) for v in self.H.complement().basis)
-
 
 @dataclass(frozen=True)
 class KahlerCRData:
@@ -92,13 +89,19 @@ class KahlerCRData:
     def j(self) -> Matrix:
         return self.cr.j
 
+    @cached_property
     def omega_matrix(self) -> Matrix:
         """Coordinate matrix of w: w(e_a, e_b) = (M J)_{ab}."""
         return self.metric * self.j
 
+    @cached_property
+    def omega_gram(self) -> Matrix:
+        """Gram matrix of w on the basis of H: entry (a, b) is w(h_a, h_b)."""
+        basis = self.H.basis
+        return Matrix([[self.omega(x, y) for y in basis] for x in basis])
+
     def omega(self, x: Vector, y: Vector) -> Fraction:
-        from .linalg import vdot
-        return vdot(x, (self.metric * self.j).matvec(y))
+        return vdot(x, self.omega_matrix.matvec(y))
 
 
 @dataclass(frozen=True)
@@ -108,8 +111,11 @@ class LeftSymmetricProduct:
     H_basis: tuple
     table: Mapping  # (a, b) -> Vector in ambient coordinates
 
-    def product(self, ha: int, hb: int) -> Vector:
-        return self.table[(ha, hb)]
+    @cached_property
+    def rows(self) -> list:
+        """The table as nested rows, rows[a][b] = table[(a, b)], for `bilinear`."""
+        m = len(self.H_basis)
+        return [[self.table[(a, b)] for b in range(m)] for a in range(m)]
 
     def is_zero(self) -> bool:
         return all(is_zero(v) for v in self.table.values())
@@ -130,13 +136,12 @@ def check_cr(d: CRData) -> Report:
     for a, x in enumerate(d.H.basis):
         for y in d.H.basis[a + 1:]:
             jx, jy = j.matvec(x), j.matvec(y)
-            diff = vsub(alg.bracket(x, y), alg.bracket(jx, jy))
+            xy, lhs = alg.bracket(x, y), alg.bracket(jx, jy)
+            diff = vsub(xy, lhs)
             if not d.H.contains(diff):
                 w2.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, y),
                                   offending=fmt_vec(names, diff)))
-            lhs = alg.bracket(jx, jy)
-            rhs = vadd(alg.bracket(x, y),
-                       j.matvec(vadd(alg.bracket(x, jy), alg.bracket(jx, y))))
+            rhs = vadd(xy, j.matvec(vadd(alg.bracket(x, jy), alg.bracket(jx, y))))
             if lhs != rhs:
                 w3.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, y),
                                   offending=fmt_vec(names, vsub(lhs, rhs))))
@@ -149,43 +154,31 @@ def check_kahler(k: KahlerCRData) -> Report:
     """Antisymmetry of w, the cyclic closedness identity on all basis
     triples, and nondegeneracy of w restricted to H."""
     rep = Report()
-    alg = k.algebra
-    names = alg.names
-    omega = k.omega_matrix()
+    alg, n = k.algebra, k.algebra.dim
+    names, c = alg.names, alg.c
+    omega = k.omega_matrix
 
     anti = []
-    for a in range(alg.dim):
-        for b in range(a, alg.dim):
+    for a in range(n):
+        for b in range(a, n):
             if omega[a, b] != -omega[b, a]:
                 anti.append(witness(x=names[a], y=names[b]))
     rep.add("kahler.omega_antisymmetric", not anti, anti)
 
-    def w(x: Vector, y: Vector) -> Fraction:
-        from .linalg import vdot
-        return vdot(x, omega.matvec(y))
-
+    # w([e_a, e_b], e_t) = sum_m c[a][b][m] * omega[m, t] = vdot(c[a][b], col[t])
+    col = omega.transpose().data
     closed = []
-    for a in range(alg.dim):
-        for b in range(alg.dim):
-            for c in range(alg.dim):
-                ea, eb, ec = (basis_vector(alg.dim, t) for t in (a, b, c))
-                s = (w(alg.bracket(ea, eb), ec)
-                     + w(alg.bracket(ec, ea), eb)
-                     + w(alg.bracket(eb, ec), ea))
+    for a in range(n):
+        for b in range(n):
+            for t in range(n):
+                s = (vdot(c[a][b], col[t]) + vdot(c[t][a], col[b])
+                     + vdot(c[b][t], col[a]))
                 if s != 0:
-                    closed.append(witness(x=names[a], y=names[b], z=names[c]))
+                    closed.append(witness(x=names[a], y=names[b], z=names[t]))
     rep.add("kahler.omega_closed", not closed, closed)
 
-    gram = _omega_gram_on_H(k)
-    rep.add("kahler.omega_h_nondegenerate", gram.det() != 0)
+    rep.add("kahler.omega_h_nondegenerate", k.omega_gram.det() != 0)
     return rep
-
-
-def _omega_gram_on_H(k: KahlerCRData) -> Matrix:
-    omega = k.omega_matrix()
-    basis = k.H.basis
-    from .linalg import vdot
-    return Matrix([[vdot(x, omega.matvec(y)) for y in basis] for x in basis])
 
 
 # ---------------------------------------------------------------------------
@@ -194,44 +187,20 @@ def _omega_gram_on_H(k: KahlerCRData) -> Matrix:
 def left_symmetric_product(k: KahlerCRData) -> LeftSymmetricProduct:
     """For basis x, y of H, the unique xy in H with w(xy, z) = -w(y, [x, z])
     for all z in H, solved through the w|H Gram system."""
-    gram = _omega_gram_on_H(k)
-    if gram.det() == 0:
+    if k.omega_gram.det() == 0:
         raise ValueError("omega restricted to H is degenerate")
     alg = k.algebra
-    omega = k.omega_matrix()
     basis = k.H.basis
-    from .linalg import vdot
     # w(sum_c coeff_c h_c, h_b) = sum_c coeff_c gram[c][b]  =>  gram^T coeff = rhs
-    gram_t = gram.transpose()
+    gram_t = k.omega_gram.transpose()
     table = {}
     for a, x in enumerate(basis):
+        brackets = [alg.bracket(x, z) for z in basis]
         for b, y in enumerate(basis):
-            rhs = tuple(-vdot(y, omega.matvec(alg.bracket(x, z))) for z in basis)
-            coeffs = solve(gram_t, rhs)
+            coeffs = solve(gram_t, tuple(-k.omega(y, v) for v in brackets))
             assert coeffs is not None  # gram invertible
-            prod = zero_vector(alg.dim)
-            for c, h in zip(coeffs, basis):
-                prod = vadd(prod, vscale(c, h))
-            table[(a, b)] = prod
+            table[(a, b)] = lincomb(coeffs, basis, alg.dim)
     return LeftSymmetricProduct(tuple(basis), table)
-
-
-def _product_extend(p: LeftSymmetricProduct, H: Subspace, x: Vector, y: Vector) -> Vector:
-    """Bilinear extension of the product table to arbitrary members of H."""
-    cx = H.coordinates(x)
-    cy = H.coordinates(y)
-    if cx is None or cy is None:
-        raise ValueError("arguments must lie in H")
-    n = H.ambient_dim
-    acc = zero_vector(n)
-    for a, xa in enumerate(cx):
-        if xa == 0:
-            continue
-        for b, yb in enumerate(cy):
-            if yb == 0:
-                continue
-            acc = vadd(acc, vscale(xa * yb, p.table[(a, b)]))
-    return acc
 
 
 def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
@@ -241,32 +210,27 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
     rep = Report()
     alg = k.algebra
     names = alg.names
-    omega = k.omega_matrix()
     basis = k.H.basis
     m = len(basis)
-    from .linalg import vdot
-
-    def w(x, y):
-        return vdot(x, omega.matvec(y))
+    comm = induced_bracket(k, p)
 
     w1 = []
     for a in range(m):
         for b in range(m):
-            comm = vsub(p.table[(a, b)], p.table[(b, a)])
             br = alg.bracket(basis[a], basis[b])
             for u in basis:
-                if w(comm, u) != w(br, u):
+                if k.omega(comm[(a, b)], u) != k.omega(br, u):
                     w1.append(witness(x=fmt_vec(names, basis[a]),
                                       y=fmt_vec(names, basis[b]),
                                       u=fmt_vec(names, u)))
     rep.add("leftsym.identity1", not w1, w1)
 
-    # induced bracket [x,y]' = xy - yx on H, in H coordinates
-    comm = {(a, b): vsub(p.table[(a, b)], p.table[(b, a)])
-            for a in range(m) for b in range(m)}
+    def prod(x: Vector, y: Vector) -> Vector:
+        """The product extended bilinearly to members of H."""
+        return bilinear(p.rows, k.H.coordinates(x), k.H.coordinates(y), alg.dim)
 
     def comm_ext(x: Vector, y: Vector) -> Vector:
-        return vsub(_product_extend(p, k.H, x, y), _product_extend(p, k.H, y, x))
+        return vsub(prod(x, y), prod(y, x))
 
     jac = []
     for a in range(m):
@@ -274,11 +238,11 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
             for c in range(b + 1, m):
                 s = vadd(vadd(comm_ext(basis[a], comm[(b, c)]),
                               comm_ext(basis[c], comm[(a, b)])),
-                         comm_ext(basis[b], vscale(-1, comm[(a, c)])))
+                         comm_ext(basis[b], comm[(c, a)]))
                 if not is_zero(s):
-                    jac.append(witness(x=names_of(basis[a], names),
-                                       y=names_of(basis[b], names),
-                                       z=names_of(basis[c], names)))
+                    jac.append(witness(x=fmt_vec(names, basis[a]),
+                                       y=fmt_vec(names, basis[b]),
+                                       z=fmt_vec(names, basis[c])))
     rep.add("leftsym.jacobi_induced", not jac, jac)
 
     if not jac:
@@ -287,19 +251,13 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
             for b in range(m):
                 for c in range(m):
                     x, y, z = basis[a], basis[b], basis[c]
-                    lhs = vsub(_product_extend(p, k.H, x, _product_extend(p, k.H, y, z)),
-                               _product_extend(p, k.H, _product_extend(p, k.H, x, y), z))
-                    rhs = vsub(_product_extend(p, k.H, y, _product_extend(p, k.H, x, z)),
-                               _product_extend(p, k.H, _product_extend(p, k.H, y, x), z))
+                    lhs = vsub(prod(x, prod(y, z)), prod(prod(x, y), z))
+                    rhs = vsub(prod(y, prod(x, z)), prod(prod(y, x), z))
                     if lhs != rhs:
-                        w2.append(witness(x=names_of(x, names), y=names_of(y, names),
-                                          z=names_of(z, names)))
+                        w2.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, y),
+                                          z=fmt_vec(names, z)))
         rep.add("leftsym.identity2", not w2, w2)
     return rep
-
-
-def names_of(v: Vector, names) -> str:
-    return fmt_vec(names, v)
 
 
 def induced_bracket(k: KahlerCRData, p: LeftSymmetricProduct) -> dict:
@@ -316,9 +274,8 @@ def omega_radical(k: KahlerCRData) -> tuple[Subspace, Report]:
     """L = {x : w(x, G) = 0}, with the subalgebra and <,>-orthogonality
     verdicts of the radical proposition."""
     rep = Report()
-    L = kernel(k.omega_matrix().transpose())
+    L = kernel(k.omega_matrix.transpose())
     rep.add("radical.subalgebra", k.algebra.is_subalgebra(L))
-    from .linalg import vdot
     orth = []
     names = k.algebra.names
     for x in L.basis:
@@ -380,10 +337,7 @@ def ideal_complement_complex(d: CRData, ideal: Subspace) -> tuple[LieAlgebra, Ma
     def project(v: Vector) -> Vector:
         sol = solve(A, v)
         assert sol is not None  # H + I = G
-        acc = zero_vector(alg.dim)
-        for c, h in zip(sol[:m], basis):
-            acc = vadd(acc, vscale(c, h))
-        return acc
+        return lincomb(sol[:m], basis, alg.dim)
 
     def h_coords(v: Vector) -> Vector:
         c = d.H.coordinates(v)
@@ -433,7 +387,8 @@ def build_extension(base: KahlerCRData, v_dim: int,
     if v_dim < 1:
         raise ValueError("V must be at least one-dimensional")
 
-    table: dict = {}
+    # alpha on basis pairs: alpha_rows[a][b] = alpha(e_a, e_b)
+    alpha_rows = [[None] * n for _ in range(n)]
     for (a, b), val in alpha.items():
         v = vector(val)
         if len(v) != v_dim:
@@ -442,45 +397,26 @@ def build_extension(base: KahlerCRData, v_dim: int,
             raise ValueError(f"alpha index {(a, b)} out of range")
         if a == b and not is_zero(v):
             raise ValueError(f"alpha({a + 1},{a + 1}) must vanish (antisymmetry)")
-        key, sign = ((a, b), 1) if a < b else ((b, a), -1)
-        stored = table.get(key)
-        signed = vscale(sign, v)
-        if stored is not None and stored != signed:
+        if alpha_rows[a][b] not in (None, v):
             raise ValueError(f"alpha not antisymmetric at {(a + 1, b + 1)}")
-        table[key] = signed
-
-    def alpha_basis(a: int, b: int) -> Vector:
-        if a == b:
-            return zero_vector(v_dim)
-        key, sign = ((a, b), 1) if a < b else ((b, a), -1)
-        return vscale(sign, table.get(key, zero_vector(v_dim)))
-
-    def alpha_ext(x: Vector, y: Vector) -> Vector:
-        acc = zero_vector(v_dim)
-        for a, xa in enumerate(x):
-            if xa == 0:
-                continue
-            for b, yb in enumerate(y):
-                if yb == 0:
-                    continue
-                acc = vadd(acc, vscale(xa * yb, alpha_basis(a, b)))
-        return acc
+        alpha_rows[a][b], alpha_rows[b][a] = v, vscale(-1, v)
+    alpha_rows = [[zero_vector(v_dim) if v is None else v for v in row]
+                  for row in alpha_rows]
 
     total = n + v_dim
-    c = [[list(zero_vector(total)) for _ in range(total)] for _ in range(total)]
+    c = [[zero_vector(total)] * total for _ in range(total)]
     for a in range(n):
         for b in range(n):
-            c[a][b] = list(tuple(alg.c[a][b]) + alpha_basis(a, b))
+            c[a][b] = alg.c[a][b] + alpha_rows[a][b]
     if extra_brackets:
         for (a, b), val in extra_brackets.items():
             v = vector(val)
             if len(v) != total:
                 raise ValueError("extra bracket value has wrong dimension")
-            c[a][b] = list(v)
-            c[b][a] = [-e for e in v]
+            c[a][b], c[b][a] = v, vscale(-1, v)
 
     rep = Report()
-    bad = validate_structure([[tuple(v) for v in row] for row in c])
+    bad = validate_structure(c)
     rep.add("extension.jacobi", not bad,
             [witness(kind=k, indices=str(tuple(i + 1 for i in idx))) for k, idx in bad])
 
@@ -488,9 +424,8 @@ def build_extension(base: KahlerCRData, v_dim: int,
     names = alg.names
     for a in range(n):
         for b in range(a + 1, n):
-            lhs = alpha_ext(base.j.column(a), base.j.column(b))
-            rhs = alpha_basis(a, b)
-            if lhs != rhs:
+            if bilinear(alpha_rows, base.j.column(a), base.j.column(b), v_dim) \
+                    != alpha_rows[a][b]:
                 jinv.append(witness(x=names[a], y=names[b]))
     rep.add("extension.alpha_j_invariant", not jinv, jinv)
 
@@ -508,9 +443,9 @@ def build_extension(base: KahlerCRData, v_dim: int,
             for d_ in range(b + 1, n):
                 acc = zero_vector(total)
                 for (x, y, z) in ((a, b, d_), (d_, a, b), (b, d_, a)):
-                    av = alpha_ext(alg.c[x][y], basis_vector(n, z))
-                    acc = vadd(acc, zero_vector(n) + tuple(av))
-                    lift = zero_vector(n) + tuple(alpha_basis(x, y))
+                    av = bilinear(alpha_rows, alg.c[x][y], basis_vector(n, z), v_dim)
+                    acc = vadd(acc, zero_vector(n) + av)
+                    lift = zero_vector(n) + alpha_rows[x][y]
                     acc = vadd(acc, big.bracket(lift, basis_vector(total, z)))
                 if not is_zero(acc):
                     cyc.append(witness(x=names[a], y=names[b], z=names[d_]))
@@ -544,7 +479,7 @@ def semisimple_exactness(k: KahlerCRData) -> tuple[Optional[Vector], Optional[Ve
                 detail="algebra is not semisimple; exactness machinery unavailable")
         return None, None, None, rep
 
-    omega = k.omega_matrix()
+    omega = k.omega_matrix
     n = alg.dim
     rows, rhs = [], []
     for a in range(n):
@@ -559,7 +494,6 @@ def semisimple_exactness(k: KahlerCRData) -> tuple[Optional[Vector], Optional[Ve
         return None, None, None, rep
     # overdetermined system: verify every equation after elimination
     bad = []
-    from .linalg import vdot
     for a in range(n):
         for b in range(a + 1, n):
             if vdot(alpha, alg.c[a][b]) != omega[a, b]:

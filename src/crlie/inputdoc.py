@@ -9,7 +9,7 @@ brackets are zero and brackets are listed with x < y.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .crkahler import CRData, KahlerCRData
@@ -37,6 +37,22 @@ class Payloads:
     poisson_r: Optional[Bivector] = None
     ideal: Optional[Subspace] = None
     extension: Optional[dict] = None  # {"v_dim": int, "alpha": {(a, b): Vector}}
+
+
+def _int(value) -> int:
+    """int(value), refusing booleans, which int() would read as 0 and 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"not an integer: {value!r}")
+    return int(value)
+
+
+def _list(block: dict, key: str, where: str, diags) -> list:
+    """block[key] (default []) when it is a list; otherwise [] and a diagnostic."""
+    value = block.get(key, [])
+    if isinstance(value, list):
+        return value
+    diags.append(f"{where}: must be a list")
+    return []
 
 
 def _matrix(rows, n_cols, where, diags) -> Optional[Matrix]:
@@ -67,7 +83,7 @@ def _bivector(entries, dim, where, diags) -> Optional[Bivector]:
     coeffs = {}
     for e in entries:
         try:
-            i, j = int(e["i"]), int(e["j"])
+            i, j = _int(e["i"]), _int(e["j"])
             c = rat(e["coeff"])
         except (KeyError, ValueError, TypeError) as err:
             diags.append(f"{where}: bad entry {e!r}: {err}")
@@ -86,23 +102,35 @@ def parse_document(doc: dict) -> Payloads:
     if not isinstance(doc, dict) or "algebra" not in doc:
         raise InputError(["document must be an object with an 'algebra' block"])
 
+    for key in ("algebra", "cr", "poisson", "extension"):
+        if key in doc and not isinstance(doc[key], dict):
+            diags.append(f"{key}: must be an object")
+    if diags:
+        raise InputError(diags)
+
     ablock = doc["algebra"]
     try:
-        dim = int(ablock["dim"])
+        dim = _int(ablock["dim"])
     except (KeyError, ValueError, TypeError):
         raise InputError(["algebra.dim: missing or not an integer"])
     if dim < 1:
         raise InputError(["algebra.dim: must be >= 1"])
-    names = ablock.get("names") or [f"e{i + 1}" for i in range(dim)]
-    if len(names) != dim:
+    default_names = [f"e{i + 1}" for i in range(dim)]
+    names = ablock.get("names")
+    if names is None:
+        names = default_names
+    elif not (isinstance(names, list) and all(isinstance(nm, str) for nm in names)):
+        diags.append("algebra.names: must be a list of strings")
+        names = default_names
+    elif len(names) != dim:
         diags.append(f"algebra.names: expected {dim} names, got {len(names)}")
-        names = [f"e{i + 1}" for i in range(dim)]
+        names = default_names
 
     c = [[None] * dim for _ in range(dim)]
-    for k, entry in enumerate(ablock.get("brackets", [])):
+    for k, entry in enumerate(_list(ablock, "brackets", "algebra.brackets", diags)):
         where = f"algebra.brackets[{k}]"
         try:
-            x, y = int(entry["x"]), int(entry["y"])
+            x, y = _int(entry["x"]), _int(entry["y"])
             result = vector(entry["result"])
         except (KeyError, ValueError, TypeError) as e:
             diags.append(f"{where}: {e}")
@@ -180,7 +208,8 @@ def parse_document(doc: dict) -> Payloads:
             diags.append("poisson: requires a valid cr block (for H and j)")
         else:
             U = _subspace(block.get("U", []), dim, "poisson.U", diags)
-            lam = _bivector(block.get("lambda", []), dim, "poisson.lambda", diags)
+            lam = _bivector(_list(block, "lambda", "poisson.lambda", diags), dim,
+                            "poisson.lambda", diags)
             if U is not None and lam is not None:
                 try:
                     payloads.poisson = PseudoPoissonData(
@@ -188,7 +217,8 @@ def parse_document(doc: dict) -> Payloads:
                 except ValueError as e:
                     diags.append(f"poisson: {e}")
             if "r" in block:
-                payloads.poisson_r = _bivector(block["r"], dim, "poisson.r", diags)
+                payloads.poisson_r = _bivector(_list(block, "r", "poisson.r", diags), dim,
+                                               "poisson.r", diags)
 
     if "ideal" in doc:
         if payloads.cr is None:
@@ -202,15 +232,15 @@ def parse_document(doc: dict) -> Payloads:
             diags.append("extension: requires valid cr and metric blocks")
         else:
             try:
-                v_dim = int(block["V_dim"])
+                v_dim = _int(block["V_dim"])
             except (KeyError, ValueError, TypeError):
                 diags.append("extension.V_dim: missing or not an integer")
                 v_dim = 0
             alpha = {}
-            for k, entry in enumerate(block.get("alpha", [])):
+            for k, entry in enumerate(_list(block, "alpha", "extension.alpha", diags)):
                 where = f"extension.alpha[{k}]"
                 try:
-                    x, y = int(entry["x"]), int(entry["y"])
+                    x, y = _int(entry["x"]), _int(entry["y"])
                     result = vector(entry["result"])
                 except (KeyError, ValueError, TypeError) as e:
                     diags.append(f"{where}: {e}")

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .linalg import (
     Matrix, Subspace, Vector,
-    basis_vector, is_zero, kernel, rat, vadd, vector, vscale, zero_vector,
+    basis_vector, bilinear, is_zero, kernel, lincomb, vector, zero_vector,
 )
 
 
@@ -36,24 +36,12 @@ def validate_structure(c: Sequence[Sequence[Vector]]) -> list:
                 bad.append(("antisymmetry", (i, j)))
     if bad:
         return bad
-
-    def brk(x: Vector, y: Vector) -> Vector:
-        acc = zero_vector(n)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                acc = vadd(acc, vscale(xi * yj, c[i][j]))
-        return acc
-
+    # [e_i, v] = sum_m v_m c[i][m], so the Jacobiator
+    # [e_i,[e_j,e_k]] + [e_k,[e_i,e_j]] + [e_j,[e_k,e_i]] is one linear combination
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                s = vadd(vadd(brk(basis_vector(n, i), c[j][k]),
-                              brk(basis_vector(n, k), c[i][j])),
-                         brk(basis_vector(n, j), tuple(-e for e in c[i][k])))
+                s = lincomb(chain(c[j][k], c[i][j], c[k][i]), chain(c[i], c[k], c[j]), n)
                 if not is_zero(s):
                     bad.append(("jacobi", (i, j, k)))
     return bad
@@ -66,7 +54,7 @@ class LieAlgebra:
     tensors violating antisymmetry or the Jacobi identity.
     """
 
-    __slots__ = ("dim", "names", "c")
+    __slots__ = ("dim", "names", "c", "_killing")
 
     def __init__(self, c: Sequence[Sequence[Iterable]], names: Optional[Sequence[str]] = None,
                  validate: bool = True):
@@ -85,6 +73,7 @@ class LieAlgebra:
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "names", tuple(names))
         object.__setattr__(self, "c", tensor)
+        object.__setattr__(self, "_killing", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -114,15 +103,7 @@ class LieAlgebra:
     def bracket(self, x: Vector, y: Vector) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("dimension mismatch in bracket")
-        acc = zero_vector(self.dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                acc = vadd(acc, vscale(xi * yj, self.c[i][j]))
-        return acc
+        return bilinear(self.c, x, y, self.dim)
 
     def ad(self, x: Vector) -> Matrix:
         """Matrix of y -> [x, y] in the standard basis."""
@@ -132,9 +113,13 @@ class LieAlgebra:
         return Matrix.from_columns(cols)
 
     def killing_form(self) -> Matrix:
-        ads = [self.ad(basis_vector(self.dim, i)) for i in range(self.dim)]
-        return Matrix([[(ads[i] * ads[j]).trace() for j in range(self.dim)]
-                       for i in range(self.dim)])
+        """K(e_i, e_j) = trace(ad e_i ad e_j), built once per algebra."""
+        if self._killing is None:
+            ads = [self.ad(basis_vector(self.dim, i)) for i in range(self.dim)]
+            object.__setattr__(self, "_killing", Matrix(
+                [[(ads[i] * ads[j]).trace() for j in range(self.dim)]
+                 for i in range(self.dim)]))
+        return self._killing
 
     def is_semisimple(self) -> bool:
         """Cartan's criterion: Killing form nondegenerate."""
@@ -200,20 +185,6 @@ class LieAlgebra:
             raise ValueError(
                 f"dimension mismatch: subspace ambient {s.ambient_dim} vs algebra {self.dim}")
 
-    def format_vector(self, v: Vector) -> str:
-        from .linalg import format_rat
-        terms = []
-        for name, e in zip(self.names, v):
-            if e == 0:
-                continue
-            if e == 1:
-                terms.append(name)
-            elif e == -1:
-                terms.append(f"-{name}")
-            else:
-                terms.append(f"{format_rat(e)}*{name}")
-        return " + ".join(terms).replace("+ -", "- ") if terms else "0"
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, LieAlgebra) and self.dim == other.dim
                 and self.c == other.c)
@@ -247,7 +218,3 @@ def sl2() -> LieAlgebra:
 def heisenberg3() -> LieAlgebra:
     return LieAlgebra.from_brackets(3, {(0, 1): [0, 0, 1]})
 
-
-def aff_r() -> LieAlgebra:
-    # [e1,e2] = e2
-    return LieAlgebra.from_brackets(2, {(0, 1): [0, 1]})

@@ -38,6 +38,22 @@ def format_rat(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def format_terms(terms: Iterable) -> str:
+    """Render (coefficient, symbol) pairs as "a - 2*b + 1/2*c"; zero
+    coefficients are skipped and an empty sum is "0"."""
+    out = []
+    for coeff, symbol in terms:
+        if coeff == 0:
+            continue
+        if coeff == 1:
+            out.append(symbol)
+        elif coeff == -1:
+            out.append(f"-{symbol}")
+        else:
+            out.append(f"{format_rat(coeff)}*{symbol}")
+    return " + ".join(out).replace("+ -", "- ") if out else "0"
+
+
 # ---------------------------------------------------------------------------
 # vectors
 
@@ -71,6 +87,34 @@ def vscale(c, x: Vector) -> Vector:
 def vdot(x: Vector, y: Vector) -> Fraction:
     _same_dim(x, y)
     return sum((a * b for a, b in zip(x, y)), Fraction(0))
+
+
+def lincomb(coeffs: Iterable, vectors: Iterable[Vector], n: int) -> Vector:
+    """sum_i coeffs[i] * vectors[i] in dimension n, skipping zero terms."""
+    acc = [Fraction(0)] * n
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for k, e in enumerate(v):
+                if e:
+                    acc[k] += c * e
+    return tuple(acc)
+
+
+def bilinear(table, x: Vector, y: Vector, n: int) -> Vector:
+    """sum_{i,j} x_i y_j table[i][j]: the bilinear map whose values on basis
+    pairs are the n-vectors table[i][j], skipping zero terms."""
+    acc = [Fraction(0)] * n
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        row = table[i]
+        for j, yj in enumerate(y):
+            if yj:
+                c = xi * yj
+                for k, e in enumerate(row[j]):
+                    if e:
+                        acc[k] += c * e
+    return tuple(acc)
 
 
 def is_zero(x: Vector) -> bool:
@@ -330,10 +374,7 @@ class Subspace:
     def coordinates(self, v: Vector) -> Optional[Vector]:
         """Coefficients of v in the RREF basis, or None if v is not a member."""
         coeffs = tuple(v[p] for p in self.pivots)
-        acc = zero_vector(self.ambient_dim)
-        for c, row in zip(coeffs, self.basis):
-            acc = vadd(acc, vscale(c, row))
-        if acc != tuple(rat(e) for e in v):
+        if lincomb(coeffs, self.basis, self.ambient_dim) != tuple(rat(e) for e in v):
             return None
         return coeffs
 
@@ -344,13 +385,9 @@ class Subspace:
         # x = sum a_i s_i = sum b_j t_j  <=>  (a, b) in ker [S^T | -T^T]
         cols = [tuple(v) for v in self.basis] + [vscale(-1, v) for v in other.basis]
         K = kernel(Matrix.from_columns(cols))
-        vecs = []
-        for coeffs in K.basis:
-            x = zero_vector(self.ambient_dim)
-            for a, s in zip(coeffs[: self.dim], self.basis):
-                x = vadd(x, vscale(a, s))
-            vecs.append(x)
-        return Subspace.span(vecs, self.ambient_dim)
+        return Subspace.span(
+            [lincomb(coeffs[: self.dim], self.basis, self.ambient_dim) for coeffs in K.basis],
+            self.ambient_dim)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)

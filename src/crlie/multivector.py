@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .lie import LieAlgebra
-from .linalg import Matrix, Subspace, Vector, format_rat, rat, zero_vector
+from .linalg import Matrix, Subspace, Vector, basis_vector, format_terms, rat
 
 Pair = tuple[int, int]
 Triple = tuple[int, int, int]
@@ -115,20 +115,10 @@ class _Alternating:
         return hash((self.dim, tuple(sorted(self.coeffs.items()))))
 
     def format(self, names=None) -> str:
-        if not self.coeffs:
-            return "0"
         if names is None:
             names = [f"e{i + 1}" for i in range(self.dim)]
-        terms = []
-        for key, val in self.coeffs.items():
-            mono = "^".join(names[i] for i in key)
-            if val == 1:
-                terms.append(mono)
-            elif val == -1:
-                terms.append(f"-{mono}")
-            else:
-                terms.append(f"{format_rat(val)}*{mono}")
-        return " + ".join(terms).replace("+ -", "- ")
+        return format_terms((val, "^".join(names[i] for i in key))
+                            for key, val in self.coeffs.items())
 
     def __repr__(self):
         return f"{type(self).__name__}({self.format()})"
@@ -216,7 +206,6 @@ def extend_derivation_2(D: Matrix) -> Matrix:
     keys = pair_basis(n)
     cols = []
     for i, j in keys:
-        from .linalg import basis_vector
         b = wedge(D.column(i), basis_vector(n, j)) + wedge(basis_vector(n, i), D.column(j))
         cols.append(b.to_coords(keys))
     return Matrix.from_columns(cols)
@@ -227,7 +216,6 @@ def extend_derivation_3(D: Matrix) -> Matrix:
         raise ValueError("square matrix required")
     n = D.rows
     keys = triple_basis(n)
-    from .linalg import basis_vector
     cols = []
     for i, j, k in keys:
         ei, ej, ek = (basis_vector(n, t) for t in (i, j, k))
@@ -289,7 +277,6 @@ def wedge_subspace_span(u: Subspace) -> Subspace:
     """span{u ^ e_a ^ e_b : u in basis(U), a < b} inside Lambda^3 coordinates."""
     n = u.ambient_dim
     keys = triple_basis(n)
-    from .linalg import basis_vector
     gens = []
     for uv in u.basis:
         for a, b in pair_basis(n):
@@ -303,13 +290,13 @@ def in_wedge_subspace(t: Trivector, u: Subspace) -> bool:
     """Membership of t in U ^ Lambda^2 G, decided exactly in coordinates."""
     if u.ambient_dim != t.dim:
         raise ValueError("dimension mismatch in wedge-subspace membership")
-    if t.is_zero():
-        return True
-    span = wedge_subspace_span(u)
-    return span.contains(t.to_coords())
+    return t.is_zero() or wedge_subspace_span(u).contains(t.to_coords())
 
 
-def wedge_subspace_residual(t: Trivector, u: Subspace) -> Trivector:
-    """Canonical remainder of t after reduction against U ^ Lambda^2 G."""
-    span = wedge_subspace_span(u)
-    return Trivector.from_coords(t.dim, span.reduce(t.to_coords()))
+def wedge_subspace_residual(t: Trivector, span: Subspace) -> Trivector:
+    """Canonical remainder of t after reduction against `span`, the
+    U ^ Lambda^2 G built by `wedge_subspace_span`; zero iff t is a member."""
+    coords = t.to_coords()
+    if len(coords) != span.ambient_dim:
+        raise ValueError("dimension mismatch in wedge-subspace membership")
+    return Trivector.from_coords(t.dim, span.reduce(coords))

@@ -10,13 +10,13 @@ multivectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .lie import LieAlgebra
 from .linalg import Matrix, Subspace, basis_vector
 from .multivector import (
     Bivector, apply_2, apply_3, extend_derivation_2, extend_derivation_3,
-    extend_map_2, in_wedge_subspace, schouten, wedge_subspace_residual,
+    extend_map_2, schouten, wedge_subspace_residual, wedge_subspace_span,
 )
 from .report import Report, witness
 
@@ -47,11 +47,9 @@ def check_pseudo_poisson(d: PseudoPoissonData) -> Report:
     trivector is reported."""
     rep = Report()
     t = schouten(d.algebra, d.Lambda, d.Lambda)
-    ok = in_wedge_subspace(t, d.U)
-    w = []
-    if not ok:
-        res = wedge_subspace_residual(t, d.U)
-        w.append(witness(residual=res.format(d.algebra.names)))
+    res = wedge_subspace_residual(t, wedge_subspace_span(d.U))
+    ok = res.is_zero()
+    w = [] if ok else [witness(residual=res.format(d.algebra.names))]
     rep.add("poisson.schouten_membership", ok, w,
             detail=f"[L,L] = {t.format(d.algebra.names)}")
     return rep
@@ -77,12 +75,12 @@ def coboundary_pi(algebra: LieAlgebra, r: Bivector, U: Subspace) -> tuple[dict, 
     """
     rep = Report()
     rr = schouten(algebra, r, r)
+    span = wedge_subspace_span(U)
     bad = []
     for i in range(algebra.dim):
         d3 = extend_derivation_3(algebra.ad(basis_vector(algebra.dim, i)))
-        image = apply_3(d3, rr)
-        if not in_wedge_subspace(image, U):
-            res = wedge_subspace_residual(image, U)
+        res = wedge_subspace_residual(apply_3(d3, rr), span)
+        if not res.is_zero():
             bad.append(witness(generator=algebra.names[i],
                                residual=res.format(algebra.names)))
     rep.add("poisson.coboundary_invariance", not bad, bad,

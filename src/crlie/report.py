@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .linalg import Vector, format_rat
+from .linalg import Vector, format_terms
 
 PASS = "pass"
 FAIL = "fail"
@@ -84,14 +84,5 @@ def witness(**kwargs) -> dict:
 
 
 def fmt_vec(names, v: Vector) -> str:
-    terms = []
-    for name, e in zip(names, v):
-        if e == 0:
-            continue
-        if e == 1:
-            terms.append(name)
-        elif e == -1:
-            terms.append(f"-{name}")
-        else:
-            terms.append(f"{format_rat(e)}*{name}")
-    return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+    """A coordinate vector as a combination of the named basis, e.g. "e1 - 2*e3"."""
+    return format_terms(zip(v, names))

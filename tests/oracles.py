@@ -3,7 +3,8 @@
 These deliberately take a different route than the library code: the
 Schouten oracle expands pairwise over decomposables with wedge3, while the
 implementation contracts full coefficient matrices against the structure
-constants.
+constants; the bracket and Jacobiator oracles visit every index of the
+structure constants, zero or not, where the library skips zero terms.
 """
 
 from fractions import Fraction
@@ -27,6 +28,24 @@ def schouten_decomposable(algebra: LieAlgebra, p: Bivector, q: Bivector) -> Triv
                     + wedge3(algebra.bracket(eb, ed), ea, ec))
             acc = acc + term.scale(pv * qv)
     return acc
+
+
+def bracket_expanded(c, x, y) -> tuple:
+    """[x, y]_m = sum over all i, j of x_i y_j c[i][j][m]."""
+    n = len(c)
+    return tuple(sum((x[i] * y[j] * c[i][j][m] for i in range(n) for j in range(n)),
+                     Fraction(0))
+                 for m in range(n))
+
+
+def jacobiator(c, i, j, k) -> tuple:
+    """[e_i,[e_j,e_k]] + [e_k,[e_i,e_j]] - [e_j,[e_i,e_k]], entry by entry:
+    the m-th entry is sum_l c[j][k][l] c[i][l][m] + c[i][j][l] c[k][l][m]
+    - c[i][k][l] c[j][l][m]."""
+    n = len(c)
+    return tuple(sum((c[j][k][l] * c[i][l][m] + c[i][j][l] * c[k][l][m]
+                      - c[i][k][l] * c[j][l][m] for l in range(n)), Fraction(0))
+                 for m in range(n))
 
 
 def killing_entry(algebra: LieAlgebra, i: int, j: int) -> Fraction:

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -71,6 +72,31 @@ def test_multiple_diagnostics_collected():
     with pytest.raises(InputError) as exc:
         parse_document(doc)
     assert len(exc.value.diagnostics) == 2
+
+
+def _with_block(entry_id, key, **fields):
+    doc = copy.deepcopy(catalog.get(entry_id).document)
+    doc[key].update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"algebra": {"dim": 2}, "cr": []}, "cr: must be an object"),
+    ({"algebra": {"dim": 2}, "poisson": "U"}, "poisson: must be an object"),
+    ({"algebra": {"dim": 2}, "extension": []}, "extension: must be an object"),
+    ({"algebra": {"dim": True}}, "algebra.dim: missing or not an integer"),
+    ({"algebra": {"dim": 2, "names": "ab"}}, "algebra.names: must be a list of strings"),
+    ({"algebra": {"dim": 2, "brackets": 5}}, "algebra.brackets: must be a list"),
+    ({"algebra": {"dim": 2, "brackets": [{"x": True, "y": 2, "result": ["0", "1"]}]}},
+     "algebra.brackets[0]: not an integer"),
+    (_with_block("sl2", "poisson", **{"lambda": 5}), "poisson.lambda: must be a list"),
+    (_with_block("heisenberg", "extension", alpha=5), "extension.alpha: must be a list"),
+    (_with_block("heisenberg", "extension", V_dim=True),
+     "extension.V_dim: missing or not an integer"),
+])
+def test_malformed_field_types_exit_two(tmp_path, capsys, doc, message):
+    assert main(["check", write(tmp_path, doc)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_algebra_document_builder_round_trip():

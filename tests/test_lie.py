@@ -1,16 +1,47 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crlie import LieAlgebra, StructureError, heisenberg3, sl2, so3
-from crlie.linalg import Matrix, Subspace, basis_vector, is_zero, vector
+from crlie.lie import validate_structure
+from crlie.linalg import Matrix, Subspace, basis_vector, is_zero, solve, vector
 
-from oracles import killing_entry
+from oracles import bracket_expanded, jacobiator, killing_entry
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 vec3 = st.lists(rationals, min_size=3, max_size=3).map(vector)
+
+
+def vectors(n):
+    return st.lists(rationals, min_size=n, max_size=n).map(vector)
+
+
+@st.composite
+def dense_tensors(draw, max_dim=4):
+    """Antisymmetric c with random rational entries; Jacobi almost never holds."""
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    c = [[vector([0] * n)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            c[i][j] = draw(vectors(n))
+            c[j][i] = tuple(-e for e in c[i][j])
+    return c
+
+
+@st.composite
+def perturbed_algebras(draw):
+    """A 4-dimensional Lie algebra with one bracket entry changed, so that
+    Jacobi fails on some basis triples and holds on others."""
+    g = draw(st.sampled_from([so3, sl2, heisenberg3]))().direct_sum(LieAlgebra.abelian(1))
+    c = [list(row) for row in g.c]
+    i, j = draw(st.sampled_from([(a, b) for a in range(4) for b in range(a + 1, 4)]))
+    m = draw(st.integers(min_value=0, max_value=3))
+    v = list(c[i][j])
+    v[m] += draw(st.sampled_from([-1, 1, 2]))
+    c[i][j], c[j][i] = tuple(v), tuple(-e for e in v)
+    return c
 
 
 def test_so3_bracket_example():
@@ -26,6 +57,38 @@ def test_bracket_of_x_with_itself_vanishes(x):
 @given(vec3, vec3)
 def test_abelian_brackets_vanish(x, y):
     assert is_zero(LieAlgebra.abelian(3).bracket(x, y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bracket_matches_expanded_oracle_on_dense_tensors(data):
+    c = data.draw(dense_tensors())
+    n = len(c)
+    x, y = data.draw(vectors(n)), data.draw(vectors(n))
+    assert LieAlgebra(c, validate=False).bracket(x, y) == bracket_expanded(c, x, y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(dense_tensors(), perturbed_algebras()))
+def test_validate_structure_matches_entrywise_jacobiator(c):
+    n = len(c)
+    expected = [("jacobi", (i, j, k)) for i in range(n) for j in range(i + 1, n)
+                for k in range(j + 1, n) if not is_zero(jacobiator(c, i, j, k))]
+    assert validate_structure(c) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([so3, sl2, heisenberg3]),
+       st.lists(st.integers(min_value=-2, max_value=2), min_size=9, max_size=9))
+def test_validate_structure_accepts_lie_algebras_in_dense_bases(make, entries):
+    # c'[i][j] = P^-1 [P e_i, P e_j]: the same algebra in the basis P e_i
+    P = Matrix([entries[0:3], entries[3:6], entries[6:9]])
+    assume(P.det() != 0)
+    g = make()
+    c = [[solve(P, bracket_expanded(g.c, P.column(i), P.column(j))) for j in range(3)]
+         for i in range(3)]
+    assert validate_structure(c) == []
+    assert is_zero(jacobiator(c, 0, 1, 2))
 
 
 def test_ad_so3():

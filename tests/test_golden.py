@@ -1,8 +1,9 @@
 """Byte-for-byte CLI output frozen in tests/golden/.
 
 Each golden file holds `exit <code>` on its first line and the command's
-stdout after it: `crlie check` in both formats on every catalog entry and on
-three documents that reach the `ideal` and `extension` branches, plus
+stdout after it: `crlie check` in both formats on every catalog entry, on
+three documents that reach the `ideal` and `extension` branches and on one
+whose Schouten residuals are reduced against a nonzero U, plus
 `construct left-symmetric` and `schouten`.  After a deliberate change to the
 reports, regenerate the files with
 
@@ -39,6 +40,13 @@ def _cases() -> dict:
     docs["so3_cr_extension"] = _with(
         "so3_cr", extension={"V_dim": 1,
                              "alpha": [{"x": 1, "y": 2, "result": ["1"]}]})
+    # U tilted off the coordinate axes: the residuals of both Schouten checks
+    # are reduced against a nonzero U
+    docs["so3_x_r2_tilted_U"] = _with(
+        "so3_x_r2", poisson={
+            **catalog.get("so3_x_r2").document["poisson"],
+            "U": [["0", "0", "1", "1", "0"]],
+            "r": [{"i": 1, "j": 2, "coeff": "1"}, {"i": 1, "j": 4, "coeff": "1"}]})
     cases = {}
     for name, doc in docs.items():
         for fmt in ("structured", "text"):
@@ -46,6 +54,7 @@ def _cases() -> dict:
     cases["construct-aff_aff"] = (["construct", "left-symmetric"], docs["aff_aff"])
     cases["schouten-sl2"] = (["schouten"], docs["sl2"])
     cases["schouten-so3_r_mixed"] = (["schouten"], docs["so3_r_mixed"])
+    cases["schouten-so3_x_r2_tilted_U"] = (["schouten"], docs["so3_x_r2_tilted_U"])
     return cases
 
 

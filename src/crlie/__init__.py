@@ -4,8 +4,7 @@ on finite-dimensional Lie algebras given by rational structure constants."""
 from .linalg import Matrix, Rational, Subspace, Vector, kernel, rat, solve, vector
 from .lie import LieAlgebra, StructureError, heisenberg3, sl2, so3
 from .multivector import (
-    Bivector, Trivector, extend_derivation_2, extend_derivation_3, extend_map_2,
-    in_wedge_subspace, schouten, wedge, wedge3,
+    Bivector, Trivector, derive, in_wedge_subspace, push, schouten, wedge, wedge3,
 )
 from .crkahler import (
     CRData, KahlerCRData, LeftSymmetricProduct, build_extension, center_U,
@@ -27,8 +26,8 @@ from . import catalog
 __all__ = [
     "Matrix", "Rational", "Subspace", "Vector", "kernel", "rat", "solve", "vector",
     "LieAlgebra", "StructureError", "heisenberg3", "sl2", "so3",
-    "Bivector", "Trivector", "extend_derivation_2", "extend_derivation_3",
-    "extend_map_2", "in_wedge_subspace", "schouten", "wedge", "wedge3",
+    "Bivector", "Trivector", "derive", "in_wedge_subspace", "push", "schouten",
+    "wedge", "wedge3",
     "CRData", "KahlerCRData", "LeftSymmetricProduct", "build_extension",
     "center_U", "check_cr", "check_kahler", "check_left_symmetric",
     "ideal_complement_complex", "induced_bracket", "left_symmetric_product",

@@ -24,13 +24,15 @@ EXIT_INPUT_ERROR = 2
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
         raise InputError([f"cannot read {path}: {e}"])
+    except UnicodeDecodeError as e:
+        raise InputError([f"{path} is not UTF-8 text: {e}"])
 
 
 def _load(path: str):

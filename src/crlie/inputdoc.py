@@ -40,8 +40,8 @@ class Payloads:
 
 
 def _int(value) -> int:
-    """int(value), refusing booleans, which int() would read as 0 and 1."""
-    if isinstance(value, bool):
+    """int(value), refusing booleans and floats, which int() reads as 0/1 or truncates."""
+    if isinstance(value, (bool, float)):
         raise TypeError(f"not an integer: {value!r}")
     return int(value)
 
@@ -264,7 +264,7 @@ def parse_document(doc: dict) -> Payloads:
 def parse_text(text: str) -> Payloads:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, or an over-long integer
         raise InputError([f"not valid JSON: {e}"])
     return parse_document(doc)
 

@@ -1,29 +1,34 @@
 """Exterior powers of a Lie algebra and the algebraic Schouten bracket.
 
-Degrees 2 and 3 only: the pseudo-Poisson condition lives in Lambda^3.
-Coordinate bases of Lambda^2 / Lambda^3 are the strictly increasing index
-pairs / triples in lexicographic order.
+Degrees 2 and 3 only: the pseudo-Poisson condition lives in Lambda^3.  A
+multivector is its sparse coefficient dict, keyed by strictly increasing
+index pairs / triples.  Linear maps act on that dict directly (`push`,
+`derive`), emitting raw index tuples that the constructor sorts, signs and
+merges.
+
+Membership in U ^ Lambda^2 G goes through the quotient map G -> G/U, taken
+as R_U, whose column i is the remainder of e_i against the RREF basis of U.
+Lambda^3 R_U kills U ^ Lambda^2 G and moves each t only by an element of it,
+and its image has no component on a triple holding a pivot of U; those
+triples are exactly the pivots of the RREF span of all u ^ e_a ^ e_b.  So
+Lambda^3 R_U (t) is the canonical remainder of t against that span, and is
+zero iff t is a member.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from itertools import product
+from typing import Mapping
 
 from .lie import LieAlgebra
 from .linalg import Matrix, Subspace, Vector, basis_vector, format_terms, rat
 
 Pair = tuple[int, int]
-Triple = tuple[int, int, int]
 
 
 def pair_basis(dim: int) -> list[Pair]:
     return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-
-
-def triple_basis(dim: int) -> list[Triple]:
-    return [(i, j, k) for i in range(dim)
-            for j in range(i + 1, dim) for k in range(j + 1, dim)]
 
 
 def _sort_key(idx):
@@ -38,6 +43,10 @@ def _sort_key(idx):
                 idx[b], idx[b + 1] = idx[b + 1], idx[b]
                 sign = -sign
     return tuple(idx), sign
+
+
+def _nonzero(v) -> list:
+    return [(i, c) for i, c in enumerate(v) if c != 0]
 
 
 class _Alternating:
@@ -90,19 +99,6 @@ class _Alternating:
         c = rat(c)
         return type(self)(self.dim, {k: c * v for k, v in self.coeffs.items()})
 
-    def to_coords(self, basis_keys=None) -> Vector:
-        if basis_keys is None:
-            basis_keys = self._basis_keys()
-        return tuple(self.coeffs.get(k, Fraction(0)) for k in basis_keys)
-
-    @classmethod
-    def from_coords(cls, dim: int, coords: Iterable):
-        keys = cls._basis_keys_for(dim)
-        return cls(dim, dict(zip(keys, coords)))
-
-    def _basis_keys(self):
-        return self._basis_keys_for(self.dim)
-
     def _check(self, other):
         if type(other) is not type(self) or other.dim != self.dim:
             raise ValueError("dimension or type mismatch")
@@ -127,10 +123,6 @@ class _Alternating:
 class Bivector(_Alternating):
     arity = 2
 
-    @staticmethod
-    def _basis_keys_for(dim: int):
-        return pair_basis(dim)
-
     def full_matrix(self) -> Matrix:
         """Antisymmetric n x n coefficient matrix."""
         m = [[Fraction(0)] * self.dim for _ in range(self.dim)]
@@ -143,10 +135,6 @@ class Bivector(_Alternating):
 class Trivector(_Alternating):
     arity = 3
 
-    @staticmethod
-    def _basis_keys_for(dim: int):
-        return triple_basis(dim)
-
 
 # ---------------------------------------------------------------------------
 # wedge products
@@ -154,84 +142,52 @@ class Trivector(_Alternating):
 def wedge(x: Vector, y: Vector) -> Bivector:
     if len(x) != len(y):
         raise ValueError("dimension mismatch in wedge")
-    n = len(x)
-    coeffs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = x[i] * y[j] - x[j] * y[i]
-            if c != 0:
-                coeffs[(i, j)] = c
-    return Bivector(n, coeffs)
+    return Bivector(len(x), {(i, j): a * b
+                             for (i, a), (j, b) in product(_nonzero(x), _nonzero(y))})
 
 
 def wedge3(x: Vector, y: Vector, z: Vector) -> Trivector:
     if not (len(x) == len(y) == len(z)):
         raise ValueError("dimension mismatch in wedge3")
-    n = len(x)
-    coeffs: dict = {}
-    for i in range(n):
-        if x[i] == 0:
-            continue
-        for j in range(n):
-            if y[j] == 0:
-                continue
-            for k in range(n):
-                if z[k] == 0:
-                    continue
-                norm = _sort_key((i, j, k))
-                if norm is None:
-                    continue
-                key, sign = norm
-                coeffs[key] = coeffs.get(key, Fraction(0)) + sign * x[i] * y[j] * z[k]
-    return Trivector(n, coeffs)
+    return Trivector(len(x), {(i, j, k): a * b * c for (i, a), (j, b), (k, c)
+                              in product(_nonzero(x), _nonzero(y), _nonzero(z))})
 
 
 # ---------------------------------------------------------------------------
-# extensions of linear maps to Lambda^2 and Lambda^3
+# linear maps acting on Lambda^2 and Lambda^3
 
-def extend_map_2(A: Matrix) -> Matrix:
-    """Multiplicative extension: x^y -> Ax ^ Ay (used for j and Ad)."""
-    if A.rows != A.cols:
-        raise ValueError("square matrix required")
-    keys = pair_basis(A.rows)
-    cols = [wedge(A.column(i), A.column(j)).to_coords(keys) for i, j in keys]
-    return Matrix.from_columns(cols)
+def _sparse_columns(A: Matrix, t: _Alternating) -> list:
+    if A.rows != A.cols or A.rows != t.dim:
+        raise ValueError("square matrix of the multivector's dimension required")
+    return [_nonzero(col) for col in zip(*A.data)]
 
 
-def extend_derivation_2(D: Matrix) -> Matrix:
-    """Leibniz extension: x^y -> Dx ^ y + x ^ Dy (used for ad)."""
-    if D.rows != D.cols:
-        raise ValueError("square matrix required")
-    n = D.rows
-    keys = pair_basis(n)
-    cols = []
-    for i, j in keys:
-        b = wedge(D.column(i), basis_vector(n, j)) + wedge(basis_vector(n, i), D.column(j))
-        cols.append(b.to_coords(keys))
-    return Matrix.from_columns(cols)
+def push(A: Matrix, t: _Alternating) -> _Alternating:
+    """Multiplicative extension: e_a^e_b(^e_c) -> Ae_a ^ Ae_b (^ Ae_c)
+    (used for j and the quotient map G -> G/U)."""
+    cols = _sparse_columns(A, t)
+    acc: dict = {}
+    for key, v in t.coeffs.items():
+        for entries in product(*(cols[a] for a in key)):
+            w = v
+            for _, x in entries:
+                w *= x
+            raw = tuple(i for i, _ in entries)
+            acc[raw] = acc.get(raw, 0) + w
+    return type(t)(t.dim, acc)
 
 
-def extend_derivation_3(D: Matrix) -> Matrix:
-    if D.rows != D.cols:
-        raise ValueError("square matrix required")
-    n = D.rows
-    keys = triple_basis(n)
-    cols = []
-    for i, j, k in keys:
-        ei, ej, ek = (basis_vector(n, t) for t in (i, j, k))
-        t = (wedge3(D.column(i), ej, ek)
-             + wedge3(ei, D.column(j), ek)
-             + wedge3(ei, ej, D.column(k)))
-        cols.append(t.to_coords(keys))
-    return Matrix.from_columns(cols)
-
-
-def apply_2(M: Matrix, b: Bivector) -> Bivector:
-    return Bivector.from_coords(b.dim, M.matvec(b.to_coords()))
-
-
-def apply_3(M: Matrix, t: Trivector) -> Trivector:
-    return Trivector.from_coords(t.dim, M.matvec(t.to_coords()))
+def derive(D: Matrix, t: _Alternating) -> _Alternating:
+    """Leibniz extension: e_a^e_b(^e_c) -> De_a^e_b(^e_c) + e_a^De_b(^e_c)
+    (+ e_a^e_b^De_c) (used for ad)."""
+    cols = _sparse_columns(D, t)
+    acc: dict = {}
+    for key, v in t.coeffs.items():
+        for s, a in enumerate(key):
+            for i, x in cols[a]:
+                raw = key[:s] + (i,) + key[s + 1:]
+                acc[raw] = acc.get(raw, 0) + v * x
+    return type(t)(t.dim, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -262,41 +218,23 @@ def schouten(algebra: LieAlgebra, p: Bivector, q: Bivector) -> Trivector:
                     if qcd == 0:
                         continue
                     w = pab * qcd
-                    for k, ck in enumerate(algebra.c[a][c]):
-                        if ck == 0:
-                            continue
-                        norm = _sort_key((k, b, d))
-                        if norm is None:
-                            continue
-                        key, sign = norm
-                        acc[key] = acc.get(key, Fraction(0)) + sign * w * ck
+                    for k, ck in _nonzero(algebra.c[a][c]):
+                        acc[(k, b, d)] = acc.get((k, b, d), 0) + w * ck
     return Trivector(n, acc)
 
 
-def wedge_subspace_span(u: Subspace) -> Subspace:
-    """span{u ^ e_a ^ e_b : u in basis(U), a < b} inside Lambda^3 coordinates."""
-    n = u.ambient_dim
-    keys = triple_basis(n)
-    gens = []
-    for uv in u.basis:
-        for a, b in pair_basis(n):
-            t = wedge3(uv, basis_vector(n, a), basis_vector(n, b))
-            if not t.is_zero():
-                gens.append(t.to_coords(keys))
-    return Subspace.span(gens, len(keys))
+# ---------------------------------------------------------------------------
+# membership in U ^ Lambda^2 G
+
+def wedge_subspace_residual(t: Trivector, u: Subspace) -> Trivector:
+    """Canonical remainder of t modulo U ^ Lambda^2 G, its image under the
+    quotient map (see the module docstring); zero iff t is a member."""
+    if u.ambient_dim != t.dim:
+        raise ValueError("dimension mismatch in wedge-subspace membership")
+    n = t.dim
+    return push(Matrix.from_columns([u.reduce(basis_vector(n, i)) for i in range(n)]), t)
 
 
 def in_wedge_subspace(t: Trivector, u: Subspace) -> bool:
-    """Membership of t in U ^ Lambda^2 G, decided exactly in coordinates."""
-    if u.ambient_dim != t.dim:
-        raise ValueError("dimension mismatch in wedge-subspace membership")
-    return t.is_zero() or wedge_subspace_span(u).contains(t.to_coords())
-
-
-def wedge_subspace_residual(t: Trivector, span: Subspace) -> Trivector:
-    """Canonical remainder of t after reduction against `span`, the
-    U ^ Lambda^2 G built by `wedge_subspace_span`; zero iff t is a member."""
-    coords = t.to_coords()
-    if len(coords) != span.ambient_dim:
-        raise ValueError("dimension mismatch in wedge-subspace membership")
-    return Trivector.from_coords(t.dim, span.reduce(coords))
+    """Membership of t in U ^ Lambda^2 G, decided exactly."""
+    return wedge_subspace_residual(t, u).is_zero()

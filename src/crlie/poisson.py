@@ -14,10 +14,7 @@ from typing import Sequence
 
 from .lie import LieAlgebra
 from .linalg import Matrix, Subspace, basis_vector
-from .multivector import (
-    Bivector, apply_2, apply_3, extend_derivation_2, extend_derivation_3,
-    extend_map_2, schouten, wedge_subspace_residual, wedge_subspace_span,
-)
+from .multivector import Bivector, derive, push, schouten, wedge_subspace_residual
 from .report import Report, witness
 
 
@@ -47,7 +44,7 @@ def check_pseudo_poisson(d: PseudoPoissonData) -> Report:
     trivector is reported."""
     rep = Report()
     t = schouten(d.algebra, d.Lambda, d.Lambda)
-    res = wedge_subspace_residual(t, wedge_subspace_span(d.U))
+    res = wedge_subspace_residual(t, d.U)
     ok = res.is_zero()
     w = [] if ok else [witness(residual=res.format(d.algebra.names))]
     rep.add("poisson.schouten_membership", ok, w,
@@ -58,7 +55,7 @@ def check_pseudo_poisson(d: PseudoPoissonData) -> Report:
 def check_j_invariance(d: PseudoPoissonData) -> Report:
     """Literal tensor condition (Lambda^2 j)(Lambda) = Lambda."""
     rep = Report()
-    image = apply_2(extend_map_2(d.j), d.Lambda)
+    image = push(d.j, d.Lambda)
     ok = image == d.Lambda
     w = [] if ok else [witness(image=image.format(d.algebra.names))]
     rep.add("poisson.j_invariance", ok, w)
@@ -75,11 +72,9 @@ def coboundary_pi(algebra: LieAlgebra, r: Bivector, U: Subspace) -> tuple[dict, 
     """
     rep = Report()
     rr = schouten(algebra, r, r)
-    span = wedge_subspace_span(U)
     bad = []
     for i in range(algebra.dim):
-        d3 = extend_derivation_3(algebra.ad(basis_vector(algebra.dim, i)))
-        res = wedge_subspace_residual(apply_3(d3, rr), span)
+        res = wedge_subspace_residual(derive(algebra.ad(basis_vector(algebra.dim, i)), rr), U)
         if not res.is_zero():
             bad.append(witness(generator=algebra.names[i],
                                residual=res.format(algebra.names)))
@@ -95,8 +90,7 @@ def coboundary_pi(algebra: LieAlgebra, r: Bivector, U: Subspace) -> tuple[dict, 
 def coboundary_delta(algebra: LieAlgebra, r: Bivector) -> list[Bivector]:
     """The coboundary cocycle x -> (derivation extension of ad x)(r), on the
     basis generators."""
-    return [apply_2(extend_derivation_2(algebra.ad(basis_vector(algebra.dim, i))), r)
-            for i in range(algebra.dim)]
+    return [derive(algebra.ad(basis_vector(algebra.dim, i)), r) for i in range(algebra.dim)]
 
 
 def check_cocycle(algebra: LieAlgebra, delta: Sequence[Bivector]) -> Report:
@@ -106,7 +100,7 @@ def check_cocycle(algebra: LieAlgebra, delta: Sequence[Bivector]) -> Report:
     n = algebra.dim
     if len(delta) != n:
         raise ValueError("delta must assign a bivector to every basis generator")
-    ad2 = [extend_derivation_2(algebra.ad(basis_vector(n, i))) for i in range(n)]
+    ad = [algebra.ad(basis_vector(n, i)) for i in range(n)]
     bad = []
     for a in range(n):
         for b in range(a + 1, n):
@@ -114,7 +108,7 @@ def check_cocycle(algebra: LieAlgebra, delta: Sequence[Bivector]) -> Report:
             for k, ck in enumerate(algebra.c[a][b]):
                 if ck != 0:
                     lhs = lhs + delta[k].scale(ck)
-            rhs = apply_2(ad2[a], delta[b]) - apply_2(ad2[b], delta[a])
+            rhs = derive(ad[a], delta[b]) - derive(ad[b], delta[a])
             if lhs != rhs:
                 bad.append(witness(x=algebra.names[a], y=algebra.names[b],
                                    difference=(lhs - rhs).format(algebra.names)))

@@ -4,13 +4,17 @@ These deliberately take a different route than the library code: the
 Schouten oracle expands pairwise over decomposables with wedge3, while the
 implementation contracts full coefficient matrices against the structure
 constants; the bracket and Jacobiator oracles visit every index of the
-structure constants, zero or not, where the library skips zero terms.
+structure constants, zero or not, where the library skips zero terms.  The exterior
+power oracles build the dense C(n,k) x C(n,k) matrix of a map on Lambda^k
+from k x k minors and decide U ^ Lambda^2 G by row reduction of its spanning
+set, where the library maps the sparse coefficients and uses G -> G/U.
 """
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 from crlie import Bivector, LieAlgebra, Trivector, wedge3
-from crlie.linalg import basis_vector
+from crlie.linalg import Subspace, basis_vector
 
 
 def schouten_decomposable(algebra: LieAlgebra, p: Bivector, q: Bivector) -> Trivector:
@@ -68,3 +72,58 @@ def all_sign_bivectors(dim: int):
     keys = pair_basis(dim)
     for combo in product((-1, 0, 1), repeat=len(keys)):
         yield Bivector(dim, dict(zip(keys, combo)))
+
+
+def _det(m) -> Fraction:
+    """Determinant by the permutation expansion."""
+    k = len(m)
+    total = Fraction(0)
+    for perm in permutations(range(k)):
+        term = Fraction((-1) ** sum(perm[a] > perm[b]
+                                    for a in range(k) for b in range(a + 1, k)))
+        for r, c in enumerate(perm):
+            term *= m[r][c]
+        total += term
+    return total
+
+
+def exterior_power_matrix(A, k: int, leibniz: bool = False):
+    """Lexicographic k-subsets of range(n) and the matrix of A on Lambda^k in
+    those coordinates: entry (I, J) is the minor det A[I, J].  For the
+    Leibniz extension it is the sum over slots s of that minor with every
+    column but the s-th taken from the identity instead of A."""
+    keys = list(combinations(range(A.rows), k))
+    slots = range(k) if leibniz else [None]
+
+    def column_entry(i, j, t, s):
+        return A[i, j] if s in (None, t) else Fraction(int(i == j))
+
+    rows = [[sum((_det([[column_entry(i, j, t, s) for t, j in enumerate(J)] for i in I])
+                  for s in slots), Fraction(0))
+             for J in keys]
+            for I in keys]
+    return keys, rows
+
+
+def apply_exterior_power(A, t, leibniz: bool = False):
+    """t mapped by the dense exterior power matrix of A."""
+    keys, rows = exterior_power_matrix(A, t.arity, leibniz)
+    coords = [t.coeffs.get(key, Fraction(0)) for key in keys]
+    image = [sum((a * x for a, x in zip(row, coords)), Fraction(0)) for row in rows]
+    return type(t)(t.dim, dict(zip(keys, image)))
+
+
+def wedge_span_remainder(t: Trivector, u: Subspace) -> Trivector:
+    """RREF remainder of t against span{u ^ e_a ^ e_b : u in basis(U), a < b}
+    in lexicographic triple coordinates; the coordinate of x ^ y ^ z on the
+    triple I is det [x | y | z] restricted to the rows I."""
+    n = t.dim
+    keys = list(combinations(range(n), 3))
+    gens = []
+    for uv in u.basis:
+        for a, b in combinations(range(n), 2):
+            ea, eb = basis_vector(n, a), basis_vector(n, b)
+            gens.append([_det([[uv[i], ea[i], eb[i]] for i in I]) for I in keys])
+    span = Subspace.span(gens, len(keys))
+    coords = span.reduce(tuple(t.coeffs.get(key, Fraction(0)) for key in keys))
+    return Trivector(n, dict(zip(keys, coords)))

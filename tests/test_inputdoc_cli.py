@@ -1,5 +1,6 @@
 import copy
 import json
+import sys
 
 import pytest
 
@@ -93,10 +94,29 @@ def _with_block(entry_id, key, **fields):
     (_with_block("heisenberg", "extension", alpha=5), "extension.alpha: must be a list"),
     (_with_block("heisenberg", "extension", V_dim=True),
      "extension.V_dim: missing or not an integer"),
+    ({"algebra": {"dim": 2.9}}, "algebra.dim: missing or not an integer"),
+    ({"algebra": {"dim": 2, "brackets": [{"x": 1.5, "y": 2, "result": ["0", "1"]}]}},
+     "algebra.brackets[0]: not an integer"),
 ])
 def test_malformed_field_types_exit_two(tmp_path, capsys, doc, message):
     assert main(["check", write(tmp_path, doc)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe{}", "is not UTF-8 text"),
+    (b"[" * 100000 + b"]" * 100000, "not valid JSON"),
+    pytest.param(b'{"algebra": {"dim": ' + b"1" * 5000 + b"}}", "not valid JSON",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="no limit on integer digits")),
+], ids=["non_utf8", "deep_nesting", "too_many_digits"])
+def test_unreadable_bytes_exit_two(tmp_path, capsys, data, message):
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_algebra_document_builder_round_trip():

@@ -1,25 +1,26 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crlie import (
-    Bivector, LieAlgebra, Trivector, extend_derivation_2, extend_derivation_3,
-    extend_map_2, in_wedge_subspace, schouten, sl2, so3, wedge, wedge3,
+    Bivector, LieAlgebra, Trivector, derive, in_wedge_subspace, push, schouten,
+    sl2, so3, wedge, wedge3,
 )
 from crlie.linalg import Matrix, Subspace, basis_vector, vector
-from crlie.multivector import apply_2, apply_3, pair_basis
+from crlie.multivector import pair_basis, wedge_subspace_residual
 
-from oracles import schouten_decomposable
+from oracles import apply_exterior_power, schouten_decomposable, wedge_span_remainder
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
 
-def biv(dim):
-    keys = pair_basis(dim)
+def dense(cls, dim):
+    keys = list(combinations(range(dim), cls.arity))
     return st.lists(rationals, min_size=len(keys), max_size=len(keys)).map(
-        lambda cs: Bivector(dim, dict(zip(keys, cs))))
+        lambda cs: cls(dim, dict(zip(keys, cs))))
 
 
 def test_wedge_examples():
@@ -34,29 +35,46 @@ def test_wedge3_odd_permutation():
 
 
 def test_extend_map_identity():
-    assert extend_map_2(Matrix.identity(3)) == Matrix.identity(3)
+    for key in pair_basis(3):
+        assert push(Matrix.identity(3), Bivector(3, {key: 1})) == Bivector(3, {key: 1})
+    assert push(Matrix.identity(3), Trivector(3, {(0, 1, 2): 5})) == Trivector(
+        3, {(0, 1, 2): 5})
 
 
 def test_extend_map_j_on_so3():
     j = Matrix([[0, -1, 0], [1, 0, 0], [0, 0, 0]])
-    image = apply_2(extend_map_2(j), Bivector(3, {(0, 1): 1}))
+    image = push(j, Bivector(3, {(0, 1): 1}))
     # j e1 ^ j e2 = e2 ^ (-e1) = e1 ^ e2
     assert image == Bivector(3, {(0, 1): 1})
 
 
 def test_extend_derivation_3_ad_h_on_sl2():
     g = sl2()
-    d3 = extend_derivation_3(g.ad(basis_vector(3, 2)))
     # Leibniz term-by-term: [h,e]^f^h + e^[h,f]^h + e^f^[h,h] = 2e^f^h - 2e^f^h
-    assert apply_3(d3, Trivector(3, {(0, 1, 2): 1})).is_zero()
+    assert derive(g.ad(basis_vector(3, 2)), Trivector(3, {(0, 1, 2): 1})).is_zero()
+
+
+def square(n):
+    return st.lists(st.lists(rationals, min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(Matrix)
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=3, max_size=3),
-       st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=3, max_size=3))
-def test_lambda2_is_multiplicative(a_rows, b_rows):
-    a, b = Matrix(a_rows), Matrix(b_rows)
-    assert extend_map_2(a * b) == extend_map_2(a) * extend_map_2(b)
+@given(square(3), square(3))
+def test_lambda2_is_multiplicative(a, b):
+    for key in pair_basis(3):
+        t = Bivector(3, {key: 1})
+        assert push(a * b, t) == push(a, push(b, t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((Bivector, Trivector)), st.data())
+def test_push_and_derive_match_exterior_power_matrix(cls, data):
+    n = data.draw(st.integers(cls.arity, 5))
+    a = data.draw(square(n))
+    t = data.draw(dense(cls, n))
+    assert push(a, t) == apply_exterior_power(a, t)
+    assert derive(a, t) == apply_exterior_power(a, t, leibniz=True)
 
 
 # -- schouten ----------------------------------------------------------------
@@ -85,14 +103,14 @@ def test_schouten_sl2_frozen_against_oracle():
 
 
 @settings(max_examples=30, deadline=None)
-@given(biv(3), biv(3))
+@given(dense(Bivector, 3), dense(Bivector, 3))
 def test_schouten_symmetric_for_bivectors(p, q):
     g = so3()
     assert schouten(g, p, q) == schouten(g, q, p)
 
 
 @settings(max_examples=30, deadline=None)
-@given(biv(3), biv(3), biv(3))
+@given(dense(Bivector, 3), dense(Bivector, 3), dense(Bivector, 3))
 def test_schouten_bilinear(p, p2, q):
     g = sl2()
     lhs = schouten(g, p + p2, q)
@@ -101,14 +119,14 @@ def test_schouten_bilinear(p, p2, q):
 
 
 @settings(max_examples=20, deadline=None)
-@given(biv(3))
+@given(dense(Bivector, 3))
 def test_ad_acts_by_derivations_of_schouten(p):
     for g in (so3(), sl2()):
         t = schouten(g, p, p)
         for i in range(3):
             ad = g.ad(basis_vector(3, i))
-            lhs = apply_3(extend_derivation_3(ad), t)
-            dp = apply_2(extend_derivation_2(ad), p)
+            lhs = derive(ad, t)
+            dp = derive(ad, p)
             rhs = schouten(g, dp, p).scale(2)
             assert lhs == rhs
 
@@ -138,6 +156,20 @@ def test_membership_invariant_under_scaling(c):
     for u in (Subspace.span([basis_vector(4, 2)], 4), Subspace.zero(4),
               Subspace.full(4)):
         assert in_wedge_subspace(t, u) == in_wedge_subspace(t.scale(c), u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_residual_matches_span_remainder(data):
+    n = data.draw(st.integers(3, 6))
+    d = data.draw(st.integers(0, n))
+    u = Subspace.span(data.draw(st.lists(st.lists(rationals, min_size=n, max_size=n),
+                                         min_size=d, max_size=d)), n)
+    assume(u.dim == d)
+    t = data.draw(dense(Trivector, n))
+    residual = wedge_subspace_residual(t, u)
+    assert residual == wedge_span_remainder(t, u)
+    assert in_wedge_subspace(t, u) == residual.is_zero()
 
 
 def test_dimension_mismatch_raises():

@@ -123,10 +123,10 @@ def test_mixed_factor_fixture_fails_found_by_search():
 
     # independent confirmation via the decomposable oracle: the derivation
     # image of [r,r] under ad e1 is 2 e1^e2^e4 != 0
-    from crlie.multivector import apply_3, extend_derivation_3, Trivector
+    from crlie.multivector import derive, Trivector
     rr = schouten_decomposable(g, r, r)
     assert rr == Trivector(4, {(0, 1, 2): 2, (0, 2, 3): -2})
-    image = apply_3(extend_derivation_3(g.ad(basis_vector(4, 0))), rr)
+    image = derive(g.ad(basis_vector(4, 0)), rr)
     assert image == Trivector(4, {(0, 1, 3): 2})
 
 

@@ -4,10 +4,10 @@ These deliberately take a different route than the library code: the
 Schouten oracle expands pairwise over decomposables with wedge3, while the
 implementation contracts full coefficient matrices against the structure
 constants; the bracket and Jacobiator oracles visit every index of the
-structure constants, zero or not, where the library skips zero terms.  The exterior
-power oracles build the dense C(n,k) x C(n,k) matrix of a map on Lambda^k
-from k x k minors and decide U ^ Lambda^2 G by row reduction of its spanning
-set, where the library maps the sparse coefficients and uses G -> G/U.
+structure constants, zero or not, where the library skips zero terms.  The
+exterior power oracles build the dense C(n,k) x C(n,k) matrix of a map on
+Lambda^k from k x k minors and decide U ^ Lambda^2 G by row reduction of its
+spanning set, where the library maps sparse coefficients through G -> G/U.
 """
 
 from fractions import Fraction

@@ -35,10 +35,8 @@ def test_wedge3_odd_permutation():
 
 
 def test_extend_map_identity():
-    for key in pair_basis(3):
-        assert push(Matrix.identity(3), Bivector(3, {key: 1})) == Bivector(3, {key: 1})
-    assert push(Matrix.identity(3), Trivector(3, {(0, 1, 2): 5})) == Trivector(
-        3, {(0, 1, 2): 5})
+    for t in [Bivector(3, {key: 1}) for key in pair_basis(3)] + [Trivector(3, {(0, 1, 2): 5})]:
+        assert push(Matrix.identity(3), t) == t
 
 
 def test_extend_map_j_on_so3():

@@ -98,7 +98,8 @@ class KahlerCRData:
     def omega_gram(self) -> Matrix:
         """Gram matrix of w on the basis of H: entry (a, b) is w(h_a, h_b)."""
         basis = self.H.basis
-        return Matrix([[self.omega(x, y) for y in basis] for x in basis])
+        images = [self.omega_matrix.matvec(y) for y in basis]
+        return Matrix([[vdot(x, wy) for wy in images] for x in basis])
 
     def omega(self, x: Vector, y: Vector) -> Fraction:
         return vdot(x, self.omega_matrix.matvec(y))
@@ -110,12 +111,6 @@ class LeftSymmetricProduct:
 
     H_basis: tuple
     table: Mapping  # (a, b) -> Vector in ambient coordinates
-
-    @cached_property
-    def rows(self) -> list:
-        """The table as nested rows, rows[a][b] = table[(a, b)], for `bilinear`."""
-        m = len(self.H_basis)
-        return [[self.table[(a, b)] for b in range(m)] for a in range(m)]
 
     def is_zero(self) -> bool:
         return all(is_zero(v) for v in self.table.values())
@@ -165,16 +160,12 @@ def check_kahler(k: KahlerCRData) -> Report:
                 anti.append(witness(x=names[a], y=names[b]))
     rep.add("kahler.omega_antisymmetric", not anti, anti)
 
-    # w([e_a, e_b], e_t) = sum_m c[a][b][m] * omega[m, t] = vdot(c[a][b], col[t])
+    # W[a][b][t] = w([e_a, e_b], e_t) = sum_m c[a][b][m] * omega[m, t]
     col = omega.transpose().data
-    closed = []
-    for a in range(n):
-        for b in range(n):
-            for t in range(n):
-                s = (vdot(c[a][b], col[t]) + vdot(c[t][a], col[b])
-                     + vdot(c[b][t], col[a]))
-                if s != 0:
-                    closed.append(witness(x=names[a], y=names[b], z=names[t]))
+    W = [[[vdot(v, u) for u in col] for v in row] for row in c]
+    closed = [witness(x=names[a], y=names[b], z=names[t])
+              for a in range(n) for b in range(n) for t in range(n)
+              if W[a][b][t] + W[t][a][b] + W[b][t][a] != 0]
     rep.add("kahler.omega_closed", not closed, closed)
 
     rep.add("kahler.omega_h_nondegenerate", k.omega_gram.det() != 0)
@@ -191,14 +182,17 @@ def left_symmetric_product(k: KahlerCRData) -> LeftSymmetricProduct:
         raise ValueError("omega restricted to H is degenerate")
     alg = k.algebra
     basis = k.H.basis
-    # w(sum_c coeff_c h_c, h_b) = sum_c coeff_c gram[c][b]  =>  gram^T coeff = rhs
+    m = len(basis)
+    # w(sum_c coeff_c h_c, h_b) = sum_c coeff_c gram[c][b]  =>  coeff = (gram^T)^-1 rhs
     gram_t = k.omega_gram.transpose()
+    inverse = Matrix.from_columns([solve(gram_t, basis_vector(m, i)) for i in range(m)])
+    # w(y, v) = vdot(Omega^T y, v)
+    rows = [k.omega_matrix.transpose().matvec(y) for y in basis]
     table = {}
     for a, x in enumerate(basis):
         brackets = [alg.bracket(x, z) for z in basis]
-        for b, y in enumerate(basis):
-            coeffs = solve(gram_t, tuple(-k.omega(y, v) for v in brackets))
-            assert coeffs is not None  # gram invertible
+        for b, row in enumerate(rows):
+            coeffs = inverse.matvec(tuple(-vdot(row, v) for v in brackets))
             table[(a, b)] = lincomb(coeffs, basis, alg.dim)
     return LeftSymmetricProduct(tuple(basis), table)
 
@@ -206,56 +200,42 @@ def left_symmetric_product(k: KahlerCRData) -> LeftSymmetricProduct:
 def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
     """Identity (1) w(xy - yx, u) = w([x, y], u) on H; the Jacobi test for
     the induced bracket xy - yx; and, when Jacobi holds, the left-symmetry
-    identity (2) x(yz) - (xy)z = y(xz) - (yx)z on all basis triples."""
+    identity (2) x(yz) - (xy)z = y(xz) - (yx)z on all basis triples.
+
+    Every product lies in H, so Jacobi and (2) run on H-coordinates: P[a][b]
+    is h_a h_b read at the pivots of the RREF basis, and C = P - P^T holds
+    the structure constants of the induced bracket."""
     rep = Report()
     alg = k.algebra
-    names = alg.names
     basis = k.H.basis
     m = len(basis)
+    fmt = [fmt_vec(alg.names, h) for h in basis]
     comm = induced_bracket(k, p)
+    P = [[tuple(p.table[(a, b)][i] for i in k.H.pivots) for b in range(m)]
+         for a in range(m)]
+    C = [[vsub(P[a][b], P[b][a]) for b in range(m)] for a in range(m)]
 
+    # w(xy - yx - [x, y], u) = vdot(xy - yx - [x, y], Omega u)
+    images = [k.omega_matrix.matvec(u) for u in basis]
     w1 = []
     for a in range(m):
         for b in range(m):
-            br = alg.bracket(basis[a], basis[b])
-            for u in basis:
-                if k.omega(comm[(a, b)], u) != k.omega(br, u):
-                    w1.append(witness(x=fmt_vec(names, basis[a]),
-                                      y=fmt_vec(names, basis[b]),
-                                      u=fmt_vec(names, u)))
+            d = vsub(comm[(a, b)], alg.bracket(basis[a], basis[b]))
+            w1.extend(witness(x=fmt[a], y=fmt[b], u=fmt[t])
+                      for t, image in enumerate(images) if vdot(d, image) != 0)
     rep.add("leftsym.identity1", not w1, w1)
 
-    def prod(x: Vector, y: Vector) -> Vector:
-        """The product extended bilinearly to members of H."""
-        return bilinear(p.rows, k.H.coordinates(x), k.H.coordinates(y), alg.dim)
-
-    def comm_ext(x: Vector, y: Vector) -> Vector:
-        return vsub(prod(x, y), prod(y, x))
-
-    jac = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            for c in range(b + 1, m):
-                s = vadd(vadd(comm_ext(basis[a], comm[(b, c)]),
-                              comm_ext(basis[c], comm[(a, b)])),
-                         comm_ext(basis[b], comm[(c, a)]))
-                if not is_zero(s):
-                    jac.append(witness(x=fmt_vec(names, basis[a]),
-                                       y=fmt_vec(names, basis[b]),
-                                       z=fmt_vec(names, basis[c])))
+    # C is antisymmetric by construction, so only Jacobi violations come back
+    jac = [witness(x=fmt[a], y=fmt[b], z=fmt[c]) for _, (a, b, c) in validate_structure(C)]
     rep.add("leftsym.jacobi_induced", not jac, jac)
 
     if not jac:
-        w2 = []
-        for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    x, y, z = basis[a], basis[b], basis[c]
-                    lhs = vsub(prod(x, prod(y, z)), prod(prod(x, y), z))
-                    rhs = vsub(prod(y, prod(x, z)), prod(prod(y, x), z))
-                    if lhs != rhs:
-                        w2.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, y),
-                                          z=fmt_vec(names, z)))
+        # h_a v = sum_d v_d P[a][d] and (xy - yx)z = sum_d C[a][b][d] P[d][c]
+        cols = [[P[d][c] for d in range(m)] for c in range(m)]
+        w2 = [witness(x=fmt[a], y=fmt[b], z=fmt[c])
+              for a in range(m) for b in range(m) for c in range(m)
+              if lincomb(P[b][c], P[a], m)
+              != vadd(lincomb(P[a][c], P[b], m), lincomb(C[a][b], cols[c], m))]
         rep.add("leftsym.identity2", not w2, w2)
     return rep
 

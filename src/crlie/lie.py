@@ -113,11 +113,14 @@ class LieAlgebra:
         return Matrix.from_columns(cols)
 
     def killing_form(self) -> Matrix:
-        """K(e_i, e_j) = trace(ad e_i ad e_j), built once per algebra."""
+        """K(e_i, e_j) = trace(ad e_i ad e_j) = sum_{k,l} c[i][l][k] c[j][k][l],
+        summed over the nonzero entries of c[i] and built once per algebra."""
         if self._killing is None:
-            ads = [self.ad(basis_vector(self.dim, i)) for i in range(self.dim)]
+            c = self.c
+            nonzero = [[(k, l, e) for l, v in enumerate(row) for k, e in enumerate(v) if e]
+                       for row in c]
             object.__setattr__(self, "_killing", Matrix(
-                [[(ads[i] * ads[j]).trace() for j in range(self.dim)]
+                [[sum(e * c[j][k][l] for k, l, e in nonzero[i]) for j in range(self.dim)]
                  for i in range(self.dim)]))
         return self._killing
 

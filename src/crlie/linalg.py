@@ -85,8 +85,9 @@ def vscale(c, x: Vector) -> Vector:
 
 
 def vdot(x: Vector, y: Vector) -> Fraction:
+    """sum_i x_i y_i, skipping terms with a zero factor."""
     _same_dim(x, y)
-    return sum((a * b for a, b in zip(x, y)), Fraction(0))
+    return sum((a * b for a, b in zip(x, y) if a and b), Fraction(0))
 
 
 def lincomb(coeffs: Iterable, vectors: Iterable[Vector], n: int) -> Vector:

@@ -8,13 +8,21 @@ structure constants, zero or not, where the library skips zero terms.  The
 exterior power oracles build the dense C(n,k) x C(n,k) matrix of a map on
 Lambda^k from k x k minors and decide U ^ Lambda^2 G by row reduction of its
 spanning set, where the library maps sparse coefficients through G -> G/U.
+The Kahler oracles evaluate closedness with three dot products per triple,
+solve one linear system per left-symmetric product, and test the
+left-symmetric identities on ambient vectors through `Subspace.coordinates`,
+where the library contracts tables precomputed from the structure constants.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from crlie import Bivector, LieAlgebra, Trivector, wedge3
-from crlie.linalg import Subspace, basis_vector
+from crlie.crkahler import KahlerCRData, LeftSymmetricProduct, induced_bracket
+from crlie.linalg import (
+    Subspace, basis_vector, bilinear, is_zero, lincomb, solve, vadd, vdot, vsub,
+)
+from crlie.report import Report, fmt_vec, witness
 
 
 def schouten_decomposable(algebra: LieAlgebra, p: Bivector, q: Bivector) -> Trivector:
@@ -127,3 +135,99 @@ def wedge_span_remainder(t: Trivector, u: Subspace) -> Trivector:
     span = Subspace.span(gens, len(keys))
     coords = span.reduce(tuple(t.coeffs.get(key, Fraction(0)) for key in keys))
     return Trivector(n, dict(zip(keys, coords)))
+
+
+def check_kahler_by_triples(k: KahlerCRData) -> Report:
+    """`check_kahler` with closedness as three dot products per triple:
+    w([e_a, e_b], e_t) + w([e_t, e_a], e_b) + w([e_b, e_t], e_a)."""
+    rep = Report()
+    alg, n = k.algebra, k.algebra.dim
+    names, c = alg.names, alg.c
+    omega = k.omega_matrix
+    anti = [witness(x=names[a], y=names[b]) for a in range(n) for b in range(a, n)
+            if omega[a, b] != -omega[b, a]]
+    rep.add("kahler.omega_antisymmetric", not anti, anti)
+    col = omega.transpose().data
+    closed = []
+    for a in range(n):
+        for b in range(n):
+            for t in range(n):
+                s = (vdot(c[a][b], col[t]) + vdot(c[t][a], col[b])
+                     + vdot(c[b][t], col[a]))
+                if s != 0:
+                    closed.append(witness(x=names[a], y=names[b], z=names[t]))
+    rep.add("kahler.omega_closed", not closed, closed)
+    rep.add("kahler.omega_h_nondegenerate", k.omega_gram.det() != 0)
+    return rep
+
+
+def left_symmetric_product_by_solves(k: KahlerCRData) -> LeftSymmetricProduct:
+    """xy for each basis pair of H from its own Gram system
+    gram^T coeff = (-w(y, [x, z]))_z."""
+    alg = k.algebra
+    basis = k.H.basis
+    gram_t = k.omega_gram.transpose()
+    table = {}
+    for a, x in enumerate(basis):
+        brackets = [alg.bracket(x, z) for z in basis]
+        for b, y in enumerate(basis):
+            coeffs = solve(gram_t, tuple(-k.omega(y, v) for v in brackets))
+            table[(a, b)] = lincomb(coeffs, basis, alg.dim)
+    return LeftSymmetricProduct(tuple(basis), table)
+
+
+def check_left_symmetric_ambient(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
+    """`check_left_symmetric` on ambient vectors: the product is extended
+    bilinearly through the H-coordinates of its arguments, and every identity
+    is tested on the products themselves."""
+    rep = Report()
+    alg = k.algebra
+    names = alg.names
+    basis = k.H.basis
+    m = len(basis)
+    rows = [[p.table[(a, b)] for b in range(m)] for a in range(m)]
+    comm = induced_bracket(k, p)
+
+    w1 = []
+    for a in range(m):
+        for b in range(m):
+            br = alg.bracket(basis[a], basis[b])
+            for u in basis:
+                if k.omega(comm[(a, b)], u) != k.omega(br, u):
+                    w1.append(witness(x=fmt_vec(names, basis[a]),
+                                      y=fmt_vec(names, basis[b]),
+                                      u=fmt_vec(names, u)))
+    rep.add("leftsym.identity1", not w1, w1)
+
+    def prod(x, y):
+        return bilinear(rows, k.H.coordinates(x), k.H.coordinates(y), alg.dim)
+
+    def comm_ext(x, y):
+        return vsub(prod(x, y), prod(y, x))
+
+    jac = []
+    for a in range(m):
+        for b in range(a + 1, m):
+            for c in range(b + 1, m):
+                s = vadd(vadd(comm_ext(basis[a], comm[(b, c)]),
+                              comm_ext(basis[c], comm[(a, b)])),
+                         comm_ext(basis[b], comm[(c, a)]))
+                if not is_zero(s):
+                    jac.append(witness(x=fmt_vec(names, basis[a]),
+                                       y=fmt_vec(names, basis[b]),
+                                       z=fmt_vec(names, basis[c])))
+    rep.add("leftsym.jacobi_induced", not jac, jac)
+
+    if not jac:
+        w2 = []
+        for a in range(m):
+            for b in range(m):
+                for c in range(m):
+                    x, y, z = basis[a], basis[b], basis[c]
+                    lhs = vsub(prod(x, prod(y, z)), prod(prod(x, y), z))
+                    rhs = vsub(prod(y, prod(x, z)), prod(prod(y, x), z))
+                    if lhs != rhs:
+                        w2.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, y),
+                                          z=fmt_vec(names, z)))
+        rep.add("leftsym.identity2", not w2, w2)
+    return rep

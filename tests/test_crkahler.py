@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crlie import (
     CRData, KahlerCRData, LieAlgebra, build_extension, catalog, center_U,
@@ -9,8 +11,16 @@ from crlie import (
     ideal_complement_complex, left_symmetric_product, omega_radical,
     parse_document, semisimple_exactness, so3,
 )
-from crlie.crkahler import induced_bracket
-from crlie.linalg import Matrix, Subspace, basis_vector, is_zero, vdot, vector
+from crlie.crkahler import LeftSymmetricProduct, induced_bracket
+from crlie.linalg import (
+    Matrix, Subspace, basis_vector, is_zero, lincomb, vadd, vdot, vector,
+)
+
+from oracles import (
+    check_kahler_by_triples, check_left_symmetric_ambient,
+    left_symmetric_product_by_solves,
+)
+from test_golden import AFF_AFF_R_DENSE
 
 
 def entry_payloads(entry_id):
@@ -330,3 +340,75 @@ def _inverse(m):
     n = m.rows
     cols = [solve(m, basis_vector(n, i)) for i in range(n)]
     return Matrix.from_columns(cols)
+
+
+# -- equivalence with the oracles --------------------------------------------
+
+KAHLER_INPUTS = {entry_id: entry_payloads(entry_id).kahler for entry_id in catalog.ids()
+                 if entry_payloads(entry_id).kahler is not None}
+KAHLER_INPUTS["aff_aff_r_dense"] = parse_document(AFF_AFF_R_DENSE).kahler
+
+small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+def assert_kahler_layer_matches_oracles(k, product=None):
+    """check_kahler, the product table and check_left_symmetric (on `product`,
+    default the constructed one) agree with the oracles, witnesses in order."""
+    assert check_kahler(k).to_dict() == check_kahler_by_triples(k).to_dict()
+    constructed = left_symmetric_product(k)
+    assert constructed.table == left_symmetric_product_by_solves(k).table
+    product = product or constructed
+    assert (check_left_symmetric(k, product).to_dict()
+            == check_left_symmetric_ambient(k, product).to_dict())
+
+
+@pytest.mark.parametrize("name", sorted(KAHLER_INPUTS))
+def test_kahler_layer_matches_oracles_on_catalog(name):
+    assert_kahler_layer_matches_oracles(KAHLER_INPUTS[name])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_left_symmetric_checks_match_oracle_on_perturbed_products(data):
+    # add q*h (h in H) to 1-3 entries, optionally to the transposed entry too;
+    # a symmetric change keeps xy - yx, so identity1 and Jacobi still pass and
+    # identity2 is reached
+    k = KAHLER_INPUTS[data.draw(st.sampled_from(sorted(KAHLER_INPUTS)))]
+    m, n = k.H.dim, k.algebra.dim
+    table = dict(left_symmetric_product(k).table)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        a, b = data.draw(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)))
+        h = lincomb(data.draw(st.lists(small, min_size=m, max_size=m)), k.H.basis, n)
+        for key in ({(a, b), (b, a)} if data.draw(st.booleans()) else {(a, b)}):
+            table[key] = vadd(table[key], h)
+    assert_kahler_layer_matches_oracles(k, LeftSymmetricProduct(k.H.basis, table))
+
+
+half = st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2), max_denominator=4)
+
+
+@st.composite
+def coupled_metrics(draw):
+    """aff_aff with the metric [[I, B], [B^T, I]], B = [[p, -q], [q, p]]: B
+    commutes with the rotation j, so omega stays antisymmetric, and
+    p^2 + q^2 <= 1/2 keeps the metric positive definite; closedness fails
+    unless B = 0."""
+    p, q = draw(half), draw(half)
+    metric = Matrix([[1, 0, p, -q], [0, 1, q, p], [p, q, 1, 0], [-q, p, 0, 1]])
+    return KahlerCRData(KAHLER_INPUTS["aff_aff"].cr, metric)
+
+
+@st.composite
+def random_metrics(draw):
+    """A^T A + I for a random A with entries in {-1, 0, 1}: positive definite,
+    and omega is usually neither antisymmetric nor closed."""
+    k = KAHLER_INPUTS[draw(st.sampled_from(sorted(KAHLER_INPUTS)))]
+    n = k.algebra.dim
+    A = Matrix([[draw(st.integers(-1, 1)) for _ in range(n)] for _ in range(n)])
+    return KahlerCRData(k.cr, A.transpose() * A + Matrix.identity(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(coupled_metrics(), random_metrics()))
+def test_kahler_layer_matches_oracles_on_coupled_metrics(k):
+    assert_kahler_layer_matches_oracles(k)

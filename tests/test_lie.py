@@ -77,16 +77,22 @@ def test_validate_structure_matches_entrywise_jacobiator(c):
     assert validate_structure(c) == expected
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from([so3, sl2, heisenberg3]),
-       st.lists(st.integers(min_value=-2, max_value=2), min_size=9, max_size=9))
-def test_validate_structure_accepts_lie_algebras_in_dense_bases(make, entries):
-    # c'[i][j] = P^-1 [P e_i, P e_j]: the same algebra in the basis P e_i
+@st.composite
+def dense_basis_algebras(draw):
+    """so(3), sl(2) or the Heisenberg algebra in the basis P e_i of a random
+    invertible integer P: c'[i][j] = P^-1 [P e_i, P e_j]."""
+    make = draw(st.sampled_from([so3, sl2, heisenberg3]))
+    entries = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=9, max_size=9))
     P = Matrix([entries[0:3], entries[3:6], entries[6:9]])
     assume(P.det() != 0)
     g = make()
-    c = [[solve(P, bracket_expanded(g.c, P.column(i), P.column(j))) for j in range(3)]
-         for i in range(3)]
+    return [[solve(P, bracket_expanded(g.c, P.column(i), P.column(j))) for j in range(3)]
+            for i in range(3)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(dense_basis_algebras())
+def test_validate_structure_accepts_lie_algebras_in_dense_bases(c):
     assert validate_structure(c) == []
     assert is_zero(jacobiator(c, 0, 1, 2))
 
@@ -110,6 +116,15 @@ def test_killing_so3_frozen_against_trace_oracle():
     expected = Matrix([[killing_entry(g, i, j) for j in range(3)] for i in range(3)])
     assert K == expected
     assert K == Matrix.identity(3).scale(-2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(dense_basis_algebras(), dense_tensors()))
+def test_killing_form_matches_trace_oracle(c):
+    g = LieAlgebra(c, validate=False)
+    n = g.dim
+    assert g.killing_form() == Matrix([[killing_entry(g, i, j) for j in range(n)]
+                                       for i in range(n)])
 
 
 def test_killing_abelian_zero():

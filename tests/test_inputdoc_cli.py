@@ -205,6 +205,17 @@ def test_schouten_failure_exit_one(tmp_path, capsys):
     assert main(["schouten", path]) == 1
 
 
+def test_unexpected_exception_exits_three_without_traceback(tmp_path, capsys, monkeypatch):
+    def fail(payloads):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr("crlie.cli.run_checks", fail)
+    assert main(["check", write(tmp_path, so3_doc())]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom second line\n"
+    assert "Traceback" not in err
+
+
 def test_catalog_list_and_dump(capsys):
     assert main(["catalog", "list"]) == 0
     listed = capsys.readouterr().out

@@ -187,7 +187,8 @@ def left_symmetric_product(k: KahlerCRData) -> LeftSymmetricProduct:
     gram_t = k.omega_gram.transpose()
     inverse = Matrix.from_columns([solve(gram_t, basis_vector(m, i)) for i in range(m)])
     # w(y, v) = vdot(Omega^T y, v)
-    rows = [k.omega_matrix.transpose().matvec(y) for y in basis]
+    omega_t = k.omega_matrix.transpose()
+    rows = [omega_t.matvec(y) for y in basis]
     table = {}
     for a, x in enumerate(basis):
         brackets = [alg.bracket(x, z) for z in basis]

@@ -344,8 +344,8 @@ def _inverse(m):
 
 # -- equivalence with the oracles --------------------------------------------
 
-KAHLER_INPUTS = {entry_id: entry_payloads(entry_id).kahler for entry_id in catalog.ids()
-                 if entry_payloads(entry_id).kahler is not None}
+KAHLER_INPUTS = {entry_id: k for entry_id in catalog.ids()
+                 if (k := entry_payloads(entry_id).kahler) is not None}
 KAHLER_INPUTS["aff_aff_r_dense"] = parse_document(AFF_AFF_R_DENSE).kahler
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=3)

@@ -2,11 +2,12 @@
 
 Each golden file holds `exit <code>` on its first line and the command's
 stdout after it: `crlie check` in both formats on every catalog entry, on
-three documents that reach the `ideal` and `extension` branches, on one
-whose Schouten residuals are reduced against a nonzero U and on one that
-fails closedness, plus `construct left-symmetric` (also on H != G in a dense
-basis) and `schouten`.  After a deliberate change to the
-reports, regenerate the files with
+documents that reach the `ideal` and `extension` branches (passing and
+failing), on one whose Schouten residuals are reduced against a nonzero U,
+on one that fails closedness and on one that fails CR condition (2), plus
+`construct left-symmetric` (also on H != G in a dense basis) and
+`schouten`.  The `demo-*` files hold the stdout of the scripts in `demos/`.
+After a deliberate change to the reports, regenerate the files with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -14,6 +15,7 @@ reports, regenerate the files with
 import contextlib
 import copy
 import io
+import runpy
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from crlie import catalog, dump_document
 from crlie.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
+DEMOS = Path(__file__).parent.parent / "demos"
 
 
 def _with(entry_id, **blocks):
@@ -75,6 +78,38 @@ def _cases() -> dict:
     docs["aff_aff_coupled"] = _with("aff_aff", metric=[
         ["1", "0", "1/2", "0"], ["0", "1", "0", "1/2"],
         ["1/2", "0", "1", "0"], ["0", "1/2", "0", "1"]])
+    # so(3) + so(3) with j crossing the factors (e1 -> e4, e2 -> e5):
+    # [e1, e2] - [j e1, j e2] = e3 - e6 leaves H, so CR condition (2) fails
+    docs["so3_so3_crossing"] = {
+        "algebra": {"dim": 6, "names": ["e1", "e2", "e3", "e4", "e5", "e6"], "brackets": [
+            {"x": 1, "y": 2, "result": ["0", "0", "1", "0", "0", "0"]},
+            {"x": 1, "y": 3, "result": ["0", "-1", "0", "0", "0", "0"]},
+            {"x": 2, "y": 3, "result": ["1", "0", "0", "0", "0", "0"]},
+            {"x": 4, "y": 5, "result": ["0", "0", "0", "0", "0", "1"]},
+            {"x": 4, "y": 6, "result": ["0", "0", "0", "0", "-1", "0"]},
+            {"x": 5, "y": 6, "result": ["0", "0", "0", "1", "0", "0"]}]},
+        "cr": {"H": [["1", "0", "0", "0", "0", "0"], ["0", "1", "0", "0", "0", "0"],
+                     ["0", "0", "0", "1", "0", "0"], ["0", "0", "0", "0", "1", "0"]],
+               "j": [["0", "0", "0", "-1", "0", "0"], ["0", "0", "0", "0", "-1", "0"],
+                     ["0", "0", "0", "0", "0", "0"], ["1", "0", "0", "0", "0", "0"],
+                     ["0", "1", "0", "0", "0", "0"], ["0", "0", "0", "0", "0", "0"]]}}
+    # aff(R)^2 + R with the crossing j (e1 -> e3, e2 -> e4) and the central
+    # ideal span{e5}: j is not complex-bilinear for the projected bracket
+    docs["aff_aff_r_crossing_ideal"] = {
+        "algebra": {"dim": 5, "names": ["e1", "e2", "e3", "e4", "e5"], "brackets": [
+            {"x": 1, "y": 2, "result": ["0", "1", "0", "0", "0"]},
+            {"x": 3, "y": 4, "result": ["0", "0", "0", "1", "0"]}]},
+        "cr": {"H": [["1", "0", "0", "0", "0"], ["0", "1", "0", "0", "0"],
+                     ["0", "0", "1", "0", "0"], ["0", "0", "0", "1", "0"]],
+               "j": [["0", "0", "-1", "0", "0"], ["0", "0", "0", "-1", "0"],
+                     ["1", "0", "0", "0", "0"], ["0", "1", "0", "0", "0"],
+                     ["0", "0", "0", "0", "0"]]},
+        "ideal": [["0", "0", "0", "0", "1"]]}
+    # extension.jacobi fails: alpha(e2, e3) = v1 on aff(R)^2 makes the
+    # Jacobiator of (e1, e2, e3) equal to -v1
+    docs["aff_aff_alpha_jacobi"] = _with(
+        "aff_aff", extension={"V_dim": 1,
+                              "alpha": [{"x": 2, "y": 3, "result": ["1"]}]})
     cases = {}
     for name, doc in docs.items():
         for fmt in ("structured", "text"):
@@ -99,14 +134,30 @@ def render(argv, doc, tmp_dir) -> bytes:
     return f"exit {code}\n{out.getvalue()}".encode()
 
 
+def render_demo(stem) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(DEMOS / f"{stem}.py"), run_name="__main__")
+    return out.getvalue().encode()
+
+
+DEMO_STEMS = sorted(p.stem for p in DEMOS.glob("demo_*.py"))
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_output_matches_golden(case, tmp_path):
     argv, doc = CASES[case]
     assert render(argv, doc, tmp_path) == (GOLDEN / f"{case}.txt").read_bytes()
 
 
+@pytest.mark.parametrize("stem", DEMO_STEMS)
+def test_demo_output_matches_golden(stem):
+    assert render_demo(stem) == (GOLDEN / f"demo-{stem}.txt").read_bytes()
+
+
 def test_every_golden_file_has_a_case():
-    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(CASES)
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(
+        [*CASES, *(f"demo-{stem}" for stem in DEMO_STEMS)])
 
 
 if __name__ == "__main__":
@@ -116,3 +167,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case, (argv, doc) in CASES.items():
             (GOLDEN / f"{case}.txt").write_bytes(render(argv, doc, tmp))
+    for stem in DEMO_STEMS:
+        (GOLDEN / f"demo-{stem}.txt").write_bytes(render_demo(stem))

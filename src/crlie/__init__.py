@@ -17,8 +17,7 @@ from .poisson import (
 )
 from .report import CheckResult, Report
 from .inputdoc import (
-    InputError, Payloads, algebra_document, bivector_document, dump_document,
-    matrix_document, parse_document, parse_text, subspace_document,
+    InputError, Payloads, algebra_document, dump_document, parse_document, parse_text,
 )
 from .checks import run_checks
 from . import catalog
@@ -37,9 +36,8 @@ __all__ = [
     "check_pseudo_poisson", "coboundary_delta", "coboundary_pi",
     "product_structure",
     "CheckResult", "Report",
-    "InputError", "Payloads", "algebra_document", "bivector_document",
-    "dump_document", "matrix_document", "parse_document", "parse_text",
-    "subspace_document",
+    "InputError", "Payloads", "algebra_document", "dump_document",
+    "parse_document", "parse_text",
     "run_checks", "catalog",
 ]
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 from .lie import LieAlgebra, validate_structure
@@ -35,7 +36,8 @@ class CRData:
 
     Construction enforces the structural invariants (j preserves H,
     j^2 = -Id on H, image(j) inside H); the two integrability conditions
-    are verified by `check_cr` and reported, not raised.
+    are verified by `check_cr` and reported, not raised.  Every bracket on
+    H is read from `brackets`, and j on H from `jH`, both built once.
     """
 
     algebra: LieAlgebra
@@ -51,10 +53,29 @@ class CRData:
         for i in range(n):
             if not self.H.contains(self.j.column(i)):
                 raise ValueError(f"image of j not contained in H (column {i + 1})")
-        j2 = self.j * self.j
-        for h in self.H.basis:
-            if not is_zero(vadd(j2.matvec(h), h)):
+        # j h_a = sum_e jH[a][e] h_e, so j^2 h_a = sum_e (jH jH)[a][e] h_e
+        m = self.H.dim
+        for a, row in enumerate(self.jH):
+            if lincomb(row, self.jH, m) != vscale(-1, basis_vector(m, a)):
                 raise ValueError("j^2 is not -Id on H")
+
+    @cached_property
+    def brackets(self) -> list:
+        """brackets[a][b] = [h_a, h_b] in ambient coordinates, for the RREF
+        basis of H; each pair a < b is bracketed once."""
+        basis, n = self.H.basis, self.algebra.dim
+        B = [[zero_vector(n)] * len(basis) for _ in basis]
+        for a, x in enumerate(basis):
+            for b in range(a + 1, len(basis)):
+                B[a][b] = self.algebra.bracket(x, basis[b])
+                B[b][a] = vscale(-1, B[a][b])
+        return B
+
+    @cached_property
+    def jH(self) -> list:
+        """j on H in H-coordinates: row a is j h_a read at the pivots of H."""
+        rows = [self.j.data[p] for p in self.H.pivots]
+        return [tuple(vdot(r, h) for r in rows) for h in self.H.basis]
 
 
 @dataclass(frozen=True)
@@ -66,6 +87,8 @@ class KahlerCRData:
 
     def __post_init__(self):
         n = self.algebra.dim
+        if self.H.dim == 0:
+            raise ValueError("H must be nonzero")
         if self.metric.rows != n or self.metric.cols != n:
             raise ValueError("metric has the wrong size")
         if not self.metric.is_symmetric():
@@ -123,22 +146,25 @@ def check_cr(d: CRData) -> Report:
     """Def-level integrability: for X, Y in a basis of H,
     (2) [X,Y] - [jX,jY] in H, and
     (3) [jX,jY] = [X,Y] + j([X,jY] + [jX,Y]).
-    """
+
+    Every bracket is a contraction of the table B = d.brackets: with
+    K[a][b] = [j h_a, h_b] = sum_e jH[a][e] B[e][b], [j h_a, j h_b] is
+    sum_f jH[b][f] K[a][f] and [h_a, j h_b] = -K[b][a]."""
     rep = Report()
-    alg, j = d.algebra, d.j
-    names = alg.names
+    B, J, basis, names = d.brackets, d.jH, d.H.basis, d.algebra.names
+    m, n = len(basis), d.algebra.dim
+    K = [[lincomb(J[a], (row[b] for row in B), n) for b in range(m)] for a in range(m)]
     w2, w3 = [], []
-    for a, x in enumerate(d.H.basis):
-        for y in d.H.basis[a + 1:]:
-            jx, jy = j.matvec(x), j.matvec(y)
-            xy, lhs = alg.bracket(x, y), alg.bracket(jx, jy)
+    for a, x in enumerate(basis):
+        for b in range(a + 1, m):
+            xy, lhs = B[a][b], lincomb(J[b], K[a], n)
             diff = vsub(xy, lhs)
             if not d.H.contains(diff):
-                w2.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, y),
+                w2.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, basis[b]),
                                   offending=fmt_vec(names, diff)))
-            rhs = vadd(xy, j.matvec(vadd(alg.bracket(x, jy), alg.bracket(jx, y))))
+            rhs = vadd(xy, d.j.matvec(vsub(K[a][b], K[b][a])))
             if lhs != rhs:
-                w3.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, y),
+                w3.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, basis[b]),
                                   offending=fmt_vec(names, vsub(lhs, rhs))))
     rep.add("cr.condition2", not w2, w2)
     rep.add("cr.condition3", not w3, w3)
@@ -180,7 +206,6 @@ def left_symmetric_product(k: KahlerCRData) -> LeftSymmetricProduct:
     for all z in H, solved through the w|H Gram system."""
     if k.omega_gram.det() == 0:
         raise ValueError("omega restricted to H is degenerate")
-    alg = k.algebra
     basis = k.H.basis
     m = len(basis)
     # w(sum_c coeff_c h_c, h_b) = sum_c coeff_c gram[c][b]  =>  coeff = (gram^T)^-1 rhs
@@ -190,11 +215,10 @@ def left_symmetric_product(k: KahlerCRData) -> LeftSymmetricProduct:
     omega_t = k.omega_matrix.transpose()
     rows = [omega_t.matvec(y) for y in basis]
     table = {}
-    for a, x in enumerate(basis):
-        brackets = [alg.bracket(x, z) for z in basis]
+    for a, brackets in enumerate(k.cr.brackets):
         for b, row in enumerate(rows):
             coeffs = inverse.matvec(tuple(-vdot(row, v) for v in brackets))
-            table[(a, b)] = lincomb(coeffs, basis, alg.dim)
+            table[(a, b)] = lincomb(coeffs, basis, k.algebra.dim)
     return LeftSymmetricProduct(tuple(basis), table)
 
 
@@ -207,10 +231,9 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
     is h_a h_b read at the pivots of the RREF basis, and C = P - P^T holds
     the structure constants of the induced bracket."""
     rep = Report()
-    alg = k.algebra
-    basis = k.H.basis
+    basis, B = k.H.basis, k.cr.brackets
     m = len(basis)
-    fmt = [fmt_vec(alg.names, h) for h in basis]
+    fmt = [fmt_vec(k.algebra.names, h) for h in basis]
     comm = induced_bracket(k, p)
     P = [[tuple(p.table[(a, b)][i] for i in k.H.pivots) for b in range(m)]
          for a in range(m)]
@@ -221,7 +244,7 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
     w1 = []
     for a in range(m):
         for b in range(m):
-            d = vsub(comm[(a, b)], alg.bracket(basis[a], basis[b]))
+            d = vsub(comm[(a, b)], B[a][b])
             w1.extend(witness(x=fmt[a], y=fmt[b], u=fmt[t])
                       for t, image in enumerate(images) if vdot(d, image) != 0)
     rep.add("leftsym.identity1", not w1, w1)
@@ -311,29 +334,17 @@ def ideal_complement_complex(d: CRData, ideal: Subspace) -> tuple[LieAlgebra, Ma
 
     basis = d.H.basis
     m = len(basis)
-    # decompose v = h + i with h in H, i in I: solve in the combined basis
-    cols = [tuple(v) for v in basis] + [tuple(v) for v in ideal.basis]
-    A = Matrix.from_columns(cols)
-
-    def project(v: Vector) -> Vector:
-        sol = solve(A, v)
-        assert sol is not None  # H + I = G
-        return lincomb(sol[:m], basis, alg.dim)
-
-    def h_coords(v: Vector) -> Vector:
-        c = d.H.coordinates(v)
-        assert c is not None
-        return c
-
-    c = [[h_coords(project(alg.bracket(x, y))) for y in basis] for x in basis]
+    # v = sum_a s_a h_a + (a member of I): the first m coordinates of the
+    # solution in the combined basis are the H-coordinates of v's projection
+    A = Matrix.from_columns(list(basis) + list(ideal.basis))
+    c = [[solve(A, v)[:m] for v in row] for row in d.brackets]
     rep = Report()
     bad = validate_structure(c)
     rep.add("ideal.jacobi", not bad,
             [witness(kind=k, indices=str(tuple(i + 1 for i in idx))) for k, idx in bad])
     quotient_like = LieAlgebra(c, names=[f"h{i + 1}" for i in range(m)], validate=False)
 
-    # j in H coordinates
-    jH = Matrix.from_columns([h_coords(d.j.matvec(h)) for h in basis])
+    jH = Matrix.from_columns(d.jH)
     wj = []
     for a in range(m):
         for b in range(a + 1, m):
@@ -351,11 +362,9 @@ def ideal_complement_complex(d: CRData, ideal: Subspace) -> tuple[LieAlgebra, Ma
 
 def build_extension(base: KahlerCRData, v_dim: int,
                     alpha: Mapping[tuple[int, int], Sequence],
-                    extra_brackets: Optional[Mapping] = None,
                     ) -> tuple[Optional[KahlerCRData], Report]:
     """Extend a Kahler algebra H (base.H must be the full space) by a vector
-    space V: [x, y] = [x, y]' + alpha(x, y), with [H, V] = [V, V] = 0 unless
-    `extra_brackets` overrides those components.
+    space V: [x, y] = [x, y]' + alpha(x, y), with [H, V] = [V, V] = 0.
 
     Verifies Jacobi on the extension, j-invariance of alpha, the cyclic
     compatibility condition, and closedness of the extended form.  Returns
@@ -385,16 +394,8 @@ def build_extension(base: KahlerCRData, v_dim: int,
                   for row in alpha_rows]
 
     total = n + v_dim
-    c = [[zero_vector(total)] * total for _ in range(total)]
-    for a in range(n):
-        for b in range(n):
-            c[a][b] = alg.c[a][b] + alpha_rows[a][b]
-    if extra_brackets:
-        for (a, b), val in extra_brackets.items():
-            v = vector(val)
-            if len(v) != total:
-                raise ValueError("extra bracket value has wrong dimension")
-            c[a][b], c[b][a] = v, vscale(-1, v)
+    c = [[alg.c[a][b] + alpha_rows[a][b] if a < n and b < n else zero_vector(total)
+          for b in range(total)] for a in range(total)]
 
     rep = Report()
     bad = validate_structure(c)
@@ -413,29 +414,22 @@ def build_extension(base: KahlerCRData, v_dim: int,
     if bad:
         return None, rep
 
-    ext_names = list(names) + [f"v{i + 1}" for i in range(v_dim)]
-    big = LieAlgebra(c, names=ext_names, validate=False)
-
     # cyclic condition: sum over cyclic permutations of
-    # alpha([x, y]', z) + [alpha(x, y), z] = 0, computed in the extension
-    cyc = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            for d_ in range(b + 1, n):
-                acc = zero_vector(total)
-                for (x, y, z) in ((a, b, d_), (d_, a, b), (b, d_, a)):
-                    av = bilinear(alpha_rows, alg.c[x][y], basis_vector(n, z), v_dim)
-                    acc = vadd(acc, zero_vector(n) + av)
-                    lift = zero_vector(n) + alpha_rows[x][y]
-                    acc = vadd(acc, big.bracket(lift, basis_vector(total, z)))
-                if not is_zero(acc):
-                    cyc.append(witness(x=names[a], y=names[b], z=names[d_]))
+    # alpha([x, y]', z) + [alpha(x, y), z] = 0; V is central, so the second
+    # term vanishes and alpha([e_x, e_y]', e_z) = sum_i c[x][y][i] alpha(e_i, e_z)
+    cols = [[row[z] for row in alpha_rows] for z in range(n)]
+    cyc = [witness(x=names[a], y=names[b], z=names[d_])
+           for a in range(n) for b in range(a + 1, n) for d_ in range(b + 1, n)
+           if not is_zero(lincomb(chain(alg.c[a][b], alg.c[d_][a], alg.c[b][d_]),
+                                  chain(cols[d_], cols[b], cols[a]), v_dim))]
     rep.add("extension.cyclic", not cyc, cyc)
 
     j_ext = Matrix.block_diag(base.j, Matrix.zeros(v_dim, v_dim))
     metric_ext = Matrix.block_diag(base.metric, Matrix.identity(v_dim))
     H_ext = Subspace.span(
         [tuple(h) + zero_vector(v_dim) for h in base.H.basis], total)
+    big = LieAlgebra(c, names=list(names) + [f"v{i + 1}" for i in range(v_dim)],
+                     validate=False)
     data = KahlerCRData(CRData(big, H_ext, j_ext), metric_ext)
 
     closed = check_kahler(data)

@@ -252,6 +252,9 @@ def parse_document(doc: dict) -> Payloads:
                     diags.append(f"{where}: result has {len(result)} entries, "
                                  f"expected {v_dim}")
                     continue
+                if (x - 1, y - 1) in alpha:
+                    diags.append(f"{where}: duplicate alpha for ({x},{y})")
+                    continue
                 alpha[(x - 1, y - 1)] = result
             if v_dim >= 1:
                 payloads.extension = {"v_dim": v_dim, "alpha": alpha}
@@ -275,7 +278,7 @@ def dump_document(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-# -- document builders (used by the catalog and by tests) --------------------
+# -- document builder ---------------------------------------------------------
 
 def algebra_document(algebra: LieAlgebra) -> dict:
     brackets = []
@@ -286,16 +289,3 @@ def algebra_document(algebra: LieAlgebra) -> dict:
                 brackets.append({"x": i + 1, "y": j + 1,
                                  "result": [format_rat(e) for e in v]})
     return {"dim": algebra.dim, "names": list(algebra.names), "brackets": brackets}
-
-
-def matrix_document(m: Matrix) -> list:
-    return [[format_rat(e) for e in row] for row in m.data]
-
-
-def subspace_document(s: Subspace) -> list:
-    return [[format_rat(e) for e in row] for row in s.basis]
-
-
-def bivector_document(b: Bivector) -> list:
-    return [{"i": i + 1, "j": j + 1, "coeff": format_rat(v)}
-            for (i, j), v in b.coeffs.items()]

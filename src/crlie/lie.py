@@ -129,11 +129,8 @@ class LieAlgebra:
         return self.killing_form().det() != 0
 
     def center(self) -> Subspace:
-        rows = []
-        for i in range(self.dim):
-            rows.extend(self.ad(basis_vector(self.dim, i)).data)
-        # center = {x : [y, x] = 0 for all y} = common kernel of the ad maps
-        return kernel(Matrix(rows))
+        # center = common kernel of the ad e_i; row k of ad e_i is (c[i][j][k])_j
+        return kernel(Matrix([col for row in self.c for col in zip(*row)]))
 
     def centralizer(self, x: Vector) -> Subspace:
         return kernel(self.ad(x))
@@ -154,14 +151,8 @@ class LieAlgebra:
         if not self.is_ideal(ideal):
             raise ValueError("quotient requires an ideal")
         comp = [c for c in range(self.dim) if c not in ideal.pivots]
-        m = len(comp)
-
-        def project(v: Vector) -> Vector:
-            r = ideal.reduce(v)
-            return tuple(r[c] for c in comp)
-
-        c = [[project(self.bracket(basis_vector(self.dim, a), basis_vector(self.dim, b)))
-              for b in comp] for a in comp]
+        c = [[tuple(ideal.reduce(self.c[a][b])[k] for k in comp) for b in comp]
+             for a in comp]
         return LieAlgebra(c, names=[self.names[a] for a in comp])
 
     def direct_sum(self, other: "LieAlgebra",

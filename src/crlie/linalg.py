@@ -165,9 +165,6 @@ class Matrix:
         i, j = ij
         return self.data[i][j]
 
-    def row(self, i: int) -> Vector:
-        return self.data[i]
-
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.data)
 
@@ -371,13 +368,6 @@ class Subspace:
                 f = r[p]
                 r = [a - f * b for a, b in zip(r, row)]
         return tuple(r)
-
-    def coordinates(self, v: Vector) -> Optional[Vector]:
-        """Coefficients of v in the RREF basis, or None if v is not a member."""
-        coeffs = tuple(v[p] for p in self.pivots)
-        if lincomb(coeffs, self.basis, self.ambient_dim) != tuple(rat(e) for e in v):
-            return None
-        return coeffs
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)

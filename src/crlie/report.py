@@ -79,7 +79,7 @@ class Report:
 
 
 def witness(**kwargs) -> dict:
-    """Build a witness dict; vectors are rendered in named-basis coordinates."""
+    """Build a witness dict; callers render vectors with `fmt_vec` first."""
     return dict(kwargs)
 
 

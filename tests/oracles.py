@@ -10,15 +10,17 @@ Lambda^k from k x k minors and decide U ^ Lambda^2 G by row reduction of its
 spanning set, where the library maps sparse coefficients through G -> G/U.
 The Kahler oracles evaluate closedness with three dot products per triple,
 solve one linear system per left-symmetric product, and test the
-left-symmetric identities on ambient vectors through `Subspace.coordinates`,
-where the library contracts tables precomputed from the structure constants.
+left-symmetric identities on ambient vectors through `h_coordinates`, where
+the library contracts tables precomputed from the structure constants.  The
+CR oracle takes four ambient brackets of H's basis vectors per pair, where
+the library contracts the bracket table of H with j in H-coordinates.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from crlie import Bivector, LieAlgebra, Trivector, wedge3
-from crlie.crkahler import KahlerCRData, LeftSymmetricProduct, induced_bracket
+from crlie.crkahler import CRData, KahlerCRData, LeftSymmetricProduct, induced_bracket
 from crlie.linalg import (
     Subspace, basis_vector, bilinear, is_zero, lincomb, solve, vadd, vdot, vsub,
 )
@@ -137,6 +139,37 @@ def wedge_span_remainder(t: Trivector, u: Subspace) -> Trivector:
     return Trivector(n, dict(zip(keys, coords)))
 
 
+def check_cr_ambient(d: CRData) -> Report:
+    """`check_cr` with four ambient brackets of H's basis vectors per pair:
+    (2) [x, y] - [jx, jy] in H and (3) [jx, jy] = [x, y] + j([x, jy] + [jx, y])."""
+    rep = Report()
+    alg, j = d.algebra, d.j
+    names = alg.names
+    w2, w3 = [], []
+    for a, x in enumerate(d.H.basis):
+        for y in d.H.basis[a + 1:]:
+            jx, jy = j.matvec(x), j.matvec(y)
+            xy, lhs = alg.bracket(x, y), alg.bracket(jx, jy)
+            diff = vsub(xy, lhs)
+            if not d.H.contains(diff):
+                w2.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, y),
+                                  offending=fmt_vec(names, diff)))
+            rhs = vadd(xy, j.matvec(vadd(alg.bracket(x, jy), alg.bracket(jx, y))))
+            if lhs != rhs:
+                w3.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, y),
+                                  offending=fmt_vec(names, vsub(lhs, rhs))))
+    rep.add("cr.condition2", not w2, w2)
+    rep.add("cr.condition3", not w3, w3)
+    return rep
+
+
+def h_coordinates(H: Subspace, v):
+    """Coefficients of v in the RREF basis of H, after checking membership."""
+    coeffs = tuple(v[p] for p in H.pivots)
+    assert lincomb(coeffs, H.basis, H.ambient_dim) == tuple(v), "not a member of H"
+    return coeffs
+
+
 def check_kahler_by_triples(k: KahlerCRData) -> Report:
     """`check_kahler` with closedness as three dot products per triple:
     w([e_a, e_b], e_t) + w([e_t, e_a], e_b) + w([e_b, e_t], e_a)."""
@@ -200,7 +233,7 @@ def check_left_symmetric_ambient(k: KahlerCRData, p: LeftSymmetricProduct) -> Re
     rep.add("leftsym.identity1", not w1, w1)
 
     def prod(x, y):
-        return bilinear(rows, k.H.coordinates(x), k.H.coordinates(y), alg.dim)
+        return bilinear(rows, h_coordinates(k.H, x), h_coordinates(k.H, y), alg.dim)
 
     def comm_ext(x, y):
         return vsub(prod(x, y), prod(y, x))

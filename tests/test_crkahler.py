@@ -9,7 +9,7 @@ from crlie import (
     CRData, KahlerCRData, LieAlgebra, build_extension, catalog, center_U,
     check_cr, check_kahler, check_left_symmetric, heisenberg3,
     ideal_complement_complex, left_symmetric_product, omega_radical,
-    parse_document, semisimple_exactness, so3,
+    parse_document, semisimple_exactness, sl2, so3,
 )
 from crlie.crkahler import LeftSymmetricProduct, induced_bracket
 from crlie.linalg import (
@@ -17,7 +17,7 @@ from crlie.linalg import (
 )
 
 from oracles import (
-    check_kahler_by_triples, check_left_symmetric_ambient,
+    check_cr_ambient, check_kahler_by_triples, check_left_symmetric_ambient,
     left_symmetric_product_by_solves,
 )
 from test_golden import AFF_AFF_R_DENSE
@@ -412,3 +412,83 @@ def random_metrics(draw):
 @given(st.one_of(coupled_metrics(), random_metrics()))
 def test_kahler_layer_matches_oracles_on_coupled_metrics(k):
     assert_kahler_layer_matches_oracles(k)
+
+
+def unimodular(draw, n):
+    """L U with unit diagonals and the other entries of L, U in {-1, 0, 1}:
+    a dense integer matrix of determinant 1."""
+    L = Matrix([[draw(st.integers(-1, 1)) if b < a else int(a == b) for b in range(n)]
+                for a in range(n)])
+    U = Matrix([[draw(st.integers(-1, 1)) if b > a else int(a == b) for b in range(n)]
+                for a in range(n)])
+    return L * U
+
+
+CR_ALGEBRAS = {
+    "so3+so3": so3().direct_sum(so3()),
+    "aff_aff+R": entry_payloads("aff_aff").algebra.direct_sum(LieAlgebra.abelian(1)),
+    "sl2+heisenberg": sl2().direct_sum(heisenberg3()),
+}
+
+
+@st.composite
+def dense_cr_data(draw, full=False):
+    """A Lie algebra in the basis P e_i of a dense unimodular P, H spanned by
+    the first m columns of another one, R, and j = R (S J0 S^-1 + 0) R^-1:
+    the rotation blocks J0 conjugated by a third, S, on H and zero off H.
+    With `full`, H is the whole algebra."""
+    names = sorted(a for a in CR_ALGEBRAS if not (full and CR_ALGEBRAS[a].dim % 2))
+    g = CR_ALGEBRAS[draw(st.sampled_from(names))]
+    n = g.dim
+    P = unimodular(draw, n)
+    p_inv = _inverse(P)
+    g = LieAlgebra([[p_inv.matvec(g.bracket(P.column(a), P.column(b))) for b in range(n)]
+                    for a in range(n)])
+    m = n if full else draw(st.sampled_from([d for d in (2, 4, 6) if d <= n]))
+    R, S = unimodular(draw, n), unimodular(draw, m)
+    J0 = Matrix([[(b == a + 1) - (a == b + 1) if a // 2 == b // 2 else 0 for b in range(m)]
+                 for a in range(m)])
+    j = S * J0 * _inverse(S)
+    if m < n:
+        j = Matrix.block_diag(j, Matrix.zeros(n - m, n - m))
+    return CRData(g, Subspace.span([R.column(a) for a in range(m)], n),
+                  R * j * _inverse(R))
+
+
+@pytest.mark.parametrize("entry_id", [e for e in catalog.ids()
+                                      if "cr" in catalog.get(e).document])
+def test_check_cr_matches_ambient_oracle_on_catalog(entry_id):
+    d = entry_payloads(entry_id).cr
+    assert check_cr(d).to_dict() == check_cr_ambient(d).to_dict()
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_cr_data())
+def test_check_cr_matches_ambient_oracle_in_dense_bases(d):
+    assert check_cr(d).to_dict() == check_cr_ambient(d).to_dict()
+
+
+def test_h_brackets_are_computed_once_per_crdata(monkeypatch):
+    k = parse_document(AFF_AFF_R_DENSE).kahler
+    calls = []
+    bracket = LieAlgebra.bracket
+    monkeypatch.setattr(LieAlgebra, "bracket",
+                        lambda self, x, y: calls.append(1) or bracket(self, x, y))
+    check_cr(k.cr)
+    check_left_symmetric(k, left_symmetric_product(k))
+    check_cr(k.cr)
+    m = k.H.dim
+    assert len(calls) == m * (m - 1) // 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(dense_cr_data(full=True), st.lists(st.integers(-2, 2), min_size=6, max_size=6))
+def test_extension_by_a_coboundary_passes_jacobi_and_cyclic(d, theta):
+    # alpha(x, y) = theta([x, y]) is a 2-cocycle, so Jacobi and the cyclic
+    # condition hold, although single cyclic terms theta([[x, y], z]) do not vanish
+    n = d.algebra.dim
+    alpha = {(a, b): [vdot(vector(theta), d.algebra.c[a][b])]
+             for a in range(n) for b in range(a + 1, n)}
+    _, rep = build_extension(KahlerCRData(d, Matrix.identity(n)), 1, alpha)
+    assert rep.result("extension.jacobi").passed
+    assert rep.result("extension.cyclic").passed

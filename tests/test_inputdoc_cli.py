@@ -119,6 +119,28 @@ def test_unreadable_bytes_exit_two(tmp_path, capsys, data, message):
     assert "Traceback" not in err
 
 
+ZERO_J4 = [["0"] * 4] * 4
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_with_block("heisenberg", "extension", alpha=[
+        {"x": 1, "y": 2, "result": ["1"]}, {"x": 1, "y": 2, "result": ["2"]}]),
+     "extension.alpha[1]: duplicate alpha for (1,2)"),
+    (_with_block("rn_flat", "cr", H=[], j=ZERO_J4), "metric: H must be nonzero"),
+], ids=["duplicate_alpha", "metric_on_zero_H"])
+def test_invalid_blocks_exit_two(tmp_path, capsys, doc, message):
+    assert main(["check", write(tmp_path, doc)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_cr_only_document_with_zero_H_passes(tmp_path, capsys):
+    doc = {"algebra": catalog.get("rn_flat").document["algebra"],
+           "cr": {"H": [], "j": ZERO_J4}}
+    assert main(["check", write(tmp_path, doc)]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] cr.condition2" in out and "[PASS] cr.condition3" in out
+
+
 def test_algebra_document_builder_round_trip():
     from crlie import so3
     doc = {"algebra": algebra_document(so3())}

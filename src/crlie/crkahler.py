@@ -15,14 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, permutations
 from typing import Mapping, Optional, Sequence
 
-from .lie import LieAlgebra, validate_structure
+from .lie import IntTable, LieAlgebra, nonzero_contraction, validate_structure
 from .linalg import (
     Matrix, Subspace, Vector,
-    basis_vector, bilinear, is_zero, kernel, lincomb, solve, vadd, vdot, vector,
-    vscale, vsub, zero_vector,
+    basis_vector, bilinear, is_zero, kernel, lincomb, rref, scaled, scaled_sparse, solve,
+    unscaled, vdot, vector, vscale, vsub, zero_vector,
 )
 from .report import Report, fmt_vec, witness
 
@@ -36,8 +36,9 @@ class CRData:
 
     Construction enforces the structural invariants (j preserves H,
     j^2 = -Id on H, image(j) inside H); the two integrability conditions
-    are verified by `check_cr` and reported, not raised.  Every bracket on
-    H is read from `brackets`, and j on H from `jH`, both built once.
+    are verified by `check_cr` and reported, not raised.  H's RREF basis, j,
+    the brackets on H and j on H are kept as integer tables, each a pair
+    (s, ints) with ints / s the exact value and each built once.
     """
 
     algebra: LieAlgebra
@@ -50,32 +51,65 @@ class CRData:
             raise ValueError("H lives in the wrong ambient dimension")
         if self.j.rows != n or self.j.cols != n:
             raise ValueError("j must be an endomorphism of the full algebra")
+        j = self.j_rows[1]
         for i in range(n):
-            if not self.H.contains(self.j.column(i)):
+            if not self.in_H([row.get(i, 0) for row in j]):
                 raise ValueError(f"image of j not contained in H (column {i + 1})")
         # j h_a = sum_e jH[a][e] h_e, so j^2 h_a = sum_e (jH jH)[a][e] h_e
-        m = self.H.dim
-        for a, row in enumerate(self.jH):
-            if lincomb(row, self.jH, m) != vscale(-1, basis_vector(m, a)):
+        s, J = self.jH
+        for a, row in enumerate(J):
+            if lincomb(row, J, len(J)) != tuple(-s * s * (b == a) for b in range(len(J))):
                 raise ValueError("j^2 is not -Id on H")
 
     @cached_property
-    def brackets(self) -> list:
-        """brackets[a][b] = [h_a, h_b] in ambient coordinates, for the RREF
-        basis of H; each pair a < b is bracketed once."""
-        basis, n = self.H.basis, self.algebra.dim
-        B = [[zero_vector(n)] * len(basis) for _ in basis]
-        for a, x in enumerate(basis):
-            for b in range(a + 1, len(basis)):
-                B[a][b] = self.algebra.bracket(x, basis[b])
-                B[b][a] = vscale(-1, B[a][b])
-        return B
+    def basis_ints(self) -> tuple[int, list]:
+        """H's RREF basis h_a as sparse integer rows {i: x}, with their scale."""
+        return scaled_sparse(self.H.basis)
 
     @cached_property
-    def jH(self) -> list:
-        """j on H in H-coordinates: row a is j h_a read at the pivots of H."""
-        rows = [self.j.data[p] for p in self.H.pivots]
-        return [tuple(vdot(r, h) for r in rows) for h in self.H.basis]
+    def annihilator(self) -> list:
+        """Integer functionals, one per non-pivot column f, whose common kernel
+        is H: v = sum_a v[p_a] h_a holds at the pivots p_a by construction, so
+        v is in H iff s v[f] - sum_a s h_a[f] v[p_a] = 0 at every other f.
+        Empty when H = G."""
+        s, H = self.basis_ints
+        return [{f: s, **{p: -h[f] for p, h in zip(self.H.pivots, H) if f in h}}
+                for f in range(self.algebra.dim) if f not in self.H.pivots]
+
+    def in_H(self, v) -> bool:
+        """Membership of v, or of any nonzero multiple of it, in H."""
+        return all(sum(x * v[i] for i, x in phi.items()) == 0 for phi in self.annihilator)
+
+    @cached_property
+    def j_rows(self) -> tuple[int, list]:
+        """j as sparse integer rows {i: x}, with their scale."""
+        return scaled_sparse(self.j.data)
+
+    @cached_property
+    def brackets(self) -> tuple[int, list]:
+        """(s, B) with B[a][b] = s [h_a, h_b], an integer n-vector, for the
+        RREF basis of H; each pair a < b is contracted with c once."""
+        table, (sh, H) = self.algebra.table, self.basis_ints
+        rows, n, m = table.rows, self.algebra.dim, len(H)
+        B = [[(0,) * n] * m for _ in range(m)]
+        for a in range(m):
+            for b in range(a + 1, m):
+                acc = [0] * n
+                for i, x in H[a].items():
+                    row = rows[i]
+                    for j, y in H[b].items():
+                        for k, z in row.get(j, {}).items():
+                            acc[k] += x * y * z
+                B[a][b], B[b][a] = tuple(acc), tuple(-e for e in acc)
+        return sh * sh * table.scale, B
+
+    @cached_property
+    def jH(self) -> tuple[int, list]:
+        """(s, J): j on H in H-coordinates, row a being s j h_a read at the
+        pivots of H."""
+        (sj, j), (sh, H) = self.j_rows, self.basis_ints
+        return sj * sh, [tuple(sum(x * h.get(i, 0) for i, x in j[p].items())
+                               for p in self.H.pivots) for h in H]
 
 
 @dataclass(frozen=True)
@@ -94,11 +128,10 @@ class KahlerCRData:
         if not self.metric.is_symmetric():
             raise ValueError("metric must be symmetric")
         # positive definiteness via leading principal minors
-        for k in range(1, n + 1):
-            minor = Matrix([r[:k] for r in self.metric.data[:k]]).det()
-            if minor <= 0:
-                raise ValueError(
-                    f"metric is not positive definite (leading minor {k} = {minor})")
+        bad = self.metric.first_nonpositive_minor()
+        if bad is not None:
+            raise ValueError(
+                "metric is not positive definite (leading minor {} = {})".format(*bad))
 
     @property
     def algebra(self) -> LieAlgebra:
@@ -118,11 +151,24 @@ class KahlerCRData:
         return self.metric * self.j
 
     @cached_property
+    def omega_rows(self) -> tuple[int, list]:
+        """The matrix of w as sparse integer rows {i: x}, with their scale."""
+        return scaled_sparse(self.omega_matrix.data)
+
+    @cached_property
+    def omega_images(self) -> tuple[int, list]:
+        """(s, U) with U[b] = s Omega h_b, an integer n-vector: w(x, h_b) is
+        x . U[b] / s."""
+        (sw, om), (sh, H) = self.omega_rows, self.cr.basis_ints
+        return sw * sh, [tuple(sum(x * h.get(i, 0) for i, x in row.items()) for row in om)
+                         for h in H]
+
+    @cached_property
     def omega_gram(self) -> Matrix:
         """Gram matrix of w on the basis of H: entry (a, b) is w(h_a, h_b)."""
-        basis = self.H.basis
-        images = [self.omega_matrix.matvec(y) for y in basis]
-        return Matrix([[vdot(x, wy) for wy in images] for x in basis])
+        (su, U), (sh, H) = self.omega_images, self.cr.basis_ints
+        return Matrix([[Fraction(sum(x * u[i] for i, x in h.items()), su * sh) for u in U]
+                       for h in H])
 
     def omega(self, x: Vector, y: Vector) -> Fraction:
         return vdot(x, self.omega_matrix.matvec(y))
@@ -149,23 +195,29 @@ def check_cr(d: CRData) -> Report:
 
     Every bracket is a contraction of the table B = d.brackets: with
     K[a][b] = [j h_a, h_b] = sum_e jH[a][e] B[e][b], [j h_a, j h_b] is
-    sum_f jH[b][f] K[a][f] and [h_a, j h_b] = -K[b][a]."""
+    sum_f jH[b][f] K[a][f] and [h_a, j h_b] = -K[b][a].  Both conditions
+    are tested on integers: (2) on s_J^2 s_B times the difference, (3) on
+    s_j s_J^2 s_B times both sides."""
     rep = Report()
-    B, J, basis, names = d.brackets, d.jH, d.H.basis, d.algebra.names
+    (sB, B), (sJ, J), (sj, j) = d.brackets, d.jH, d.j_rows
+    basis, names = d.H.basis, d.algebra.names
     m, n = len(basis), d.algebra.dim
     K = [[lincomb(J[a], (row[b] for row in B), n) for b in range(m)] for a in range(m)]
+    s2, s3 = sJ * sJ * sB, sj * sJ * sJ * sB
     w2, w3 = [], []
     for a, x in enumerate(basis):
         for b in range(a + 1, m):
-            xy, lhs = B[a][b], lincomb(J[b], K[a], n)
+            xy, lhs = tuple(sJ * sJ * e for e in B[a][b]), lincomb(J[b], K[a], n)
             diff = vsub(xy, lhs)
-            if not d.H.contains(diff):
+            if not d.in_H(diff):
                 w2.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, basis[b]),
-                                  offending=fmt_vec(names, diff)))
-            rhs = vadd(xy, d.j.matvec(vsub(K[a][b], K[b][a])))
-            if lhs != rhs:
+                                  offending=fmt_vec(names, unscaled(diff, s2))))
+            jk = vsub(K[a][b], K[b][a])
+            offending = tuple(sj * (e - f) - sJ * sum(z * jk[i] for i, z in row.items())
+                              for e, f, row in zip(lhs, xy, j))
+            if any(offending):
                 w3.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, basis[b]),
-                                  offending=fmt_vec(names, vsub(lhs, rhs))))
+                                  offending=fmt_vec(names, unscaled(offending, s3))))
     rep.add("cr.condition2", not w2, w2)
     rep.add("cr.condition3", not w3, w3)
     return rep
@@ -176,8 +228,7 @@ def check_kahler(k: KahlerCRData) -> Report:
     triples, and nondegeneracy of w restricted to H."""
     rep = Report()
     alg, n = k.algebra, k.algebra.dim
-    names, c = alg.names, alg.c
-    omega = k.omega_matrix
+    names, omega = alg.names, k.omega_matrix
 
     anti = []
     for a in range(n):
@@ -186,12 +237,24 @@ def check_kahler(k: KahlerCRData) -> Report:
                 anti.append(witness(x=names[a], y=names[b]))
     rep.add("kahler.omega_antisymmetric", not anti, anti)
 
-    # W[a][b][t] = w([e_a, e_b], e_t) = sum_m c[a][b][m] * omega[m, t]
-    col = omega.transpose().data
-    W = [[[vdot(v, u) for u in col] for v in row] for row in c]
+    # W[(a, b)][t] = w([e_a, e_b], e_t) = sum_m c[a][b][m] omega[m, t], times
+    # the scales of c and omega, kept for the nonzero brackets only
+    table, (_, om) = alg.table, k.omega_rows
+    W = {}
+    for a, row in enumerate(table.rows):
+        for b, v in row.items():
+            acc = W[(a, b)] = [0] * n
+            for m, z in v.items():
+                for t, x in om[m].items():
+                    acc[t] += z * x
+    # S(a, b, t) = W[a][b][t] + W[t][a][b] + W[b][t][a] is cyclic and, as W is
+    # antisymmetric in a, b, alternating: it vanishes when two indices agree,
+    # and its value on a < b < t fixes it on the five other orderings
+    zero = [0] * n
+    failing = [(a, b, t) for a, b, t in table.triples()
+               if W.get((a, b), zero)[t] + W.get((t, a), zero)[b] + W.get((b, t), zero)[a]]
     closed = [witness(x=names[a], y=names[b], z=names[t])
-              for a in range(n) for b in range(n) for t in range(n)
-              if W[a][b][t] + W[t][a][b] + W[b][t][a] != 0]
+              for a, b, t in sorted(p for abt in failing for p in permutations(abt))]
     rep.add("kahler.omega_closed", not closed, closed)
 
     rep.add("kahler.omega_h_nondegenerate", k.omega_gram.det() != 0)
@@ -207,18 +270,29 @@ def left_symmetric_product(k: KahlerCRData) -> LeftSymmetricProduct:
     if k.omega_gram.det() == 0:
         raise ValueError("omega restricted to H is degenerate")
     basis = k.H.basis
-    m = len(basis)
+    m, n = len(basis), k.algebra.dim
     # w(sum_c coeff_c h_c, h_b) = sum_c coeff_c gram[c][b]  =>  coeff = (gram^T)^-1 rhs
-    gram_t = k.omega_gram.transpose()
-    inverse = Matrix.from_columns([solve(gram_t, basis_vector(m, i)) for i in range(m)])
-    # w(y, v) = vdot(Omega^T y, v)
-    omega_t = k.omega_matrix.transpose()
-    rows = [omega_t.matvec(y) for y in basis]
+    # gram^T is invertible, so row reduction turns [gram^T | I] into [I | (gram^T)^-1]
+    reduced, _ = rref([tuple(r) + basis_vector(m, i)
+                       for i, r in enumerate(k.omega_gram.transpose().data)])
+    si, inverse = scaled_sparse(r[m:] for r in reduced)
+    # w(y, v) = (Omega^T y) . v, with R[b] = s Omega^T h_b
+    (sw, om), (sh, H), (sB, B) = k.omega_rows, k.cr.basis_ints, k.cr.brackets
+    R = []
+    for h in H:
+        acc = {}
+        for i, x in h.items():
+            for t, y in om[i].items():
+                acc[t] = acc.get(t, 0) + x * y
+        R.append({t: x for t, x in acc.items() if x})
+    scale = si * sw * sh * sB
     table = {}
-    for a, brackets in enumerate(k.cr.brackets):
-        for b, row in enumerate(rows):
-            coeffs = inverse.matvec(tuple(-vdot(row, v) for v in brackets))
-            table[(a, b)] = lincomb(coeffs, basis, k.algebra.dim)
+    for a, brackets in enumerate(B):
+        for b, r in enumerate(R):
+            rhs = [-sum(x * v[t] for t, x in r.items()) for v in brackets]
+            coeffs = [Fraction(sum(x * rhs[z] for z, x in row.items()), scale)
+                      for row in inverse]
+            table[(a, b)] = lincomb(coeffs, basis, n)
     return LeftSymmetricProduct(tuple(basis), table)
 
 
@@ -227,39 +301,46 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
     the induced bracket xy - yx; and, when Jacobi holds, the left-symmetry
     identity (2) x(yz) - (xy)z = y(xz) - (yx)z on all basis triples.
 
-    Every product lies in H, so Jacobi and (2) run on H-coordinates: P[a][b]
-    is h_a h_b read at the pivots of the RREF basis, and C = P - P^T holds
-    the structure constants of the induced bracket."""
+    The product table is scaled to integers by its own denominator.  Every
+    product lies in H, so Jacobi and (2) run on H-coordinates: P[a][b] is
+    h_a h_b read at the pivots of the RREF basis, and C = P - P^T holds the
+    structure constants of the induced bracket."""
     rep = Report()
-    basis, B = k.H.basis, k.cr.brackets
-    m = len(basis)
-    fmt = [fmt_vec(k.algebra.names, h) for h in basis]
-    comm = induced_bracket(k, p)
-    P = [[tuple(p.table[(a, b)][i] for i in k.H.pivots) for b in range(m)]
-         for a in range(m)]
-    C = [[vsub(P[a][b], P[b][a]) for b in range(m)] for a in range(m)]
+    m = k.H.dim
+    fmt = [fmt_vec(k.algebra.names, h) for h in k.H.basis]
+    keys = [(a, b) for a in range(m) for b in range(m)]
+    sT, T = scaled(p.table[key] for key in keys)
+    T = dict(zip(keys, T))
+    (sB, B), (_, U) = k.cr.brackets, k.omega_images
 
-    # w(xy - yx - [x, y], u) = vdot(xy - yx - [x, y], Omega u)
-    images = [k.omega_matrix.matvec(u) for u in basis]
+    # w(xy - yx - [x, y], h_t) = (xy - yx - [x, y]) . U[t] / s, tested on
+    # sT sB times the difference
     w1 = []
-    for a in range(m):
-        for b in range(m):
-            d = vsub(comm[(a, b)], B[a][b])
-            w1.extend(witness(x=fmt[a], y=fmt[b], u=fmt[t])
-                      for t, image in enumerate(images) if vdot(d, image) != 0)
+    for a, b in keys:
+        d = [sB * (x - y) - sT * z for x, y, z in zip(T[a, b], T[b, a], B[a][b])]
+        d = {i: x for i, x in enumerate(d) if x}
+        w1.extend(witness(x=fmt[a], y=fmt[b], u=fmt[t])
+                  for t, u in enumerate(U) if sum(x * u[i] for i, x in d.items()))
     rep.add("leftsym.identity1", not w1, w1)
 
+    P = [[tuple(T[a, b][i] for i in k.H.pivots) for b in range(m)] for a in range(m)]
+    C = IntTable([[vsub(P[a][b], P[b][a]) for b in range(m)] for a in range(m)])
     # C is antisymmetric by construction, so only Jacobi violations come back
-    jac = [witness(x=fmt[a], y=fmt[b], z=fmt[c]) for _, (a, b, c) in validate_structure(C)]
+    jac = [witness(x=fmt[a], y=fmt[b], z=fmt[c]) for _, (a, b, c) in C.violations()]
     rep.add("leftsym.jacobi_induced", not jac, jac)
 
     if not jac:
-        # h_a v = sum_d v_d P[a][d] and (xy - yx)z = sum_d C[a][b][d] P[d][c]
-        cols = [[P[d][c] for d in range(m)] for c in range(m)]
+        # h_a v = sum_d v_d P[a][d] and (xy - yx)z = sum_d C[a][b][d] P[d][c].
+        # The defect x(yz) - y(xz) - (xy - yx)z changes sign when a and b are
+        # swapped and vanishes when a = b, so a < b decides every triple
+        prod, comm = IntTable(P).rows, C.rows
+        cols = [{d: prod[d][c] for d in range(m) if c in prod[d]} for c in range(m)]
+        failing = [(a, b, c) for a in range(m) for b in range(a + 1, m) for c in range(m)
+                   if nonzero_contraction(((1, prod[b].get(c, {}), prod[a]),
+                                           (-1, prod[a].get(c, {}), prod[b]),
+                                           (-1, comm[a].get(b, {}), cols[c])))]
         w2 = [witness(x=fmt[a], y=fmt[b], z=fmt[c])
-              for a in range(m) for b in range(m) for c in range(m)
-              if lincomb(P[b][c], P[a], m)
-              != vadd(lincomb(P[a][c], P[b], m), lincomb(C[a][b], cols[c], m))]
+              for a, b, c in sorted(failing + [(b, a, c) for a, b, c in failing])]
         rep.add("leftsym.identity2", not w2, w2)
     return rep
 
@@ -282,9 +363,10 @@ def omega_radical(k: KahlerCRData) -> tuple[Subspace, Report]:
     rep.add("radical.subalgebra", k.algebra.is_subalgebra(L))
     orth = []
     names = k.algebra.names
+    images = [k.metric.matvec(h) for h in k.H.basis]
     for x in L.basis:
-        for h in k.H.basis:
-            if vdot(x, k.metric.matvec(h)) != 0:
+        for h, image in zip(k.H.basis, images):
+            if vdot(x, image) != 0:
                 orth.append(witness(x=fmt_vec(names, x), h=fmt_vec(names, h)))
     rep.add("radical.orthogonal_h", not orth, orth)
     return L, rep
@@ -337,14 +419,16 @@ def ideal_complement_complex(d: CRData, ideal: Subspace) -> tuple[LieAlgebra, Ma
     # v = sum_a s_a h_a + (a member of I): the first m coordinates of the
     # solution in the combined basis are the H-coordinates of v's projection
     A = Matrix.from_columns(list(basis) + list(ideal.basis))
-    c = [[solve(A, v)[:m] for v in row] for row in d.brackets]
+    s, B = d.brackets
+    c = [[solve(A, unscaled(v, s))[:m] for v in row] for row in B]
     rep = Report()
     bad = validate_structure(c)
     rep.add("ideal.jacobi", not bad,
             [witness(kind=k, indices=str(tuple(i + 1 for i in idx))) for k, idx in bad])
     quotient_like = LieAlgebra(c, names=[f"h{i + 1}" for i in range(m)], validate=False)
 
-    jH = Matrix.from_columns(d.jH)
+    s, J = d.jH
+    jH = Matrix.from_columns([unscaled(row, s) for row in J])
     wj = []
     for a in range(m):
         for b in range(a + 1, m):
@@ -480,10 +564,12 @@ def semisimple_exactness(k: KahlerCRData) -> tuple[Optional[Vector], Optional[Ve
     K = alg.killing_form()
     X = solve(K, alpha)
     assert X is not None  # Killing form nondegenerate
+    # K(X, v) = (K^T X) . v
+    KX = K.transpose().matvec(X)
     dual = []
     for a in range(n):
         for b in range(a + 1, n):
-            if vdot(X, K.matvec(alg.c[a][b])) != omega[a, b]:
+            if vdot(KX, alg.c[a][b]) != omega[a, b]:
                 dual.append(witness(x=alg.names[a], y=alg.names[b]))
     rep.add("exactness.killing_dual", not dual, dual)
 

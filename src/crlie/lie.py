@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from itertools import chain
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .linalg import (
     Matrix, Subspace, Vector,
-    basis_vector, bilinear, is_zero, kernel, lincomb, vector, zero_vector,
+    basis_vector, bilinear, is_zero, kernel, vector, zero_vector,
 )
 
 
@@ -26,35 +27,74 @@ class StructureError(ValueError):
         super().__init__("; ".join(msgs))
 
 
+class IntTable:
+    """A bilinear table c (c[i][j] a vector, such as [e_i, e_j]) in integer
+    form: c[i][j][k] = rows[i][j][k] / scale, where scale is the least common
+    denominator of c and rows[i] = {j: {k: x}} keeps only the nonzero
+    entries, grouped per row."""
+
+    __slots__ = ("dim", "scale", "rows")
+
+    def __init__(self, c: Sequence[Sequence[Vector]]):
+        nonzero = [[(j, v) for j, v in enumerate(row) if any(v)] for row in c]
+        scale = lcm(*(e.denominator for row in nonzero for _, v in row for e in v))
+        self.dim, self.scale = len(c), scale
+        self.rows = [{j: {k: e.numerator * (scale // e.denominator)
+                          for k, e in enumerate(v) if e} for j, v in row}
+                     for row in nonzero]
+
+    def triples(self) -> list:
+        """The triples i < j < k, in lexicographic order, on which some entry
+        c[a][b] with a, b two of the indices is nonzero.  A sum of terms that
+        each carry such an entry as a factor vanishes on every other triple."""
+        return sorted({tuple(sorted((i, j, k)))
+                       for i, row in enumerate(self.rows) for j in row if i < j
+                       for k in range(self.dim) if k != i and k != j})
+
+    def violations(self) -> list:
+        """Antisymmetry violations (i, j), i <= j; when there are none, Jacobi
+        violations (i, j, k), i < j < k; each kind in lexicographic order."""
+        rows = self.rows
+        pairs = sorted({(min(i, j), max(i, j)) for i, row in enumerate(rows) for j in row})
+        bad = [("antisymmetry", (i, j)) for i, j in pairs
+               if rows[i].get(j, {}) != {k: -x for k, x in rows[j].get(i, {}).items()}]
+        if bad:
+            return bad
+        return [("jacobi", t) for t in self.triples() if not self._jacobi_holds(*t)]
+
+    def _jacobi_holds(self, i: int, j: int, k: int) -> bool:
+        # [e_i,[e_j,e_k]] + [e_k,[e_i,e_j]] + [e_j,[e_k,e_i]], where
+        # [e_a, sum_l x_l e_l] = sum_l x_l c[a][l]
+        rows = self.rows
+        return not nonzero_contraction(
+            (1, rows[b].get(c, {}), rows[a]) for a, b, c in ((i, j, k), (k, i, j), (j, k, i)))
+
+
+def nonzero_contraction(terms) -> bool:
+    """Whether sum_{(sign, x, rows) in terms} sign * sum_l x[l] rows[l] is
+    nonzero, for sparse integer vectors x = {l: int} and rows = {l: {m: int}}."""
+    acc = {}
+    for sign, x, rows in terms:
+        for l, xl in x.items():
+            for m, y in rows.get(l, {}).items():
+                acc[m] = acc.get(m, 0) + sign * xl * y
+    return any(acc.values())
+
+
 def validate_structure(c: Sequence[Sequence[Vector]]) -> list:
     """Collect antisymmetry and Jacobi violations of a bracket tensor."""
-    n = len(c)
-    bad = []
-    for i in range(n):
-        for j in range(i, n):
-            if any(a != -b for a, b in zip(c[i][j], c[j][i])):
-                bad.append(("antisymmetry", (i, j)))
-    if bad:
-        return bad
-    # [e_i, v] = sum_m v_m c[i][m], so the Jacobiator
-    # [e_i,[e_j,e_k]] + [e_k,[e_i,e_j]] + [e_j,[e_k,e_i]] is one linear combination
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                s = lincomb(chain(c[j][k], c[i][j], c[k][i]), chain(c[i], c[k], c[j]), n)
-                if not is_zero(s):
-                    bad.append(("jacobi", (i, j, k)))
-    return bad
+    return IntTable(c).violations()
 
 
 class LieAlgebra:
     """Finite-dimensional real Lie algebra over exact rational coordinates.
 
     `c[i][j]` is the coordinate vector of [e_i, e_j]; construction rejects
-    tensors violating antisymmetry or the Jacobi identity.
+    tensors violating antisymmetry or the Jacobi identity.  `table` is c in
+    integer form, built once per algebra.
     """
 
-    __slots__ = ("dim", "names", "c", "_killing")
+    __slots__ = ("dim", "names", "c", "_table", "_killing")
 
     def __init__(self, c: Sequence[Sequence[Iterable]], names: Optional[Sequence[str]] = None,
                  validate: bool = True):
@@ -66,13 +106,16 @@ class LieAlgebra:
             names = [f"e{i + 1}" for i in range(n)]
         if len(names) != n:
             raise ValueError("need one name per basis vector")
+        table = None
         if validate:
-            bad = validate_structure(tensor)
+            table = IntTable(tensor)
+            bad = table.violations()
             if bad:
                 raise StructureError(bad)
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "names", tuple(names))
         object.__setattr__(self, "c", tensor)
+        object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_killing", None)
 
     def __setattr__(self, name, value):
@@ -98,6 +141,12 @@ class LieAlgebra:
     def abelian(cls, dim: int, names: Optional[Sequence[str]] = None) -> "LieAlgebra":
         return cls.from_brackets(dim, {}, names=names)
 
+    @property
+    def table(self) -> IntTable:
+        if self._table is None:
+            object.__setattr__(self, "_table", IntTable(self.c))
+        return self._table
+
     # -- basic operations --------------------------------------------------
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
@@ -116,11 +165,11 @@ class LieAlgebra:
         """K(e_i, e_j) = trace(ad e_i ad e_j) = sum_{k,l} c[i][l][k] c[j][k][l],
         summed over the nonzero entries of c[i] and built once per algebra."""
         if self._killing is None:
-            c = self.c
-            nonzero = [[(k, l, e) for l, v in enumerate(row) for k, e in enumerate(v) if e]
-                       for row in c]
+            rows, s = self.table.rows, self.table.scale
             object.__setattr__(self, "_killing", Matrix(
-                [[sum(e * c[j][k][l] for k, l, e in nonzero[i]) for j in range(self.dim)]
+                [[Fraction(sum(x * rows[j].get(k, {}).get(l, 0)
+                               for l, v in rows[i].items() for k, x in v.items()), s * s)
+                  for j in range(self.dim)]
                  for i in range(self.dim)]))
         return self._killing
 

@@ -3,12 +3,15 @@
 Everything downstream computes with `fractions.Fraction`, so identities are
 checked against literal zero -- no tolerances anywhere.  Subspaces are kept in
 reduced row-echelon form, which makes equality and membership decidable by
-direct comparison.
+direct comparison.  The hot contractions run on `scaled` integer forms: a
+table times the least common denominator of its entries.  Every identity
+they test is homogeneous, so the scale cannot change a zero test.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
@@ -91,8 +94,9 @@ def vdot(x: Vector, y: Vector) -> Fraction:
 
 
 def lincomb(coeffs: Iterable, vectors: Iterable[Vector], n: int) -> Vector:
-    """sum_i coeffs[i] * vectors[i] in dimension n, skipping zero terms."""
-    acc = [Fraction(0)] * n
+    """sum_i coeffs[i] * vectors[i] in dimension n, skipping zero terms; exact
+    for rational and integer entries alike."""
+    acc = [0] * n
     for c, v in zip(coeffs, vectors):
         if c:
             for k, e in enumerate(v):
@@ -118,6 +122,25 @@ def bilinear(table, x: Vector, y: Vector, n: int) -> Vector:
     return tuple(acc)
 
 
+def scaled(rows: Iterable[Iterable]) -> tuple[int, list]:
+    """(s, ints) with rows[i][k] = ints[i][k] / s exactly, where s is the least
+    common denominator of the entries (1 when there are none)."""
+    rows = [tuple(r) for r in rows]
+    s = lcm(*(e.denominator for r in rows for e in r))
+    return s, [tuple(e.numerator * (s // e.denominator) for e in r) for r in rows]
+
+
+def scaled_sparse(rows: Iterable[Iterable]) -> tuple[int, list]:
+    """`scaled`, each integer row kept as {k: x} over its nonzero entries."""
+    s, ints = scaled(rows)
+    return s, [{k: x for k, x in enumerate(r) if x} for r in ints]
+
+
+def unscaled(v: Iterable[int], s: int) -> Vector:
+    """The rational vector v / s."""
+    return tuple(Fraction(x, s) for x in v)
+
+
 def is_zero(x: Vector) -> bool:
     return all(a == 0 for a in x)
 
@@ -131,15 +154,13 @@ def _same_dim(x: Sequence, y: Sequence) -> None:
 # matrices
 
 class Matrix:
-    """Dense rational matrix, immutable, row-major."""
+    """Dense rational matrix, immutable, row-major; without rows it is 0 x 0."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows_data: Iterable[Iterable]):
         data = tuple(vector(row) for row in rows_data)
-        if not data:
-            raise ValueError("matrix needs at least one row")
-        cols = len(data[0])
+        cols = len(data[0]) if data else 0
         if any(len(r) != cols for r in data):
             raise ValueError("ragged matrix rows")
         object.__setattr__(self, "rows", len(data))
@@ -221,6 +242,27 @@ class Matrix:
                     for k in range(c, n):
                         m[r][k] -= f * m[c][k]
         return det
+
+    def first_nonpositive_minor(self) -> Optional[tuple[int, Fraction]]:
+        """(k, d_k) for the first leading principal minor d_k <= 0, or None
+        when every one is positive.  One fraction-free Bareiss pass without
+        pivoting over the integer matrix s M: its k-th pivot is the k-th
+        leading minor of s M, i.e. s^k d_k (Sylvester), and every division
+        in the update is exact."""
+        if self.rows != self.cols:
+            raise ValueError("leading minors of non-square matrix")
+        s, ints = scaled(self.data)
+        a = [list(r) for r in ints]
+        prev = 1
+        for k in range(self.rows):
+            pivot = a[k][k]
+            if pivot <= 0:
+                return k + 1, Fraction(pivot, s ** (k + 1))
+            for i in range(k + 1, self.rows):
+                for j in range(k + 1, self.rows):
+                    a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+            prev = pivot
+        return None
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(

@@ -14,15 +14,23 @@ left-symmetric identities on ambient vectors through `h_coordinates`, where
 the library contracts tables precomputed from the structure constants.  The
 CR oracle takes four ambient brackets of H's basis vectors per pair, where
 the library contracts the bracket table of H with j in H-coordinates.
+
+The `*_over_fractions` oracles are the library's former `Fraction`
+contractions, kept as they were when the library moved to integer tables
+scaled by a common denominator: Jacobi as one linear combination per basis
+triple, the CR conditions and identity (2) over `Fraction` tables of H,
+closedness over all n^3 ordered triples and identity (2) over all m^3, and
+positive definiteness as one determinant per leading minor.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 from crlie import Bivector, LieAlgebra, Trivector, wedge3
 from crlie.crkahler import CRData, KahlerCRData, LeftSymmetricProduct, induced_bracket
 from crlie.linalg import (
-    Subspace, basis_vector, bilinear, is_zero, lincomb, solve, vadd, vdot, vsub,
+    Matrix, Subspace, basis_vector, bilinear, is_zero, lincomb, solve, vadd, vdot,
+    vscale, vsub, zero_vector,
 )
 from crlie.report import Report, fmt_vec, witness
 
@@ -264,3 +272,143 @@ def check_left_symmetric_ambient(k: KahlerCRData, p: LeftSymmetricProduct) -> Re
                                           z=fmt_vec(names, z)))
         rep.add("leftsym.identity2", not w2, w2)
     return rep
+
+
+def validate_structure_over_fractions(c) -> list:
+    """Antisymmetry violations (i, j), i <= j, over every pair; when there are
+    none, Jacobi violations (i, j, k) over every triple i < j < k."""
+    n = len(c)
+    bad = []
+    for i in range(n):
+        for j in range(i, n):
+            if any(a != -b for a, b in zip(c[i][j], c[j][i])):
+                bad.append(("antisymmetry", (i, j)))
+    if bad:
+        return bad
+    # [e_i, v] = sum_m v_m c[i][m], so the Jacobiator
+    # [e_i,[e_j,e_k]] + [e_k,[e_i,e_j]] + [e_j,[e_k,e_i]] is one linear combination
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                s = lincomb(chain(c[j][k], c[i][j], c[k][i]), chain(c[i], c[k], c[j]), n)
+                if not is_zero(s):
+                    bad.append(("jacobi", (i, j, k)))
+    return bad
+
+
+def j_on_h(H: Subspace, j: Matrix) -> list:
+    """Row a is j h_a read at the pivots of H, over `Fraction`."""
+    rows = [j.data[p] for p in H.pivots]
+    return [tuple(vdot(r, h) for r in rows) for h in H.basis]
+
+
+def h_tables(d: CRData):
+    """B[a][b] = [h_a, h_b] over `Fraction` for the RREF basis h_a of H, and
+    `j_on_h`."""
+    basis, n = d.H.basis, d.algebra.dim
+    B = [[zero_vector(n)] * len(basis) for _ in basis]
+    for a, x in enumerate(basis):
+        for b in range(a + 1, len(basis)):
+            B[a][b] = d.algebra.bracket(x, basis[b])
+            B[b][a] = vscale(-1, B[a][b])
+    return B, j_on_h(d.H, d.j)
+
+
+def crdata_error_over_fractions(H: Subspace, j: Matrix):
+    """The message CRData construction raises for H and j, or None: the image
+    of j column by column, then j^2 = -Id on H."""
+    for i in range(j.cols):
+        if not H.contains(j.column(i)):
+            return f"image of j not contained in H (column {i + 1})"
+    J = j_on_h(H, j)
+    m = H.dim
+    for a, row in enumerate(J):
+        if lincomb(row, J, m) != vscale(-1, basis_vector(m, a)):
+            return "j^2 is not -Id on H"
+    return None
+
+
+def check_cr_over_fractions(d: CRData) -> Report:
+    """`check_cr` contracting the `Fraction` tables of `h_tables`:
+    K[a][b] = [j h_a, h_b] = sum_e jH[a][e] B[e][b]."""
+    rep = Report()
+    (B, J), basis, names = h_tables(d), d.H.basis, d.algebra.names
+    m, n = len(basis), d.algebra.dim
+    K = [[lincomb(J[a], (row[b] for row in B), n) for b in range(m)] for a in range(m)]
+    w2, w3 = [], []
+    for a, x in enumerate(basis):
+        for b in range(a + 1, m):
+            xy, lhs = B[a][b], lincomb(J[b], K[a], n)
+            diff = vsub(xy, lhs)
+            if not d.H.contains(diff):
+                w2.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, basis[b]),
+                                  offending=fmt_vec(names, diff)))
+            rhs = vadd(xy, d.j.matvec(vsub(K[a][b], K[b][a])))
+            if lhs != rhs:
+                w3.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, basis[b]),
+                                  offending=fmt_vec(names, vsub(lhs, rhs))))
+    rep.add("cr.condition2", not w2, w2)
+    rep.add("cr.condition3", not w3, w3)
+    return rep
+
+
+def check_kahler_over_fractions(k: KahlerCRData) -> Report:
+    """`check_kahler` with the dense `Fraction` table
+    W[a][b][t] = w([e_a, e_b], e_t) and closedness on all n^3 ordered triples."""
+    rep = Report()
+    alg, n = k.algebra, k.algebra.dim
+    names, c = alg.names, alg.c
+    omega = k.omega_matrix
+    anti = [witness(x=names[a], y=names[b]) for a in range(n) for b in range(a, n)
+            if omega[a, b] != -omega[b, a]]
+    rep.add("kahler.omega_antisymmetric", not anti, anti)
+    col = omega.transpose().data
+    W = [[[vdot(v, u) for u in col] for v in row] for row in c]
+    closed = [witness(x=names[a], y=names[b], z=names[t])
+              for a in range(n) for b in range(n) for t in range(n)
+              if W[a][b][t] + W[t][a][b] + W[b][t][a] != 0]
+    rep.add("kahler.omega_closed", not closed, closed)
+    rep.add("kahler.omega_h_nondegenerate", k.omega_gram.det() != 0)
+    return rep
+
+
+def check_left_symmetric_over_fractions(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
+    """`check_left_symmetric` over the `Fraction` product table read at the
+    pivots of H, with identity (2) on all m^3 ordered triples."""
+    rep = Report()
+    basis, (B, _) = k.H.basis, h_tables(k.cr)
+    m = len(basis)
+    fmt = [fmt_vec(k.algebra.names, h) for h in basis]
+    comm = induced_bracket(k, p)
+    P = [[tuple(p.table[(a, b)][i] for i in k.H.pivots) for b in range(m)]
+         for a in range(m)]
+    C = [[vsub(P[a][b], P[b][a]) for b in range(m)] for a in range(m)]
+    images = [k.omega_matrix.matvec(u) for u in basis]
+    w1 = []
+    for a in range(m):
+        for b in range(m):
+            d = vsub(comm[(a, b)], B[a][b])
+            w1.extend(witness(x=fmt[a], y=fmt[b], u=fmt[t])
+                      for t, image in enumerate(images) if vdot(d, image) != 0)
+    rep.add("leftsym.identity1", not w1, w1)
+    jac = [witness(x=fmt[a], y=fmt[b], z=fmt[c])
+           for _, (a, b, c) in validate_structure_over_fractions(C)]
+    rep.add("leftsym.jacobi_induced", not jac, jac)
+    if not jac:
+        cols = [[P[d][c] for d in range(m)] for c in range(m)]
+        w2 = [witness(x=fmt[a], y=fmt[b], z=fmt[c])
+              for a in range(m) for b in range(m) for c in range(m)
+              if lincomb(P[b][c], P[a], m)
+              != vadd(lincomb(P[a][c], P[b], m), lincomb(C[a][b], cols[c], m))]
+        rep.add("leftsym.identity2", not w2, w2)
+    return rep
+
+
+def first_nonpositive_minor_over_fractions(M: Matrix):
+    """(k, d_k) for the first leading principal minor d_k <= 0, one `det`
+    per minor, or None."""
+    for k in range(1, M.rows + 1):
+        minor = Matrix([r[:k] for r in M.data[:k]]).det()
+        if minor <= 0:
+            return k, minor
+    return None

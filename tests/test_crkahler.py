@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iproduct
 
 import pytest
@@ -9,18 +10,21 @@ from crlie import (
     CRData, KahlerCRData, LieAlgebra, build_extension, catalog, center_U,
     check_cr, check_kahler, check_left_symmetric, heisenberg3,
     ideal_complement_complex, left_symmetric_product, omega_radical,
-    parse_document, semisimple_exactness, sl2, so3,
+    parse_document, run_checks, semisimple_exactness, sl2, so3,
 )
+from crlie import checks, crkahler
 from crlie.crkahler import LeftSymmetricProduct, induced_bracket
 from crlie.linalg import (
     Matrix, Subspace, basis_vector, is_zero, lincomb, vadd, vdot, vector,
 )
 
 from oracles import (
-    check_cr_ambient, check_kahler_by_triples, check_left_symmetric_ambient,
-    left_symmetric_product_by_solves,
+    check_cr_ambient, check_cr_over_fractions, check_kahler_by_triples,
+    check_kahler_over_fractions, check_left_symmetric_ambient,
+    check_left_symmetric_over_fractions, crdata_error_over_fractions,
+    left_symmetric_product_by_solves, validate_structure_over_fractions,
 )
-from test_golden import AFF_AFF_R_DENSE
+from test_golden import AFF_AFF_R_DENSE, CASES
 
 
 def entry_payloads(entry_id):
@@ -352,14 +356,18 @@ small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 
 
 def assert_kahler_layer_matches_oracles(k, product=None):
-    """check_kahler, the product table and check_left_symmetric (on `product`,
-    default the constructed one) agree with the oracles, witnesses in order."""
-    assert check_kahler(k).to_dict() == check_kahler_by_triples(k).to_dict()
+    """check_cr, check_kahler, the product table and check_left_symmetric (on
+    `product`, default the constructed one) agree with the oracles,
+    witnesses in order."""
+    assert check_cr(k.cr).to_dict() == check_cr_over_fractions(k.cr).to_dict()
+    assert (check_kahler(k).to_dict() == check_kahler_by_triples(k).to_dict()
+            == check_kahler_over_fractions(k).to_dict())
     constructed = left_symmetric_product(k)
     assert constructed.table == left_symmetric_product_by_solves(k).table
     product = product or constructed
     assert (check_left_symmetric(k, product).to_dict()
-            == check_left_symmetric_ambient(k, product).to_dict())
+            == check_left_symmetric_ambient(k, product).to_dict()
+            == check_left_symmetric_over_fractions(k, product).to_dict())
 
 
 @pytest.mark.parametrize("name", sorted(KAHLER_INPUTS))
@@ -374,6 +382,12 @@ def test_left_symmetric_checks_match_oracle_on_perturbed_products(data):
     # a symmetric change keeps xy - yx, so identity1 and Jacobi still pass and
     # identity2 is reached
     k = KAHLER_INPUTS[data.draw(st.sampled_from(sorted(KAHLER_INPUTS)))]
+    assert_kahler_layer_matches_oracles(k, perturbed_product(data, k))
+
+
+def perturbed_product(data, k):
+    """The product of k with q*h (h in H) added to 1-3 entries, optionally to
+    the transposed entry too."""
     m, n = k.H.dim, k.algebra.dim
     table = dict(left_symmetric_product(k).table)
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
@@ -381,7 +395,7 @@ def test_left_symmetric_checks_match_oracle_on_perturbed_products(data):
         h = lincomb(data.draw(st.lists(small, min_size=m, max_size=m)), k.H.basis, n)
         for key in ({(a, b), (b, a)} if data.draw(st.booleans()) else {(a, b)}):
             table[key] = vadd(table[key], h)
-    assert_kahler_layer_matches_oracles(k, LeftSymmetricProduct(k.H.basis, table))
+    return LeftSymmetricProduct(k.H.basis, table)
 
 
 half = st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2), max_denominator=4)
@@ -469,16 +483,25 @@ def test_check_cr_matches_ambient_oracle_in_dense_bases(d):
 
 
 def test_h_brackets_are_computed_once_per_crdata(monkeypatch):
+    # every integer table of the CR and Kahler data is built once, however
+    # many checks read it
+    builds = []
+    for cls, name in [(CRData, "basis_ints"), (CRData, "annihilator"), (CRData, "j_rows"),
+                      (CRData, "brackets"), (CRData, "jH"), (KahlerCRData, "omega_rows"),
+                      (KahlerCRData, "omega_images")]:
+        build = getattr(cls, name).func
+        prop = cached_property(lambda self, build=build, name=name:
+                               builds.append(name) or build(self))
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
     k = parse_document(AFF_AFF_R_DENSE).kahler
-    calls = []
-    bracket = LieAlgebra.bracket
-    monkeypatch.setattr(LieAlgebra, "bracket",
-                        lambda self, x, y: calls.append(1) or bracket(self, x, y))
+    table = k.algebra.table
     check_cr(k.cr)
     check_left_symmetric(k, left_symmetric_product(k))
     check_cr(k.cr)
-    m = k.H.dim
-    assert len(calls) == m * (m - 1) // 2
+    assert sorted(builds) == sorted(["basis_ints", "annihilator", "j_rows", "brackets",
+                                     "jH", "omega_rows", "omega_images"])
+    assert k.algebra.table is table
 
 
 @settings(max_examples=20, deadline=None)
@@ -492,3 +515,91 @@ def test_extension_by_a_coboundary_passes_jacobi_and_cyclic(d, theta):
     _, rep = build_extension(KahlerCRData(d, Matrix.identity(n)), 1, alpha)
     assert rep.result("extension.jacobi").passed
     assert rep.result("extension.cyclic").passed
+
+
+# -- the integer kernel on tables with denominators ----------------------------
+
+units = st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(3), Fraction(-5, 4),
+                         Fraction(1)])
+
+
+def rescaled(d, q, metric=None):
+    """d (and the metric) in the basis q_i e_i: c'[a][b][t] = q_a q_b / q_t
+    c[a][b][t], coordinates v'_i = v_i / q_i, j' = Q^-1 j Q and M' = Q M Q.
+    c, the RREF rows of H, j and the metric then carry denominators."""
+    g, n = d.algebra, d.algebra.dim
+    c = [[tuple(q[a] * q[b] / q[t] * e for t, e in enumerate(g.c[a][b])) for b in range(n)]
+         for a in range(n)]
+    H = Subspace.span([tuple(e / q[i] for i, e in enumerate(h)) for h in d.H.basis], n)
+    j = Matrix([[d.j[r, s] * q[s] / q[r] for s in range(n)] for r in range(n)])
+    cr = CRData(LieAlgebra(c, names=g.names), H, j)
+    if metric is None:
+        return cr
+    return KahlerCRData(cr, Matrix([[q[r] * metric[r, s] * q[s] for s in range(n)]
+                                    for r in range(n)]))
+
+
+@st.composite
+def rescaled_cr_data(draw):
+    d = draw(dense_cr_data())
+    return rescaled(d, draw(st.lists(units, min_size=d.algebra.dim, max_size=d.algebra.dim)))
+
+
+@st.composite
+def rescaled_kahler_data(draw):
+    k = draw(st.one_of(st.sampled_from(sorted(KAHLER_INPUTS)).map(KAHLER_INPUTS.get),
+                       coupled_metrics(), random_metrics()))
+    n = k.algebra.dim
+    return rescaled(k.cr, draw(st.lists(units, min_size=n, max_size=n)), k.metric)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rescaled_cr_data())
+def test_check_cr_matches_fraction_oracle_with_denominators(d):
+    assert check_cr(d).to_dict() == check_cr_over_fractions(d).to_dict()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rescaled_cr_data(), st.data())
+def test_crdata_invariants_match_fraction_oracle_with_denominators(d, data):
+    # one entry of j changed (or not): its image may leave H, or j^2 may stop
+    # being -Id on H
+    n = d.algebra.dim
+    r, s = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    rows = [list(row) for row in d.j.data]
+    rows[r][s] += data.draw(small)
+    j = Matrix(rows)
+    try:
+        CRData(d.algebra, d.H, j)
+    except ValueError as e:
+        error = str(e)
+    else:
+        error = None
+    assert error == crdata_error_over_fractions(d.H, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kahler_layer_matches_oracles_with_denominators(data):
+    k = data.draw(rescaled_kahler_data())
+    assert_kahler_layer_matches_oracles(
+        k, perturbed_product(data, k) if data.draw(st.booleans()) else None)
+
+
+# Every catalog and golden input, each once.
+ORACLE_DOCS = {case.split("-")[1]: doc for case, (_, doc) in CASES.items()}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DOCS))
+def test_reports_match_fraction_oracle_layers(name, monkeypatch):
+    doc = ORACLE_DOCS[name]
+    report = run_checks(parse_document(doc)).to_dict()
+    for layer, oracle in [("check_cr", check_cr_over_fractions),
+                          ("check_kahler", check_kahler_over_fractions),
+                          ("left_symmetric_product", left_symmetric_product_by_solves),
+                          ("check_left_symmetric", check_left_symmetric_over_fractions)]:
+        monkeypatch.setattr(checks, layer, oracle)
+    # the ideal and extension tables, and closedness of the extension
+    monkeypatch.setattr(crkahler, "validate_structure", validate_structure_over_fractions)
+    monkeypatch.setattr(crkahler, "check_kahler", check_kahler_over_fractions)
+    assert run_checks(parse_document(doc)).to_dict() == report

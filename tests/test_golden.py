@@ -4,7 +4,8 @@ Each golden file holds `exit <code>` on its first line and the command's
 stdout after it: `crlie check` in both formats on every catalog entry, on
 documents that reach the `ideal` and `extension` branches (passing and
 failing), on one whose Schouten residuals are reduced against a nonzero U,
-on one that fails closedness and on one that fails CR condition (2), plus
+on one that fails closedness, on one that fails CR condition (2) and on
+one whose ideal is G and whose H is {0}, plus
 `construct left-symmetric` (also on H != G in a dense basis) and
 `schouten`.  The `demo-*` files hold the stdout of the scripts in `demos/`.
 After a deliberate change to the reports, regenerate the files with
@@ -110,6 +111,12 @@ def _cases() -> dict:
     docs["aff_aff_alpha_jacobi"] = _with(
         "aff_aff", extension={"V_dim": 1,
                               "alpha": [{"x": 2, "y": 3, "result": ["1"]}]})
+    # H = {0} with the ideal G, which is supplementary to {0}: the tables on
+    # H are empty and every check passes
+    docs["abelian2_zero_H_ideal"] = {
+        "algebra": {"dim": 2},
+        "cr": {"H": [], "j": [["0", "0"], ["0", "0"]]},
+        "ideal": [["1", "0"], ["0", "1"]]}
     cases = {}
     for name, doc in docs.items():
         for fmt in ("structured", "text"):

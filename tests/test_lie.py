@@ -8,7 +8,9 @@ from crlie import LieAlgebra, StructureError, heisenberg3, sl2, so3
 from crlie.lie import validate_structure
 from crlie.linalg import Matrix, Subspace, basis_vector, is_zero, solve, vector
 
-from oracles import bracket_expanded, jacobiator, killing_entry
+from oracles import (
+    bracket_expanded, jacobiator, killing_entry, validate_structure_over_fractions,
+)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 vec3 = st.lists(rationals, min_size=3, max_size=3).map(vector)
@@ -88,6 +90,27 @@ def dense_basis_algebras(draw):
     g = make()
     return [[solve(P, bracket_expanded(g.c, P.column(i), P.column(j))) for j in range(3)]
             for i in range(3)]
+
+
+@st.composite
+def asymmetric_tensors(draw):
+    """A dense tensor with one entry of some c[j][i], i <= j, changed: the
+    diagonal ones break antisymmetry at (i, i), the others at (i, j)."""
+    c = [list(row) for row in draw(dense_tensors())]
+    n = len(c)
+    i, j = sorted(draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    m = draw(st.integers(min_value=0, max_value=n - 1))
+    v = list(c[j][i])
+    v[m] += draw(st.sampled_from([Fraction(-1, 2), 1, 3]))
+    c[j][i] = tuple(v)
+    return c
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(dense_tensors(), perturbed_algebras(), asymmetric_tensors(),
+                 dense_basis_algebras()))
+def test_validate_structure_matches_fraction_oracle(c):
+    assert validate_structure(c) == validate_structure_over_fractions(c)
 
 
 @settings(max_examples=30, deadline=None)

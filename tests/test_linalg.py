@@ -8,6 +8,8 @@ from crlie.linalg import (
     Matrix, Subspace, basis_vector, format_rat, is_zero, kernel, rat, solve, vector,
 )
 
+from oracles import first_nonpositive_minor_over_fractions
+
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=4)
 
@@ -142,3 +144,31 @@ def test_matrix_det_and_ops():
     assert m.transpose() == Matrix([[1, 3], [2, 4]])
     assert (m * Matrix.identity(2)) == m
     assert m.trace() == 5
+
+
+def test_matrix_without_rows_is_empty_square():
+    m = Matrix.from_columns([])
+    assert (m.rows, m.cols) == (0, 0)
+    assert m.det() == 1
+    assert m.first_nonpositive_minor() is None
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A^T D A + t I for a rational k x n matrix A, D = diag of signs and
+    t in {0, 1/2, -1}: positive semidefinite and singular when D = I, t = 0
+    and k < n, indefinite for most sign choices, and of any definiteness
+    after the shift."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=1, max_value=n))
+    A = Matrix([[draw(rationals) for _ in range(n)] for _ in range(k)])
+    D = Matrix([[draw(st.sampled_from([1, 1, -1])) if r == c else 0 for c in range(k)]
+                for r in range(k)])
+    t = draw(st.sampled_from([0, 0, Fraction(1, 2), -1]))
+    return A.transpose() * D * A + Matrix.identity(n).scale(t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices())
+def test_first_nonpositive_minor_matches_one_det_per_minor(m):
+    assert m.first_nonpositive_minor() == first_nonpositive_minor_over_fractions(m)

@@ -56,8 +56,7 @@ def run_checks(p: Payloads) -> Report:
 
     if p.extension is not None and p.kahler is not None:
         try:
-            _, ext_rep = build_extension(p.kahler, p.extension["v_dim"],
-                                         p.extension["alpha"])
+            ext_rep = build_extension(p.kahler, p.extension["v_dim"], p.extension["alpha"])
         except ValueError as e:
             rep.add("extension.valid_input", False, [witness(reason=str(e))])
         else:

@@ -236,6 +236,9 @@ def parse_document(doc: dict) -> Payloads:
             except (KeyError, ValueError, TypeError):
                 diags.append("extension.V_dim: missing or not an integer")
                 v_dim = 0
+            else:
+                if v_dim < 1:
+                    diags.append("extension.V_dim: must be >= 1")
             alpha = {}
             for k, entry in enumerate(_list(block, "alpha", "extension.alpha", diags)):
                 where = f"extension.alpha[{k}]"
@@ -248,7 +251,7 @@ def parse_document(doc: dict) -> Payloads:
                 if not (1 <= x <= dim and 1 <= y <= dim) or x == y:
                     diags.append(f"{where}: indices ({x},{y}) out of range or equal")
                     continue
-                if len(result) != v_dim:
+                if v_dim >= 1 and len(result) != v_dim:
                     diags.append(f"{where}: result has {len(result)} entries, "
                                  f"expected {v_dim}")
                     continue
@@ -256,8 +259,7 @@ def parse_document(doc: dict) -> Payloads:
                     diags.append(f"{where}: duplicate alpha for ({x},{y})")
                     continue
                 alpha[(x - 1, y - 1)] = result
-            if v_dim >= 1:
-                payloads.extension = {"v_dim": v_dim, "alpha": alpha}
+            payloads.extension = {"v_dim": v_dim, "alpha": alpha}
 
     if diags:
         raise InputError(diags)

@@ -60,14 +60,17 @@ class IntTable:
                if rows[i].get(j, {}) != {k: -x for k, x in rows[j].get(i, {}).items()}]
         if bad:
             return bad
-        return [("jacobi", t) for t in self.triples() if not self._jacobi_holds(*t)]
+        return [("jacobi", t) for t in self.triples() if cyclic_nonzero(rows, rows, *t)]
 
-    def _jacobi_holds(self, i: int, j: int, k: int) -> bool:
-        # [e_i,[e_j,e_k]] + [e_k,[e_i,e_j]] + [e_j,[e_k,e_i]], where
-        # [e_a, sum_l x_l e_l] = sum_l x_l c[a][l]
-        rows = self.rows
-        return not nonzero_contraction(
-            (1, rows[b].get(c, {}), rows[a]) for a, b, c in ((i, j, k), (k, i, j), (j, k, i)))
+
+def cyclic_nonzero(inner, outer, i: int, j: int, k: int) -> bool:
+    """Whether sum_l inner[b][c][l] outer[a][l], summed over the cyclic
+    orderings (a, b, c) of (i, j, k), is nonzero, for tables in the form of
+    `IntTable.rows`.  With inner = outer = c it is the Jacobiator
+    [e_i,[e_j,e_k]] + [e_k,[e_i,e_j]] + [e_j,[e_k,e_i]], as
+    [e_a, sum_l x_l e_l] = sum_l x_l c[a][l]."""
+    return nonzero_contraction(
+        (1, inner[b].get(c, {}), outer[a]) for a, b, c in ((i, j, k), (k, i, j), (j, k, i)))
 
 
 def nonzero_contraction(terms) -> bool:

@@ -21,16 +21,25 @@ scaled by a common denominator: Jacobi as one linear combination per basis
 triple, the CR conditions and identity (2) over `Fraction` tables of H,
 closedness over all n^3 ordered triples and identity (2) over all m^3, and
 positive definiteness as one determinant per leading minor.
+
+`build_extension_lifted` is the library's former extension builder: it
+builds the (n + V_dim)-dimensional algebra G + V, validates it, and runs
+`check_kahler` on it, where the library contracts alpha with the base
+table and reads closedness from the base.
 """
 
 from fractions import Fraction
 from itertools import chain, combinations, permutations
+from typing import Mapping, Optional, Sequence
 
 from crlie import Bivector, LieAlgebra, Trivector, wedge3
-from crlie.crkahler import CRData, KahlerCRData, LeftSymmetricProduct, induced_bracket
+from crlie.crkahler import (
+    CRData, KahlerCRData, LeftSymmetricProduct, check_kahler, induced_bracket,
+)
+from crlie.lie import validate_structure
 from crlie.linalg import (
     Matrix, Subspace, basis_vector, bilinear, is_zero, lincomb, solve, vadd, vdot,
-    vscale, vsub, zero_vector,
+    vector, vscale, vsub, zero_vector,
 )
 from crlie.report import Report, fmt_vec, witness
 
@@ -412,3 +421,82 @@ def first_nonpositive_minor_over_fractions(M: Matrix):
         if minor <= 0:
             return k, minor
     return None
+
+
+def build_extension_lifted(base: KahlerCRData, v_dim: int,
+                           alpha: Mapping[tuple[int, int], Sequence],
+                           ) -> tuple[Optional[KahlerCRData], Report]:
+    """Extend a Kahler algebra H (base.H must be the full space) by a vector
+    space V: [x, y] = [x, y]' + alpha(x, y), with [H, V] = [V, V] = 0.
+
+    Verifies Jacobi on the extension, j-invariance of alpha, the cyclic
+    compatibility condition, and closedness of the extended form.  Returns
+    (data, report); data is None when Jacobi fails.
+    """
+    alg = base.algebra
+    n = alg.dim
+    if base.H.dim != n:
+        raise ValueError("extension base must have H equal to the full algebra")
+    if v_dim < 1:
+        raise ValueError("V must be at least one-dimensional")
+
+    # alpha on basis pairs: alpha_rows[a][b] = alpha(e_a, e_b)
+    alpha_rows = [[None] * n for _ in range(n)]
+    for (a, b), val in alpha.items():
+        v = vector(val)
+        if len(v) != v_dim:
+            raise ValueError(f"alpha value at {(a, b)} has wrong dimension")
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"alpha index {(a, b)} out of range")
+        if a == b and not is_zero(v):
+            raise ValueError(f"alpha({a + 1},{a + 1}) must vanish (antisymmetry)")
+        if alpha_rows[a][b] not in (None, v):
+            raise ValueError(f"alpha not antisymmetric at {(a + 1, b + 1)}")
+        alpha_rows[a][b], alpha_rows[b][a] = v, vscale(-1, v)
+    alpha_rows = [[zero_vector(v_dim) if v is None else v for v in row]
+                  for row in alpha_rows]
+
+    total = n + v_dim
+    c = [[alg.c[a][b] + alpha_rows[a][b] if a < n and b < n else zero_vector(total)
+          for b in range(total)] for a in range(total)]
+
+    rep = Report()
+    bad = validate_structure(c)
+    rep.add("extension.jacobi", not bad,
+            [witness(kind=k, indices=str(tuple(i + 1 for i in idx))) for k, idx in bad])
+
+    jinv = []
+    names = alg.names
+    for a in range(n):
+        for b in range(a + 1, n):
+            if bilinear(alpha_rows, base.j.column(a), base.j.column(b), v_dim) \
+                    != alpha_rows[a][b]:
+                jinv.append(witness(x=names[a], y=names[b]))
+    rep.add("extension.alpha_j_invariant", not jinv, jinv)
+
+    if bad:
+        return None, rep
+
+    # cyclic condition: sum over cyclic permutations of
+    # alpha([x, y]', z) + [alpha(x, y), z] = 0; V is central, so the second
+    # term vanishes and alpha([e_x, e_y]', e_z) = sum_i c[x][y][i] alpha(e_i, e_z)
+    cols = [[row[z] for row in alpha_rows] for z in range(n)]
+    cyc = [witness(x=names[a], y=names[b], z=names[d_])
+           for a in range(n) for b in range(a + 1, n) for d_ in range(b + 1, n)
+           if not is_zero(lincomb(chain(alg.c[a][b], alg.c[d_][a], alg.c[b][d_]),
+                                  chain(cols[d_], cols[b], cols[a]), v_dim))]
+    rep.add("extension.cyclic", not cyc, cyc)
+
+    j_ext = Matrix.block_diag(base.j, Matrix.zeros(v_dim, v_dim))
+    metric_ext = Matrix.block_diag(base.metric, Matrix.identity(v_dim))
+    H_ext = Subspace.span(
+        [tuple(h) + zero_vector(v_dim) for h in base.H.basis], total)
+    big = LieAlgebra(c, names=list(names) + [f"v{i + 1}" for i in range(v_dim)],
+                     validate=False)
+    data = KahlerCRData(CRData(big, H_ext, j_ext), metric_ext)
+
+    closed = check_kahler(data)
+    rep.add("extension.omega_closed",
+            closed.result("kahler.omega_closed").passed
+            and closed.result("kahler.omega_antisymmetric").passed)
+    return data, rep

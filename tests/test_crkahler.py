@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
@@ -15,12 +16,12 @@ from crlie import (
 from crlie import checks, crkahler
 from crlie.crkahler import LeftSymmetricProduct, induced_bracket
 from crlie.linalg import (
-    Matrix, Subspace, basis_vector, is_zero, lincomb, vadd, vdot, vector,
+    Matrix, Subspace, basis_vector, bilinear, is_zero, lincomb, vadd, vdot, vector,
 )
 
 from oracles import (
-    check_cr_ambient, check_cr_over_fractions, check_kahler_by_triples,
-    check_kahler_over_fractions, check_left_symmetric_ambient,
+    build_extension_lifted, check_cr_ambient, check_cr_over_fractions,
+    check_kahler_by_triples, check_kahler_over_fractions, check_left_symmetric_ambient,
     check_left_symmetric_over_fractions, crdata_error_over_fractions,
     left_symmetric_product_by_solves, validate_structure_over_fractions,
 )
@@ -228,14 +229,22 @@ def base_r2():
     return entry_payloads("heisenberg").kahler
 
 
+def lifted_extension(base, v_dim, alpha):
+    """The lifted algebra G + V from the oracle, and its report, which must
+    equal the one `build_extension` reads off the base tables."""
+    data, rep = build_extension_lifted(base, v_dim, alpha)
+    assert build_extension(base, v_dim, alpha).to_dict() == rep.to_dict()
+    return data, rep
+
+
 def test_extension_with_zero_alpha_is_direct_sum():
-    data, rep = build_extension(base_r2(), 1, {})
+    data, rep = lifted_extension(base_r2(), 1, {})
     assert rep.passed
     assert data.algebra == LieAlgebra.abelian(3)
 
 
 def test_extension_heisenberg_type():
-    data, rep = build_extension(base_r2(), 1, {(0, 1): [1]})
+    data, rep = lifted_extension(base_r2(), 1, {(0, 1): [1]})
     assert rep.passed
     assert data.algebra == heisenberg3()
     assert check_kahler(data).passed
@@ -244,7 +253,7 @@ def test_extension_heisenberg_type():
 
 def test_extension_detects_non_j_invariant_alpha():
     k = entry_payloads("r4_ext_bad_alpha").kahler
-    data, rep = build_extension(k, 1, {(0, 2): [1]})
+    data, rep = lifted_extension(k, 1, {(0, 2): [1]})
     assert data is not None
     assert rep.result("extension.jacobi").passed
     assert rep.result("extension.cyclic").passed
@@ -512,9 +521,65 @@ def test_extension_by_a_coboundary_passes_jacobi_and_cyclic(d, theta):
     n = d.algebra.dim
     alpha = {(a, b): [vdot(vector(theta), d.algebra.c[a][b])]
              for a in range(n) for b in range(a + 1, n)}
-    _, rep = build_extension(KahlerCRData(d, Matrix.identity(n)), 1, alpha)
+    rep = build_extension(KahlerCRData(d, Matrix.identity(n)), 1, alpha)
     assert rep.result("extension.jacobi").passed
     assert rep.result("extension.cyclic").passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_cr_data(full=True), st.integers(1, 3), st.data())
+def test_extension_matches_lifted_oracle_in_dense_bases(d, v_dim, data):
+    # optionally in the basis q_i e_i, so that j carries denominators; alpha
+    # is a coboundary theta([x, y]) (a 2-cocycle, so Jacobi holds) or drawn
+    # at random (Jacobi mostly fails), optionally averaged with alpha(jx, jy)
+    # to make it j-invariant; each pair is given as (a, b) or as (b, a) with
+    # the opposite value
+    n = d.algebra.dim
+    if data.draw(st.booleans()):
+        d = rescaled(d, data.draw(st.lists(units, min_size=n, max_size=n)))
+    g = d.algebra
+    values = st.lists(small, min_size=v_dim, max_size=v_dim)
+    if data.draw(st.booleans()):
+        theta = Matrix([data.draw(values) for _ in range(n)])
+        table = [[theta.transpose().matvec(g.c[a][b]) for b in range(n)] for a in range(n)]
+    else:
+        table = [[None] * n for _ in range(n)]
+        for a in range(n):
+            table[a][a] = (0,) * v_dim
+            for b in range(a + 1, n):
+                table[a][b] = vector(data.draw(values))
+                table[b][a] = tuple(-x for x in table[a][b])
+    if data.draw(st.booleans()):
+        table = [[vadd(table[a][b], bilinear(table, d.j.column(a), d.j.column(b), v_dim))
+                  for b in range(n)] for a in range(n)]
+    alpha = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if not is_zero(table[a][b]) or data.draw(st.booleans()):
+                key = (b, a) if data.draw(st.booleans()) else (a, b)
+                alpha[key] = table[key[0]][key[1]]
+    lifted_extension(KahlerCRData(d, Matrix.identity(n)), v_dim, alpha)
+
+
+@pytest.mark.parametrize("entry_id", [e for e in catalog.ids()
+                                      if "extension" in catalog.get(e).document])
+def test_extension_matches_lifted_oracle_on_catalog(entry_id):
+    p = entry_payloads(entry_id)
+    lifted_extension(p.kahler, p.extension["v_dim"], p.extension["alpha"])
+
+
+def test_extension_cost_does_not_grow_with_v_dim():
+    # nothing of size dim + V_dim is built; the lifted algebra of
+    # `build_extension_lifted` has (2 + 200)^3 structure constants here
+    base = base_r2()
+    tracemalloc.start()
+    try:
+        rep = build_extension(base, 200, {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 2 ** 20
 
 
 # -- the integer kernel on tables with denominators ----------------------------
@@ -599,7 +664,7 @@ def test_reports_match_fraction_oracle_layers(name, monkeypatch):
                           ("left_symmetric_product", left_symmetric_product_by_solves),
                           ("check_left_symmetric", check_left_symmetric_over_fractions)]:
         monkeypatch.setattr(checks, layer, oracle)
-    # the ideal and extension tables, and closedness of the extension
+    # the ideal table, and the base closedness that the extension reads
     monkeypatch.setattr(crkahler, "validate_structure", validate_structure_over_fractions)
     monkeypatch.setattr(crkahler, "check_kahler", check_kahler_over_fractions)
     assert run_checks(parse_document(doc)).to_dict() == report

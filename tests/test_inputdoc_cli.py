@@ -127,10 +127,22 @@ ZERO_J4 = [["0"] * 4] * 4
         {"x": 1, "y": 2, "result": ["1"]}, {"x": 1, "y": 2, "result": ["2"]}]),
      "extension.alpha[1]: duplicate alpha for (1,2)"),
     (_with_block("rn_flat", "cr", H=[], j=ZERO_J4), "metric: H must be nonzero"),
-], ids=["duplicate_alpha", "metric_on_zero_H"])
+    (_with_block("heisenberg", "extension", V_dim=0, alpha=[]),
+     "extension.V_dim: must be >= 1"),
+    (_with_block("heisenberg", "extension", V_dim=-2, alpha=[]),
+     "extension.V_dim: must be >= 1"),
+], ids=["duplicate_alpha", "metric_on_zero_H", "zero_V_dim", "negative_V_dim"])
 def test_invalid_blocks_exit_two(tmp_path, capsys, doc, message):
     assert main(["check", write(tmp_path, doc)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_alpha_is_not_measured_against_an_invalid_V_dim():
+    doc = _with_block("heisenberg", "extension", V_dim=-2,
+                      alpha=[{"x": 1, "y": 2, "result": ["1"]}])
+    with pytest.raises(InputError) as exc:
+        parse_document(doc)
+    assert exc.value.diagnostics == ["extension.V_dim: must be >= 1"]
 
 
 def test_cr_only_document_with_zero_H_passes(tmp_path, capsys):

@@ -175,6 +175,34 @@ class KahlerCRData:
         """L = {x : w(x, G) = 0}, the kernel of Omega^T."""
         return kernel(self.omega_matrix.transpose())
 
+    @cached_property
+    def omega_defects(self) -> tuple[list, list]:
+        """The witnesses of `kahler.omega_antisymmetric` and
+        `kahler.omega_closed`, read by `check_kahler` and `build_extension`."""
+        alg, n = self.algebra, self.algebra.dim
+        names, omega = alg.names, self.omega_matrix
+        anti = [witness(x=names[a], y=names[b]) for a in range(n) for b in range(a, n)
+                if omega[a, b] != -omega[b, a]]
+
+        # W[(a, b)][t] = w([e_a, e_b], e_t) = sum_m c[a][b][m] omega[m, t], times
+        # the scales of c and omega, kept for the nonzero brackets only
+        table, (_, om) = alg.table, self.omega_rows
+        W = {}
+        for a, row in enumerate(table.rows):
+            for b, v in row.items():
+                acc = W[(a, b)] = [0] * n
+                for m, z in v.items():
+                    for t, x in om[m].items():
+                        acc[t] += z * x
+        # S(a, b, t) = W[a][b][t] + W[t][a][b] + W[b][t][a] is cyclic and, as W is
+        # antisymmetric in a, b, alternating: it vanishes when two indices agree,
+        # and its value on a < b < t fixes it on the five other orderings
+        zero = [0] * n
+        failing = [(a, b, t) for a, b, t in table.triples()
+                   if W.get((a, b), zero)[t] + W.get((t, a), zero)[b] + W.get((b, t), zero)[a]]
+        return anti, [witness(x=names[a], y=names[b], z=names[t])
+                      for a, b, t in sorted(p for abt in failing for p in permutations(abt))]
+
     def omega(self, x: Vector, y: Vector) -> Fraction:
         return vdot(x, self.omega_matrix.matvec(y))
 
@@ -232,36 +260,9 @@ def check_kahler(k: KahlerCRData) -> Report:
     """Antisymmetry of w, the cyclic closedness identity on all basis
     triples, and nondegeneracy of w restricted to H."""
     rep = Report()
-    alg, n = k.algebra, k.algebra.dim
-    names, omega = alg.names, k.omega_matrix
-
-    anti = []
-    for a in range(n):
-        for b in range(a, n):
-            if omega[a, b] != -omega[b, a]:
-                anti.append(witness(x=names[a], y=names[b]))
+    anti, closed = k.omega_defects
     rep.add("kahler.omega_antisymmetric", not anti, anti)
-
-    # W[(a, b)][t] = w([e_a, e_b], e_t) = sum_m c[a][b][m] omega[m, t], times
-    # the scales of c and omega, kept for the nonzero brackets only
-    table, (_, om) = alg.table, k.omega_rows
-    W = {}
-    for a, row in enumerate(table.rows):
-        for b, v in row.items():
-            acc = W[(a, b)] = [0] * n
-            for m, z in v.items():
-                for t, x in om[m].items():
-                    acc[t] += z * x
-    # S(a, b, t) = W[a][b][t] + W[t][a][b] + W[b][t][a] is cyclic and, as W is
-    # antisymmetric in a, b, alternating: it vanishes when two indices agree,
-    # and its value on a < b < t fixes it on the five other orderings
-    zero = [0] * n
-    failing = [(a, b, t) for a, b, t in table.triples()
-               if W.get((a, b), zero)[t] + W.get((t, a), zero)[b] + W.get((b, t), zero)[a]]
-    closed = [witness(x=names[a], y=names[b], z=names[t])
-              for a, b, t in sorted(p for abt in failing for p in permutations(abt))]
     rep.add("kahler.omega_closed", not closed, closed)
-
     rep.add("kahler.omega_h_nondegenerate", k.omega_gram.det() != 0)
     return rep
 
@@ -506,10 +507,8 @@ def build_extension(base: KahlerCRData, v_dim: int,
         return rep
     # the cyclic sum is the V-part of the Jacobiator tested above
     rep.add("extension.cyclic", not failing)
-    closed = check_kahler(base)
-    rep.add("extension.omega_closed",
-            closed.result("kahler.omega_closed").passed
-            and closed.result("kahler.omega_antisymmetric").passed)
+    anti, closed = base.omega_defects
+    rep.add("extension.omega_closed", not anti and not closed)
     return rep
 
 

@@ -8,7 +8,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .linalg import (
     Matrix, Subspace, Vector,
-    basis_vector, bilinear, is_zero, kernel, vector, zero_vector,
+    basis_vector, bilinear, is_zero, kernel, lincomb, vector, zero_vector,
 )
 
 
@@ -158,11 +158,11 @@ class LieAlgebra:
         return bilinear(self.c, x, y, self.dim)
 
     def ad(self, x: Vector) -> Matrix:
-        """Matrix of y -> [x, y] in the standard basis."""
+        """Matrix of y -> [x, y]: column j is [x, e_j] = sum_i x_i c[i][j]."""
         if len(x) != self.dim:
             raise ValueError("dimension mismatch in ad")
-        cols = [self.bracket(x, basis_vector(self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_columns(cols)
+        return Matrix.from_columns([lincomb(x, (row[j] for row in self.c), self.dim)
+                                    for j in range(self.dim)])
 
     def killing_form(self) -> Matrix:
         """K(e_i, e_j) = trace(ad e_i ad e_j) = sum_{k,l} c[i][l][k] c[j][k][l],
@@ -181,8 +181,14 @@ class LieAlgebra:
         return self.killing_form().det() != 0
 
     def center(self) -> Subspace:
-        # center = common kernel of the ad e_i; row k of ad e_i is (c[i][j][k])_j
-        return kernel(Matrix([col for row in self.c for col in zip(*row)]))
+        # z is central iff sum_j c[i][j][k] z_j = 0 for all i, k: one integer
+        # equation per (i, k) with a nonzero entry, or a zero row if none
+        eqs = {}
+        for i, row in enumerate(self.table.rows):
+            for j, v in row.items():
+                for k, x in v.items():
+                    eqs.setdefault((i, k), [0] * self.dim)[j] = x
+        return kernel(Matrix(eqs.values() or [[0] * self.dim]))
 
     def centralizer(self, x: Vector) -> Subspace:
         return kernel(self.ad(x))

@@ -2,9 +2,9 @@
 
 Degrees 2 and 3 only: the pseudo-Poisson condition lives in Lambda^3.  A
 multivector is its sparse coefficient dict, keyed by strictly increasing
-index pairs / triples.  Linear maps act on that dict directly (`push`,
-`derive`), emitting raw index tuples that the constructor sorts, signs and
-merges.
+index pairs / triples.  The contractions `schouten_ints`, `push_ints` and
+`derive_ints` act on integer coefficients (see `_Alternating.ints`), emitting
+raw index tuples that `_collect` sorts, signs and merges.
 
 Membership in U ^ Lambda^2 G goes through the quotient map G -> G/U, taken
 as R_U, whose column i is the remainder of e_i against the RREF basis of U.
@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm, prod
 from typing import Mapping
 
 from .lie import LieAlgebra
-from .linalg import Matrix, Subspace, Vector, basis_vector, format_terms, rat
+from .linalg import Matrix, Subspace, Vector, basis_vector, format_terms, rat, scaled_sparse
 
 Pair = tuple[int, int]
 
@@ -45,6 +46,18 @@ def _sort_key(idx):
     return tuple(idx), sign
 
 
+def _collect(raw: Mapping) -> dict:
+    """Coefficients on raw index tuples moved to their sorted keys with the
+    sign of the sort, keys with a repeated index and zero sums dropped."""
+    acc: dict = {}
+    for key, val in raw.items():
+        norm = _sort_key(key)
+        if norm is not None:
+            skey, sign = norm
+            acc[skey] = acc.get(skey, 0) + sign * val
+    return {k: v for k, v in sorted(acc.items()) if v != 0}
+
+
 def _nonzero(v) -> list:
     return [(i, c) for i, c in enumerate(v) if c != 0]
 
@@ -56,21 +69,22 @@ class _Alternating:
     arity = 0
 
     def __init__(self, dim: int, coeffs: Mapping = ()):
-        table: dict = {}
-        for key, val in dict(coeffs).items():
-            val = rat(val)
-            if val == 0:
-                continue
-            if any(not (0 <= i < dim) for i in key) or len(key) != self.arity:
+        table = {key: rat(val) for key, val in dict(coeffs).items()}
+        for key, val in table.items():
+            if val != 0 and (any(not (0 <= i < dim) for i in key) or len(key) != self.arity):
                 raise ValueError(f"bad index {key} for dimension {dim}")
-            norm = _sort_key(key)
-            if norm is None:
-                continue
-            skey, sign = norm
-            table[skey] = table.get(skey, Fraction(0)) + sign * val
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "coeffs",
-                           {k: v for k, v in sorted(table.items()) if v != 0})
+        object.__setattr__(self, "coeffs", _collect(table))
+
+    @classmethod
+    def from_ints(cls, dim: int, s: int, coeffs: Mapping):
+        """The multivector coeffs / s, for integer coefficients on sorted keys."""
+        return cls(dim, {k: Fraction(x, s) for k, x in coeffs.items()})
+
+    def ints(self) -> tuple[int, dict]:
+        """(s, ints) with coeffs = ints / s, s the least common denominator."""
+        s = lcm(*(v.denominator for v in self.coeffs.values()))
+        return s, {k: v.numerator * (s // v.denominator) for k, v in self.coeffs.items()}
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -123,14 +137,6 @@ class _Alternating:
 class Bivector(_Alternating):
     arity = 2
 
-    def full_matrix(self) -> Matrix:
-        """Antisymmetric n x n coefficient matrix."""
-        m = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for (i, j), v in self.coeffs.items():
-            m[i][j] = v
-            m[j][i] = -v
-        return Matrix(m)
-
 
 class Trivector(_Alternating):
     arity = 3
@@ -154,73 +160,89 @@ def wedge3(x: Vector, y: Vector, z: Vector) -> Trivector:
 
 
 # ---------------------------------------------------------------------------
-# linear maps acting on Lambda^2 and Lambda^3
+# linear maps and the Schouten bracket on integer coefficients; a map is
+# given by its nonzero columns {a: {i: x}}, A e_a = sum_i x e_i
 
-def _sparse_columns(A: Matrix, t: _Alternating) -> list:
+def push_ints(cols: Mapping, coeffs: Mapping) -> dict:
+    """Multiplicative extension: e_a^e_b(^e_c) -> Ae_a ^ Ae_b (^ Ae_c)
+    (used for j and the quotient map G -> G/U)."""
+    raw: dict = {}
+    for key, v in coeffs.items():
+        for entries in product(*(cols.get(a, {}).items() for a in key)):
+            idx, xs = zip(*entries)
+            raw[idx] = raw.get(idx, 0) + v * prod(xs)
+    return _collect(raw)
+
+
+def derive_ints(cols: Mapping, coeffs: Mapping) -> dict:
+    """Leibniz extension: e_a^e_b(^e_c) -> De_a^e_b(^e_c) + e_a^De_b(^e_c)
+    (+ e_a^e_b^De_c); ad e_i when cols is the row `IntTable.rows[i]`."""
+    raw: dict = {}
+    for key, v in coeffs.items():
+        for s, a in enumerate(key):
+            for i, x in cols.get(a, {}).items():
+                idx = key[:s] + (i,) + key[s + 1:]
+                raw[idx] = raw.get(idx, 0) + v * x
+    return _collect(raw)
+
+
+def schouten_ints(rows, p: Mapping, q: Mapping) -> dict:
+    """[P,Q] = sum_{a,b,c,d} P^{ab} Q^{cd} [e_a, e_c] ^ e_b ^ e_d over the full
+    antisymmetric coefficient matrices, reading the nonzero brackets from
+    rows in the form of `IntTable.rows`."""
+    qrows: dict = {}
+    for (c, d), v in q.items():
+        qrows.setdefault(c, []).append((d, v))
+        qrows.setdefault(d, []).append((c, -v))
+    raw: dict = {}
+    for (a0, b0), v0 in p.items():
+        for a, b, v in ((a0, b0, v0), (b0, a0, -v0)):
+            for c, bracket in rows[a].items():
+                for d, u in qrows.get(c, ()):
+                    for k, x in bracket.items():
+                        idx = (k, b, d)
+                        raw[idx] = raw.get(idx, 0) + v * u * x
+    return _collect(raw)
+
+
+def int_columns(columns) -> tuple[int, dict]:
+    """(s, cols) with cols[a] = s columns[a] for the nonzero columns."""
+    s, cols = scaled_sparse(columns)
+    return s, {a: col for a, col in enumerate(cols) if col}
+
+
+def quotient_columns(u: Subspace) -> tuple[int, dict]:
+    """R_U as `int_columns`: column i is the remainder of e_i against U."""
+    return int_columns(u.reduce(basis_vector(u.ambient_dim, i)) for i in range(u.ambient_dim))
+
+
+def _map_columns(A: Matrix, t: _Alternating) -> tuple[int, dict]:
     if A.rows != A.cols or A.rows != t.dim:
         raise ValueError("square matrix of the multivector's dimension required")
-    return [_nonzero(col) for col in zip(*A.data)]
+    return int_columns(zip(*A.data))
 
 
 def push(A: Matrix, t: _Alternating) -> _Alternating:
-    """Multiplicative extension: e_a^e_b(^e_c) -> Ae_a ^ Ae_b (^ Ae_c)
-    (used for j and the quotient map G -> G/U)."""
-    cols = _sparse_columns(A, t)
-    acc: dict = {}
-    for key, v in t.coeffs.items():
-        for entries in product(*(cols[a] for a in key)):
-            w = v
-            for _, x in entries:
-                w *= x
-            raw = tuple(i for i, _ in entries)
-            acc[raw] = acc.get(raw, 0) + w
-    return type(t)(t.dim, acc)
+    """`push_ints` on the integer forms of A and t, scaled back."""
+    (sa, cols), (st, coeffs) = _map_columns(A, t), t.ints()
+    return t.from_ints(t.dim, st * sa ** t.arity, push_ints(cols, coeffs))
 
 
 def derive(D: Matrix, t: _Alternating) -> _Alternating:
-    """Leibniz extension: e_a^e_b(^e_c) -> De_a^e_b(^e_c) + e_a^De_b(^e_c)
-    (+ e_a^e_b^De_c) (used for ad)."""
-    cols = _sparse_columns(D, t)
-    acc: dict = {}
-    for key, v in t.coeffs.items():
-        for s, a in enumerate(key):
-            for i, x in cols[a]:
-                raw = key[:s] + (i,) + key[s + 1:]
-                acc[raw] = acc.get(raw, 0) + v * x
-    return type(t)(t.dim, acc)
+    """`derive_ints` on the integer forms of D and t, scaled back."""
+    (sd, cols), (st, coeffs) = _map_columns(D, t), t.ints()
+    return t.from_ints(t.dim, st * sd, derive_ints(cols, coeffs))
 
-
-# ---------------------------------------------------------------------------
-# Schouten bracket of bivectors
 
 def schouten(algebra: LieAlgebra, p: Bivector, q: Bivector) -> Trivector:
-    """Algebraic Schouten bracket of two constant bivectors.
-
-    Coordinate contraction over the full antisymmetric coefficient matrices:
-    [P,Q] = sum_{a,b,c,d} P^{ab} Q^{cd} [e_a, e_c] ^ e_b ^ e_d.
-    Normalization matches the bilinear extension of the decomposable formula
-    [a^b, c^d] = [a,c]^b^d - [a,d]^b^c - [b,c]^a^d + [b,d]^a^c.
-    """
+    """Algebraic Schouten bracket of two constant bivectors.  Normalization
+    matches the bilinear extension of the decomposable formula
+    [a^b, c^d] = [a,c]^b^d - [a,d]^b^c - [b,c]^a^d + [b,d]^a^c."""
     if p.dim != algebra.dim or q.dim != algebra.dim:
         raise ValueError("dimension mismatch in schouten")
-    n = algebra.dim
-    pm = p.full_matrix()
-    qm = q.full_matrix()
-    acc: dict = {}
-    for a in range(n):
-        for b in range(n):
-            pab = pm[a, b]
-            if pab == 0:
-                continue
-            for c in range(n):
-                for d in range(n):
-                    qcd = qm[c, d]
-                    if qcd == 0:
-                        continue
-                    w = pab * qcd
-                    for k, ck in _nonzero(algebra.c[a][c]):
-                        acc[(k, b, d)] = acc.get((k, b, d), 0) + w * ck
-    return Trivector(n, acc)
+    table, (sp, P), (sq, Q) = algebra.table, p.ints(), q.ints()
+    return Trivector.from_ints(algebra.dim, table.scale * sp * sq,
+                               schouten_ints(table.rows, P, Q))
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +253,8 @@ def wedge_subspace_residual(t: Trivector, u: Subspace) -> Trivector:
     quotient map (see the module docstring); zero iff t is a member."""
     if u.ambient_dim != t.dim:
         raise ValueError("dimension mismatch in wedge-subspace membership")
-    n = t.dim
-    return push(Matrix.from_columns([u.reduce(basis_vector(n, i)) for i in range(n)]), t)
+    (sr, cols), (st, coeffs) = quotient_columns(u), t.ints()
+    return Trivector.from_ints(t.dim, st * sr ** 3, push_ints(cols, coeffs))
 
 
 def in_wedge_subspace(t: Trivector, u: Subspace) -> bool:

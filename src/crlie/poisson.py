@@ -14,7 +14,10 @@ from typing import Sequence
 
 from .lie import LieAlgebra
 from .linalg import Matrix, Subspace, basis_vector
-from .multivector import Bivector, derive, push, schouten, wedge_subspace_residual
+from .multivector import (
+    Bivector, Trivector, derive, derive_ints, int_columns, push_ints, quotient_columns,
+    schouten_ints,
+)
 from .report import Report, witness
 
 
@@ -40,51 +43,62 @@ class PseudoPoissonData:
 
 
 def check_pseudo_poisson(d: PseudoPoissonData) -> Report:
-    """[Lambda, Lambda] in U ^ Lambda^2 G; on failure the canonical residual
-    trivector is reported."""
+    """[Lambda, Lambda] in U ^ Lambda^2 G, tested on integers; on failure the
+    canonical residual trivector is reported."""
     rep = Report()
-    t = schouten(d.algebra, d.Lambda, d.Lambda)
-    res = wedge_subspace_residual(t, d.U)
-    ok = res.is_zero()
-    w = [] if ok else [witness(residual=res.format(d.algebra.names))]
-    rep.add("poisson.schouten_membership", ok, w,
-            detail=f"[L,L] = {t.format(d.algebra.names)}")
+    alg, (sl, L), (su, R) = d.algebra, d.Lambda.ints(), quotient_columns(d.U)
+    s, t = alg.table.scale * sl * sl, schouten_ints(alg.table.rows, L, L)
+    res = push_ints(R, t)
+    w = [witness(residual=_format(alg, s * su ** 3, res))] if res else []
+    rep.add("poisson.schouten_membership", not res, w, detail=f"[L,L] = {_format(alg, s, t)}")
     return rep
 
 
 def check_j_invariance(d: PseudoPoissonData) -> Report:
-    """Literal tensor condition (Lambda^2 j)(Lambda) = Lambda."""
+    """Literal tensor condition (Lambda^2 j)(Lambda) = Lambda, compared as
+    s_j^2 s_L times both sides."""
     rep = Report()
-    image = push(d.j, d.Lambda)
-    ok = image == d.Lambda
-    w = [] if ok else [witness(image=image.format(d.algebra.names))]
+    (sj, J), (sl, L) = int_columns(zip(*d.j.data)), d.Lambda.ints()
+    image = push_ints(J, L)
+    ok = image == {k: sj * sj * x for k, x in L.items()}
+    w = [] if ok else [witness(image=Bivector.from_ints(
+        d.algebra.dim, sj * sj * sl, image).format(d.algebra.names))]
     rep.add("poisson.j_invariance", ok, w)
     return rep
 
 
 def coboundary_pi(algebra: LieAlgebra, r: Bivector, U: Subspace) -> tuple[dict, Report]:
     """Coboundary tensor built from r; checks the infinitesimal invariance of
-    [r, r]: for every basis generator x, the derivation extension of ad x
-    sends [r, r] into U ^ Lambda^2 G.
+    [r, r]: for every basis generator e_i, the derivation extension of ad e_i
+    sends [r, r] into U ^ Lambda^2 G.  [r, r] and the quotient map are built
+    once, and each generator is tested on integer coefficients.
 
     Returns a symbolic description of pi (only its algebra-level conditions
     are computable here) together with the per-generator report.
     """
+    if r.dim != algebra.dim or U.ambient_dim != algebra.dim:
+        raise ValueError("dimension mismatch in coboundary_pi")
     rep = Report()
-    rr = schouten(algebra, r, r)
+    table, (sr, R), (su, Q) = algebra.table, r.ints(), quotient_columns(U)
+    s, rr = table.scale * sr * sr, schouten_ints(table.rows, R, R)
     bad = []
-    for i in range(algebra.dim):
-        res = wedge_subspace_residual(derive(algebra.ad(basis_vector(algebra.dim, i)), rr), U)
-        if not res.is_zero():
+    for i, row in enumerate(table.rows):
+        res = push_ints(Q, derive_ints(row, rr))
+        if res:
             bad.append(witness(generator=algebra.names[i],
-                               residual=res.format(algebra.names)))
+                               residual=_format(algebra, table.scale * s * su ** 3, res)))
     rep.add("poisson.coboundary_invariance", not bad, bad,
-            detail=f"[r,r] = {rr.format(algebra.names)}")
+            detail=f"[r,r] = {_format(algebra, s, rr)}")
     description = {
         "r": {f"{i + 1},{j + 1}": v for (i, j), v in r.coeffs.items()},
         "relation": "pi = right_invariant(r) - left_invariant(r)",
     }
     return description, rep
+
+
+def _format(algebra: LieAlgebra, s: int, coeffs: dict) -> str:
+    """The trivector coeffs / s in the algebra's basis names."""
+    return Trivector.from_ints(algebra.dim, s, coeffs).format(algebra.names)
 
 
 def coboundary_delta(algebra: LieAlgebra, r: Bivector) -> list[Bivector]:
@@ -104,10 +118,8 @@ def check_cocycle(algebra: LieAlgebra, delta: Sequence[Bivector]) -> Report:
     bad = []
     for a in range(n):
         for b in range(a + 1, n):
-            lhs = Bivector(n)
-            for k, ck in enumerate(algebra.c[a][b]):
-                if ck != 0:
-                    lhs = lhs + delta[k].scale(ck)
+            lhs = sum((delta[k].scale(ck) for k, ck in enumerate(algebra.c[a][b]) if ck),
+                      Bivector(n))
             rhs = derive(ad[a], delta[b]) - derive(ad[b], delta[a])
             if lhs != rhs:
                 bad.append(witness(x=algebra.names[a], y=algebra.names[b],

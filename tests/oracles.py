@@ -22,6 +22,18 @@ triple, the CR conditions and identity (2) over `Fraction` tables of H,
 closedness over all n^3 ordered triples and identity (2) over all m^3, and
 positive definiteness as one determinant per leading minor.
 
+The Poisson oracles are the library's former `Fraction` forms of the
+Schouten/membership path, kept as they were when it moved to integer
+coefficients: `schouten_over_fractions` contracts the full `Fraction`
+coefficient matrices, `push_over_fractions` and `derive_over_fractions` act
+through dense `Fraction` columns, and `check_pseudo_poisson_over_fractions`,
+`check_j_invariance_over_fractions` and `coboundary_pi_over_fractions`
+compose them, the last with `ad_by_brackets`, the former `LieAlgebra.ad`,
+which takes one bracket with each basis vector.  `center_dense` is the
+former `LieAlgebra.center`: the kernel of all n^2 rows (c[i][j][k])_j,
+zero or not.  `omega_defects_over_fractions` reads the antisymmetry and
+closedness witnesses off `check_kahler_over_fractions`.
+
 `build_extension_lifted` is the library's former extension builder: it
 builds the (n + V_dim)-dimensional algebra G + V, validates it, and runs
 `check_kahler` on it, where the library contracts alpha with the base
@@ -30,6 +42,7 @@ table and reads closedness from the base.
 
 from fractions import Fraction
 from itertools import chain, combinations, permutations
+from itertools import product as iproduct
 from typing import Mapping, Optional, Sequence
 
 from crlie import Bivector, LieAlgebra, Trivector, wedge3
@@ -38,9 +51,10 @@ from crlie.crkahler import (
 )
 from crlie.lie import validate_structure
 from crlie.linalg import (
-    Matrix, Subspace, basis_vector, bilinear, is_zero, lincomb, solve, vadd, vdot,
+    Matrix, Subspace, basis_vector, bilinear, is_zero, kernel, lincomb, solve, vadd, vdot,
     vector, vscale, vsub, zero_vector,
 )
+from crlie.poisson import PseudoPoissonData
 from crlie.report import Report, fmt_vec, witness
 
 
@@ -500,3 +514,140 @@ def build_extension_lifted(base: KahlerCRData, v_dim: int,
             closed.result("kahler.omega_closed").passed
             and closed.result("kahler.omega_antisymmetric").passed)
     return data, rep
+
+
+def ad_by_brackets(algebra: LieAlgebra, x) -> Matrix:
+    """Matrix of y -> [x, y], column j being the bracket of x with e_j."""
+    if len(x) != algebra.dim:
+        raise ValueError("dimension mismatch in ad")
+    cols = [algebra.bracket(x, basis_vector(algebra.dim, j)) for j in range(algebra.dim)]
+    return Matrix.from_columns(cols)
+
+
+def center_dense(algebra: LieAlgebra) -> Subspace:
+    """Common kernel of the ad e_i; row k of ad e_i is (c[i][j][k])_j."""
+    return kernel(Matrix([col for row in algebra.c for col in zip(*row)]))
+
+
+def _nonzero(v) -> list:
+    return [(i, c) for i, c in enumerate(v) if c != 0]
+
+
+def _sparse_columns(A: Matrix, t) -> list:
+    if A.rows != A.cols or A.rows != t.dim:
+        raise ValueError("square matrix of the multivector's dimension required")
+    return [_nonzero(col) for col in zip(*A.data)]
+
+
+def push_over_fractions(A: Matrix, t):
+    """Multiplicative extension: e_a^e_b(^e_c) -> Ae_a ^ Ae_b (^ Ae_c)."""
+    cols = _sparse_columns(A, t)
+    acc: dict = {}
+    for key, v in t.coeffs.items():
+        for entries in iproduct(*(cols[a] for a in key)):
+            w = v
+            for _, x in entries:
+                w *= x
+            raw = tuple(i for i, _ in entries)
+            acc[raw] = acc.get(raw, 0) + w
+    return type(t)(t.dim, acc)
+
+
+def derive_over_fractions(D: Matrix, t):
+    """Leibniz extension: e_a^e_b(^e_c) -> De_a^e_b(^e_c) + e_a^De_b(^e_c)
+    (+ e_a^e_b^De_c)."""
+    cols = _sparse_columns(D, t)
+    acc: dict = {}
+    for key, v in t.coeffs.items():
+        for s, a in enumerate(key):
+            for i, x in cols[a]:
+                raw = key[:s] + (i,) + key[s + 1:]
+                acc[raw] = acc.get(raw, 0) + v * x
+    return type(t)(t.dim, acc)
+
+
+def _full_matrix(p: Bivector) -> Matrix:
+    """Antisymmetric n x n coefficient matrix."""
+    m = [[Fraction(0)] * p.dim for _ in range(p.dim)]
+    for (i, j), v in p.coeffs.items():
+        m[i][j] = v
+        m[j][i] = -v
+    return Matrix(m)
+
+
+def schouten_over_fractions(algebra: LieAlgebra, p: Bivector, q: Bivector) -> Trivector:
+    """[P,Q] = sum_{a,b,c,d} P^{ab} Q^{cd} [e_a, e_c] ^ e_b ^ e_d over the full
+    antisymmetric `Fraction` coefficient matrices."""
+    if p.dim != algebra.dim or q.dim != algebra.dim:
+        raise ValueError("dimension mismatch in schouten")
+    n = algebra.dim
+    pm = _full_matrix(p)
+    qm = _full_matrix(q)
+    acc: dict = {}
+    for a in range(n):
+        for b in range(n):
+            pab = pm[a, b]
+            if pab == 0:
+                continue
+            for c in range(n):
+                for d in range(n):
+                    qcd = qm[c, d]
+                    if qcd == 0:
+                        continue
+                    w = pab * qcd
+                    for k, ck in _nonzero(algebra.c[a][c]):
+                        acc[(k, b, d)] = acc.get((k, b, d), 0) + w * ck
+    return Trivector(n, acc)
+
+
+def _residual_over_fractions(t: Trivector, u: Subspace) -> Trivector:
+    """t under the `Fraction` quotient map R_U, column i the remainder of e_i."""
+    n = t.dim
+    return push_over_fractions(
+        Matrix.from_columns([u.reduce(basis_vector(n, i)) for i in range(n)]), t)
+
+
+def check_pseudo_poisson_over_fractions(d: PseudoPoissonData) -> Report:
+    rep = Report()
+    t = schouten_over_fractions(d.algebra, d.Lambda, d.Lambda)
+    res = _residual_over_fractions(t, d.U)
+    ok = res.is_zero()
+    w = [] if ok else [witness(residual=res.format(d.algebra.names))]
+    rep.add("poisson.schouten_membership", ok, w,
+            detail=f"[L,L] = {t.format(d.algebra.names)}")
+    return rep
+
+
+def check_j_invariance_over_fractions(d: PseudoPoissonData) -> Report:
+    rep = Report()
+    image = push_over_fractions(d.j, d.Lambda)
+    ok = image == d.Lambda
+    w = [] if ok else [witness(image=image.format(d.algebra.names))]
+    rep.add("poisson.j_invariance", ok, w)
+    return rep
+
+
+def coboundary_pi_over_fractions(algebra: LieAlgebra, r: Bivector, U: Subspace):
+    rep = Report()
+    rr = schouten_over_fractions(algebra, r, r)
+    bad = []
+    for i in range(algebra.dim):
+        res = _residual_over_fractions(
+            derive_over_fractions(ad_by_brackets(algebra, basis_vector(algebra.dim, i)), rr), U)
+        if not res.is_zero():
+            bad.append(witness(generator=algebra.names[i],
+                               residual=res.format(algebra.names)))
+    rep.add("poisson.coboundary_invariance", not bad, bad,
+            detail=f"[r,r] = {rr.format(algebra.names)}")
+    description = {
+        "r": {f"{i + 1},{j + 1}": v for (i, j), v in r.coeffs.items()},
+        "relation": "pi = right_invariant(r) - left_invariant(r)",
+    }
+    return description, rep
+
+
+def omega_defects_over_fractions(k: KahlerCRData) -> tuple:
+    """`KahlerCRData.omega_defects` as `check_kahler_over_fractions` reports them."""
+    rep = check_kahler_over_fractions(k)
+    return tuple([dict(w) for w in rep.result(check_id).witnesses]
+                 for check_id in ("kahler.omega_antisymmetric", "kahler.omega_closed"))

@@ -21,9 +21,11 @@ from crlie.linalg import (
 
 from oracles import (
     build_extension_lifted, check_cr_ambient, check_cr_over_fractions,
-    check_kahler_by_triples, check_kahler_over_fractions, check_left_symmetric_ambient,
-    check_left_symmetric_over_fractions, crdata_error_over_fractions,
-    left_symmetric_product_by_solves, validate_structure_over_fractions,
+    check_j_invariance_over_fractions, check_kahler_by_triples, check_kahler_over_fractions,
+    check_left_symmetric_ambient, check_left_symmetric_over_fractions,
+    check_pseudo_poisson_over_fractions, coboundary_pi_over_fractions,
+    crdata_error_over_fractions, left_symmetric_product_by_solves,
+    omega_defects_over_fractions, validate_structure_over_fractions,
 )
 from test_golden import AFF_AFF_R_DENSE, CASES
 
@@ -513,6 +515,21 @@ def test_h_brackets_are_computed_once_per_crdata(monkeypatch):
     assert k.algebra.table is table
 
 
+def test_omega_defects_are_computed_once_with_an_extension(monkeypatch):
+    # check_kahler and build_extension read the same antisymmetry and
+    # closedness witnesses
+    builds = []
+    build = KahlerCRData.omega_defects.func
+    prop = cached_property(lambda self: builds.append(self) or build(self))
+    prop.__set_name__(KahlerCRData, "omega_defects")
+    monkeypatch.setattr(KahlerCRData, "omega_defects", prop)
+    p = entry_payloads("heisenberg")
+    rep = run_checks(p)
+    assert rep.result("extension.omega_closed").passed
+    assert rep.result("kahler.omega_closed").passed
+    assert len(builds) == 1 and builds[0] is p.kahler
+
+
 @settings(max_examples=20, deadline=None)
 @given(dense_cr_data(full=True), st.lists(st.integers(-2, 2), min_size=6, max_size=6))
 def test_extension_by_a_coboundary_passes_jacobi_and_cyclic(d, theta):
@@ -662,9 +679,12 @@ def test_reports_match_fraction_oracle_layers(name, monkeypatch):
     for layer, oracle in [("check_cr", check_cr_over_fractions),
                           ("check_kahler", check_kahler_over_fractions),
                           ("left_symmetric_product", left_symmetric_product_by_solves),
-                          ("check_left_symmetric", check_left_symmetric_over_fractions)]:
+                          ("check_left_symmetric", check_left_symmetric_over_fractions),
+                          ("check_pseudo_poisson", check_pseudo_poisson_over_fractions),
+                          ("check_j_invariance", check_j_invariance_over_fractions),
+                          ("coboundary_pi", coboundary_pi_over_fractions)]:
         monkeypatch.setattr(checks, layer, oracle)
     # the ideal table, and the base closedness that the extension reads
     monkeypatch.setattr(crkahler, "validate_structure", validate_structure_over_fractions)
-    monkeypatch.setattr(crkahler, "check_kahler", check_kahler_over_fractions)
+    monkeypatch.setattr(KahlerCRData, "omega_defects", property(omega_defects_over_fractions))
     assert run_checks(parse_document(doc)).to_dict() == report

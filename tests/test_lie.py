@@ -4,12 +4,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crlie import LieAlgebra, StructureError, heisenberg3, sl2, so3
+from crlie import LieAlgebra, StructureError, catalog, heisenberg3, parse_document, sl2, so3
 from crlie.lie import validate_structure
-from crlie.linalg import Matrix, Subspace, basis_vector, is_zero, solve, vector
+from crlie.linalg import Matrix, Subspace, basis_vector, is_zero, kernel, solve, vector
 
 from oracles import (
-    bracket_expanded, jacobiator, killing_entry, validate_structure_over_fractions,
+    ad_by_brackets, bracket_expanded, center_dense, jacobiator, killing_entry,
+    validate_structure_over_fractions,
 )
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -131,6 +132,18 @@ def test_ad_zero_and_abelian():
     assert LieAlgebra.abelian(4).ad(basis_vector(4, 1)).is_zero()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(dense_tensors(), perturbed_algebras(), dense_basis_algebras()), st.data())
+def test_ad_and_centralizer_match_bracket_oracle(c, data):
+    # sparse x (zero coordinates are skipped) and dense ones; the tensor need
+    # not be a Lie algebra
+    g = LieAlgebra(c, validate=False)
+    x = data.draw(st.one_of(vectors(g.dim), st.integers(0, g.dim - 1).map(
+        lambda i: basis_vector(g.dim, i))))
+    assert g.ad(x) == ad_by_brackets(g, x)
+    assert g.centralizer(x) == kernel(ad_by_brackets(g, x))
+
+
 # -- Killing form ------------------------------------------------------------
 
 def test_killing_so3_frozen_against_trace_oracle():
@@ -194,6 +207,21 @@ def test_center():
     assert so3().center().dim == 0
     assert LieAlgebra.abelian(3).center() == Subspace.full(3)
     assert heisenberg3().center() == Subspace.span([basis_vector(3, 2)], 3)
+
+
+@pytest.mark.parametrize("entry_id", catalog.ids())
+def test_center_matches_dense_construction_on_catalog(entry_id):
+    g = parse_document(catalog.get(entry_id).document).algebra
+    assert g.center() == center_dense(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(dense_tensors(), perturbed_algebras(), asymmetric_tensors(),
+                 dense_basis_algebras(),
+                 st.integers(1, 4).map(lambda n: LieAlgebra.abelian(n).c)))
+def test_center_matches_dense_construction(c):
+    g = LieAlgebra(c, validate=False)
+    assert g.center() == center_dense(g)
 
 
 def test_center_is_ideal_centralizer_is_subalgebra():

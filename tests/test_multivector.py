@@ -12,7 +12,10 @@ from crlie import (
 from crlie.linalg import Matrix, Subspace, basis_vector, vector
 from crlie.multivector import pair_basis, wedge_subspace_residual
 
-from oracles import apply_exterior_power, schouten_decomposable, wedge_span_remainder
+from oracles import (
+    apply_exterior_power, derive_over_fractions, push_over_fractions, schouten_decomposable,
+    schouten_over_fractions, wedge_span_remainder,
+)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
@@ -73,6 +76,16 @@ def test_push_and_derive_match_exterior_power_matrix(cls, data):
     t = data.draw(dense(cls, n))
     assert push(a, t) == apply_exterior_power(a, t)
     assert derive(a, t) == apply_exterior_power(a, t, leibniz=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((Bivector, Trivector)), st.data())
+def test_push_and_derive_match_fraction_oracles(cls, data):
+    n = data.draw(st.integers(cls.arity, 5))
+    a = data.draw(square(n))
+    t = data.draw(dense(cls, n))
+    assert push(a, t) == push_over_fractions(a, t)
+    assert derive(a, t) == derive_over_fractions(a, t)
 
 
 # -- schouten ----------------------------------------------------------------
@@ -175,3 +188,15 @@ def test_dimension_mismatch_raises():
         wedge(basis_vector(2, 0), basis_vector(3, 0))
     with pytest.raises(ValueError):
         schouten(so3(), Bivector(4, {(0, 1): 1}), Bivector(4, {(0, 1): 1}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_schouten_matches_fraction_oracle(data):
+    # any tensor with denominators, antisymmetric or not: both sides read c as is
+    n = data.draw(st.integers(2, 4))
+    c = [[data.draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(n)]
+         for _ in range(n)]
+    g = LieAlgebra(c, validate=False)
+    p, q = data.draw(dense(Bivector, n)), data.draw(dense(Bivector, n))
+    assert schouten(g, p, q) == schouten_over_fractions(g, p, q)

@@ -1,16 +1,24 @@
 import random
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crlie import (
     Bivector, LieAlgebra, PseudoPoissonData, catalog, check_cocycle,
     check_j_invariance, check_pseudo_poisson, coboundary_delta, coboundary_pi,
-    parse_document, product_structure, schouten, sl2, so3,
+    parse_document, product_structure, schouten, sl2, so3, wedge,
 )
-from crlie.linalg import Matrix, Subspace, basis_vector
+from crlie import poisson
+from crlie.linalg import Matrix, Subspace, basis_vector, lincomb, vadd
 from crlie.multivector import pair_basis
 
-from oracles import schouten_decomposable
+from oracles import (
+    ad_by_brackets, check_j_invariance_over_fractions, check_pseudo_poisson_over_fractions,
+    coboundary_pi_over_fractions, derive_over_fractions, schouten_decomposable,
+)
+from test_crkahler import dense_cr_data, rescaled, units
 
 
 def entry_payloads(entry_id):
@@ -225,3 +233,69 @@ def test_block_bivector_schouten_has_no_cross_terms():
         t = schouten(g, block, block)
         for key in t.coeffs:
             assert max(key) < 3 or min(key) >= 3
+
+
+# -- the integer path against the Fraction oracles ----------------------------
+
+rationals = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+def bivectors(n):
+    keys = pair_basis(n)
+    return st.lists(rationals, min_size=len(keys), max_size=len(keys)).map(
+        lambda cs: Bivector(n, dict(zip(keys, cs))))
+
+
+@st.composite
+def dense_poisson_data(draw):
+    """CR data in a dense basis, rescaled so that c, H and j carry
+    denominators, with U the coordinate complement of H: U = {0} when H = G,
+    else coordinate or tilted by a random map into H.  Lambda is random or
+    x^y + jx^jy for x, y in H, which j fixes; r is random or Lambda."""
+    kind = draw(st.sampled_from(["zero", "coordinate", "tilted"]))
+    d = draw(dense_cr_data(full=kind == "zero"))
+    n = d.algebra.dim
+    d = rescaled(d, draw(st.lists(units, min_size=n, max_size=n)))
+    m = d.H.dim
+
+    def in_H():
+        return lincomb(draw(st.lists(rationals, min_size=m, max_size=m)), d.H.basis, n)
+
+    U = d.H.complement()
+    if kind == "tilted":
+        U = Subspace.span([vadd(u, in_H()) for u in U.basis], n)
+    if draw(st.booleans()):
+        x, y = in_H(), in_H()
+        lam = wedge(x, y) + wedge(d.j.matvec(x), d.j.matvec(y))
+    else:
+        lam = draw(bivectors(n))
+    r = lam if draw(st.booleans()) else draw(bivectors(n))
+    return PseudoPoissonData(d.algebra, d.H, U, d.j, lam), r
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_poisson_data())
+def test_poisson_layers_match_fraction_oracles_in_dense_bases(case):
+    d, r = case
+    assert (check_pseudo_poisson(d).to_dict()
+            == check_pseudo_poisson_over_fractions(d).to_dict())
+    assert check_j_invariance(d).to_dict() == check_j_invariance_over_fractions(d).to_dict()
+    desc, rep = coboundary_pi(d.algebra, r, d.U)
+    oracle_desc, oracle_rep = coboundary_pi_over_fractions(d.algebra, r, d.U)
+    assert desc == oracle_desc and rep.to_dict() == oracle_rep.to_dict()
+
+
+@settings(max_examples=10, deadline=None)
+@given(dense_poisson_data(), st.data())
+def test_cocycle_layer_matches_bracket_built_ad_in_dense_bases(case, data):
+    # on a coboundary and on a random delta, against the same layer over
+    # `Fraction` maps and ad matrices built from brackets
+    (d, r), n = case, case[0].algebra.dim
+    g = d.algebra
+    deltas = [coboundary_delta(g, r), [data.draw(bivectors(n)) for _ in range(n)]]
+    reports = [check_cocycle(g, delta).to_dict() for delta in deltas]
+    assert deltas[0] == [derive_over_fractions(ad_by_brackets(g, basis_vector(n, i)), r)
+                         for i in range(n)]
+    with patch.object(LieAlgebra, "ad", ad_by_brackets), \
+            patch.object(poisson, "derive", derive_over_fractions):
+        assert [check_cocycle(g, delta).to_dict() for delta in deltas] == reports

@@ -253,6 +253,17 @@ def test_extension_heisenberg_type():
     assert check_cr(data.cr).passed
 
 
+def test_extension_form_must_be_antisymmetric_as_well_as_closed():
+    # on an abelian base every form is closed; with the metric diag(2, 1) the
+    # rotation j gives w = [[0, -2], [1, 0]], which is not antisymmetric
+    base = base_r2()
+    k = KahlerCRData(base.cr, Matrix([[2, 0], [0, 1]]))
+    _, rep = lifted_extension(k, 1, {})
+    assert rep.result("extension.jacobi").passed
+    assert not rep.result("extension.omega_closed").passed
+    assert check_kahler(k).result("kahler.omega_closed").passed
+
+
 def test_extension_detects_non_j_invariant_alpha():
     k = entry_payloads("r4_ext_bad_alpha").kahler
     data, rep = lifted_extension(k, 1, {(0, 2): [1]})

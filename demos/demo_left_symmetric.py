@@ -25,7 +25,7 @@ def main():
     m = len(product.H_basis)
     for a in range(m):
         for b in range(m):
-            value = product.table[(a, b)]
+            value = product.ambient(a, b)
             if any(value):
                 x = fmt_vec(names, product.H_basis[a])
                 y = fmt_vec(names, product.H_basis[b])

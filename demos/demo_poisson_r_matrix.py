@@ -26,9 +26,8 @@ def main():
     print(check_j_invariance(d).to_text())
 
     r = payloads.poisson_r
-    desc, rep = coboundary_pi(g, r, d.U)
-    print(f"\ncoboundary tensor: {desc['relation']}")
-    print(rep.to_text())
+    print("\ncoboundary tensor: pi = right_invariant(r) - left_invariant(r)")
+    print(coboundary_pi(g, r, d.U).to_text())
 
     delta = coboundary_delta(g, r)
     print("\ndifferential delta(x) = (extended ad x) r:")

@@ -42,8 +42,7 @@ def run_checks(p: Payloads) -> Report:
         rep.extend(check_pseudo_poisson(p.poisson))
         rep.extend(check_j_invariance(p.poisson))
         if p.poisson_r is not None:
-            _, cob_rep = coboundary_pi(p.algebra, p.poisson_r, p.poisson.U)
-            rep.extend(cob_rep)
+            rep.extend(coboundary_pi(p.algebra, p.poisson_r, p.poisson.U))
 
     if p.ideal is not None and p.cr is not None:
         try:

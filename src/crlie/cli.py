@@ -69,7 +69,7 @@ def cmd_construct(args) -> int:
     print("left-symmetric product on H:")
     for a, x in enumerate(basis):
         for b, y in enumerate(basis):
-            print(f"  ({x}) * ({y}) = {fmt_vec(names, product.table[(a, b)])}")
+            print(f"  ({x}) * ({y}) = {fmt_vec(names, product.ambient(a, b))}")
     print("induced bracket [x,y]' = xy - yx:")
     comm = induced_bracket(payloads.kahler, product)
     for a, x in enumerate(basis):

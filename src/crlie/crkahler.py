@@ -15,13 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, permutations
+from itertools import chain, combinations, permutations
+from math import gcd
 from typing import Mapping, Optional, Sequence
 
-from .lie import IntTable, LieAlgebra, cyclic_nonzero, nonzero_contraction, validate_structure
+from .lie import (
+    IntTable, LieAlgebra, contraction, cyclic_nonzero, nonzero_contraction, validate_structure,
+)
 from .linalg import (
     Matrix, Subspace, Vector,
-    basis_vector, is_zero, kernel, lincomb, rref, scaled, scaled_sparse, solve, unscaled,
+    basis_vector, is_zero, kernel, lincomb, rref, scaled_sparse, solve, unscaled,
     vdot, vector, vscale, vsub,
 )
 from .report import Report, fmt_vec, witness
@@ -164,11 +167,17 @@ class KahlerCRData:
                          for h in H]
 
     @cached_property
+    def gram_ints(self) -> tuple[int, list]:
+        """(s, G) with G[a][b] = s w(h_a, h_b), an integer, for the RREF basis
+        of H."""
+        (su, U), (sh, H) = self.omega_images, self.cr.basis_ints
+        return su * sh, [[sum(x * u[i] for i, x in h.items()) for u in U] for h in H]
+
+    @cached_property
     def omega_gram(self) -> Matrix:
         """Gram matrix of w on the basis of H: entry (a, b) is w(h_a, h_b)."""
-        (su, U), (sh, H) = self.omega_images, self.cr.basis_ints
-        return Matrix([[Fraction(sum(x * u[i] for i, x in h.items()), su * sh) for u in U]
-                       for h in H])
+        s, G = self.gram_ints
+        return Matrix([unscaled(row, s) for row in G])
 
     @cached_property
     def radical(self) -> Subspace:
@@ -184,22 +193,16 @@ class KahlerCRData:
         anti = [witness(x=names[a], y=names[b]) for a in range(n) for b in range(a, n)
                 if omega[a, b] != -omega[b, a]]
 
-        # W[(a, b)][t] = w([e_a, e_b], e_t) = sum_m c[a][b][m] omega[m, t], times
+        # W[a, b, t] = w([e_a, e_b], e_t) = sum_m c[a][b][m] omega[m, t], times
         # the scales of c and omega, kept for the nonzero brackets only
-        table, (_, om) = alg.table, self.omega_rows
-        W = {}
-        for a, row in enumerate(table.rows):
-            for b, v in row.items():
-                acc = W[(a, b)] = [0] * n
-                for m, z in v.items():
-                    for t, x in om[m].items():
-                        acc[t] += z * x
-        # S(a, b, t) = W[a][b][t] + W[t][a][b] + W[b][t][a] is cyclic and, as W is
+        table, om = alg.table, dict(enumerate(self.omega_rows[1]))
+        W = {(a, b, t): x for a, row in enumerate(table.rows) for b, v in row.items()
+             for t, x in contraction([(1, v, om)]).items()}
+        # S(a, b, t) = W[a, b, t] + W[t, a, b] + W[b, t, a] is cyclic and, as W is
         # antisymmetric in a, b, alternating: it vanishes when two indices agree,
         # and its value on a < b < t fixes it on the five other orderings
-        zero = [0] * n
         failing = [(a, b, t) for a, b, t in table.triples()
-                   if W.get((a, b), zero)[t] + W.get((t, a), zero)[b] + W.get((b, t), zero)[a]]
+                   if W.get((a, b, t), 0) + W.get((t, a, b), 0) + W.get((b, t, a), 0)]
         return anti, [witness(x=names[a], y=names[b], z=names[t])
                       for a, b, t in sorted(p for abt in failing for p in permutations(abt))]
 
@@ -209,13 +212,26 @@ class KahlerCRData:
 
 @dataclass(frozen=True)
 class LeftSymmetricProduct:
-    """Product table on a basis of H; every product lies in H."""
+    """The product on the RREF basis h_a of H as one integer table in
+    H-coordinates, h_a h_b = sum_c P[a][b][c] h_c / scale, kept in lowest
+    terms so that equal products compare equal."""
 
     H_basis: tuple
-    table: Mapping  # (a, b) -> Vector in ambient coordinates
+    scale: int
+    P: tuple
+
+    def __post_init__(self):
+        g = gcd(self.scale, *(x for row in self.P for v in row for x in v))
+        object.__setattr__(self, "scale", self.scale // g)
+        object.__setattr__(self, "P", tuple(tuple(tuple(x // g for x in v) for v in row)
+                                            for row in self.P))
 
     def is_zero(self) -> bool:
-        return all(is_zero(v) for v in self.table.values())
+        return not any(x for row in self.P for v in row for x in v)
+
+    def ambient(self, a: int, b: int) -> Vector:
+        """h_a h_b in the coordinates of G."""
+        return lincomb(unscaled(self.P[a][b], self.scale), self.H_basis, len(self.H_basis[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -273,33 +289,24 @@ def check_kahler(k: KahlerCRData) -> Report:
 def left_symmetric_product(k: KahlerCRData) -> LeftSymmetricProduct:
     """For basis x, y of H, the unique xy in H with w(xy, z) = -w(y, [x, z])
     for all z in H, solved through the w|H Gram system."""
-    if k.omega_gram.det() == 0:
+    m = k.H.dim
+    # w(sum_c coeff_c h_c, h_b) = sum_c coeff_c gram[c][b]  =>  coeff = (gram^T)^-1 rhs.
+    # Row reduction turns [gram^T | I] into [I | (gram^T)^-1]; gram is singular
+    # exactly when some pivot falls in I instead
+    reduced, pivots = rref([tuple(r) + basis_vector(m, i)
+                            for i, r in enumerate(k.omega_gram.transpose().data)])
+    if pivots != list(range(m)):
         raise ValueError("omega restricted to H is degenerate")
-    basis = k.H.basis
-    m, n = len(basis), k.algebra.dim
-    # w(sum_c coeff_c h_c, h_b) = sum_c coeff_c gram[c][b]  =>  coeff = (gram^T)^-1 rhs
-    # gram^T is invertible, so row reduction turns [gram^T | I] into [I | (gram^T)^-1]
-    reduced, _ = rref([tuple(r) + basis_vector(m, i)
-                       for i, r in enumerate(k.omega_gram.transpose().data)])
     si, inverse = scaled_sparse(r[m:] for r in reduced)
     # w(y, v) = (Omega^T y) . v, with R[b] = s Omega^T h_b
     (sw, om), (sh, H), (sB, B) = k.omega_rows, k.cr.basis_ints, k.cr.brackets
-    R = []
-    for h in H:
-        acc = {}
-        for i, x in h.items():
-            for t, y in om[i].items():
-                acc[t] = acc.get(t, 0) + x * y
-        R.append({t: x for t, x in acc.items() if x})
-    scale = si * sw * sh * sB
-    table = {}
-    for a, brackets in enumerate(B):
-        for b, r in enumerate(R):
-            rhs = [-sum(x * v[t] for t, x in r.items()) for v in brackets]
-            coeffs = [Fraction(sum(x * rhs[z] for z, x in row.items()), scale)
-                      for row in inverse]
-            table[(a, b)] = lincomb(coeffs, basis, n)
-    return LeftSymmetricProduct(tuple(basis), table)
+    om = dict(enumerate(om))
+    R = [contraction([(1, h, om)]) for h in H]
+    # P[a][b] = inverse . rhs, with rhs[z] = -s w(h_b, [h_a, h_z])
+    P = [[[sum(x * rhs[z] for z, x in row.items()) for row in inverse]
+          for rhs in ([-sum(x * v[t] for t, x in r.items()) for v in brackets] for r in R)]
+         for brackets in B]
+    return LeftSymmetricProduct(tuple(k.H.basis), si * sw * sh * sB, P)
 
 
 def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
@@ -307,30 +314,26 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
     the induced bracket xy - yx; and, when Jacobi holds, the left-symmetry
     identity (2) x(yz) - (xy)z = y(xz) - (yx)z on all basis triples.
 
-    The product table is scaled to integers by its own denominator.  Every
-    product lies in H, so Jacobi and (2) run on H-coordinates: P[a][b] is
-    h_a h_b read at the pivots of the RREF basis, and C = P - P^T holds the
-    structure constants of the induced bracket."""
+    All three read the product table P in H-coordinates, and C = P - P^T
+    holds the structure constants of the induced bracket."""
     rep = Report()
-    m = k.H.dim
+    m, n, s, P = k.H.dim, k.algebra.dim, p.scale, p.P
     fmt = [fmt_vec(k.algebra.names, h) for h in k.H.basis]
-    keys = [(a, b) for a in range(m) for b in range(m)]
-    sT, T = scaled(p.table[key] for key in keys)
-    T = dict(zip(keys, T))
-    (sB, B), (_, U) = k.cr.brackets, k.omega_images
+    C = IntTable([[vsub(P[a][b], P[b][a]) for b in range(m)] for a in range(m)])
 
-    # w(xy - yx - [x, y], h_t) = (xy - yx - [x, y]) . U[t] / s, tested on
-    # sT sB times the difference
+    # w(xy - yx, h_t) = sum_c C[a][b][c] G[c][t] / (s s_G) and w([x, y], h_t) =
+    # B[a][b] . U[t] / (s_B s_U); tested on s s_G s_B s_U times the difference
+    (sB, B), (sU, U), (sG, G) = k.cr.brackets, k.omega_images, k.gram_ints
+    gram = {c: {t: x for t, x in enumerate(row) if x} for c, row in enumerate(G)}
+    images = {i: {t: u[i] for t, u in enumerate(U) if u[i]} for i in range(n)}
     w1 = []
-    for a, b in keys:
-        d = [sB * (x - y) - sT * z for x, y, z in zip(T[a, b], T[b, a], B[a][b])]
-        d = {i: x for i, x in enumerate(d) if x}
-        w1.extend(witness(x=fmt[a], y=fmt[b], u=fmt[t])
-                  for t, u in enumerate(U) if sum(x * u[i] for i, x in d.items()))
+    for a in range(m):
+        for b in range(m):
+            d = contraction([(sB * sU, C.rows[a].get(b, {}), gram),
+                             (-s * sG, {i: x for i, x in enumerate(B[a][b]) if x}, images)])
+            w1.extend(witness(x=fmt[a], y=fmt[b], u=fmt[t]) for t in sorted(d) if d[t])
     rep.add("leftsym.identity1", not w1, w1)
 
-    P = [[tuple(T[a, b][i] for i in k.H.pivots) for b in range(m)] for a in range(m)]
-    C = IntTable([[vsub(P[a][b], P[b][a]) for b in range(m)] for a in range(m)])
     # C is antisymmetric by construction, so only Jacobi violations come back
     jac = [witness(x=fmt[a], y=fmt[b], z=fmt[c]) for _, (a, b, c) in C.violations()]
     rep.add("leftsym.jacobi_induced", not jac, jac)
@@ -338,7 +341,8 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
     if not jac:
         # h_a v = sum_d v_d P[a][d] and (xy - yx)z = sum_d C[a][b][d] P[d][c].
         # The defect x(yz) - y(xz) - (xy - yx)z changes sign when a and b are
-        # swapped and vanishes when a = b, so a < b decides every triple
+        # swapped and vanishes when a = b, so a < b decides every triple.  It
+        # is homogeneous of degree 2 in P, so the scale cannot change a zero test
         prod, comm = IntTable(P).rows, C.rows
         cols = [{d: prod[d][c] for d in range(m) if c in prod[d]} for c in range(m)]
         failing = [(a, b, c) for a in range(m) for b in range(a + 1, m) for c in range(m)
@@ -354,7 +358,7 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
 def induced_bracket(k: KahlerCRData, p: LeftSymmetricProduct) -> dict:
     """The commutator table [x,y]' = xy - yx on the H basis."""
     m = len(p.H_basis)
-    return {(a, b): vsub(p.table[(a, b)], p.table[(b, a)])
+    return {(a, b): vsub(p.ambient(a, b), p.ambient(b, a))
             for a in range(m) for b in range(m)}
 
 
@@ -527,40 +531,24 @@ def semisimple_exactness(k: KahlerCRData) -> tuple[Optional[Vector], Optional[Ve
                 detail="algebra is not semisimple; exactness machinery unavailable")
         return None, None, None, rep
 
-    omega = k.omega_matrix
-    n = alg.dim
-    rows, rhs = [], []
-    for a in range(n):
-        for b in range(a + 1, n):
-            rows.append(alg.c[a][b])
-            rhs.append(omega[a, b])
-    alpha = solve(Matrix(rows), tuple(rhs))
+    # one equation a . [e_a, e_b] = w(e_a, e_b) per pair a < b; an exact row
+    # reduction that finds a solution satisfies every equation of the system,
+    # so alpha_exact fails only when there is none
+    pairs = list(combinations(range(alg.dim), 2))
+    alpha = solve(Matrix([alg.c[a][b] for a, b in pairs]),
+                  tuple(k.omega_matrix[a, b] for a, b in pairs))
     if alpha is None:
         rep.add("exactness.alpha_exact", False,
                 detail="w(x,y) = a([x,y]) has no solution: input data invalid "
                        "for a semisimple Kahler-CR structure")
         return None, None, None, rep
-    # overdetermined system: verify every equation after elimination
-    bad = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            if vdot(alpha, alg.c[a][b]) != omega[a, b]:
-                bad.append(witness(x=alg.names[a], y=alg.names[b]))
-    rep.add("exactness.alpha_exact", not bad, bad)
-    if bad:
-        return alpha, None, None, rep
+    rep.add("exactness.alpha_exact", True)
 
     K = alg.killing_form()
     X = solve(K, alpha)
     assert X is not None  # Killing form nondegenerate
-    # K(X, v) = (K^T X) . v
-    KX = K.transpose().matvec(X)
-    dual = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            if vdot(KX, alg.c[a][b]) != omega[a, b]:
-                dual.append(witness(x=alg.names[a], y=alg.names[b]))
-    rep.add("exactness.killing_dual", not dual, dual)
+    # K is symmetric and K X = alpha, so K(X, [x, y]) = alpha([x, y]) = w(x, y)
+    rep.add("exactness.killing_dual", True)
 
     L = alg.centralizer(X)
     rep.add("exactness.radical_match",

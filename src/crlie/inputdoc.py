@@ -14,7 +14,7 @@ from typing import Optional
 
 from .crkahler import CRData, KahlerCRData
 from .lie import LieAlgebra, StructureError
-from .linalg import Matrix, Subspace, format_rat, is_zero, rat, vector, zero_vector
+from .linalg import Matrix, Subspace, format_rat, rat, vector, zero_vector
 from .multivector import Bivector
 from .poisson import PseudoPoissonData
 
@@ -278,16 +278,3 @@ def dump_document(doc: dict) -> str:
     """Deterministic serialization; documents built with stable key order
     round-trip byte-identically."""
     return json.dumps(doc, indent=2) + "\n"
-
-
-# -- document builder ---------------------------------------------------------
-
-def algebra_document(algebra: LieAlgebra) -> dict:
-    brackets = []
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            v = algebra.c[i][j]
-            if not is_zero(v):
-                brackets.append({"x": i + 1, "y": j + 1,
-                                 "result": [format_rat(e) for e in v]})
-    return {"dim": algebra.dim, "names": list(algebra.names), "brackets": brackets}

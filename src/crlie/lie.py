@@ -73,15 +73,21 @@ def cyclic_nonzero(inner, outer, i: int, j: int, k: int) -> bool:
         (1, inner[b].get(c, {}), outer[a]) for a, b, c in ((i, j, k), (k, i, j), (j, k, i)))
 
 
-def nonzero_contraction(terms) -> bool:
-    """Whether sum_{(sign, x, rows) in terms} sign * sum_l x[l] rows[l] is
-    nonzero, for sparse integer vectors x = {l: int} and rows = {l: {m: int}}."""
+def contraction(terms) -> dict:
+    """sum_{(sign, x, rows) in terms} sign * sum_l x[l] rows[l] as {m: int},
+    zero entries included, for sparse integer vectors x = {l: int} and
+    rows = {l: {m: int}}."""
     acc = {}
     for sign, x, rows in terms:
         for l, xl in x.items():
             for m, y in rows.get(l, {}).items():
                 acc[m] = acc.get(m, 0) + sign * xl * y
-    return any(acc.values())
+    return acc
+
+
+def nonzero_contraction(terms) -> bool:
+    """Whether the `contraction` of terms is nonzero."""
+    return any(contraction(terms).values())
 
 
 def validate_structure(c: Sequence[Sequence[Vector]]) -> list:
@@ -265,8 +271,4 @@ def sl2() -> LieAlgebra:
         (0, 2): [-2, 0, 0],   # [e,h] = -2e
         (1, 2): [0, 2, 0],    # [f,h] = 2f
     }, names=["e", "f", "h"])
-
-
-def heisenberg3() -> LieAlgebra:
-    return LieAlgebra.from_brackets(3, {(0, 1): [0, 0, 1]})
 

@@ -25,13 +25,6 @@ from typing import Mapping
 from .lie import LieAlgebra
 from .linalg import Matrix, Subspace, Vector, basis_vector, format_terms, rat, scaled_sparse
 
-Pair = tuple[int, int]
-
-
-def pair_basis(dim: int) -> list[Pair]:
-    return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-
-
 def _sort_key(idx):
     """Sort a key of distinct indices; returns (sorted, sign) or None on repeat."""
     idx = list(idx)
@@ -255,8 +248,3 @@ def wedge_subspace_residual(t: Trivector, u: Subspace) -> Trivector:
         raise ValueError("dimension mismatch in wedge-subspace membership")
     (sr, cols), (st, coeffs) = quotient_columns(u), t.ints()
     return Trivector.from_ints(t.dim, st * sr ** 3, push_ints(cols, coeffs))
-
-
-def in_wedge_subspace(t: Trivector, u: Subspace) -> bool:
-    """Membership of t in U ^ Lambda^2 G, decided exactly."""
-    return wedge_subspace_residual(t, u).is_zero()

@@ -10,13 +10,13 @@ multivectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Sequence
 
-from .lie import LieAlgebra
-from .linalg import Matrix, Subspace, basis_vector
+from .lie import LieAlgebra, contraction
+from .linalg import Matrix, Subspace
 from .multivector import (
-    Bivector, Trivector, derive, derive_ints, int_columns, push_ints, quotient_columns,
-    schouten_ints,
+    Bivector, Trivector, derive_ints, int_columns, push_ints, quotient_columns, schouten_ints,
 )
 from .report import Report, witness
 
@@ -67,14 +67,12 @@ def check_j_invariance(d: PseudoPoissonData) -> Report:
     return rep
 
 
-def coboundary_pi(algebra: LieAlgebra, r: Bivector, U: Subspace) -> tuple[dict, Report]:
-    """Coboundary tensor built from r; checks the infinitesimal invariance of
-    [r, r]: for every basis generator e_i, the derivation extension of ad e_i
-    sends [r, r] into U ^ Lambda^2 G.  [r, r] and the quotient map are built
-    once, and each generator is tested on integer coefficients.
-
-    Returns a symbolic description of pi (only its algebra-level conditions
-    are computable here) together with the per-generator report.
+def coboundary_pi(algebra: LieAlgebra, r: Bivector, U: Subspace) -> Report:
+    """The algebra-level condition on the coboundary tensor
+    pi = right_invariant(r) - left_invariant(r): the infinitesimal invariance
+    of [r, r].  For every basis generator e_i, the derivation extension of
+    ad e_i must send [r, r] into U ^ Lambda^2 G.  [r, r] and the quotient map
+    are built once, and each generator is tested on integer coefficients.
     """
     if r.dim != algebra.dim or U.ambient_dim != algebra.dim:
         raise ValueError("dimension mismatch in coboundary_pi")
@@ -89,11 +87,7 @@ def coboundary_pi(algebra: LieAlgebra, r: Bivector, U: Subspace) -> tuple[dict, 
                                residual=_format(algebra, table.scale * s * su ** 3, res)))
     rep.add("poisson.coboundary_invariance", not bad, bad,
             detail=f"[r,r] = {_format(algebra, s, rr)}")
-    description = {
-        "r": {f"{i + 1},{j + 1}": v for (i, j), v in r.coeffs.items()},
-        "relation": "pi = right_invariant(r) - left_invariant(r)",
-    }
-    return description, rep
+    return rep
 
 
 def _format(algebra: LieAlgebra, s: int, coeffs: dict) -> str:
@@ -103,27 +97,35 @@ def _format(algebra: LieAlgebra, s: int, coeffs: dict) -> str:
 
 def coboundary_delta(algebra: LieAlgebra, r: Bivector) -> list[Bivector]:
     """The coboundary cocycle x -> (derivation extension of ad x)(r), on the
-    basis generators."""
-    return [derive(algebra.ad(basis_vector(algebra.dim, i)), r) for i in range(algebra.dim)]
+    basis generators; ad e_i acts through row i of the integer table."""
+    table, (sr, R) = algebra.table, r.ints()
+    return [Bivector.from_ints(algebra.dim, table.scale * sr, derive_ints(row, R))
+            for row in table.rows]
 
 
 def check_cocycle(algebra: LieAlgebra, delta: Sequence[Bivector]) -> Report:
     """Infinitesimal 1-cocycle identity for the adjoint action on Lambda^2:
-    delta([x, y]) = ad2(x) delta(y) - ad2(y) delta(x) on all basis pairs."""
+    delta([x, y]) = ad2(x) delta(y) - ad2(y) delta(x) on all basis pairs,
+    tested on T s times both sides, for the table scale T and the least
+    common denominator s of the delta(e_k)."""
     rep = Report()
-    n = algebra.dim
+    n, names = algebra.dim, algebra.names
     if len(delta) != n:
         raise ValueError("delta must assign a bivector to every basis generator")
-    ad = [algebra.ad(basis_vector(n, i)) for i in range(n)]
+    rows, T = algebra.table.rows, algebra.table.scale
+    s = lcm(*(d.ints()[0] for d in delta))
+    D = {k: {key: v.numerator * (s // v.denominator) for key, v in d.coeffs.items()}
+         for k, d in enumerate(delta)}
     bad = []
     for a in range(n):
         for b in range(a + 1, n):
-            lhs = sum((delta[k].scale(ck) for k, ck in enumerate(algebra.c[a][b]) if ck),
-                      Bivector(n))
-            rhs = derive(ad[a], delta[b]) - derive(ad[b], delta[a])
-            if lhs != rhs:
-                bad.append(witness(x=algebra.names[a], y=algebra.names[b],
-                                   difference=(lhs - rhs).format(algebra.names)))
+            # T s delta([e_a, e_b]) = sum_k rows[a][b][k] D[k]; {b: 1} selects a single row
+            diff = contraction([(1, rows[a].get(b, {}), D),
+                                (1, {b: 1}, {b: derive_ints(rows[b], D[a])}),
+                                (-1, {a: 1}, {a: derive_ints(rows[a], D[b])})])
+            if any(diff.values()):
+                difference = Bivector.from_ints(n, T * s, diff).format(names)
+                bad.append(witness(x=names[a], y=names[b], difference=difference))
     rep.add("poisson.cocycle", not bad, bad)
     return rep
 

@@ -9,9 +9,12 @@ exterior power oracles build the dense C(n,k) x C(n,k) matrix of a map on
 Lambda^k from k x k minors and decide U ^ Lambda^2 G by row reduction of its
 spanning set, where the library maps sparse coefficients through G -> G/U.
 The Kahler oracles evaluate closedness with three dot products per triple,
-solve one linear system per left-symmetric product, and test the
-left-symmetric identities on ambient vectors through `h_coordinates`, where
-the library contracts tables precomputed from the structure constants.  The
+solve one `Fraction` linear system per left-symmetric product, and test the
+left-symmetric identities on the products' ambient vectors through
+`h_coordinates`, where the library inverts the Gram matrix of w on H once,
+keeps the product as one integer table P in H-coordinates with one scale,
+and contracts P with tables precomputed from the structure constants.
+`product_from_coordinates` builds that table from `Fraction` H-coordinates.  The
 CR oracle takes four ambient brackets of H's basis vectors per pair, where
 the library contracts the bracket table of H with j in H-coordinates.
 
@@ -27,9 +30,10 @@ Schouten/membership path, kept as they were when it moved to integer
 coefficients: `schouten_over_fractions` contracts the full `Fraction`
 coefficient matrices, `push_over_fractions` and `derive_over_fractions` act
 through dense `Fraction` columns, and `check_pseudo_poisson_over_fractions`,
-`check_j_invariance_over_fractions` and `coboundary_pi_over_fractions`
-compose them, the last with `ad_by_brackets`, the former `LieAlgebra.ad`,
-which takes one bracket with each basis vector.  `center_dense` is the
+`check_j_invariance_over_fractions`, `coboundary_pi_over_fractions` and
+`check_cocycle_over_fractions` compose them, the last two with
+`ad_by_brackets`, the former `LieAlgebra.ad`, which takes one bracket with
+each basis vector.  `center_dense` is the
 former `LieAlgebra.center`: the kernel of all n^2 rows (c[i][j][k])_j,
 zero or not.  `omega_defects_over_fractions` reads the antisymmetry and
 closedness witnesses off `check_kahler_over_fractions`.
@@ -51,8 +55,8 @@ from crlie.crkahler import (
 )
 from crlie.lie import validate_structure
 from crlie.linalg import (
-    Matrix, Subspace, basis_vector, bilinear, is_zero, kernel, lincomb, solve, vadd, vdot,
-    vector, vscale, vsub, zero_vector,
+    Matrix, Subspace, basis_vector, bilinear, is_zero, kernel, lincomb, scaled, solve, vadd,
+    vdot, vector, vscale, vsub, zero_vector,
 )
 from crlie.poisson import PseudoPoissonData
 from crlie.report import Report, fmt_vec, witness
@@ -107,11 +111,8 @@ def killing_entry(algebra: LieAlgebra, i: int, j: int) -> Fraction:
 
 def all_sign_bivectors(dim: int):
     """Every bivector with coefficients in {-1, 0, 1}."""
-    from itertools import product
-
-    from crlie.multivector import pair_basis
-    keys = pair_basis(dim)
-    for combo in product((-1, 0, 1), repeat=len(keys)):
+    keys = list(combinations(range(dim), 2))
+    for combo in iproduct((-1, 0, 1), repeat=len(keys)):
         yield Bivector(dim, dict(zip(keys, combo)))
 
 
@@ -225,19 +226,24 @@ def check_kahler_by_triples(k: KahlerCRData) -> Report:
     return rep
 
 
+def product_from_coordinates(basis, coords) -> LeftSymmetricProduct:
+    """The product whose h_a h_b has the `Fraction` H-coordinates coords[a][b]."""
+    m = len(basis)
+    s, ints = scaled(v for row in coords for v in row)
+    return LeftSymmetricProduct(tuple(basis), s, [ints[a * m:(a + 1) * m] for a in range(m)])
+
+
 def left_symmetric_product_by_solves(k: KahlerCRData) -> LeftSymmetricProduct:
     """xy for each basis pair of H from its own Gram system
     gram^T coeff = (-w(y, [x, z]))_z."""
     alg = k.algebra
     basis = k.H.basis
     gram_t = k.omega_gram.transpose()
-    table = {}
-    for a, x in enumerate(basis):
+    coords = []
+    for x in basis:
         brackets = [alg.bracket(x, z) for z in basis]
-        for b, y in enumerate(basis):
-            coeffs = solve(gram_t, tuple(-k.omega(y, v) for v in brackets))
-            table[(a, b)] = lincomb(coeffs, basis, alg.dim)
-    return LeftSymmetricProduct(tuple(basis), table)
+        coords.append([solve(gram_t, tuple(-k.omega(y, v) for v in brackets)) for y in basis])
+    return product_from_coordinates(basis, coords)
 
 
 def check_left_symmetric_ambient(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
@@ -249,7 +255,7 @@ def check_left_symmetric_ambient(k: KahlerCRData, p: LeftSymmetricProduct) -> Re
     names = alg.names
     basis = k.H.basis
     m = len(basis)
-    rows = [[p.table[(a, b)] for b in range(m)] for a in range(m)]
+    rows = [[p.ambient(a, b) for b in range(m)] for a in range(m)]
     comm = induced_bracket(k, p)
 
     w1 = []
@@ -403,7 +409,7 @@ def check_left_symmetric_over_fractions(k: KahlerCRData, p: LeftSymmetricProduct
     m = len(basis)
     fmt = [fmt_vec(k.algebra.names, h) for h in basis]
     comm = induced_bracket(k, p)
-    P = [[tuple(p.table[(a, b)][i] for i in k.H.pivots) for b in range(m)]
+    P = [[tuple(p.ambient(a, b)[i] for i in k.H.pivots) for b in range(m)]
          for a in range(m)]
     C = [[vsub(P[a][b], P[b][a]) for b in range(m)] for a in range(m)]
     images = [k.omega_matrix.matvec(u) for u in basis]
@@ -639,11 +645,26 @@ def coboundary_pi_over_fractions(algebra: LieAlgebra, r: Bivector, U: Subspace):
                                residual=res.format(algebra.names)))
     rep.add("poisson.coboundary_invariance", not bad, bad,
             detail=f"[r,r] = {rr.format(algebra.names)}")
-    description = {
-        "r": {f"{i + 1},{j + 1}": v for (i, j), v in r.coeffs.items()},
-        "relation": "pi = right_invariant(r) - left_invariant(r)",
-    }
-    return description, rep
+    return rep
+
+
+def check_cocycle_over_fractions(algebra: LieAlgebra, delta) -> Report:
+    """`check_cocycle` with `Bivector` sums, `derive_over_fractions` and
+    `ad_by_brackets`: delta([x, y]) = ad2(x) delta(y) - ad2(y) delta(x)."""
+    rep = Report()
+    n = algebra.dim
+    ad = [ad_by_brackets(algebra, basis_vector(n, i)) for i in range(n)]
+    bad = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            lhs = sum((delta[k].scale(ck) for k, ck in enumerate(algebra.c[a][b]) if ck),
+                      Bivector(n))
+            rhs = derive_over_fractions(ad[a], delta[b]) - derive_over_fractions(ad[b], delta[a])
+            if lhs != rhs:
+                bad.append(witness(x=algebra.names[a], y=algebra.names[b],
+                                   difference=(lhs - rhs).format(algebra.names)))
+    rep.add("poisson.cocycle", not bad, bad)
+    return rep
 
 
 def omega_defects_over_fractions(k: KahlerCRData) -> tuple:

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from crlie import (
-    InputError, algebra_document, catalog, dump_document, parse_document,
+    InputError, catalog, dump_document, parse_document,
     parse_text,
 )
 from crlie.cli import main
@@ -151,13 +151,6 @@ def test_cr_only_document_with_zero_H_passes(tmp_path, capsys):
     assert main(["check", write(tmp_path, doc)]) == 0
     out = capsys.readouterr().out
     assert "[PASS] cr.condition2" in out and "[PASS] cr.condition3" in out
-
-
-def test_algebra_document_builder_round_trip():
-    from crlie import so3
-    doc = {"algebra": algebra_document(so3())}
-    assert parse_document(doc).algebra == so3()
-    assert parse_text(dump_document(doc)).document == doc
 
 
 # -- CLI ---------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crlie import LieAlgebra, StructureError, catalog, heisenberg3, parse_document, sl2, so3
+from crlie import LieAlgebra, StructureError, catalog, parse_document, sl2, so3
 from crlie.lie import validate_structure
 from crlie.linalg import Matrix, Subspace, basis_vector, is_zero, kernel, solve, vector
 
@@ -12,6 +12,12 @@ from oracles import (
     ad_by_brackets, bracket_expanded, center_dense, jacobiator, killing_entry,
     validate_structure_over_fractions,
 )
+
+
+def heisenberg3() -> LieAlgebra:
+    """The Heisenberg algebra, [e1, e2] = e3."""
+    return LieAlgebra.from_brackets(3, {(0, 1): [0, 0, 1]})
+
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 vec3 = st.lists(rationals, min_size=3, max_size=3).map(vector)

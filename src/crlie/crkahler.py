@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, permutations
+from itertools import chain, permutations
 from math import gcd
 from typing import Mapping, Optional, Sequence
 
@@ -319,7 +319,7 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
     rep = Report()
     m, n, s, P = k.H.dim, k.algebra.dim, p.scale, p.P
     fmt = [fmt_vec(k.algebra.names, h) for h in k.H.basis]
-    C = IntTable([[vsub(P[a][b], P[b][a]) for b in range(m)] for a in range(m)])
+    C = IntTable.dense([[vsub(P[a][b], P[b][a]) for b in range(m)] for a in range(m)])
 
     # w(xy - yx, h_t) = sum_c C[a][b][c] G[c][t] / (s s_G) and w([x, y], h_t) =
     # B[a][b] . U[t] / (s_B s_U); tested on s s_G s_B s_U times the difference
@@ -343,7 +343,7 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
         # The defect x(yz) - y(xz) - (xy - yx)z changes sign when a and b are
         # swapped and vanishes when a = b, so a < b decides every triple.  It
         # is homogeneous of degree 2 in P, so the scale cannot change a zero test
-        prod, comm = IntTable(P).rows, C.rows
+        prod, comm = IntTable.dense(P).rows, C.rows
         cols = [{d: prod[d][c] for d in range(m) if c in prod[d]} for c in range(m)]
         failing = [(a, b, c) for a in range(m) for b in range(a + 1, m) for c in range(m)
                    if nonzero_contraction(((1, prod[b].get(c, {}), prod[a]),
@@ -442,7 +442,7 @@ def ideal_complement_complex(d: CRData, ideal: Subspace) -> tuple[LieAlgebra, Ma
     wj = []
     for a in range(m):
         for b in range(a + 1, m):
-            lhs = jH.matvec(quotient_like.c[a][b])
+            lhs = jH.matvec(c[a][b])
             rhs = quotient_like.bracket(jH.column(a), basis_vector(m, b))
             if lhs != rhs:
                 wj.append(witness(x=fmt_vec(alg.names, basis[a]),
@@ -476,8 +476,8 @@ def build_extension(base: KahlerCRData, v_dim: int,
     if v_dim < 1:
         raise ValueError("V must be at least one-dimensional")
 
-    # alpha_rows[a][b] = alpha(e_a, e_b), or () where alpha is not given
-    alpha_rows = [[()] * n for _ in range(n)]
+    # given[(a, b)] = alpha(e_a, e_b), for the pairs given either way
+    given = {}
     for (a, b), val in alpha.items():
         v = vector(val)
         if len(v) != v_dim:
@@ -486,10 +486,10 @@ def build_extension(base: KahlerCRData, v_dim: int,
             raise ValueError(f"alpha index {(a, b)} out of range")
         if a == b and not is_zero(v):
             raise ValueError(f"alpha({a + 1},{a + 1}) must vanish (antisymmetry)")
-        if alpha_rows[a][b] not in ((), v):
+        if given.get((a, b), v) != v:
             raise ValueError(f"alpha not antisymmetric at {(a + 1, b + 1)}")
-        alpha_rows[a][b], alpha_rows[b][a] = v, vscale(-1, v)
-    A = IntTable(alpha_rows).rows
+        given[(a, b)], given[(b, a)] = v, vscale(-1, v)
+    A = IntTable.from_entries(n, given).rows
 
     # the V-part of the Jacobiator needs a nonzero bracket among the triple
     rows = alg.table.rows
@@ -531,12 +531,18 @@ def semisimple_exactness(k: KahlerCRData) -> tuple[Optional[Vector], Optional[Ve
                 detail="algebra is not semisimple; exactness machinery unavailable")
         return None, None, None, rep
 
-    # one equation a . [e_a, e_b] = w(e_a, e_b) per pair a < b; an exact row
-    # reduction that finds a solution satisfies every equation of the system,
-    # so alpha_exact fails only when there is none
-    pairs = list(combinations(range(alg.dim), 2))
-    alpha = solve(Matrix([alg.c[a][b] for a, b in pairs]),
-                  tuple(k.omega_matrix[a, b] for a, b in pairs))
+    # one equation a . [e_a, e_b] = w(e_a, e_b) per pair a < b, both sides
+    # times the table's scale.  A pair where both vanish gives 0 = 0, which
+    # changes neither the row space nor the solution, so only pairs with a
+    # nonzero bracket or a nonzero w enter.  An exact row reduction that finds
+    # a solution satisfies every equation, so alpha_exact fails only when
+    # there is none
+    table = alg.table
+    pairs = sorted({(a, b) for rows in (table.rows, k.omega_rows[1])
+                    for a, row in enumerate(rows) for b in row if a < b})
+    alpha = solve(Matrix([[table.rows[a].get(b, {}).get(i, 0) for i in range(alg.dim)]
+                          for a, b in pairs]),
+                  tuple(table.scale * k.omega_matrix[a, b] for a, b in pairs))
     if alpha is None:
         rep.add("exactness.alpha_exact", False,
                 detail="w(x,y) = a([x,y]) has no solution: input data invalid "

@@ -9,12 +9,13 @@ brackets are zero and brackets are listed with x < y.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from .crkahler import CRData, KahlerCRData
 from .lie import LieAlgebra, StructureError
-from .linalg import Matrix, Subspace, format_rat, rat, vector, zero_vector
+from .linalg import Matrix, Subspace, format_rat, rat, vector
 from .multivector import Bivector
 from .poisson import PseudoPoissonData
 
@@ -57,7 +58,7 @@ def _list(block: dict, key: str, where: str, diags) -> list:
 
 def _matrix(rows, n_cols, where, diags) -> Optional[Matrix]:
     try:
-        m = Matrix([[rat(e) for e in row] for row in rows])
+        m = Matrix(rows)
     except (ValueError, TypeError) as e:
         diags.append(f"{where}: {e}")
         return None
@@ -125,8 +126,13 @@ def parse_document(doc: dict) -> Payloads:
     elif len(names) != dim:
         diags.append(f"algebra.names: expected {dim} names, got {len(names)}")
         names = default_names
+    elif len(set(names)) != dim:
+        # a witness names its basis vectors, so each name must be unique
+        duplicate = next(nm for nm, count in Counter(names).items() if count > 1)
+        diags.append(f"algebra.names: duplicate name {duplicate!r}")
+        names = default_names
 
-    c = [[None] * dim for _ in range(dim)]
+    given = {}
     for k, entry in enumerate(_list(ablock, "brackets", "algebra.brackets", diags)):
         where = f"algebra.brackets[{k}]"
         try:
@@ -141,36 +147,27 @@ def parse_document(doc: dict) -> Payloads:
         if len(result) != dim:
             diags.append(f"{where}: result has {len(result)} entries, expected {dim}")
             continue
-        if c[x - 1][y - 1] is not None:
+        if (x - 1, y - 1) in given:
             diags.append(f"{where}: duplicate bracket for ({x},{y})")
             continue
-        c[x - 1][y - 1] = result
+        given[(x - 1, y - 1)] = result
 
-    # mirror unlisted sides; detect explicit antisymmetry conflicts
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            a, b = c[i][j], c[j][i]
-            if a is not None and b is not None:
-                for k in range(dim):
-                    if a[k] != -b[k]:
-                        diags.append(
-                            f"algebra.brackets: antisymmetry violated at "
-                            f"({i + 1},{j + 1},{k + 1}): c={format_rat(a[k])} "
-                            f"vs c={format_rat(b[k])}")
-                        break
-            elif a is not None:
-                c[j][i] = tuple(-e for e in a)
-            elif b is not None:
-                c[i][j] = tuple(-e for e in b)
-            else:
-                c[i][j] = zero_vector(dim)
-                c[j][i] = zero_vector(dim)
-        c[i][i] = zero_vector(dim)
+    # a pair given in both orientations must be antisymmetric; every other
+    # pair is mirrored by from_brackets
+    for i, j in sorted(ij for ij in given if ij[0] < ij[1] and ij[::-1] in given):
+        a, b = given[(i, j)], given[(j, i)]
+        k = next((k for k in range(dim) if a[k] != -b[k]), None)
+        if k is not None:
+            diags.append(f"algebra.brackets: antisymmetry violated at "
+                         f"({i + 1},{j + 1},{k + 1}): c={format_rat(a[k])} "
+                         f"vs c={format_rat(b[k])}")
     if diags:
         raise InputError(diags)
 
     try:
-        algebra = LieAlgebra(c, names=names)
+        algebra = LieAlgebra.from_brackets(
+            dim, {(min(ij), max(ij)): v if ij[0] < ij[1] else tuple(-e for e in v)
+                  for ij, v in given.items()}, names=names)
     except StructureError as e:
         raise InputError([f"algebra.brackets: {e}"])
 

@@ -6,10 +6,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .linalg import (
-    Matrix, Subspace, Vector,
-    basis_vector, bilinear, is_zero, kernel, lincomb, vector, zero_vector,
-)
+from .linalg import Matrix, Subspace, Vector, basis_vector, kernel, vector
 
 
 class StructureError(ValueError):
@@ -31,17 +28,31 @@ class IntTable:
     """A bilinear table c (c[i][j] a vector, such as [e_i, e_j]) in integer
     form: c[i][j][k] = rows[i][j][k] / scale, where scale is the least common
     denominator of c and rows[i] = {j: {k: x}} keeps only the nonzero
-    entries, grouped per row."""
+    entries, grouped per row.  Both are canonical, so two tables hold the same
+    c exactly when their dim, scale and rows agree.  The constructor takes the
+    three as they are; `from_entries` and `dense` compute them from c."""
 
     __slots__ = ("dim", "scale", "rows")
 
-    def __init__(self, c: Sequence[Sequence[Vector]]):
-        nonzero = [[(j, v) for j, v in enumerate(row) if any(v)] for row in c]
-        scale = lcm(*(e.denominator for row in nonzero for _, v in row for e in v))
-        self.dim, self.scale = len(c), scale
-        self.rows = [{j: {k: e.numerator * (scale // e.denominator)
-                          for k, e in enumerate(v) if e} for j, v in row}
-                     for row in nonzero]
+    def __init__(self, dim: int, scale: int, rows: list):
+        self.dim, self.scale, self.rows = dim, scale, rows
+
+    @classmethod
+    def from_entries(cls, dim: int, entries: Mapping[tuple[int, int], Sequence]) -> "IntTable":
+        """The table with c[i][j] = entries[(i, j)], a rational vector, and
+        zero at every pair not listed."""
+        nonzero = sorted((ij, v) for ij, v in entries.items() if any(v))
+        scale = lcm(*(e.denominator for _, v in nonzero for e in v))
+        rows = [{} for _ in range(dim)]
+        for (i, j), v in nonzero:
+            rows[i][j] = {k: e.numerator * (scale // e.denominator) for k, e in enumerate(v) if e}
+        return cls(dim, scale, rows)
+
+    @classmethod
+    def dense(cls, c: Sequence[Sequence[Vector]]) -> "IntTable":
+        """The table of the dense tensor c."""
+        return cls.from_entries(len(c), {(i, j): v for i, row in enumerate(c)
+                                         for j, v in enumerate(row)})
 
     def triples(self) -> list:
         """The triples i < j < k, in lexicographic order, on which some entry
@@ -92,39 +103,40 @@ def nonzero_contraction(terms) -> bool:
 
 def validate_structure(c: Sequence[Sequence[Vector]]) -> list:
     """Collect antisymmetry and Jacobi violations of a bracket tensor."""
-    return IntTable(c).violations()
+    return IntTable.dense(c).violations()
 
 
 class LieAlgebra:
     """Finite-dimensional real Lie algebra over exact rational coordinates.
 
-    `c[i][j]` is the coordinate vector of [e_i, e_j]; construction rejects
-    tensors violating antisymmetry or the Jacobi identity.  `table` is c in
-    integer form, built once per algebra.
+    The bracket is held only as `table`, the `IntTable` of its structure
+    constants c[i][j] = [e_i, e_j], so storage and parsing follow the nonzero
+    brackets.  `c` is that table or the dense tensor, which is converted on
+    entry; construction rejects tables violating antisymmetry or the Jacobi
+    identity unless `validate` is false.
     """
 
-    __slots__ = ("dim", "names", "c", "_table", "_killing")
+    __slots__ = ("dim", "names", "table", "_killing")
 
-    def __init__(self, c: Sequence[Sequence[Iterable]], names: Optional[Sequence[str]] = None,
-                 validate: bool = True):
-        n = len(c)
-        tensor = tuple(tuple(vector(v) for v in row) for row in c)
-        if any(len(row) != n or any(len(v) != n for v in row) for row in tensor):
-            raise ValueError("structure tensor must be n x n x n")
+    def __init__(self, c: IntTable | Sequence[Sequence[Iterable]],
+                 names: Optional[Sequence[str]] = None, validate: bool = True):
+        if not isinstance(c, IntTable):
+            n = len(c)
+            tensor = [[vector(v) for v in row] for row in c]
+            if any(len(row) != n or any(len(v) != n for v in row) for row in tensor):
+                raise ValueError("structure tensor must be n x n x n")
+            c = IntTable.dense(tensor)
         if names is None:
-            names = [f"e{i + 1}" for i in range(n)]
-        if len(names) != n:
+            names = [f"e{i + 1}" for i in range(c.dim)]
+        if len(names) != c.dim:
             raise ValueError("need one name per basis vector")
-        table = None
         if validate:
-            table = IntTable(tensor)
-            bad = table.violations()
+            bad = c.violations()
             if bad:
                 raise StructureError(bad)
-        object.__setattr__(self, "dim", n)
+        object.__setattr__(self, "dim", c.dim)
         object.__setattr__(self, "names", tuple(names))
-        object.__setattr__(self, "c", tensor)
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "table", c)
         object.__setattr__(self, "_killing", None)
 
     def __setattr__(self, name, value):
@@ -135,40 +147,41 @@ class LieAlgebra:
                       names: Optional[Sequence[str]] = None,
                       validate: bool = True) -> "LieAlgebra":
         """Build from a sparse table {(i, j): [e_i, e_j]} with i < j, 0-based."""
-        c = [[list(zero_vector(dim)) for _ in range(dim)] for _ in range(dim)]
+        entries = {}
         for (i, j), v in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket indices out of range or not i<j: {(i, j)}")
             w = vector(v)
             if len(w) != dim:
                 raise ValueError(f"bracket value at {(i, j)} has wrong dimension")
-            c[i][j] = list(w)
-            c[j][i] = [-e for e in w]
-        return cls(c, names=names, validate=validate)
+            entries[(i, j)], entries[(j, i)] = w, tuple(-e for e in w)
+        return cls(IntTable.from_entries(dim, entries), names=names, validate=validate)
 
     @classmethod
     def abelian(cls, dim: int, names: Optional[Sequence[str]] = None) -> "LieAlgebra":
         return cls.from_brackets(dim, {}, names=names)
 
-    @property
-    def table(self) -> IntTable:
-        if self._table is None:
-            object.__setattr__(self, "_table", IntTable(self.c))
-        return self._table
-
     # -- basic operations --------------------------------------------------
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
+        """sum_{i,j} x_i y_j c[i][j], over the nonzero entries of the table."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("dimension mismatch in bracket")
-        return bilinear(self.c, x, y, self.dim)
+        ys = {j: e for j, e in enumerate(y) if e}
+        acc = contraction((xi, ys, row) for xi, row in zip(x, self.table.rows) if xi)
+        return tuple(Fraction(acc.get(k, 0), self.table.scale) for k in range(self.dim))
 
     def ad(self, x: Vector) -> Matrix:
         """Matrix of y -> [x, y]: column j is [x, e_j] = sum_i x_i c[i][j]."""
         if len(x) != self.dim:
             raise ValueError("dimension mismatch in ad")
-        return Matrix.from_columns([lincomb(x, (row[j] for row in self.c), self.dim)
-                                    for j in range(self.dim)])
+        m = [[0] * self.dim for _ in range(self.dim)]
+        for xi, row in zip(x, self.table.rows):
+            if xi:
+                for j, v in row.items():
+                    for k, e in v.items():
+                        m[k][j] += xi * e
+        return Matrix([[Fraction(e, self.table.scale) for e in r] for r in m])
 
     def killing_form(self) -> Matrix:
         """K(e_i, e_j) = trace(ad e_i ad e_j) = sum_{k,l} c[i][l][k] c[j][k][l],
@@ -209,34 +222,18 @@ class LieAlgebra:
         return all(s.contains(self.bracket(basis_vector(self.dim, i), v))
                    for i in range(self.dim) for v in s.basis)
 
-    def quotient(self, ideal: Subspace) -> "LieAlgebra":
-        """Quotient by an ideal, realized on the coordinate complement."""
-        self._check_space(ideal)
-        if not self.is_ideal(ideal):
-            raise ValueError("quotient requires an ideal")
-        comp = [c for c in range(self.dim) if c not in ideal.pivots]
-        c = [[tuple(ideal.reduce(self.c[a][b])[k] for k in comp) for b in comp]
-             for a in comp]
-        return LieAlgebra(c, names=[self.names[a] for a in comp])
-
     def direct_sum(self, other: "LieAlgebra",
                    names: Optional[Sequence[str]] = None) -> "LieAlgebra":
-        n, m = self.dim, other.dim
-        brackets = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = self.c[i][j]
-                if not is_zero(v):
-                    brackets[(i, j)] = tuple(v) + zero_vector(m)
-        for i in range(m):
-            for j in range(i + 1, m):
-                v = other.c[i][j]
-                if not is_zero(v):
-                    brackets[(i + n, j + n)] = zero_vector(n) + tuple(v)
+        """self + other on the basis of self followed by that of other; the
+        table's scale is the lcm of the two."""
+        n, s = self.dim, lcm(self.table.scale, other.table.scale)
+        rows = [{j + shift: {k + shift: x * (s // t.scale) for k, x in v.items()}
+                 for j, v in row.items()}
+                for t, shift in ((self.table, 0), (other.table, n)) for row in t.rows]
         if names is None:
             right = [nm if nm not in self.names else nm + "'" for nm in other.names]
             names = list(self.names) + right
-        return LieAlgebra.from_brackets(n + m, brackets, names=names, validate=False)
+        return LieAlgebra(IntTable(n + other.dim, s, rows), names=names, validate=False)
 
     def _check_space(self, s: Subspace) -> None:
         if s.ambient_dim != self.dim:
@@ -244,11 +241,13 @@ class LieAlgebra:
                 f"dimension mismatch: subspace ambient {s.ambient_dim} vs algebra {self.dim}")
 
     def __eq__(self, other) -> bool:
+        # the table is canonical, so this is equality of the structure constants
         return (isinstance(other, LieAlgebra) and self.dim == other.dim
-                and self.c == other.c)
+                and self.table.scale == other.table.scale
+                and self.table.rows == other.table.rows)
 
     def __hash__(self):
-        return hash(self.c)
+        return hash((self.dim, self.table.scale, tuple(map(len, self.table.rows))))
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, names={list(self.names)})"

@@ -105,23 +105,6 @@ def lincomb(coeffs: Iterable, vectors: Iterable[Vector], n: int) -> Vector:
     return tuple(acc)
 
 
-def bilinear(table, x: Vector, y: Vector, n: int) -> Vector:
-    """sum_{i,j} x_i y_j table[i][j]: the bilinear map whose values on basis
-    pairs are the n-vectors table[i][j], skipping zero terms."""
-    acc = [Fraction(0)] * n
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        row = table[i]
-        for j, yj in enumerate(y):
-            if yj:
-                c = xi * yj
-                for k, e in enumerate(row[j]):
-                    if e:
-                        acc[k] += c * e
-    return tuple(acc)
-
-
 def scaled(rows: Iterable[Iterable]) -> tuple[int, list]:
     """(s, ints) with rows[i][k] = ints[i][k] / s exactly, where s is the least
     common denominator of the entries (1 when there are none)."""

@@ -38,6 +38,14 @@ former `LieAlgebra.center`: the kernel of all n^2 rows (c[i][j][k])_j,
 zero or not.  `omega_defects_over_fractions` reads the antisymmetry and
 closedness witnesses off `check_kahler_over_fractions`.
 
+`semisimple_exactness_full_system` is the library's former exactness
+solve, with one equation per pair a < b, zero ones included.
+
+`dense_tensor` gives every oracle that reads the structure constants
+entry by entry the dense `Fraction` tensor, built from `algebra.table`, and
+`bilinear` is the former library kernel that extends a table of basis-pair
+values bilinearly.
+
 `build_extension_lifted` is the library's former extension builder: it
 builds the (n + V_dim)-dimensional algebra G + V, validates it, and runs
 `check_kahler` on it, where the library contracts alpha with the base
@@ -55,11 +63,36 @@ from crlie.crkahler import (
 )
 from crlie.lie import validate_structure
 from crlie.linalg import (
-    Matrix, Subspace, basis_vector, bilinear, is_zero, kernel, lincomb, scaled, solve, vadd,
+    Matrix, Subspace, basis_vector, is_zero, kernel, lincomb, scaled, solve, vadd,
     vdot, vector, vscale, vsub, zero_vector,
 )
 from crlie.poisson import PseudoPoissonData
 from crlie.report import Report, fmt_vec, witness
+
+
+def dense_tensor(algebra: LieAlgebra) -> list:
+    """The dense `Fraction` tensor c[i][j] = [e_i, e_j], zero vectors
+    included, read from `algebra.table`."""
+    n, s, rows = algebra.dim, algebra.table.scale, algebra.table.rows
+    return [[tuple(Fraction(rows[i].get(j, {}).get(k, 0), s) for k in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+def bilinear(table, x, y, n: int) -> tuple:
+    """sum_{i,j} x_i y_j table[i][j]: the bilinear map whose values on basis
+    pairs are the n-vectors table[i][j], skipping zero terms."""
+    acc = [Fraction(0)] * n
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        row = table[i]
+        for j, yj in enumerate(y):
+            if yj:
+                c = xi * yj
+                for k, e in enumerate(row[j]):
+                    if e:
+                        acc[k] += c * e
+    return tuple(acc)
 
 
 def schouten_decomposable(algebra: LieAlgebra, p: Bivector, q: Bivector) -> Trivector:
@@ -207,7 +240,7 @@ def check_kahler_by_triples(k: KahlerCRData) -> Report:
     w([e_a, e_b], e_t) + w([e_t, e_a], e_b) + w([e_b, e_t], e_a)."""
     rep = Report()
     alg, n = k.algebra, k.algebra.dim
-    names, c = alg.names, alg.c
+    names, c = alg.names, dense_tensor(alg)
     omega = k.omega_matrix
     anti = [witness(x=names[a], y=names[b]) for a in range(n) for b in range(a, n)
             if omega[a, b] != -omega[b, a]]
@@ -386,7 +419,7 @@ def check_kahler_over_fractions(k: KahlerCRData) -> Report:
     W[a][b][t] = w([e_a, e_b], e_t) and closedness on all n^3 ordered triples."""
     rep = Report()
     alg, n = k.algebra, k.algebra.dim
-    names, c = alg.names, alg.c
+    names, c = alg.names, dense_tensor(alg)
     omega = k.omega_matrix
     anti = [witness(x=names[a], y=names[b]) for a in range(n) for b in range(a, n)
             if omega[a, b] != -omega[b, a]]
@@ -477,7 +510,8 @@ def build_extension_lifted(base: KahlerCRData, v_dim: int,
                   for row in alpha_rows]
 
     total = n + v_dim
-    c = [[alg.c[a][b] + alpha_rows[a][b] if a < n and b < n else zero_vector(total)
+    base_c = dense_tensor(alg)
+    c = [[base_c[a][b] + alpha_rows[a][b] if a < n and b < n else zero_vector(total)
           for b in range(total)] for a in range(total)]
 
     rep = Report()
@@ -503,7 +537,7 @@ def build_extension_lifted(base: KahlerCRData, v_dim: int,
     cols = [[row[z] for row in alpha_rows] for z in range(n)]
     cyc = [witness(x=names[a], y=names[b], z=names[d_])
            for a in range(n) for b in range(a + 1, n) for d_ in range(b + 1, n)
-           if not is_zero(lincomb(chain(alg.c[a][b], alg.c[d_][a], alg.c[b][d_]),
+           if not is_zero(lincomb(chain(base_c[a][b], base_c[d_][a], base_c[b][d_]),
                                   chain(cols[d_], cols[b], cols[a]), v_dim))]
     rep.add("extension.cyclic", not cyc, cyc)
 
@@ -532,7 +566,7 @@ def ad_by_brackets(algebra: LieAlgebra, x) -> Matrix:
 
 def center_dense(algebra: LieAlgebra) -> Subspace:
     """Common kernel of the ad e_i; row k of ad e_i is (c[i][j][k])_j."""
-    return kernel(Matrix([col for row in algebra.c for col in zip(*row)]))
+    return kernel(Matrix([col for row in dense_tensor(algebra) for col in zip(*row)]))
 
 
 def _nonzero(v) -> list:
@@ -586,7 +620,7 @@ def schouten_over_fractions(algebra: LieAlgebra, p: Bivector, q: Bivector) -> Tr
     antisymmetric `Fraction` coefficient matrices."""
     if p.dim != algebra.dim or q.dim != algebra.dim:
         raise ValueError("dimension mismatch in schouten")
-    n = algebra.dim
+    n, tensor = algebra.dim, dense_tensor(algebra)
     pm = _full_matrix(p)
     qm = _full_matrix(q)
     acc: dict = {}
@@ -601,7 +635,7 @@ def schouten_over_fractions(algebra: LieAlgebra, p: Bivector, q: Bivector) -> Tr
                     if qcd == 0:
                         continue
                     w = pab * qcd
-                    for k, ck in _nonzero(algebra.c[a][c]):
+                    for k, ck in _nonzero(tensor[a][c]):
                         acc[(k, b, d)] = acc.get((k, b, d), 0) + w * ck
     return Trivector(n, acc)
 
@@ -652,12 +686,12 @@ def check_cocycle_over_fractions(algebra: LieAlgebra, delta) -> Report:
     """`check_cocycle` with `Bivector` sums, `derive_over_fractions` and
     `ad_by_brackets`: delta([x, y]) = ad2(x) delta(y) - ad2(y) delta(x)."""
     rep = Report()
-    n = algebra.dim
+    n, tensor = algebra.dim, dense_tensor(algebra)
     ad = [ad_by_brackets(algebra, basis_vector(n, i)) for i in range(n)]
     bad = []
     for a in range(n):
         for b in range(a + 1, n):
-            lhs = sum((delta[k].scale(ck) for k, ck in enumerate(algebra.c[a][b]) if ck),
+            lhs = sum((delta[k].scale(ck) for k, ck in enumerate(tensor[a][b]) if ck),
                       Bivector(n))
             rhs = derive_over_fractions(ad[a], delta[b]) - derive_over_fractions(ad[b], delta[a])
             if lhs != rhs:
@@ -672,3 +706,37 @@ def omega_defects_over_fractions(k: KahlerCRData) -> tuple:
     rep = check_kahler_over_fractions(k)
     return tuple([dict(w) for w in rep.result(check_id).witnesses]
                  for check_id in ("kahler.omega_antisymmetric", "kahler.omega_closed"))
+
+
+def semisimple_exactness_full_system(k: KahlerCRData):
+    """`semisimple_exactness` with one equation a . [e_a, e_b] = w(e_a, e_b)
+    for every pair a < b, the 0 = 0 rows of the pairs where both sides
+    vanish included."""
+    rep = Report()
+    alg = k.algebra
+    if not alg.is_semisimple():
+        rep.add("exactness.semisimple", False,
+                detail="algebra is not semisimple; exactness machinery unavailable")
+        return None, None, None, rep
+
+    c = dense_tensor(alg)
+    pairs = list(combinations(range(alg.dim), 2))
+    alpha = solve(Matrix([c[a][b] for a, b in pairs]),
+                  tuple(k.omega_matrix[a, b] for a, b in pairs))
+    if alpha is None:
+        rep.add("exactness.alpha_exact", False,
+                detail="w(x,y) = a([x,y]) has no solution: input data invalid "
+                       "for a semisimple Kahler-CR structure")
+        return None, None, None, rep
+    rep.add("exactness.alpha_exact", True)
+
+    K = alg.killing_form()
+    X = solve(K, alpha)
+    assert X is not None  # Killing form nondegenerate
+    rep.add("exactness.killing_dual", True)
+
+    L = alg.centralizer(X)
+    rep.add("exactness.radical_match",
+            L == k.radical and L.dim == alg.dim - k.H.dim,
+            detail=f"dim L = {L.dim}, codim H = {alg.dim - k.H.dim}")
+    return alpha, X, L, rep

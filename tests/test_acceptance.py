@@ -23,7 +23,7 @@ from crlie.linalg import (
     Matrix, Subspace, basis_vector, solve, vdot, vector,
 )
 
-from oracles import all_sign_bivectors, schouten_decomposable
+from oracles import all_sign_bivectors, dense_tensor, schouten_decomposable
 
 
 @contextlib.contextmanager
@@ -226,7 +226,7 @@ def test_criterion_8_negative_fixture_discipline():
         for i in range(3):
             for j in range(3):
                 for k in range(3):
-                    c = [[list(v) for v in row] for row in base.c]
+                    c = [[list(v) for v in row] for row in dense_tensor(base)]
                     c[i][j][k] += 1
                     try:
                         LieAlgebra(c)

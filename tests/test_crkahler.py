@@ -17,7 +17,7 @@ from crlie import (
 from crlie import checks, crkahler
 from crlie.crkahler import induced_bracket
 from crlie.linalg import (
-    Matrix, Subspace, basis_vector, bilinear, is_zero, unscaled, vadd, vdot, vector,
+    Matrix, Subspace, basis_vector, is_zero, unscaled, vadd, vdot, vector,
 )
 
 from oracles import (
@@ -26,7 +26,8 @@ from oracles import (
     check_left_symmetric_ambient, check_left_symmetric_over_fractions,
     check_pseudo_poisson_over_fractions, coboundary_pi_over_fractions,
     crdata_error_over_fractions, left_symmetric_product_by_solves,
-    omega_defects_over_fractions, product_from_coordinates, validate_structure_over_fractions,
+    bilinear, dense_tensor, omega_defects_over_fractions, product_from_coordinates,
+    semisimple_exactness_full_system, validate_structure_over_fractions,
 )
 from test_golden import AFF_AFF_R_DENSE, CASES
 from test_lie import heisenberg3
@@ -312,11 +313,10 @@ def rebased(k, P):
                         P.transpose() * k.metric * P)
 
 
-def test_exactness_killing_dual_identity_on_all_pairs():
-    # the so3_cr and sl2 entries, each also in five seeded det-1 integer
-    # bases (every draw `unimodular` makes is st.integers(-1, 1), taken here
-    # from a seeded generator); the report, which no longer re-checks the
-    # equations, must pass and K(X, [x, y]) = w(x, y) on every basis pair
+def exactness_inputs():
+    """The so3_cr and sl2 entries, each also in five seeded det-1 integer
+    bases (every draw `unimodular` makes is st.integers(-1, 1), taken here
+    from a seeded generator)."""
     inputs = []
     for entry_id in ("so3_cr", "sl2"):
         k = entry_payloads(entry_id).kahler
@@ -324,7 +324,13 @@ def test_exactness_killing_dual_identity_on_all_pairs():
         for seed in range(5):
             rng = random.Random(seed)
             inputs.append(rebased(k, unimodular(lambda _: rng.randint(-1, 1), 3)))
-    for k in inputs:
+    return inputs
+
+
+def test_exactness_killing_dual_identity_on_all_pairs():
+    # the report, which no longer re-checks the equations, must pass and
+    # K(X, [x, y]) = w(x, y) on every basis pair
+    for k in exactness_inputs():
         alpha, X, L, rep = semisimple_exactness(k)
         assert rep.passed
         g, K = k.algebra, k.algebra.killing_form()
@@ -332,6 +338,28 @@ def test_exactness_killing_dual_identity_on_all_pairs():
             for b in range(3):
                 x, y = basis_vector(3, a), basis_vector(3, b)
                 assert vdot(X, K.matvec(g.bracket(x, y))) == k.omega(x, y)
+
+
+def test_exactness_matches_full_system_oracle():
+    # the library solves only the equations of pairs with a nonzero bracket
+    # or w, the oracle all C(n, 2) of them.  On so3_cr + sl2 the cross pairs
+    # have zero brackets; coupling the two metrics makes w nonzero on some of
+    # them, and then there is no solution
+    k1, k2 = (entry_payloads(e).kahler for e in ("so3_cr", "sl2"))
+    g = k1.algebra.direct_sum(k2.algebra)
+    H = Subspace.span([h + (0,) * 3 for h in k1.H.basis] + [(0,) * 3 + h for h in k2.H.basis], 6)
+    cr = CRData(g, H, Matrix.block_diag(k1.j, k2.j))
+    metric = Matrix.block_diag(k1.metric, k2.metric)
+    coupling = Matrix([[Fraction(1, 4) * (abs(a - b) == 3) for b in range(6)] for a in range(6)])
+    inputs = exactness_inputs() + [
+        p.kahler for p in map(parse_document, ORACLE_DOCS.values())
+        if p.kahler is not None and p.algebra.is_semisimple()]
+    inputs += [KahlerCRData(cr, metric), KahlerCRData(cr, metric + coupling)]
+    assert [semisimple_exactness(k)[0] is None for k in inputs[-2:]] == [False, True]
+    for k in inputs:
+        got, want = semisimple_exactness(k), semisimple_exactness_full_system(k)
+        assert got[:3] == want[:3]
+        assert got[3].to_dict() == want[3].to_dict()
 
 
 def test_exactness_sl2():
@@ -570,8 +598,8 @@ def test_omega_defects_are_computed_once_with_an_extension(monkeypatch):
 def test_extension_by_a_coboundary_passes_jacobi_and_cyclic(d, theta):
     # alpha(x, y) = theta([x, y]) is a 2-cocycle, so Jacobi and the cyclic
     # condition hold, although single cyclic terms theta([[x, y], z]) do not vanish
-    n = d.algebra.dim
-    alpha = {(a, b): [vdot(vector(theta), d.algebra.c[a][b])]
+    n, c = d.algebra.dim, dense_tensor(d.algebra)
+    alpha = {(a, b): [vdot(vector(theta), c[a][b])]
              for a in range(n) for b in range(a + 1, n)}
     rep = build_extension(KahlerCRData(d, Matrix.identity(n)), 1, alpha)
     assert rep.result("extension.jacobi").passed
@@ -593,7 +621,8 @@ def test_extension_matches_lifted_oracle_in_dense_bases(d, v_dim, data):
     values = st.lists(small, min_size=v_dim, max_size=v_dim)
     if data.draw(st.booleans()):
         theta = Matrix([data.draw(values) for _ in range(n)])
-        table = [[theta.transpose().matvec(g.c[a][b]) for b in range(n)] for a in range(n)]
+        c = dense_tensor(g)
+        table = [[theta.transpose().matvec(c[a][b]) for b in range(n)] for a in range(n)]
     else:
         table = [[None] * n for _ in range(n)]
         for a in range(n):
@@ -644,8 +673,8 @@ def rescaled(d, q, metric=None):
     """d (and the metric) in the basis q_i e_i: c'[a][b][t] = q_a q_b / q_t
     c[a][b][t], coordinates v'_i = v_i / q_i, j' = Q^-1 j Q and M' = Q M Q.
     c, the RREF rows of H, j and the metric then carry denominators."""
-    g, n = d.algebra, d.algebra.dim
-    c = [[tuple(q[a] * q[b] / q[t] * e for t, e in enumerate(g.c[a][b])) for b in range(n)]
+    g, n, c0 = d.algebra, d.algebra.dim, dense_tensor(d.algebra)
+    c = [[tuple(q[a] * q[b] / q[t] * e for t, e in enumerate(c0[a][b])) for b in range(n)]
          for a in range(n)]
     H = Subspace.span([tuple(e / q[i] for i, e in enumerate(h)) for h in d.H.basis], n)
     j = Matrix([[d.j[r, s] * q[s] / q[r] for s in range(n)] for r in range(n)])

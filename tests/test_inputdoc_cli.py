@@ -1,12 +1,13 @@
 import copy
 import json
 import sys
+import tracemalloc
 
 import pytest
 
 from crlie import (
     InputError, catalog, dump_document, parse_document,
-    parse_text,
+    parse_text, run_checks,
 )
 from crlie.cli import main
 
@@ -131,7 +132,10 @@ ZERO_J4 = [["0"] * 4] * 4
      "extension.V_dim: must be >= 1"),
     (_with_block("heisenberg", "extension", V_dim=-2, alpha=[]),
      "extension.V_dim: must be >= 1"),
-], ids=["duplicate_alpha", "metric_on_zero_H", "zero_V_dim", "negative_V_dim"])
+    (_with_block("so3_bad_metric", "algebra", names=["x", "x", "x"]),
+     "algebra.names: duplicate name 'x'"),
+], ids=["duplicate_alpha", "metric_on_zero_H", "zero_V_dim", "negative_V_dim",
+        "duplicate_names"])
 def test_invalid_blocks_exit_two(tmp_path, capsys, doc, message):
     assert main(["check", write(tmp_path, doc)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
@@ -143,6 +147,19 @@ def test_alpha_is_not_measured_against_an_invalid_V_dim():
     with pytest.raises(InputError) as exc:
         parse_document(doc)
     assert exc.value.diagnostics == ["extension.V_dim: must be >= 1"]
+
+
+def test_bare_dimension_builds_nothing_of_size_dim_squared():
+    # the algebra is stored as its nonzero brackets, of which there are none;
+    # the dense tensor of dim 200 alone would hold 8 million entries
+    tracemalloc.start()
+    try:
+        rep = run_checks(parse_text('{"algebra": {"dim": 200}}'))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and not rep.results
+    assert peak < 2 ** 20
 
 
 def test_cr_only_document_with_zero_H_passes(tmp_path, capsys):

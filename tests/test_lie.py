@@ -4,12 +4,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crlie import LieAlgebra, StructureError, catalog, parse_document, sl2, so3
+from crlie import InputError, LieAlgebra, StructureError, catalog, parse_document, sl2, so3
 from crlie.lie import validate_structure
-from crlie.linalg import Matrix, Subspace, basis_vector, is_zero, kernel, solve, vector
+from crlie.linalg import (
+    Matrix, Subspace, basis_vector, format_rat, is_zero, kernel, solve, vector,
+)
 
 from oracles import (
-    ad_by_brackets, bracket_expanded, center_dense, jacobiator, killing_entry,
+    ad_by_brackets, bracket_expanded, center_dense, dense_tensor, jacobiator, killing_entry,
     validate_structure_over_fractions,
 )
 
@@ -44,7 +46,7 @@ def perturbed_algebras(draw):
     """A 4-dimensional Lie algebra with one bracket entry changed, so that
     Jacobi fails on some basis triples and holds on others."""
     g = draw(st.sampled_from([so3, sl2, heisenberg3]))().direct_sum(LieAlgebra.abelian(1))
-    c = [list(row) for row in g.c]
+    c = [list(row) for row in dense_tensor(g)]
     i, j = draw(st.sampled_from([(a, b) for a in range(4) for b in range(a + 1, 4)]))
     m = draw(st.integers(min_value=0, max_value=3))
     v = list(c[i][j])
@@ -94,8 +96,8 @@ def dense_basis_algebras(draw):
     entries = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=9, max_size=9))
     P = Matrix([entries[0:3], entries[3:6], entries[6:9]])
     assume(P.det() != 0)
-    g = make()
-    return [[solve(P, bracket_expanded(g.c, P.column(i), P.column(j))) for j in range(3)]
+    c = dense_tensor(make())
+    return [[solve(P, bracket_expanded(c, P.column(i), P.column(j))) for j in range(3)]
             for i in range(3)]
 
 
@@ -224,7 +226,7 @@ def test_center_matches_dense_construction_on_catalog(entry_id):
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(dense_tensors(), perturbed_algebras(), asymmetric_tensors(),
                  dense_basis_algebras(),
-                 st.integers(1, 4).map(lambda n: LieAlgebra.abelian(n).c)))
+                 st.integers(1, 4).map(lambda n: dense_tensor(LieAlgebra.abelian(n)))))
 def test_center_matches_dense_construction(c):
     g = LieAlgebra(c, validate=False)
     assert g.center() == center_dense(g)
@@ -254,34 +256,18 @@ def test_subalgebra_and_ideal():
     assert heisenberg3().is_subalgebra(e3) and heisenberg3().is_ideal(e3)
 
 
-# -- quotient ----------------------------------------------------------------
-
-def test_quotient_heisenberg_center():
-    q = heisenberg3().quotient(Subspace.span([basis_vector(3, 2)], 3))
-    assert q.dim == 2
-    assert q == LieAlgebra.abelian(2)
-
-
-def test_quotient_by_zero_is_identity():
-    g = so3()
-    assert g.quotient(Subspace.zero(3)) == g
-
-
-def test_quotient_so3_plus_r_by_r_factor():
-    g = so3().direct_sum(LieAlgebra.abelian(1))
-    q = g.quotient(Subspace.span([basis_vector(4, 3)], 4))
-    assert q == so3()
-
-
-def test_quotient_respects_dimension():
-    g = heisenberg3().direct_sum(LieAlgebra.abelian(2))
-    ideal = Subspace.span([basis_vector(5, 2), basis_vector(5, 3)], 5)
-    assert g.quotient(ideal).dim == g.dim - ideal.dim
-
-
-def test_quotient_rejects_non_ideal():
-    with pytest.raises(ValueError):
-        so3().quotient(Subspace.span([basis_vector(3, 2)], 3))
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(dense_tensors(), dense_basis_algebras()),
+       st.one_of(dense_tensors(), dense_basis_algebras()))
+def test_direct_sum_matches_block_tensor(c1, c2):
+    # the two tables carry different denominators, so their rows are rescaled
+    n, m = len(c1), len(c2)
+    zero = (Fraction(0),) * (n + m)
+    block = [[c1[i][j] + zero[:m] if i < n and j < n else
+              zero[:n] + c2[i - n][j - n] if i >= n and j >= n else zero
+              for j in range(n + m)] for i in range(n + m)]
+    g = LieAlgebra(c1, validate=False).direct_sum(LieAlgebra(c2, validate=False))
+    assert g == LieAlgebra(block, validate=False)
 
 
 # -- construction validation -------------------------------------------------
@@ -291,7 +277,7 @@ def test_construction_rejects_every_single_mutation_of_so3():
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                c = [[list(v) for v in row] for row in base.c]
+                c = [[list(v) for v in row] for row in dense_tensor(base)]
                 c[i][j][k] += 1
                 with pytest.raises(StructureError):
                     LieAlgebra(c)
@@ -304,3 +290,28 @@ def test_structure_error_carries_witnesses():
     with pytest.raises(StructureError) as exc:
         LieAlgebra(c)
     assert ("antisymmetry", (0, 1)) in exc.value.violations
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(dense_tensors(), perturbed_algebras(), dense_basis_algebras()), st.data())
+def test_parsed_algebra_matches_dense_construction(c, data):
+    # each pair a < b listed as (a, b), as (b, a) with the opposite value, both
+    # ways, or, when its bracket is zero, not at all; in a shuffled order.
+    # The parser mirrors what is given and never builds the dense tensor
+    n = len(c)
+    entries = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            ways = [[(a, b)], [(b, a)], [(a, b), (b, a)]] + ([[]] if is_zero(c[a][b]) else [])
+            for x, y in data.draw(st.sampled_from(ways)):
+                entries.append({"x": x + 1, "y": y + 1,
+                                "result": [format_rat(e) for e in c[x][y]]})
+    doc = {"algebra": {"dim": n, "brackets": data.draw(st.permutations(entries))}}
+    try:
+        expected = LieAlgebra(c)
+    except StructureError as e:
+        with pytest.raises(InputError) as exc:
+            parse_document(doc)
+        assert exc.value.diagnostics == [f"algebra.brackets: {e}"]
+    else:
+        assert parse_document(doc).algebra == expected

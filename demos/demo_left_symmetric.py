@@ -22,20 +22,21 @@ def main():
 
     product = left_symmetric_product(k)
     print("left-symmetric product on H (zero rows omitted):")
-    m = len(product.H_basis)
+    basis = product.H.basis
+    m = len(basis)
     for a in range(m):
         for b in range(m):
             value = product.ambient(a, b)
             if any(value):
-                x = fmt_vec(names, product.H_basis[a])
-                y = fmt_vec(names, product.H_basis[b])
+                x = fmt_vec(names, basis[a])
+                y = fmt_vec(names, basis[b])
                 print(f"  ({x}) * ({y}) = {fmt_vec(names, value)}")
 
     print("\ncommutator x*y - y*x versus the ambient bracket:")
     comm = induced_bracket(k, product)
     for a in range(m):
         for b in range(a + 1, m):
-            x, y = product.H_basis[a], product.H_basis[b]
+            x, y = basis[a], basis[b]
             agree = comm[(a, b)] == g.bracket(x, y)
             print(f"  [{fmt_vec(names, x)}, {fmt_vec(names, y)}]'"
                   f" = {fmt_vec(names, comm[(a, b)])}"

@@ -65,7 +65,7 @@ def cmd_construct(args) -> int:
     except ValueError as e:
         raise InputError([str(e)])
     names = payloads.algebra.names
-    basis = [fmt_vec(names, h) for h in product.H_basis]
+    basis = [fmt_vec(names, h, product.H.scale) for h in product.H.ints]
     print("left-symmetric product on H:")
     for a, x in enumerate(basis):
         for b, y in enumerate(basis):

@@ -13,19 +13,14 @@ semisimple algebras.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, permutations
 from math import gcd
 from typing import Mapping, Optional, Sequence
 
-from .lie import (
-    IntTable, LieAlgebra, contraction, cyclic_nonzero, nonzero_contraction, validate_structure,
-)
+from .lie import IntTable, LieAlgebra, contraction, cyclic_nonzero, nonzero_contraction
 from .linalg import (
-    Matrix, Subspace, Vector,
-    basis_vector, is_zero, kernel, lincomb, rref, scaled_sparse, solve, unscaled,
-    vdot, vector, vscale, vsub,
+    Matrix, Subspace, Vector, is_zero, kernel, lincomb, rref, solve, vector, vscale, vsub,
 )
 from .report import Report, fmt_vec, witness
 
@@ -39,9 +34,9 @@ class CRData:
 
     Construction enforces the structural invariants (j preserves H,
     j^2 = -Id on H, image(j) inside H); the two integrability conditions
-    are verified by `check_cr` and reported, not raised.  H's RREF basis, j,
-    the brackets on H and j on H are kept as integer tables, each a pair
-    (s, ints) with ints / s the exact value and each built once.
+    are verified by `check_cr` and reported, not raised.  The brackets on H
+    and j on H are integer tables built once from the integer forms of H and
+    j, each a pair (s, ints) with ints / s the exact value.
     """
 
     algebra: LieAlgebra
@@ -54,9 +49,8 @@ class CRData:
             raise ValueError("H lives in the wrong ambient dimension")
         if self.j.rows != n or self.j.cols != n:
             raise ValueError("j must be an endomorphism of the full algebra")
-        j = self.j_rows[1]
         for i in range(n):
-            if not self.in_H([row.get(i, 0) for row in j]):
+            if not self.H.contains([row.get(i, 0) for row in self.j.ints]):
                 raise ValueError(f"image of j not contained in H (column {i + 1})")
         # j h_a = sum_e jH[a][e] h_e, so j^2 h_a = sum_e (jH jH)[a][e] h_e
         s, J = self.jH
@@ -65,34 +59,10 @@ class CRData:
                 raise ValueError("j^2 is not -Id on H")
 
     @cached_property
-    def basis_ints(self) -> tuple[int, list]:
-        """H's RREF basis h_a as sparse integer rows {i: x}, with their scale."""
-        return scaled_sparse(self.H.basis)
-
-    @cached_property
-    def annihilator(self) -> list:
-        """Integer functionals, one per non-pivot column f, whose common kernel
-        is H: v = sum_a v[p_a] h_a holds at the pivots p_a by construction, so
-        v is in H iff s v[f] - sum_a s h_a[f] v[p_a] = 0 at every other f.
-        Empty when H = G."""
-        s, H = self.basis_ints
-        return [{f: s, **{p: -h[f] for p, h in zip(self.H.pivots, H) if f in h}}
-                for f in range(self.algebra.dim) if f not in self.H.pivots]
-
-    def in_H(self, v) -> bool:
-        """Membership of v, or of any nonzero multiple of it, in H."""
-        return all(sum(x * v[i] for i, x in phi.items()) == 0 for phi in self.annihilator)
-
-    @cached_property
-    def j_rows(self) -> tuple[int, list]:
-        """j as sparse integer rows {i: x}, with their scale."""
-        return scaled_sparse(self.j.data)
-
-    @cached_property
     def brackets(self) -> tuple[int, list]:
         """(s, B) with B[a][b] = s [h_a, h_b], an integer n-vector, for the
         RREF basis of H; each pair a < b is contracted with c once."""
-        table, (sh, H) = self.algebra.table, self.basis_ints
+        table, sh, H = self.algebra.table, self.H.scale, self.H.ints
         rows, n, m = table.rows, self.algebra.dim, len(H)
         B = [[(0,) * n] * m for _ in range(m)]
         for a in range(m):
@@ -110,9 +80,9 @@ class CRData:
     def jH(self) -> tuple[int, list]:
         """(s, J): j on H in H-coordinates, row a being s j h_a read at the
         pivots of H."""
-        (sj, j), (sh, H) = self.j_rows, self.basis_ints
-        return sj * sh, [tuple(sum(x * h.get(i, 0) for i, x in j[p].items())
-                               for p in self.H.pivots) for h in H]
+        j, H = self.j.ints, self.H.ints
+        return self.j.scale * self.H.scale, [tuple(sum(x * h.get(i, 0) for i, x in j[p].items())
+                                                   for p in self.H.pivots) for h in H]
 
 
 @dataclass(frozen=True)
@@ -154,30 +124,21 @@ class KahlerCRData:
         return self.metric * self.j
 
     @cached_property
-    def omega_rows(self) -> tuple[int, list]:
-        """The matrix of w as sparse integer rows {i: x}, with their scale."""
-        return scaled_sparse(self.omega_matrix.data)
-
-    @cached_property
     def omega_images(self) -> tuple[int, list]:
         """(s, U) with U[b] = s Omega h_b, an integer n-vector: w(x, h_b) is
         x . U[b] / s."""
-        (sw, om), (sh, H) = self.omega_rows, self.cr.basis_ints
-        return sw * sh, [tuple(sum(x * h.get(i, 0) for i, x in row.items()) for row in om)
-                         for h in H]
+        om, H = self.omega_matrix, self.H
+        return om.scale * H.scale, [tuple(sum(x * h.get(i, 0) for i, x in row.items())
+                                          for row in om.ints) for h in H.ints]
 
     @cached_property
-    def gram_ints(self) -> tuple[int, list]:
-        """(s, G) with G[a][b] = s w(h_a, h_b), an integer, for the RREF basis
-        of H."""
-        (su, U), (sh, H) = self.omega_images, self.cr.basis_ints
-        return su * sh, [[sum(x * u[i] for i, x in h.items()) for u in U] for h in H]
-
-    @cached_property
-    def omega_gram(self) -> Matrix:
-        """Gram matrix of w on the basis of H: entry (a, b) is w(h_a, h_b)."""
-        s, G = self.gram_ints
-        return Matrix([unscaled(row, s) for row in G])
+    def gram(self) -> Matrix:
+        """Gram matrix of w on the RREF basis of H: entry (a, b) is
+        w(h_a, h_b)."""
+        (su, U), H = self.omega_images, self.H
+        return Matrix.from_ints(len(U), su * H.scale,
+                                [{b: sum(x * u[i] for i, x in h.items()) for b, u in enumerate(U)}
+                                 for h in H.ints])
 
     @cached_property
     def radical(self) -> Subspace:
@@ -189,13 +150,13 @@ class KahlerCRData:
         """The witnesses of `kahler.omega_antisymmetric` and
         `kahler.omega_closed`, read by `check_kahler` and `build_extension`."""
         alg, n = self.algebra, self.algebra.dim
-        names, omega = alg.names, self.omega_matrix
+        names, om = alg.names, self.omega_matrix.ints
         anti = [witness(x=names[a], y=names[b]) for a in range(n) for b in range(a, n)
-                if omega[a, b] != -omega[b, a]]
+                if om[a].get(b, 0) != -om[b].get(a, 0)]
 
         # W[a, b, t] = w([e_a, e_b], e_t) = sum_m c[a][b][m] omega[m, t], times
         # the scales of c and omega, kept for the nonzero brackets only
-        table, om = alg.table, dict(enumerate(self.omega_rows[1]))
+        table, om = alg.table, dict(enumerate(om))
         W = {(a, b, t): x for a, row in enumerate(table.rows) for b, v in row.items()
              for t, x in contraction([(1, v, om)]).items()}
         # S(a, b, t) = W[a, b, t] + W[t, a, b] + W[b, t, a] is cyclic and, as W is
@@ -206,9 +167,6 @@ class KahlerCRData:
         return anti, [witness(x=names[a], y=names[b], z=names[t])
                       for a, b, t in sorted(p for abt in failing for p in permutations(abt))]
 
-    def omega(self, x: Vector, y: Vector) -> Fraction:
-        return vdot(x, self.omega_matrix.matvec(y))
-
 
 @dataclass(frozen=True)
 class LeftSymmetricProduct:
@@ -216,7 +174,7 @@ class LeftSymmetricProduct:
     H-coordinates, h_a h_b = sum_c P[a][b][c] h_c / scale, kept in lowest
     terms so that equal products compare equal."""
 
-    H_basis: tuple
+    H: Subspace
     scale: int
     P: tuple
 
@@ -226,12 +184,9 @@ class LeftSymmetricProduct:
         object.__setattr__(self, "P", tuple(tuple(tuple(x // g for x in v) for v in row)
                                             for row in self.P))
 
-    def is_zero(self) -> bool:
-        return not any(x for row in self.P for v in row for x in v)
-
     def ambient(self, a: int, b: int) -> Vector:
         """h_a h_b in the coordinates of G."""
-        return lincomb(unscaled(self.P[a][b], self.scale), self.H_basis, len(self.H_basis[0]))
+        return self.H.member(dict(enumerate(self.P[a][b])), self.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +203,8 @@ def check_cr(d: CRData) -> Report:
     are tested on integers: (2) on s_J^2 s_B times the difference, (3) on
     s_j s_J^2 s_B times both sides."""
     rep = Report()
-    (sB, B), (sJ, J), (sj, j) = d.brackets, d.jH, d.j_rows
-    basis, names = d.H.basis, d.algebra.names
+    (sB, B), (sJ, J), (sj, j) = d.brackets, d.jH, (d.j.scale, d.j.ints)
+    basis, sh, names = d.H.ints, d.H.scale, d.algebra.names
     m, n = len(basis), d.algebra.dim
     K = [[lincomb(J[a], (row[b] for row in B), n) for b in range(m)] for a in range(m)]
     s2, s3 = sJ * sJ * sB, sj * sJ * sJ * sB
@@ -258,15 +213,15 @@ def check_cr(d: CRData) -> Report:
         for b in range(a + 1, m):
             xy, lhs = tuple(sJ * sJ * e for e in B[a][b]), lincomb(J[b], K[a], n)
             diff = vsub(xy, lhs)
-            if not d.in_H(diff):
-                w2.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, basis[b]),
-                                  offending=fmt_vec(names, unscaled(diff, s2))))
+            if not d.H.contains(diff):
+                w2.append(witness(x=fmt_vec(names, x, sh), y=fmt_vec(names, basis[b], sh),
+                                  offending=fmt_vec(names, diff, s2)))
             jk = vsub(K[a][b], K[b][a])
             offending = tuple(sj * (e - f) - sJ * sum(z * jk[i] for i, z in row.items())
                               for e, f, row in zip(lhs, xy, j))
             if any(offending):
-                w3.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, basis[b]),
-                                  offending=fmt_vec(names, unscaled(offending, s3))))
+                w3.append(witness(x=fmt_vec(names, x, sh), y=fmt_vec(names, basis[b], sh),
+                                  offending=fmt_vec(names, offending, s3)))
     rep.add("cr.condition2", not w2, w2)
     rep.add("cr.condition3", not w3, w3)
     return rep
@@ -279,7 +234,7 @@ def check_kahler(k: KahlerCRData) -> Report:
     anti, closed = k.omega_defects
     rep.add("kahler.omega_antisymmetric", not anti, anti)
     rep.add("kahler.omega_closed", not closed, closed)
-    rep.add("kahler.omega_h_nondegenerate", k.omega_gram.det() != 0)
+    rep.add("kahler.omega_h_nondegenerate", k.gram.det() != 0)
     return rep
 
 
@@ -289,24 +244,25 @@ def check_kahler(k: KahlerCRData) -> Report:
 def left_symmetric_product(k: KahlerCRData) -> LeftSymmetricProduct:
     """For basis x, y of H, the unique xy in H with w(xy, z) = -w(y, [x, z])
     for all z in H, solved through the w|H Gram system."""
-    m = k.H.dim
+    m, G = k.H.dim, k.gram
     # w(sum_c coeff_c h_c, h_b) = sum_c coeff_c gram[c][b]  =>  coeff = (gram^T)^-1 rhs.
-    # Row reduction turns [gram^T | I] into [I | (gram^T)^-1]; gram is singular
-    # exactly when some pivot falls in I instead
-    reduced, pivots = rref([tuple(r) + basis_vector(m, i)
-                            for i, r in enumerate(k.omega_gram.transpose().data)])
+    # Row reduction turns the integer [G^T | I] into si [I | (G^T)^-1], and
+    # (gram^T)^-1 = s_G (G^T)^-1; gram is singular exactly when some pivot
+    # falls in I instead
+    si, reduced, pivots = rref([{**r, m + i: 1} for i, r in enumerate(G.transpose().ints)],
+                               2 * m)
     if pivots != list(range(m)):
         raise ValueError("omega restricted to H is degenerate")
-    si, inverse = scaled_sparse(r[m:] for r in reduced)
+    inverse = [{c - m: G.scale * x for c, x in r.items() if c >= m} for r in reduced]
     # w(y, v) = (Omega^T y) . v, with R[b] = s Omega^T h_b
-    (sw, om), (sh, H), (sB, B) = k.omega_rows, k.cr.basis_ints, k.cr.brackets
-    om = dict(enumerate(om))
-    R = [contraction([(1, h, om)]) for h in H]
+    om, H, (sB, B) = k.omega_matrix, k.H, k.cr.brackets
+    rows = dict(enumerate(om.ints))
+    R = [contraction([(1, h, rows)]) for h in H.ints]
     # P[a][b] = inverse . rhs, with rhs[z] = -s w(h_b, [h_a, h_z])
     P = [[[sum(x * rhs[z] for z, x in row.items()) for row in inverse]
           for rhs in ([-sum(x * v[t] for t, x in r.items()) for v in brackets] for r in R)]
          for brackets in B]
-    return LeftSymmetricProduct(tuple(k.H.basis), si * sw * sh * sB, P)
+    return LeftSymmetricProduct(H, si * om.scale * H.scale * sB, P)
 
 
 def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
@@ -318,13 +274,13 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
     holds the structure constants of the induced bracket."""
     rep = Report()
     m, n, s, P = k.H.dim, k.algebra.dim, p.scale, p.P
-    fmt = [fmt_vec(k.algebra.names, h) for h in k.H.basis]
+    fmt = [fmt_vec(k.algebra.names, h, k.H.scale) for h in k.H.ints]
     C = IntTable.dense([[vsub(P[a][b], P[b][a]) for b in range(m)] for a in range(m)])
 
     # w(xy - yx, h_t) = sum_c C[a][b][c] G[c][t] / (s s_G) and w([x, y], h_t) =
     # B[a][b] . U[t] / (s_B s_U); tested on s s_G s_B s_U times the difference
-    (sB, B), (sU, U), (sG, G) = k.cr.brackets, k.omega_images, k.gram_ints
-    gram = {c: {t: x for t, x in enumerate(row) if x} for c, row in enumerate(G)}
+    (sB, B), (sU, U), sG = k.cr.brackets, k.omega_images, k.gram.scale
+    gram = dict(enumerate(k.gram.ints))
     images = {i: {t: u[i] for t, u in enumerate(U) if u[i]} for i in range(n)}
     w1 = []
     for a in range(m):
@@ -357,7 +313,7 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
 
 def induced_bracket(k: KahlerCRData, p: LeftSymmetricProduct) -> dict:
     """The commutator table [x,y]' = xy - yx on the H basis."""
-    m = len(p.H_basis)
+    m = p.H.dim
     return {(a, b): vsub(p.ambient(a, b), p.ambient(b, a))
             for a in range(m) for b in range(m)}
 
@@ -369,42 +325,45 @@ def omega_radical(k: KahlerCRData) -> tuple[Subspace, Report]:
     """L = {x : w(x, G) = 0}, with the subalgebra and <,>-orthogonality
     verdicts of the radical proposition."""
     rep = Report()
-    L = k.radical
+    L, H, names = k.radical, k.H, k.algebra.names
     rep.add("radical.subalgebra", k.algebra.is_subalgebra(L))
-    orth = []
-    names = k.algebra.names
-    images = [k.metric.matvec(h) for h in k.H.basis]
-    for x in L.basis:
-        for h, image in zip(k.H.basis, images):
-            if vdot(x, image) != 0:
-                orth.append(witness(x=fmt_vec(names, x), h=fmt_vec(names, h)))
+    # <x, h_b> = x . images[b] / (s_M s_H) for the integer rows x of L
+    images = [[sum(x * h.get(i, 0) for i, x in row.items()) for row in k.metric.ints]
+              for h in H.ints]
+    orth = [witness(x=fmt_vec(names, x, L.scale), h=fmt_vec(names, h, H.scale))
+            for x in L.ints for h, image in zip(H.ints, images)
+            if sum(e * image[i] for i, e in x.items())]
     rep.add("radical.orthogonal_h", not orth, orth)
     return L, rep
 
 
 def center_U(k: KahlerCRData) -> tuple[Subspace, Report]:
-    """U = (Z(G) cap H) + j(Z(G) cap H); commutative, and ad z keeps H in H."""
+    """U = (Z(G) cap H) + j(Z(G) cap H); commutative, and ad z keeps H in H.
+
+    Every bracket contracts integer rows of U and H with the table, and its
+    membership in H is that of the integer vector."""
     rep = Report()
-    alg = k.algebra
-    zh = alg.center().intersect(k.H)
-    jzh = Subspace.span([k.j.matvec(v) for v in zh.basis], alg.dim)
-    U = zh.sum(jzh)
-    names = alg.names
+    alg, H, names = k.algebra, k.H, k.algebra.names
+    zh = alg.center().intersect(H)
+    # s_j s_z j z = sum_i z_i (column i of s_j j)
+    cols = dict(enumerate(k.j.transpose().ints))
+    U = Subspace.from_ints(alg.dim, [*zh.ints, *(contraction([(1, z, cols)]) for z in zh.ints)])
+    s_uu, s_uh = alg.table.scale * U.scale * U.scale, alg.table.scale * U.scale * H.scale
     comm = []
-    for a, x in enumerate(U.basis):
-        for y in U.basis[a:]:
-            b = alg.bracket(x, y)
-            if not is_zero(b):
-                comm.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, y),
-                                    offending=fmt_vec(names, b)))
+    for a, x in enumerate(U.ints):
+        for y in U.ints[a:]:
+            b = alg.bracket_ints(x, y)
+            if any(b):
+                comm.append(witness(x=fmt_vec(names, x, U.scale), y=fmt_vec(names, y, U.scale),
+                                    offending=fmt_vec(names, b, s_uu)))
     rep.add("center_u.commutative", not comm, comm)
     stab = []
-    for z in U.basis:
-        for h in k.H.basis:
-            b = alg.bracket(z, h)
-            if not k.H.contains(b):
-                stab.append(witness(z=fmt_vec(names, z), h=fmt_vec(names, h),
-                                    offending=fmt_vec(names, b)))
+    for z in U.ints:
+        for h in H.ints:
+            b = alg.bracket_ints(z, h)
+            if not H.contains(b):
+                stab.append(witness(z=fmt_vec(names, z, U.scale), h=fmt_vec(names, h, H.scale),
+                                    offending=fmt_vec(names, b, s_uh)))
     rep.add("center_u.stabilizes_h", not stab, stab)
     return U, rep
 
@@ -418,37 +377,45 @@ def ideal_complement_complex(d: CRData, ideal: Subspace) -> tuple[LieAlgebra, Ma
 
     Raises ValueError when I is not an ideal or not complementary to H.
     """
-    alg = d.algebra
+    alg, H = d.algebra, d.H
     if not alg.is_ideal(ideal):
         raise ValueError("not an ideal")
-    if ideal.dim + d.H.dim != alg.dim or ideal.intersect(d.H).dim != 0:
+    if ideal.dim + H.dim != alg.dim or ideal.intersect(H).dim != 0:
         raise ValueError("ideal is not supplementary to H")
 
-    basis = d.H.basis
-    m = len(basis)
-    # v = sum_a s_a h_a + (a member of I): the first m coordinates of the
-    # solution in the combined basis are the H-coordinates of v's projection
-    A = Matrix.from_columns(list(basis) + list(ideal.basis))
-    s, B = d.brackets
-    c = [[solve(A, unscaled(v, s))[:m] for v in row] for row in B]
+    # [h_a, h_b] = sum_e x_e h_e + (a member of I), x holding the H-coordinates
+    # of its projection.  One row reduction of [A | B] solves every pair a < b:
+    # A has the integer columns of H and I and is invertible, B the columns
+    # s_B [h_a, h_b], so the RREF is s [I | A^-1 B], and x_e = s_H (A^-1 B)_e / s_B
+    n, m, (sB, B) = alg.dim, H.dim, d.brackets
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    columns = [*H.ints, *ideal.ints, *(dict(enumerate(B[a][b])) for a, b in pairs)]
+    s, R, _ = rref(Matrix.from_ints(n, 1, columns).transpose().ints, n + len(pairs))
+    X = Matrix.from_ints(len(pairs), s * sB,
+                         [{p - n: H.scale * x for p, x in r.items() if p >= n} for r in R[:m]])
+    rows = [{} for _ in range(m)]
+    for e, row in enumerate(X.ints):
+        for p, x in row.items():
+            a, b = pairs[p]
+            rows[a].setdefault(b, {})[e] = x
+            rows[b].setdefault(a, {})[e] = -x
+    quotient_like = LieAlgebra(IntTable(m, X.scale, rows), names=[f"h{i + 1}" for i in range(m)],
+                               validate=False)
     rep = Report()
-    bad = validate_structure(c)
+    bad = quotient_like.table.violations()
     rep.add("ideal.jacobi", not bad,
             [witness(kind=k, indices=str(tuple(i + 1 for i in idx))) for k, idx in bad])
-    quotient_like = LieAlgebra(c, names=[f"h{i + 1}" for i in range(m)], validate=False)
 
-    s, J = d.jH
-    jH = Matrix.from_columns([unscaled(row, s) for row in J])
-    wj = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            lhs = jH.matvec(c[a][b])
-            rhs = quotient_like.bracket(jH.column(a), basis_vector(m, b))
-            if lhs != rhs:
-                wj.append(witness(x=fmt_vec(alg.names, basis[a]),
-                                  y=fmt_vec(alg.names, basis[b])))
+    # j [h_a, h_b]' = sum_e c[a][b][e] j h_e and [j h_a, h_b]' = sum_e jH[a][e] [h_e, h_b]',
+    # compared as s_J times both sides
+    sJ, J = d.jH
+    jrows = [{f: x for f, x in enumerate(row) if x} for row in J]
+    jmap, fmt = dict(enumerate(jrows)), [fmt_vec(alg.names, h, H.scale) for h in H.ints]
+    wj = [witness(x=fmt[a], y=fmt[b]) for a, b in pairs
+          if nonzero_contraction([(1, rows[a].get(b, {}), jmap),
+                                  (-1, jrows[a], {e: r.get(b, {}) for e, r in enumerate(rows)})])]
     rep.add("ideal.complex_structure", not wj, wj)
-    return quotient_like, jH, rep
+    return quotient_like, Matrix.from_ints(m, sJ, jrows).transpose(), rep
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +467,7 @@ def build_extension(base: KahlerCRData, v_dim: int,
 
     # j and A hold s_j j and s_A alpha, so s_j^2 s_A alpha(j e_a, j e_b) is
     # sum_r j[r][a] sum_t j[t][b] A[r][t], to be compared with s_j^2 A[a][b]
-    sj, j = base.cr.j_rows
-    cols = [{r: row[a] for r, row in enumerate(j) if a in row} for a in range(n)]
+    sj, cols = base.j.scale, base.j.transpose().ints
     jinv = [witness(x=names[a], y=names[b]) for a in range(n) for b in range(a + 1, n)
             if nonzero_contraction(chain(((x, cols[b], A[r]) for r, x in cols[a].items()),
                                          [(-sj * sj, {b: 1}, A[a])]))]
@@ -538,10 +504,9 @@ def semisimple_exactness(k: KahlerCRData) -> tuple[Optional[Vector], Optional[Ve
     # a solution satisfies every equation, so alpha_exact fails only when
     # there is none
     table = alg.table
-    pairs = sorted({(a, b) for rows in (table.rows, k.omega_rows[1])
+    pairs = sorted({(a, b) for rows in (table.rows, k.omega_matrix.ints)
                     for a, row in enumerate(rows) for b in row if a < b})
-    alpha = solve(Matrix([[table.rows[a].get(b, {}).get(i, 0) for i in range(alg.dim)]
-                          for a, b in pairs]),
+    alpha = solve(Matrix.from_ints(alg.dim, 1, [table.rows[a].get(b, {}) for a, b in pairs]),
                   tuple(table.scale * k.omega_matrix[a, b] for a, b in pairs))
     if alpha is None:
         rep.add("exactness.alpha_exact", False,

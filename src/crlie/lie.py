@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .linalg import Matrix, Subspace, Vector, basis_vector, kernel, vector
+from .linalg import Matrix, Subspace, Vector, kernel, vector
 
 
 class StructureError(ValueError):
@@ -101,11 +101,6 @@ def nonzero_contraction(terms) -> bool:
     return any(contraction(terms).values())
 
 
-def validate_structure(c: Sequence[Sequence[Vector]]) -> list:
-    """Collect antisymmetry and Jacobi violations of a bracket tensor."""
-    return IntTable.dense(c).violations()
-
-
 class LieAlgebra:
     """Finite-dimensional real Lie algebra over exact rational coordinates.
 
@@ -167,9 +162,15 @@ class LieAlgebra:
         """sum_{i,j} x_i y_j c[i][j], over the nonzero entries of the table."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("dimension mismatch in bracket")
-        ys = {j: e for j, e in enumerate(y) if e}
-        acc = contraction((xi, ys, row) for xi, row in zip(x, self.table.rows) if xi)
-        return tuple(Fraction(acc.get(k, 0), self.table.scale) for k in range(self.dim))
+        acc = self.bracket_ints(*({i: e for i, e in enumerate(v) if e} for v in (x, y)))
+        return tuple(Fraction(e, self.table.scale) for e in acc)
+
+    def bracket_ints(self, x: Mapping, y: Mapping) -> list:
+        """table.scale [x, y] as a list, for sparse vectors {i: x_i}: integer
+        for integer x and y."""
+        rows = self.table.rows
+        acc = contraction((xi, y, rows[i]) for i, xi in x.items())
+        return [acc.get(k, 0) for k in range(self.dim)]
 
     def ad(self, x: Vector) -> Matrix:
         """Matrix of y -> [x, y]: column j is [x, e_j] = sum_i x_i c[i][j]."""
@@ -188,11 +189,11 @@ class LieAlgebra:
         summed over the nonzero entries of c[i] and built once per algebra."""
         if self._killing is None:
             rows, s = self.table.rows, self.table.scale
-            object.__setattr__(self, "_killing", Matrix(
-                [[Fraction(sum(x * rows[j].get(k, {}).get(l, 0)
-                               for l, v in rows[i].items() for k, x in v.items()), s * s)
-                  for j in range(self.dim)]
-                 for i in range(self.dim)]))
+            object.__setattr__(self, "_killing", Matrix.from_ints(self.dim, s * s, [
+                {j: sum(x * rows[j].get(k, {}).get(l, 0)
+                        for l, v in rows[i].items() for k, x in v.items())
+                 for j in range(self.dim)}
+                for i in range(self.dim)]))
         return self._killing
 
     def is_semisimple(self) -> bool:
@@ -201,26 +202,26 @@ class LieAlgebra:
 
     def center(self) -> Subspace:
         # z is central iff sum_j c[i][j][k] z_j = 0 for all i, k: one integer
-        # equation per (i, k) with a nonzero entry, or a zero row if none
+        # equation per (i, k) with a nonzero entry
         eqs = {}
         for i, row in enumerate(self.table.rows):
             for j, v in row.items():
                 for k, x in v.items():
-                    eqs.setdefault((i, k), [0] * self.dim)[j] = x
-        return kernel(Matrix(eqs.values() or [[0] * self.dim]))
+                    eqs.setdefault((i, k), {})[j] = x
+        return kernel(Matrix.from_ints(self.dim, 1, eqs.values()))
 
     def centralizer(self, x: Vector) -> Subspace:
         return kernel(self.ad(x))
 
     def is_subalgebra(self, s: Subspace) -> bool:
         self._check_space(s)
-        return all(s.contains(self.bracket(u, v))
-                   for a, u in enumerate(s.basis) for v in s.basis[a + 1:])
+        return all(s.contains(self.bracket_ints(u, v))
+                   for a, u in enumerate(s.ints) for v in s.ints[a + 1:])
 
     def is_ideal(self, s: Subspace) -> bool:
         self._check_space(s)
-        return all(s.contains(self.bracket(basis_vector(self.dim, i), v))
-                   for i in range(self.dim) for v in s.basis)
+        return all(s.contains(self.bracket_ints({i: 1}, v))
+                   for i in range(self.dim) for v in s.ints)
 
     def direct_sum(self, other: "LieAlgebra",
                    names: Optional[Sequence[str]] = None) -> "LieAlgebra":

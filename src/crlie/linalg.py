@@ -1,17 +1,21 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, computed on integers.
 
-Everything downstream computes with `fractions.Fraction`, so identities are
-checked against literal zero -- no tolerances anywhere.  Subspaces are kept in
-reduced row-echelon form, which makes equality and membership decidable by
-direct comparison.  The hot contractions run on `scaled` integer forms: a
-table times the least common denominator of its entries.  Every identity
-they test is homogeneous, so the scale cannot change a zero test.
+Identities are checked against literal zero -- no tolerances anywhere.  A
+`Matrix` is kept as sparse integer rows over one scale, the least common
+denominator of its entries, and a `Subspace` as its reduced row-echelon
+basis in the same form plus its pivots.  Both forms are canonical, so
+equality is a comparison.  One fraction-free Gauss-Jordan elimination,
+`_echelon`, serves `rref`, `kernel`, `solve` and `det`: Bareiss's exact
+division (Math. Comp. 22 (1968) 565-578) in the Gauss-Jordan form of Nakos,
+Turner and Williams (ACM SIGSAM Bull. 31(3), 1997).  `Fraction` enters where
+rationals are read (`rat`, `Matrix(rows)`, `Subspace.span`) and leaves where
+an entry or a vector is handed out or formatted.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
@@ -41,19 +45,21 @@ def format_rat(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def format_terms(terms: Iterable) -> str:
-    """Render (coefficient, symbol) pairs as "a - 2*b + 1/2*c"; zero
-    coefficients are skipped and an empty sum is "0"."""
+def format_terms(terms: Iterable, scale: int = 1) -> str:
+    """Render (coefficient, symbol) pairs, each coefficient divided by scale,
+    as "a - 2*b + 1/2*c"; zero coefficients are skipped and an empty sum is
+    "0"."""
     out = []
     for coeff, symbol in terms:
         if coeff == 0:
             continue
-        if coeff == 1:
+        q = Fraction(coeff, scale)
+        if q == 1:
             out.append(symbol)
-        elif coeff == -1:
+        elif q == -1:
             out.append(f"-{symbol}")
         else:
-            out.append(f"{format_rat(coeff)}*{symbol}")
+            out.append(f"{format_rat(q)}*{symbol}")
     return " + ".join(out).replace("+ -", "- ") if out else "0"
 
 
@@ -64,17 +70,8 @@ def vector(entries: Iterable) -> Vector:
     return tuple(rat(e) for e in entries)
 
 
-def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
 def basis_vector(n: int, i: int) -> Vector:
     return tuple(Fraction(1 if k == i else 0) for k in range(n))
-
-
-def vadd(x: Vector, y: Vector) -> Vector:
-    _same_dim(x, y)
-    return tuple(a + b for a, b in zip(x, y))
 
 
 def vsub(x: Vector, y: Vector) -> Vector:
@@ -85,12 +82,6 @@ def vsub(x: Vector, y: Vector) -> Vector:
 def vscale(c, x: Vector) -> Vector:
     c = rat(c)
     return tuple(c * a for a in x)
-
-
-def vdot(x: Vector, y: Vector) -> Fraction:
-    """sum_i x_i y_i, skipping terms with a zero factor."""
-    _same_dim(x, y)
-    return sum((a * b for a, b in zip(x, y) if a and b), Fraction(0))
 
 
 def lincomb(coeffs: Iterable, vectors: Iterable[Vector], n: int) -> Vector:
@@ -105,23 +96,14 @@ def lincomb(coeffs: Iterable, vectors: Iterable[Vector], n: int) -> Vector:
     return tuple(acc)
 
 
-def scaled(rows: Iterable[Iterable]) -> tuple[int, list]:
-    """(s, ints) with rows[i][k] = ints[i][k] / s exactly, where s is the least
-    common denominator of the entries (1 when there are none)."""
+def scaled_sparse(rows: Iterable[Iterable]) -> tuple[int, list]:
+    """(s, ints) with rows[i][k] = ints[i].get(k, 0) / s exactly, where s is
+    the least common denominator of the entries (1 when there are none) and
+    ints[i] = {k: x} keeps the nonzero entries."""
     rows = [tuple(r) for r in rows]
     s = lcm(*(e.denominator for r in rows for e in r))
-    return s, [tuple(e.numerator * (s // e.denominator) for e in r) for r in rows]
-
-
-def scaled_sparse(rows: Iterable[Iterable]) -> tuple[int, list]:
-    """`scaled`, each integer row kept as {k: x} over its nonzero entries."""
-    s, ints = scaled(rows)
-    return s, [{k: x for k, x in enumerate(r) if x} for r in ints]
-
-
-def unscaled(v: Iterable[int], s: int) -> Vector:
-    """The rational vector v / s."""
-    return tuple(Fraction(x, s) for x in v)
+    return s, [{k: e.numerator * (s // e.denominator) for k, e in enumerate(r) if e}
+               for r in rows]
 
 
 def is_zero(x: Vector) -> bool:
@@ -137,94 +119,75 @@ def _same_dim(x: Sequence, y: Sequence) -> None:
 # matrices
 
 class Matrix:
-    """Dense rational matrix, immutable, row-major; without rows it is 0 x 0."""
+    """Rational matrix, immutable: entry (i, k) is ints[i].get(k, 0) / scale,
+    where scale is the least common denominator of the entries (1 when all
+    vanish) and ints[i] = {k: x} keeps the nonzero entries of row i.  The
+    form is canonical, so `==` compares it.  Any shape is allowed, 0 x n and
+    n x 0 included; `Matrix(rows)` reads rational rows, `from_ints` integer
+    ones."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "scale", "ints")
 
     def __init__(self, rows_data: Iterable[Iterable]):
-        data = tuple(vector(row) for row in rows_data)
+        data = [vector(row) for row in rows_data]
         cols = len(data[0]) if data else 0
         if any(len(r) != cols for r in data):
             raise ValueError("ragged matrix rows")
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
+        self._store(cols, *scaled_sparse(data))
+
+    @classmethod
+    def from_ints(cls, cols: int, scale: int, ints: Iterable) -> "Matrix":
+        """The matrix with entry (i, k) ints[i].get(k, 0) / scale, for integer
+        rows {k: x} and a nonzero integer scale, put in lowest terms."""
+        m = object.__new__(cls)
+        m._store(cols, scale, ints)
+        return m
+
+    def _store(self, cols: int, scale: int, ints: Iterable) -> None:
+        ints = [{k: x for k, x in r.items() if x} for r in ints]
+        g = gcd(scale, *(x for r in ints for x in r.values()))
+        g = -g if scale < 0 else g
+        for name, value in (("rows", len(ints)), ("cols", cols), ("scale", scale // g),
+                            ("ints", tuple({k: x // g for k, x in r.items()} for r in ints))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([basis_vector(n, i) for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([zero_vector(cols)] * rows)
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Vector]) -> "Matrix":
-        return cls(list(zip(*cols)))
-
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self.data[i][j]
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.data)
-
-    def matvec(self, x: Vector) -> Vector:
-        if len(x) != self.cols:
-            raise ValueError(f"dimension mismatch: {self.cols} cols vs vector of {len(x)}")
-        return tuple(vdot(r, x) for r in self.data)
+        return Fraction(self.ints[i].get(j, 0), self.scale)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        return Matrix([[vdot(r, other.column(j)) for j in range(other.cols)]
-                       for r in self.data])
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in matrix sum")
-        return Matrix([vadd(a, b) for a, b in zip(self.data, other.data)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in matrix difference")
-        return Matrix([vsub(a, b) for a, b in zip(self.data, other.data)])
-
-    def scale(self, c) -> "Matrix":
-        return Matrix([vscale(c, r) for r in self.data])
+        out = []
+        for r in self.ints:
+            acc = {}
+            for t, x in r.items():
+                for k, y in other.ints[t].items():
+                    acc[k] = acc.get(k, 0) + x * y
+            out.append(acc)
+        return Matrix.from_ints(other.cols, self.scale * other.scale, out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.data)))
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
+        cols = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.ints):
+            for k, x in r.items():
+                cols[k][i] = x
+        return Matrix.from_ints(self.rows, self.scale, cols)
 
     def det(self) -> Fraction:
+        """d / scale^n for the last Bareiss pivot d of `_echelon`, which is
+        the determinant with the columns in the order the pivots were found;
+        sorting them back is a permutation, whose sign the inversions give."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        m = [list(r) for r in self.data]
-        n = self.rows
-        det = Fraction(1)
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for r in range(c + 1, n):
-                if m[r][c] != 0:
-                    f = m[r][c] * inv
-                    for k in range(c, n):
-                        m[r][k] -= f * m[c][k]
-        return det
+        d, _, pivots = _echelon(self.ints, self.cols)
+        if len(pivots) < self.rows:
+            return Fraction(0)
+        inversions = sum(p > q for i, p in enumerate(pivots) for q in pivots[i + 1:])
+        return Fraction((-1) ** inversions * d, self.scale ** self.rows)
 
     def first_nonpositive_minor(self) -> Optional[tuple[int, Fraction]]:
         """(k, d_k) for the first leading principal minor d_k <= 0, or None
@@ -234,120 +197,148 @@ class Matrix:
         in the update is exact."""
         if self.rows != self.cols:
             raise ValueError("leading minors of non-square matrix")
-        s, ints = scaled(self.data)
-        a = [list(r) for r in ints]
+        s, n = self.scale, self.rows
+        a = [[r.get(k, 0) for k in range(n)] for r in self.ints]
         prev = 1
-        for k in range(self.rows):
+        for k in range(n):
             pivot = a[k][k]
             if pivot <= 0:
                 return k + 1, Fraction(pivot, s ** (k + 1))
-            for i in range(k + 1, self.rows):
-                for j in range(k + 1, self.rows):
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
                     a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
             prev = pivot
         return None
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
-            self.data[i][j] == self.data[j][i]
-            for i in range(self.rows) for j in range(i + 1, self.cols))
-
-    def is_zero(self) -> bool:
-        return all(is_zero(r) for r in self.data)
+            self.ints[k].get(i, 0) == x for i, r in enumerate(self.ints) for k, x in r.items())
 
     @staticmethod
     def block_diag(a: "Matrix", b: "Matrix") -> "Matrix":
-        rows = []
-        for r in a.data:
-            rows.append(list(r) + [Fraction(0)] * b.cols)
-        for r in b.data:
-            rows.append([Fraction(0)] * a.cols + list(r))
-        return Matrix(rows)
+        return Matrix.from_ints(
+            a.cols + b.cols, a.scale * b.scale,
+            [{k: x * b.scale for k, x in r.items()} for r in a.ints]
+            + [{k + a.cols: x * a.scale for k, x in r.items()} for r in b.ints])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
-
-    def __hash__(self):
-        return hash(self.data)
+                and self.cols == other.cols and self.scale == other.scale
+                and self.ints == other.ints)
 
     def __repr__(self):
-        body = "; ".join(" ".join(format_rat(e) for e in r) for r in self.data)
+        body = "; ".join(" ".join(format_rat(self[i, k]) for k in range(self.cols))
+                         for i in range(self.rows))
         return f"Matrix[{body}]"
 
 
 # ---------------------------------------------------------------------------
 # row reduction
 
-def rref(rows: Sequence[Vector]) -> tuple[list[Vector], list[int]]:
-    """Reduced row-echelon form; returns (nonzero rows, pivot columns)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    n_cols = len(m[0])
-    pivots: list[int] = []
-    piv_r = 0
-    for c in range(n_cols):
-        piv = next((r for r in range(piv_r, len(m)) if m[r][c] != 0), None)
-        if piv is None:
-            continue
-        m[piv_r], m[piv] = m[piv], m[piv_r]
-        inv = 1 / m[piv_r][c]
-        m[piv_r] = [inv * e for e in m[piv_r]]
-        for r in range(len(m)):
-            if r != piv_r and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[piv_r])]
-        pivots.append(c)
-        piv_r += 1
-        if piv_r == len(m):
+def _echelon(rows: Iterable, cols: int) -> tuple[int, list, list]:
+    """Fraction-free Gauss-Jordan over integer rows {k: x}, one row at a time,
+    stopping once every column holds a pivot.
+
+    Returns (d, basis, pivots): the rows found independent, in the order they
+    came, each reduced against the others, and their pivot columns.  Every
+    basis row is d times a row of the reduced row-echelon form of the rows
+    seen, where d is the determinant of the kept rows on the pivot columns,
+    both in the order found (Bareiss's pivot).  A new row v becomes
+    w = d v - sum_a v[p_a] b_a, which vanishes at every pivot; its entry k is
+    the determinant with v and column k added, so it needs no division.
+    When w is nonzero, its first nonzero entry e, at column c, is the next
+    pivot, and every basis row b becomes (e b - b[c] w) / d, e times a row of
+    the new reduced form, which Cramer's rule makes integral: the division is
+    exact.
+    """
+    d, basis, pivots = 1, [], []
+    for v in rows:
+        if len(pivots) == cols:
             break
-    return [tuple(r) for r in m[:piv_r]], pivots
+        w = {k: d * x for k, x in v.items()}
+        for p, b in zip(pivots, basis):
+            f = v.get(p)
+            if f:
+                for k, x in b.items():
+                    w[k] = w.get(k, 0) - f * x
+        w = {k: x for k, x in w.items() if x}
+        if not w:
+            continue
+        c = min(w)
+        e = w[c]
+        for i, b in enumerate(basis):
+            f = b.get(c, 0)
+            u = {k: e * x for k, x in b.items()}
+            for k, x in w.items():
+                u[k] = u.get(k, 0) - f * x
+            basis[i] = {k: x // d for k, x in u.items() if x}
+        basis.append(w)
+        pivots.append(c)
+        d = e
+    return d, basis, pivots
 
 
-def solve(A: Matrix, b: Vector) -> Optional[Vector]:
-    """Solve A x = b exactly.
+def rref(rows: Iterable, cols: int) -> tuple[int, list, list]:
+    """The reduced row-echelon form of integer rows {k: x} in `cols` columns,
+    as (s, R, pivots): its rows are R[a] / s, sorted by pivot, where s > 0 is
+    their least common denominator and R[a][pivots[a]] = s."""
+    d, basis, pivots = _echelon(rows, cols)
+    g = gcd(d, *(x for b in basis for x in b.values()))
+    g = -g if d < 0 else g
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return (d // g, [{k: x // g for k, x in basis[a].items()} for a in order],
+            [pivots[a] for a in order])
+
+
+def _perp(s: int, R: Sequence, pivots: Sequence, n: int) -> list:
+    """The integer vectors, one per non-pivot column f, that span the null
+    space of the RREF rows R / s: s e_f - sum_a R[a][f] e_{p_a}.  Read as
+    functionals they cut out the row space: v lies in it iff each vanishes."""
+    free = set(range(n)).difference(pivots)
+    return [{f: s, **{p: -r[f] for p, r in zip(pivots, R) if f in r}} for f in sorted(free)]
+
+
+def solve(A: Matrix, b: Sequence) -> Optional[Vector]:
+    """Solve A x = b exactly, for a rational b.
 
     Returns None when inconsistent; with a positive-dimensional solution
-    space, free variables are set to zero (canonical representative).
+    space, free variables are set to zero (canonical representative).  One
+    `rref` of the integer system [ints | scale * sb * b], with sb the least
+    common denominator of b, which sb x solves.
     """
     if A.rows != len(b):
         raise ValueError(f"dimension mismatch: {A.rows} rows vs rhs of {len(b)}")
-    aug = [tuple(r) + (bi,) for r, bi in zip(A.data, b)]
-    reduced, pivots = rref(aug)
-    if A.cols in pivots:
+    n, (sb, (bi,)) = A.cols, scaled_sparse([b])
+    s, R, pivots = rref([{**r, n: A.scale * bi[i]} if i in bi else r
+                         for i, r in enumerate(A.ints)], n + 1)
+    if pivots and pivots[-1] == n:
         return None
-    x = [Fraction(0)] * A.cols
-    for row, p in zip(reduced, pivots):
-        x[p] = row[-1]
+    x = [Fraction(0)] * n
+    for r, p in zip(R, pivots):
+        x[p] = Fraction(r.get(n, 0), s * sb)
     return tuple(x)
 
 
 def kernel(A: Matrix) -> "Subspace":
     """Null space of A as a canonical subspace."""
-    reduced, pivots = rref(A.data)
-    free = [c for c in range(A.cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * A.cols
-        v[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
-        basis.append(tuple(v))
-    return Subspace.span(basis, A.cols)
+    return Subspace.from_ints(A.cols, _perp(*rref(A.ints, A.cols), A.cols))
 
 
 # ---------------------------------------------------------------------------
 # subspaces
 
 class Subspace:
-    """Linear subspace with a canonical RREF basis."""
+    """Linear subspace, kept as its reduced row-echelon basis in integer form:
+    basis vector a is ints[a] / scale, with ints[a] = {k: x} over its nonzero
+    entries, scale their least common denominator, and ints[a][pivots[a]] =
+    scale.  The form is canonical, so `==` compares it."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "scale", "ints", "pivots")
 
-    def __init__(self, ambient_dim: int, basis: Sequence[Vector], pivots: Sequence[int]):
+    def __init__(self, ambient_dim: int, scale: int, ints: Sequence, pivots: Sequence[int]):
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(basis))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "ints", tuple(ints))
         object.__setattr__(self, "pivots", tuple(pivots))
 
     def __setattr__(self, name, value):
@@ -360,61 +351,70 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise ValueError(
                     f"dimension mismatch: vector of {len(v)} in ambient {ambient_dim}")
-        basis, pivots = rref(vs)
-        return cls(ambient_dim, basis, pivots)
+        return cls.from_ints(ambient_dim, scaled_sparse(vs)[1])
+
+    @classmethod
+    def from_ints(cls, ambient_dim: int, rows: Iterable) -> "Subspace":
+        """The span of integer vectors {k: x}."""
+        return cls(ambient_dim, *rref(rows, ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, (), ())
+        return cls(ambient_dim, 1, (), ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.span([basis_vector(ambient_dim, i) for i in range(ambient_dim)],
-                        ambient_dim)
+        return cls(ambient_dim, 1, [{i: 1} for i in range(ambient_dim)], range(ambient_dim))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
-    def contains(self, v: Vector) -> bool:
+    @property
+    def basis(self) -> tuple:
+        """The RREF basis as rational vectors."""
+        return tuple(self.member({a: 1}) for a in range(self.dim))
+
+    def member(self, coords, s: int = 1) -> Vector:
+        """The rational vector sum_a coords[a] h_a / s, for integer
+        coordinates {a: x} on the RREF basis h_a."""
+        acc = [0] * self.ambient_dim
+        for a, c in coords.items():
+            if c:
+                for k, x in self.ints[a].items():
+                    acc[k] += c * x
+        return tuple(Fraction(x, s * self.scale) for x in acc)
+
+    def contains(self, v) -> bool:
+        """Membership of v, or of any nonzero multiple of it."""
+        return not any(self.reduce(v))
+
+    def reduce(self, v) -> tuple:
+        """scale times the remainder of v after elimination against the RREF
+        basis, s v - sum_a v[p_a] ints[a]: zero at the pivots, and at each
+        other column f the value on v of the `_perp` functional of f.  Zero
+        iff v is a member; integer for an integer v."""
         if len(v) != self.ambient_dim:
             raise ValueError(
                 f"dimension mismatch: vector of {len(v)} in ambient {self.ambient_dim}")
-        return is_zero(self.reduce(v))
-
-    def reduce(self, v: Vector) -> Vector:
-        """Remainder of v after elimination against the RREF basis.
-
-        Zero iff v is a member; deterministic for any v.
-        """
-        r = list(v)
-        for row, p in zip(self.basis, self.pivots):
-            if r[p] != 0:
-                f = r[p]
-                r = [a - f * b for a, b in zip(r, row)]
+        r = [self.scale * x for x in v]
+        for p, h in zip(self.pivots, self.ints):
+            f = v[p]
+            if f:
+                for k, x in h.items():
+                    r[k] -= f * x
         return tuple(r)
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """The common null space of the two sets of `_perp` functionals."""
         self._check_ambient(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        # x = sum a_i s_i = sum b_j t_j  <=>  (a, b) in ker [S^T | -T^T]
-        cols = [tuple(v) for v in self.basis] + [vscale(-1, v) for v in other.basis]
-        K = kernel(Matrix.from_columns(cols))
-        return Subspace.span(
-            [lincomb(coeffs[: self.dim], self.basis, self.ambient_dim) for coeffs in K.basis],
-            self.ambient_dim)
+        n = self.ambient_dim
+        return kernel(Matrix.from_ints(n, 1, _perp(self.scale, self.ints, self.pivots, n)
+                                       + _perp(other.scale, other.ints, other.pivots, n)))
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.span(list(self.basis) + list(other.basis), self.ambient_dim)
-
-    def complement(self) -> "Subspace":
-        """Coordinate complement: standard basis vectors at non-pivot positions."""
-        return Subspace.span(
-            [basis_vector(self.ambient_dim, c)
-             for c in range(self.ambient_dim) if c not in self.pivots],
-            self.ambient_dim)
+        return Subspace.from_ints(self.ambient_dim, self.ints + other.ints)
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -424,10 +424,10 @@ class Subspace:
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self.scale == other.scale and self.ints == other.ints)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.scale, self.pivots))
 
     def __repr__(self):
         rows = "; ".join(" ".join(format_rat(e) for e in v) for v in self.basis)

@@ -23,7 +23,7 @@ from math import lcm, prod
 from typing import Mapping
 
 from .lie import LieAlgebra
-from .linalg import Matrix, Subspace, Vector, basis_vector, format_terms, rat, scaled_sparse
+from .linalg import Subspace, Vector, format_terms, rat
 
 def _sort_key(idx):
     """Sort a key of distinct indices; returns (sorted, sign) or None on repeat."""
@@ -198,33 +198,13 @@ def schouten_ints(rows, p: Mapping, q: Mapping) -> dict:
     return _collect(raw)
 
 
-def int_columns(columns) -> tuple[int, dict]:
-    """(s, cols) with cols[a] = s columns[a] for the nonzero columns."""
-    s, cols = scaled_sparse(columns)
-    return s, {a: col for a, col in enumerate(cols) if col}
-
-
 def quotient_columns(u: Subspace) -> tuple[int, dict]:
-    """R_U as `int_columns`: column i is the remainder of e_i against U."""
-    return int_columns(u.reduce(basis_vector(u.ambient_dim, i)) for i in range(u.ambient_dim))
-
-
-def _map_columns(A: Matrix, t: _Alternating) -> tuple[int, dict]:
-    if A.rows != A.cols or A.rows != t.dim:
-        raise ValueError("square matrix of the multivector's dimension required")
-    return int_columns(zip(*A.data))
-
-
-def push(A: Matrix, t: _Alternating) -> _Alternating:
-    """`push_ints` on the integer forms of A and t, scaled back."""
-    (sa, cols), (st, coeffs) = _map_columns(A, t), t.ints()
-    return t.from_ints(t.dim, st * sa ** t.arity, push_ints(cols, coeffs))
-
-
-def derive(D: Matrix, t: _Alternating) -> _Alternating:
-    """`derive_ints` on the integer forms of D and t, scaled back."""
-    (sd, cols), (st, coeffs) = _map_columns(D, t), t.ints()
-    return t.from_ints(t.dim, st * sd, derive_ints(cols, coeffs))
+    """(s, cols) with cols[i] = s R_U e_i, s times the remainder of e_i
+    against the RREF basis of U: s e_i, less s h_a when i is the pivot of
+    h_a."""
+    rows = dict(zip(u.pivots, u.ints))
+    return u.scale, {i: {k: -x for k, x in rows[i].items() if k != i} if i in rows
+                     else {i: u.scale} for i in range(u.ambient_dim)}
 
 
 def schouten(algebra: LieAlgebra, p: Bivector, q: Bivector) -> Trivector:

@@ -16,7 +16,7 @@ from typing import Sequence
 from .lie import LieAlgebra, contraction
 from .linalg import Matrix, Subspace
 from .multivector import (
-    Bivector, Trivector, derive_ints, int_columns, push_ints, quotient_columns, schouten_ints,
+    Bivector, Trivector, derive_ints, push_ints, quotient_columns, schouten_ints,
 )
 from .report import Report, witness
 
@@ -58,7 +58,8 @@ def check_j_invariance(d: PseudoPoissonData) -> Report:
     """Literal tensor condition (Lambda^2 j)(Lambda) = Lambda, compared as
     s_j^2 s_L times both sides."""
     rep = Report()
-    (sj, J), (sl, L) = int_columns(zip(*d.j.data)), d.Lambda.ints()
+    columns, (sl, L) = d.j.transpose(), d.Lambda.ints()
+    sj, J = columns.scale, dict(enumerate(columns.ints))
     image = push_ints(J, L)
     ok = image == {k: sj * sj * x for k, x in L.items()}
     w = [] if ok else [witness(image=Bivector.from_ints(
@@ -137,13 +138,11 @@ def product_structure(d1: PseudoPoissonData, d2: PseudoPoissonData) -> PseudoPoi
     n1 = d1.algebra.dim
     n = alg.dim
 
-    def embed(s: Subspace, offset: int) -> list:
-        pad_left = (0,) * offset
-        pad_right = (0,) * (n - offset - s.ambient_dim)
-        return [pad_left + tuple(v) + pad_right for v in s.basis]
+    def embed(s1: Subspace, s2: Subspace) -> Subspace:
+        return Subspace.from_ints(n, [*s1.ints, *({k + n1: x for k, x in h.items()}
+                                                  for h in s2.ints)])
 
-    H = Subspace.span(embed(d1.H, 0) + embed(d2.H, n1), n)
-    U = Subspace.span(embed(d1.U, 0) + embed(d2.U, n1), n)
+    H, U = embed(d1.H, d2.H), embed(d1.U, d2.U)
     j = Matrix.block_diag(d1.j, d2.j)
     coeffs = dict(d1.Lambda.coeffs)
     for (a, b), v in d2.Lambda.coeffs.items():

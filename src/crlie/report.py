@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .linalg import Vector, format_terms
+from .linalg import format_terms
 
 PASS = "pass"
 FAIL = "fail"
@@ -83,6 +83,8 @@ def witness(**kwargs) -> dict:
     return dict(kwargs)
 
 
-def fmt_vec(names, v: Vector) -> str:
-    """A coordinate vector as a combination of the named basis, e.g. "e1 - 2*e3"."""
-    return format_terms(zip(v, names))
+def fmt_vec(names, v, scale: int = 1) -> str:
+    """The coordinate vector v / scale, a sequence or sparse {i: x}, as a
+    combination of the named basis, e.g. "e1 - 2*e3"."""
+    items = sorted(v.items()) if isinstance(v, dict) else enumerate(v)
+    return format_terms(((x, names[i]) for i, x in items), scale)

@@ -50,24 +50,242 @@ values bilinearly.
 builds the (n + V_dim)-dimensional algebra G + V, validates it, and runs
 `check_kahler` on it, where the library contracts alpha with the base
 table and reads closedness from the base.
+
+The `Fraction` linear algebra is the library's former one, kept as it was
+when `Matrix` and `Subspace` moved to integer rows over one scale and one
+fraction-free elimination: `rref_over_fractions`, `solve_over_fractions`,
+`kernel_over_fractions` and `det_over_fractions` eliminate over `Fraction`
+with a pivot division per step, and `intersect_over_fractions`,
+`sum_over_fractions` and `reduce_over_fractions` are the former `Subspace`
+operations on the `Fraction` basis.  The subspace oracles return the
+`Fraction` RREF (rows, pivots) instead of a `Subspace`, so that no
+comparison goes through the library's elimination.
+`center_U_over_fractions` takes one `Fraction` bracket and one membership
+test per pair, and `ideal_complement_complex_over_fractions` one `Fraction`
+solve per pair, where the library contracts integer rows and reduces all
+pairs at once.  The small helpers below them (`rows_of`, `identity`,
+`zeros`, `mat_add`, `mat_scale`, `vadd`, ...) stand in for the `Matrix` and
+vector arithmetic the library no longer has.
 """
 
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 from itertools import product as iproduct
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from crlie import Bivector, LieAlgebra, Trivector, wedge3
 from crlie.crkahler import (
     CRData, KahlerCRData, LeftSymmetricProduct, check_kahler, induced_bracket,
 )
-from crlie.lie import validate_structure
+from crlie.lie import IntTable
 from crlie.linalg import (
-    Matrix, Subspace, basis_vector, is_zero, kernel, lincomb, scaled, solve, vadd,
-    vdot, vector, vscale, vsub, zero_vector,
+    Matrix, Subspace, Vector, basis_vector, is_zero, kernel, lincomb, vector, vscale, vsub,
 )
+from crlie.multivector import derive_ints, push_ints
 from crlie.poisson import PseudoPoissonData
 from crlie.report import Report, fmt_vec, witness
+
+
+# -- `Fraction` helpers --------------------------------------------------------
+
+def rows_of(A: Matrix) -> list:
+    """The rows of A as `Fraction` tuples."""
+    return [tuple(A[i, k] for k in range(A.cols)) for i in range(A.rows)]
+
+
+def matvec(A: Matrix, x) -> Vector:
+    return tuple(vdot(r, x) for r in rows_of(A))
+
+
+def column(A: Matrix, j: int) -> Vector:
+    return tuple(A[i, j] for i in range(A.rows))
+
+
+def from_columns(cols) -> Matrix:
+    return Matrix(list(zip(*cols)))
+
+
+def vdot(x, y) -> Fraction:
+    """sum_i x_i y_i, skipping terms with a zero factor."""
+    assert len(x) == len(y)
+    return sum((a * b for a, b in zip(x, y) if a and b), Fraction(0))
+
+
+def validate_structure(c) -> list:
+    """The antisymmetry and Jacobi violations of a dense bracket tensor, as
+    `IntTable.violations` reports them."""
+    return IntTable.dense(c).violations()
+
+
+def identity(n: int, c=1) -> Matrix:
+    """c times the n x n identity."""
+    return Matrix([[c * (i == k) for k in range(n)] for i in range(n)])
+
+
+def zeros(rows: int, cols: int) -> Matrix:
+    return Matrix([[0] * cols for _ in range(rows)])
+
+
+def mat_add(A: Matrix, B: Matrix) -> Matrix:
+    assert (A.rows, A.cols) == (B.rows, B.cols)
+    return Matrix([vadd(a, b) for a, b in zip(rows_of(A), rows_of(B))])
+
+
+def mat_scale(c, A: Matrix) -> Matrix:
+    return Matrix([vscale(c, r) for r in rows_of(A)])
+
+
+def vadd(x, y) -> tuple:
+    assert len(x) == len(y)
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def zero_vector(n: int) -> Vector:
+    return (Fraction(0),) * n
+
+
+def scaled(rows) -> tuple:
+    """(s, ints) with rows[i][k] = ints[i][k] / s, s the least common
+    denominator of the entries."""
+    rows = [tuple(r) for r in rows]
+    s = lcm(*(e.denominator for r in rows for e in r))
+    return s, [tuple(e.numerator * (s // e.denominator) for e in r) for r in rows]
+
+
+def unscaled(v, s: int) -> Vector:
+    return tuple(Fraction(x, s) for x in v)
+
+
+def omega(k: KahlerCRData, x, y) -> Fraction:
+    """w(x, y) = <x, j y>."""
+    return vdot(x, matvec(k.omega_matrix, y))
+
+
+def push(A: Matrix, t):
+    """`push_ints` on the integer forms of A and t, scaled back."""
+    (st, coeffs), cols = t.ints(), dict(enumerate(A.transpose().ints))
+    return t.from_ints(t.dim, st * A.scale ** t.arity, push_ints(cols, coeffs))
+
+
+def derive(D: Matrix, t):
+    """`derive_ints` on the integer forms of D and t, scaled back."""
+    (st, coeffs), cols = t.ints(), dict(enumerate(D.transpose().ints))
+    return t.from_ints(t.dim, st * D.scale, derive_ints(cols, coeffs))
+
+
+def coordinate_complement(s: Subspace) -> Subspace:
+    """The standard basis vectors at the non-pivot positions of s."""
+    return Subspace.span([basis_vector(s.ambient_dim, c)
+                          for c in range(s.ambient_dim) if c not in s.pivots],
+                         s.ambient_dim)
+
+
+# -- the former `Fraction` linear algebra ----------------------------------------
+
+def rref_over_fractions(rows):
+    """Reduced row-echelon form; returns (nonzero rows, pivot columns)."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    n_cols = len(m[0])
+    pivots = []
+    piv_r = 0
+    for c in range(n_cols):
+        piv = next((r for r in range(piv_r, len(m)) if m[r][c] != 0), None)
+        if piv is None:
+            continue
+        m[piv_r], m[piv] = m[piv], m[piv_r]
+        inv = 1 / m[piv_r][c]
+        m[piv_r] = [inv * e for e in m[piv_r]]
+        for r in range(len(m)):
+            if r != piv_r and m[r][c] != 0:
+                f = m[r][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[piv_r])]
+        pivots.append(c)
+        piv_r += 1
+        if piv_r == len(m):
+            break
+    return [tuple(r) for r in m[:piv_r]], pivots
+
+
+def solve_over_fractions(A: Matrix, b):
+    """Solve A x = b exactly.
+
+    Returns None when inconsistent; with a positive-dimensional solution
+    space, free variables are set to zero (canonical representative).
+    """
+    if A.rows != len(b):
+        raise ValueError(f"dimension mismatch: {A.rows} rows vs rhs of {len(b)}")
+    aug = [tuple(r) + (bi,) for r, bi in zip(rows_of(A), b)]
+    reduced, pivots = rref_over_fractions(aug)
+    if A.cols in pivots:
+        return None
+    x = [Fraction(0)] * A.cols
+    for row, p in zip(reduced, pivots):
+        x[p] = row[-1]
+    return tuple(x)
+
+
+def kernel_over_fractions(A: Matrix):
+    """Null space of A as its `Fraction` RREF (rows, pivots)."""
+    reduced, pivots = rref_over_fractions(rows_of(A))
+    free = [c for c in range(A.cols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * A.cols
+        v[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        basis.append(tuple(v))
+    return rref_over_fractions(basis)
+
+
+def det_over_fractions(A: Matrix) -> Fraction:
+    if A.rows != A.cols:
+        raise ValueError("determinant of non-square matrix")
+    m = [list(r) for r in rows_of(A)]
+    n = A.rows
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = 1 / m[c][c]
+        for r in range(c + 1, n):
+            if m[r][c] != 0:
+                f = m[r][c] * inv
+                for k in range(c, n):
+                    m[r][k] -= f * m[c][k]
+    return det
+
+
+def reduce_over_fractions(s: Subspace, v):
+    """Remainder of v after elimination against the RREF basis of s."""
+    r = list(v)
+    for row, p in zip(s.basis, s.pivots):
+        if r[p] != 0:
+            f = r[p]
+            r = [a - f * b for a, b in zip(r, row)]
+    return tuple(r)
+
+
+def intersect_over_fractions(s: Subspace, t: Subspace):
+    if s.dim == 0 or t.dim == 0:
+        return [], []
+    # x = sum a_i s_i = sum b_j t_j  <=>  (a, b) in ker [S^T | -T^T]
+    cols = [tuple(v) for v in s.basis] + [vscale(-1, v) for v in t.basis]
+    K, _ = kernel_over_fractions(from_columns(cols))
+    return rref_over_fractions(
+        [lincomb(coeffs[: s.dim], s.basis, s.ambient_dim) for coeffs in K])
+
+
+def sum_over_fractions(s: Subspace, t: Subspace):
+    return rref_over_fractions(list(s.basis) + list(t.basis))
 
 
 def dense_tensor(algebra: LieAlgebra) -> list:
@@ -137,7 +355,7 @@ def killing_entry(algebra: LieAlgebra, i: int, j: int) -> Fraction:
     adj = algebra.ad(basis_vector(n, j))
     total = Fraction(0)
     for k in range(n):
-        composed = adi.matvec(adj.column(k))
+        composed = matvec(adi, column(adj, k))
         total += composed[k]
     return total
 
@@ -200,7 +418,7 @@ def wedge_span_remainder(t: Trivector, u: Subspace) -> Trivector:
             ea, eb = basis_vector(n, a), basis_vector(n, b)
             gens.append([_det([[uv[i], ea[i], eb[i]] for i in I]) for I in keys])
     span = Subspace.span(gens, len(keys))
-    coords = span.reduce(tuple(t.coeffs.get(key, Fraction(0)) for key in keys))
+    coords = reduce_over_fractions(span, tuple(t.coeffs.get(key, Fraction(0)) for key in keys))
     return Trivector(n, dict(zip(keys, coords)))
 
 
@@ -213,13 +431,13 @@ def check_cr_ambient(d: CRData) -> Report:
     w2, w3 = [], []
     for a, x in enumerate(d.H.basis):
         for y in d.H.basis[a + 1:]:
-            jx, jy = j.matvec(x), j.matvec(y)
+            jx, jy = matvec(j, x), matvec(j, y)
             xy, lhs = alg.bracket(x, y), alg.bracket(jx, jy)
             diff = vsub(xy, lhs)
             if not d.H.contains(diff):
                 w2.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, y),
                                   offending=fmt_vec(names, diff)))
-            rhs = vadd(xy, j.matvec(vadd(alg.bracket(x, jy), alg.bracket(jx, y))))
+            rhs = vadd(xy, matvec(j, vadd(alg.bracket(x, jy), alg.bracket(jx, y))))
             if lhs != rhs:
                 w3.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, y),
                                   offending=fmt_vec(names, vsub(lhs, rhs))))
@@ -245,7 +463,7 @@ def check_kahler_by_triples(k: KahlerCRData) -> Report:
     anti = [witness(x=names[a], y=names[b]) for a in range(n) for b in range(a, n)
             if omega[a, b] != -omega[b, a]]
     rep.add("kahler.omega_antisymmetric", not anti, anti)
-    col = omega.transpose().data
+    col = rows_of(omega.transpose())
     closed = []
     for a in range(n):
         for b in range(n):
@@ -255,15 +473,15 @@ def check_kahler_by_triples(k: KahlerCRData) -> Report:
                 if s != 0:
                     closed.append(witness(x=names[a], y=names[b], z=names[t]))
     rep.add("kahler.omega_closed", not closed, closed)
-    rep.add("kahler.omega_h_nondegenerate", k.omega_gram.det() != 0)
+    rep.add("kahler.omega_h_nondegenerate", det_over_fractions(k.gram) != 0)
     return rep
 
 
-def product_from_coordinates(basis, coords) -> LeftSymmetricProduct:
+def product_from_coordinates(H: Subspace, coords) -> LeftSymmetricProduct:
     """The product whose h_a h_b has the `Fraction` H-coordinates coords[a][b]."""
-    m = len(basis)
+    m = H.dim
     s, ints = scaled(v for row in coords for v in row)
-    return LeftSymmetricProduct(tuple(basis), s, [ints[a * m:(a + 1) * m] for a in range(m)])
+    return LeftSymmetricProduct(H, s, [ints[a * m:(a + 1) * m] for a in range(m)])
 
 
 def left_symmetric_product_by_solves(k: KahlerCRData) -> LeftSymmetricProduct:
@@ -271,12 +489,13 @@ def left_symmetric_product_by_solves(k: KahlerCRData) -> LeftSymmetricProduct:
     gram^T coeff = (-w(y, [x, z]))_z."""
     alg = k.algebra
     basis = k.H.basis
-    gram_t = k.omega_gram.transpose()
+    gram_t = k.gram.transpose()
     coords = []
     for x in basis:
         brackets = [alg.bracket(x, z) for z in basis]
-        coords.append([solve(gram_t, tuple(-k.omega(y, v) for v in brackets)) for y in basis])
-    return product_from_coordinates(basis, coords)
+        coords.append([solve_over_fractions(gram_t, tuple(-omega(k, y, v) for v in brackets))
+                       for y in basis])
+    return product_from_coordinates(k.H, coords)
 
 
 def check_left_symmetric_ambient(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
@@ -296,7 +515,7 @@ def check_left_symmetric_ambient(k: KahlerCRData, p: LeftSymmetricProduct) -> Re
         for b in range(m):
             br = alg.bracket(basis[a], basis[b])
             for u in basis:
-                if k.omega(comm[(a, b)], u) != k.omega(br, u):
+                if omega(k, comm[(a, b)], u) != omega(k, br, u):
                     w1.append(witness(x=fmt_vec(names, basis[a]),
                                       y=fmt_vec(names, basis[b]),
                                       u=fmt_vec(names, u)))
@@ -360,7 +579,7 @@ def validate_structure_over_fractions(c) -> list:
 
 def j_on_h(H: Subspace, j: Matrix) -> list:
     """Row a is j h_a read at the pivots of H, over `Fraction`."""
-    rows = [j.data[p] for p in H.pivots]
+    rows = [rows_of(j)[p] for p in H.pivots]
     return [tuple(vdot(r, h) for r in rows) for h in H.basis]
 
 
@@ -380,7 +599,7 @@ def crdata_error_over_fractions(H: Subspace, j: Matrix):
     """The message CRData construction raises for H and j, or None: the image
     of j column by column, then j^2 = -Id on H."""
     for i in range(j.cols):
-        if not H.contains(j.column(i)):
+        if not H.contains(column(j, i)):
             return f"image of j not contained in H (column {i + 1})"
     J = j_on_h(H, j)
     m = H.dim
@@ -405,7 +624,7 @@ def check_cr_over_fractions(d: CRData) -> Report:
             if not d.H.contains(diff):
                 w2.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, basis[b]),
                                   offending=fmt_vec(names, diff)))
-            rhs = vadd(xy, d.j.matvec(vsub(K[a][b], K[b][a])))
+            rhs = vadd(xy, matvec(d.j, vsub(K[a][b], K[b][a])))
             if lhs != rhs:
                 w3.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, basis[b]),
                                   offending=fmt_vec(names, vsub(lhs, rhs))))
@@ -424,13 +643,13 @@ def check_kahler_over_fractions(k: KahlerCRData) -> Report:
     anti = [witness(x=names[a], y=names[b]) for a in range(n) for b in range(a, n)
             if omega[a, b] != -omega[b, a]]
     rep.add("kahler.omega_antisymmetric", not anti, anti)
-    col = omega.transpose().data
+    col = rows_of(omega.transpose())
     W = [[[vdot(v, u) for u in col] for v in row] for row in c]
     closed = [witness(x=names[a], y=names[b], z=names[t])
               for a in range(n) for b in range(n) for t in range(n)
               if W[a][b][t] + W[t][a][b] + W[b][t][a] != 0]
     rep.add("kahler.omega_closed", not closed, closed)
-    rep.add("kahler.omega_h_nondegenerate", k.omega_gram.det() != 0)
+    rep.add("kahler.omega_h_nondegenerate", det_over_fractions(k.gram) != 0)
     return rep
 
 
@@ -445,7 +664,7 @@ def check_left_symmetric_over_fractions(k: KahlerCRData, p: LeftSymmetricProduct
     P = [[tuple(p.ambient(a, b)[i] for i in k.H.pivots) for b in range(m)]
          for a in range(m)]
     C = [[vsub(P[a][b], P[b][a]) for b in range(m)] for a in range(m)]
-    images = [k.omega_matrix.matvec(u) for u in basis]
+    images = [matvec(k.omega_matrix, u) for u in basis]
     w1 = []
     for a in range(m):
         for b in range(m):
@@ -470,7 +689,7 @@ def first_nonpositive_minor_over_fractions(M: Matrix):
     """(k, d_k) for the first leading principal minor d_k <= 0, one `det`
     per minor, or None."""
     for k in range(1, M.rows + 1):
-        minor = Matrix([r[:k] for r in M.data[:k]]).det()
+        minor = det_over_fractions(Matrix([r[:k] for r in rows_of(M)[:k]]))
         if minor <= 0:
             return k, minor
     return None
@@ -523,7 +742,7 @@ def build_extension_lifted(base: KahlerCRData, v_dim: int,
     names = alg.names
     for a in range(n):
         for b in range(a + 1, n):
-            if bilinear(alpha_rows, base.j.column(a), base.j.column(b), v_dim) \
+            if bilinear(alpha_rows, column(base.j, a), column(base.j, b), v_dim) \
                     != alpha_rows[a][b]:
                 jinv.append(witness(x=names[a], y=names[b]))
     rep.add("extension.alpha_j_invariant", not jinv, jinv)
@@ -541,8 +760,8 @@ def build_extension_lifted(base: KahlerCRData, v_dim: int,
                                   chain(cols[d_], cols[b], cols[a]), v_dim))]
     rep.add("extension.cyclic", not cyc, cyc)
 
-    j_ext = Matrix.block_diag(base.j, Matrix.zeros(v_dim, v_dim))
-    metric_ext = Matrix.block_diag(base.metric, Matrix.identity(v_dim))
+    j_ext = Matrix.block_diag(base.j, zeros(v_dim, v_dim))
+    metric_ext = Matrix.block_diag(base.metric, identity(v_dim))
     H_ext = Subspace.span(
         [tuple(h) + zero_vector(v_dim) for h in base.H.basis], total)
     big = LieAlgebra(c, names=list(names) + [f"v{i + 1}" for i in range(v_dim)],
@@ -561,7 +780,7 @@ def ad_by_brackets(algebra: LieAlgebra, x) -> Matrix:
     if len(x) != algebra.dim:
         raise ValueError("dimension mismatch in ad")
     cols = [algebra.bracket(x, basis_vector(algebra.dim, j)) for j in range(algebra.dim)]
-    return Matrix.from_columns(cols)
+    return from_columns(cols)
 
 
 def center_dense(algebra: LieAlgebra) -> Subspace:
@@ -576,7 +795,7 @@ def _nonzero(v) -> list:
 def _sparse_columns(A: Matrix, t) -> list:
     if A.rows != A.cols or A.rows != t.dim:
         raise ValueError("square matrix of the multivector's dimension required")
-    return [_nonzero(col) for col in zip(*A.data)]
+    return [_nonzero(col) for col in zip(*rows_of(A))]
 
 
 def push_over_fractions(A: Matrix, t):
@@ -644,7 +863,7 @@ def _residual_over_fractions(t: Trivector, u: Subspace) -> Trivector:
     """t under the `Fraction` quotient map R_U, column i the remainder of e_i."""
     n = t.dim
     return push_over_fractions(
-        Matrix.from_columns([u.reduce(basis_vector(n, i)) for i in range(n)]), t)
+        from_columns([reduce_over_fractions(u, basis_vector(n, i)) for i in range(n)]), t)
 
 
 def check_pseudo_poisson_over_fractions(d: PseudoPoissonData) -> Report:
@@ -721,8 +940,8 @@ def semisimple_exactness_full_system(k: KahlerCRData):
 
     c = dense_tensor(alg)
     pairs = list(combinations(range(alg.dim), 2))
-    alpha = solve(Matrix([c[a][b] for a, b in pairs]),
-                  tuple(k.omega_matrix[a, b] for a, b in pairs))
+    alpha = solve_over_fractions(Matrix([c[a][b] for a, b in pairs]),
+                                 tuple(k.omega_matrix[a, b] for a, b in pairs))
     if alpha is None:
         rep.add("exactness.alpha_exact", False,
                 detail="w(x,y) = a([x,y]) has no solution: input data invalid "
@@ -731,7 +950,7 @@ def semisimple_exactness_full_system(k: KahlerCRData):
     rep.add("exactness.alpha_exact", True)
 
     K = alg.killing_form()
-    X = solve(K, alpha)
+    X = solve_over_fractions(K, alpha)
     assert X is not None  # Killing form nondegenerate
     rep.add("exactness.killing_dual", True)
 
@@ -740,3 +959,66 @@ def semisimple_exactness_full_system(k: KahlerCRData):
             L == k.radical and L.dim == alg.dim - k.H.dim,
             detail=f"dim L = {L.dim}, codim H = {alg.dim - k.H.dim}")
     return alpha, X, L, rep
+
+
+def center_U_over_fractions(k: KahlerCRData):
+    """U = (Z(G) cap H) + j(Z(G) cap H); commutative, and ad z keeps H in H."""
+    rep = Report()
+    alg = k.algebra
+    zh = alg.center().intersect(k.H)
+    jzh = Subspace.span([matvec(k.j, v) for v in zh.basis], alg.dim)
+    U = zh.sum(jzh)
+    names = alg.names
+    comm = []
+    for a, x in enumerate(U.basis):
+        for y in U.basis[a:]:
+            b = alg.bracket(x, y)
+            if not is_zero(b):
+                comm.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, y),
+                                    offending=fmt_vec(names, b)))
+    rep.add("center_u.commutative", not comm, comm)
+    stab = []
+    for z in U.basis:
+        for h in k.H.basis:
+            b = alg.bracket(z, h)
+            if not k.H.contains(b):
+                stab.append(witness(z=fmt_vec(names, z), h=fmt_vec(names, h),
+                                    offending=fmt_vec(names, b)))
+    rep.add("center_u.stabilizes_h", not stab, stab)
+    return U, rep
+
+
+def ideal_complement_complex_over_fractions(d: CRData, ideal: Subspace):
+    """Given an ideal I with I + H = G (direct), build the projected bracket
+    on H and verify j is complex-bilinear for it."""
+    alg = d.algebra
+    if not alg.is_ideal(ideal):
+        raise ValueError("not an ideal")
+    if ideal.dim + d.H.dim != alg.dim or ideal.intersect(d.H).dim != 0:
+        raise ValueError("ideal is not supplementary to H")
+
+    basis = d.H.basis
+    m = len(basis)
+    # v = sum_a s_a h_a + (a member of I): the first m coordinates of the
+    # solution in the combined basis are the H-coordinates of v's projection
+    A = from_columns(list(basis) + list(ideal.basis))
+    s, B = d.brackets
+    c = [[solve_over_fractions(A, unscaled(v, s))[:m] for v in row] for row in B]
+    rep = Report()
+    bad = validate_structure_over_fractions(c)
+    rep.add("ideal.jacobi", not bad,
+            [witness(kind=k, indices=str(tuple(i + 1 for i in idx))) for k, idx in bad])
+    quotient_like = LieAlgebra(c, names=[f"h{i + 1}" for i in range(m)], validate=False)
+
+    s, J = d.jH
+    jH = from_columns([unscaled(row, s) for row in J])
+    wj = []
+    for a in range(m):
+        for b in range(a + 1, m):
+            lhs = matvec(jH, c[a][b])
+            rhs = quotient_like.bracket(column(jH, a), basis_vector(m, b))
+            if lhs != rhs:
+                wj.append(witness(x=fmt_vec(alg.names, basis[a]),
+                                  y=fmt_vec(alg.names, basis[b])))
+    rep.add("ideal.complex_structure", not wj, wj)
+    return quotient_like, jH, rep

@@ -19,11 +19,12 @@ from crlie import (
     product_structure, run_checks, schouten, semisimple_exactness, so3,
 )
 from crlie.cli import main as cli_main
-from crlie.linalg import (
-    Matrix, Subspace, basis_vector, solve, vdot, vector,
-)
+from crlie.linalg import Matrix, Subspace, basis_vector, solve, vector
 
-from oracles import all_sign_bivectors, dense_tensor, schouten_decomposable
+from oracles import (
+    all_sign_bivectors, dense_tensor, from_columns, identity, matvec, omega,
+    schouten_decomposable, vdot,
+)
 
 
 @contextlib.contextmanager
@@ -85,7 +86,7 @@ def _random_invertible(rng, n):
 
 def _inverse(m):
     n = m.rows
-    return Matrix.from_columns([solve(m, basis_vector(n, i)) for i in range(n)])
+    return from_columns([solve(m, basis_vector(n, i)) for i in range(n)])
 
 
 def test_criterion_3_radical_structure():
@@ -100,7 +101,7 @@ def test_criterion_3_radical_structure():
             minv = _inverse(m)
             k2 = KahlerCRData(
                 CRData(base.algebra,
-                       Subspace.span([m.matvec(h) for h in base.H.basis], 4),
+                       Subspace.span([matvec(m, h) for h in base.H.basis], 4),
                        m * base.j * minv),
                 minv.transpose() * minv)
             assert check_kahler(k2).passed
@@ -114,7 +115,7 @@ def test_criterion_4_semisimple_duality_on_so3():
         g = k.algebra
         alpha, X, L, rep = semisimple_exactness(k)
         assert rep.passed
-        assert g.killing_form() == Matrix.identity(3).scale(-2)
+        assert g.killing_form() == identity(3, -2)
         assert alpha == vector([0, 0, -1])           # alpha = -e3*
         assert X == vector(["0", "0", "1/2"])        # X = e3 / 2
         assert L.dim == 1 == g.dim - k.H.dim
@@ -122,7 +123,7 @@ def test_criterion_4_semisimple_duality_on_so3():
         for a in range(3):
             for b in range(3):
                 x, y = basis_vector(3, a), basis_vector(3, b)
-                assert vdot(K.matvec(X), g.bracket(x, y)) == k.omega(x, y)
+                assert vdot(matvec(K, X), g.bracket(x, y)) == omega(k, x, y)
 
 
 def _catalog_algebras_dim_le_4():

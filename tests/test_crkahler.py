@@ -14,20 +14,19 @@ from crlie import (
     left_symmetric_product, omega_radical, parse_document, run_checks,
     semisimple_exactness, sl2, so3,
 )
-from crlie import checks, crkahler
+from crlie import checks
 from crlie.crkahler import induced_bracket
-from crlie.linalg import (
-    Matrix, Subspace, basis_vector, is_zero, unscaled, vadd, vdot, vector,
-)
+from crlie.linalg import Matrix, Subspace, basis_vector, is_zero, vector
 
 from oracles import (
-    build_extension_lifted, check_cr_ambient, check_cr_over_fractions,
+    build_extension_lifted, center_U_over_fractions, check_cr_ambient, check_cr_over_fractions,
     check_j_invariance_over_fractions, check_kahler_by_triples, check_kahler_over_fractions,
     check_left_symmetric_ambient, check_left_symmetric_over_fractions,
     check_pseudo_poisson_over_fractions, coboundary_pi_over_fractions,
-    crdata_error_over_fractions, left_symmetric_product_by_solves,
-    bilinear, dense_tensor, omega_defects_over_fractions, product_from_coordinates,
-    semisimple_exactness_full_system, validate_structure_over_fractions,
+    column, crdata_error_over_fractions, from_columns, ideal_complement_complex_over_fractions,
+    identity, left_symmetric_product_by_solves, bilinear, dense_tensor, mat_add, mat_scale,
+    matvec, omega, omega_defects_over_fractions, product_from_coordinates, rows_of,
+    semisimple_exactness_full_system, unscaled, vadd, vdot, zeros,
 )
 from test_golden import AFF_AFF_R_DENSE, CASES
 from test_lie import heisenberg3
@@ -35,6 +34,10 @@ from test_lie import heisenberg3
 
 def entry_payloads(entry_id):
     return parse_document(catalog.get(entry_id).document)
+
+
+def is_zero_product(p):
+    return not any(x for row in p.P for v in row for x in v)
 
 
 @pytest.fixture
@@ -78,7 +81,7 @@ def test_two_dimensional_H_satisfies_conditions_automatically():
         cols = [list((Fraction(0),) * 3) for _ in range(3)]
         cols[a][b] = Fraction(s)    # j e_a = s e_b
         cols[b][a] = Fraction(-s)   # j e_b = -s e_a
-        j = Matrix.from_columns([tuple(c) for c in cols])
+        j = from_columns([tuple(c) for c in cols])
         rep = check_cr(CRData(g, H, j))
         assert rep.passed
 
@@ -125,20 +128,20 @@ def test_metric_must_be_positive_definite(so3_kahler):
 
 def test_left_symmetric_product_so3_is_zero(so3_kahler):
     p = left_symmetric_product(so3_kahler)
-    assert p.is_zero()
+    assert is_zero_product(p)
     assert check_left_symmetric(so3_kahler, p).passed
 
 
 def test_left_symmetric_product_abelian_is_zero(rn_kahler):
     p = left_symmetric_product(rn_kahler)
-    assert p.is_zero()
+    assert is_zero_product(p)
     assert check_left_symmetric(rn_kahler, p).passed
 
 
 def test_left_symmetric_product_aff_aff_nonzero():
     k = entry_payloads("aff_aff").kahler
     p = left_symmetric_product(k)
-    assert not p.is_zero()
+    assert not is_zero_product(p)
     rep = check_left_symmetric(k, p)
     assert rep.passed
     # omega|H nondegenerate, so identity (1) forces [x,y]' = [x,y] exactly
@@ -155,7 +158,7 @@ def test_omega_restricted_to_H_never_degenerate_for_valid_data():
     # that bypassed construction
     for entry_id in ("rn_flat", "so3_cr", "sl2", "aff_aff"):
         k = entry_payloads(entry_id).kahler
-        assert k.omega_gram.det() != 0
+        assert k.gram.det() != 0
 
 
 # -- omega radical -----------------------------------------------------------
@@ -196,10 +199,26 @@ def test_center_U_heisenberg_center_off_H():
     g = heisenberg3()
     H = Subspace.span([basis_vector(3, 0), basis_vector(3, 1)], 3)
     j = Matrix([[0, -1, 0], [1, 0, 0], [0, 0, 0]])
-    k = KahlerCRData(CRData(g, H, j), Matrix.identity(3))
+    k = KahlerCRData(CRData(g, H, j), identity(3))
     U, rep = center_U(k)
     assert U.dim == 0
     assert rep.passed
+
+
+def heisenberg_r2_kahler():
+    """heisenberg3 + R^2 with H = span(e1, e2, e4, e5), j e1 = -e4, j e2 = -e5:
+    the center meets H in span(e4, e5), j moves it onto e1, e2, and U = H is
+    neither commutative nor stabilizes H, as [e1, e2] = e3."""
+    g = heisenberg3().direct_sum(LieAlgebra.abelian(2))
+    H = Subspace.span([basis_vector(5, i) for i in (0, 1, 3, 4)], 5)
+    j = Matrix([[0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0] * 5, [-1, 0, 0, 0, 0], [0, -1, 0, 0, 0]])
+    return KahlerCRData(CRData(g, H, j), identity(5))
+
+
+def test_center_U_failures_carry_witnesses():
+    U, rep = center_U(heisenberg_r2_kahler())
+    assert U.dim == 4
+    assert [len(r.witnesses) for r in rep.results] == [1, 2]
 
 
 # -- ideal-complement complex structures -------------------------------------
@@ -215,7 +234,7 @@ def test_ideal_complement_heisenberg_plus_r2():
     g = heisenberg3().direct_sum(LieAlgebra.abelian(2))
     H = Subspace.span([basis_vector(5, 3), basis_vector(5, 4)], 5)
     cols = [(0,) * 5] * 3 + [vector([0, 0, 0, 0, 1]), vector([0, 0, 0, -1, 0])]
-    j = Matrix.from_columns([vector(c) for c in cols])
+    j = from_columns([vector(c) for c in cols])
     ideal = Subspace.span([basis_vector(5, t) for t in range(3)], 5)
     alg, _, rep = ideal_complement_complex(CRData(g, H, j), ideal)
     assert alg == LieAlgebra.abelian(2)
@@ -294,7 +313,7 @@ def test_exactness_so3(so3_kahler):
 
 
 def test_exactness_scaled_metric_scales_alpha_but_not_L(so3_kahler):
-    scaled = KahlerCRData(so3_kahler.cr, so3_kahler.metric.scale(2))
+    scaled = KahlerCRData(so3_kahler.cr, mat_scale(2, so3_kahler.metric))
     alpha, X, L, rep = semisimple_exactness(scaled)
     assert rep.passed
     assert alpha == vector([0, 0, -2])
@@ -306,9 +325,9 @@ def rebased(k, P):
     """k in the basis of the columns of P: c'[a][b] = P^-1 [P e_a, P e_b],
     H' = P^-1 H, j' = P^-1 j P and M' = P^T M P."""
     g, n, p_inv = k.algebra, k.algebra.dim, _inverse(P)
-    c = [[p_inv.matvec(g.bracket(P.column(a), P.column(b))) for b in range(n)]
+    c = [[matvec(p_inv, g.bracket(column(P, a), column(P, b))) for b in range(n)]
          for a in range(n)]
-    H = Subspace.span([p_inv.matvec(h) for h in k.H.basis], n)
+    H = Subspace.span([matvec(p_inv, h) for h in k.H.basis], n)
     return KahlerCRData(CRData(LieAlgebra(c, names=g.names), H, p_inv * k.j * P),
                         P.transpose() * k.metric * P)
 
@@ -337,7 +356,7 @@ def test_exactness_killing_dual_identity_on_all_pairs():
         for a in range(3):
             for b in range(3):
                 x, y = basis_vector(3, a), basis_vector(3, b)
-                assert vdot(X, K.matvec(g.bracket(x, y))) == k.omega(x, y)
+                assert vdot(X, matvec(K, g.bracket(x, y))) == omega(k, x, y)
 
 
 def test_exactness_matches_full_system_oracle():
@@ -354,7 +373,7 @@ def test_exactness_matches_full_system_oracle():
     inputs = exactness_inputs() + [
         p.kahler for p in map(parse_document, ORACLE_DOCS.values())
         if p.kahler is not None and p.algebra.is_semisimple()]
-    inputs += [KahlerCRData(cr, metric), KahlerCRData(cr, metric + coupling)]
+    inputs += [KahlerCRData(cr, metric), KahlerCRData(cr, mat_add(metric, coupling))]
     assert [semisimple_exactness(k)[0] is None for k in inputs[-2:]] == [False, True]
     for k in inputs:
         got, want = semisimple_exactness(k), semisimple_exactness_full_system(k)
@@ -397,7 +416,7 @@ def test_radical_subalgebra_on_randomized_valid_abelian_perturbations():
         m = _random_invertible(rng, 4)
         minv = _inverse(m)
         j2 = m * base.j * minv
-        H2 = Subspace.span([m.matvec(h) for h in base.H.basis], 4)
+        H2 = Subspace.span([matvec(m, h) for h in base.H.basis], 4)
         metric2 = minv.transpose() * minv
         k2 = KahlerCRData(CRData(g, H2, j2), metric2)
         assert check_kahler(k2).passed
@@ -417,7 +436,7 @@ def _inverse(m):
     from crlie.linalg import solve
     n = m.rows
     cols = [solve(m, basis_vector(n, i)) for i in range(n)]
-    return Matrix.from_columns(cols)
+    return from_columns(cols)
 
 
 # -- equivalence with the oracles --------------------------------------------
@@ -469,7 +488,7 @@ def perturbed_product(data, k):
         q = vector(data.draw(st.lists(small, min_size=m, max_size=m)))
         for x, y in ({(a, b), (b, a)} if data.draw(st.booleans()) else {(a, b)}):
             coords[x][y] = vadd(coords[x][y], q)
-    return product_from_coordinates(k.H.basis, coords)
+    return product_from_coordinates(k.H, coords)
 
 
 half = st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2), max_denominator=4)
@@ -493,7 +512,7 @@ def random_metrics(draw):
     k = KAHLER_INPUTS[draw(st.sampled_from(sorted(KAHLER_INPUTS)))]
     n = k.algebra.dim
     A = Matrix([[draw(st.integers(-1, 1)) for _ in range(n)] for _ in range(n)])
-    return KahlerCRData(k.cr, A.transpose() * A + Matrix.identity(n))
+    return KahlerCRData(k.cr, mat_add(A.transpose() * A, identity(n)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -530,16 +549,16 @@ def dense_cr_data(draw, full=False):
     n = g.dim
     P = unimodular(draw, n)
     p_inv = _inverse(P)
-    g = LieAlgebra([[p_inv.matvec(g.bracket(P.column(a), P.column(b))) for b in range(n)]
-                    for a in range(n)])
+    g = LieAlgebra([[matvec(p_inv, g.bracket(column(P, a), column(P, b)))
+                     for b in range(n)] for a in range(n)])
     m = n if full else draw(st.sampled_from([d for d in (2, 4, 6) if d <= n]))
     R, S = unimodular(draw, n), unimodular(draw, m)
     J0 = Matrix([[(b == a + 1) - (a == b + 1) if a // 2 == b // 2 else 0 for b in range(m)]
                  for a in range(m)])
     j = S * J0 * _inverse(S)
     if m < n:
-        j = Matrix.block_diag(j, Matrix.zeros(n - m, n - m))
-    return CRData(g, Subspace.span([R.column(a) for a in range(m)], n),
+        j = Matrix.block_diag(j, zeros(n - m, n - m))
+    return CRData(g, Subspace.span([column(R, a) for a in range(m)], n),
                   R * j * _inverse(R))
 
 
@@ -560,9 +579,8 @@ def test_h_brackets_are_computed_once_per_crdata(monkeypatch):
     # every integer table of the CR and Kahler data is built once, however
     # many checks read it
     builds = []
-    for cls, name in [(CRData, "basis_ints"), (CRData, "annihilator"), (CRData, "j_rows"),
-                      (CRData, "brackets"), (CRData, "jH"), (KahlerCRData, "omega_rows"),
-                      (KahlerCRData, "omega_images")]:
+    for cls, name in [(CRData, "brackets"), (CRData, "jH"), (KahlerCRData, "omega_images"),
+                      (KahlerCRData, "gram")]:
         build = getattr(cls, name).func
         prop = cached_property(lambda self, build=build, name=name:
                                builds.append(name) or build(self))
@@ -571,10 +589,10 @@ def test_h_brackets_are_computed_once_per_crdata(monkeypatch):
     k = parse_document(AFF_AFF_R_DENSE).kahler
     table = k.algebra.table
     check_cr(k.cr)
+    check_kahler(k)
     check_left_symmetric(k, left_symmetric_product(k))
     check_cr(k.cr)
-    assert sorted(builds) == sorted(["basis_ints", "annihilator", "j_rows", "brackets",
-                                     "jH", "omega_rows", "omega_images"])
+    assert sorted(builds) == sorted(["brackets", "jH", "omega_images", "gram"])
     assert k.algebra.table is table
 
 
@@ -601,7 +619,7 @@ def test_extension_by_a_coboundary_passes_jacobi_and_cyclic(d, theta):
     n, c = d.algebra.dim, dense_tensor(d.algebra)
     alpha = {(a, b): [vdot(vector(theta), c[a][b])]
              for a in range(n) for b in range(a + 1, n)}
-    rep = build_extension(KahlerCRData(d, Matrix.identity(n)), 1, alpha)
+    rep = build_extension(KahlerCRData(d, identity(n)), 1, alpha)
     assert rep.result("extension.jacobi").passed
     assert rep.result("extension.cyclic").passed
 
@@ -622,7 +640,7 @@ def test_extension_matches_lifted_oracle_in_dense_bases(d, v_dim, data):
     if data.draw(st.booleans()):
         theta = Matrix([data.draw(values) for _ in range(n)])
         c = dense_tensor(g)
-        table = [[theta.transpose().matvec(c[a][b]) for b in range(n)] for a in range(n)]
+        table = [[matvec(theta.transpose(), c[a][b]) for b in range(n)] for a in range(n)]
     else:
         table = [[None] * n for _ in range(n)]
         for a in range(n):
@@ -631,7 +649,7 @@ def test_extension_matches_lifted_oracle_in_dense_bases(d, v_dim, data):
                 table[a][b] = vector(data.draw(values))
                 table[b][a] = tuple(-x for x in table[a][b])
     if data.draw(st.booleans()):
-        table = [[vadd(table[a][b], bilinear(table, d.j.column(a), d.j.column(b), v_dim))
+        table = [[vadd(table[a][b], bilinear(table, column(d.j, a), column(d.j, b), v_dim))
                   for b in range(n)] for a in range(n)]
     alpha = {}
     for a in range(n):
@@ -639,7 +657,7 @@ def test_extension_matches_lifted_oracle_in_dense_bases(d, v_dim, data):
             if not is_zero(table[a][b]) or data.draw(st.booleans()):
                 key = (b, a) if data.draw(st.booleans()) else (a, b)
                 alpha[key] = table[key[0]][key[1]]
-    lifted_extension(KahlerCRData(d, Matrix.identity(n)), v_dim, alpha)
+    lifted_extension(KahlerCRData(d, identity(n)), v_dim, alpha)
 
 
 @pytest.mark.parametrize("entry_id", [e for e in catalog.ids()
@@ -712,7 +730,7 @@ def test_crdata_invariants_match_fraction_oracle_with_denominators(d, data):
     # being -Id on H
     n = d.algebra.dim
     r, s = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
-    rows = [list(row) for row in d.j.data]
+    rows = [list(row) for row in rows_of(d.j)]
     rows[r][s] += data.draw(small)
     j = Matrix(rows)
     try:
@@ -735,6 +753,56 @@ def test_kahler_layer_matches_oracles_with_denominators(data):
 # Every catalog and golden input, each once.
 ORACLE_DOCS = {case.split("-")[1]: doc for case, (_, doc) in CASES.items()}
 
+# The Kahler inputs on which U is nonzero, so that center_U has pairs to test.
+CENTER_INPUTS = {name: k for name, k in KAHLER_INPUTS.items() if center_U(k)[0].dim}
+CENTER_INPUTS["heisenberg+R2"] = heisenberg_r2_kahler()
+
+
+def assert_center_U_matches_oracle(k):
+    (U, rep), (want_U, want) = center_U(k), center_U_over_fractions(k)
+    assert U == want_U
+    assert rep.to_dict() == want.to_dict()
+
+
+@pytest.mark.parametrize("name", sorted(set(KAHLER_INPUTS) | set(CENTER_INPUTS)))
+def test_center_U_matches_fraction_oracle_on_catalog(name):
+    assert_center_U_matches_oracle({**KAHLER_INPUTS, **CENTER_INPUTS}[name])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(CENTER_INPUTS)), st.data())
+def test_center_U_matches_fraction_oracle_in_rescaled_dense_bases(name, data):
+    k = CENTER_INPUTS[name]
+    n = k.algebra.dim
+    k = rebased(k, unimodular(data.draw, n))
+    k = rescaled(k.cr, data.draw(st.lists(units, min_size=n, max_size=n)), k.metric)
+    assert center_U(k)[0].dim > 0
+    assert_center_U_matches_oracle(k)
+
+
+IDEAL_DOCS = {name: doc for name, doc in ORACLE_DOCS.items() if "ideal" in doc}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(IDEAL_DOCS)), st.data())
+def test_ideal_complement_matches_fraction_oracle(name, data):
+    # as given, or in the basis q_i e_i, so that H, I, j and c carry denominators
+    p = parse_document(IDEAL_DOCS[name])
+    d, ideal, n = p.cr, p.ideal, p.algebra.dim
+    if data.draw(st.booleans()):
+        q = data.draw(st.lists(units, min_size=n, max_size=n))
+        d = rescaled(d, q)
+        ideal = Subspace.span([[e / q[i] for i, e in enumerate(v)] for v in ideal.basis], n)
+    results = []
+    for build in (ideal_complement_complex, ideal_complement_complex_over_fractions):
+        try:
+            alg, jH, rep = build(d, ideal)
+        except ValueError as e:
+            results.append(str(e))
+        else:
+            results.append((alg, jH, rep.to_dict()))
+    assert results[0] == results[1]
+
 
 @pytest.mark.parametrize("name", sorted(ORACLE_DOCS))
 def test_reports_match_fraction_oracle_layers(name, monkeypatch):
@@ -746,9 +814,10 @@ def test_reports_match_fraction_oracle_layers(name, monkeypatch):
                           ("check_left_symmetric", check_left_symmetric_over_fractions),
                           ("check_pseudo_poisson", check_pseudo_poisson_over_fractions),
                           ("check_j_invariance", check_j_invariance_over_fractions),
-                          ("coboundary_pi", coboundary_pi_over_fractions)]:
+                          ("coboundary_pi", coboundary_pi_over_fractions),
+                          ("center_U", center_U_over_fractions),
+                          ("ideal_complement_complex", ideal_complement_complex_over_fractions)]:
         monkeypatch.setattr(checks, layer, oracle)
-    # the ideal table, and the base closedness that the extension reads
-    monkeypatch.setattr(crkahler, "validate_structure", validate_structure_over_fractions)
+    # the base closedness that the extension reads
     monkeypatch.setattr(KahlerCRData, "omega_defects", property(omega_defects_over_fractions))
     assert run_checks(parse_document(doc)).to_dict() == report

@@ -5,16 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crlie import (
-    Bivector, LieAlgebra, Trivector, derive, push, schouten,
-    sl2, so3, wedge, wedge3,
-)
+from crlie import Bivector, LieAlgebra, Trivector, schouten, sl2, so3, wedge, wedge3
 from crlie.linalg import Matrix, Subspace, basis_vector, vector
 from crlie.multivector import wedge_subspace_residual
 
 from oracles import (
-    apply_exterior_power, derive_over_fractions, push_over_fractions, schouten_decomposable,
-    schouten_over_fractions, wedge_span_remainder,
+    apply_exterior_power, derive, derive_over_fractions, identity, push, push_over_fractions,
+    schouten_decomposable, schouten_over_fractions, wedge_span_remainder,
 )
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=2)
@@ -40,7 +37,7 @@ def test_wedge3_odd_permutation():
 def test_extend_map_identity():
     for t in ([Bivector(3, {key: 1}) for key in combinations(range(3), 2)]
               + [Trivector(3, {(0, 1, 2): 5})]):
-        assert push(Matrix.identity(3), t) == t
+        assert push(identity(3), t) == t
 
 
 def test_extend_map_j_on_so3():

@@ -19,9 +19,7 @@ from math import gcd
 from typing import Mapping, Optional, Sequence
 
 from .lie import IntTable, LieAlgebra, contraction, cyclic_nonzero, nonzero_contraction
-from .linalg import (
-    Matrix, Subspace, Vector, is_zero, kernel, lincomb, rref, solve, vector, vscale, vsub,
-)
+from .linalg import Matrix, Subspace, Vector, kernel, lincomb, read_row, rref, solve, vsub
 from .report import Report, fmt_vec, witness
 
 
@@ -275,7 +273,7 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
     rep = Report()
     m, n, s, P = k.H.dim, k.algebra.dim, p.scale, p.P
     fmt = [fmt_vec(k.algebra.names, h, k.H.scale) for h in k.H.ints]
-    C = IntTable.dense([[vsub(P[a][b], P[b][a]) for b in range(m)] for a in range(m)])
+    C = IntTable.dense_ints([[vsub(P[a][b], P[b][a]) for b in range(m)] for a in range(m)])
 
     # w(xy - yx, h_t) = sum_c C[a][b][c] G[c][t] / (s s_G) and w([x, y], h_t) =
     # B[a][b] . U[t] / (s_B s_U); tested on s s_G s_B s_U times the difference
@@ -299,7 +297,7 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
         # The defect x(yz) - y(xz) - (xy - yx)z changes sign when a and b are
         # swapped and vanishes when a = b, so a < b decides every triple.  It
         # is homogeneous of degree 2 in P, so the scale cannot change a zero test
-        prod, comm = IntTable.dense(P).rows, C.rows
+        prod, comm = IntTable.dense_ints(P).rows, C.rows
         cols = [{d: prod[d][c] for d in range(m) if c in prod[d]} for c in range(m)]
         failing = [(a, b, c) for a in range(m) for b in range(a + 1, m) for c in range(m)
                    if nonzero_contraction(((1, prod[b].get(c, {}), prod[a]),
@@ -446,17 +444,17 @@ def build_extension(base: KahlerCRData, v_dim: int,
     # given[(a, b)] = alpha(e_a, e_b), for the pairs given either way
     given = {}
     for (a, b), val in alpha.items():
-        v = vector(val)
-        if len(v) != v_dim:
+        s, v = read_row(val)
+        if len(val) != v_dim:
             raise ValueError(f"alpha value at {(a, b)} has wrong dimension")
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"alpha index {(a, b)} out of range")
-        if a == b and not is_zero(v):
+        if a == b and v:
             raise ValueError(f"alpha({a + 1},{a + 1}) must vanish (antisymmetry)")
-        if given.get((a, b), v) != v:
+        if given.get((a, b), (s, v)) != (s, v):
             raise ValueError(f"alpha not antisymmetric at {(a + 1, b + 1)}")
-        given[(a, b)], given[(b, a)] = v, vscale(-1, v)
-    A = IntTable.from_entries(n, given).rows
+        given[(a, b)], given[(b, a)] = (s, v), (s, {k: -x for k, x in v.items()})
+    A = IntTable.from_rows(n, given).rows
 
     # the V-part of the Jacobiator needs a nonzero bracket among the triple
     rows = alg.table.rows

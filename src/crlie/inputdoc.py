@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .crkahler import CRData, KahlerCRData
-from .lie import LieAlgebra, StructureError
-from .linalg import Matrix, Subspace, format_rat, rat, vector
+from .lie import IntTable, LieAlgebra, StructureError
+from .linalg import Matrix, Subspace, common_scale, format_rat, read_row
 from .multivector import Bivector
 from .poisson import PseudoPoissonData
 
@@ -37,7 +37,7 @@ class Payloads:
     poisson: Optional[PseudoPoissonData] = None
     poisson_r: Optional[Bivector] = None
     ideal: Optional[Subspace] = None
-    extension: Optional[dict] = None  # {"v_dim": int, "alpha": {(a, b): Vector}}
+    extension: Optional[dict] = None  # {"v_dim": int, "alpha": {(a, b): rationals}}
 
 
 def _int(value) -> int:
@@ -70,30 +70,35 @@ def _matrix(rows, n_cols, where, diags) -> Optional[Matrix]:
 
 def _subspace(rows, dim, where, diags) -> Optional[Subspace]:
     try:
-        vs = [vector(row) for row in rows]
+        ints = [read_row(row)[1] for row in rows]
     except (ValueError, TypeError) as e:
         diags.append(f"{where}: {e}")
         return None
-    if any(len(v) != dim for v in vs):
+    if any(len(row) != dim for row in rows):
         diags.append(f"{where}: row of wrong dimension (ambient is {dim})")
         return None
-    return Subspace.span(vs, dim)
+    return Subspace.from_ints(dim, ints)
 
 
 def _bivector(entries, dim, where, diags) -> Optional[Bivector]:
-    coeffs = {}
+    keys, read = [], []
     for e in entries:
         try:
             i, j = _int(e["i"]), _int(e["j"])
-            c = rat(e["coeff"])
+            coeff = read_row([e["coeff"]])
         except (KeyError, ValueError, TypeError) as err:
             diags.append(f"{where}: bad entry {e!r}: {err}")
             return None
         if not (1 <= i < j <= dim):
             diags.append(f"{where}: indices ({i},{j}) must satisfy 1 <= i < j <= {dim}")
             return None
-        coeffs[(i - 1, j - 1)] = coeffs.get((i - 1, j - 1), 0) + c
-    return Bivector(dim, coeffs)
+        keys.append((i - 1, j - 1))
+        read.append(coeff)
+    scale, ints = common_scale(read)
+    coeffs = {}
+    for ij, c in zip(keys, ints):
+        coeffs[ij] = coeffs.get(ij, 0) + c.get(0, 0)
+    return Bivector.from_ints(dim, scale, coeffs)
 
 
 def parse_document(doc: dict) -> Payloads:
@@ -137,7 +142,8 @@ def parse_document(doc: dict) -> Payloads:
         where = f"algebra.brackets[{k}]"
         try:
             x, y = _int(entry["x"]), _int(entry["y"])
-            result = vector(entry["result"])
+            result = entry["result"]
+            row = read_row(result)
         except (KeyError, ValueError, TypeError) as e:
             diags.append(f"{where}: {e}")
             continue
@@ -150,24 +156,22 @@ def parse_document(doc: dict) -> Payloads:
         if (x - 1, y - 1) in given:
             diags.append(f"{where}: duplicate bracket for ({x},{y})")
             continue
-        given[(x - 1, y - 1)] = result
+        given[(x - 1, y - 1)] = row
 
-    # a pair given in both orientations must be antisymmetric; every other
-    # pair is mirrored by from_brackets
+    # a pair given in both orientations must be antisymmetric, c(i,j) =
+    # -c(j,i), compared across the two scales; every other pair is mirrored
     for i, j in sorted(ij for ij in given if ij[0] < ij[1] and ij[::-1] in given):
-        a, b = given[(i, j)], given[(j, i)]
-        k = next((k for k in range(dim) if a[k] != -b[k]), None)
+        (sa, a), (sb, b) = given[(i, j)], given[(j, i)]
+        k = next((k for k in range(dim) if a.get(k, 0) * sb != -b.get(k, 0) * sa), None)
         if k is not None:
             diags.append(f"algebra.brackets: antisymmetry violated at "
-                         f"({i + 1},{j + 1},{k + 1}): c={format_rat(a[k])} "
-                         f"vs c={format_rat(b[k])}")
+                         f"({i + 1},{j + 1},{k + 1}): c={format_rat(a.get(k, 0), sa)} "
+                         f"vs c={format_rat(b.get(k, 0), sb)}")
     if diags:
         raise InputError(diags)
 
     try:
-        algebra = LieAlgebra.from_brackets(
-            dim, {(min(ij), max(ij)): v if ij[0] < ij[1] else tuple(-e for e in v)
-                  for ij, v in given.items()}, names=names)
+        algebra = LieAlgebra(IntTable.antisymmetric(dim, given), names=names)
     except StructureError as e:
         raise InputError([f"algebra.brackets: {e}"])
 
@@ -241,7 +245,8 @@ def parse_document(doc: dict) -> Payloads:
                 where = f"extension.alpha[{k}]"
                 try:
                     x, y = _int(entry["x"]), _int(entry["y"])
-                    result = vector(entry["result"])
+                    result = entry["result"]
+                    read_row(result)  # for its diagnostic; build_extension reads it
                 except (KeyError, ValueError, TypeError) as e:
                     diags.append(f"{where}: {e}")
                     continue

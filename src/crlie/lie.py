@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .linalg import Matrix, Subspace, Vector, kernel, vector
+from .linalg import Matrix, Subspace, Vector, common_scale, kernel, read_row
 
 
 class StructureError(ValueError):
@@ -30,7 +30,8 @@ class IntTable:
     denominator of c and rows[i] = {j: {k: x}} keeps only the nonzero
     entries, grouped per row.  Both are canonical, so two tables hold the same
     c exactly when their dim, scale and rows agree.  The constructor takes the
-    three as they are; `from_entries` and `dense` compute them from c."""
+    three as they are; `from_rows`, `antisymmetric`, `dense` and `dense_ints`
+    compute them from c."""
 
     __slots__ = ("dim", "scale", "rows")
 
@@ -38,21 +39,39 @@ class IntTable:
         self.dim, self.scale, self.rows = dim, scale, rows
 
     @classmethod
-    def from_entries(cls, dim: int, entries: Mapping[tuple[int, int], Sequence]) -> "IntTable":
-        """The table with c[i][j] = entries[(i, j)], a rational vector, and
-        zero at every pair not listed."""
-        nonzero = sorted((ij, v) for ij, v in entries.items() if any(v))
-        scale = lcm(*(e.denominator for _, v in nonzero for e in v))
+    def from_rows(cls, dim: int, entries: Mapping[tuple[int, int], tuple[int, dict]]) -> "IntTable":
+        """The table with c[i][j] = ints / s for entries[(i, j)] = (s, ints),
+        a vector in the form `read_row` gives, and zero at every pair not
+        listed."""
+        nonzero = [(ij, v) for ij, v in sorted(entries.items()) if v[1]]
+        scale, ints = common_scale(v for _, v in nonzero)
         rows = [{} for _ in range(dim)]
-        for (i, j), v in nonzero:
-            rows[i][j] = {k: e.numerator * (scale // e.denominator) for k, e in enumerate(v) if e}
+        for ((i, j), _), r in zip(nonzero, ints):
+            rows[i][j] = r
         return cls(dim, scale, rows)
 
     @classmethod
-    def dense(cls, c: Sequence[Sequence[Vector]]) -> "IntTable":
-        """The table of the dense tensor c."""
-        return cls.from_entries(len(c), {(i, j): v for i, row in enumerate(c)
-                                         for j, v in enumerate(row)})
+    def antisymmetric(cls, dim: int,
+                      entries: Mapping[tuple[int, int], tuple[int, dict]]) -> "IntTable":
+        """The table with c[i][j] = entries[(i, j)] and c[j][i] = -c[i][j],
+        mirrored by negating the integers; a pair listed both ways must be
+        listed antisymmetric."""
+        mirrored = dict(entries)
+        for (i, j), (s, v) in entries.items():
+            mirrored[(j, i)] = (s, {k: -x for k, x in v.items()})
+        return cls.from_rows(dim, mirrored)
+
+    @classmethod
+    def dense(cls, c: Sequence[Sequence[Iterable]]) -> "IntTable":
+        """The table of the dense tensor c of rationals."""
+        return cls.from_rows(len(c), {(i, j): read_row(v) for i, row in enumerate(c)
+                                      for j, v in enumerate(row)})
+
+    @classmethod
+    def dense_ints(cls, c: Sequence[Sequence[Sequence[int]]]) -> "IntTable":
+        """The table of the dense tensor c of integers, at scale 1."""
+        return cls(len(c), 1, [{j: {k: x for k, x in enumerate(v) if x}
+                                for j, v in enumerate(row) if any(v)} for row in c])
 
     def triples(self) -> list:
         """The triples i < j < k, in lexicographic order, on which some entry
@@ -117,10 +136,9 @@ class LieAlgebra:
                  names: Optional[Sequence[str]] = None, validate: bool = True):
         if not isinstance(c, IntTable):
             n = len(c)
-            tensor = [[vector(v) for v in row] for row in c]
-            if any(len(row) != n or any(len(v) != n for v in row) for row in tensor):
+            if any(len(row) != n or any(len(v) != n for v in row) for row in c):
                 raise ValueError("structure tensor must be n x n x n")
-            c = IntTable.dense(tensor)
+            c = IntTable.dense(c)
         if names is None:
             names = [f"e{i + 1}" for i in range(c.dim)]
         if len(names) != c.dim:
@@ -146,11 +164,10 @@ class LieAlgebra:
         for (i, j), v in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket indices out of range or not i<j: {(i, j)}")
-            w = vector(v)
-            if len(w) != dim:
+            entries[(i, j)] = read_row(v)
+            if len(v) != dim:
                 raise ValueError(f"bracket value at {(i, j)} has wrong dimension")
-            entries[(i, j)], entries[(j, i)] = w, tuple(-e for e in w)
-        return cls(IntTable.from_entries(dim, entries), names=names, validate=validate)
+        return cls(IntTable.antisymmetric(dim, entries), names=names, validate=validate)
 
     @classmethod
     def abelian(cls, dim: int, names: Optional[Sequence[str]] = None) -> "LieAlgebra":
@@ -176,13 +193,13 @@ class LieAlgebra:
         """Matrix of y -> [x, y]: column j is [x, e_j] = sum_i x_i c[i][j]."""
         if len(x) != self.dim:
             raise ValueError("dimension mismatch in ad")
-        m = [[0] * self.dim for _ in range(self.dim)]
-        for xi, row in zip(x, self.table.rows):
-            if xi:
-                for j, v in row.items():
-                    for k, e in v.items():
-                        m[k][j] += xi * e
-        return Matrix([[Fraction(e, self.table.scale) for e in r] for r in m])
+        sx, xs = read_row(x)
+        m = [{} for _ in range(self.dim)]
+        for i, xi in xs.items():
+            for j, v in self.table.rows[i].items():
+                for k, e in v.items():
+                    m[k][j] = m[k].get(j, 0) + xi * e
+        return Matrix.from_ints(self.dim, sx * self.table.scale, m)
 
     def killing_form(self) -> Matrix:
         """K(e_i, e_j) = trace(ad e_i ad e_j) = sum_{k,l} c[i][l][k] c[j][k][l],

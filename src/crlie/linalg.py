@@ -7,9 +7,11 @@ basis in the same form plus its pivots.  Both forms are canonical, so
 equality is a comparison.  One fraction-free Gauss-Jordan elimination,
 `_echelon`, serves `rref`, `kernel`, `solve` and `det`: Bareiss's exact
 division (Math. Comp. 22 (1968) 565-578) in the Gauss-Jordan form of Nakos,
-Turner and Williams (ACM SIGSAM Bull. 31(3), 1997).  `Fraction` enters where
-rationals are read (`rat`, `Matrix(rows)`, `Subspace.span`) and leaves where
-an entry or a vector is handed out or formatted.
+Turner and Williams (ACM SIGSAM Bull. 31(3), 1997).  Rationals are read by
+`read_row`, straight into one integer row over its least common
+denominator; `Fraction` appears there only for a spelling other than the
+canonical ones, and otherwise only where an entry or a vector is handed out
+or formatted.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ def rat(x) -> Fraction:
     raise ValueError(f"not a rational: {x!r}")
 
 
-def format_rat(q: Fraction) -> str:
-    """Serialize as "p/q", or "p" when the denominator is 1."""
+def format_rat(q, scale: int = 1) -> str:
+    """Serialize q / scale, for a rational q, as "p/q", or "p" when the
+    denominator is 1."""
+    q = Fraction(q, scale)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -61,6 +65,54 @@ def format_terms(terms: Iterable, scale: int = 1) -> str:
         else:
             out.append(f"{format_rat(q)}*{symbol}")
     return " + ".join(out).replace("+ -", "- ") if out else "0"
+
+
+def read_row(entries: Iterable) -> tuple[int, dict]:
+    """(s, ints) with entries[k] = ints.get(k, 0) / s exactly, where s is the
+    least common denominator of the entries (1 when all vanish) and
+    ints = {k: x} keeps the nonzero ones.
+
+    The canonical spellings -- ints other than bool, and strings "p", "-p",
+    "p/q" and "-p/q" of ASCII digits with q != 0 -- are read with int().
+    Every other value, and one whose int() raises (too many digits), goes
+    through `rat`, so what is accepted, and the error for what is not, are
+    exactly those of `Fraction`."""
+    ints, dens = {}, {}
+    for k, e in enumerate(entries):
+        if type(e) is int:
+            p, q = e, 1
+        else:
+            p = q = 0
+            if type(e) is str and e.isascii():
+                num, slash, den = e.partition("/")
+                if (num[1:] if num[:1] == "-" else num).isdigit() and (not slash or den.isdigit()):
+                    try:
+                        p, q = int(num), int(den) if slash else 1
+                    except ValueError:  # more digits than int() reads
+                        pass
+            if not q:
+                f = rat(e)
+                p, q = f.numerator, f.denominator
+        if p:
+            if q != 1:
+                g = gcd(p, q)
+                p, q = p // g, q // g
+                if q != 1:
+                    dens[k] = q
+            ints[k] = p
+    if not dens:
+        return 1, ints
+    s = lcm(*dens.values())
+    return s, {k: x * (s // dens.get(k, 1)) for k, x in ints.items()}
+
+
+def common_scale(rows: Iterable[tuple[int, dict]]) -> tuple[int, list]:
+    """(s, ints) for rows r_i / t_i given as pairs (t_i, r_i) of a positive
+    scale and integer entries {key: x}: s is the lcm of the t_i and
+    ints[i] = (s / t_i) r_i, so that row i is ints[i] / s."""
+    rows = list(rows)
+    s = lcm(*(t for t, _ in rows))
+    return s, [r if t == s else {k: x * (s // t) for k, x in r.items()} for t, r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -96,16 +148,6 @@ def lincomb(coeffs: Iterable, vectors: Iterable[Vector], n: int) -> Vector:
     return tuple(acc)
 
 
-def scaled_sparse(rows: Iterable[Iterable]) -> tuple[int, list]:
-    """(s, ints) with rows[i][k] = ints[i].get(k, 0) / s exactly, where s is
-    the least common denominator of the entries (1 when there are none) and
-    ints[i] = {k: x} keeps the nonzero entries."""
-    rows = [tuple(r) for r in rows]
-    s = lcm(*(e.denominator for r in rows for e in r))
-    return s, [{k: e.numerator * (s // e.denominator) for k, e in enumerate(r) if e}
-               for r in rows]
-
-
 def is_zero(x: Vector) -> bool:
     return all(a == 0 for a in x)
 
@@ -129,11 +171,12 @@ class Matrix:
     __slots__ = ("rows", "cols", "scale", "ints")
 
     def __init__(self, rows_data: Iterable[Iterable]):
-        data = [vector(row) for row in rows_data]
-        cols = len(data[0]) if data else 0
-        if any(len(r) != cols for r in data):
+        rows_data = list(rows_data)
+        read = [read_row(row) for row in rows_data]
+        cols = len(rows_data[0]) if rows_data else 0
+        if any(len(r) != cols for r in rows_data):
             raise ValueError("ragged matrix rows")
-        self._store(cols, *scaled_sparse(data))
+        self._store(cols, *common_scale(read))
 
     @classmethod
     def from_ints(cls, cols: int, scale: int, ints: Iterable) -> "Matrix":
@@ -308,7 +351,7 @@ def solve(A: Matrix, b: Sequence) -> Optional[Vector]:
     """
     if A.rows != len(b):
         raise ValueError(f"dimension mismatch: {A.rows} rows vs rhs of {len(b)}")
-    n, (sb, (bi,)) = A.cols, scaled_sparse([b])
+    n, (sb, bi) = A.cols, read_row(b)
     s, R, pivots = rref([{**r, n: A.scale * bi[i]} if i in bi else r
                          for i, r in enumerate(A.ints)], n + 1)
     if pivots and pivots[-1] == n:
@@ -346,12 +389,13 @@ class Subspace:
 
     @classmethod
     def span(cls, vectors: Iterable, ambient_dim: int) -> "Subspace":
-        vs = [vector(v) for v in vectors]
-        for v in vs:
+        vectors = list(vectors)
+        ints = [read_row(v)[1] for v in vectors]
+        for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError(
                     f"dimension mismatch: vector of {len(v)} in ambient {ambient_dim}")
-        return cls.from_ints(ambient_dim, scaled_sparse(vs)[1])
+        return cls.from_ints(ambient_dim, ints)
 
     @classmethod
     def from_ints(cls, ambient_dim: int, rows: Iterable) -> "Subspace":

@@ -66,6 +66,13 @@ solve per pair, where the library contracts integer rows and reduces all
 pairs at once.  The small helpers below them (`rows_of`, `identity`,
 `zeros`, `mat_add`, `mat_scale`, `vadd`, ...) stand in for the `Matrix` and
 vector arithmetic the library no longer has.
+`parse_over_fractions` is the library's former parse conversion, kept as it
+was when the document reader moved to `read_row`: every rational goes
+through `vector` to a `Fraction`, the bracket table is mirrored by
+negating `Fraction`s and scaled by `table_over_fractions`, the former
+`IntTable.from_entries`, and H, U, the ideal, j and the metric by
+`scaled_sparse`, the former common-denominator scaling of `Matrix(rows)`
+and `Subspace.span`.
 """
 
 from fractions import Fraction
@@ -80,7 +87,7 @@ from crlie.crkahler import (
 )
 from crlie.lie import IntTable
 from crlie.linalg import (
-    Matrix, Subspace, Vector, basis_vector, is_zero, kernel, lincomb, vector, vscale, vsub,
+    Matrix, Subspace, Vector, basis_vector, is_zero, kernel, lincomb, rat, vector, vscale, vsub,
 )
 from crlie.multivector import derive_ints, push_ints
 from crlie.poisson import PseudoPoissonData
@@ -1022,3 +1029,70 @@ def ideal_complement_complex_over_fractions(d: CRData, ideal: Subspace):
                                   y=fmt_vec(alg.names, basis[b])))
     rep.add("ideal.complex_structure", not wj, wj)
     return quotient_like, jH, rep
+
+
+# -- the former parse conversion -----------------------------------------------
+
+def scaled_sparse(rows) -> tuple[int, list]:
+    """(s, ints) with rows[i][k] = ints[i].get(k, 0) / s exactly, where s is
+    the least common denominator of the entries (1 when there are none) and
+    ints[i] = {k: x} keeps the nonzero entries."""
+    rows = [tuple(r) for r in rows]
+    s = lcm(*(e.denominator for r in rows for e in r))
+    return s, [{k: e.numerator * (s // e.denominator) for k, e in enumerate(r) if e}
+               for r in rows]
+
+
+def table_over_fractions(dim: int, entries: Mapping) -> tuple[int, list]:
+    """(scale, rows) of the table with c[i][j] = entries[(i, j)], a
+    `Fraction` vector, and zero at every pair not listed."""
+    nonzero = sorted((ij, v) for ij, v in entries.items() if any(v))
+    scale = lcm(*(e.denominator for _, v in nonzero for e in v))
+    rows = [{} for _ in range(dim)]
+    for (i, j), v in nonzero:
+        rows[i][j] = {k: e.numerator * (scale // e.denominator) for k, e in enumerate(v) if e}
+    return scale, rows
+
+
+def parse_over_fractions(doc: dict) -> dict:
+    """The parts of a valid document that `parse_document` reads as
+    rationals, each converted the former way: {"table": (scale, rows),
+    "H", "U", "ideal": Subspace, "j", "metric": Matrix, "lambda", "r":
+    Bivector, "alpha": {(a, b): (s, ints)}}, for the blocks present."""
+    dim = doc["algebra"]["dim"]
+    given = {}
+    for e in doc["algebra"].get("brackets", []):
+        i, j, v = e["x"] - 1, e["y"] - 1, vector(e["result"])
+        given[(i, j)], given[(j, i)] = v, tuple(-x for x in v)
+    out = {"table": table_over_fractions(dim, given)}
+
+    def subspace(rows):
+        return Subspace.from_ints(dim, scaled_sparse([vector(r) for r in rows])[1])
+
+    def matrix(rows):
+        return Matrix.from_ints(dim, *scaled_sparse([vector(r) for r in rows]))
+
+    def bivector(entries):
+        coeffs = {}
+        for e in entries:
+            ij = (e["i"] - 1, e["j"] - 1)
+            coeffs[ij] = coeffs.get(ij, 0) + rat(e["coeff"])
+        return Bivector(dim, coeffs)
+
+    if "cr" in doc:
+        out["H"], out["j"] = subspace(doc["cr"]["H"]), matrix(doc["cr"]["j"])
+    if "metric" in doc:
+        out["metric"] = matrix(doc["metric"])
+    if "poisson" in doc:
+        out["U"] = subspace(doc["poisson"]["U"])
+        out["lambda"] = bivector(doc["poisson"].get("lambda", []))
+        if "r" in doc["poisson"]:
+            out["r"] = bivector(doc["poisson"]["r"])
+    if "ideal" in doc:
+        out["ideal"] = subspace(doc["ideal"])
+    if "extension" in doc:
+        out["alpha"] = {}
+        for e in doc["extension"].get("alpha", []):
+            s, (ints,) = scaled_sparse([vector(e["result"])])
+            out["alpha"][(e["x"] - 1, e["y"] - 1)] = (s, ints)
+    return out

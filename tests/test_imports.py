@@ -5,8 +5,10 @@ of the standard library; and every name a module imports is used in it, so
 a deletion leaves no dead import behind.  `__init__.py` imports names to
 re-export them and is exempt from the second rule.  The checks read the
 integer forms of `Matrix` and `Subspace`, and how rationals are scaled to
-integers and back is decided in `linalg` alone: `crkahler` and `poisson`
-neither import `fractions` nor call its scaling helpers.
+integers and back is decided in `linalg` alone: `crkahler`, `poisson` and
+the document reader `inputdoc` neither import `fractions` nor call the
+`Fraction` readers and scaling helpers; `inputdoc` reads every rational
+with `read_row`.
 """
 
 import ast
@@ -44,11 +46,12 @@ def test_imports_are_stdlib_and_used(path):
         assert {name: line for name, line in bound.items() if name not in used} == {}
 
 
-@pytest.mark.parametrize("name", ["crkahler.py", "poisson.py"])
+@pytest.mark.parametrize("name", ["crkahler.py", "poisson.py", "inputdoc.py"])
 def test_checks_leave_the_number_format_to_linalg(name):
     tree = ast.parse((MODULES[0].parent / name).read_text(encoding="utf-8"))
     modules, _ = imports(tree)
     assert "fractions" not in modules
     called = {node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
               for node in ast.walk(tree) if isinstance(node, ast.Call)}
-    assert called & {"scaled", "scaled_sparse", "unscaled"} == set()
+    assert called & {"scaled", "scaled_sparse", "unscaled", "vector", "rat",
+                     "from_brackets"} == set()

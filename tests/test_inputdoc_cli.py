@@ -1,7 +1,11 @@
 import copy
+import importlib.util
+import itertools
 import json
 import sys
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,9 @@ from crlie import (
     parse_text, run_checks,
 )
 from crlie.cli import main
+from crlie.linalg import read_row
+
+from oracles import parse_over_fractions
 
 
 def so3_doc():
@@ -281,3 +288,100 @@ def test_dump_then_check_pipeline(tmp_path, capsys):
     p = tmp_path / "h.json"
     p.write_text(text)
     assert main(["check", str(p)]) == 0
+
+
+# -- the reader against the former `Fraction` conversion -----------------------
+
+def workload_documents(seed):
+    """{name: document} for the ladders of the three benchmark workloads."""
+    path = Path(__file__).parent.parent / "bench" / "families.py"
+    spec = importlib.util.spec_from_file_location("families", path)
+    families = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault("families", families)
+    spec.loader.exec_module(families)
+    return {f"{w}:{c.name}": c.document
+            for w in ("kahler_solvable", "semisimple_poisson", "reject_dense")
+            for c in families.workload_cases(w, seed)}
+
+
+DOCUMENTS = {**{e: catalog.get(e).document for e in catalog.ids()}, **workload_documents(1)}
+
+
+def payload_parts(p):
+    """The parts of a parse that hold rationals, in the form of
+    `parse_over_fractions`."""
+    out = {"table": (p.algebra.table.scale, p.algebra.table.rows)}
+    if p.cr is not None:
+        out["H"], out["j"] = p.cr.H, p.cr.j
+    if p.kahler is not None:
+        out["metric"] = p.kahler.metric
+    if p.poisson is not None:
+        out["U"], out["lambda"] = p.poisson.U, p.poisson.Lambda
+    if p.poisson_r is not None:
+        out["r"] = p.poisson_r
+    if p.ideal is not None:
+        out["ideal"] = p.ideal
+    if p.extension is not None:
+        out["alpha"] = {ij: read_row(v) for ij, v in p.extension["alpha"].items()}
+    return out
+
+
+def respell(s: str, mode: int) -> str:
+    """The rational s as "+p" (mode 0, when s >= 0), as an exact decimal
+    (mode 1, when the denominator divides a power of ten) or padded with
+    spaces: spellings `Fraction` reads and the canonical form excludes."""
+    q = Fraction(s)
+    if mode == 0 and q >= 0:
+        return "+" + s
+    k = next((k for k in range(1, 12) if 10 ** k % q.denominator == 0), None)
+    if mode == 1 and k is not None:
+        digits = str(abs(q.numerator) * 10 ** k // q.denominator).rjust(k + 1, "0")
+        return f"{'-' if q < 0 else ''}{digits[:len(digits) - k]}.{digits[len(digits) - k:]}"
+    return f" {s} "
+
+
+def respelled(doc):
+    """A copy of doc with its rationals respelled in turn by `respell`."""
+    doc, modes = copy.deepcopy(doc), itertools.cycle(range(3))
+
+    def row(values):
+        return [respell(v, next(modes)) for v in values]
+
+    for e in doc["algebra"].get("brackets", []):
+        e["result"] = row(e["result"])
+    for block, key in [(doc.get("cr"), "H"), (doc.get("cr"), "j"), (doc.get("poisson"), "U")]:
+        if block is not None:
+            block[key] = [row(r) for r in block[key]]
+    for key in ("metric", "ideal"):
+        if key in doc:
+            doc[key] = [row(r) for r in doc[key]]
+    for e in doc.get("poisson", {}).get("lambda", []) + doc.get("poisson", {}).get("r", []):
+        e["coeff"] = respell(e["coeff"], next(modes))
+    for e in doc.get("extension", {}).get("alpha", []):
+        e["result"] = row(e["result"])
+    return doc
+
+
+def report_text(doc) -> str:
+    return json.dumps(run_checks(parse_document(doc)).to_dict(), indent=2)
+
+
+def test_respell_covers_every_spelling():
+    assert [respell(s, m) for s, m in [("3", 0), ("-3", 0), ("-1/4", 1), ("7", 1),
+                                       ("1/3", 1), ("1/2", 2)]] == \
+        ["+3", " -3 ", "-0.25", "7.0", " 1/3 ", " 1/2 "]
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_parse_matches_fraction_conversion(name):
+    """The table, H, j, the metric, U, the ideal, Lambda, r and alpha hold
+    the same scales and rows as the former `Fraction` conversion gives,
+    for the document and for a respelled copy, whose report is also
+    byte-identical."""
+    doc = DOCUMENTS[name]
+    want = parse_over_fractions(doc)
+    assert payload_parts(parse_document(doc)) == want
+    again = respelled(doc)
+    assert again != doc
+    assert payload_parts(parse_document(again)) == want
+    assert report_text(again) == report_text(doc)

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,13 +8,15 @@ from hypothesis import strategies as st
 from math import lcm
 
 from crlie.linalg import (
-    Matrix, Subspace, basis_vector, format_rat, is_zero, kernel, rat, rref, solve, vector,
+    Matrix, Subspace, basis_vector, format_rat, is_zero, kernel, rat, read_row, rref, solve,
+    vector,
 )
 
 from oracles import (
     det_over_fractions, first_nonpositive_minor_over_fractions, from_columns, identity,
     intersect_over_fractions, kernel_over_fractions, mat_add, matvec, reduce_over_fractions,
-    rref_over_fractions, rows_of, solve_over_fractions, sum_over_fractions, zeros,
+    rref_over_fractions, rows_of, scaled_sparse, solve_over_fractions, sum_over_fractions,
+    zeros,
 )
 
 rationals = st.fractions(
@@ -28,6 +31,41 @@ def test_rat_parsing():
         rat("1/0")
     with pytest.raises(ValueError):
         rat("abc")
+
+
+MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300
+
+digits = st.integers(0, 10 ** 6).map(str)
+canonical = st.one_of(
+    digits, digits.map(lambda p: "-" + p),
+    st.tuples(st.sampled_from(["", "-"]), digits, st.integers(1, 10 ** 4)).map(
+        lambda t: f"{t[0]}{t[1]}/{t[2]}"),
+    st.sampled_from(["-0", "3/06", "0/5", "-0/7", "007"]))
+spelled = st.one_of(
+    st.sampled_from(["1/0", "0/0", "+3", " 2 ", "1.5", "1e2", "1_000", "-", "", "1/", "/2",
+                     "--1", "12/-4", "\u0663", "1\u0662", "\u00b2", "\uff11", "1/\u0663", "x"]),
+    st.sampled_from(["1" * (MAX_DIGITS + 1), "-" + "2" * (MAX_DIGITS + 1),
+                     "1/" + "3" * (MAX_DIGITS + 1), "9" * MAX_DIGITS]),
+    st.integers(-10 ** 30, 10 ** 30), st.booleans(), st.floats(allow_nan=False),
+    st.none(), st.fractions(max_denominator=12))
+
+
+def outcome(f, entries):
+    try:
+        return f(entries)
+    except Exception as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(canonical, canonical, spelled), max_size=8))
+def test_read_row_matches_fraction_oracle(entries):
+    """read_row reads every entry list as `vector` and `scaled_sparse` do,
+    or fails with the same exception and message."""
+    def oracle(es):
+        s, (ints,) = scaled_sparse([vector(es)])
+        return s, ints
+    assert outcome(read_row, entries) == outcome(oracle, entries)
 
 
 def test_format_rat():

@@ -9,7 +9,7 @@ the Killing-dual of a single element X.
 from crlie import (
     catalog, check_cr, check_kahler, parse_document, semisimple_exactness,
 )
-from crlie.linalg import basis_vector, format_rat
+from crlie.linalg import format_rat
 from crlie.report import fmt_vec
 
 
@@ -19,9 +19,10 @@ def main():
     k = payloads.kahler
 
     print("algebra: so(3), brackets in basis e1, e2, e3:")
+    e = [tuple(int(k == i) for k in range(3)) for i in range(3)]
     for a in range(3):
         for b in range(a + 1, 3):
-            lhs = g.bracket(basis_vector(3, a), basis_vector(3, b))
+            lhs = g.bracket(e[a], e[b])
             print(f"  [e{a + 1}, e{b + 1}] = {fmt_vec(g.names, lhs)}")
 
     print("\nCR conditions (bracket stability of the i-eigenspace):")

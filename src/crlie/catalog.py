@@ -9,8 +9,6 @@ every entry against its expectations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 I2 = [["1", "0"], ["0", "1"]]
 I3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 I4 = [["1", "0", "0", "0"], ["0", "1", "0", "0"],
@@ -40,12 +38,10 @@ AFF_AFF_BRACKETS = [
 ]
 
 
-@dataclass(frozen=True)
 class CatalogEntry:
-    id: str
-    description: str
-    document: dict
-    expected: dict  # check_id -> "pass" | "fail"
+    def __init__(self, id: str, description: str, document: dict, expected: dict):
+        self.id, self.description, self.document = id, description, document
+        self.expected = expected  # check_id -> "pass" | "fail"
 
 
 def _all_pass(*check_ids):

@@ -12,7 +12,6 @@ semisimple algebras.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, permutations
 from math import gcd
@@ -26,7 +25,6 @@ from .report import Report, fmt_vec, witness
 # ---------------------------------------------------------------------------
 # data bundles
 
-@dataclass(frozen=True)
 class CRData:
     """(H, j) on a Lie algebra; j is a total endomorphism with image in H.
 
@@ -34,27 +32,28 @@ class CRData:
     j^2 = -Id on H, image(j) inside H); the two integrability conditions
     are verified by `check_cr` and reported, not raised.  The brackets on H
     and j on H are integer tables built once from the integer forms of H and
-    j, each a pair (s, ints) with ints / s the exact value.
+    j, each a pair (s, ints) with ints / s the exact value; the fields are
+    read-only, so those tables cannot go stale.
     """
 
-    algebra: LieAlgebra
-    H: Subspace
-    j: Matrix
-
-    def __post_init__(self):
-        n = self.algebra.dim
-        if self.H.ambient_dim != n:
+    def __init__(self, algebra: LieAlgebra, H: Subspace, j: Matrix):
+        self.__dict__.update(algebra=algebra, H=H, j=j)
+        n = algebra.dim
+        if H.ambient_dim != n:
             raise ValueError("H lives in the wrong ambient dimension")
-        if self.j.rows != n or self.j.cols != n:
+        if j.rows != n or j.cols != n:
             raise ValueError("j must be an endomorphism of the full algebra")
         for i in range(n):
-            if not self.H.contains([row.get(i, 0) for row in self.j.ints]):
+            if not H.contains([row.get(i, 0) for row in j.ints]):
                 raise ValueError(f"image of j not contained in H (column {i + 1})")
         # j h_a = sum_e jH[a][e] h_e, so j^2 h_a = sum_e (jH jH)[a][e] h_e
         s, J = self.jH
         for a, row in enumerate(J):
             if lincomb(row, J, len(J)) != tuple(-s * s * (b == a) for b in range(len(J))):
                 raise ValueError("j^2 is not -Id on H")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CRData is immutable")
 
     @cached_property
     def brackets(self) -> tuple[int, list]:
@@ -83,26 +82,26 @@ class CRData:
                                                    for p in self.H.pivots) for h in H]
 
 
-@dataclass(frozen=True)
 class KahlerCRData:
     """CR data plus a positive-definite metric; w(x, y) = <x, j y>."""
 
-    cr: CRData
-    metric: Matrix
-
-    def __post_init__(self):
-        n = self.algebra.dim
-        if self.H.dim == 0:
+    def __init__(self, cr: CRData, metric: Matrix):
+        self.__dict__.update(cr=cr, metric=metric)
+        n = cr.algebra.dim
+        if cr.H.dim == 0:
             raise ValueError("H must be nonzero")
-        if self.metric.rows != n or self.metric.cols != n:
+        if metric.rows != n or metric.cols != n:
             raise ValueError("metric has the wrong size")
-        if not self.metric.is_symmetric():
+        if not metric.is_symmetric():
             raise ValueError("metric must be symmetric")
         # positive definiteness via leading principal minors
-        bad = self.metric.first_nonpositive_minor()
+        bad = metric.first_nonpositive_minor()
         if bad is not None:
             raise ValueError(
                 "metric is not positive definite (leading minor {} = {})".format(*bad))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("KahlerCRData is immutable")
 
     @property
     def algebra(self) -> LieAlgebra:
@@ -166,21 +165,22 @@ class KahlerCRData:
                       for a, b, t in sorted(p for abt in failing for p in permutations(abt))]
 
 
-@dataclass(frozen=True)
 class LeftSymmetricProduct:
     """The product on the RREF basis h_a of H as one integer table in
     H-coordinates, h_a h_b = sum_c P[a][b][c] h_c / scale, kept in lowest
     terms so that equal products compare equal."""
 
-    H: Subspace
-    scale: int
-    P: tuple
+    def __init__(self, H: Subspace, scale: int, P):
+        g = gcd(scale, *(x for row in P for v in row for x in v))
+        self.__dict__.update(H=H, scale=scale // g,
+                             P=tuple(tuple(tuple(x // g for x in v) for v in row) for row in P))
 
-    def __post_init__(self):
-        g = gcd(self.scale, *(x for row in self.P for v in row for x in v))
-        object.__setattr__(self, "scale", self.scale // g)
-        object.__setattr__(self, "P", tuple(tuple(tuple(x // g for x in v) for v in row)
-                                            for row in self.P))
+    def __setattr__(self, name, value):
+        raise AttributeError("LeftSymmetricProduct is immutable")
+
+    def __eq__(self, other):
+        return (type(other) is LeftSymmetricProduct and other.H == self.H
+                and other.scale == self.scale and other.P == self.P)
 
     def ambient(self, a: int, b: int) -> Vector:
         """h_a h_b in the coordinates of G."""

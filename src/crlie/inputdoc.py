@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional
 
 from .crkahler import CRData, KahlerCRData
@@ -28,16 +27,15 @@ class InputError(Exception):
         super().__init__("; ".join(self.diagnostics))
 
 
-@dataclass
 class Payloads:
-    document: dict
-    algebra: LieAlgebra
-    cr: Optional[CRData] = None
-    kahler: Optional[KahlerCRData] = None
-    poisson: Optional[PseudoPoissonData] = None
-    poisson_r: Optional[Bivector] = None
-    ideal: Optional[Subspace] = None
-    extension: Optional[dict] = None  # {"v_dim": int, "alpha": {(a, b): rationals}}
+    def __init__(self, document: dict, algebra: LieAlgebra, cr: Optional[CRData] = None,
+                 kahler: Optional[KahlerCRData] = None,
+                 poisson: Optional[PseudoPoissonData] = None,
+                 poisson_r: Optional[Bivector] = None, ideal: Optional[Subspace] = None,
+                 extension: Optional[dict] = None):
+        self.document, self.algebra, self.cr, self.kahler = document, algebra, cr, kahler
+        self.poisson, self.poisson_r, self.ideal = poisson, poisson_r, ideal
+        self.extension = extension  # {"v_dim": int, "alpha": {(a, b): rationals}}
 
 
 def _int(value) -> int:

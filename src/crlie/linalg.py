@@ -11,7 +11,7 @@ Turner and Williams (ACM SIGSAM Bull. 31(3), 1997).  Rationals are read by
 `read_row`, straight into one integer row over its least common
 denominator; `Fraction` appears there only for a spelling other than the
 canonical ones, and otherwise only where an entry or a vector is handed out
-or formatted.
+(and where such a `Fraction` is formatted).
 """
 
 from __future__ import annotations
@@ -41,12 +41,15 @@ def rat(x) -> Fraction:
 
 
 def format_rat(q, scale: int = 1) -> str:
-    """Serialize q / scale, for a rational q, as "p/q", or "p" when the
-    denominator is 1."""
-    q = Fraction(q, scale)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Serialize q / scale, for a rational q and a scale >= 1, as "p/q", or
+    "p" when the denominator is 1; an int q is reduced by its gcd with scale."""
+    if isinstance(q, int):
+        g = gcd(q, scale)
+        p, d = q // g, scale // g
+    else:
+        q = Fraction(q, scale)
+        p, d = q.numerator, q.denominator
+    return str(p) if d == 1 else f"{p}/{d}"
 
 
 def format_terms(terms: Iterable, scale: int = 1) -> str:
@@ -57,13 +60,12 @@ def format_terms(terms: Iterable, scale: int = 1) -> str:
     for coeff, symbol in terms:
         if coeff == 0:
             continue
-        q = Fraction(coeff, scale)
-        if q == 1:
+        if coeff == scale:
             out.append(symbol)
-        elif q == -1:
+        elif coeff == -scale:
             out.append(f"-{symbol}")
         else:
-            out.append(f"{format_rat(q)}*{symbol}")
+            out.append(f"{format_rat(coeff, scale)}*{symbol}")
     return " + ".join(out).replace("+ -", "- ") if out else "0"
 
 
@@ -122,18 +124,9 @@ def vector(entries: Iterable) -> Vector:
     return tuple(rat(e) for e in entries)
 
 
-def basis_vector(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if k == i else 0) for k in range(n))
-
-
 def vsub(x: Vector, y: Vector) -> Vector:
     _same_dim(x, y)
     return tuple(a - b for a, b in zip(x, y))
-
-
-def vscale(c, x: Vector) -> Vector:
-    c = rat(c)
-    return tuple(c * a for a in x)
 
 
 def lincomb(coeffs: Iterable, vectors: Iterable[Vector], n: int) -> Vector:
@@ -146,10 +139,6 @@ def lincomb(coeffs: Iterable, vectors: Iterable[Vector], n: int) -> Vector:
                 if e:
                     acc[k] += c * e
     return tuple(acc)
-
-
-def is_zero(x: Vector) -> bool:
-    return all(a == 0 for a in x)
 
 
 def _same_dim(x: Sequence, y: Sequence) -> None:

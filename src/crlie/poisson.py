@@ -9,37 +9,32 @@ multivectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import Sequence
 
 from .lie import LieAlgebra, contraction
-from .linalg import Matrix, Subspace
-from .multivector import (
-    Bivector, Trivector, derive_ints, push_ints, quotient_columns, schouten_ints,
-)
+from .linalg import Matrix, Subspace, format_terms
+from .multivector import Bivector, derive_ints, push_ints, quotient_columns, schouten_ints
 from .report import Report, witness
 
 
-@dataclass(frozen=True)
 class PseudoPoissonData:
-    algebra: LieAlgebra
-    H: Subspace
-    U: Subspace
-    j: Matrix
-    Lambda: Bivector
-
-    def __post_init__(self):
-        n = self.algebra.dim
-        for s in (self.H, self.U):
+    def __init__(self, algebra: LieAlgebra, H: Subspace, U: Subspace, j: Matrix,
+                 Lambda: Bivector):
+        self.__dict__.update(algebra=algebra, H=H, U=U, j=j, Lambda=Lambda)
+        n = algebra.dim
+        for s in (H, U):
             if s.ambient_dim != n:
                 raise ValueError("subspace ambient dimension mismatch")
-        if self.H.dim + self.U.dim != n or self.H.intersect(self.U).dim != 0:
+        if H.dim + U.dim != n or H.intersect(U).dim != 0:
             raise ValueError("H and U must be supplementary")
-        if self.j.rows != n or self.j.cols != n:
+        if j.rows != n or j.cols != n:
             raise ValueError("j must be an endomorphism of the full algebra")
-        if self.Lambda.dim != n:
+        if Lambda.dim != n:
             raise ValueError("bivector dimension mismatch")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PseudoPoissonData is immutable")
 
 
 def check_pseudo_poisson(d: PseudoPoissonData) -> Report:
@@ -62,8 +57,7 @@ def check_j_invariance(d: PseudoPoissonData) -> Report:
     sj, J = columns.scale, dict(enumerate(columns.ints))
     image = push_ints(J, L)
     ok = image == {k: sj * sj * x for k, x in L.items()}
-    w = [] if ok else [witness(image=Bivector.from_ints(
-        d.algebra.dim, sj * sj * sl, image).format(d.algebra.names))]
+    w = [] if ok else [witness(image=_format(d.algebra, sj * sj * sl, image))]
     rep.add("poisson.j_invariance", ok, w)
     return rep
 
@@ -92,8 +86,10 @@ def coboundary_pi(algebra: LieAlgebra, r: Bivector, U: Subspace) -> Report:
 
 
 def _format(algebra: LieAlgebra, s: int, coeffs: dict) -> str:
-    """The trivector coeffs / s in the algebra's basis names."""
-    return Trivector.from_ints(algebra.dim, s, coeffs).format(algebra.names)
+    """The multivector coeffs / s, for the sorted and merged integer
+    coefficients that `_collect` returns, in the algebra's basis names."""
+    names = algebra.names
+    return format_terms(((x, "^".join(names[i] for i in key)) for key, x in coeffs.items()), s)
 
 
 def coboundary_delta(algebra: LieAlgebra, r: Bivector) -> list[Bivector]:

@@ -7,7 +7,6 @@ deterministically for both humans and machines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .linalg import format_terms
@@ -16,12 +15,10 @@ PASS = "pass"
 FAIL = "fail"
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    check_id: str
-    status: str
-    witnesses: tuple = ()
-    detail: str = ""
+    def __init__(self, check_id: str, status: str, witnesses: tuple = (), detail: str = ""):
+        self.check_id, self.status, self.witnesses, self.detail = (check_id, status,
+                                                                   witnesses, detail)
 
     @property
     def passed(self) -> bool:
@@ -35,9 +32,9 @@ class CheckResult:
         return d
 
 
-@dataclass
 class Report:
-    results: list = field(default_factory=list)
+    def __init__(self, results: Iterable = ()):
+        self.results = list(results)
 
     def add(self, check_id: str, ok: bool, witnesses: Iterable = (), detail: str = ""):
         self.results.append(CheckResult(

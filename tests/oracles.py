@@ -64,8 +64,11 @@ comparison goes through the library's elimination.
 test per pair, and `ideal_complement_complex_over_fractions` one `Fraction`
 solve per pair, where the library contracts integer rows and reduces all
 pairs at once.  The small helpers below them (`rows_of`, `identity`,
-`zeros`, `mat_add`, `mat_scale`, `vadd`, ...) stand in for the `Matrix` and
-vector arithmetic the library no longer has.
+`zeros`, `mat_add`, `mat_scale`, `vadd`, `basis_vector`, `vscale`,
+`is_zero`, ...) stand in for the `Matrix` and vector arithmetic the library
+no longer has.  `format_rat_over_fractions` and `format_terms_over_fractions`
+are the former formatters, which divided every coefficient by its scale as a
+`Fraction`, where the library reduces integers by their gcd with the scale.
 `parse_over_fractions` is the library's former parse conversion, kept as it
 was when the document reader moved to `read_row`: every rational goes
 through `vector` to a `Fraction`, the bracket table is mirrored by
@@ -86,9 +89,7 @@ from crlie.crkahler import (
     CRData, KahlerCRData, LeftSymmetricProduct, check_kahler, induced_bracket,
 )
 from crlie.lie import IntTable
-from crlie.linalg import (
-    Matrix, Subspace, Vector, basis_vector, is_zero, kernel, lincomb, rat, vector, vscale, vsub,
-)
+from crlie.linalg import Matrix, Subspace, Vector, kernel, lincomb, rat, vector, vsub
 from crlie.multivector import derive_ints, push_ints
 from crlie.poisson import PseudoPoissonData
 from crlie.report import Report, fmt_vec, witness
@@ -150,6 +151,44 @@ def vadd(x, y) -> tuple:
 
 def zero_vector(n: int) -> Vector:
     return (Fraction(0),) * n
+
+
+def basis_vector(n: int, i: int) -> Vector:
+    return tuple(Fraction(1 if k == i else 0) for k in range(n))
+
+
+def vscale(c, x) -> Vector:
+    c = rat(c)
+    return tuple(c * a for a in x)
+
+
+def is_zero(x) -> bool:
+    return all(a == 0 for a in x)
+
+
+def format_rat_over_fractions(q, scale: int = 1) -> str:
+    """The former `linalg.format_rat`: q / scale through one `Fraction`."""
+    q = Fraction(q, scale)
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
+
+
+def format_terms_over_fractions(terms, scale: int = 1) -> str:
+    """The former `linalg.format_terms`: each coefficient divided by scale as
+    a `Fraction` and compared with 1 and -1."""
+    out = []
+    for coeff, symbol in terms:
+        if coeff == 0:
+            continue
+        q = Fraction(coeff, scale)
+        if q == 1:
+            out.append(symbol)
+        elif q == -1:
+            out.append(f"-{symbol}")
+        else:
+            out.append(f"{format_rat_over_fractions(q)}*{symbol}")
+    return " + ".join(out).replace("+ -", "- ") if out else "0"
 
 
 def scaled(rows) -> tuple:

@@ -19,10 +19,10 @@ from crlie import (
     product_structure, run_checks, schouten, semisimple_exactness, so3,
 )
 from crlie.cli import main as cli_main
-from crlie.linalg import Matrix, Subspace, basis_vector, solve, vector
+from crlie.linalg import Matrix, Subspace, solve, vector
 
 from oracles import (
-    all_sign_bivectors, dense_tensor, from_columns, identity, matvec, omega,
+    all_sign_bivectors, basis_vector, dense_tensor, from_columns, identity, matvec, omega,
     schouten_decomposable, vdot,
 )
 

@@ -16,16 +16,16 @@ from crlie import (
 )
 from crlie import checks
 from crlie.crkahler import induced_bracket
-from crlie.linalg import Matrix, Subspace, basis_vector, is_zero, vector
+from crlie.linalg import Matrix, Subspace, vector
 
 from oracles import (
-    build_extension_lifted, center_U_over_fractions, check_cr_ambient, check_cr_over_fractions,
-    check_j_invariance_over_fractions, check_kahler_by_triples, check_kahler_over_fractions,
-    check_left_symmetric_ambient, check_left_symmetric_over_fractions,
-    check_pseudo_poisson_over_fractions, coboundary_pi_over_fractions,
-    column, crdata_error_over_fractions, from_columns, ideal_complement_complex_over_fractions,
-    identity, left_symmetric_product_by_solves, bilinear, dense_tensor, mat_add, mat_scale,
-    matvec, omega, omega_defects_over_fractions, product_from_coordinates, rows_of,
+    basis_vector, build_extension_lifted, center_U_over_fractions, check_cr_ambient,
+    check_cr_over_fractions, check_j_invariance_over_fractions, check_kahler_by_triples,
+    check_kahler_over_fractions, check_left_symmetric_ambient,
+    check_left_symmetric_over_fractions, check_pseudo_poisson_over_fractions,
+    coboundary_pi_over_fractions, column, crdata_error_over_fractions, from_columns,
+    ideal_complement_complex_over_fractions, identity, is_zero,
+    left_symmetric_product_by_solves, bilinear, dense_tensor, mat_add, mat_scale, matvec, omega, omega_defects_over_fractions, product_from_coordinates, rows_of,
     semisimple_exactness_full_system, unscaled, vadd, vdot, zeros,
 )
 from test_golden import AFF_AFF_R_DENSE, CASES
@@ -48,6 +48,18 @@ def so3_kahler():
 @pytest.fixture
 def rn_kahler():
     return entry_payloads("rn_flat").kahler
+
+
+def test_records_are_read_only():
+    """The fields of CRData, KahlerCRData, LeftSymmetricProduct and
+    PseudoPoissonData refuse assignment, so the tables cached from them
+    cannot go stale; the cached tables themselves still fill in."""
+    k, d = entry_payloads("so3_cr").kahler, entry_payloads("so3_r_mixed").poisson
+    p = left_symmetric_product(k)
+    for record, field in ((k.cr, "H"), (k, "metric"), (p, "scale"), (d, "Lambda")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    assert "brackets" in vars(k.cr) and "gram" in vars(k)
 
 
 # -- CR conditions -----------------------------------------------------------

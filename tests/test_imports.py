@@ -8,10 +8,15 @@ integer forms of `Matrix` and `Subspace`, and how rationals are scaled to
 integers and back is decided in `linalg` alone: `crkahler`, `poisson` and
 the document reader `inputdoc` neither import `fractions` nor call the
 `Fraction` readers and scaling helpers; `inputdoc` reads every rational
-with `read_row`.
+with `read_row`.  No module imports `dataclasses`, which pulls in
+`inspect`, `ast` and `dis` and costs about 20 ms of each `crlie check`
+start; a subprocess confirms that importing the command line loads neither
+`dataclasses` nor `inspect`.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,6 +46,7 @@ def test_imports_are_stdlib_and_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     modules, bound = imports(tree)
     assert [m for m in modules if m.split(".")[0] not in sys.stdlib_module_names] == []
+    assert "dataclasses" not in modules
     if path.name != "__init__.py":
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert {name: line for name, line in bound.items() if name not in used} == {}
@@ -55,3 +61,15 @@ def test_checks_leave_the_number_format_to_linalg(name):
               for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert called & {"scaled", "scaled_sparse", "unscaled", "vector", "rat",
                      "from_brackets"} == set()
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    """The modules `import crlie.cli` adds to a bare interpreter, found in a
+    subprocess since pytest itself loads `dataclasses`."""
+    program = ("import sys; bare = set(sys.modules); import crlie.cli; "
+               "print(*sorted(set(sys.modules) - bare))")
+    src = str(MODULES[0].parent.parent)
+    out = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout.split()
+    assert "crlie.cli" in out
+    assert {"dataclasses", "inspect"} & set(out) == set()

@@ -5,13 +5,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crlie import InputError, LieAlgebra, StructureError, catalog, parse_document, sl2, so3
-from crlie.linalg import (
-    Matrix, Subspace, basis_vector, format_rat, is_zero, kernel, solve, vector,
-)
+from crlie.linalg import Matrix, Subspace, format_rat, kernel, solve, vector
 
 from oracles import (
-    ad_by_brackets, bracket_expanded, center_dense, column, dense_tensor, identity, jacobiator,
-    killing_entry, matvec, validate_structure, validate_structure_over_fractions, vdot, zeros,
+    ad_by_brackets, basis_vector, bracket_expanded, center_dense, column, dense_tensor, identity,
+    is_zero, jacobiator, killing_entry, matvec, validate_structure, validate_structure_over_fractions, vdot, zeros,
 )
 
 

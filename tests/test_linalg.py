@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from math import lcm
 
 from crlie.linalg import (
-    Matrix, Subspace, basis_vector, format_rat, is_zero, kernel, rat, read_row, rref, solve,
-    vector,
+    Matrix, Subspace, format_rat, format_terms, kernel, rat, read_row, rref, solve, vector,
 )
 
 from oracles import (
-    det_over_fractions, first_nonpositive_minor_over_fractions, from_columns, identity,
-    intersect_over_fractions, kernel_over_fractions, mat_add, matvec, reduce_over_fractions,
+    basis_vector, det_over_fractions, first_nonpositive_minor_over_fractions,
+    format_rat_over_fractions, format_terms_over_fractions, from_columns, identity,
+    intersect_over_fractions, is_zero, kernel_over_fractions, mat_add, matvec, reduce_over_fractions,
     rref_over_fractions, rows_of, scaled_sparse, solve_over_fractions, sum_over_fractions,
     zeros,
 )
@@ -71,6 +71,23 @@ def test_read_row_matches_fraction_oracle(entries):
 def test_format_rat():
     assert format_rat(Fraction(3, 4)) == "3/4"
     assert format_rat(Fraction(-6, 3)) == "-2"
+    assert format_rat(-6, 4) == "-3/2"
+    assert format_rat(0, 7) == "0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda s: st.tuples(st.just(s), st.lists(st.one_of(
+    st.sampled_from([0, s, -s, 2 * s, -3 * s]), st.integers(-200, 200),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12)), max_size=6))))
+def test_formatters_match_fraction_oracle(scale_coeffs):
+    """format_rat and format_terms on integer coefficients (0, +-scale and
+    negatives among them) and on `Fraction` ones print what the former
+    `Fraction` formatters printed."""
+    scale, coeffs = scale_coeffs
+    for q in coeffs:
+        assert format_rat(q, scale) == format_rat_over_fractions(q, scale)
+    terms = [(q, f"e{i + 1}") for i, q in enumerate(coeffs)]
+    assert format_terms(terms, scale) == format_terms_over_fractions(terms, scale)
 
 
 @given(rationals, rationals, rationals)

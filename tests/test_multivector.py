@@ -6,12 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crlie import Bivector, LieAlgebra, Trivector, schouten, sl2, so3, wedge, wedge3
-from crlie.linalg import Matrix, Subspace, basis_vector, vector
+from crlie.linalg import Matrix, Subspace, vector
 from crlie.multivector import wedge_subspace_residual
 
 from oracles import (
-    apply_exterior_power, derive, derive_over_fractions, identity, push, push_over_fractions,
-    schouten_decomposable, schouten_over_fractions, wedge_span_remainder,
+    apply_exterior_power, basis_vector, derive, derive_over_fractions, identity, push,
+    push_over_fractions, schouten_decomposable, schouten_over_fractions, wedge_span_remainder,
 )
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=2)

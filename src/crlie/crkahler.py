@@ -17,9 +17,14 @@ from itertools import chain, permutations
 from math import gcd
 from typing import Mapping, Optional, Sequence
 
-from .lie import IntTable, LieAlgebra, contraction, cyclic_nonzero, nonzero_contraction
-from .linalg import Matrix, Subspace, Vector, kernel, lincomb, read_row, rref, solve, vsub
+from .lie import IntTable, LieAlgebra, contraction, cyclic_nonzero
+from .linalg import Matrix, Subspace, Vector, kernel, read_row, rref, solve
 from .report import Report, fmt_vec, witness
+
+
+def _basis_matrix(S: Subspace) -> Matrix:
+    """The RREF basis of S as the rows of a matrix."""
+    return Matrix.from_ints(S.ambient_dim, S.scale, S.ints)
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +37,8 @@ class CRData:
     j^2 = -Id on H, image(j) inside H); the two integrability conditions
     are verified by `check_cr` and reported, not raised.  The brackets on H
     and j on H are integer tables built once from the integer forms of H and
-    j, each a pair (s, ints) with ints / s the exact value; the fields are
+    j, each a pair (s, rows) with rows / s the exact value and rows in the
+    form of `IntTable.rows`, holding only the nonzero entries; the fields are
     read-only, so those tables cannot go stale.
     """
 
@@ -43,13 +49,14 @@ class CRData:
             raise ValueError("H lives in the wrong ambient dimension")
         if j.rows != n or j.cols != n:
             raise ValueError("j must be an endomorphism of the full algebra")
-        for i in range(n):
-            if not H.contains([row.get(i, 0) for row in j.ints]):
+        for i, column in enumerate(j.transpose().ints):
+            if not H.contains(column):
                 raise ValueError(f"image of j not contained in H (column {i + 1})")
         # j h_a = sum_e jH[a][e] h_e, so j^2 h_a = sum_e (jH jH)[a][e] h_e
         s, J = self.jH
+        rows = dict(enumerate(J))
         for a, row in enumerate(J):
-            if lincomb(row, J, len(J)) != tuple(-s * s * (b == a) for b in range(len(J))):
+            if contraction([(1, row, rows)]) != {a: -s * s}:
                 raise ValueError("j^2 is not -Id on H")
 
     def __setattr__(self, name, value):
@@ -57,29 +64,26 @@ class CRData:
 
     @cached_property
     def brackets(self) -> tuple[int, list]:
-        """(s, B) with B[a][b] = s [h_a, h_b], an integer n-vector, for the
-        RREF basis of H; each pair a < b is contracted with c once."""
-        table, sh, H = self.algebra.table, self.H.scale, self.H.ints
-        rows, n, m = table.rows, self.algebra.dim, len(H)
-        B = [[(0,) * n] * m for _ in range(m)]
-        for a in range(m):
-            for b in range(a + 1, m):
-                acc = [0] * n
-                for i, x in H[a].items():
-                    row = rows[i]
-                    for j, y in H[b].items():
-                        for k, z in row.get(j, {}).items():
-                            acc[k] += x * y * z
-                B[a][b], B[b][a] = tuple(acc), tuple(-e for e in acc)
-        return sh * sh * table.scale, B
+        """(s, B) with B[a] = {b: s [h_a, h_b]} over the nonzero brackets of
+        the RREF basis of H; each pair a < b is one `bracket_ints`, and
+        B[b][a] = -B[a][b]."""
+        alg, H = self.algebra, self.H.ints
+        B = [{} for _ in H]
+        for a, x in enumerate(H):
+            for b in range(a + 1, len(H)):
+                v = alg.bracket_ints(x, H[b])
+                if v:
+                    B[a][b], B[b][a] = v, {k: -e for k, e in v.items()}
+        return self.H.scale ** 2 * alg.table.scale, B
 
     @cached_property
     def jH(self) -> tuple[int, list]:
-        """(s, J): j on H in H-coordinates, row a being s j h_a read at the
-        pivots of H."""
-        j, H = self.j.ints, self.H.ints
-        return self.j.scale * self.H.scale, [tuple(sum(x * h.get(i, 0) for i, x in j[p].items())
-                                                   for p in self.H.pivots) for h in H]
+        """(s, J): j on H in H-coordinates, J[a] = {e: x} holding the nonzero
+        entries of s j h_a read at the pivots of H."""
+        H, columns = self.H, dict(enumerate(self.j.transpose().ints))
+        images = (contraction([(1, h, columns)]) for h in H.ints)
+        return self.j.scale * H.scale, [{e: v[p] for e, p in enumerate(H.pivots) if p in v}
+                                        for v in images]
 
 
 class KahlerCRData:
@@ -121,21 +125,15 @@ class KahlerCRData:
         return self.metric * self.j
 
     @cached_property
-    def omega_images(self) -> tuple[int, list]:
-        """(s, U) with U[b] = s Omega h_b, an integer n-vector: w(x, h_b) is
-        x . U[b] / s."""
-        om, H = self.omega_matrix, self.H
-        return om.scale * H.scale, [tuple(sum(x * h.get(i, 0) for i, x in row.items())
-                                          for row in om.ints) for h in H.ints]
+    def omega_images(self) -> Matrix:
+        """Omega H^T: entry (i, t) is w(e_i, h_t), column t being Omega h_t."""
+        return self.omega_matrix * _basis_matrix(self.H).transpose()
 
     @cached_property
     def gram(self) -> Matrix:
         """Gram matrix of w on the RREF basis of H: entry (a, b) is
         w(h_a, h_b)."""
-        (su, U), H = self.omega_images, self.H
-        return Matrix.from_ints(len(U), su * H.scale,
-                                [{b: sum(x * u[i] for i, x in h.items()) for b, u in enumerate(U)}
-                                 for h in H.ints])
+        return _basis_matrix(self.H) * self.omega_images
 
     @cached_property
     def radical(self) -> Subspace:
@@ -167,13 +165,14 @@ class KahlerCRData:
 
 class LeftSymmetricProduct:
     """The product on the RREF basis h_a of H as one integer table in
-    H-coordinates, h_a h_b = sum_c P[a][b][c] h_c / scale, kept in lowest
-    terms so that equal products compare equal."""
+    H-coordinates, h_a h_b = sum_c P[a][b][c] h_c / scale, in the form of
+    `IntTable.rows`: P[a] = {b: {c: x}} holds only the nonzero entries.  It
+    is kept in lowest terms, so that equal products compare equal."""
 
     def __init__(self, H: Subspace, scale: int, P):
-        g = gcd(scale, *(x for row in P for v in row for x in v))
-        self.__dict__.update(H=H, scale=scale // g,
-                             P=tuple(tuple(tuple(x // g for x in v) for v in row) for row in P))
+        g = gcd(scale, *(x for row in P for v in row.values() for x in v.values()))
+        self.__dict__.update(H=H, scale=scale // g, P=tuple(
+            {b: {c: x // g for c, x in v.items()} for b, v in row.items()} for row in P))
 
     def __setattr__(self, name, value):
         raise AttributeError("LeftSymmetricProduct is immutable")
@@ -182,9 +181,13 @@ class LeftSymmetricProduct:
         return (type(other) is LeftSymmetricProduct and other.H == self.H
                 and other.scale == self.scale and other.P == self.P)
 
+    def commutator(self, a: int, b: int) -> dict:
+        """scale (h_a h_b - h_b h_a) in H-coordinates, as its nonzero entries."""
+        return contraction([(1, {b: 1}, self.P[a]), (-1, {a: 1}, self.P[b])])
+
     def ambient(self, a: int, b: int) -> Vector:
         """h_a h_b in the coordinates of G."""
-        return self.H.member(dict(enumerate(self.P[a][b])), self.scale)
+        return self.H.member(self.P[a].get(b, {}), self.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -196,28 +199,33 @@ def check_cr(d: CRData) -> Report:
     (3) [jX,jY] = [X,Y] + j([X,jY] + [jX,Y]).
 
     Every bracket is a contraction of the table B = d.brackets: with
-    K[a][b] = [j h_a, h_b] = sum_e jH[a][e] B[e][b], [j h_a, j h_b] is
-    sum_f jH[b][f] K[a][f] and [h_a, j h_b] = -K[b][a].  Both conditions
-    are tested on integers: (2) on s_J^2 s_B times the difference, (3) on
-    s_j s_J^2 s_B times both sides."""
+    K[a][b] = [j h_a, h_b] = sum_e jH[a][e] B[e][b] = -sum_e jH[a][e] B[b][e],
+    formed only for the b with some B[b][e] != 0 where jH[a][e] != 0,
+    [j h_a, j h_b] is sum_f jH[b][f] K[a][f] and [h_a, j h_b] = -K[b][a].
+    Both conditions are tested on integers: (2) on s_J^2 s_B times the
+    difference, (3) on s_j s_J^2 s_B times both sides."""
     rep = Report()
-    (sB, B), (sJ, J), (sj, j) = d.brackets, d.jH, (d.j.scale, d.j.ints)
+    (sB, B), (sJ, J), sj = d.brackets, d.jH, d.j.scale
+    columns = dict(enumerate(d.j.transpose().ints))
     basis, sh, names = d.H.ints, d.H.scale, d.algebra.names
-    m, n = len(basis), d.algebra.dim
-    K = [[lincomb(J[a], (row[b] for row in B), n) for b in range(m)] for a in range(m)]
-    s2, s3 = sJ * sJ * sB, sj * sJ * sJ * sB
+    m = len(basis)
+    # B is antisymmetric, so B[b][e] != 0 exactly when b is a key of B[e]
+    K = [{b: contraction([(-1, row, B[b])]) for b in {b for e in row for b in B[e]}}
+         for row in J]
+    # a contraction with the unit rows adds sparse vectors
+    unit, s2, s3 = {k: {k: 1} for k in range(d.algebra.dim)}, sJ * sJ * sB, sj * sJ * sJ * sB
     w2, w3 = [], []
     for a, x in enumerate(basis):
         for b in range(a + 1, m):
-            xy, lhs = tuple(sJ * sJ * e for e in B[a][b]), lincomb(J[b], K[a], n)
-            diff = vsub(xy, lhs)
+            # s_J^2 s_B ([h_a, h_b] - [j h_a, j h_b]), and s_j times its negative
+            # minus s_J j([j h_a, h_b] - [j h_b, h_a])
+            diff = contraction([(sJ * sJ, {b: 1}, B[a]), (-1, J[b], K[a])])
             if not d.H.contains(diff):
                 w2.append(witness(x=fmt_vec(names, x, sh), y=fmt_vec(names, basis[b], sh),
                                   offending=fmt_vec(names, diff, s2)))
-            jk = vsub(K[a][b], K[b][a])
-            offending = tuple(sj * (e - f) - sJ * sum(z * jk[i] for i, z in row.items())
-                              for e, f, row in zip(lhs, xy, j))
-            if any(offending):
+            jk = contraction([(1, K[a].get(b, {}), unit), (-1, K[b].get(a, {}), unit)])
+            offending = contraction([(-sj, diff, unit), (-sJ, jk, columns)])
+            if offending:
                 w3.append(witness(x=fmt_vec(names, x, sh), y=fmt_vec(names, basis[b], sh),
                                   offending=fmt_vec(names, offending, s3)))
     rep.add("cr.condition2", not w2, w2)
@@ -243,24 +251,28 @@ def left_symmetric_product(k: KahlerCRData) -> LeftSymmetricProduct:
     """For basis x, y of H, the unique xy in H with w(xy, z) = -w(y, [x, z])
     for all z in H, solved through the w|H Gram system."""
     m, G = k.H.dim, k.gram
-    # w(sum_c coeff_c h_c, h_b) = sum_c coeff_c gram[c][b]  =>  coeff = (gram^T)^-1 rhs.
-    # Row reduction turns the integer [G^T | I] into si [I | (G^T)^-1], and
-    # (gram^T)^-1 = s_G (G^T)^-1; gram is singular exactly when some pivot
-    # falls in I instead
-    si, reduced, pivots = rref([{**r, m + i: 1} for i, r in enumerate(G.transpose().ints)],
-                               2 * m)
+    # w(sum_c coeff_c h_c, h_b) = sum_c coeff_c gram[c][b]  =>  coeff = (gram^T)^-1 rhs,
+    # so coeff_c = sum_z gram^-1[z][c] rhs[z].  Row reduction turns the integer
+    # [G | I] into si [I | G^-1], and gram^-1 = s_G G^-1; gram is singular
+    # exactly when some pivot falls in I instead
+    si, reduced, pivots = rref([{**r, m + i: 1} for i, r in enumerate(G.ints)], 2 * m)
     if pivots != list(range(m)):
         raise ValueError("omega restricted to H is degenerate")
-    inverse = [{c - m: G.scale * x for c, x in r.items() if c >= m} for r in reduced]
-    # w(y, v) = (Omega^T y) . v, with R[b] = s Omega^T h_b
-    om, H, (sB, B) = k.omega_matrix, k.H, k.cr.brackets
-    rows = dict(enumerate(om.ints))
-    R = [contraction([(1, h, rows)]) for h in H.ints]
-    # P[a][b] = inverse . rhs, with rhs[z] = -s w(h_b, [h_a, h_z])
-    P = [[[sum(x * rhs[z] for z, x in row.items()) for row in inverse]
-          for rhs in ([-sum(x * v[t] for t, x in r.items()) for v in brackets] for r in R)]
-         for brackets in B]
-    return LeftSymmetricProduct(H, si * om.scale * H.scale * sB, P)
+    inverse = {z: {c - m: G.scale * x for c, x in r.items() if c >= m}
+               for z, r in enumerate(reduced)}
+    # w(h_b, v) = sum_t R[t][b] v_t for R = (H Omega)^T; rhs[z] = -s w(h_b, [h_a, h_z])
+    # is formed only for the z with [h_a, h_z] != 0
+    R, (sB, B) = (_basis_matrix(k.H) * k.omega_matrix).transpose(), k.cr.brackets
+    columns = dict(enumerate(R.ints))
+    P = []
+    for row in B:
+        rhs = [{} for _ in range(m)]
+        for z, v in row.items():
+            for b, x in contraction([(-1, v, columns)]).items():
+                rhs[b][z] = x
+        # the inverse is nonsingular, so a nonzero rhs gives a nonzero product
+        P.append({b: contraction([(1, r, inverse)]) for b, r in enumerate(rhs) if r})
+    return LeftSymmetricProduct(k.H, si * R.scale * sB, P)
 
 
 def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
@@ -268,24 +280,25 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
     the induced bracket xy - yx; and, when Jacobi holds, the left-symmetry
     identity (2) x(yz) - (xy)z = y(xz) - (yx)z on all basis triples.
 
-    All three read the product table P in H-coordinates, and C = P - P^T
-    holds the structure constants of the induced bracket."""
+    All three read the product table P in H-coordinates, and C = P - P^T,
+    formed where P or P^T is nonzero, holds the structure constants of the
+    induced bracket."""
     rep = Report()
-    m, n, s, P = k.H.dim, k.algebra.dim, p.scale, p.P
+    m, s, P = k.H.dim, p.scale, p.P
     fmt = [fmt_vec(k.algebra.names, h, k.H.scale) for h in k.H.ints]
-    C = IntTable.dense_ints([[vsub(P[a][b], P[b][a]) for b in range(m)] for a in range(m)])
+    pairs = {(min(a, b), max(a, b)) for a, row in enumerate(P) for b in row if a != b}
+    C = IntTable.antisymmetric(m, {(a, b): (1, p.commutator(a, b)) for a, b in pairs})
 
     # w(xy - yx, h_t) = sum_c C[a][b][c] G[c][t] / (s s_G) and w([x, y], h_t) =
-    # B[a][b] . U[t] / (s_B s_U); tested on s s_G s_B s_U times the difference
-    (sB, B), (sU, U), sG = k.cr.brackets, k.omega_images, k.gram.scale
-    gram = dict(enumerate(k.gram.ints))
-    images = {i: {t: u[i] for t, u in enumerate(U) if u[i]} for i in range(n)}
+    # sum_i B[a][b][i] V[i][t] / (s_B s_V) for V = omega_images; tested on
+    # s s_G s_B s_V times the difference, which vanishes where B and C do
+    (sB, B), V, G = k.cr.brackets, k.omega_images, k.gram
+    gram, images = dict(enumerate(G.ints)), dict(enumerate(V.ints))
     w1 = []
-    for a in range(m):
-        for b in range(m):
-            d = contraction([(sB * sU, C.rows[a].get(b, {}), gram),
-                             (-s * sG, {i: x for i, x in enumerate(B[a][b]) if x}, images)])
-            w1.extend(witness(x=fmt[a], y=fmt[b], u=fmt[t]) for t in sorted(d) if d[t])
+    for a, b in sorted({(a, b) for rows in (B, C.rows) for a, row in enumerate(rows) for b in row}):
+        d = contraction([(sB * V.scale, C.rows[a].get(b, {}), gram),
+                         (-s * G.scale, B[a].get(b, {}), images)])
+        w1.extend(witness(x=fmt[a], y=fmt[b], u=fmt[t]) for t in sorted(d))
     rep.add("leftsym.identity1", not w1, w1)
 
     # C is antisymmetric by construction, so only Jacobi violations come back
@@ -297,12 +310,12 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
         # The defect x(yz) - y(xz) - (xy - yx)z changes sign when a and b are
         # swapped and vanishes when a = b, so a < b decides every triple.  It
         # is homogeneous of degree 2 in P, so the scale cannot change a zero test
-        prod, comm = IntTable.dense_ints(P).rows, C.rows
-        cols = [{d: prod[d][c] for d in range(m) if c in prod[d]} for c in range(m)]
+        comm = C.rows
+        cols = [{d: P[d][c] for d in range(m) if c in P[d]} for c in range(m)]
         failing = [(a, b, c) for a in range(m) for b in range(a + 1, m) for c in range(m)
-                   if nonzero_contraction(((1, prod[b].get(c, {}), prod[a]),
-                                           (-1, prod[a].get(c, {}), prod[b]),
-                                           (-1, comm[a].get(b, {}), cols[c])))]
+                   if contraction(((1, P[b].get(c, {}), P[a]),
+                                   (-1, P[a].get(c, {}), P[b]),
+                                   (-1, comm[a].get(b, {}), cols[c])))]
         w2 = [witness(x=fmt[a], y=fmt[b], z=fmt[c])
               for a, b, c in sorted(failing + [(b, a, c) for a, b, c in failing])]
         rep.add("leftsym.identity2", not w2, w2)
@@ -312,7 +325,7 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
 def induced_bracket(k: KahlerCRData, p: LeftSymmetricProduct) -> dict:
     """The commutator table [x,y]' = xy - yx on the H basis."""
     m = p.H.dim
-    return {(a, b): vsub(p.ambient(a, b), p.ambient(b, a))
+    return {(a, b): p.H.member(p.commutator(a, b), p.scale)
             for a in range(m) for b in range(m)}
 
 
@@ -325,12 +338,10 @@ def omega_radical(k: KahlerCRData) -> tuple[Subspace, Report]:
     rep = Report()
     L, H, names = k.radical, k.H, k.algebra.names
     rep.add("radical.subalgebra", k.algebra.is_subalgebra(L))
-    # <x, h_b> = x . images[b] / (s_M s_H) for the integer rows x of L
-    images = [[sum(x * h.get(i, 0) for i, x in row.items()) for row in k.metric.ints]
-              for h in H.ints]
-    orth = [witness(x=fmt_vec(names, x, L.scale), h=fmt_vec(names, h, H.scale))
-            for x in L.ints for h, image in zip(H.ints, images)
-            if sum(e * image[i] for i, e in x.items())]
+    # entry (i, b) of L M H^T is <x_i, h_b> for the basis x_i of L
+    inner = _basis_matrix(L) * k.metric * _basis_matrix(H).transpose()
+    orth = [witness(x=fmt_vec(names, L.ints[i], L.scale), h=fmt_vec(names, H.ints[b], H.scale))
+            for i, row in enumerate(inner.ints) for b in sorted(row)]
     rep.add("radical.orthogonal_h", not orth, orth)
     return L, rep
 
@@ -349,9 +360,9 @@ def center_U(k: KahlerCRData) -> tuple[Subspace, Report]:
     s_uu, s_uh = alg.table.scale * U.scale * U.scale, alg.table.scale * U.scale * H.scale
     comm = []
     for a, x in enumerate(U.ints):
-        for y in U.ints[a:]:
+        for y in U.ints[a + 1:]:
             b = alg.bracket_ints(x, y)
-            if any(b):
+            if b:
                 comm.append(witness(x=fmt_vec(names, x, U.scale), y=fmt_vec(names, y, U.scale),
                                     offending=fmt_vec(names, b, s_uu)))
     rep.add("center_u.commutative", not comm, comm)
@@ -387,7 +398,7 @@ def ideal_complement_complex(d: CRData, ideal: Subspace) -> tuple[LieAlgebra, Ma
     # s_B [h_a, h_b], so the RREF is s [I | A^-1 B], and x_e = s_H (A^-1 B)_e / s_B
     n, m, (sB, B) = alg.dim, H.dim, d.brackets
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    columns = [*H.ints, *ideal.ints, *(dict(enumerate(B[a][b])) for a, b in pairs)]
+    columns = [*H.ints, *ideal.ints, *(B[a].get(b, {}) for a, b in pairs)]
     s, R, _ = rref(Matrix.from_ints(n, 1, columns).transpose().ints, n + len(pairs))
     X = Matrix.from_ints(len(pairs), s * sB,
                          [{p - n: H.scale * x for p, x in r.items() if p >= n} for r in R[:m]])
@@ -407,13 +418,12 @@ def ideal_complement_complex(d: CRData, ideal: Subspace) -> tuple[LieAlgebra, Ma
     # j [h_a, h_b]' = sum_e c[a][b][e] j h_e and [j h_a, h_b]' = sum_e jH[a][e] [h_e, h_b]',
     # compared as s_J times both sides
     sJ, J = d.jH
-    jrows = [{f: x for f, x in enumerate(row) if x} for row in J]
-    jmap, fmt = dict(enumerate(jrows)), [fmt_vec(alg.names, h, H.scale) for h in H.ints]
+    jmap, fmt = dict(enumerate(J)), [fmt_vec(alg.names, h, H.scale) for h in H.ints]
     wj = [witness(x=fmt[a], y=fmt[b]) for a, b in pairs
-          if nonzero_contraction([(1, rows[a].get(b, {}), jmap),
-                                  (-1, jrows[a], {e: r.get(b, {}) for e, r in enumerate(rows)})])]
+          if contraction([(1, rows[a].get(b, {}), jmap),
+                          (-1, J[a], {e: r.get(b, {}) for e, r in enumerate(rows)})])]
     rep.add("ideal.complex_structure", not wj, wj)
-    return quotient_like, Matrix.from_ints(m, sJ, jrows).transpose(), rep
+    return quotient_like, Matrix.from_ints(m, sJ, J).transpose(), rep
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +477,8 @@ def build_extension(base: KahlerCRData, v_dim: int,
     # sum_r j[r][a] sum_t j[t][b] A[r][t], to be compared with s_j^2 A[a][b]
     sj, cols = base.j.scale, base.j.transpose().ints
     jinv = [witness(x=names[a], y=names[b]) for a in range(n) for b in range(a + 1, n)
-            if nonzero_contraction(chain(((x, cols[b], A[r]) for r, x in cols[a].items()),
-                                         [(-sj * sj, {b: 1}, A[a])]))]
+            if contraction(chain(((x, cols[b], A[r]) for r, x in cols[a].items()),
+                                 [(-sj * sj, {b: 1}, A[a])]))]
     rep.add("extension.alpha_j_invariant", not jinv, jinv)
 
     if failing:

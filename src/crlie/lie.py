@@ -30,8 +30,9 @@ class IntTable:
     denominator of c and rows[i] = {j: {k: x}} keeps only the nonzero
     entries, grouped per row.  Both are canonical, so two tables hold the same
     c exactly when their dim, scale and rows agree.  The constructor takes the
-    three as they are; `from_rows`, `antisymmetric`, `dense` and `dense_ints`
-    compute them from c."""
+    three as they are; `from_rows`, `antisymmetric` and `dense` compute them
+    from c.  The same row form, lists of {j: {k: x}}, holds the tables on H
+    in `crkahler`."""
 
     __slots__ = ("dim", "scale", "rows")
 
@@ -67,12 +68,6 @@ class IntTable:
         return cls.from_rows(len(c), {(i, j): read_row(v) for i, row in enumerate(c)
                                       for j, v in enumerate(row)})
 
-    @classmethod
-    def dense_ints(cls, c: Sequence[Sequence[Sequence[int]]]) -> "IntTable":
-        """The table of the dense tensor c of integers, at scale 1."""
-        return cls(len(c), 1, [{j: {k: x for k, x in enumerate(v) if x}
-                                for j, v in enumerate(row) if any(v)} for row in c])
-
     def triples(self) -> list:
         """The triples i < j < k, in lexicographic order, on which some entry
         c[a][b] with a, b two of the indices is nonzero.  A sum of terms that
@@ -99,25 +94,22 @@ def cyclic_nonzero(inner, outer, i: int, j: int, k: int) -> bool:
     `IntTable.rows`.  With inner = outer = c it is the Jacobiator
     [e_i,[e_j,e_k]] + [e_k,[e_i,e_j]] + [e_j,[e_k,e_i]], as
     [e_a, sum_l x_l e_l] = sum_l x_l c[a][l]."""
-    return nonzero_contraction(
-        (1, inner[b].get(c, {}), outer[a]) for a, b, c in ((i, j, k), (k, i, j), (j, k, i)))
+    return bool(contraction(
+        (1, inner[b].get(c, {}), outer[a]) for a, b, c in ((i, j, k), (k, i, j), (j, k, i))))
 
 
 def contraction(terms) -> dict:
-    """sum_{(sign, x, rows) in terms} sign * sum_l x[l] rows[l] as {m: int},
-    zero entries included, for sparse integer vectors x = {l: int} and
-    rows = {l: {m: int}}."""
+    """sum_{(sign, x, rows) in terms} sign * sum_l x[l] rows[l] as its nonzero
+    entries {m: int}, for sparse integer vectors x = {l: int} and
+    rows = {l: {m: int}}; a row missing from rows is zero.  Zeros are
+    dropped here, so no table or vector built by it stores one."""
     acc = {}
     for sign, x, rows in terms:
         for l, xl in x.items():
+            c = sign * xl
             for m, y in rows.get(l, {}).items():
-                acc[m] = acc.get(m, 0) + sign * xl * y
-    return acc
-
-
-def nonzero_contraction(terms) -> bool:
-    """Whether the `contraction` of terms is nonzero."""
-    return any(contraction(terms).values())
+                acc[m] = acc.get(m, 0) + c * y
+    return {m: v for m, v in acc.items() if v}
 
 
 class LieAlgebra:
@@ -180,14 +172,13 @@ class LieAlgebra:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("dimension mismatch in bracket")
         acc = self.bracket_ints(*({i: e for i, e in enumerate(v) if e} for v in (x, y)))
-        return tuple(Fraction(e, self.table.scale) for e in acc)
+        return tuple(Fraction(acc.get(k, 0), self.table.scale) for k in range(self.dim))
 
-    def bracket_ints(self, x: Mapping, y: Mapping) -> list:
-        """table.scale [x, y] as a list, for sparse vectors {i: x_i}: integer
-        for integer x and y."""
+    def bracket_ints(self, x: Mapping, y: Mapping) -> dict:
+        """table.scale [x, y] as its nonzero entries {k: z}, for sparse vectors
+        {i: x_i}: integer for integer x and y."""
         rows = self.table.rows
-        acc = contraction((xi, y, rows[i]) for i, xi in x.items())
-        return [acc.get(k, 0) for k in range(self.dim)]
+        return contraction((xi, y, rows[i]) for i, xi in x.items())
 
     def ad(self, x: Vector) -> Matrix:
         """Matrix of y -> [x, y]: column j is [x, e_j] = sum_i x_i c[i][j]."""

@@ -4,21 +4,23 @@ Identities are checked against literal zero -- no tolerances anywhere.  A
 `Matrix` is kept as sparse integer rows over one scale, the least common
 denominator of its entries, and a `Subspace` as its reduced row-echelon
 basis in the same form plus its pivots.  Both forms are canonical, so
-equality is a comparison.  One fraction-free Gauss-Jordan elimination,
+equality is a comparison.  Vectors inside the library are sparse integer
+rows {k: x} over their nonzero entries, as `Subspace.reduce` and
+`contains` take them.  One fraction-free Gauss-Jordan elimination,
 `_echelon`, serves `rref`, `kernel`, `solve` and `det`: Bareiss's exact
 division (Math. Comp. 22 (1968) 565-578) in the Gauss-Jordan form of Nakos,
 Turner and Williams (ACM SIGSAM Bull. 31(3), 1997).  Rationals are read by
 `read_row`, straight into one integer row over its least common
 denominator; `Fraction` appears there only for a spelling other than the
-canonical ones, and otherwise only where an entry or a vector is handed out
-(and where such a `Fraction` is formatted).
+canonical ones, and otherwise only where an entry or a dense vector is
+handed out (and where such a `Fraction` is formatted).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
@@ -79,6 +81,8 @@ def read_row(entries: Iterable) -> tuple[int, dict]:
     Every other value, and one whose int() raises (too many digits), goes
     through `rat`, so what is accepted, and the error for what is not, are
     exactly those of `Fraction`."""
+    if isinstance(entries, str):
+        raise TypeError(f"expected a list of rationals, not the string {entries!r}")
     ints, dens = {}, {}
     for k, e in enumerate(entries):
         if type(e) is int:
@@ -122,28 +126,6 @@ def common_scale(rows: Iterable[tuple[int, dict]]) -> tuple[int, list]:
 
 def vector(entries: Iterable) -> Vector:
     return tuple(rat(e) for e in entries)
-
-
-def vsub(x: Vector, y: Vector) -> Vector:
-    _same_dim(x, y)
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def lincomb(coeffs: Iterable, vectors: Iterable[Vector], n: int) -> Vector:
-    """sum_i coeffs[i] * vectors[i] in dimension n, skipping zero terms; exact
-    for rational and integer entries alike."""
-    acc = [0] * n
-    for c, v in zip(coeffs, vectors):
-        if c:
-            for k, e in enumerate(v):
-                if e:
-                    acc[k] += c * e
-    return tuple(acc)
-
-
-def _same_dim(x: Sequence, y: Sequence) -> None:
-    if len(x) != len(y):
-        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
 
 
 # ---------------------------------------------------------------------------
@@ -418,25 +400,27 @@ class Subspace:
                     acc[k] += c * x
         return tuple(Fraction(x, s * self.scale) for x in acc)
 
-    def contains(self, v) -> bool:
-        """Membership of v, or of any nonzero multiple of it."""
-        return not any(self.reduce(v))
+    def contains(self, v: Mapping) -> bool:
+        """Membership of the sparse vector v = {k: x}, or of any nonzero
+        multiple of it."""
+        return not self.reduce(v)
 
-    def reduce(self, v) -> tuple:
-        """scale times the remainder of v after elimination against the RREF
-        basis, s v - sum_a v[p_a] ints[a]: zero at the pivots, and at each
-        other column f the value on v of the `_perp` functional of f.  Zero
-        iff v is a member; integer for an integer v."""
-        if len(v) != self.ambient_dim:
+    def reduce(self, v: Mapping) -> dict:
+        """scale times the remainder of the sparse vector v = {k: x} after
+        elimination against the RREF basis, s v - sum_a v[p_a] ints[a], as
+        its nonzero entries: none at the pivots, and at each other column f
+        the value on v of the `_perp` functional of f.  Empty iff v is a
+        member; integer for an integer v."""
+        if v and max(v) >= self.ambient_dim:
             raise ValueError(
-                f"dimension mismatch: vector of {len(v)} in ambient {self.ambient_dim}")
-        r = [self.scale * x for x in v]
+                f"dimension mismatch: index {max(v)} in ambient {self.ambient_dim}")
+        r = {k: self.scale * x for k, x in v.items()}
         for p, h in zip(self.pivots, self.ints):
-            f = v[p]
+            f = v.get(p)
             if f:
                 for k, x in h.items():
-                    r[k] -= f * x
-        return tuple(r)
+                    r[k] = r.get(k, 0) - f * x
+        return {k: x for k, x in r.items() if x}
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """The common null space of the two sets of `_perp` functionals."""

@@ -120,7 +120,7 @@ def check_cocycle(algebra: LieAlgebra, delta: Sequence[Bivector]) -> Report:
             diff = contraction([(1, rows[a].get(b, {}), D),
                                 (1, {b: 1}, {b: derive_ints(rows[b], D[a])}),
                                 (-1, {a: 1}, {a: derive_ints(rows[a], D[b])})])
-            if any(diff.values()):
+            if diff:
                 difference = Bivector.from_ints(n, T * s, diff).format(names)
                 bad.append(witness(x=names[a], y=names[b], difference=difference))
     rep.add("poisson.cocycle", not bad, bad)

@@ -56,9 +56,6 @@ class Report:
                 return r
         raise KeyError(check_id)
 
-    def has(self, check_id: str) -> bool:
-        return any(r.check_id == check_id for r in self.results)
-
     def to_dict(self) -> dict:
         return {"status": PASS if self.passed else FAIL,
                 "checks": [r.to_dict() for r in self.results]}

@@ -76,6 +76,20 @@ negating `Fraction`s and scaled by `table_over_fractions`, the former
 `IntTable.from_entries`, and H, U, the ideal, j and the metric by
 `scaled_sparse`, the former common-denominator scaling of `Matrix(rows)`
 and `Subspace.span`.
+
+The `*_dense` oracles are the library's former tables on H, kept as they
+were when those tables moved to sparse rows that hold only their nonzero
+entries: `h_brackets_dense` (one triple loop per pair), `j_on_h_dense`,
+`omega_images_dense` and `gram_dense` build dense integer vectors, and
+`check_cr_dense`, `left_symmetric_product_dense` (all m^3 entries of P),
+`check_left_symmetric_dense` (identity (1) on all m^2 pairs),
+`omega_radical_dense` and `center_U_dense` (which brackets every u with
+itself too) contract them.  `lincomb`, `vsub`, `table_from_dense_ints`,
+`bracket_ints_dense`, `reduce_dense` and `contains_dense` are the former
+`linalg.lincomb` and `vsub`, `IntTable.dense_ints`,
+`LieAlgebra.bracket_ints`, and `Subspace.reduce` and `contains` on dense
+vectors; `sparse`, `densify`, `product_from_dense_ints` and `dense_product`
+convert between the two forms.
 """
 
 from fractions import Fraction
@@ -88,8 +102,8 @@ from crlie import Bivector, LieAlgebra, Trivector, wedge3
 from crlie.crkahler import (
     CRData, KahlerCRData, LeftSymmetricProduct, check_kahler, induced_bracket,
 )
-from crlie.lie import IntTable
-from crlie.linalg import Matrix, Subspace, Vector, kernel, lincomb, rat, vector, vsub
+from crlie.lie import IntTable, contraction
+from crlie.linalg import Matrix, Subspace, Vector, kernel, rat, rref, vector
 from crlie.multivector import derive_ints, push_ints
 from crlie.poisson import PseudoPoissonData
 from crlie.report import Report, fmt_vec, witness
@@ -164,6 +178,35 @@ def vscale(c, x) -> Vector:
 
 def is_zero(x) -> bool:
     return all(a == 0 for a in x)
+
+
+def vsub(x, y) -> tuple:
+    """The former `linalg.vsub`."""
+    if len(x) != len(y):
+        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def lincomb(coeffs, vectors, n: int) -> tuple:
+    """The former `linalg.lincomb`: sum_i coeffs[i] * vectors[i] in dimension
+    n, skipping zero terms; exact for rational and integer entries alike."""
+    acc = [0] * n
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for k, e in enumerate(v):
+                if e:
+                    acc[k] += c * e
+    return tuple(acc)
+
+
+def sparse(v) -> dict:
+    """The nonzero entries {k: x} of a dense vector."""
+    return {k: x for k, x in enumerate(v) if x}
+
+
+def densify(v, n: int) -> tuple:
+    """The dense n-vector of a sparse one."""
+    return tuple(v.get(k, 0) for k in range(n))
 
 
 def format_rat_over_fractions(q, scale: int = 1) -> str:
@@ -480,7 +523,7 @@ def check_cr_ambient(d: CRData) -> Report:
             jx, jy = matvec(j, x), matvec(j, y)
             xy, lhs = alg.bracket(x, y), alg.bracket(jx, jy)
             diff = vsub(xy, lhs)
-            if not d.H.contains(diff):
+            if not contains_dense(d.H, diff):
                 w2.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, y),
                                   offending=fmt_vec(names, diff)))
             rhs = vadd(xy, matvec(j, vadd(alg.bracket(x, jy), alg.bracket(jx, y))))
@@ -527,7 +570,7 @@ def product_from_coordinates(H: Subspace, coords) -> LeftSymmetricProduct:
     """The product whose h_a h_b has the `Fraction` H-coordinates coords[a][b]."""
     m = H.dim
     s, ints = scaled(v for row in coords for v in row)
-    return LeftSymmetricProduct(H, s, [ints[a * m:(a + 1) * m] for a in range(m)])
+    return product_from_dense_ints(H, s, [ints[a * m:(a + 1) * m] for a in range(m)])
 
 
 def left_symmetric_product_by_solves(k: KahlerCRData) -> LeftSymmetricProduct:
@@ -645,7 +688,7 @@ def crdata_error_over_fractions(H: Subspace, j: Matrix):
     """The message CRData construction raises for H and j, or None: the image
     of j column by column, then j^2 = -Id on H."""
     for i in range(j.cols):
-        if not H.contains(column(j, i)):
+        if not contains_dense(H, column(j, i)):
             return f"image of j not contained in H (column {i + 1})"
     J = j_on_h(H, j)
     m = H.dim
@@ -667,7 +710,7 @@ def check_cr_over_fractions(d: CRData) -> Report:
         for b in range(a + 1, m):
             xy, lhs = B[a][b], lincomb(J[b], K[a], n)
             diff = vsub(xy, lhs)
-            if not d.H.contains(diff):
+            if not contains_dense(d.H, diff):
                 w2.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, basis[b]),
                                   offending=fmt_vec(names, diff)))
             rhs = vadd(xy, matvec(d.j, vsub(K[a][b], K[b][a])))
@@ -1027,7 +1070,7 @@ def center_U_over_fractions(k: KahlerCRData):
     for z in U.basis:
         for h in k.H.basis:
             b = alg.bracket(z, h)
-            if not k.H.contains(b):
+            if not contains_dense(k.H, b):
                 stab.append(witness(z=fmt_vec(names, z), h=fmt_vec(names, h),
                                     offending=fmt_vec(names, b)))
     rep.add("center_u.stabilizes_h", not stab, stab)
@@ -1048,7 +1091,7 @@ def ideal_complement_complex_over_fractions(d: CRData, ideal: Subspace):
     # v = sum_a s_a h_a + (a member of I): the first m coordinates of the
     # solution in the combined basis are the H-coordinates of v's projection
     A = from_columns(list(basis) + list(ideal.basis))
-    s, B = d.brackets
+    s, B = h_brackets_dense(d)
     c = [[solve_over_fractions(A, unscaled(v, s))[:m] for v in row] for row in B]
     rep = Report()
     bad = validate_structure_over_fractions(c)
@@ -1056,7 +1099,7 @@ def ideal_complement_complex_over_fractions(d: CRData, ideal: Subspace):
             [witness(kind=k, indices=str(tuple(i + 1 for i in idx))) for k, idx in bad])
     quotient_like = LieAlgebra(c, names=[f"h{i + 1}" for i in range(m)], validate=False)
 
-    s, J = d.jH
+    s, J = j_on_h_dense(d)
     jH = from_columns([unscaled(row, s) for row in J])
     wj = []
     for a in range(m):
@@ -1068,6 +1111,218 @@ def ideal_complement_complex_over_fractions(d: CRData, ideal: Subspace):
                                   y=fmt_vec(alg.names, basis[b])))
     rep.add("ideal.complex_structure", not wj, wj)
     return quotient_like, jH, rep
+
+
+# -- the former dense integer tables on H ---------------------------------------
+
+def table_from_dense_ints(c) -> IntTable:
+    """The former `IntTable.dense_ints`: the table of the dense tensor c of
+    integers, at scale 1."""
+    return IntTable(len(c), 1, [{j: {k: x for k, x in enumerate(v) if x}
+                                 for j, v in enumerate(row) if any(v)} for row in c])
+
+
+def bracket_ints_dense(algebra: LieAlgebra, x, y) -> list:
+    """The former `LieAlgebra.bracket_ints`: table.scale [x, y] as a dense
+    list, for sparse vectors {i: x_i}."""
+    rows = algebra.table.rows
+    acc = contraction((xi, y, rows[i]) for i, xi in x.items())
+    return [acc.get(k, 0) for k in range(algebra.dim)]
+
+
+def reduce_dense(S: Subspace, v) -> tuple:
+    """The former `Subspace.reduce`: scale times the remainder of the dense
+    vector v after elimination against the RREF basis."""
+    if len(v) != S.ambient_dim:
+        raise ValueError(f"dimension mismatch: vector of {len(v)} in ambient {S.ambient_dim}")
+    r = [S.scale * x for x in v]
+    for p, h in zip(S.pivots, S.ints):
+        f = v[p]
+        if f:
+            for k, x in h.items():
+                r[k] -= f * x
+    return tuple(r)
+
+
+def contains_dense(S: Subspace, v) -> bool:
+    """The former `Subspace.contains`, for a dense vector."""
+    return not any(reduce_dense(S, v))
+
+
+def h_brackets_dense(d: CRData) -> tuple:
+    """The former `CRData.brackets`: (s, B) with B[a][b] = s [h_a, h_b], a
+    dense integer n-vector, by one triple loop per pair a < b."""
+    table, sh, H = d.algebra.table, d.H.scale, d.H.ints
+    rows, n, m = table.rows, d.algebra.dim, len(H)
+    B = [[(0,) * n] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(a + 1, m):
+            acc = [0] * n
+            for i, x in H[a].items():
+                row = rows[i]
+                for j, y in H[b].items():
+                    for k, z in row.get(j, {}).items():
+                        acc[k] += x * y * z
+            B[a][b], B[b][a] = tuple(acc), tuple(-e for e in acc)
+    return sh * sh * table.scale, B
+
+
+def j_on_h_dense(d: CRData) -> tuple:
+    """The former `CRData.jH`: (s, J), row a being s j h_a read at the
+    pivots of H, a dense integer m-vector."""
+    j, H = d.j.ints, d.H.ints
+    return d.j.scale * d.H.scale, [tuple(sum(x * h.get(i, 0) for i, x in j[p].items())
+                                         for p in d.H.pivots) for h in H]
+
+
+def omega_images_dense(k: KahlerCRData) -> tuple:
+    """The former `KahlerCRData.omega_images`: (s, U) with U[b] = s Omega h_b,
+    a dense integer n-vector."""
+    om, H = k.omega_matrix, k.H
+    return om.scale * H.scale, [tuple(sum(x * h.get(i, 0) for i, x in row.items())
+                                      for row in om.ints) for h in H.ints]
+
+
+def gram_dense(k: KahlerCRData) -> Matrix:
+    """The former `KahlerCRData.gram`, from `omega_images_dense`."""
+    (su, U), H = omega_images_dense(k), k.H
+    return Matrix.from_ints(len(U), su * H.scale,
+                            [{b: sum(x * u[i] for i, x in h.items()) for b, u in enumerate(U)}
+                             for h in H.ints])
+
+
+def product_from_dense_ints(H: Subspace, scale: int, P) -> LeftSymmetricProduct:
+    """The product with dense integer H-coordinates P[a][b] over scale."""
+    return LeftSymmetricProduct(H, scale, [{b: sparse(v) for b, v in enumerate(row) if any(v)}
+                                           for row in P])
+
+
+def dense_product(p: LeftSymmetricProduct) -> list:
+    """The former form of `LeftSymmetricProduct.P`: P[a][b] a dense integer
+    m-vector."""
+    m = p.H.dim
+    return [[densify(row.get(b, {}), m) for b in range(m)] for row in p.P]
+
+
+def check_cr_dense(d: CRData) -> Report:
+    """The former `check_cr`, contracting the dense integer tables of
+    `h_brackets_dense` and `j_on_h_dense` over every pair."""
+    rep = Report()
+    (sB, B), (sJ, J), (sj, j) = h_brackets_dense(d), j_on_h_dense(d), (d.j.scale, d.j.ints)
+    basis, sh, names = d.H.ints, d.H.scale, d.algebra.names
+    m, n = len(basis), d.algebra.dim
+    K = [[lincomb(J[a], (row[b] for row in B), n) for b in range(m)] for a in range(m)]
+    s2, s3 = sJ * sJ * sB, sj * sJ * sJ * sB
+    w2, w3 = [], []
+    for a, x in enumerate(basis):
+        for b in range(a + 1, m):
+            xy, lhs = tuple(sJ * sJ * e for e in B[a][b]), lincomb(J[b], K[a], n)
+            diff = vsub(xy, lhs)
+            if not contains_dense(d.H, diff):
+                w2.append(witness(x=fmt_vec(names, x, sh), y=fmt_vec(names, basis[b], sh),
+                                  offending=fmt_vec(names, diff, s2)))
+            jk = vsub(K[a][b], K[b][a])
+            offending = tuple(sj * (e - f) - sJ * sum(z * jk[i] for i, z in row.items())
+                              for e, f, row in zip(lhs, xy, j))
+            if any(offending):
+                w3.append(witness(x=fmt_vec(names, x, sh), y=fmt_vec(names, basis[b], sh),
+                                  offending=fmt_vec(names, offending, s3)))
+    rep.add("cr.condition2", not w2, w2)
+    rep.add("cr.condition3", not w3, w3)
+    return rep
+
+
+def left_symmetric_product_dense(k: KahlerCRData) -> LeftSymmetricProduct:
+    """The former `left_symmetric_product`: all m^3 entries of P from the
+    inverse of G^T and a right-hand side for every pair (a, z)."""
+    m, G = k.H.dim, gram_dense(k)
+    si, reduced, pivots = rref([{**r, m + i: 1} for i, r in enumerate(G.transpose().ints)],
+                               2 * m)
+    if pivots != list(range(m)):
+        raise ValueError("omega restricted to H is degenerate")
+    inverse = [{c - m: G.scale * x for c, x in r.items() if c >= m} for r in reduced]
+    om, H, (sB, B) = k.omega_matrix, k.H, h_brackets_dense(k.cr)
+    rows = dict(enumerate(om.ints))
+    R = [contraction([(1, h, rows)]) for h in H.ints]
+    P = [[[sum(x * rhs[z] for z, x in row.items()) for row in inverse]
+          for rhs in ([-sum(x * v[t] for t, x in r.items()) for v in brackets] for r in R)]
+         for brackets in B]
+    return product_from_dense_ints(H, si * om.scale * H.scale * sB, P)
+
+
+def check_left_symmetric_dense(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
+    """The former `check_left_symmetric`: the dense tables P and C = P - P^T,
+    identity (1) on all m^2 pairs."""
+    rep = Report()
+    m, n, s, P = k.H.dim, k.algebra.dim, p.scale, dense_product(p)
+    fmt = [fmt_vec(k.algebra.names, h, k.H.scale) for h in k.H.ints]
+    C = table_from_dense_ints([[vsub(P[a][b], P[b][a]) for b in range(m)] for a in range(m)])
+    (sB, B), (sU, U), G = h_brackets_dense(k.cr), omega_images_dense(k), gram_dense(k)
+    gram = dict(enumerate(G.ints))
+    images = {i: {t: u[i] for t, u in enumerate(U) if u[i]} for i in range(n)}
+    w1 = []
+    for a in range(m):
+        for b in range(m):
+            d = contraction([(sB * sU, C.rows[a].get(b, {}), gram),
+                             (-s * G.scale, sparse(B[a][b]), images)])
+            w1.extend(witness(x=fmt[a], y=fmt[b], u=fmt[t]) for t in sorted(d) if d[t])
+    rep.add("leftsym.identity1", not w1, w1)
+    jac = [witness(x=fmt[a], y=fmt[b], z=fmt[c]) for _, (a, b, c) in C.violations()]
+    rep.add("leftsym.jacobi_induced", not jac, jac)
+    if not jac:
+        prod, comm = table_from_dense_ints(P).rows, C.rows
+        cols = [{d: prod[d][c] for d in range(m) if c in prod[d]} for c in range(m)]
+        failing = [(a, b, c) for a in range(m) for b in range(a + 1, m) for c in range(m)
+                   if any(contraction(((1, prod[b].get(c, {}), prod[a]),
+                                       (-1, prod[a].get(c, {}), prod[b]),
+                                       (-1, comm[a].get(b, {}), cols[c]))).values())]
+        w2 = [witness(x=fmt[a], y=fmt[b], z=fmt[c])
+              for a, b, c in sorted(failing + [(b, a, c) for a, b, c in failing])]
+        rep.add("leftsym.identity2", not w2, w2)
+    return rep
+
+
+def omega_radical_dense(k: KahlerCRData):
+    """The former `omega_radical`: <x, h_b> through the dense images of H
+    under the metric."""
+    rep = Report()
+    L, H, names = k.radical, k.H, k.algebra.names
+    rep.add("radical.subalgebra", k.algebra.is_subalgebra(L))
+    images = [[sum(x * h.get(i, 0) for i, x in row.items()) for row in k.metric.ints]
+              for h in H.ints]
+    orth = [witness(x=fmt_vec(names, x, L.scale), h=fmt_vec(names, h, H.scale))
+            for x in L.ints for h, image in zip(H.ints, images)
+            if sum(e * image[i] for i, e in x.items())]
+    rep.add("radical.orthogonal_h", not orth, orth)
+    return L, rep
+
+
+def center_U_dense(k: KahlerCRData):
+    """The former `center_U`: dense integer brackets, every u bracketed with
+    itself too, and membership by `contains_dense`."""
+    rep = Report()
+    alg, H, names = k.algebra, k.H, k.algebra.names
+    zh = alg.center().intersect(H)
+    cols = dict(enumerate(k.j.transpose().ints))
+    U = Subspace.from_ints(alg.dim, [*zh.ints, *(contraction([(1, z, cols)]) for z in zh.ints)])
+    s_uu, s_uh = alg.table.scale * U.scale * U.scale, alg.table.scale * U.scale * H.scale
+    comm = []
+    for a, x in enumerate(U.ints):
+        for y in U.ints[a:]:
+            b = bracket_ints_dense(alg, x, y)
+            if any(b):
+                comm.append(witness(x=fmt_vec(names, x, U.scale), y=fmt_vec(names, y, U.scale),
+                                    offending=fmt_vec(names, b, s_uu)))
+    rep.add("center_u.commutative", not comm, comm)
+    stab = []
+    for z in U.ints:
+        for h in H.ints:
+            b = bracket_ints_dense(alg, z, h)
+            if not contains_dense(H, b):
+                stab.append(witness(z=fmt_vec(names, z, U.scale), h=fmt_vec(names, h, H.scale),
+                                    offending=fmt_vec(names, b, s_uh)))
+    rep.add("center_u.stabilizes_h", not stab, stab)
+    return U, rep
 
 
 # -- the former parse conversion -----------------------------------------------

@@ -70,10 +70,11 @@ def test_criterion_2_left_symmetric_identities():
         assert entries
         for entry_id, p in entries:
             rep = check_left_symmetric(p.kahler, left_symmetric_product(p.kahler))
-            assert rep.result("leftsym.identity1").passed
-            if rep.has("leftsym.identity2"):
-                assert rep.result("leftsym.jacobi_induced").passed
-                assert rep.result("leftsym.identity2").passed
+            passed = {r.check_id: r.passed for r in rep.results}
+            assert passed["leftsym.identity1"]
+            if "leftsym.identity2" in passed:
+                assert passed["leftsym.jacobi_induced"]
+                assert passed["leftsym.identity2"]
 
 
 def _random_invertible(rng, n):

@@ -19,13 +19,16 @@ from crlie.crkahler import induced_bracket
 from crlie.linalg import Matrix, Subspace, vector
 
 from oracles import (
-    basis_vector, build_extension_lifted, center_U_over_fractions, check_cr_ambient,
-    check_cr_over_fractions, check_j_invariance_over_fractions, check_kahler_by_triples,
-    check_kahler_over_fractions, check_left_symmetric_ambient,
-    check_left_symmetric_over_fractions, check_pseudo_poisson_over_fractions,
-    coboundary_pi_over_fractions, column, crdata_error_over_fractions, from_columns,
-    ideal_complement_complex_over_fractions, identity, is_zero,
-    left_symmetric_product_by_solves, bilinear, dense_tensor, mat_add, mat_scale, matvec, omega, omega_defects_over_fractions, product_from_coordinates, rows_of,
+    basis_vector, build_extension_lifted, center_U_dense, center_U_over_fractions,
+    check_cr_ambient, check_cr_dense, check_cr_over_fractions, check_j_invariance_over_fractions,
+    check_kahler_by_triples, check_kahler_over_fractions, check_left_symmetric_ambient,
+    check_left_symmetric_dense, check_left_symmetric_over_fractions,
+    check_pseudo_poisson_over_fractions, coboundary_pi_over_fractions, column,
+    crdata_error_over_fractions, dense_product, densify, from_columns, gram_dense,
+    h_brackets_dense, ideal_complement_complex_over_fractions, identity, is_zero,
+    j_on_h_dense, left_symmetric_product_by_solves, left_symmetric_product_dense, bilinear,
+    dense_tensor, mat_add, mat_scale, matvec, omega, omega_defects_over_fractions,
+    omega_images_dense, omega_radical_dense, product_from_coordinates, rows_of,
     semisimple_exactness_full_system, unscaled, vadd, vdot, zeros,
 )
 from test_golden import AFF_AFF_R_DENSE, CASES
@@ -37,7 +40,7 @@ def entry_payloads(entry_id):
 
 
 def is_zero_product(p):
-    return not any(x for row in p.P for v in row for x in v)
+    return not any(p.P)
 
 
 @pytest.fixture
@@ -460,19 +463,42 @@ KAHLER_INPUTS["aff_aff_r_dense"] = parse_document(AFF_AFF_R_DENSE).kahler
 small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 
 
+def assert_h_tables_match_dense_oracles(d, k=None):
+    """The tables on H of d (and of k) hold only nonzero entries and equal
+    the former dense integer tables."""
+    n, m = d.algebra.dim, d.H.dim
+    (sB, B), (sJ, J) = d.brackets, d.jH
+    assert all(v and all(v.values()) for row in B for v in row.values())
+    assert all(all(row.values()) for row in J)
+    assert (sB, [[densify(row.get(b, {}), n) for b in range(m)] for row in B]) == h_brackets_dense(d)
+    assert (sJ, [densify(row, m) for row in J]) == j_on_h_dense(d)
+    if k is not None:
+        su, U = omega_images_dense(k)
+        assert k.omega_images == Matrix.from_ints(
+            m, su, [{t: u[i] for t, u in enumerate(U)} for i in range(n)])
+        assert k.gram == gram_dense(k)
+
+
 def assert_kahler_layer_matches_oracles(k, product=None):
-    """check_cr, check_kahler, the product table and check_left_symmetric (on
-    `product`, default the constructed one) agree with the oracles,
-    witnesses in order."""
-    assert check_cr(k.cr).to_dict() == check_cr_over_fractions(k.cr).to_dict()
+    """check_cr, check_kahler, the tables on H, the product table,
+    check_left_symmetric (on `product`, default the constructed one) and
+    omega_radical agree with the oracles, the former dense integer ones among
+    them, witnesses in order."""
+    assert_h_tables_match_dense_oracles(k.cr, k)
+    assert (check_cr(k.cr).to_dict() == check_cr_over_fractions(k.cr).to_dict()
+            == check_cr_dense(k.cr).to_dict())
     assert (check_kahler(k).to_dict() == check_kahler_by_triples(k).to_dict()
             == check_kahler_over_fractions(k).to_dict())
     constructed = left_symmetric_product(k)
-    assert constructed == left_symmetric_product_by_solves(k)
+    assert constructed == left_symmetric_product_by_solves(k) == left_symmetric_product_dense(k)
+    assert all(v and all(v.values()) for row in constructed.P for v in row.values())
     product = product or constructed
     assert (check_left_symmetric(k, product).to_dict()
             == check_left_symmetric_ambient(k, product).to_dict()
-            == check_left_symmetric_over_fractions(k, product).to_dict())
+            == check_left_symmetric_over_fractions(k, product).to_dict()
+            == check_left_symmetric_dense(k, product).to_dict())
+    (L, rep), (want_L, want) = omega_radical(k), omega_radical_dense(k)
+    assert L == want_L and rep.to_dict() == want.to_dict()
 
 
 @pytest.mark.parametrize("name", sorted(KAHLER_INPUTS))
@@ -494,7 +520,7 @@ def perturbed_product(data, k):
     """The product of k with q added to the H-coordinates of 1-3 entries,
     optionally to the transposed entry too."""
     m, p = k.H.dim, left_symmetric_product(k)
-    coords = [[unscaled(v, p.scale) for v in row] for row in p.P]
+    coords = [[unscaled(v, p.scale) for v in row] for row in dense_product(p)]
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         a, b = data.draw(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)))
         q = vector(data.draw(st.lists(small, min_size=m, max_size=m)))
@@ -584,7 +610,8 @@ def test_check_cr_matches_ambient_oracle_on_catalog(entry_id):
 @settings(max_examples=60, deadline=None)
 @given(dense_cr_data())
 def test_check_cr_matches_ambient_oracle_in_dense_bases(d):
-    assert check_cr(d).to_dict() == check_cr_ambient(d).to_dict()
+    assert check_cr(d).to_dict() == check_cr_ambient(d).to_dict() == check_cr_dense(d).to_dict()
+    assert_h_tables_match_dense_oracles(d)
 
 
 def test_h_brackets_are_computed_once_per_crdata(monkeypatch):
@@ -693,6 +720,40 @@ def test_extension_cost_does_not_grow_with_v_dim():
     assert peak < 2 ** 20
 
 
+def aff_power_kahler(k):
+    """aff(R)^k, [e_{2i-1}, e_{2i}] = e_{2i}, with H = G, the rotation j of
+    each block and the metric I."""
+    n, rotation = 2 * k, Matrix([[0, -1], [1, 0]])
+    g = LieAlgebra.from_brackets(n, {(2 * i, 2 * i + 1): basis_vector(n, 2 * i + 1)
+                                     for i in range(k)})
+    j = rotation
+    for _ in range(k - 1):
+        j = Matrix.block_diag(j, rotation)
+    return KahlerCRData(CRData(g, Subspace.full(n), j), identity(n))
+
+
+def test_h_tables_grow_with_their_nonzero_entries():
+    # the tables on H of aff(R)^k store exactly the nonzero entries of the
+    # former dense ones, and that count is linear in k, where the dense B
+    # and P have (2k)^3 entries
+    counts = {}
+    for k in (3, 6, 12):
+        data = aff_power_kahler(k)
+        assert check_kahler(data).passed
+        (_, B), (_, J), p = data.cr.brackets, data.cr.jH, left_symmetric_product(data)
+        stored = [sum(len(v) for row in B for v in row.values()),
+                  sum(len(row) for row in J),
+                  sum(len(v) for row in p.P for v in row.values())]
+        nonzero = [sum(bool(x) for row in h_brackets_dense(data.cr)[1] for v in row for x in v),
+                   sum(bool(x) for row in j_on_h_dense(data.cr)[1] for x in row),
+                   sum(bool(x) for row in dense_product(p) for v in row for x in v)]
+        assert stored == nonzero
+        assert all(stored)
+        counts[k] = stored
+    assert counts[6] == [2 * c for c in counts[3]]
+    assert counts[12] == [4 * c for c in counts[3]]
+
+
 # -- the integer kernel on tables with denominators ----------------------------
 
 units = st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(3), Fraction(-5, 4),
@@ -732,7 +793,9 @@ def rescaled_kahler_data(draw):
 @settings(max_examples=60, deadline=None)
 @given(rescaled_cr_data())
 def test_check_cr_matches_fraction_oracle_with_denominators(d):
-    assert check_cr(d).to_dict() == check_cr_over_fractions(d).to_dict()
+    assert (check_cr(d).to_dict() == check_cr_over_fractions(d).to_dict()
+            == check_cr_dense(d).to_dict())
+    assert_h_tables_match_dense_oracles(d)
 
 
 @settings(max_examples=60, deadline=None)
@@ -771,9 +834,10 @@ CENTER_INPUTS["heisenberg+R2"] = heisenberg_r2_kahler()
 
 
 def assert_center_U_matches_oracle(k):
-    (U, rep), (want_U, want) = center_U(k), center_U_over_fractions(k)
-    assert U == want_U
-    assert rep.to_dict() == want.to_dict()
+    (U, rep), (want_U, want), (dense_U, dense) = (center_U(k), center_U_over_fractions(k),
+                                                  center_U_dense(k))
+    assert U == want_U == dense_U
+    assert rep.to_dict() == want.to_dict() == dense.to_dict()
 
 
 @pytest.mark.parametrize("name", sorted(set(KAHLER_INPUTS) | set(CENTER_INPUTS)))
@@ -832,4 +896,12 @@ def test_reports_match_fraction_oracle_layers(name, monkeypatch):
         monkeypatch.setattr(checks, layer, oracle)
     # the base closedness that the extension reads
     monkeypatch.setattr(KahlerCRData, "omega_defects", property(omega_defects_over_fractions))
+    assert run_checks(parse_document(doc)).to_dict() == report
+    # the former dense integer layers
+    for layer, oracle in [("check_cr", check_cr_dense),
+                          ("left_symmetric_product", left_symmetric_product_dense),
+                          ("check_left_symmetric", check_left_symmetric_dense),
+                          ("omega_radical", omega_radical_dense),
+                          ("center_U", center_U_dense)]:
+        monkeypatch.setattr(checks, layer, oracle)
     assert run_checks(parse_document(doc)).to_dict() == report

@@ -105,6 +105,17 @@ def _with_block(entry_id, key, **fields):
     ({"algebra": {"dim": 2.9}}, "algebra.dim: missing or not an integer"),
     ({"algebra": {"dim": 2, "brackets": [{"x": 1.5, "y": 2, "result": ["0", "1"]}]}},
      "algebra.brackets[0]: not an integer"),
+    # a string where a list of rationals belongs is refused, not read digit by digit
+    ({"algebra": {"dim": 3, "brackets": [{"x": 1, "y": 2, "result": "001"}]}},
+     "algebra.brackets[0]: expected a list of rationals, not the string '001'"),
+    (_with_block("so3_cr", "cr", H=["100", "010"]),
+     "cr.H: expected a list of rationals, not the string '100'"),
+    (_with_block("so3_cr", "cr", j=[["0", "-1", "0"], "100", ["0", "0", "0"]]),
+     "cr.j: expected a list of rationals, not the string '100'"),
+    ({**catalog.get("so3_cr").document, "metric": ["100", "010", "001"]},
+     "metric: expected a list of rationals, not the string '100'"),
+    (_with_block("heisenberg", "extension", V_dim=2, alpha=[{"x": 1, "y": 2, "result": "10"}]),
+     "extension.alpha[0]: expected a list of rationals, not the string '10'"),
 ])
 def test_malformed_field_types_exit_two(tmp_path, capsys, doc, message):
     assert main(["check", write(tmp_path, doc)]) == 2

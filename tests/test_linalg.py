@@ -14,9 +14,9 @@ from crlie.linalg import (
 from oracles import (
     basis_vector, det_over_fractions, first_nonpositive_minor_over_fractions,
     format_rat_over_fractions, format_terms_over_fractions, from_columns, identity,
-    intersect_over_fractions, is_zero, kernel_over_fractions, mat_add, matvec, reduce_over_fractions,
-    rref_over_fractions, rows_of, scaled_sparse, solve_over_fractions, sum_over_fractions,
-    zeros,
+    intersect_over_fractions, is_zero, kernel_over_fractions, mat_add, matvec, reduce_dense,
+    reduce_over_fractions, rref_over_fractions, rows_of, scaled_sparse, solve_over_fractions,
+    sparse, sum_over_fractions, zeros,
 )
 
 rationals = st.fractions(
@@ -66,6 +66,13 @@ def test_read_row_matches_fraction_oracle(entries):
         s, (ints,) = scaled_sparse([vector(es)])
         return s, ints
     assert outcome(read_row, entries) == outcome(oracle, entries)
+
+
+@pytest.mark.parametrize("text", ["", "001", "1/2"])
+def test_read_row_refuses_a_string(text):
+    # a string is a sequence of characters, never a list of rationals
+    with pytest.raises(TypeError, match="not the string"):
+        read_row(text)
 
 
 def test_format_rat():
@@ -147,8 +154,8 @@ def test_kernel_vectors_annihilate_exactly():
 
 def test_contains():
     s = Subspace.span([basis_vector(3, 0)], 3)
-    assert s.contains(basis_vector(3, 0))
-    assert not s.contains(basis_vector(3, 1))
+    assert s.contains({0: 1})
+    assert not s.contains({1: 1})
 
 
 def test_intersect():
@@ -163,7 +170,7 @@ def test_dimension_mismatch_reported():
     with pytest.raises(ValueError):
         s.intersect(t)
     with pytest.raises(ValueError):
-        s.contains(vector([1, 0]))
+        s.contains({3: 1})
 
 
 small_vectors = st.lists(
@@ -300,5 +307,7 @@ def test_subspace_operations_match_fraction_oracles(case):
                       (S.intersect(T), intersect_over_fractions(S, T)),
                       (S.sum(T), sum_over_fractions(S, T))]:
         assert (list(got.basis), list(got.pivots)) == want
-    assert S.reduce(v) == tuple(S.scale * x for x in reduce_over_fractions(S, v))
-    assert S.contains(v) == is_zero(reduce_over_fractions(S, v))
+    # the sparse remainder, the former dense one, and the `Fraction` one
+    assert (S.reduce(sparse(v)) == sparse(reduce_dense(S, v))
+            == sparse(S.scale * x for x in reduce_over_fractions(S, v)))
+    assert S.contains(sparse(v)) == is_zero(reduce_over_fractions(S, v))

@@ -10,12 +10,12 @@ from crlie import (
     check_j_invariance, check_pseudo_poisson, coboundary_delta, coboundary_pi,
     parse_document, product_structure, schouten, sl2, so3, wedge,
 )
-from crlie.linalg import Matrix, Subspace, lincomb
+from crlie.linalg import Matrix, Subspace
 
 from oracles import (
     ad_by_brackets, basis_vector, check_cocycle_over_fractions, check_j_invariance_over_fractions,
     check_pseudo_poisson_over_fractions, coboundary_pi_over_fractions, coordinate_complement,
-    derive, derive_over_fractions, matvec, schouten_decomposable, vadd, zeros,
+    derive, derive_over_fractions, lincomb, matvec, schouten_decomposable, vadd, zeros,
 )
 from test_crkahler import dense_cr_data, rescaled, units
 

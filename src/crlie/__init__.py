@@ -3,7 +3,7 @@ on finite-dimensional Lie algebras given by rational structure constants."""
 
 from .linalg import Matrix, Rational, Subspace, Vector, kernel, rat, solve, vector
 from .lie import LieAlgebra, StructureError, sl2, so3
-from .multivector import Bivector, Trivector, schouten, wedge, wedge3
+from .multivector import Bivector, Trivector, schouten
 from .crkahler import (
     CRData, KahlerCRData, LeftSymmetricProduct, build_extension, center_U,
     check_cr, check_kahler, check_left_symmetric, ideal_complement_complex,
@@ -21,7 +21,7 @@ from . import catalog
 __all__ = [
     "Matrix", "Rational", "Subspace", "Vector", "kernel", "rat", "solve", "vector",
     "LieAlgebra", "StructureError", "sl2", "so3",
-    "Bivector", "Trivector", "schouten", "wedge", "wedge3",
+    "Bivector", "Trivector", "schouten",
     "CRData", "KahlerCRData", "LeftSymmetricProduct", "build_extension",
     "center_U", "check_cr", "check_kahler", "check_left_symmetric",
     "ideal_complement_complex", "induced_bracket", "left_symmetric_product",

@@ -309,10 +309,14 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
         # h_a v = sum_d v_d P[a][d] and (xy - yx)z = sum_d C[a][b][d] P[d][c].
         # The defect x(yz) - y(xz) - (xy - yx)z changes sign when a and b are
         # swapped and vanishes when a = b, so a < b decides every triple.  It
-        # is homogeneous of degree 2 in P, so the scale cannot change a zero test
+        # is homogeneous of degree 2 in P, so the scale cannot change a zero test.
+        # A term is nonzero only for c in P[a] or P[b], or, when C[a][b] is,
+        # for c with a nonzero column
         comm = C.rows
         cols = [{d: P[d][c] for d in range(m) if c in P[d]} for c in range(m)]
-        failing = [(a, b, c) for a in range(m) for b in range(a + 1, m) for c in range(m)
+        reached = [c for c in range(m) if cols[c]]
+        failing = [(a, b, c) for a in range(m) for b in range(a + 1, m)
+                   for c in {*P[a], *P[b], *(reached if b in comm[a] else ())}
                    if contraction(((1, P[b].get(c, {}), P[a]),
                                    (-1, P[a].get(c, {}), P[b]),
                                    (-1, comm[a].get(b, {}), cols[c])))]

@@ -79,7 +79,7 @@ def _subspace(rows, dim, where, diags) -> Optional[Subspace]:
 
 
 def _bivector(entries, dim, where, diags) -> Optional[Bivector]:
-    keys, read = [], []
+    read = {}
     for e in entries:
         try:
             i, j = _int(e["i"]), _int(e["j"])
@@ -90,13 +90,12 @@ def _bivector(entries, dim, where, diags) -> Optional[Bivector]:
         if not (1 <= i < j <= dim):
             diags.append(f"{where}: indices ({i},{j}) must satisfy 1 <= i < j <= {dim}")
             return None
-        keys.append((i - 1, j - 1))
-        read.append(coeff)
-    scale, ints = common_scale(read)
-    coeffs = {}
-    for ij, c in zip(keys, ints):
-        coeffs[ij] = coeffs.get(ij, 0) + c.get(0, 0)
-    return Bivector.from_ints(dim, scale, coeffs)
+        if (i - 1, j - 1) in read:
+            diags.append(f"{where}: duplicate entry for ({i},{j})")
+            return None
+        read[(i - 1, j - 1)] = coeff
+    scale, ints = common_scale(read.values())
+    return Bivector.from_ints(dim, scale, {ij: c.get(0, 0) for ij, c in zip(read, ints)})
 
 
 def parse_document(doc: dict) -> Payloads:

@@ -1,10 +1,13 @@
 """Exterior powers of a Lie algebra and the algebraic Schouten bracket.
 
 Degrees 2 and 3 only: the pseudo-Poisson condition lives in Lambda^3.  A
-multivector is its sparse coefficient dict, keyed by strictly increasing
-index pairs / triples.  The contractions `schouten_ints`, `push_ints` and
-`derive_ints` act on integer coefficients (see `_Alternating.ints`), emitting
-raw index tuples that `_collect` sorts, signs and merges.
+multivector is ints / scale, with ints = {key: x} its nonzero integer
+coefficients on strictly increasing index pairs / triples and scale > 0,
+in lowest terms -- the form of `Matrix` and `Subspace`, canonical, so `==`
+compares it.  It has no arithmetic: the contractions `schouten_ints`,
+`push_ints` and `derive_ints` act on the integer coefficients, emitting raw
+index tuples that `_collect` signs and merges onto sorted keys, and each
+caller builds its result with `from_ints` over the product of the scales.
 
 Membership in U ^ Lambda^2 G goes through the quotient map G -> G/U, taken
 as R_U, whose column i is the remainder of e_i against the RREF basis of U.
@@ -17,13 +20,12 @@ zero iff t is a member.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import gcd, prod
 from typing import Mapping
 
 from .lie import LieAlgebra
-from .linalg import Subspace, Vector, format_terms, rat
+from .linalg import Subspace, format_terms, read_row
 
 def _sort_key(idx):
     """Sort a key of distinct indices; returns (sorted, sign) or None on repeat."""
@@ -41,87 +43,65 @@ def _sort_key(idx):
 
 def _collect(raw: Mapping) -> dict:
     """Coefficients on raw index tuples moved to their sorted keys with the
-    sign of the sort, keys with a repeated index and zero sums dropped."""
+    sign of the sort, keys with a repeated index and zero sums dropped; the
+    keys come out unordered, and `from_ints` puts them in order."""
     acc: dict = {}
     for key, val in raw.items():
         norm = _sort_key(key)
         if norm is not None:
             skey, sign = norm
             acc[skey] = acc.get(skey, 0) + sign * val
-    return {k: v for k, v in sorted(acc.items()) if v != 0}
-
-
-def _nonzero(v) -> list:
-    return [(i, c) for i, c in enumerate(v) if c != 0]
+    return {k: v for k, v in acc.items() if v}
 
 
 class _Alternating:
     """Shared plumbing for Bivector / Trivector."""
 
-    __slots__ = ("dim", "coeffs")
+    __slots__ = ("dim", "scale", "ints")
     arity = 0
 
     def __init__(self, dim: int, coeffs: Mapping = ()):
-        table = {key: rat(val) for key, val in dict(coeffs).items()}
-        for key, val in table.items():
-            if val != 0 and (any(not (0 <= i < dim) for i in key) or len(key) != self.arity):
+        """Rational coefficients on index tuples in any order, signed and
+        merged onto their sorted keys by `_collect`."""
+        items = list(dict(coeffs).items())
+        s, read = read_row(val for _, val in items)
+        raw = {items[k][0]: x for k, x in read.items()}
+        for key in raw:
+            if len(key) != self.arity or any(not (0 <= i < dim) for i in key):
                 raise ValueError(f"bad index {key} for dimension {dim}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "coeffs", _collect(table))
+        self._store(dim, s, _collect(raw))
 
     @classmethod
-    def from_ints(cls, dim: int, s: int, coeffs: Mapping):
-        """The multivector coeffs / s, for integer coefficients on sorted keys."""
-        return cls(dim, {k: Fraction(x, s) for k, x in coeffs.items()})
+    def from_ints(cls, dim: int, s: int, ints: Mapping):
+        """The multivector ints / s, for integer coefficients on sorted keys
+        and a nonzero integer s, put in lowest terms with its keys in order."""
+        t = object.__new__(cls)
+        t._store(dim, s, ints)
+        return t
 
-    def ints(self) -> tuple[int, dict]:
-        """(s, ints) with coeffs = ints / s, s the least common denominator."""
-        s = lcm(*(v.denominator for v in self.coeffs.values()))
-        return s, {k: v.numerator * (s // v.denominator) for k, v in self.coeffs.items()}
+    def _store(self, dim: int, s: int, ints: Mapping) -> None:
+        ints = {k: x for k, x in sorted(ints.items()) if x}
+        g = gcd(s, *ints.values())
+        g = -g if s < 0 else g
+        for name, value in (("dim", dim), ("scale", s // g),
+                            ("ints", {k: x // g for k, x in ints.items()})):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __getitem__(self, key) -> Fraction:
-        norm = _sort_key(key)
-        if norm is None:
-            return Fraction(0)
-        skey, sign = norm
-        return sign * self.coeffs.get(skey, Fraction(0))
-
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        self._check(other)
-        acc = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            acc[k] = acc.get(k, Fraction(0)) + v
-        return type(self)(self.dim, acc)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = rat(c)
-        return type(self)(self.dim, {k: c * v for k, v in self.coeffs.items()})
-
-    def _check(self, other):
-        if type(other) is not type(self) or other.dim != self.dim:
-            raise ValueError("dimension or type mismatch")
+        return not self.ints
 
     def __eq__(self, other):
         return (type(other) is type(self) and other.dim == self.dim
-                and other.coeffs == self.coeffs)
-
-    def __hash__(self):
-        return hash((self.dim, tuple(sorted(self.coeffs.items()))))
+                and other.scale == self.scale and other.ints == self.ints)
 
     def format(self, names=None) -> str:
         if names is None:
             names = [f"e{i + 1}" for i in range(self.dim)]
-        return format_terms((val, "^".join(names[i] for i in key))
-                            for key, val in self.coeffs.items())
+        return format_terms(((x, "^".join(names[i] for i in key))
+                             for key, x in self.ints.items()), self.scale)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.format()})"
@@ -133,23 +113,6 @@ class Bivector(_Alternating):
 
 class Trivector(_Alternating):
     arity = 3
-
-
-# ---------------------------------------------------------------------------
-# wedge products
-
-def wedge(x: Vector, y: Vector) -> Bivector:
-    if len(x) != len(y):
-        raise ValueError("dimension mismatch in wedge")
-    return Bivector(len(x), {(i, j): a * b
-                             for (i, a), (j, b) in product(_nonzero(x), _nonzero(y))})
-
-
-def wedge3(x: Vector, y: Vector, z: Vector) -> Trivector:
-    if not (len(x) == len(y) == len(z)):
-        raise ValueError("dimension mismatch in wedge3")
-    return Trivector(len(x), {(i, j, k): a * b * c for (i, a), (j, b), (k, c)
-                              in product(_nonzero(x), _nonzero(y), _nonzero(z))})
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +176,9 @@ def schouten(algebra: LieAlgebra, p: Bivector, q: Bivector) -> Trivector:
     [a^b, c^d] = [a,c]^b^d - [a,d]^b^c - [b,c]^a^d + [b,d]^a^c."""
     if p.dim != algebra.dim or q.dim != algebra.dim:
         raise ValueError("dimension mismatch in schouten")
-    table, (sp, P), (sq, Q) = algebra.table, p.ints(), q.ints()
-    return Trivector.from_ints(algebra.dim, table.scale * sp * sq,
-                               schouten_ints(table.rows, P, Q))
+    table = algebra.table
+    return Trivector.from_ints(algebra.dim, table.scale * p.scale * q.scale,
+                               schouten_ints(table.rows, p.ints, q.ints))
 
 
 # ---------------------------------------------------------------------------
@@ -226,5 +189,5 @@ def wedge_subspace_residual(t: Trivector, u: Subspace) -> Trivector:
     quotient map (see the module docstring); zero iff t is a member."""
     if u.ambient_dim != t.dim:
         raise ValueError("dimension mismatch in wedge-subspace membership")
-    (sr, cols), (st, coeffs) = quotient_columns(u), t.ints()
-    return Trivector.from_ints(t.dim, st * sr ** 3, push_ints(cols, coeffs))
+    sr, cols = quotient_columns(u)
+    return Trivector.from_ints(t.dim, t.scale * sr ** 3, push_ints(cols, t.ints))

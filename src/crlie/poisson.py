@@ -9,12 +9,14 @@ multivectors.
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Sequence
 
 from .lie import LieAlgebra, contraction
-from .linalg import Matrix, Subspace, format_terms
-from .multivector import Bivector, derive_ints, push_ints, quotient_columns, schouten_ints
+from .linalg import Matrix, Subspace, common_scale
+from .multivector import (
+    Bivector, Trivector, derive_ints, push_ints, quotient_columns, schouten,
+    wedge_subspace_residual,
+)
 from .report import Report, witness
 
 
@@ -41,11 +43,12 @@ def check_pseudo_poisson(d: PseudoPoissonData) -> Report:
     """[Lambda, Lambda] in U ^ Lambda^2 G, tested on integers; on failure the
     canonical residual trivector is reported."""
     rep = Report()
-    alg, (sl, L), (su, R) = d.algebra, d.Lambda.ints(), quotient_columns(d.U)
-    s, t = alg.table.scale * sl * sl, schouten_ints(alg.table.rows, L, L)
-    res = push_ints(R, t)
-    w = [witness(residual=_format(alg, s * su ** 3, res))] if res else []
-    rep.add("poisson.schouten_membership", not res, w, detail=f"[L,L] = {_format(alg, s, t)}")
+    names = d.algebra.names
+    t = schouten(d.algebra, d.Lambda, d.Lambda)
+    res = wedge_subspace_residual(t, d.U)
+    ok = res.is_zero()
+    w = [] if ok else [witness(residual=res.format(names))]
+    rep.add("poisson.schouten_membership", ok, w, detail=f"[L,L] = {t.format(names)}")
     return rep
 
 
@@ -53,11 +56,12 @@ def check_j_invariance(d: PseudoPoissonData) -> Report:
     """Literal tensor condition (Lambda^2 j)(Lambda) = Lambda, compared as
     s_j^2 s_L times both sides."""
     rep = Report()
-    columns, (sl, L) = d.j.transpose(), d.Lambda.ints()
-    sj, J = columns.scale, dict(enumerate(columns.ints))
-    image = push_ints(J, L)
-    ok = image == {k: sj * sj * x for k, x in L.items()}
-    w = [] if ok else [witness(image=_format(d.algebra, sj * sj * sl, image))]
+    columns, lam = d.j.transpose(), d.Lambda
+    sj = columns.scale
+    image = push_ints(dict(enumerate(columns.ints)), lam.ints)
+    ok = image == {k: sj * sj * x for k, x in lam.ints.items()}
+    w = [] if ok else [witness(image=Bivector.from_ints(
+        lam.dim, sj * sj * lam.scale, image).format(d.algebra.names))]
     rep.add("poisson.j_invariance", ok, w)
     return rep
 
@@ -72,31 +76,23 @@ def coboundary_pi(algebra: LieAlgebra, r: Bivector, U: Subspace) -> Report:
     if r.dim != algebra.dim or U.ambient_dim != algebra.dim:
         raise ValueError("dimension mismatch in coboundary_pi")
     rep = Report()
-    table, (sr, R), (su, Q) = algebra.table, r.ints(), quotient_columns(U)
-    s, rr = table.scale * sr * sr, schouten_ints(table.rows, R, R)
+    n, names, table = algebra.dim, algebra.names, algebra.table
+    rr, (su, Q) = schouten(algebra, r, r), quotient_columns(U)
     bad = []
     for i, row in enumerate(table.rows):
-        res = push_ints(Q, derive_ints(row, rr))
+        res = push_ints(Q, derive_ints(row, rr.ints))
         if res:
-            bad.append(witness(generator=algebra.names[i],
-                               residual=_format(algebra, table.scale * s * su ** 3, res)))
-    rep.add("poisson.coboundary_invariance", not bad, bad,
-            detail=f"[r,r] = {_format(algebra, s, rr)}")
+            residual = Trivector.from_ints(n, table.scale * rr.scale * su ** 3, res)
+            bad.append(witness(generator=names[i], residual=residual.format(names)))
+    rep.add("poisson.coboundary_invariance", not bad, bad, detail=f"[r,r] = {rr.format(names)}")
     return rep
-
-
-def _format(algebra: LieAlgebra, s: int, coeffs: dict) -> str:
-    """The multivector coeffs / s, for the sorted and merged integer
-    coefficients that `_collect` returns, in the algebra's basis names."""
-    names = algebra.names
-    return format_terms(((x, "^".join(names[i] for i in key)) for key, x in coeffs.items()), s)
 
 
 def coboundary_delta(algebra: LieAlgebra, r: Bivector) -> list[Bivector]:
     """The coboundary cocycle x -> (derivation extension of ad x)(r), on the
     basis generators; ad e_i acts through row i of the integer table."""
-    table, (sr, R) = algebra.table, r.ints()
-    return [Bivector.from_ints(algebra.dim, table.scale * sr, derive_ints(row, R))
+    table = algebra.table
+    return [Bivector.from_ints(algebra.dim, table.scale * r.scale, derive_ints(row, r.ints))
             for row in table.rows]
 
 
@@ -109,10 +105,11 @@ def check_cocycle(algebra: LieAlgebra, delta: Sequence[Bivector]) -> Report:
     n, names = algebra.dim, algebra.names
     if len(delta) != n:
         raise ValueError("delta must assign a bivector to every basis generator")
+    if any(d.dim != n for d in delta):
+        raise ValueError("dimension mismatch in check_cocycle")
     rows, T = algebra.table.rows, algebra.table.scale
-    s = lcm(*(d.ints()[0] for d in delta))
-    D = {k: {key: v.numerator * (s // v.denominator) for key, v in d.coeffs.items()}
-         for k, d in enumerate(delta)}
+    s, D = common_scale((d.scale, d.ints) for d in delta)
+    D = dict(enumerate(D))
     bad = []
     for a in range(n):
         for b in range(a + 1, n):
@@ -140,7 +137,8 @@ def product_structure(d1: PseudoPoissonData, d2: PseudoPoissonData) -> PseudoPoi
 
     H, U = embed(d1.H, d2.H), embed(d1.U, d2.U)
     j = Matrix.block_diag(d1.j, d2.j)
-    coeffs = dict(d1.Lambda.coeffs)
-    for (a, b), v in d2.Lambda.coeffs.items():
-        coeffs[(a + n1, b + n1)] = v
-    return PseudoPoissonData(alg, H, U, j, Bivector(n, coeffs))
+    l1, l2 = d1.Lambda, d2.Lambda
+    lam = Bivector.from_ints(n, l1.scale * l2.scale,
+                             {**{k: x * l2.scale for k, x in l1.ints.items()},
+                              **{(a + n1, b + n1): x * l1.scale for (a, b), x in l2.ints.items()}})
+    return PseudoPoissonData(alg, H, U, j, lam)

@@ -1,7 +1,7 @@
 """Independent oracles used to freeze expected values.
 
 These deliberately take a different route than the library code: the
-Schouten oracle expands pairwise over decomposables with wedge3, while the
+Schouten oracle expands pairwise over decomposables with `wedge_coeffs`, while the
 implementation contracts full coefficient matrices against the structure
 constants; the bracket and Jacobiator oracles visit every index of the
 structure constants, zero or not, where the library skips zero terms.  The
@@ -66,9 +66,14 @@ solve per pair, where the library contracts integer rows and reduces all
 pairs at once.  The small helpers below them (`rows_of`, `identity`,
 `zeros`, `mat_add`, `mat_scale`, `vadd`, `basis_vector`, `vscale`,
 `is_zero`, ...) stand in for the `Matrix` and vector arithmetic the library
-no longer has.  `format_rat_over_fractions` and `format_terms_over_fractions`
-are the former formatters, which divided every coefficient by its scale as a
-`Fraction`, where the library reduces integers by their gcd with the scale.
+no longer has, and `coefficients`, `combine` and `wedge_coeffs` for the
+multivector arithmetic: a multivector is read as its `Fraction` coefficient
+dict, linear combinations are taken on dicts, and x ^ y (^ z) is the dict
+of products on raw index tuples, which the `Bivector` and `Trivector`
+constructors sign and merge.  `format_rat_over_fractions` and
+`format_terms_over_fractions` are the former formatters, which divided
+every coefficient by its scale as a `Fraction`, where the library reduces
+integers by their gcd with the scale.
 `parse_over_fractions` is the library's former parse conversion, kept as it
 was when the document reader moved to `read_row`: every rational goes
 through `vector` to a `Fraction`, the bracket table is mirrored by
@@ -95,10 +100,10 @@ convert between the two forms.
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 from itertools import product as iproduct
-from math import lcm
+from math import lcm, prod
 from typing import Mapping, Optional, Sequence
 
-from crlie import Bivector, LieAlgebra, Trivector, wedge3
+from crlie import Bivector, LieAlgebra, Trivector
 from crlie.crkahler import (
     CRData, KahlerCRData, LeftSymmetricProduct, check_kahler, induced_bracket,
 )
@@ -187,6 +192,31 @@ def vsub(x, y) -> tuple:
     return tuple(a - b for a, b in zip(x, y))
 
 
+# -- coefficient dicts of multivectors ------------------------------------------
+
+def coefficients(t) -> dict:
+    """The coefficients of a multivector as {sorted key: Fraction}."""
+    return {key: Fraction(x, t.scale) for key, x in t.ints.items()}
+
+
+def combine(*terms) -> dict:
+    """sum c * coeffs over the pairs (c, coeffs), for coefficient dicts or
+    multivectors, as a coefficient dict on the keys as given; the
+    multivector constructors sign and merge raw keys."""
+    acc: dict = {}
+    for c, coeffs in terms:
+        for key, v in (coeffs if isinstance(coeffs, dict) else coefficients(coeffs)).items():
+            acc[key] = acc.get(key, 0) + c * v
+    return acc
+
+
+def wedge_coeffs(*vectors) -> dict:
+    """x ^ y (^ z) as coefficients on raw index tuples: the product of the
+    entries for every choice of one nonzero entry per vector."""
+    return {tuple(i for i, _ in entries): prod(x for _, x in entries)
+            for entries in iproduct(*(_nonzero(v) for v in vectors))}
+
+
 def lincomb(coeffs, vectors, n: int) -> tuple:
     """The former `linalg.lincomb`: sum_i coeffs[i] * vectors[i] in dimension
     n, skipping zero terms; exact for rational and integer entries alike."""
@@ -253,14 +283,14 @@ def omega(k: KahlerCRData, x, y) -> Fraction:
 
 def push(A: Matrix, t):
     """`push_ints` on the integer forms of A and t, scaled back."""
-    (st, coeffs), cols = t.ints(), dict(enumerate(A.transpose().ints))
-    return t.from_ints(t.dim, st * A.scale ** t.arity, push_ints(cols, coeffs))
+    cols = dict(enumerate(A.transpose().ints))
+    return t.from_ints(t.dim, t.scale * A.scale ** t.arity, push_ints(cols, t.ints))
 
 
 def derive(D: Matrix, t):
     """`derive_ints` on the integer forms of D and t, scaled back."""
-    (st, coeffs), cols = t.ints(), dict(enumerate(D.transpose().ints))
-    return t.from_ints(t.dim, st * D.scale, derive_ints(cols, coeffs))
+    cols = dict(enumerate(D.transpose().ints))
+    return t.from_ints(t.dim, t.scale * D.scale, derive_ints(cols, t.ints))
 
 
 def coordinate_complement(s: Subspace) -> Subspace:
@@ -406,17 +436,18 @@ def schouten_decomposable(algebra: LieAlgebra, p: Bivector, q: Bivector) -> Triv
     """Brute-force bilinear expansion of
     [a^b, c^d] = [a,c]^b^d - [a,d]^b^c - [b,c]^a^d + [b,d]^a^c."""
     n = algebra.dim
-    acc = Trivector(n)
-    for (a, b), pv in p.coeffs.items():
-        for (c, d), qv in q.coeffs.items():
+    acc: dict = {}
+    for (a, b), pv in coefficients(p).items():
+        for (c, d), qv in coefficients(q).items():
             ea, eb = basis_vector(n, a), basis_vector(n, b)
             ec, ed = basis_vector(n, c), basis_vector(n, d)
-            term = (wedge3(algebra.bracket(ea, ec), eb, ed)
-                    - wedge3(algebra.bracket(ea, ed), eb, ec)
-                    - wedge3(algebra.bracket(eb, ec), ea, ed)
-                    + wedge3(algebra.bracket(eb, ed), ea, ec))
-            acc = acc + term.scale(pv * qv)
-    return acc
+            w = pv * qv
+            acc = combine((1, acc),
+                          (w, wedge_coeffs(algebra.bracket(ea, ec), eb, ed)),
+                          (-w, wedge_coeffs(algebra.bracket(ea, ed), eb, ec)),
+                          (-w, wedge_coeffs(algebra.bracket(eb, ec), ea, ed)),
+                          (w, wedge_coeffs(algebra.bracket(eb, ed), ea, ec)))
+    return Trivector(n, acc)
 
 
 def bracket_expanded(c, x, y) -> tuple:
@@ -490,7 +521,7 @@ def exterior_power_matrix(A, k: int, leibniz: bool = False):
 def apply_exterior_power(A, t, leibniz: bool = False):
     """t mapped by the dense exterior power matrix of A."""
     keys, rows = exterior_power_matrix(A, t.arity, leibniz)
-    coords = [t.coeffs.get(key, Fraction(0)) for key in keys]
+    coords = [coefficients(t).get(key, Fraction(0)) for key in keys]
     image = [sum((a * x for a, x in zip(row, coords)), Fraction(0)) for row in rows]
     return type(t)(t.dim, dict(zip(keys, image)))
 
@@ -507,7 +538,8 @@ def wedge_span_remainder(t: Trivector, u: Subspace) -> Trivector:
             ea, eb = basis_vector(n, a), basis_vector(n, b)
             gens.append([_det([[uv[i], ea[i], eb[i]] for i in I]) for I in keys])
     span = Subspace.span(gens, len(keys))
-    coords = reduce_over_fractions(span, tuple(t.coeffs.get(key, Fraction(0)) for key in keys))
+    coeffs = coefficients(t)
+    coords = reduce_over_fractions(span, tuple(coeffs.get(key, Fraction(0)) for key in keys))
     return Trivector(n, dict(zip(keys, coords)))
 
 
@@ -891,7 +923,7 @@ def push_over_fractions(A: Matrix, t):
     """Multiplicative extension: e_a^e_b(^e_c) -> Ae_a ^ Ae_b (^ Ae_c)."""
     cols = _sparse_columns(A, t)
     acc: dict = {}
-    for key, v in t.coeffs.items():
+    for key, v in coefficients(t).items():
         for entries in iproduct(*(cols[a] for a in key)):
             w = v
             for _, x in entries:
@@ -906,7 +938,7 @@ def derive_over_fractions(D: Matrix, t):
     (+ e_a^e_b^De_c)."""
     cols = _sparse_columns(D, t)
     acc: dict = {}
-    for key, v in t.coeffs.items():
+    for key, v in coefficients(t).items():
         for s, a in enumerate(key):
             for i, x in cols[a]:
                 raw = key[:s] + (i,) + key[s + 1:]
@@ -917,7 +949,7 @@ def derive_over_fractions(D: Matrix, t):
 def _full_matrix(p: Bivector) -> Matrix:
     """Antisymmetric n x n coefficient matrix."""
     m = [[Fraction(0)] * p.dim for _ in range(p.dim)]
-    for (i, j), v in p.coeffs.items():
+    for (i, j), v in coefficients(p).items():
         m[i][j] = v
         m[j][i] = -v
     return Matrix(m)
@@ -991,20 +1023,21 @@ def coboundary_pi_over_fractions(algebra: LieAlgebra, r: Bivector, U: Subspace):
 
 
 def check_cocycle_over_fractions(algebra: LieAlgebra, delta) -> Report:
-    """`check_cocycle` with `Bivector` sums, `derive_over_fractions` and
-    `ad_by_brackets`: delta([x, y]) = ad2(x) delta(y) - ad2(y) delta(x)."""
+    """`check_cocycle` with `Fraction` coefficient sums, `derive_over_fractions`
+    and `ad_by_brackets`: delta([x, y]) = ad2(x) delta(y) - ad2(y) delta(x)."""
     rep = Report()
     n, tensor = algebra.dim, dense_tensor(algebra)
     ad = [ad_by_brackets(algebra, basis_vector(n, i)) for i in range(n)]
     bad = []
     for a in range(n):
         for b in range(a + 1, n):
-            lhs = sum((delta[k].scale(ck) for k, ck in enumerate(tensor[a][b]) if ck),
-                      Bivector(n))
-            rhs = derive_over_fractions(ad[a], delta[b]) - derive_over_fractions(ad[b], delta[a])
+            lhs = Bivector(n, combine(*((ck, delta[k]) for k, ck in enumerate(tensor[a][b]) if ck)))
+            rhs = Bivector(n, combine((1, derive_over_fractions(ad[a], delta[b])),
+                                      (-1, derive_over_fractions(ad[b], delta[a]))))
             if lhs != rhs:
+                difference = Bivector(n, combine((1, lhs), (-1, rhs)))
                 bad.append(witness(x=algebra.names[a], y=algebra.names[b],
-                                   difference=(lhs - rhs).format(algebra.names)))
+                                   difference=difference.format(algebra.names)))
     rep.add("poisson.cocycle", not bad, bad)
     return rep
 

@@ -197,7 +197,7 @@ def test_criterion_7_product_theorem():
                 assert check_j_invariance(prod).passed
                 t = schouten(prod.algebra, prod.Lambda, prod.Lambda)
                 n1 = d1.algebra.dim
-                for key in t.coeffs:
+                for key in t.ints:
                     assert max(key) < n1 or min(key) >= n1
 
 

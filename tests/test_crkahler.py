@@ -17,6 +17,7 @@ from crlie import (
 from crlie import checks
 from crlie.crkahler import induced_bracket
 from crlie.linalg import Matrix, Subspace, vector
+from crlie.report import fmt_vec
 
 from oracles import (
     basis_vector, build_extension_lifted, center_U_dense, center_U_over_fractions,
@@ -514,6 +515,36 @@ def test_left_symmetric_checks_match_oracle_on_perturbed_products(data):
     # identity2 is reached
     k = KAHLER_INPUTS[data.draw(st.sampled_from(sorted(KAHLER_INPUTS)))]
     assert_kahler_layer_matches_oracles(k, perturbed_product(data, k))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_left_symmetric_checks_match_oracles_on_perturbed_aff_power(data):
+    # aff(R)^6 (m = 12): most triples a < b, c lie across the blocks and have
+    # no nonzero term, so identity (2) skips them
+    k = aff_power_kahler(6)
+    product = perturbed_product(data, k) if data.draw(st.booleans()) else left_symmetric_product(k)
+    assert (check_left_symmetric(k, product).to_dict()
+            == check_left_symmetric_over_fractions(k, product).to_dict()
+            == check_left_symmetric_dense(k, product).to_dict())
+
+
+def test_identity2_reaches_a_triple_through_the_induced_bracket_alone():
+    # h_0 h_1 = h_2 h_2 = h_2 and every other product zero: C[0][1] = h_2,
+    # Jacobi holds, and the triple (h_0, h_1, h_2) fails identity (2) only
+    # through (xy - yx)z, with z = h_2 outside the nonzero products of h_0 and h_1
+    k = KAHLER_INPUTS["aff_aff"]
+    m = k.H.dim
+    coords = [[(Fraction(0),) * m for _ in range(m)] for _ in range(m)]
+    coords[0][1] = coords[2][2] = basis_vector(m, 2)
+    product = product_from_coordinates(k.H, coords)
+    rep = check_left_symmetric(k, product)
+    assert (rep.to_dict() == check_left_symmetric_over_fractions(k, product).to_dict()
+            == check_left_symmetric_dense(k, product).to_dict())
+    fmt = [fmt_vec(k.algebra.names, h, k.H.scale) for h in k.H.ints]
+    assert rep.result("leftsym.jacobi_induced").passed
+    witnesses = rep.result("leftsym.identity2").witnesses
+    assert (("x", fmt[0]), ("y", fmt[1]), ("z", fmt[2])) in witnesses
 
 
 def perturbed_product(data, k):

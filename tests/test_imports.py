@@ -4,10 +4,11 @@ crlie has no runtime dependencies, so every absolute import names a module
 of the standard library; and every name a module imports is used in it, so
 a deletion leaves no dead import behind.  `__init__.py` imports names to
 re-export them and is exempt from the second rule.  The checks read the
-integer forms of `Matrix` and `Subspace`, and how rationals are scaled to
-integers and back is decided in `linalg` alone: `crkahler`, `poisson` and
-the document reader `inputdoc` neither import `fractions` nor call the
-`Fraction` readers and scaling helpers; `inputdoc` reads every rational
+integer forms of `Matrix`, `Subspace` and the multivectors, and how
+rationals are scaled to integers and back is decided in `linalg` alone:
+`crkahler`, `multivector`, `poisson` and the document reader `inputdoc`
+neither import `fractions` nor call the `Fraction` readers and scaling
+helpers; `inputdoc` and the multivector constructors read every rational
 with `read_row`.  No module imports `dataclasses`, which pulls in
 `inspect`, `ast` and `dis` and costs about 20 ms of each `crlie check`
 start; a subprocess confirms that importing the command line loads neither
@@ -52,7 +53,7 @@ def test_imports_are_stdlib_and_used(path):
         assert {name: line for name, line in bound.items() if name not in used} == {}
 
 
-@pytest.mark.parametrize("name", ["crkahler.py", "poisson.py", "inputdoc.py"])
+@pytest.mark.parametrize("name", ["crkahler.py", "multivector.py", "poisson.py", "inputdoc.py"])
 def test_checks_leave_the_number_format_to_linalg(name):
     tree = ast.parse((MODULES[0].parent / name).read_text(encoding="utf-8"))
     modules, _ = imports(tree)

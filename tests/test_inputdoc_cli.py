@@ -152,8 +152,14 @@ ZERO_J4 = [["0"] * 4] * 4
      "extension.V_dim: must be >= 1"),
     (_with_block("so3_bad_metric", "algebra", names=["x", "x", "x"]),
      "algebra.names: duplicate name 'x'"),
+    (_with_block("sl2", "poisson", **{"lambda": [{"i": 1, "j": 2, "coeff": "1"},
+                                                 {"i": 1, "j": 2, "coeff": "-1"}]}),
+     "poisson.lambda: duplicate entry for (1,2)"),
+    (_with_block("sl2", "poisson", r=[{"i": 2, "j": 3, "coeff": "1"},
+                                      {"i": 2, "j": 3, "coeff": "1/2"}]),
+     "poisson.r: duplicate entry for (2,3)"),
 ], ids=["duplicate_alpha", "metric_on_zero_H", "zero_V_dim", "negative_V_dim",
-        "duplicate_names"])
+        "duplicate_names", "duplicate_lambda", "duplicate_r"])
 def test_invalid_blocks_exit_two(tmp_path, capsys, doc, message):
     assert main(["check", write(tmp_path, doc)]) == 2
     assert f"error: {message}" in capsys.readouterr().err

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 from crlie import (
     Bivector, LieAlgebra, PseudoPoissonData, catalog, check_cocycle,
     check_j_invariance, check_pseudo_poisson, coboundary_delta, coboundary_pi,
-    parse_document, product_structure, schouten, sl2, so3, wedge,
+    parse_document, product_structure, schouten, sl2, so3,
 )
 from crlie.linalg import Matrix, Subspace
 
 from oracles import (
     ad_by_brackets, basis_vector, check_cocycle_over_fractions, check_j_invariance_over_fractions,
-    check_pseudo_poisson_over_fractions, coboundary_pi_over_fractions, coordinate_complement,
-    derive, derive_over_fractions, lincomb, matvec, schouten_decomposable, vadd, zeros,
+    check_pseudo_poisson_over_fractions, coboundary_pi_over_fractions, coefficients, combine,
+    coordinate_complement, derive, derive_over_fractions, lincomb, matvec, schouten_decomposable,
+    vadd, wedge_coeffs, zeros,
 )
 from test_crkahler import dense_cr_data, rescaled, units
 
@@ -166,6 +167,12 @@ def test_non_cocycle_detected_with_witness():
     assert (first["x"], first["y"]) == ("e", "f")
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+def test_cocycle_refuses_bivectors_of_another_dimension(dim):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        check_cocycle(so3(), [Bivector(dim, {(0, 1): 1})] * 3)
+
+
 def test_random_coboundaries_always_cocycles():
     rng = random.Random(11)
     algebras = [so3(), sl2(), LieAlgebra.abelian(3),
@@ -212,7 +219,7 @@ def test_product_with_failing_factor_fails_in_that_block():
     assert not res.passed
     # residual localized in the second factor's coordinates (e3..e5)
     t = schouten(prod.algebra, prod.Lambda, prod.Lambda)
-    assert all(min(key) >= 2 for key in t.coeffs)
+    assert all(min(key) >= 2 for key in t.ints)
 
 
 def test_block_bivector_schouten_has_no_cross_terms():
@@ -222,11 +229,11 @@ def test_block_bivector_schouten_has_no_cross_terms():
     for _ in range(10):
         b1 = Bivector(3, {k: rng.randint(-2, 2) for k in combinations(range(3), 2)})
         b2 = Bivector(3, {k: rng.randint(-2, 2) for k in combinations(range(3), 2)})
-        coeffs = dict(b1.coeffs)
-        coeffs.update({(a + 3, b + 3): v for (a, b), v in b2.coeffs.items()})
+        coeffs = coefficients(b1)
+        coeffs.update({(a + 3, b + 3): v for (a, b), v in coefficients(b2).items()})
         block = Bivector(6, coeffs)
         t = schouten(g, block, block)
-        for key in t.coeffs:
+        for key in t.ints:
             assert max(key) < 3 or min(key) >= 3
 
 
@@ -261,7 +268,8 @@ def dense_poisson_data(draw):
         U = Subspace.span([vadd(u, in_H()) for u in U.basis], n)
     if draw(st.booleans()):
         x, y = in_H(), in_H()
-        lam = wedge(x, y) + wedge(matvec(d.j, x), matvec(d.j, y))
+        lam = Bivector(n, combine((1, wedge_coeffs(x, y)),
+                                  (1, wedge_coeffs(matvec(d.j, x), matvec(d.j, y)))))
     else:
         lam = draw(bivectors(n))
     r = lam if draw(st.booleans()) else draw(bivectors(n))

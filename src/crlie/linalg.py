@@ -81,8 +81,9 @@ def read_row(entries: Iterable) -> tuple[int, dict]:
     Every other value, and one whose int() raises (too many digits), goes
     through `rat`, so what is accepted, and the error for what is not, are
     exactly those of `Fraction`."""
-    if isinstance(entries, str):
-        raise TypeError(f"expected a list of rationals, not the string {entries!r}")
+    if isinstance(entries, (str, dict)):
+        kind = "string" if isinstance(entries, str) else "object"
+        raise TypeError(f"expected a list of rationals, not the {kind} {entries!r}")
     ints, dens = {}, {}
     for k, e in enumerate(entries):
         if type(e) is int:

@@ -20,18 +20,15 @@ from crlie.linalg import Matrix, Subspace, vector
 from crlie.report import fmt_vec
 
 from oracles import (
-    basis_vector, build_extension_lifted, center_U_dense, center_U_over_fractions,
-    check_cr_ambient, check_cr_dense, check_cr_over_fractions, check_j_invariance_over_fractions,
-    check_kahler_by_triples, check_kahler_over_fractions, check_left_symmetric_ambient,
-    check_left_symmetric_dense, check_left_symmetric_over_fractions,
-    check_pseudo_poisson_over_fractions, coboundary_pi_over_fractions, column,
-    crdata_error_over_fractions, dense_product, densify, from_columns, gram_dense,
-    h_brackets_dense, ideal_complement_complex_over_fractions, identity, is_zero,
-    j_on_h_dense, left_symmetric_product_by_solves, left_symmetric_product_dense, bilinear,
-    dense_tensor, mat_add, mat_scale, matvec, omega, omega_defects_over_fractions,
-    omega_images_dense, omega_radical_dense, product_from_coordinates, rows_of,
+    basis_vector, bilinear, bracket, build_extension_lifted, center_U_ambient,
+    check_cr_ambient, check_j_invariance_ambient, check_kahler_by_triples,
+    check_left_symmetric_ambient, check_pseudo_poisson_ambient, coboundary_pi_ambient, column,
+    crdata_error_ambient, dense_tensor, densify, from_columns, h_coordinates,
+    ideal_complement_complex_ambient, identity, is_zero, left_symmetric_product_by_solves,
+    mat_add, mat_scale, matvec, omega, omega_radical_ambient, product_from_coordinates, rows_of,
     semisimple_exactness_full_system, unscaled, vadd, vdot, zeros,
 )
+from strategies import fractions
 from test_golden import AFF_AFF_R_DENSE, CASES
 from test_lie import heisenberg3
 
@@ -392,9 +389,9 @@ def test_exactness_matches_full_system_oracle():
     inputs += [KahlerCRData(cr, metric), KahlerCRData(cr, mat_add(metric, coupling))]
     assert [semisimple_exactness(k)[0] is None for k in inputs[-2:]] == [False, True]
     for k in inputs:
-        got, want = semisimple_exactness(k), semisimple_exactness_full_system(k)
-        assert got[:3] == want[:3]
-        assert got[3].to_dict() == want[3].to_dict()
+        (alpha, X, L, rep), want = semisimple_exactness(k), semisimple_exactness_full_system(k)
+        assert (alpha, X, None if L is None else list(L.basis)) == want[:3]
+        assert rep.to_dict() == want[3].to_dict()
 
 
 def test_exactness_sl2():
@@ -461,45 +458,44 @@ KAHLER_INPUTS = {entry_id: k for entry_id in catalog.ids()
                  if (k := entry_payloads(entry_id).kahler) is not None}
 KAHLER_INPUTS["aff_aff_r_dense"] = parse_document(AFF_AFF_R_DENSE).kahler
 
-small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+small = fractions(-2, 2, max_denominator=3)
 
 
-def assert_h_tables_match_dense_oracles(d, k=None):
+def assert_h_tables_match_definitions(d, k=None):
     """The tables on H of d (and of k) hold only nonzero entries and equal
-    the former dense integer tables."""
-    n, m = d.algebra.dim, d.H.dim
+    their definitions: B[a][b] = s [h_a, h_b], row a of jH the H-coordinates
+    of j h_a times its scale, omega_images[i][t] = w(e_i, h_t) and
+    gram[a][b] = w(h_a, h_b)."""
+    n, basis, c = d.algebra.dim, d.H.basis, dense_tensor(d.algebra)
     (sB, B), (sJ, J) = d.brackets, d.jH
     assert all(v and all(v.values()) for row in B for v in row.values())
     assert all(all(row.values()) for row in J)
-    assert (sB, [[densify(row.get(b, {}), n) for b in range(m)] for row in B]) == h_brackets_dense(d)
-    assert (sJ, [densify(row, m) for row in J]) == j_on_h_dense(d)
+    assert ([[unscaled(densify(row.get(b, {}), n), sB) for b in range(len(basis))] for row in B]
+            == [[bracket(c, x, y) for y in basis] for x in basis])
+    assert ([unscaled(densify(row, len(basis)), sJ) for row in J]
+            == [h_coordinates(basis, matvec(d.j, h)) for h in basis])
     if k is not None:
-        su, U = omega_images_dense(k)
-        assert k.omega_images == Matrix.from_ints(
-            m, su, [{t: u[i] for t, u in enumerate(U)} for i in range(n)])
-        assert k.gram == gram_dense(k)
+        assert rows_of(k.omega_images) == [tuple(omega(k, basis_vector(n, i), h) for h in basis)
+                                           for i in range(n)]
+        assert rows_of(k.gram) == [tuple(omega(k, x, y) for y in basis) for x in basis]
 
 
 def assert_kahler_layer_matches_oracles(k, product=None):
     """check_cr, check_kahler, the tables on H, the product table,
     check_left_symmetric (on `product`, default the constructed one) and
-    omega_radical agree with the oracles, the former dense integer ones among
-    them, witnesses in order."""
-    assert_h_tables_match_dense_oracles(k.cr, k)
-    assert (check_cr(k.cr).to_dict() == check_cr_over_fractions(k.cr).to_dict()
-            == check_cr_dense(k.cr).to_dict())
-    assert (check_kahler(k).to_dict() == check_kahler_by_triples(k).to_dict()
-            == check_kahler_over_fractions(k).to_dict())
+    omega_radical agree with their definition-level oracles, witnesses in
+    order."""
+    assert_h_tables_match_definitions(k.cr, k)
+    assert check_cr(k.cr).to_dict() == check_cr_ambient(k.cr).to_dict()
+    assert check_kahler(k).to_dict() == check_kahler_by_triples(k).to_dict()
     constructed = left_symmetric_product(k)
-    assert constructed == left_symmetric_product_by_solves(k) == left_symmetric_product_dense(k)
+    assert constructed == left_symmetric_product_by_solves(k)
     assert all(v and all(v.values()) for row in constructed.P for v in row.values())
     product = product or constructed
     assert (check_left_symmetric(k, product).to_dict()
-            == check_left_symmetric_ambient(k, product).to_dict()
-            == check_left_symmetric_over_fractions(k, product).to_dict()
-            == check_left_symmetric_dense(k, product).to_dict())
-    (L, rep), (want_L, want) = omega_radical(k), omega_radical_dense(k)
-    assert L == want_L and rep.to_dict() == want.to_dict()
+            == check_left_symmetric_ambient(k, product).to_dict())
+    (L, rep), (want_L, want) = omega_radical(k), omega_radical_ambient(k)
+    assert list(L.basis) == want_L and rep.to_dict() == want.to_dict()
 
 
 @pytest.mark.parametrize("name", sorted(KAHLER_INPUTS))
@@ -525,8 +521,7 @@ def test_left_symmetric_checks_match_oracles_on_perturbed_aff_power(data):
     k = aff_power_kahler(6)
     product = perturbed_product(data, k) if data.draw(st.booleans()) else left_symmetric_product(k)
     assert (check_left_symmetric(k, product).to_dict()
-            == check_left_symmetric_over_fractions(k, product).to_dict()
-            == check_left_symmetric_dense(k, product).to_dict())
+            == check_left_symmetric_ambient(k, product).to_dict())
 
 
 def test_identity2_reaches_a_triple_through_the_induced_bracket_alone():
@@ -539,8 +534,7 @@ def test_identity2_reaches_a_triple_through_the_induced_bracket_alone():
     coords[0][1] = coords[2][2] = basis_vector(m, 2)
     product = product_from_coordinates(k.H, coords)
     rep = check_left_symmetric(k, product)
-    assert (rep.to_dict() == check_left_symmetric_over_fractions(k, product).to_dict()
-            == check_left_symmetric_dense(k, product).to_dict())
+    assert rep.to_dict() == check_left_symmetric_ambient(k, product).to_dict()
     fmt = [fmt_vec(k.algebra.names, h, k.H.scale) for h in k.H.ints]
     assert rep.result("leftsym.jacobi_induced").passed
     witnesses = rep.result("leftsym.identity2").witnesses
@@ -551,7 +545,7 @@ def perturbed_product(data, k):
     """The product of k with q added to the H-coordinates of 1-3 entries,
     optionally to the transposed entry too."""
     m, p = k.H.dim, left_symmetric_product(k)
-    coords = [[unscaled(v, p.scale) for v in row] for row in dense_product(p)]
+    coords = [[unscaled(densify(row.get(b, {}), m), p.scale) for b in range(m)] for row in p.P]
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         a, b = data.draw(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)))
         q = vector(data.draw(st.lists(small, min_size=m, max_size=m)))
@@ -560,7 +554,7 @@ def perturbed_product(data, k):
     return product_from_coordinates(k.H, coords)
 
 
-half = st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2), max_denominator=4)
+half = fractions(Fraction(-1, 2), Fraction(1, 2), max_denominator=4)
 
 
 @st.composite
@@ -641,8 +635,8 @@ def test_check_cr_matches_ambient_oracle_on_catalog(entry_id):
 @settings(max_examples=60, deadline=None)
 @given(dense_cr_data())
 def test_check_cr_matches_ambient_oracle_in_dense_bases(d):
-    assert check_cr(d).to_dict() == check_cr_ambient(d).to_dict() == check_cr_dense(d).to_dict()
-    assert_h_tables_match_dense_oracles(d)
+    assert check_cr(d).to_dict() == check_cr_ambient(d).to_dict()
+    assert_h_tables_match_definitions(d)
 
 
 def test_h_brackets_are_computed_once_per_crdata(monkeypatch):
@@ -765,8 +759,8 @@ def aff_power_kahler(k):
 
 def test_h_tables_grow_with_their_nonzero_entries():
     # the tables on H of aff(R)^k store exactly the nonzero entries of the
-    # former dense ones, and that count is linear in k, where the dense B
-    # and P have (2k)^3 entries
+    # brackets [h_a, h_b], of the H-coordinates of j h_a and of the products,
+    # and that count is linear in k, where the dense B and P have (2k)^3 entries
     counts = {}
     for k in (3, 6, 12):
         data = aff_power_kahler(k)
@@ -775,9 +769,10 @@ def test_h_tables_grow_with_their_nonzero_entries():
         stored = [sum(len(v) for row in B for v in row.values()),
                   sum(len(row) for row in J),
                   sum(len(v) for row in p.P for v in row.values())]
-        nonzero = [sum(bool(x) for row in h_brackets_dense(data.cr)[1] for v in row for x in v),
-                   sum(bool(x) for row in j_on_h_dense(data.cr)[1] for x in row),
-                   sum(bool(x) for row in dense_product(p) for v in row for x in v)]
+        basis, c = data.H.basis, dense_tensor(data.algebra)
+        nonzero = [sum(bool(e) for x in basis for y in basis for e in bracket(c, x, y)),
+                   sum(bool(e) for h in basis for e in h_coordinates(basis, matvec(data.j, h))),
+                   sum(bool(x) for row in p.P for v in row.values() for x in v.values())]
         assert stored == nonzero
         assert all(stored)
         counts[k] = stored
@@ -824,9 +819,8 @@ def rescaled_kahler_data(draw):
 @settings(max_examples=60, deadline=None)
 @given(rescaled_cr_data())
 def test_check_cr_matches_fraction_oracle_with_denominators(d):
-    assert (check_cr(d).to_dict() == check_cr_over_fractions(d).to_dict()
-            == check_cr_dense(d).to_dict())
-    assert_h_tables_match_dense_oracles(d)
+    assert check_cr(d).to_dict() == check_cr_ambient(d).to_dict()
+    assert_h_tables_match_definitions(d)
 
 
 @settings(max_examples=60, deadline=None)
@@ -845,7 +839,7 @@ def test_crdata_invariants_match_fraction_oracle_with_denominators(d, data):
         error = str(e)
     else:
         error = None
-    assert error == crdata_error_over_fractions(d.H, j)
+    assert error == crdata_error_ambient(d.H, j)
 
 
 @settings(max_examples=60, deadline=None)
@@ -865,10 +859,9 @@ CENTER_INPUTS["heisenberg+R2"] = heisenberg_r2_kahler()
 
 
 def assert_center_U_matches_oracle(k):
-    (U, rep), (want_U, want), (dense_U, dense) = (center_U(k), center_U_over_fractions(k),
-                                                  center_U_dense(k))
-    assert U == want_U == dense_U
-    assert rep.to_dict() == want.to_dict() == dense.to_dict()
+    (U, rep), (want_U, want) = center_U(k), center_U_ambient(k)
+    assert list(U.basis) == want_U
+    assert rep.to_dict() == want.to_dict()
 
 
 @pytest.mark.parametrize("name", sorted(set(KAHLER_INPUTS) | set(CENTER_INPUTS)))
@@ -887,52 +880,82 @@ def test_center_U_matches_fraction_oracle_in_rescaled_dense_bases(name, data):
     assert_center_U_matches_oracle(k)
 
 
+def tilted_h_ideal_doc(h2):
+    """aff(R) + R, [e1, e2] = e2, with H = span{e1 + e3/2, e2 + h2 e3}, j h1 = h2,
+    j h2 = -h1, j e3 = 0, and the central ideal span{e3}: the RREF basis of
+    H has denominators, so the projected bracket carries the scale of H."""
+    return {"algebra": {"dim": 3, "brackets": [{"x": 1, "y": 2, "result": ["0", "1", "0"]}]},
+            "cr": {"H": [["1", "0", "1/2"], ["0", "1", h2]],
+                   "j": [["0", "-1", "0"], ["1", "0", "0"], [h2, "-1/2", "0"]]},
+            "ideal": [["0", "0", "1"]]}
+
+
 IDEAL_DOCS = {name: doc for name, doc in ORACLE_DOCS.items() if "ideal" in doc}
+IDEAL_DOCS.update(aff_r_tilted_h=tilted_h_ideal_doc("0"), aff_r_tilted_h2=tilted_h_ideal_doc("1/3"))
+
+
+def assert_ideal_complement_matches_oracle(d, ideal):
+    try:
+        alg, jH, rep = ideal_complement_complex(d, ideal)
+    except ValueError as e:
+        got = str(e)
+    else:
+        got = (dense_tensor(alg), rows_of(jH), rep.to_dict())
+    try:
+        c, j_rows, want_rep = ideal_complement_complex_ambient(d, ideal)
+    except ValueError as e:
+        want = str(e)
+    else:
+        want = (c, j_rows, want_rep.to_dict())
+    assert got == want
+
+
+def rescaled_ideal(d, ideal, q):
+    """d and the ideal in the basis q_i e_i, so that H, I, j and c carry
+    denominators."""
+    n = d.algebra.dim
+    return rescaled(d, q), Subspace.span([[e / q[i] for i, e in enumerate(v)]
+                                          for v in ideal.basis], n)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(sorted(IDEAL_DOCS)), st.data())
 def test_ideal_complement_matches_fraction_oracle(name, data):
-    # as given, or in the basis q_i e_i, so that H, I, j and c carry denominators
+    # as given, or in the basis q_i e_i
     p = parse_document(IDEAL_DOCS[name])
     d, ideal, n = p.cr, p.ideal, p.algebra.dim
     if data.draw(st.booleans()):
-        q = data.draw(st.lists(units, min_size=n, max_size=n))
-        d = rescaled(d, q)
-        ideal = Subspace.span([[e / q[i] for i, e in enumerate(v)] for v in ideal.basis], n)
-    results = []
-    for build in (ideal_complement_complex, ideal_complement_complex_over_fractions):
-        try:
-            alg, jH, rep = build(d, ideal)
-        except ValueError as e:
-            results.append(str(e))
-        else:
-            results.append((alg, jH, rep.to_dict()))
-    assert results[0] == results[1]
+        d, ideal = rescaled_ideal(d, ideal, data.draw(st.lists(units, min_size=n, max_size=n)))
+    assert_ideal_complement_matches_oracle(d, ideal)
+
+
+@pytest.mark.parametrize("name", ["aff_r_tilted_h", "aff_r_tilted_h2"])
+def test_ideal_complement_keeps_the_scale_of_H(name):
+    # [h1, h2] = [e1, e2] = e2, which is h2 plus a member of the ideal, so the
+    # projected bracket is [h1, h2]' = h2, as given and in the basis q_i e_i
+    p = parse_document(IDEAL_DOCS[name])
+    alg, _, _ = ideal_complement_complex(p.cr, p.ideal)
+    assert alg == LieAlgebra.from_brackets(2, {(0, 1): [0, 1]})
+    assert_ideal_complement_matches_oracle(p.cr, p.ideal)
+    assert_ideal_complement_matches_oracle(*rescaled_ideal(p.cr, p.ideal, [Fraction(-2, 3), Fraction(3), Fraction(1)]))
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_DOCS))
 def test_reports_match_fraction_oracle_layers(name, monkeypatch):
+    # every layer that `run_checks` calls replaced by its definition-level oracle
     doc = ORACLE_DOCS[name]
     report = run_checks(parse_document(doc)).to_dict()
-    for layer, oracle in [("check_cr", check_cr_over_fractions),
-                          ("check_kahler", check_kahler_over_fractions),
+    for layer, oracle in [("check_cr", check_cr_ambient),
+                          ("check_kahler", check_kahler_by_triples),
                           ("left_symmetric_product", left_symmetric_product_by_solves),
-                          ("check_left_symmetric", check_left_symmetric_over_fractions),
-                          ("check_pseudo_poisson", check_pseudo_poisson_over_fractions),
-                          ("check_j_invariance", check_j_invariance_over_fractions),
-                          ("coboundary_pi", coboundary_pi_over_fractions),
-                          ("center_U", center_U_over_fractions),
-                          ("ideal_complement_complex", ideal_complement_complex_over_fractions)]:
-        monkeypatch.setattr(checks, layer, oracle)
-    # the base closedness that the extension reads
-    monkeypatch.setattr(KahlerCRData, "omega_defects", property(omega_defects_over_fractions))
-    assert run_checks(parse_document(doc)).to_dict() == report
-    # the former dense integer layers
-    for layer, oracle in [("check_cr", check_cr_dense),
-                          ("left_symmetric_product", left_symmetric_product_dense),
-                          ("check_left_symmetric", check_left_symmetric_dense),
-                          ("omega_radical", omega_radical_dense),
-                          ("center_U", center_U_dense)]:
+                          ("check_left_symmetric", check_left_symmetric_ambient),
+                          ("omega_radical", omega_radical_ambient),
+                          ("center_U", center_U_ambient),
+                          ("semisimple_exactness", semisimple_exactness_full_system),
+                          ("check_pseudo_poisson", check_pseudo_poisson_ambient),
+                          ("check_j_invariance", check_j_invariance_ambient),
+                          ("coboundary_pi", coboundary_pi_ambient),
+                          ("ideal_complement_complex", ideal_complement_complex_ambient),
+                          ("build_extension", lambda *args: build_extension_lifted(*args)[1])]:
         monkeypatch.setattr(checks, layer, oracle)
     assert run_checks(parse_document(doc)).to_dict() == report

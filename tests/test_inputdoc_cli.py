@@ -116,6 +116,23 @@ def _with_block(entry_id, key, **fields):
      "metric: expected a list of rationals, not the string '100'"),
     (_with_block("heisenberg", "extension", V_dim=2, alpha=[{"x": 1, "y": 2, "result": "10"}]),
      "extension.alpha[0]: expected a list of rationals, not the string '10'"),
+    # nor is an object, which would otherwise be read as the list of its keys
+    ({"algebra": {"dim": 3, "brackets": [{"x": 1, "y": 2, "result": {"0": "a", "1": "b", "2": "c"}}]}},
+     "algebra.brackets[0]: expected a list of rationals, not the object {'0': 'a', '1': 'b', '2': 'c'}"),
+    (_with_block("so3_cr", "cr", H=[{"1": 0, "0": 0, "0/2": 0}, ["0", "1", "0"]]),
+     "cr.H: expected a list of rationals, not the object {'1': 0, '0': 0, '0/2': 0}"),
+    (_with_block("so3_cr", "cr", j=[{"0": 1, "-1": 1, "0/1": 1}, ["1", "0", "0"], ["0", "0", "0"]]),
+     "cr.j: expected a list of rationals, not the object {'0': 1, '-1': 1, '0/1': 1}"),
+    ({**catalog.get("so3_cr").document,
+      "metric": [{"1": 0, "0": 0, "-0": 0}, ["0", "1", "0"], ["0", "0", "1"]]},
+     "metric: expected a list of rationals, not the object {'1': 0, '0': 0, '-0': 0}"),
+    (_with_block("sl2", "poisson", U=[{"0": 1, "-0": 1, "1": 1}]),
+     "poisson.U: expected a list of rationals, not the object {'0': 1, '-0': 1, '1': 1}"),
+    ({**catalog.get("rn_flat").document, "ideal": [{"0": 0, "-0": 0, "1": 0, "0/1": 0},
+                                                   ["0", "0", "0", "1"]]},
+     "ideal: expected a list of rationals, not the object {'0': 0, '-0': 0, '1': 0, '0/1': 0}"),
+    (_with_block("heisenberg", "extension", alpha=[{"x": 1, "y": 2, "result": {"1": "v"}}]),
+     "extension.alpha[0]: expected a list of rationals, not the object {'1': 'v'}"),
 ])
 def test_malformed_field_types_exit_two(tmp_path, capsys, doc, message):
     assert main(["check", write(tmp_path, doc)]) == 2

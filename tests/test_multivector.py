@@ -7,15 +7,27 @@ from hypothesis import strategies as st
 
 from crlie import Bivector, LieAlgebra, Trivector, schouten, sl2, so3
 from crlie.linalg import Matrix, Subspace, vector
-from crlie.multivector import wedge_subspace_residual
+from crlie.multivector import derive_ints, push_ints, wedge_subspace_residual
 
 from oracles import (
-    apply_exterior_power, basis_vector, combine, derive, derive_over_fractions, identity, push,
-    push_over_fractions, schouten_decomposable, schouten_over_fractions, wedge_coeffs,
-    wedge_span_remainder,
+    apply_exterior_power, basis_vector, combine, identity, rows_of, schouten_decomposable,
+    wedge_coeffs, wedge_span_remainder,
 )
+from strategies import fractions
 
-rationals = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+rationals = fractions(-3, 3, max_denominator=2)
+
+
+def push(A: Matrix, t):
+    """`push_ints` on the integer forms of A and t, scaled back."""
+    cols = dict(enumerate(A.transpose().ints))
+    return t.from_ints(t.dim, t.scale * A.scale ** t.arity, push_ints(cols, t.ints))
+
+
+def derive(D: Matrix, t):
+    """`derive_ints` on the integer forms of D and t, scaled back."""
+    cols = dict(enumerate(D.transpose().ints))
+    return t.from_ints(t.dim, t.scale * D.scale, derive_ints(cols, t.ints))
 
 
 def dense(cls, dim):
@@ -87,24 +99,14 @@ def test_lambda2_is_multiplicative(a, b):
         assert push(a * b, t) == push(a, push(b, t))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.sampled_from((Bivector, Trivector)), st.data())
 def test_push_and_derive_match_exterior_power_matrix(cls, data):
     n = data.draw(st.integers(cls.arity, 5))
     a = data.draw(square(n))
     t = data.draw(dense(cls, n))
-    assert push(a, t) == apply_exterior_power(a, t)
-    assert derive(a, t) == apply_exterior_power(a, t, leibniz=True)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from((Bivector, Trivector)), st.data())
-def test_push_and_derive_match_fraction_oracles(cls, data):
-    n = data.draw(st.integers(cls.arity, 5))
-    a = data.draw(square(n))
-    t = data.draw(dense(cls, n))
-    assert push(a, t) == push_over_fractions(a, t)
-    assert derive(a, t) == derive_over_fractions(a, t)
+    assert push(a, t) == apply_exterior_power(rows_of(a), t)
+    assert derive(a, t) == apply_exterior_power(rows_of(a), t, leibniz=True)
 
 
 # -- schouten ----------------------------------------------------------------
@@ -180,7 +182,7 @@ def test_membership_zero_subspace():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.fractions(min_value=Fraction(1, 3), max_value=5, max_denominator=3))
+@given(fractions(Fraction(1, 3), 5, max_denominator=3))
 def test_membership_invariant_under_scaling(c):
     t = Trivector(4, {(0, 1, 2): 2, (0, 2, 3): -1})
     for u in (Subspace.span([basis_vector(4, 2)], 4), Subspace.zero(4),
@@ -217,4 +219,4 @@ def test_schouten_matches_fraction_oracle(data):
          for _ in range(n)]
     g = LieAlgebra(c, validate=False)
     p, q = data.draw(dense(Bivector, n)), data.draw(dense(Bivector, n))
-    assert schouten(g, p, q) == schouten_over_fractions(g, p, q)
+    assert schouten(g, p, q) == schouten_decomposable(g, p, q)

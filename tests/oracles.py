@@ -405,13 +405,6 @@ def ad_rows(c, x) -> list:
     return transpose([bracket(c, x, basis_vector(n, j)) for j in range(n)])
 
 
-def ad_by_brackets(algebra: LieAlgebra, x) -> Matrix:
-    """Matrix of y -> [x, y], column j being the bracket of x with e_j."""
-    if len(x) != algebra.dim:
-        raise ValueError("dimension mismatch in ad")
-    return Matrix(ad_rows(dense_tensor(algebra), x))
-
-
 def killing_entry(c, i: int, j: int) -> Fraction:
     """trace(ad e_i o ad e_j) on the dense tensor c, entry by entry: column l
     of ad e_i is c[i][l], so the trace is sum_{k,l} c[i][l][k] c[j][k][l]."""

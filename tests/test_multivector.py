@@ -10,8 +10,8 @@ from crlie.linalg import Matrix, Subspace, vector
 from crlie.multivector import derive_ints, push_ints, wedge_subspace_residual
 
 from oracles import (
-    apply_exterior_power, basis_vector, combine, identity, rows_of, schouten_decomposable,
-    wedge_coeffs, wedge_span_remainder,
+    apply_exterior_power, basis_vector, coefficients, column, combine, identity, rows_of,
+    schouten_decomposable, wedge_coeffs, wedge_span_remainder,
 )
 from strategies import fractions
 
@@ -99,7 +99,7 @@ def test_lambda2_is_multiplicative(a, b):
         assert push(a * b, t) == push(a, push(b, t))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(st.sampled_from((Bivector, Trivector)), st.data())
 def test_push_and_derive_match_exterior_power_matrix(cls, data):
     n = data.draw(st.integers(cls.arity, 5))
@@ -107,6 +107,34 @@ def test_push_and_derive_match_exterior_power_matrix(cls, data):
     t = data.draw(dense(cls, n))
     assert push(a, t) == apply_exterior_power(rows_of(a), t)
     assert derive(a, t) == apply_exterior_power(rows_of(a), t, leibniz=True)
+
+
+def push_by_wedges(A: Matrix, t):
+    """sum_I t_I A e_i1 ^ ... ^ A e_ik, from the wedges of A's columns."""
+    cols = [column(A, i) for i in range(A.cols)]
+    return type(t)(t.dim, combine(*((c, wedge_coeffs(*(cols[i] for i in key)))
+                                    for key, c in coefficients(t).items())))
+
+
+def derive_by_wedges(D: Matrix, t):
+    """The Leibniz sum over I and m of t_I e_i1 ^ ... ^ D e_im ^ ... ^ e_ik."""
+    n = t.dim
+    terms = []
+    for key, c in coefficients(t).items():
+        for m in range(len(key)):
+            vs = [column(D, i) if p == m else basis_vector(n, i) for p, i in enumerate(key)]
+            terms.append((c, wedge_coeffs(*vs)))
+    return type(t)(n, combine(*terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((Bivector, Trivector)), st.data())
+def test_push_and_derive_match_fraction_oracles(cls, data):
+    n = data.draw(st.integers(cls.arity, 5))
+    a = data.draw(square(n))
+    t = data.draw(dense(cls, n))
+    assert push(a, t) == push_by_wedges(a, t)
+    assert derive(a, t) == derive_by_wedges(a, t)
 
 
 # -- schouten ----------------------------------------------------------------

@@ -1,38 +1,46 @@
 """crlie: exact verification of CR, Kahler-CR and pseudo-Poisson structures
-on finite-dimensional Lie algebras given by rational structure constants."""
+on finite-dimensional Lie algebras given by rational structure constants.
 
-from .linalg import Matrix, Rational, Subspace, Vector, kernel, rat, solve, vector
-from .lie import LieAlgebra, StructureError, sl2, so3
-from .multivector import Bivector, Trivector, schouten
-from .crkahler import (
-    CRData, KahlerCRData, LeftSymmetricProduct, build_extension, center_U,
-    check_cr, check_kahler, check_left_symmetric, ideal_complement_complex,
-    induced_bracket, left_symmetric_product, omega_radical, semisimple_exactness,
-)
-from .poisson import (
-    PseudoPoissonData, check_cocycle, check_j_invariance, check_pseudo_poisson,
-    coboundary_delta, coboundary_pi, product_structure,
-)
-from .report import CheckResult, Report
-from .inputdoc import InputError, Payloads, dump_document, parse_document, parse_text
-from .checks import run_checks
-from . import catalog
+`import crlie` loads no submodule.  A public name is imported from its home
+module on first access (PEP 562) and then kept here, so `crlie.X is
+crlie.<module>.X`; `crlie.catalog` and the other home modules resolve to the
+submodule.  A program that reads only `crlie.catalog` compiles `__init__`
+and `catalog` alone.
+"""
 
-__all__ = [
-    "Matrix", "Rational", "Subspace", "Vector", "kernel", "rat", "solve", "vector",
-    "LieAlgebra", "StructureError", "sl2", "so3",
-    "Bivector", "Trivector", "schouten",
-    "CRData", "KahlerCRData", "LeftSymmetricProduct", "build_extension",
-    "center_U", "check_cr", "check_kahler", "check_left_symmetric",
-    "ideal_complement_complex", "induced_bracket", "left_symmetric_product",
-    "omega_radical",
-    "semisimple_exactness",
-    "PseudoPoissonData", "check_cocycle", "check_j_invariance",
-    "check_pseudo_poisson", "coboundary_delta", "coboundary_pi",
-    "product_structure",
-    "CheckResult", "Report",
-    "InputError", "Payloads", "dump_document", "parse_document", "parse_text",
-    "run_checks", "catalog",
-]
+from importlib import import_module
 
+_EXPORTS = {
+    "linalg": ("Matrix", "Rational", "Subspace", "Vector", "kernel", "rat", "solve", "vector"),
+    "lie": ("LieAlgebra", "StructureError", "sl2", "so3"),
+    "multivector": ("Bivector", "Trivector", "schouten"),
+    "crkahler": ("CRData", "KahlerCRData", "LeftSymmetricProduct", "build_extension",
+                 "center_U", "check_cr", "check_kahler", "check_left_symmetric",
+                 "ideal_complement_complex", "induced_bracket", "left_symmetric_product",
+                 "omega_radical", "semisimple_exactness"),
+    "poisson": ("PseudoPoissonData", "check_cocycle", "check_j_invariance",
+                "check_pseudo_poisson", "coboundary_delta", "coboundary_pi",
+                "product_structure"),
+    "report": ("CheckResult", "Report"),
+    "inputdoc": ("InputError", "Payloads", "dump_document", "parse_document", "parse_text"),
+    "checks": ("run_checks",),
+    "catalog": (),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "catalog"]
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _HOME.get(name, name)
+    if module not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = import_module(f".{module}", __name__)
+    if module != name:
+        value = globals()[name] = getattr(value, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from . import catalog
 from .checks import run_checks
 from .crkahler import induced_bracket, left_symmetric_product
 from .inputdoc import InputError, dump_document, parse_text
@@ -91,6 +90,7 @@ def cmd_schouten(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from . import catalog  # only this command needs the built catalog
     if args.action == "list":
         for entry_id, description in catalog.list_entries():
             print(f"{entry_id}: {description}")

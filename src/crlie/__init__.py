@@ -11,7 +11,7 @@ and `catalog` alone.
 from importlib import import_module
 
 _EXPORTS = {
-    "linalg": ("Matrix", "Rational", "Subspace", "Vector", "kernel", "rat", "solve", "vector"),
+    "linalg": ("Matrix", "Subspace", "Vector", "kernel", "rat", "solve"),
     "lie": ("LieAlgebra", "StructureError", "sl2", "so3"),
     "multivector": ("Bivector", "Trivector", "schouten"),
     "crkahler": ("CRData", "KahlerCRData", "LeftSymmetricProduct", "build_extension",

@@ -7,7 +7,8 @@ antisymmetric, closed and nondegenerate on H), and the derived machinery:
 the induced left-symmetric product on H, the w-radical, the commutative
 subalgebra built from the center, ideal-complement complex structures, the
 central-type extension checks, and the exactness construction available on
-semisimple algebras.
+semisimple algebras.  `LeftSymmetricProduct.__eq__` compares the canonical
+table; no check calls it, and it is kept as library API.
 """
 
 from __future__ import annotations

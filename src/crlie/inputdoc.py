@@ -14,7 +14,7 @@ from typing import Optional
 
 from .crkahler import CRData, KahlerCRData
 from .lie import IntTable, LieAlgebra, StructureError
-from .linalg import Matrix, Subspace, common_scale, format_rat, read_row
+from .linalg import Matrix, Subspace, format_rat, read_row
 from .multivector import Bivector
 from .poisson import PseudoPoissonData
 
@@ -28,14 +28,12 @@ class InputError(Exception):
 
 
 class Payloads:
-    def __init__(self, document: dict, algebra: LieAlgebra, cr: Optional[CRData] = None,
-                 kahler: Optional[KahlerCRData] = None,
-                 poisson: Optional[PseudoPoissonData] = None,
-                 poisson_r: Optional[Bivector] = None, ideal: Optional[Subspace] = None,
-                 extension: Optional[dict] = None):
-        self.document, self.algebra, self.cr, self.kahler = document, algebra, cr, kahler
-        self.poisson, self.poisson_r, self.ideal = poisson, poisson_r, ideal
-        self.extension = extension  # {"v_dim": int, "alpha": {(a, b): rationals}}
+    """A parsed document; `parse_document` sets each optional field whose block is given."""
+
+    def __init__(self, document: dict, algebra: LieAlgebra):
+        self.document, self.algebra = document, algebra
+        self.cr = self.kahler = self.poisson = self.poisson_r = self.ideal = None
+        self.extension = None  # {"v_dim": int, "alpha": {(a, b): rationals}}
 
 
 def _int(value) -> int:
@@ -68,34 +66,29 @@ def _matrix(rows, n_cols, where, diags) -> Optional[Matrix]:
 
 def _subspace(rows, dim, where, diags) -> Optional[Subspace]:
     try:
-        ints = [read_row(row)[1] for row in rows]
+        return Subspace.span(rows, dim)
     except (ValueError, TypeError) as e:
         diags.append(f"{where}: {e}")
         return None
-    if any(len(row) != dim for row in rows):
-        diags.append(f"{where}: row of wrong dimension (ambient is {dim})")
-        return None
-    return Subspace.from_ints(dim, ints)
 
 
 def _bivector(entries, dim, where, diags) -> Optional[Bivector]:
-    read = {}
+    coeffs = {}
     for e in entries:
         try:
             i, j = _int(e["i"]), _int(e["j"])
-            coeff = read_row([e["coeff"]])
+            read_row([e["coeff"]])  # for its diagnostic; Bivector reads it
         except (KeyError, ValueError, TypeError) as err:
             diags.append(f"{where}: bad entry {e!r}: {err}")
             return None
         if not (1 <= i < j <= dim):
             diags.append(f"{where}: indices ({i},{j}) must satisfy 1 <= i < j <= {dim}")
             return None
-        if (i - 1, j - 1) in read:
+        if (i - 1, j - 1) in coeffs:
             diags.append(f"{where}: duplicate entry for ({i},{j})")
             return None
-        read[(i - 1, j - 1)] = coeff
-    scale, ints = common_scale(read.values())
-    return Bivector.from_ints(dim, scale, {ij: c.get(0, 0) for ij, c in zip(read, ints)})
+        coeffs[(i - 1, j - 1)] = e["coeff"]
+    return Bivector(dim, coeffs)
 
 
 def parse_document(doc: dict) -> Payloads:

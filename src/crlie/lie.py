@@ -1,4 +1,8 @@
-"""Lie algebras given by exact rational structure constants."""
+"""Lie algebras given by exact rational structure constants.
+
+`LieAlgebra.__eq__` and `__hash__` compare the canonical table; no check
+calls them, and they are kept as library API.
+"""
 
 from __future__ import annotations
 
@@ -30,8 +34,8 @@ class IntTable:
     denominator of c and rows[i] = {j: {k: x}} keeps only the nonzero
     entries, grouped per row.  Both are canonical, so two tables hold the same
     c exactly when their dim, scale and rows agree.  The constructor takes the
-    three as they are; `from_rows`, `antisymmetric` and `dense` compute them
-    from c.  The same row form, lists of {j: {k: x}}, holds the tables on H
+    three as they are; `from_rows` and `antisymmetric` compute them from c.
+    The same row form, lists of {j: {k: x}}, holds the tables on H
     in `crkahler`."""
 
     __slots__ = ("dim", "scale", "rows")
@@ -61,12 +65,6 @@ class IntTable:
         for (i, j), (s, v) in entries.items():
             mirrored[(j, i)] = (s, {k: -x for k, x in v.items()})
         return cls.from_rows(dim, mirrored)
-
-    @classmethod
-    def dense(cls, c: Sequence[Sequence[Iterable]]) -> "IntTable":
-        """The table of the dense tensor c of rationals."""
-        return cls.from_rows(len(c), {(i, j): read_row(v) for i, row in enumerate(c)
-                                      for j, v in enumerate(row)})
 
     def triples(self) -> list:
         """The triples i < j < k, in lexicographic order, on which some entry
@@ -117,20 +115,14 @@ class LieAlgebra:
 
     The bracket is held only as `table`, the `IntTable` of its structure
     constants c[i][j] = [e_i, e_j], so storage and parsing follow the nonzero
-    brackets.  `c` is that table or the dense tensor, which is converted on
-    entry; construction rejects tables violating antisymmetry or the Jacobi
-    identity unless `validate` is false.
+    brackets.  Construction rejects a table violating antisymmetry or the
+    Jacobi identity unless `validate` is false.
     """
 
     __slots__ = ("dim", "names", "table", "_killing")
 
-    def __init__(self, c: IntTable | Sequence[Sequence[Iterable]],
-                 names: Optional[Sequence[str]] = None, validate: bool = True):
-        if not isinstance(c, IntTable):
-            n = len(c)
-            if any(len(row) != n or any(len(v) != n for v in row) for row in c):
-                raise ValueError("structure tensor must be n x n x n")
-            c = IntTable.dense(c)
+    def __init__(self, c: IntTable, names: Optional[Sequence[str]] = None,
+                 validate: bool = True):
         if names is None:
             names = [f"e{i + 1}" for i in range(c.dim)]
         if len(names) != c.dim:
@@ -149,8 +141,7 @@ class LieAlgebra:
 
     @classmethod
     def from_brackets(cls, dim: int, brackets: Mapping[tuple[int, int], Iterable],
-                      names: Optional[Sequence[str]] = None,
-                      validate: bool = True) -> "LieAlgebra":
+                      names: Optional[Sequence[str]] = None) -> "LieAlgebra":
         """Build from a sparse table {(i, j): [e_i, e_j]} with i < j, 0-based."""
         entries = {}
         for (i, j), v in brackets.items():
@@ -159,11 +150,7 @@ class LieAlgebra:
             entries[(i, j)] = read_row(v)
             if len(v) != dim:
                 raise ValueError(f"bracket value at {(i, j)} has wrong dimension")
-        return cls(IntTable.antisymmetric(dim, entries), names=names, validate=validate)
-
-    @classmethod
-    def abelian(cls, dim: int, names: Optional[Sequence[str]] = None) -> "LieAlgebra":
-        return cls.from_brackets(dim, {}, names=names)
+        return cls(IntTable.antisymmetric(dim, entries), names=names)
 
     # -- basic operations --------------------------------------------------
 

@@ -4,12 +4,13 @@ Identities are checked against literal zero -- no tolerances anywhere.  A
 `Matrix` is kept as sparse integer rows over one scale, the least common
 denominator of its entries, and a `Subspace` as its reduced row-echelon
 basis in the same form plus its pivots.  Both forms are canonical, so
-equality is a comparison.  Vectors inside the library are sparse integer
-rows {k: x} over their nonzero entries, as `Subspace.reduce` and
-`contains` take them.  One fraction-free Gauss-Jordan elimination,
-`_echelon`, serves `rref`, `kernel`, `solve` and `det`: Bareiss's exact
-division (Math. Comp. 22 (1968) 565-578) in the Gauss-Jordan form of Nakos,
-Turner and Williams (ACM SIGSAM Bull. 31(3), 1997).  Rationals are read by
+equality is a comparison; `__eq__` and `__hash__` are kept as library API.
+Vectors inside the library are sparse integer rows {k: x} over their
+nonzero entries, as `Subspace.reduce` and `contains` take them.  One
+fraction-free Gauss-Jordan elimination, `_echelon`, serves `rref`,
+`kernel`, `solve` and `det`: Bareiss's exact division (Math. Comp. 22
+(1968) 565-578) in the Gauss-Jordan form of Nakos, Turner and Williams
+(ACM SIGSAM Bull. 31(3), 1997).  Rationals are read by
 `read_row`, straight into one integer row over its least common
 denominator; `Fraction` appears there only for a spelling other than the
 canonical ones, and otherwise only where an entry or a dense vector is
@@ -22,7 +23,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-Rational = Fraction
 Vector = tuple[Fraction, ...]
 
 
@@ -120,13 +120,6 @@ def common_scale(rows: Iterable[tuple[int, dict]]) -> tuple[int, list]:
     rows = list(rows)
     s = lcm(*(t for t, _ in rows))
     return s, [r if t == s else {k: x * (s // t) for k, x in r.items()} for t, r in rows]
-
-
-# ---------------------------------------------------------------------------
-# vectors
-
-def vector(entries: Iterable) -> Vector:
-    return tuple(rat(e) for e in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -361,26 +354,17 @@ class Subspace:
 
     @classmethod
     def span(cls, vectors: Iterable, ambient_dim: int) -> "Subspace":
+        """The span of rational vectors, each read by `read_row`."""
         vectors = list(vectors)
         ints = [read_row(v)[1] for v in vectors]
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise ValueError(
-                    f"dimension mismatch: vector of {len(v)} in ambient {ambient_dim}")
+        if any(len(v) != ambient_dim for v in vectors):
+            raise ValueError(f"row of wrong dimension (ambient is {ambient_dim})")
         return cls.from_ints(ambient_dim, ints)
 
     @classmethod
     def from_ints(cls, ambient_dim: int, rows: Iterable) -> "Subspace":
         """The span of integer vectors {k: x}."""
         return cls(ambient_dim, *rref(rows, ambient_dim))
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, 1, (), ())
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, 1, [{i: 1} for i in range(ambient_dim)], range(ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -425,19 +409,11 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """The common null space of the two sets of `_perp` functionals."""
-        self._check_ambient(other)
         n = self.ambient_dim
+        if other.ambient_dim != n:
+            raise ValueError(f"dimension mismatch: ambient {n} vs {other.ambient_dim}")
         return kernel(Matrix.from_ints(n, 1, _perp(self.scale, self.ints, self.pivots, n)
                                        + _perp(other.scale, other.ints, other.pivots, n)))
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        return Subspace.from_ints(self.ambient_dim, self.ints + other.ints)
-
-    def _check_ambient(self, other: "Subspace") -> None:
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError(
-                f"dimension mismatch: ambient {self.ambient_dim} vs {other.ambient_dim}")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)

@@ -4,10 +4,11 @@ Degrees 2 and 3 only: the pseudo-Poisson condition lives in Lambda^3.  A
 multivector is ints / scale, with ints = {key: x} its nonzero integer
 coefficients on strictly increasing index pairs / triples and scale > 0,
 in lowest terms -- the form of `Matrix` and `Subspace`, canonical, so `==`
-compares it.  It has no arithmetic: the contractions `schouten_ints`,
-`push_ints` and `derive_ints` act on the integer coefficients, emitting raw
-index tuples that `_collect` signs and merges onto sorted keys, and each
-caller builds its result with `from_ints` over the product of the scales.
+compares it; `__eq__` is kept as library API.  It has no arithmetic: the
+contractions `schouten_ints`, `push_ints` and `derive_ints` act on the
+integer coefficients, emitting raw index tuples that `_collect` signs and
+merges onto sorted keys, and each caller builds its result with
+`from_ints` over the product of the scales.
 
 Membership in U ^ Lambda^2 G goes through the quotient map G -> G/U, taken
 as R_U, whose column i is the remainder of e_i against the RREF basis of U.

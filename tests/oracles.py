@@ -41,7 +41,9 @@ The other oracles are definitions of library pieces that the checks build
 on: the `Fraction` `rref`/`solve`/`kernel`/`det` and subspace operations,
 the bracket and Jacobiator expanded over every index, the Killing form as
 traces, maps on Lambda^k by minors, the parse conversion and the number
-formatters over `Fraction`.
+formatters over `Fraction`.  `int_table` goes the other way from
+`dense_tensor`, for tests that build an algebra from a dense tensor; no
+oracle calls it.
 """
 
 from fractions import Fraction
@@ -52,7 +54,8 @@ from typing import Mapping
 
 from crlie import Bivector, LieAlgebra, Trivector
 from crlie.crkahler import CRData, KahlerCRData, LeftSymmetricProduct
-from crlie.linalg import Matrix, Subspace, Vector, rat, vector
+from crlie.lie import IntTable
+from crlie.linalg import Matrix, Subspace, Vector, rat, read_row
 from crlie.report import Report, fmt_vec, witness
 
 
@@ -122,6 +125,10 @@ def vadd(x, y) -> tuple:
 def vsub(x, y) -> tuple:
     assert len(x) == len(y)
     return tuple(a - b for a, b in zip(x, y))
+
+
+def vector(entries) -> Vector:
+    return tuple(rat(e) for e in entries)
 
 
 def zero_vector(n: int) -> Vector:
@@ -311,10 +318,6 @@ def intersect_over_fractions(s_rows, t_rows, n: int):
     return rref_over_fractions([lincomb(coeffs[:len(s_rows)], s_rows, n) for coeffs in K])
 
 
-def sum_over_fractions(s_rows, t_rows):
-    return rref_over_fractions(list(s_rows) + list(t_rows))
-
-
 def h_coordinates(basis, v):
     """Coefficients of v in an echelon basis, read at its pivots, after
     checking that they give v back."""
@@ -342,6 +345,12 @@ def dense_tensor(algebra: LieAlgebra) -> list:
     n, s, rows = algebra.dim, algebra.table.scale, algebra.table.rows
     return [[tuple(Fraction(rows[i].get(j, {}).get(k, 0), s) for k in range(n))
              for j in range(n)] for i in range(n)]
+
+
+def int_table(c) -> IntTable:
+    """The table of a dense tensor c, antisymmetric or not: `dense_tensor` inverted."""
+    return IntTable.from_rows(len(c), {(i, j): read_row(v) for i, row in enumerate(c)
+                                       for j, v in enumerate(row)})
 
 
 def bilinear(table, x, y, n: int) -> tuple:
@@ -736,7 +745,7 @@ def ideal_complement_complex_ambient(d: CRData, ideal: Subspace):
     I, H = rref_over_fractions(ideal.basis), rref_over_fractions(d.H.basis)
     if not all(in_span(I, bracket(c, basis_vector(n, i), x)) for x in I[0] for i in range(n)):
         raise ValueError("not an ideal")
-    if len(I[0]) + len(H[0]) != n or len(sum_over_fractions(I[0], H[0])[0]) != n:
+    if len(I[0]) + len(H[0]) != n or len(rref_over_fractions(I[0] + H[0])[0]) != n:
         raise ValueError("ideal is not supplementary to H")
 
     basis, j = H[0], rows_of(d.j)
@@ -828,7 +837,9 @@ def build_extension_lifted(base: KahlerCRData, v_dim: int, alpha: Mapping):
     anti, closed = omega_defects_by_triples(c, om, ext_names)
     rep.add("extension.omega_closed", not anti and not closed)
 
-    big = LieAlgebra(c, names=ext_names, validate=False)
+    big = LieAlgebra.from_brackets(total, {(a, b): c[a][b]
+                                           for a, b in combinations(range(total), 2)},
+                                   names=ext_names)
     H_ext = Subspace.span([tuple(h) + zero_vector(v_dim) for h in base.H.basis], total)
     data = KahlerCRData(CRData(big, H_ext, Matrix.block_diag(base.j, zeros(v_dim, v_dim))),
                         Matrix.block_diag(base.metric, identity(v_dim)))

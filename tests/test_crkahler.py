@@ -16,7 +16,7 @@ from crlie import (
 )
 from crlie import checks
 from crlie.crkahler import induced_bracket
-from crlie.linalg import Matrix, Subspace, vector
+from crlie.linalg import Matrix, Subspace
 from crlie.report import fmt_vec
 
 from oracles import (
@@ -24,9 +24,10 @@ from oracles import (
     check_cr_ambient, check_j_invariance_ambient, check_kahler_by_triples,
     check_left_symmetric_ambient, check_pseudo_poisson_ambient, coboundary_pi_ambient, column,
     crdata_error_ambient, dense_tensor, densify, from_columns, h_coordinates,
-    ideal_complement_complex_ambient, identity, is_zero, left_symmetric_product_by_solves,
-    mat_add, mat_scale, matvec, omega, omega_radical_ambient, product_from_coordinates, rows_of,
-    semisimple_exactness_full_system, unscaled, vadd, vdot, zeros,
+    ideal_complement_complex_ambient, identity, int_table, is_zero,
+    left_symmetric_product_by_solves, mat_add, mat_scale, matvec, omega, omega_radical_ambient,
+    product_from_coordinates, rows_of, semisimple_exactness_full_system, unscaled, vadd, vdot,
+    vector, zeros,
 )
 from strategies import fractions
 from test_golden import AFF_AFF_R_DENSE, CASES
@@ -222,7 +223,7 @@ def heisenberg_r2_kahler():
     """heisenberg3 + R^2 with H = span(e1, e2, e4, e5), j e1 = -e4, j e2 = -e5:
     the center meets H in span(e4, e5), j moves it onto e1, e2, and U = H is
     neither commutative nor stabilizes H, as [e1, e2] = e3."""
-    g = heisenberg3().direct_sum(LieAlgebra.abelian(2))
+    g = heisenberg3().direct_sum(LieAlgebra.from_brackets(2, {}))
     H = Subspace.span([basis_vector(5, i) for i in (0, 1, 3, 4)], 5)
     j = Matrix([[0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0] * 5, [-1, 0, 0, 0, 0], [0, -1, 0, 0, 0]])
     return KahlerCRData(CRData(g, H, j), identity(5))
@@ -239,18 +240,18 @@ def test_center_U_failures_carry_witnesses():
 def test_ideal_complement_abelian(rn_kahler):
     ideal = Subspace.span([basis_vector(4, 2), basis_vector(4, 3)], 4)
     alg, jH, rep = ideal_complement_complex(rn_kahler.cr, ideal)
-    assert alg == LieAlgebra.abelian(2)
+    assert alg == LieAlgebra.from_brackets(2, {})
     assert rep.passed
 
 
 def test_ideal_complement_heisenberg_plus_r2():
-    g = heisenberg3().direct_sum(LieAlgebra.abelian(2))
+    g = heisenberg3().direct_sum(LieAlgebra.from_brackets(2, {}))
     H = Subspace.span([basis_vector(5, 3), basis_vector(5, 4)], 5)
     cols = [(0,) * 5] * 3 + [vector([0, 0, 0, 0, 1]), vector([0, 0, 0, -1, 0])]
     j = from_columns([vector(c) for c in cols])
     ideal = Subspace.span([basis_vector(5, t) for t in range(3)], 5)
     alg, _, rep = ideal_complement_complex(CRData(g, H, j), ideal)
-    assert alg == LieAlgebra.abelian(2)
+    assert alg == LieAlgebra.from_brackets(2, {})
     assert rep.passed
 
 
@@ -277,7 +278,7 @@ def lifted_extension(base, v_dim, alpha):
 def test_extension_with_zero_alpha_is_direct_sum():
     data, rep = lifted_extension(base_r2(), 1, {})
     assert rep.passed
-    assert data.algebra == LieAlgebra.abelian(3)
+    assert data.algebra == LieAlgebra.from_brackets(3, {})
 
 
 def test_extension_heisenberg_type():
@@ -341,7 +342,7 @@ def rebased(k, P):
     c = [[matvec(p_inv, g.bracket(column(P, a), column(P, b))) for b in range(n)]
          for a in range(n)]
     H = Subspace.span([matvec(p_inv, h) for h in k.H.basis], n)
-    return KahlerCRData(CRData(LieAlgebra(c, names=g.names), H, p_inv * k.j * P),
+    return KahlerCRData(CRData(LieAlgebra(int_table(c), names=g.names), H, p_inv * k.j * P),
                         P.transpose() * k.metric * P)
 
 
@@ -596,7 +597,7 @@ def unimodular(draw, n):
 
 CR_ALGEBRAS = {
     "so3+so3": so3().direct_sum(so3()),
-    "aff_aff+R": entry_payloads("aff_aff").algebra.direct_sum(LieAlgebra.abelian(1)),
+    "aff_aff+R": entry_payloads("aff_aff").algebra.direct_sum(LieAlgebra.from_brackets(1, {})),
     "sl2+heisenberg": sl2().direct_sum(heisenberg3()),
 }
 
@@ -612,8 +613,8 @@ def dense_cr_data(draw, full=False):
     n = g.dim
     P = unimodular(draw, n)
     p_inv = _inverse(P)
-    g = LieAlgebra([[matvec(p_inv, g.bracket(column(P, a), column(P, b)))
-                     for b in range(n)] for a in range(n)])
+    g = LieAlgebra(int_table([[matvec(p_inv, g.bracket(column(P, a), column(P, b)))
+                               for b in range(n)] for a in range(n)]))
     m = n if full else draw(st.sampled_from([d for d in (2, 4, 6) if d <= n]))
     R, S = unimodular(draw, n), unimodular(draw, m)
     J0 = Matrix([[(b == a + 1) - (a == b + 1) if a // 2 == b // 2 else 0 for b in range(m)]
@@ -754,7 +755,8 @@ def aff_power_kahler(k):
     j = rotation
     for _ in range(k - 1):
         j = Matrix.block_diag(j, rotation)
-    return KahlerCRData(CRData(g, Subspace.full(n), j), identity(n))
+    full = Subspace.from_ints(n, ({i: 1} for i in range(n)))
+    return KahlerCRData(CRData(g, full, j), identity(n))
 
 
 def test_h_tables_grow_with_their_nonzero_entries():
@@ -795,7 +797,7 @@ def rescaled(d, q, metric=None):
          for a in range(n)]
     H = Subspace.span([tuple(e / q[i] for i, e in enumerate(h)) for h in d.H.basis], n)
     j = Matrix([[d.j[r, s] * q[s] / q[r] for s in range(n)] for r in range(n)])
-    cr = CRData(LieAlgebra(c, names=g.names), H, j)
+    cr = CRData(LieAlgebra(int_table(c), names=g.names), H, j)
     if metric is None:
         return cr
     return KahlerCRData(cr, Matrix([[q[r] * metric[r, s] * q[s] for s in range(n)]

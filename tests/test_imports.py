@@ -17,11 +17,16 @@ start; a subprocess confirms that importing the command line loads neither
 home module on first access, so a program that reads only `crlie.catalog`
 loads `crlie` and `crlie.catalog` alone, and the command line loads the
 catalog only for `crlie catalog`.
+
+Every public name is read by the package itself, a demo or the README's
+library example, so `__all__` holds no name that only the tests reach; and
+the python blocks of the README run.
 """
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +35,10 @@ import pytest
 
 import crlie
 
-MODULES = sorted((Path(__file__).parent.parent / "src" / "crlie").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+MODULES = sorted((ROOT / "src" / "crlie").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
+                           (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
 
 
 def imports(tree):
@@ -122,3 +130,25 @@ def test_unknown_name_raises_attribute_error_naming_it():
 def test_dir_lists_every_public_name_without_loading_it():
     out = loaded_by("import crlie; assert set(crlie.__all__) <= set(dir(crlie))")
     assert {m for m in out if m.split(".")[0] == "crlie"} == {"crlie"}
+
+
+def test_readme_python_blocks_run():
+    assert README_BLOCKS
+    for block in README_BLOCKS:
+        exec(compile(block, "README.md", "exec"), {})
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # product_structure waits for a document that builds a product
+    sources = [path.read_text(encoding="utf-8") for path in MODULES
+               if path.name != "__init__.py"]
+    sources += [path.read_text(encoding="utf-8") for path in (ROOT / "demos").glob("*.py")]
+    read = set()
+    for tree in map(ast.parse, sources + README_BLOCKS):
+        for node in ast.walk(tree):
+            if isinstance(getattr(node, "ctx", None), ast.Load):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+    assert sorted(set(crlie.__all__) - read - {"product_structure"}) == []

@@ -182,6 +182,31 @@ def test_invalid_blocks_exit_two(tmp_path, capsys, doc, message):
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, err", [
+    (_with_block("so3_cr", "cr", H=[["1", "0"], ["0", "1", "0"]]),
+     "error: cr.H: row of wrong dimension (ambient is 3)\n"
+     "error: metric: requires a valid cr block\n"),
+    (_with_block("so3_cr", "cr", H=[["1", "0", "0", "0"], ["0", "1", "0"]]),
+     "error: cr.H: row of wrong dimension (ambient is 3)\n"
+     "error: metric: requires a valid cr block\n"),
+    (_with_block("sl2", "poisson", U=[["0", "1"]]),
+     "error: poisson.U: row of wrong dimension (ambient is 3)\n"),
+    ({**catalog.get("rn_flat").document, "ideal": [["0", "0", "1"]]},
+     "error: ideal: row of wrong dimension (ambient is 4)\n"),
+], ids=["short_H_row", "long_H_row", "short_U_row", "short_ideal_row"])
+def test_subspace_row_of_wrong_dimension_exits_two(tmp_path, capsys, doc, err):
+    assert main(["check", write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == err
+
+
+def test_lambda_coefficients_over_different_denominators():
+    # 1/2 e1^e2 - 2/3 e2^e3 = (3 e1^e2 - 4 e2^e3) / 6
+    doc = _with_block("sl2", "poisson", **{"lambda": [{"i": 1, "j": 2, "coeff": "1/2"},
+                                                      {"i": 2, "j": 3, "coeff": "-2/3"}]})
+    lam = parse_document(doc).poisson.Lambda
+    assert (lam.scale, lam.ints) == (6, {(0, 1): 3, (1, 2): -4})
+
+
 def test_alpha_is_not_measured_against_an_invalid_V_dim():
     doc = _with_block("heisenberg", "extension", V_dim=-2,
                       alpha=[{"x": 1, "y": 2, "result": ["1"]}])

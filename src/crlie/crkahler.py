@@ -126,15 +126,28 @@ class KahlerCRData:
         return self.metric * self.j
 
     @cached_property
+    def h_basis(self) -> Matrix:
+        """The RREF basis of H as the rows of a matrix, which keeps H^T."""
+        return _basis_matrix(self.H)
+
+    @cached_property
     def omega_images(self) -> Matrix:
         """Omega H^T: entry (i, t) is w(e_i, h_t), column t being Omega h_t."""
-        return self.omega_matrix * _basis_matrix(self.H).transpose()
+        return self.omega_matrix * self.h_basis.transpose()
 
     @cached_property
     def gram(self) -> Matrix:
         """Gram matrix of w on the RREF basis of H: entry (a, b) is
         w(h_a, h_b)."""
-        return _basis_matrix(self.H) * self.omega_images
+        return self.h_basis * self.omega_images
+
+    @cached_property
+    def gram_reduced(self) -> tuple[int, list, list]:
+        """The RREF (s, R, pivots) of the integer [G | I] for G = gram.ints.
+        [G | I] has rank m, and G is singular exactly when some pivot falls in
+        I; otherwise R / s = [I | G^-1]."""
+        m = self.H.dim
+        return rref([{**r, m + i: 1} for i, r in enumerate(self.gram.ints)], 2 * m)
 
     @cached_property
     def radical(self) -> Subspace:
@@ -241,7 +254,7 @@ def check_kahler(k: KahlerCRData) -> Report:
     anti, closed = k.omega_defects
     rep.add("kahler.omega_antisymmetric", not anti, anti)
     rep.add("kahler.omega_closed", not closed, closed)
-    rep.add("kahler.omega_h_nondegenerate", k.gram.det() != 0)
+    rep.add("kahler.omega_h_nondegenerate", k.gram_reduced[2] == list(range(k.H.dim)))
     return rep
 
 
@@ -253,17 +266,16 @@ def left_symmetric_product(k: KahlerCRData) -> LeftSymmetricProduct:
     for all z in H, solved through the w|H Gram system."""
     m, G = k.H.dim, k.gram
     # w(sum_c coeff_c h_c, h_b) = sum_c coeff_c gram[c][b]  =>  coeff = (gram^T)^-1 rhs,
-    # so coeff_c = sum_z gram^-1[z][c] rhs[z].  Row reduction turns the integer
-    # [G | I] into si [I | G^-1], and gram^-1 = s_G G^-1; gram is singular
-    # exactly when some pivot falls in I instead
-    si, reduced, pivots = rref([{**r, m + i: 1} for i, r in enumerate(G.ints)], 2 * m)
+    # so coeff_c = sum_z gram^-1[z][c] rhs[z], read from si [I | G^-1] with
+    # gram^-1 = s_G G^-1
+    si, reduced, pivots = k.gram_reduced
     if pivots != list(range(m)):
         raise ValueError("omega restricted to H is degenerate")
     inverse = {z: {c - m: G.scale * x for c, x in r.items() if c >= m}
                for z, r in enumerate(reduced)}
-    # w(h_b, v) = sum_t R[t][b] v_t for R = (H Omega)^T; rhs[z] = -s w(h_b, [h_a, h_z])
-    # is formed only for the z with [h_a, h_z] != 0
-    R, (sB, B) = (_basis_matrix(k.H) * k.omega_matrix).transpose(), k.cr.brackets
+    # w(h_b, v) = sum_t R[t][b] v_t for R = (H Omega)^T = Omega^T H^T; rhs[z] =
+    # -s w(h_b, [h_a, h_z]) is formed only for the z with [h_a, h_z] != 0
+    R, (sB, B) = k.omega_matrix.transpose() * k.h_basis.transpose(), k.cr.brackets
     columns = dict(enumerate(R.ints))
     P = []
     for row in B:
@@ -344,7 +356,7 @@ def omega_radical(k: KahlerCRData) -> tuple[Subspace, Report]:
     L, H, names = k.radical, k.H, k.algebra.names
     rep.add("radical.subalgebra", k.algebra.is_subalgebra(L))
     # entry (i, b) of L M H^T is <x_i, h_b> for the basis x_i of L
-    inner = _basis_matrix(L) * k.metric * _basis_matrix(H).transpose()
+    inner = _basis_matrix(L) * k.metric * k.h_basis.transpose()
     orth = [witness(x=fmt_vec(names, L.ints[i], L.scale), h=fmt_vec(names, H.ints[b], H.scale))
             for i, row in enumerate(inner.ints) for b in sorted(row)]
     rep.add("radical.orthogonal_h", not orth, orth)
@@ -394,7 +406,7 @@ def ideal_complement_complex(d: CRData, ideal: Subspace) -> tuple[LieAlgebra, Ma
     alg, H = d.algebra, d.H
     if not alg.is_ideal(ideal):
         raise ValueError("not an ideal")
-    if ideal.dim + H.dim != alg.dim or ideal.intersect(H).dim != 0:
+    if not ideal.supplements(H):
         raise ValueError("ideal is not supplementary to H")
 
     # [h_a, h_b] = sum_e x_e h_e + (a member of I), x holding the H-coordinates

@@ -111,21 +111,16 @@ def parse_document(doc: dict) -> Payloads:
         raise InputError(["algebra.dim: missing or not an integer"])
     if dim < 1:
         raise InputError(["algebra.dim: must be >= 1"])
-    default_names = [f"e{i + 1}" for i in range(dim)]
-    names = ablock.get("names")
-    if names is None:
-        names = default_names
-    elif not (isinstance(names, list) and all(isinstance(nm, str) for nm in names)):
-        diags.append("algebra.names: must be a list of strings")
-        names = default_names
-    elif len(names) != dim:
-        diags.append(f"algebra.names: expected {dim} names, got {len(names)}")
-        names = default_names
-    elif len(set(names)) != dim:
-        # a witness names its basis vectors, so each name must be unique
-        duplicate = next(nm for nm, count in Counter(names).items() if count > 1)
-        diags.append(f"algebra.names: duplicate name {duplicate!r}")
-        names = default_names
+    names = ablock.get("names")  # when None, LieAlgebra names the basis e1, e2, ...
+    if names is not None:
+        if not (isinstance(names, list) and all(isinstance(nm, str) for nm in names)):
+            diags.append("algebra.names: must be a list of strings")
+        elif len(names) != dim:
+            diags.append(f"algebra.names: expected {dim} names, got {len(names)}")
+        elif len(set(names)) != dim:
+            # a witness names its basis vectors, so each name must be unique
+            duplicate = next(nm for nm, count in Counter(names).items() if count > 1)
+            diags.append(f"algebra.names: duplicate name {duplicate!r}")
 
     given = {}
     for k, entry in enumerate(_list(ablock, "brackets", "algebra.brackets", diags)):

@@ -119,7 +119,7 @@ class LieAlgebra:
     Jacobi identity unless `validate` is false.
     """
 
-    __slots__ = ("dim", "names", "table", "_killing")
+    __slots__ = ("dim", "names", "table", "_killing", "_semisimple")
 
     def __init__(self, c: IntTable, names: Optional[Sequence[str]] = None,
                  validate: bool = True):
@@ -135,6 +135,7 @@ class LieAlgebra:
         object.__setattr__(self, "names", tuple(names))
         object.__setattr__(self, "table", c)
         object.__setattr__(self, "_killing", None)
+        object.__setattr__(self, "_semisimple", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -192,8 +193,11 @@ class LieAlgebra:
         return self._killing
 
     def is_semisimple(self) -> bool:
-        """Cartan's criterion: Killing form nondegenerate."""
-        return self.killing_form().det() != 0
+        """Cartan's criterion: Killing form nondegenerate, decided once per
+        algebra."""
+        if self._semisimple is None:
+            object.__setattr__(self, "_semisimple", self.killing_form().det() != 0)
+        return self._semisimple
 
     def center(self) -> Subspace:
         # z is central iff sum_j c[i][j][k] z_j = 0 for all i, k: one integer

@@ -86,6 +86,8 @@ def read_row(entries: Iterable) -> tuple[int, dict]:
         raise TypeError(f"expected a list of rationals, not the {kind} {entries!r}")
     ints, dens = {}, {}
     for k, e in enumerate(entries):
+        if e == "0":  # most entries of a sparse document; it adds nothing
+            continue
         if type(e) is int:
             p, q = e, 1
         else:
@@ -131,9 +133,10 @@ class Matrix:
     vanish) and ints[i] = {k: x} keeps the nonzero entries of row i.  The
     form is canonical, so `==` compares it.  Any shape is allowed, 0 x n and
     n x 0 included; `Matrix(rows)` reads rational rows, `from_ints` integer
-    ones."""
+    ones.  A matrix builds its transpose on first use and keeps it, so every
+    reader of one matrix shares one transpose."""
 
-    __slots__ = ("rows", "cols", "scale", "ints")
+    __slots__ = ("rows", "cols", "scale", "ints", "_transpose")
 
     def __init__(self, rows_data: Iterable[Iterable]):
         rows_data = list(rows_data)
@@ -155,8 +158,11 @@ class Matrix:
         ints = [{k: x for k, x in r.items() if x} for r in ints]
         g = gcd(scale, *(x for r in ints for x in r.values()))
         g = -g if scale < 0 else g
-        for name, value in (("rows", len(ints)), ("cols", cols), ("scale", scale // g),
-                            ("ints", tuple({k: x // g for k, x in r.items()} for r in ints))):
+        self._set(len(ints), cols, scale // g,
+                  tuple({k: x // g for k, x in r.items()} for r in ints), None)
+
+    def _set(self, *values) -> None:
+        for name, value in zip(Matrix.__slots__, values):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -179,11 +185,17 @@ class Matrix:
         return Matrix.from_ints(other.cols, self.scale * other.scale, out)
 
     def transpose(self) -> "Matrix":
-        cols = [{} for _ in range(self.cols)]
-        for i, r in enumerate(self.ints):
-            for k, x in r.items():
-                cols[k][i] = x
-        return Matrix.from_ints(self.rows, self.scale, cols)
+        """Built once and kept.  It has the entries and the scale of this
+        matrix, so it is canonical as it is, and its transpose is this one."""
+        if self._transpose is None:
+            cols = [{} for _ in range(self.cols)]
+            for i, r in enumerate(self.ints):
+                for k, x in r.items():
+                    cols[k][i] = x
+            t = object.__new__(Matrix)
+            t._set(self.cols, self.rows, self.scale, tuple(cols), self)
+            object.__setattr__(self, "_transpose", t)
+        return self._transpose
 
     def det(self) -> Fraction:
         """d / scale^n for the last Bareiss pivot d of `_echelon`, which is
@@ -387,7 +399,9 @@ class Subspace:
 
     def contains(self, v: Mapping) -> bool:
         """Membership of the sparse vector v = {k: x}, or of any nonzero
-        multiple of it."""
+        multiple of it.  The whole space holds every v of its dimension."""
+        if self.dim == self.ambient_dim and (not v or max(v) < self.ambient_dim):
+            return True
         return not self.reduce(v)
 
     def reduce(self, v: Mapping) -> dict:
@@ -408,12 +422,25 @@ class Subspace:
         return {k: x for k, x in r.items() if x}
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """The common null space of the two sets of `_perp` functionals."""
+        """The common null space of the two sets of `_perp` functionals.  The
+        whole space has none, so S cap G = S, and S cap 0 = 0."""
         n = self.ambient_dim
         if other.ambient_dim != n:
             raise ValueError(f"dimension mismatch: ambient {n} vs {other.ambient_dim}")
+        if self.dim == n or other.dim == 0:
+            return other
+        if other.dim == n or self.dim == 0:
+            return self
         return kernel(Matrix.from_ints(n, 1, _perp(self.scale, self.ints, self.pivots, n)
                                        + _perp(other.scale, other.ints, other.pivots, n)))
+
+    def supplements(self, other: "Subspace") -> bool:
+        """Whether self + other is the whole space, direct.  The remainders of
+        other's basis against self span self + other together with self, and
+        vanish at self's pivots, so dim (self + other) = dim self + their rank."""
+        n = self.ambient_dim
+        return (other.ambient_dim == n and self.dim + other.dim == n
+                and len(_echelon(map(self.reduce, other.ints), n)[2]) == other.dim)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)

@@ -28,7 +28,7 @@ class PseudoPoissonData:
         for s in (H, U):
             if s.ambient_dim != n:
                 raise ValueError("subspace ambient dimension mismatch")
-        if H.dim + U.dim != n or H.intersect(U).dim != 0:
+        if not H.supplements(U):
             raise ValueError("H and U must be supplementary")
         if j.rows != n or j.cols != n:
             raise ValueError("j must be an endomorphism of the full algebra")

@@ -41,7 +41,8 @@ The other oracles are definitions of library pieces that the checks build
 on: the `Fraction` `rref`/`solve`/`kernel`/`det` and subspace operations,
 the bracket and Jacobiator expanded over every index, the Killing form as
 traces, maps on Lambda^k by minors, the parse conversion and the number
-formatters over `Fraction`.  `int_table` goes the other way from
+formatters over `Fraction`.  `supplementary_by_intersection` keeps the
+library's former test for H + U = G direct.  `int_table` goes the other way from
 `dense_tensor`, for tests that build an algebra from a dense tensor; no
 oracle calls it.
 """
@@ -316,6 +317,13 @@ def intersect_over_fractions(s_rows, t_rows, n: int):
     cols = [tuple(v) for v in s_rows] + [vscale(-1, v) for v in t_rows]
     K, _ = kernel_over_fractions(transpose(cols), len(cols))
     return rref_over_fractions([lincomb(coeffs[:len(s_rows)], s_rows, n) for coeffs in K])
+
+
+def supplementary_by_intersection(H: Subspace, U: Subspace) -> bool:
+    """H + U = G direct, as the library tested it before `Subspace.supplements`:
+    the dimensions add up to n and the intersection, the common kernel of
+    the `_perp` functionals, is zero."""
+    return H.dim + U.dim == H.ambient_dim and H.intersect(U).dim == 0
 
 
 def h_coordinates(basis, v):

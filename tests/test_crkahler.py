@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crlie import (
-    CRData, KahlerCRData, LieAlgebra, build_extension, catalog, center_U,
-    check_cr, check_kahler, check_left_symmetric, ideal_complement_complex,
+    Bivector, CRData, KahlerCRData, LieAlgebra, PseudoPoissonData, build_extension, catalog,
+    center_U, check_cr, check_kahler, check_left_symmetric, ideal_complement_complex,
     left_symmetric_product, omega_radical, parse_document, run_checks,
     semisimple_exactness, sl2, so3,
 )
-from crlie import checks
+from crlie import checks, linalg
 from crlie.crkahler import induced_bracket
 from crlie.linalg import Matrix, Subspace
 from crlie.report import fmt_vec
@@ -26,8 +26,8 @@ from oracles import (
     crdata_error_ambient, dense_tensor, densify, from_columns, h_coordinates,
     ideal_complement_complex_ambient, identity, int_table, is_zero,
     left_symmetric_product_by_solves, mat_add, mat_scale, matvec, omega, omega_radical_ambient,
-    product_from_coordinates, rows_of, semisimple_exactness_full_system, unscaled, vadd, vdot,
-    vector, zeros,
+    product_from_coordinates, rows_of, semisimple_exactness_full_system,
+    supplementary_by_intersection, unscaled, vadd, vdot, vector, zeros,
 )
 from strategies import fractions
 from test_golden import AFF_AFF_R_DENSE, CASES
@@ -164,15 +164,6 @@ def test_left_symmetric_product_aff_aff_nonzero():
     for a in range(4):
         for b in range(4):
             assert comm[(a, b)] == g.bracket(basis_vector(4, a), basis_vector(4, b))
-
-
-def test_omega_restricted_to_H_never_degenerate_for_valid_data():
-    # x in H with <x, j(H)> = 0 forces x = 0 because j(H) = H and the metric
-    # is positive definite; the nondegeneracy check can only fire on data
-    # that bypassed construction
-    for entry_id in ("rn_flat", "so3_cr", "sl2", "aff_aff"):
-        k = entry_payloads(entry_id).kahler
-        assert k.gram.det() != 0
 
 
 # -- omega radical -----------------------------------------------------------
@@ -626,6 +617,54 @@ def dense_cr_data(draw, full=False):
                   R * j * _inverse(R))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from(sorted(KAHLER_INPUTS)).map(KAHLER_INPUTS.get),
+                 dense_cr_data().map(lambda d: KahlerCRData(d, identity(d.algebra.dim)))))
+def test_omega_restricted_to_H_never_degenerate_for_valid_data(k):
+    # x in H with <x, j(H)> = 0 forces x = 0 because j(H) = H and the metric
+    # is positive definite; the nondegeneracy check, read from the pivots of
+    # the reduced [G | I], can only fire on data that bypassed construction
+    assert k.gram.det() != 0
+    assert check_kahler(k).result("kahler.omega_h_nondegenerate").passed
+
+
+@st.composite
+def subspaces_around(draw, H):
+    """Subspaces on both sides of H + U = G direct: {0}, G, H, the coordinate
+    complement of the pivots of H (a supplement), that complement with one
+    vector dropped or with a vector of H added, and spans of a few vectors
+    with entries in {-1, 0, 1}."""
+    n = H.ambient_dim
+    free = [{f: 1} for f in range(n) if f not in H.pivots]
+    small = st.dictionaries(st.integers(0, n - 1), st.sampled_from([-1, 1]))
+    rows = draw(st.sampled_from([[], [{k: 1} for k in range(n)], list(H.ints), free, free[1:],
+                                 free + list(H.ints[:1])]) | st.lists(small, max_size=n))
+    return Subspace.from_ints(n, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_cr_data() | dense_cr_data(full=True), st.data())
+def test_supplementary_rank_test_matches_intersection(d, data):
+    # every subspace of an abelian algebra is an ideal, so a drawn U reaches
+    # the supplementary test of ideal_complement_complex as well as that of
+    # PseudoPoissonData; both raise as before exactly when H + U = G is not direct
+    n = d.algebra.dim
+    cr = CRData(LieAlgebra.from_brackets(n, {}), d.H, d.j)
+    U = data.draw(subspaces_around(d.H))
+    direct = supplementary_by_intersection(d.H, U)
+    for build, message in [
+            (lambda: PseudoPoissonData(cr.algebra, cr.H, U, cr.j, Bivector(n)),
+             "H and U must be supplementary"),
+            (lambda: ideal_complement_complex(cr, U), "ideal is not supplementary to H")]:
+        try:
+            build()
+        except ValueError as e:
+            assert (direct, str(e)) == (False, message)
+        else:
+            assert direct
+    assert_ideal_complement_matches_oracle(cr, U)
+
+
 @pytest.mark.parametrize("entry_id", [e for e in catalog.ids()
                                       if "cr" in catalog.get(e).document])
 def test_check_cr_matches_ambient_oracle_on_catalog(entry_id):
@@ -644,8 +683,9 @@ def test_h_brackets_are_computed_once_per_crdata(monkeypatch):
     # every integer table of the CR and Kahler data is built once, however
     # many checks read it
     builds = []
-    for cls, name in [(CRData, "brackets"), (CRData, "jH"), (KahlerCRData, "omega_images"),
-                      (KahlerCRData, "gram")]:
+    for cls, name in [(CRData, "brackets"), (CRData, "jH"), (KahlerCRData, "h_basis"),
+                      (KahlerCRData, "omega_images"), (KahlerCRData, "gram"),
+                      (KahlerCRData, "gram_reduced")]:
         build = getattr(cls, name).func
         prop = cached_property(lambda self, build=build, name=name:
                                builds.append(name) or build(self))
@@ -657,7 +697,8 @@ def test_h_brackets_are_computed_once_per_crdata(monkeypatch):
     check_kahler(k)
     check_left_symmetric(k, left_symmetric_product(k))
     check_cr(k.cr)
-    assert sorted(builds) == sorted(["brackets", "jH", "omega_images", "gram"])
+    assert sorted(builds) == sorted(["brackets", "jH", "h_basis", "omega_images", "gram",
+                                     "gram_reduced"])
     assert k.algebra.table is table
 
 
@@ -961,3 +1002,43 @@ def test_reports_match_fraction_oracle_layers(name, monkeypatch):
                           ("build_extension", lambda *args: build_extension_lifted(*args)[1])]:
         monkeypatch.setattr(checks, layer, oracle)
     assert run_checks(parse_document(doc)).to_dict() == report
+
+
+def eliminations_of(M, calls):
+    """How many of the recorded `_echelon` calls (rows, cols) eliminate M,
+    alone or beside an identity block: their rows, cut to M's columns, are
+    M's rows, in M's columns or twice as many."""
+    return sum(len(rows) == M.rows and cols in (M.cols, 2 * M.cols)
+               and [{k: x for k, x in r.items() if k < M.cols} for r in rows] == list(M.ints)
+               for rows, cols in calls)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DOCS))
+def test_derived_matrices_are_built_once_per_document(name, monkeypatch):
+    # parse plus run_checks: each Matrix builds its transpose at most once,
+    # the nonsingularity of the Killing form is decided by at most one
+    # elimination, and the Gram matrix of w|H is eliminated exactly once
+    # when a metric is given
+    transposes, calls = [], []
+    transpose, echelon = Matrix.transpose, linalg._echelon
+
+    def counted_transpose(m):
+        transposes.append((m, transpose(m)))  # both kept, so no id is reused
+        return transposes[-1][1]
+
+    def counted_echelon(rows, cols):
+        calls.append((list(rows), cols))
+        return echelon(calls[-1][0], cols)
+
+    monkeypatch.setattr(Matrix, "transpose", counted_transpose)
+    monkeypatch.setattr(linalg, "_echelon", counted_echelon)
+    p = parse_document(ORACLE_DOCS[name])
+    run_checks(p)
+    built = {}
+    for m, t in transposes:
+        built.setdefault(id(m), set()).add(id(t))
+    assert all(len(ts) == 1 for ts in built.values())
+    if p.algebra._killing is not None:
+        assert eliminations_of(p.algebra.killing_form(), calls) <= 1
+    if p.kahler is not None:
+        assert eliminations_of(p.kahler.gram, calls) == 1

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from math import lcm
 
 from crlie.linalg import (
-    Matrix, Subspace, format_rat, format_terms, kernel, rat, read_row, rref, solve,
+    Matrix, Subspace, _perp, format_rat, format_terms, kernel, rat, read_row, rref, solve,
 )
 
 from oracles import (
@@ -16,7 +16,7 @@ from oracles import (
     format_rat_over_fractions, format_terms_over_fractions, from_columns, identity,
     intersect_over_fractions, is_zero, kernel_over_fractions, mat_add, matvec,
     reduce_over_fractions, rref_over_fractions, rows_of, scaled_sparse, solve_over_fractions,
-    sparse, vector, zeros,
+    sparse, supplementary_by_intersection, vector, zeros,
 )
 from strategies import fractions
 
@@ -167,10 +167,14 @@ def test_intersect():
 def test_dimension_mismatch_reported():
     s = Subspace.span([basis_vector(3, 0)], 3)
     t = Subspace.span([basis_vector(2, 0)], 2)
+    full = Subspace.from_ints(3, [{0: 1}, {1: 1}, {2: 1}])
     with pytest.raises(ValueError):
         s.intersect(t)
     with pytest.raises(ValueError):
-        s.contains({3: 1})
+        full.intersect(t)
+    for space in (s, full):
+        with pytest.raises(ValueError):
+            space.contains({3: 1})
 
 
 small_vectors = st.lists(
@@ -282,6 +286,15 @@ def test_det_matches_fraction_oracle(A):
     assert A.det() == det_over_fractions(rows_of(A))
 
 
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_kept_transpose_is_the_matrix_of_swapped_entries(A):
+    t = A.transpose()
+    assert t == Matrix.from_ints(A.rows, A.scale, [{i: r[k] for i, r in enumerate(A.ints) if k in r}
+                                                   for k in range(A.cols)])
+    assert A.transpose() is t and t.transpose() is A
+
+
 def test_empty_shapes():
     zero_by_three, three_by_zero = Matrix.from_ints(3, 1, []), Matrix([[], [], []])
     assert (zero_by_three.rows, zero_by_three.cols) == (0, 3)
@@ -295,10 +308,16 @@ def test_empty_shapes():
     assert (three_by_zero * zero_by_three) == zeros(3, 3)
 
 
+def spanning_lists(n):
+    """Up to four rational vectors of length n, or the n unit vectors, which
+    span the whole space."""
+    return st.one_of(st.lists(st.lists(rationals, min_size=n, max_size=n), max_size=4),
+                     st.just([basis_vector(n, k) for k in range(n)]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 4).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(st.lists(rationals, min_size=n, max_size=n), max_size=4),
-    st.lists(st.lists(rationals, min_size=n, max_size=n), max_size=4),
+    st.just(n), spanning_lists(n), spanning_lists(n),
     st.lists(rationals, min_size=n, max_size=n))))
 def test_subspace_operations_match_fraction_oracles(case):
     n, vs, ws, v = case
@@ -309,3 +328,9 @@ def test_subspace_operations_match_fraction_oracles(case):
     # the sparse remainder and the `Fraction` one
     assert S.reduce(sparse(v)) == sparse(S.scale * x for x in reduce_over_fractions(span, v))
     assert S.contains(sparse(v)) == is_zero(reduce_over_fractions(span, v))
+    # the whole space skips the elimination in contains and intersect, and
+    # supplements replaces the intersection by one rank
+    assert S.contains(sparse(v)) == (not S.reduce(sparse(v)))
+    assert S.intersect(T) == kernel(Matrix.from_ints(n, 1, _perp(S.scale, S.ints, S.pivots, n)
+                                                     + _perp(T.scale, T.ints, T.pivots, n)))
+    assert S.supplements(T) == T.supplements(S) == supplementary_by_intersection(S, T)

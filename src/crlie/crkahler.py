@@ -99,7 +99,7 @@ class KahlerCRData:
             raise ValueError("metric has the wrong size")
         if not metric.is_symmetric():
             raise ValueError("metric must be symmetric")
-        # positive definiteness via leading principal minors
+        # positive definiteness: Sylvester's leading minors, from one elimination
         bad = metric.first_nonpositive_minor()
         if bad is not None:
             raise ValueError(

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .linalg import Matrix, Subspace, Vector, common_scale, kernel, read_row
+from .linalg import Matrix, Subspace, Vector, common_scale, kernel, read_row, rref
 
 
 class StructureError(ValueError):
@@ -193,10 +193,11 @@ class LieAlgebra:
         return self._killing
 
     def is_semisimple(self) -> bool:
-        """Cartan's criterion: Killing form nondegenerate, decided once per
-        algebra."""
+        """Cartan's criterion: the Killing form is nondegenerate, that is of
+        rank dim, decided by one elimination once per algebra."""
         if self._semisimple is None:
-            object.__setattr__(self, "_semisimple", self.killing_form().det() != 0)
+            rank = len(rref(self.killing_form().ints, self.dim)[2])
+            object.__setattr__(self, "_semisimple", rank == self.dim)
         return self._semisimple
 
     def center(self) -> Subspace:

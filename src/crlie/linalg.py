@@ -7,14 +7,14 @@ basis in the same form plus its pivots.  Both forms are canonical, so
 equality is a comparison; `__eq__` and `__hash__` are kept as library API.
 Vectors inside the library are sparse integer rows {k: x} over their
 nonzero entries, as `Subspace.reduce` and `contains` take them.  One
-fraction-free Gauss-Jordan elimination, `_echelon`, serves `rref`,
-`kernel`, `solve` and `det`: Bareiss's exact division (Math. Comp. 22
-(1968) 565-578) in the Gauss-Jordan form of Nakos, Turner and Williams
-(ACM SIGSAM Bull. 31(3), 1997).  Rationals are read by
-`read_row`, straight into one integer row over its least common
-denominator; `Fraction` appears there only for a spelling other than the
-canonical ones, and otherwise only where an entry or a dense vector is
-handed out (and where such a `Fraction` is formatted).
+fraction-free Gauss-Jordan elimination, `_echelon`, serves `rref`, `kernel`,
+`solve`, `Subspace.supplements`, the Killing form's rank and the leading
+minors: Bareiss's exact division (Math. Comp. 22 (1968) 565-578) in the
+Gauss-Jordan form of Nakos, Turner and Williams (ACM SIGSAM Bull. 31(3),
+1997).  Rationals are read by `read_row`, straight into one integer row
+over its least common denominator; `Fraction` appears there only for a
+spelling other than the canonical ones, and otherwise only where an entry
+or a dense vector is handed out (and where such a `Fraction` is formatted).
 """
 
 from __future__ import annotations
@@ -57,18 +57,17 @@ def format_rat(q, scale: int = 1) -> str:
 def format_terms(terms: Iterable, scale: int = 1) -> str:
     """Render (coefficient, symbol) pairs, each coefficient divided by scale,
     as "a - 2*b + 1/2*c"; zero coefficients are skipped and an empty sum is
-    "0"."""
-    out = []
+    "0".  Each sign comes from its coefficient, whatever the symbols read."""
+    out = ""
     for coeff, symbol in terms:
         if coeff == 0:
             continue
-        if coeff == scale:
-            out.append(symbol)
-        elif coeff == -scale:
-            out.append(f"-{symbol}")
-        else:
-            out.append(f"{format_rat(coeff, scale)}*{symbol}")
-    return " + ".join(out).replace("+ -", "- ") if out else "0"
+        if out:
+            out += " + " if coeff > 0 else " - "
+        elif coeff < 0:
+            out = "-"
+        out += symbol if abs(coeff) == scale else f"{format_rat(abs(coeff), scale)}*{symbol}"
+    return out or "0"
 
 
 def read_row(entries: Iterable) -> tuple[int, dict]:
@@ -197,37 +196,28 @@ class Matrix:
             object.__setattr__(self, "_transpose", t)
         return self._transpose
 
-    def det(self) -> Fraction:
-        """d / scale^n for the last Bareiss pivot d of `_echelon`, which is
-        the determinant with the columns in the order the pivots were found;
-        sorting them back is a permutation, whose sign the inversions give."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        d, _, pivots = _echelon(self.ints, self.cols)
-        if len(pivots) < self.rows:
-            return Fraction(0)
-        inversions = sum(p > q for i, p in enumerate(pivots) for q in pivots[i + 1:])
-        return Fraction((-1) ** inversions * d, self.scale ** self.rows)
-
     def first_nonpositive_minor(self) -> Optional[tuple[int, Fraction]]:
-        """(k, d_k) for the first leading principal minor d_k <= 0, or None
-        when every one is positive.  One fraction-free Bareiss pass without
-        pivoting over the integer matrix s M: its k-th pivot is the k-th
-        leading minor of s M, i.e. s^k d_k (Sylvester), and every division
-        in the update is exact."""
+        """(k, d_k) for the first leading principal minor d_k <= 0 of a
+        symmetric matrix, or None when every one is positive, read from the
+        pivots of one `_echelon` of the integer matrix s M, rows in order."""
         if self.rows != self.cols:
             raise ValueError("leading minors of non-square matrix")
-        s, n = self.scale, self.rows
-        a = [[r.get(k, 0) for k in range(n)] for r in self.ints]
-        prev = 1
-        for k in range(n):
-            pivot = a[k][k]
-            if pivot <= 0:
-                return k + 1, Fraction(pivot, s ** (k + 1))
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            prev = pivot
+        if not self.is_symmetric():
+            raise ValueError("leading minors of non-symmetric matrix")
+        # Rows 0..k-1 took pivots 0..k-1 (by induction), so row k's remainder
+        # vanishes there and its entry k is the leading minor of size k + 1 of
+        # s M, that is s^(k+1) d_(k+1).  When it is zero, pivots[k] != k: row k
+        # pivots at a later column or depends on the rows above it.  Then
+        # symmetry makes column k the same combination sum_a c_a (column a) of
+        # the columns before it, so every row-space vector has x_k = sum_a c_a
+        # x_a; a reduced row, zero at pivots 0..k-1, is zero at column k too,
+        # and no later row can take pivot k.
+        ds, _, pivots = _echelon(self.ints, self.cols)
+        for k in range(self.rows):
+            if k == len(pivots) or pivots[k] != k:
+                return k + 1, Fraction(0)
+            if ds[k] < 0:
+                return k + 1, Fraction(ds[k], self.scale ** (k + 1))
         return None
 
     def is_symmetric(self) -> bool:
@@ -255,23 +245,23 @@ class Matrix:
 # ---------------------------------------------------------------------------
 # row reduction
 
-def _echelon(rows: Iterable, cols: int) -> tuple[int, list, list]:
+def _echelon(rows: Iterable, cols: int) -> tuple[list, list, list]:
     """Fraction-free Gauss-Jordan over integer rows {k: x}, one row at a time,
     stopping once every column holds a pivot.
 
-    Returns (d, basis, pivots): the rows found independent, in the order they
-    came, each reduced against the others, and their pivot columns.  Every
-    basis row is d times a row of the reduced row-echelon form of the rows
-    seen, where d is the determinant of the kept rows on the pivot columns,
-    both in the order found (Bareiss's pivot).  A new row v becomes
-    w = d v - sum_a v[p_a] b_a, which vanishes at every pivot; its entry k is
-    the determinant with v and column k added, so it needs no division.
-    When w is nonzero, its first nonzero entry e, at column c, is the next
-    pivot, and every basis row b becomes (e b - b[c] w) / d, e times a row of
-    the new reduced form, which Cramer's rule makes integral: the division is
-    exact.
+    Returns (ds, basis, pivots): the Bareiss pivots in the order found, the
+    rows found independent, in the order they came, each reduced against the
+    others, and their pivot columns.  Every basis row is d times a row of the
+    reduced row-echelon form of the rows seen, where d, the last of ds, is
+    the determinant of the kept rows on the pivot columns, both in the order
+    found.  A new row v becomes w = d v - sum_a v[p_a] b_a, which vanishes at
+    every pivot; its entry k is the determinant with v and column k added, so
+    it needs no division.  When w is nonzero, its first nonzero entry e, at
+    column c, is the next pivot, and every basis row b becomes
+    (e b - b[c] w) / d, e times a row of the new reduced form, which Cramer's
+    rule makes integral: the division is exact.
     """
-    d, basis, pivots = 1, [], []
+    d, ds, basis, pivots = 1, [], [], []
     for v in rows:
         if len(pivots) == cols:
             break
@@ -294,15 +284,17 @@ def _echelon(rows: Iterable, cols: int) -> tuple[int, list, list]:
             basis[i] = {k: x // d for k, x in u.items() if x}
         basis.append(w)
         pivots.append(c)
+        ds.append(e)
         d = e
-    return d, basis, pivots
+    return ds, basis, pivots
 
 
 def rref(rows: Iterable, cols: int) -> tuple[int, list, list]:
     """The reduced row-echelon form of integer rows {k: x} in `cols` columns,
     as (s, R, pivots): its rows are R[a] / s, sorted by pivot, where s > 0 is
     their least common denominator and R[a][pivots[a]] = s."""
-    d, basis, pivots = _echelon(rows, cols)
+    ds, basis, pivots = _echelon(rows, cols)
+    d = ds[-1] if ds else 1
     g = gcd(d, *(x for b in basis for x in b.values()))
     g = -g if d < 0 else g
     order = sorted(range(len(pivots)), key=pivots.__getitem__)

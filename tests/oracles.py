@@ -964,20 +964,20 @@ def format_rat_over_fractions(q, scale: int = 1) -> str:
 
 
 def format_terms_over_fractions(terms, scale: int = 1) -> str:
-    """Each coefficient divided by scale as a `Fraction` and compared with 1
-    and -1."""
+    """Each coefficient divided by scale as a `Fraction`, its absolute value
+    compared with 1, and its sign written as "+ " or "- " before the term;
+    the leading "+ " is dropped and a leading "- " becomes "-"."""
     out = []
     for coeff, symbol in terms:
         if coeff == 0:
             continue
         q = Fraction(coeff, scale)
-        if q == 1:
-            out.append(symbol)
-        elif q == -1:
-            out.append(f"-{symbol}")
-        else:
-            out.append(f"{format_rat_over_fractions(q)}*{symbol}")
-    return " + ".join(out).replace("+ -", "- ") if out else "0"
+        term = symbol if abs(q) == 1 else f"{format_rat_over_fractions(abs(q))}*{symbol}"
+        out.append(("+ " if q > 0 else "- ") + term)
+    if not out:
+        return "0"
+    text = " ".join(out)
+    return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
 def scaled_sparse(rows) -> tuple[int, list]:

@@ -22,8 +22,8 @@ from crlie.cli import main as cli_main
 from crlie.linalg import Matrix, Subspace, solve
 
 from oracles import (
-    all_sign_bivectors, basis_vector, dense_tensor, from_columns, identity, int_table, matvec,
-    omega, schouten_decomposable, vdot, vector,
+    all_sign_bivectors, basis_vector, dense_tensor, det_over_fractions, from_columns, identity,
+    int_table, matvec, omega, rows_of, schouten_decomposable, vdot, vector,
 )
 
 
@@ -81,7 +81,7 @@ def _random_invertible(rng, n):
     while True:
         m = Matrix([[Fraction(rng.randint(-3, 3)) for _ in range(n)]
                     for _ in range(n)])
-        if m.det() != 0:
+        if det_over_fractions(rows_of(m)) != 0:
             return m
 
 

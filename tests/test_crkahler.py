@@ -1,3 +1,4 @@
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -23,7 +24,7 @@ from oracles import (
     basis_vector, bilinear, bracket, build_extension_lifted, center_U_ambient,
     check_cr_ambient, check_j_invariance_ambient, check_kahler_by_triples,
     check_left_symmetric_ambient, check_pseudo_poisson_ambient, coboundary_pi_ambient, column,
-    crdata_error_ambient, dense_tensor, densify, from_columns, h_coordinates,
+    crdata_error_ambient, dense_tensor, densify, det_over_fractions, from_columns, h_coordinates,
     ideal_complement_complex_ambient, identity, int_table, is_zero,
     left_symmetric_product_by_solves, mat_add, mat_scale, matvec, omega, omega_radical_ambient,
     product_from_coordinates, rows_of, semisimple_exactness_full_system,
@@ -433,7 +434,7 @@ def _random_invertible(rng, n):
     while True:
         m = Matrix([[Fraction(rng.randint(-3, 3)) for _ in range(n)]
                     for _ in range(n)])
-        if m.det() != 0:
+        if det_over_fractions(rows_of(m)) != 0:
             return m
 
 
@@ -624,7 +625,7 @@ def test_omega_restricted_to_H_never_degenerate_for_valid_data(k):
     # x in H with <x, j(H)> = 0 forces x = 0 because j(H) = H and the metric
     # is positive definite; the nondegeneracy check, read from the pivots of
     # the reduced [G | I], can only fire on data that bypassed construction
-    assert k.gram.det() != 0
+    assert det_over_fractions(rows_of(k.gram)) != 0
     assert check_kahler(k).result("kahler.omega_h_nondegenerate").passed
 
 
@@ -1017,8 +1018,9 @@ def eliminations_of(M, calls):
 def test_derived_matrices_are_built_once_per_document(name, monkeypatch):
     # parse plus run_checks: each Matrix builds its transpose at most once,
     # the nonsingularity of the Killing form is decided by at most one
-    # elimination, and the Gram matrix of w|H is eliminated exactly once
-    # when a metric is given
+    # elimination, and when a metric is given, the parse eliminates it
+    # exactly once (its leading minors) and the Gram matrix of w|H is
+    # eliminated exactly once
     transposes, calls = [], []
     transpose, echelon = Matrix.transpose, linalg._echelon
 
@@ -1033,6 +1035,7 @@ def test_derived_matrices_are_built_once_per_document(name, monkeypatch):
     monkeypatch.setattr(Matrix, "transpose", counted_transpose)
     monkeypatch.setattr(linalg, "_echelon", counted_echelon)
     p = parse_document(ORACLE_DOCS[name])
+    parsed = len(calls)
     run_checks(p)
     built = {}
     for m, t in transposes:
@@ -1041,4 +1044,8 @@ def test_derived_matrices_are_built_once_per_document(name, monkeypatch):
     if p.algebra._killing is not None:
         assert eliminations_of(p.algebra.killing_form(), calls) <= 1
     if p.kahler is not None:
+        # the metric's own row objects: H = G may be given by equal unit rows
+        metric = p.kahler.metric.ints
+        assert sum(len(rows) == len(metric) and all(map(operator.is_, rows, metric))
+                   for rows, _ in calls[:parsed]) == 1
         assert eliminations_of(p.kahler.gram, calls) == 1

@@ -199,6 +199,14 @@ def test_subspace_row_of_wrong_dimension_exits_two(tmp_path, capsys, doc, err):
     assert capsys.readouterr().err == err
 
 
+def test_indefinite_metric_exits_two_with_its_leading_minor(tmp_path, capsys):
+    doc = {**catalog.get("so3_cr").document,
+           "metric": [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]]}
+    assert main(["check", write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        "error: metric: metric is not positive definite (leading minor 2 = -1)\n")
+
+
 def test_lambda_coefficients_over_different_denominators():
     # 1/2 e1^e2 - 2/3 e2^e3 = (3 e1^e2 - 4 e2^e3) / 6
     doc = _with_block("sl2", "poisson", **{"lambda": [{"i": 1, "j": 2, "coeff": "1/2"},

@@ -8,9 +8,9 @@ from crlie import InputError, LieAlgebra, StructureError, catalog, parse_documen
 from crlie.linalg import Matrix, Subspace, format_rat, solve
 
 from oracles import (
-    ad_rows, basis_vector, bracket_expanded, center_kernel, column, dense_tensor, identity,
-    int_table, is_zero, jacobiator, kernel_over_fractions, killing_entry, matvec,
-    structure_violations, vdot, vector, zeros,
+    ad_rows, basis_vector, bracket_expanded, center_kernel, column, dense_tensor,
+    det_over_fractions, identity, int_table, is_zero, jacobiator, kernel_over_fractions,
+    killing_entry, matvec, rows_of, structure_violations, vdot, vector, zeros,
 )
 from strategies import fractions
 
@@ -92,7 +92,7 @@ def dense_basis_algebras(draw):
     make = draw(st.sampled_from([so3, sl2, heisenberg3]))
     entries = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=9, max_size=9))
     P = Matrix([entries[0:3], entries[3:6], entries[6:9]])
-    assume(P.det() != 0)
+    assume(det_over_fractions(rows_of(P)) != 0)
     c = dense_tensor(make())
     return [[solve(P, bracket_expanded(c, column(P, i), column(P, j))) for j in range(3)]
             for i in range(3)]
@@ -175,10 +175,12 @@ def test_killing_so3_frozen_against_trace_oracle():
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(dense_basis_algebras(), dense_tensors()))
 def test_killing_form_matches_trace_oracle(c):
+    # and Cartan's criterion: semisimple iff the trace Killing form has det != 0
     g = LieAlgebra(int_table(c), validate=False)
     n = g.dim
-    assert g.killing_form() == Matrix([[killing_entry(c, i, j) for j in range(n)]
-                                       for i in range(n)])
+    K = [[killing_entry(c, i, j) for j in range(n)] for i in range(n)]
+    assert g.killing_form() == Matrix(K)
+    assert g.is_semisimple() == (det_over_fractions(K) != 0)
 
 
 def test_killing_abelian_zero():

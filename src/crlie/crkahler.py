@@ -18,8 +18,8 @@ from itertools import chain, permutations
 from math import gcd
 from typing import Mapping, Optional, Sequence
 
-from .lie import IntTable, LieAlgebra, contraction, cyclic_nonzero
-from .linalg import Matrix, Subspace, Vector, kernel, read_row, rref, solve
+from .lie import IntTable, LieAlgebra, cyclic_nonzero
+from .linalg import Frozen, Matrix, Subspace, Vector, contraction, kernel, read_row, rref, solve
 from .report import Report, fmt_vec, witness
 
 
@@ -31,7 +31,7 @@ def _basis_matrix(S: Subspace) -> Matrix:
 # ---------------------------------------------------------------------------
 # data bundles
 
-class CRData:
+class CRData(Frozen):
     """(H, j) on a Lie algebra; j is a total endomorphism with image in H.
 
     Construction enforces the structural invariants (j preserves H,
@@ -60,9 +60,6 @@ class CRData:
             if contraction([(1, row, rows)]) != {a: -s * s}:
                 raise ValueError("j^2 is not -Id on H")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CRData is immutable")
-
     @cached_property
     def brackets(self) -> tuple[int, list]:
         """(s, B) with B[a] = {b: s [h_a, h_b]} over the nonzero brackets of
@@ -87,7 +84,7 @@ class CRData:
                                         for v in images]
 
 
-class KahlerCRData:
+class KahlerCRData(Frozen):
     """CR data plus a positive-definite metric; w(x, y) = <x, j y>."""
 
     def __init__(self, cr: CRData, metric: Matrix):
@@ -104,9 +101,6 @@ class KahlerCRData:
         if bad is not None:
             raise ValueError(
                 "metric is not positive definite (leading minor {} = {})".format(*bad))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KahlerCRData is immutable")
 
     @property
     def algebra(self) -> LieAlgebra:
@@ -177,7 +171,7 @@ class KahlerCRData:
                       for a, b, t in sorted(p for abt in failing for p in permutations(abt))]
 
 
-class LeftSymmetricProduct:
+class LeftSymmetricProduct(Frozen):
     """The product on the RREF basis h_a of H as one integer table in
     H-coordinates, h_a h_b = sum_c P[a][b][c] h_c / scale, in the form of
     `IntTable.rows`: P[a] = {b: {c: x}} holds only the nonzero entries.  It
@@ -187,9 +181,6 @@ class LeftSymmetricProduct:
         g = gcd(scale, *(x for row in P for v in row.values() for x in v.values()))
         self.__dict__.update(H=H, scale=scale // g, P=tuple(
             {b: {c: x // g for c, x in v.items()} for b, v in row.items()} for row in P))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LeftSymmetricProduct is immutable")
 
     def __eq__(self, other):
         return (type(other) is LeftSymmetricProduct and other.H == self.H

@@ -91,6 +91,32 @@ def _bivector(entries, dim, where, diags) -> Optional[Bivector]:
     return Bivector(dim, coeffs)
 
 
+def _pairs(block: dict, where: str, noun: str, dim: int, width: int, diags) -> dict:
+    """{(x - 1, y - 1): (result, read_row(result))} over the entries
+    {"x", "y", "result"} of the list that `where` names in block, for
+    distinct indices 1 <= x, y <= dim and, when width >= 1, a result of width
+    rationals; every other entry gets its diagnostic and is left out."""
+    pairs = {}
+    for k, entry in enumerate(_list(block, where.rpartition(".")[2], where, diags)):
+        at = f"{where}[{k}]"
+        try:
+            x, y = _int(entry["x"]), _int(entry["y"])
+            result = entry["result"]
+            row = read_row(result)
+        except (KeyError, ValueError, TypeError) as e:
+            diags.append(f"{at}: {e}")
+            continue
+        if not (1 <= x <= dim and 1 <= y <= dim) or x == y:
+            diags.append(f"{at}: indices ({x},{y}) out of range or equal")
+        elif width >= 1 and len(result) != width:
+            diags.append(f"{at}: result has {len(result)} entries, expected {width}")
+        elif (x - 1, y - 1) in pairs:
+            diags.append(f"{at}: duplicate {noun} for ({x},{y})")
+        else:
+            pairs[(x - 1, y - 1)] = result, row
+    return pairs
+
+
 def parse_document(doc: dict) -> Payloads:
     """Validate a document into domain payloads, or raise InputError with a
     list of precise diagnostics."""
@@ -122,26 +148,8 @@ def parse_document(doc: dict) -> Payloads:
             duplicate = next(nm for nm, count in Counter(names).items() if count > 1)
             diags.append(f"algebra.names: duplicate name {duplicate!r}")
 
-    given = {}
-    for k, entry in enumerate(_list(ablock, "brackets", "algebra.brackets", diags)):
-        where = f"algebra.brackets[{k}]"
-        try:
-            x, y = _int(entry["x"]), _int(entry["y"])
-            result = entry["result"]
-            row = read_row(result)
-        except (KeyError, ValueError, TypeError) as e:
-            diags.append(f"{where}: {e}")
-            continue
-        if not (1 <= x <= dim and 1 <= y <= dim) or x == y:
-            diags.append(f"{where}: indices ({x},{y}) out of range or equal")
-            continue
-        if len(result) != dim:
-            diags.append(f"{where}: result has {len(result)} entries, expected {dim}")
-            continue
-        if (x - 1, y - 1) in given:
-            diags.append(f"{where}: duplicate bracket for ({x},{y})")
-            continue
-        given[(x - 1, y - 1)] = row
+    given = {ij: row for ij, (_, row) in
+             _pairs(ablock, "algebra.brackets", "bracket", dim, dim, diags).items()}
 
     # a pair given in both orientations must be antisymmetric, c(i,j) =
     # -c(j,i), compared across the two scales; every other pair is mirrored
@@ -225,27 +233,8 @@ def parse_document(doc: dict) -> Payloads:
             else:
                 if v_dim < 1:
                     diags.append("extension.V_dim: must be >= 1")
-            alpha = {}
-            for k, entry in enumerate(_list(block, "alpha", "extension.alpha", diags)):
-                where = f"extension.alpha[{k}]"
-                try:
-                    x, y = _int(entry["x"]), _int(entry["y"])
-                    result = entry["result"]
-                    read_row(result)  # for its diagnostic; build_extension reads it
-                except (KeyError, ValueError, TypeError) as e:
-                    diags.append(f"{where}: {e}")
-                    continue
-                if not (1 <= x <= dim and 1 <= y <= dim) or x == y:
-                    diags.append(f"{where}: indices ({x},{y}) out of range or equal")
-                    continue
-                if v_dim >= 1 and len(result) != v_dim:
-                    diags.append(f"{where}: result has {len(result)} entries, "
-                                 f"expected {v_dim}")
-                    continue
-                if (x - 1, y - 1) in alpha:
-                    diags.append(f"{where}: duplicate alpha for ({x},{y})")
-                    continue
-                alpha[(x - 1, y - 1)] = result
+            alpha = {ij: result for ij, (result, _) in
+                     _pairs(block, "extension.alpha", "alpha", dim, v_dim, diags).items()}
             payloads.extension = {"v_dim": v_dim, "alpha": alpha}
 
     if diags:

@@ -1,7 +1,9 @@
 """Lie algebras given by exact rational structure constants.
 
-`LieAlgebra.__eq__` and `__hash__` compare the canonical table; no check
-calls them, and they are kept as library API.
+Brackets are computed by `linalg.contraction`, the sparse kernel through
+which every table in crlie is read.  `LieAlgebra.__eq__` and `__hash__`
+compare the canonical table; no check calls them, and they are kept as
+library API.
 """
 
 from __future__ import annotations
@@ -10,7 +12,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .linalg import Matrix, Subspace, Vector, common_scale, kernel, read_row, rref
+from .linalg import (
+    Frozen, Matrix, Subspace, Vector, common_scale, contraction, kernel, read_row, rref,
+)
 
 
 class StructureError(ValueError):
@@ -36,7 +40,7 @@ class IntTable:
     c exactly when their dim, scale and rows agree.  The constructor takes the
     three as they are; `from_rows` and `antisymmetric` compute them from c.
     The same row form, lists of {j: {k: x}}, holds the tables on H
-    in `crkahler`."""
+    in `crkahler`; `linalg.contraction` reads any table in it."""
 
     __slots__ = ("dim", "scale", "rows")
 
@@ -96,21 +100,7 @@ def cyclic_nonzero(inner, outer, i: int, j: int, k: int) -> bool:
         (1, inner[b].get(c, {}), outer[a]) for a, b, c in ((i, j, k), (k, i, j), (j, k, i))))
 
 
-def contraction(terms) -> dict:
-    """sum_{(sign, x, rows) in terms} sign * sum_l x[l] rows[l] as its nonzero
-    entries {m: int}, for sparse integer vectors x = {l: int} and
-    rows = {l: {m: int}}; a row missing from rows is zero.  Zeros are
-    dropped here, so no table or vector built by it stores one."""
-    acc = {}
-    for sign, x, rows in terms:
-        for l, xl in x.items():
-            c = sign * xl
-            for m, y in rows.get(l, {}).items():
-                acc[m] = acc.get(m, 0) + c * y
-    return {m: v for m, v in acc.items() if v}
-
-
-class LieAlgebra:
+class LieAlgebra(Frozen):
     """Finite-dimensional real Lie algebra over exact rational coordinates.
 
     The bracket is held only as `table`, the `IntTable` of its structure
@@ -136,9 +126,6 @@ class LieAlgebra:
         object.__setattr__(self, "table", c)
         object.__setattr__(self, "_killing", None)
         object.__setattr__(self, "_semisimple", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LieAlgebra is immutable")
 
     @classmethod
     def from_brackets(cls, dim: int, brackets: Mapping[tuple[int, int], Iterable],
@@ -169,16 +156,12 @@ class LieAlgebra:
         return contraction((xi, y, rows[i]) for i, xi in x.items())
 
     def ad(self, x: Vector) -> Matrix:
-        """Matrix of y -> [x, y]: column j is [x, e_j] = sum_i x_i c[i][j]."""
+        """Matrix of y -> [x, y]: the transpose of the rows [x, e_j]."""
         if len(x) != self.dim:
             raise ValueError("dimension mismatch in ad")
         sx, xs = read_row(x)
-        m = [{} for _ in range(self.dim)]
-        for i, xi in xs.items():
-            for j, v in self.table.rows[i].items():
-                for k, e in v.items():
-                    m[k][j] = m[k].get(j, 0) + xi * e
-        return Matrix.from_ints(self.dim, sx * self.table.scale, m)
+        columns = [self.bracket_ints(xs, {j: 1}) for j in range(self.dim)]
+        return Matrix.from_ints(self.dim, sx * self.table.scale, columns).transpose()
 
     def killing_form(self) -> Matrix:
         """K(e_i, e_j) = trace(ad e_i ad e_j) = sum_{k,l} c[i][l][k] c[j][k][l],

@@ -6,10 +6,17 @@ denominator of its entries, and a `Subspace` as its reduced row-echelon
 basis in the same form plus its pivots.  Both forms are canonical, so
 equality is a comparison; `__eq__` and `__hash__` are kept as library API.
 Vectors inside the library are sparse integer rows {k: x} over their
-nonzero entries, as `Subspace.reduce` and `contains` take them.  One
-fraction-free Gauss-Jordan elimination, `_echelon`, serves `rref`, `kernel`,
-`solve`, `Subspace.supplements`, the Killing form's rank and the leading
-minors: Bareiss's exact division (Math. Comp. 22 (1968) 565-578) in the
+nonzero entries, as `Subspace.reduce` and `contains` take them.
+
+Two kernels do the library's sparse integer arithmetic, and the cost of
+each follows the entries it reads, not the size of the space:
+`contraction` sums sparse vectors against rows of a table (a bracket, a
+matrix product, a map applied to a vector), and `remainder` reduces a
+vector against rows keyed by their pivot columns, visiting only the
+vector's own entries.  One fraction-free Gauss-Jordan elimination,
+`_echelon`, built on `remainder`, serves `rref`, `kernel`, `solve`,
+`Subspace.supplements`, the Killing form's rank and the leading minors:
+Bareiss's exact division (Math. Comp. 22 (1968) 565-578) in the
 Gauss-Jordan form of Nakos, Turner and Williams (ACM SIGSAM Bull. 31(3),
 1997).  Rationals are read by `read_row`, straight into one integer row
 over its least common denominator; `Fraction` appears there only for a
@@ -123,10 +130,48 @@ def common_scale(rows: Iterable[tuple[int, dict]]) -> tuple[int, list]:
     return s, [r if t == s else {k: x * (s // t) for k, x in r.items()} for t, r in rows]
 
 
+def contraction(terms) -> dict:
+    """sum_{(sign, x, rows) in terms} sign * sum_l x[l] rows[l] as its nonzero
+    entries {m: int}, for sparse integer vectors x = {l: int} and
+    rows = {l: {m: int}}; a row missing from rows is zero.  Zeros are
+    dropped here, so no table or vector built by it stores one."""
+    acc = {}
+    for sign, x, rows in terms:
+        for l, xl in x.items():
+            c = sign * xl
+            for m, y in rows.get(l, {}).items():
+                acc[m] = acc.get(m, 0) + c * y
+    return {m: v for m, v in acc.items() if v}
+
+
+def remainder(v: Mapping, d: int, rows: Mapping) -> dict:
+    """d v - sum_p v[p] rows[p] as its nonzero entries, for a sparse integer
+    vector v = {k: x} and integer rows {p: {k: x}} keyed by pivot column p.
+    Only the entries of v are visited: a row whose pivot v misses adds
+    nothing."""
+    r = {k: d * x for k, x in v.items()}
+    for p, x in v.items():
+        b = rows.get(p)
+        if b:
+            for k, y in b.items():
+                r[k] = r.get(k, 0) - x * y
+    return {k: x for k, x in r.items() if x}
+
+
+class Frozen:
+    """Base of the read-only classes: each constructor sets its fields with
+    `object.__setattr__` or `__dict__.update`, and nothing sets them after."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
-class Matrix:
+class Matrix(Frozen):
     """Rational matrix, immutable: entry (i, k) is ints[i].get(k, 0) / scale,
     where scale is the least common denominator of the entries (1 when all
     vanish) and ints[i] = {k: x} keeps the nonzero entries of row i.  The
@@ -164,9 +209,6 @@ class Matrix:
         for name, value in zip(Matrix.__slots__, values):
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         return Fraction(self.ints[i].get(j, 0), self.scale)
@@ -174,14 +216,9 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        out = []
-        for r in self.ints:
-            acc = {}
-            for t, x in r.items():
-                for k, y in other.ints[t].items():
-                    acc[k] = acc.get(k, 0) + x * y
-            out.append(acc)
-        return Matrix.from_ints(other.cols, self.scale * other.scale, out)
+        rows = dict(enumerate(other.ints))
+        return Matrix.from_ints(other.cols, self.scale * other.scale,
+                                [contraction([(1, r, rows)]) for r in self.ints])
 
     def transpose(self) -> "Matrix":
         """Built once and kept.  It has the entries and the scale of this
@@ -212,7 +249,8 @@ class Matrix:
         # the columns before it, so every row-space vector has x_k = sum_a c_a
         # x_a; a reduced row, zero at pivots 0..k-1, is zero at column k too,
         # and no later row can take pivot k.
-        ds, _, pivots = _echelon(self.ints, self.cols)
+        ds, basis = _echelon(self.ints, self.cols)
+        pivots = list(basis)
         for k in range(self.rows):
             if k == len(pivots) or pivots[k] != k:
                 return k + 1, Fraction(0)
@@ -245,61 +283,59 @@ class Matrix:
 # ---------------------------------------------------------------------------
 # row reduction
 
-def _echelon(rows: Iterable, cols: int) -> tuple[list, list, list]:
+def _echelon(rows: Iterable, cols: int) -> tuple[list, dict]:
     """Fraction-free Gauss-Jordan over integer rows {k: x}, one row at a time,
     stopping once every column holds a pivot.
 
-    Returns (ds, basis, pivots): the Bareiss pivots in the order found, the
-    rows found independent, in the order they came, each reduced against the
-    others, and their pivot columns.  Every basis row is d times a row of the
+    Returns (ds, basis): the Bareiss pivots in the order found, and the rows
+    found independent, each reduced against the others, as one dict keyed by
+    pivot column in the order found.  Every basis row is d times a row of the
     reduced row-echelon form of the rows seen, where d, the last of ds, is
     the determinant of the kept rows on the pivot columns, both in the order
-    found.  A new row v becomes w = d v - sum_a v[p_a] b_a, which vanishes at
-    every pivot; its entry k is the determinant with v and column k added, so
-    it needs no division.  When w is nonzero, its first nonzero entry e, at
-    column c, is the next pivot, and every basis row b becomes
+    found.  A new row v becomes w = `remainder`(v, d, basis), which vanishes
+    at every pivot; its entry k is the determinant with v and column k added,
+    so it needs no division.  When w is nonzero, its first nonzero entry e,
+    at column c, is the next pivot, and every basis row b becomes
     (e b - b[c] w) / d, e times a row of the new reduced form, which Cramer's
-    rule makes integral: the division is exact.
+    rule makes integral: the division is exact.  A row with b[c] = 0 when
+    e = d is left as it is, since (e b - 0) / d = b exactly; so the rows an
+    update skips keep the entries, and the entry bound, that Bareiss's
+    argument gives them, and an identity matrix is eliminated without
+    rebuilding any row.
     """
-    d, ds, basis, pivots = 1, [], [], []
+    d, ds, basis = 1, [], {}
     for v in rows:
-        if len(pivots) == cols:
+        if len(basis) == cols:
             break
-        w = {k: d * x for k, x in v.items()}
-        for p, b in zip(pivots, basis):
-            f = v.get(p)
-            if f:
-                for k, x in b.items():
-                    w[k] = w.get(k, 0) - f * x
-        w = {k: x for k, x in w.items() if x}
+        w = remainder(v, d, basis)
         if not w:
             continue
         c = min(w)
         e = w[c]
-        for i, b in enumerate(basis):
-            f = b.get(c, 0)
-            u = {k: e * x for k, x in b.items()}
-            for k, x in w.items():
-                u[k] = u.get(k, 0) - f * x
-            basis[i] = {k: x // d for k, x in u.items() if x}
-        basis.append(w)
-        pivots.append(c)
+        for p, b in basis.items():
+            f = b.get(c)
+            if f or e != d:
+                u = {k: e * x for k, x in b.items()}
+                if f:
+                    for k, x in w.items():
+                        u[k] = u.get(k, 0) - f * x
+                basis[p] = {k: x // d for k, x in u.items() if x}
+        basis[c] = w
         ds.append(e)
         d = e
-    return ds, basis, pivots
+    return ds, basis
 
 
 def rref(rows: Iterable, cols: int) -> tuple[int, list, list]:
     """The reduced row-echelon form of integer rows {k: x} in `cols` columns,
     as (s, R, pivots): its rows are R[a] / s, sorted by pivot, where s > 0 is
     their least common denominator and R[a][pivots[a]] = s."""
-    ds, basis, pivots = _echelon(rows, cols)
+    ds, basis = _echelon(rows, cols)
     d = ds[-1] if ds else 1
-    g = gcd(d, *(x for b in basis for x in b.values()))
+    g = gcd(d, *(x for b in basis.values() for x in b.values()))
     g = -g if d < 0 else g
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    return (d // g, [{k: x // g for k, x in basis[a].items()} for a in order],
-            [pivots[a] for a in order])
+    pivots = sorted(basis)
+    return d // g, [{k: x // g for k, x in basis[p].items()} for p in pivots], pivots
 
 
 def _perp(s: int, R: Sequence, pivots: Sequence, n: int) -> list:
@@ -339,22 +375,21 @@ def kernel(A: Matrix) -> "Subspace":
 # ---------------------------------------------------------------------------
 # subspaces
 
-class Subspace:
+class Subspace(Frozen):
     """Linear subspace, kept as its reduced row-echelon basis in integer form:
     basis vector a is ints[a] / scale, with ints[a] = {k: x} over its nonzero
     entries, scale their least common denominator, and ints[a][pivots[a]] =
-    scale.  The form is canonical, so `==` compares it."""
+    scale.  The form is canonical, so `==` compares it.  by_pivot maps each
+    pivot to its basis row, the index `remainder` reads."""
 
-    __slots__ = ("ambient_dim", "scale", "ints", "pivots")
+    __slots__ = ("ambient_dim", "scale", "ints", "pivots", "by_pivot")
 
     def __init__(self, ambient_dim: int, scale: int, ints: Sequence, pivots: Sequence[int]):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "ints", tuple(ints))
         object.__setattr__(self, "pivots", tuple(pivots))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
+        object.__setattr__(self, "by_pivot", dict(zip(self.pivots, self.ints)))
 
     @classmethod
     def span(cls, vectors: Iterable, ambient_dim: int) -> "Subspace":
@@ -398,20 +433,14 @@ class Subspace:
 
     def reduce(self, v: Mapping) -> dict:
         """scale times the remainder of the sparse vector v = {k: x} after
-        elimination against the RREF basis, s v - sum_a v[p_a] ints[a], as
-        its nonzero entries: none at the pivots, and at each other column f
-        the value on v of the `_perp` functional of f.  Empty iff v is a
-        member; integer for an integer v."""
+        elimination against the RREF basis, scale v - sum_a v[p_a] ints[a]
+        = `remainder`(v, scale, by_pivot), as its nonzero entries: none at
+        the pivots, and at each other column f the value on v of the `_perp`
+        functional of f.  Empty iff v is a member; integer for an integer v."""
         if v and max(v) >= self.ambient_dim:
             raise ValueError(
                 f"dimension mismatch: index {max(v)} in ambient {self.ambient_dim}")
-        r = {k: self.scale * x for k, x in v.items()}
-        for p, h in zip(self.pivots, self.ints):
-            f = v.get(p)
-            if f:
-                for k, x in h.items():
-                    r[k] = r.get(k, 0) - f * x
-        return {k: x for k, x in r.items() if x}
+        return remainder(v, self.scale, self.by_pivot)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """The common null space of the two sets of `_perp` functionals.  The
@@ -432,7 +461,7 @@ class Subspace:
         vanish at self's pivots, so dim (self + other) = dim self + their rank."""
         n = self.ambient_dim
         return (other.ambient_dim == n and self.dim + other.dim == n
-                and len(_echelon(map(self.reduce, other.ints), n)[2]) == other.dim)
+                and len(_echelon(map(self.reduce, other.ints), n)[1]) == other.dim)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)

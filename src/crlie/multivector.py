@@ -26,7 +26,7 @@ from math import gcd, prod
 from typing import Mapping
 
 from .lie import LieAlgebra
-from .linalg import Subspace, format_terms, read_row
+from .linalg import Frozen, Subspace, format_terms, read_row
 
 def _sort_key(idx):
     """Sort a key of distinct indices; returns (sorted, sign) or None on repeat."""
@@ -55,7 +55,7 @@ def _collect(raw: Mapping) -> dict:
     return {k: v for k, v in acc.items() if v}
 
 
-class _Alternating:
+class _Alternating(Frozen):
     """Shared plumbing for Bivector / Trivector."""
 
     __slots__ = ("dim", "scale", "ints")
@@ -87,9 +87,6 @@ class _Alternating:
         for name, value in (("dim", dim), ("scale", s // g),
                             ("ints", {k: x // g for k, x in ints.items()})):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def is_zero(self) -> bool:
         return not self.ints
@@ -166,7 +163,7 @@ def quotient_columns(u: Subspace) -> tuple[int, dict]:
     """(s, cols) with cols[i] = s R_U e_i, s times the remainder of e_i
     against the RREF basis of U: s e_i, less s h_a when i is the pivot of
     h_a."""
-    rows = dict(zip(u.pivots, u.ints))
+    rows = u.by_pivot
     return u.scale, {i: {k: -x for k, x in rows[i].items() if k != i} if i in rows
                      else {i: u.scale} for i in range(u.ambient_dim)}
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .lie import LieAlgebra, contraction
-from .linalg import Matrix, Subspace, common_scale
+from .lie import LieAlgebra
+from .linalg import Frozen, Matrix, Subspace, common_scale, contraction
 from .multivector import (
     Bivector, Trivector, derive_ints, push_ints, quotient_columns, schouten,
     wedge_subspace_residual,
@@ -20,7 +20,7 @@ from .multivector import (
 from .report import Report, witness
 
 
-class PseudoPoissonData:
+class PseudoPoissonData(Frozen):
     def __init__(self, algebra: LieAlgebra, H: Subspace, U: Subspace, j: Matrix,
                  Lambda: Bivector):
         self.__dict__.update(algebra=algebra, H=H, U=U, j=j, Lambda=Lambda)
@@ -34,9 +34,6 @@ class PseudoPoissonData:
             raise ValueError("j must be an endomorphism of the full algebra")
         if Lambda.dim != n:
             raise ValueError("bivector dimension mismatch")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PseudoPoissonData is immutable")
 
 
 def check_pseudo_poisson(d: PseudoPoissonData) -> Report:

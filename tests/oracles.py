@@ -6,9 +6,9 @@ library must give, witnesses in order.  It reads its inputs only as data --
 the structure constants through `dense_tensor`, a subspace through its
 basis vectors, a matrix through its entries, a multivector through its
 coefficients -- and calls none of the library's integer kernels
-(`contraction`, `cyclic_nonzero`, `bracket_ints`, `rref`, `push_ints`,
-`derive_ints`, `schouten_ints`, `quotient_columns`, `induced_bracket`,
-`IntTable`).  Every elimination is the `Fraction` one below.  Where the
+(`contraction`, `remainder`, `cyclic_nonzero`, `bracket_ints`, `rref`,
+`push_ints`, `derive_ints`, `schouten_ints`, `quotient_columns`,
+`induced_bracket`, `IntTable`).  Every elimination is the `Fraction` one below.  Where the
 library derives a fact from the shape of an identity (alternation, a zero
 table entry, a cached table), the oracle evaluates the identity on every
 basis pair or triple instead.  `ORACLES` at the end maps each check id to

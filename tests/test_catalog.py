@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from crlie import catalog, dump_document, parse_document, parse_text, run_checks
+from crlie import (
+    catalog, dump_document, left_symmetric_product, parse_document, parse_text, run_checks,
+)
 
 import oracles
 
@@ -12,8 +14,8 @@ SRC = Path(__file__).parent.parent / "src" / "crlie"
 GOLDEN = Path(__file__).with_name("golden")
 
 # The integer kernels of the library, which no definition-level oracle may use.
-KERNELS = {"contraction", "cyclic_nonzero", "bracket_ints", "rref", "push_ints", "derive_ints",
-           "schouten_ints", "quotient_columns", "induced_bracket", "IntTable"}
+KERNELS = {"contraction", "remainder", "cyclic_nonzero", "bracket_ints", "rref", "push_ints",
+           "derive_ints", "schouten_ints", "quotient_columns", "induced_bracket", "IntTable"}
 
 
 @pytest.mark.parametrize("entry_id", catalog.ids())
@@ -22,6 +24,15 @@ def test_entry_matches_expected_verdicts(entry_id):
     rep = run_checks(parse_document(entry.document))
     actual = {r.check_id: "pass" if r.passed else "fail" for r in rep.results}
     assert actual == entry.expected
+
+
+def test_parsed_payloads_are_read_only():
+    p = parse_document(catalog.get("sl2").document)
+    objects = [p.algebra, p.cr, p.kahler, p.poisson, p.cr.H, p.cr.j, p.poisson.Lambda,
+               left_symmetric_product(p.kahler)]
+    for obj in objects:
+        with pytest.raises(AttributeError, match=f"^{type(obj).__name__} is immutable$"):
+            obj.scale = 1
 
 
 @pytest.mark.parametrize("entry_id", catalog.ids())

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from math import lcm
 
+from crlie import linalg
 from crlie.linalg import (
     Matrix, Subspace, _perp, format_rat, format_terms, kernel, rat, read_row, rref, solve,
 )
@@ -214,6 +215,34 @@ def test_matrix_without_rows_is_empty_square():
     m = from_columns([])
     assert (m.rows, m.cols) == (0, 0)
     assert m.first_nonpositive_minor() is None
+
+
+def rebuilt_rows(monkeypatch, rows, cols):
+    """How many times `_echelon` replaces an earlier basis row by a new one,
+    read from the basis it hands `remainder` at each row and the one it
+    returns."""
+    seen, reduce = [], linalg.remainder
+
+    def recording(v, d, basis):
+        seen.append(dict(basis))
+        return reduce(v, d, basis)
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "remainder", recording)
+        seen.append(linalg._echelon(rows, cols)[1])
+    return sum(after[p] is not b for before, after in zip(seen, seen[1:])
+               for p, b in before.items())
+
+
+def test_echelon_rebuilds_only_the_rows_a_new_pivot_changes(monkeypatch):
+    n = 6
+    # each new pivot of the identity equals the last and no earlier row has
+    # an entry in its column, so every row is left as it is
+    assert rebuilt_rows(monkeypatch, [{k: 1} for k in range(n)], n) == 0
+    # I + J has leading minors 2, 3, ..., n + 1 and no zero entry, so each
+    # new pivot changes every earlier row
+    dense = [{k: 1 + (k == i) for k in range(n)} for i in range(n)]
+    assert rebuilt_rows(monkeypatch, dense, n) == n * (n - 1) // 2
 
 
 @st.composite

@@ -33,7 +33,7 @@ def main():
                 print(f"  ({x}) * ({y}) = {fmt_vec(names, value)}")
 
     print("\ncommutator x*y - y*x versus the ambient bracket:")
-    comm = induced_bracket(k, product)
+    comm = induced_bracket(product)
     for a in range(m):
         for b in range(a + 1, m):
             x, y = basis[a], basis[b]

@@ -19,8 +19,7 @@ _EXPORTS = {
                  "ideal_complement_complex", "induced_bracket", "left_symmetric_product",
                  "omega_radical", "semisimple_exactness"),
     "poisson": ("PseudoPoissonData", "check_cocycle", "check_j_invariance",
-                "check_pseudo_poisson", "coboundary_delta", "coboundary_pi",
-                "product_structure"),
+                "check_pseudo_poisson", "coboundary_delta", "coboundary_pi"),
     "report": ("CheckResult", "Report"),
     "inputdoc": ("InputError", "Payloads", "dump_document", "parse_document", "parse_text"),
     "checks": ("run_checks",),

@@ -3,8 +3,10 @@
 Checks report in the order `run_checks` calls them, so structured reports
 are stable and diffable.  Checks that depend on the Kahler layer being valid
 (product, radical, center, exactness) are skipped when any of the three
-Kahler validity checks fail.  Each layer is called through its name in this
-module's namespace, where `bench/spans.py` wraps it for per-layer timing.
+Kahler validity checks fail, and exactness runs only on a semisimple
+algebra; this module is the one place that gates them.  Each layer is
+called through its name in this module's namespace, where `bench/spans.py`
+wraps it for per-layer timing.
 """
 
 from __future__ import annotations

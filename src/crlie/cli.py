@@ -12,8 +12,9 @@ import json
 import sys
 
 from .checks import run_checks
-from .crkahler import induced_bracket, left_symmetric_product
+from .crkahler import left_symmetric_product
 from .inputdoc import InputError, dump_document, parse_text
+from .linalg import contraction
 from .multivector import schouten, wedge_subspace_residual
 from .report import Report, fmt_vec
 
@@ -63,17 +64,21 @@ def cmd_construct(args) -> int:
         product = left_symmetric_product(payloads.kahler)
     except ValueError as e:
         raise InputError([str(e)])
-    names = payloads.algebra.names
-    basis = [fmt_vec(names, h, product.H.scale) for h in product.H.ints]
+    # each value is read from the integer table in H-coordinates and mapped
+    # into G through the integer basis of H, so it is s_P s_H times the vector
+    names, H, P = payloads.algebra.names, product.H, product.P
+    rows, s = dict(enumerate(H.ints)), product.scale * H.scale
+    basis = [fmt_vec(names, h, H.scale) for h in H.ints]
     print("left-symmetric product on H:")
     for a, x in enumerate(basis):
         for b, y in enumerate(basis):
-            print(f"  ({x}) * ({y}) = {fmt_vec(names, product.ambient(a, b))}")
+            value = contraction([(1, P[a].get(b, {}), rows)])
+            print(f"  ({x}) * ({y}) = {fmt_vec(names, value, s)}")
     print("induced bracket [x,y]' = xy - yx:")
-    comm = induced_bracket(payloads.kahler, product)
     for a, x in enumerate(basis):
         for b in range(a + 1, len(basis)):
-            print(f"  [{x}, {basis[b]}]' = {fmt_vec(names, comm[(a, b)])}")
+            value = contraction([(1, product.commutator(a, b), rows)])
+            print(f"  [{x}, {basis[b]}]' = {fmt_vec(names, value, s)}")
     return EXIT_PASS
 
 

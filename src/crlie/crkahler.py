@@ -330,7 +330,7 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
     return rep
 
 
-def induced_bracket(k: KahlerCRData, p: LeftSymmetricProduct) -> dict:
+def induced_bracket(p: LeftSymmetricProduct) -> dict:
     """The commutator table [x,y]' = xy - yx on the H basis."""
     m = p.H.dim
     return {(a, b): p.H.member(p.commutator(a, b), p.scale)
@@ -505,13 +505,13 @@ def semisimple_exactness(k: KahlerCRData) -> tuple[Optional[Vector], Optional[Ve
                                                    Optional[Subspace], Report]:
     """On a semisimple algebra, solve w(x, y) = a([x, y]) for the dual
     vector a, then K(X, .) = a for X; return L = centralizer(X) with the
-    verdicts that L equals the w-radical and dim L = codim H."""
+    verdicts that L equals the w-radical and dim L = codim H.  Raises
+    ValueError on an algebra that is not semisimple; `run_checks` decides
+    that gate before calling it."""
     rep = Report()
     alg = k.algebra
     if not alg.is_semisimple():
-        rep.add("exactness.semisimple", False,
-                detail="algebra is not semisimple; exactness machinery unavailable")
-        return None, None, None, rep
+        raise ValueError("algebra is not semisimple; exactness machinery unavailable")
 
     # one equation a . [e_a, e_b] = w(e_a, e_b) per pair a < b, both sides
     # times the table's scale.  A pair where both vanish gives 0 = 0, which

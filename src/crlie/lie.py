@@ -9,7 +9,6 @@ library API.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .linalg import (
@@ -205,19 +204,6 @@ class LieAlgebra(Frozen):
         self._check_space(s)
         return all(s.contains(self.bracket_ints({i: 1}, v))
                    for i in range(self.dim) for v in s.ints)
-
-    def direct_sum(self, other: "LieAlgebra",
-                   names: Optional[Sequence[str]] = None) -> "LieAlgebra":
-        """self + other on the basis of self followed by that of other; the
-        table's scale is the lcm of the two."""
-        n, s = self.dim, lcm(self.table.scale, other.table.scale)
-        rows = [{j + shift: {k + shift: x * (s // t.scale) for k, x in v.items()}
-                 for j, v in row.items()}
-                for t, shift in ((self.table, 0), (other.table, n)) for row in t.rows]
-        if names is None:
-            right = [nm if nm not in self.names else nm + "'" for nm in other.names]
-            names = list(self.names) + right
-        return LieAlgebra(IntTable(n + other.dim, s, rows), names=names, validate=False)
 
     def _check_space(self, s: Subspace) -> None:
         if s.ambient_dim != self.dim:

@@ -262,13 +262,6 @@ class Matrix(Frozen):
         return self.rows == self.cols and all(
             self.ints[k].get(i, 0) == x for i, r in enumerate(self.ints) for k, x in r.items())
 
-    @staticmethod
-    def block_diag(a: "Matrix", b: "Matrix") -> "Matrix":
-        return Matrix.from_ints(
-            a.cols + b.cols, a.scale * b.scale,
-            [{k: x * b.scale for k, x in r.items()} for r in a.ints]
-            + [{k + a.cols: x * a.scale for k, x in r.items()} for r in b.ints])
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows
                 and self.cols == other.cols and self.scale == other.scale

@@ -119,23 +119,3 @@ def check_cocycle(algebra: LieAlgebra, delta: Sequence[Bivector]) -> Report:
                 bad.append(witness(x=names[a], y=names[b], difference=difference))
     rep.add("poisson.cocycle", not bad, bad)
     return rep
-
-
-def product_structure(d1: PseudoPoissonData, d2: PseudoPoissonData) -> PseudoPoissonData:
-    """Direct-sum product: block algebra, H = H1 + H2, U = U1 + U2,
-    j = j1 + j2, Lambda = Lambda1 + Lambda2 as block bivectors."""
-    alg = d1.algebra.direct_sum(d2.algebra)
-    n1 = d1.algebra.dim
-    n = alg.dim
-
-    def embed(s1: Subspace, s2: Subspace) -> Subspace:
-        return Subspace.from_ints(n, [*s1.ints, *({k + n1: x for k, x in h.items()}
-                                                  for h in s2.ints)])
-
-    H, U = embed(d1.H, d2.H), embed(d1.U, d2.U)
-    j = Matrix.block_diag(d1.j, d2.j)
-    l1, l2 = d1.Lambda, d2.Lambda
-    lam = Bivector.from_ints(n, l1.scale * l2.scale,
-                             {**{k: x * l2.scale for k, x in l1.ints.items()},
-                              **{(a + n1, b + n1): x * l1.scale for (a, b), x in l2.ints.items()}})
-    return PseudoPoissonData(alg, H, U, j, lam)

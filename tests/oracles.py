@@ -43,8 +43,8 @@ the bracket and Jacobiator expanded over every index, the Killing form as
 traces, maps on Lambda^k by minors, the parse conversion and the number
 formatters over `Fraction`.  `supplementary_by_intersection` keeps the
 library's former test for H + U = G direct.  `int_table` goes the other way from
-`dense_tensor`, for tests that build an algebra from a dense tensor; no
-oracle calls it.
+`dense_tensor`, for tests that build an algebra from a dense tensor, and
+`direct_sum` builds a block algebra through it; no oracle calls either.
 """
 
 from fractions import Fraction
@@ -107,6 +107,12 @@ def identity(n: int, c=1) -> Matrix:
 
 def zeros(rows: int, cols: int) -> Matrix:
     return Matrix([[0] * cols for _ in range(rows)])
+
+
+def block_diag(A: Matrix, B: Matrix) -> Matrix:
+    """The block matrix with A and B on the diagonal, from their entries."""
+    return Matrix([*(r + (0,) * B.cols for r in rows_of(A)),
+                   *((0,) * A.cols + r for r in rows_of(B))])
 
 
 def mat_add(A: Matrix, B: Matrix) -> Matrix:
@@ -359,6 +365,18 @@ def int_table(c) -> IntTable:
     """The table of a dense tensor c, antisymmetric or not: `dense_tensor` inverted."""
     return IntTable.from_rows(len(c), {(i, j): read_row(v) for i, row in enumerate(c)
                                        for j, v in enumerate(row)})
+
+
+def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
+    """g1 + g2 on the basis of g1 followed by that of g2, from the block tensor
+    of the two dense tensors; a name of g2 that g1 uses gets a prime."""
+    c1, c2, n, m = dense_tensor(g1), dense_tensor(g2), g1.dim, g2.dim
+    zero = (Fraction(0),) * (n + m)
+    c = [[c1[i][j] + zero[:m] if i < n and j < n else
+          zero[:n] + c2[i - n][j - n] if i >= n and j >= n else zero
+          for j in range(n + m)] for i in range(n + m)]
+    names = [*g1.names, *(x + "'" if x in g1.names else x for x in g2.names)]
+    return LieAlgebra(int_table(c), names, validate=False)
 
 
 def bilinear(table, x, y, n: int) -> tuple:
@@ -849,25 +867,23 @@ def build_extension_lifted(base: KahlerCRData, v_dim: int, alpha: Mapping):
                                            for a, b in combinations(range(total), 2)},
                                    names=ext_names)
     H_ext = Subspace.span([tuple(h) + zero_vector(v_dim) for h in base.H.basis], total)
-    data = KahlerCRData(CRData(big, H_ext, Matrix.block_diag(base.j, zeros(v_dim, v_dim))),
-                        Matrix.block_diag(base.metric, identity(v_dim)))
+    data = KahlerCRData(CRData(big, H_ext, block_diag(base.j, zeros(v_dim, v_dim))),
+                        block_diag(base.metric, identity(v_dim)))
     return data, rep
 
 
 def semisimple_exactness_full_system(k: KahlerCRData):
     """`semisimple_exactness` from the definitions: semisimplicity by
-    Cartan's criterion, det K != 0 for the Killing form K of traces; one
-    equation a . [e_a, e_b] = w(e_a, e_b) for every pair a < b, the 0 = 0
-    rows included; K X = a; and L = centralizer(X) as the kernel of ad X,
-    compared with the kernel of w.  L is returned as its `Fraction` RREF
-    rows."""
+    Cartan's criterion, det K != 0 for the Killing form K of traces, else
+    ValueError; one equation a . [e_a, e_b] = w(e_a, e_b) for every pair
+    a < b, the 0 = 0 rows included; K X = a; and L = centralizer(X) as the
+    kernel of ad X, compared with the kernel of w.  L is returned as its
+    `Fraction` RREF rows."""
     rep = Report()
     n, c = k.algebra.dim, dense_tensor(k.algebra)
     K = [[killing_entry(c, a, b) for b in range(n)] for a in range(n)]
     if det_over_fractions(K) == 0:
-        rep.add("exactness.semisimple", False,
-                detail="algebra is not semisimple; exactness machinery unavailable")
-        return None, None, None, rep
+        raise ValueError("algebra is not semisimple; exactness machinery unavailable")
 
     om = omega_rows(k)
     pairs = list(combinations(range(n), 2))
@@ -1059,7 +1075,7 @@ ORACLES = {
                     ideal_complement_complex_ambient),
     **dict.fromkeys(("extension.valid_input", "extension.jacobi", "extension.alpha_j_invariant",
                      "extension.cyclic", "extension.omega_closed"), build_extension_lifted),
-    **dict.fromkeys(("exactness.semisimple", "exactness.alpha_exact", "exactness.killing_dual",
+    **dict.fromkeys(("exactness.alpha_exact", "exactness.killing_dual",
                      "exactness.radical_match"), semisimple_exactness_full_system),
     "poisson.schouten_membership": check_pseudo_poisson_ambient,
     "poisson.j_invariance": check_j_invariance_ambient,

@@ -11,19 +11,20 @@ from fractions import Fraction
 from itertools import combinations
 
 from crlie import (
-    Bivector, CRData, KahlerCRData, LieAlgebra, StructureError, catalog,
+    Bivector, CRData, KahlerCRData, LieAlgebra, PseudoPoissonData, StructureError, catalog,
     check_cocycle, check_cr, check_j_invariance, check_kahler,
     check_left_symmetric, check_pseudo_poisson, coboundary_delta,
     left_symmetric_product,
     coboundary_pi, dump_document, omega_radical, parse_document,
-    product_structure, run_checks, schouten, semisimple_exactness, so3,
+    run_checks, schouten, semisimple_exactness, so3,
 )
 from crlie.cli import main as cli_main
 from crlie.linalg import Matrix, Subspace, solve
 
 from oracles import (
-    all_sign_bivectors, basis_vector, dense_tensor, det_over_fractions, from_columns, identity,
-    int_table, matvec, omega, rows_of, schouten_decomposable, vdot, vector,
+    all_sign_bivectors, basis_vector, block_diag, coefficients, dense_tensor, det_over_fractions,
+    direct_sum, from_columns, identity, int_table, matvec, omega, rows_of, schouten_decomposable,
+    vdot, vector,
 )
 
 
@@ -178,6 +179,22 @@ def test_criterion_6_poisson_fixtures():
             assert check_cocycle(g, coboundary_delta(g, rr)).passed
 
 
+def product_data(d1, d2) -> PseudoPoissonData:
+    """The block product of two pseudo-Poisson structures: G1 + G2 with
+    H = H1 + H2, U = U1 + U2, j = j1 + j2 and Lambda = Lambda1 + Lambda2."""
+    n1, n2 = d1.algebra.dim, d2.algebra.dim
+    zero1, zero2 = (0,) * n1, (0,) * n2
+
+    def block(s1, s2):
+        return Subspace.span([h + zero2 for h in s1.basis] + [zero1 + h for h in s2.basis],
+                             n1 + n2)
+
+    lam = {**coefficients(d1.Lambda),
+           **{(a + n1, b + n1): x for (a, b), x in coefficients(d2.Lambda).items()}}
+    return PseudoPoissonData(direct_sum(d1.algebra, d2.algebra), block(d1.H, d2.H),
+                             block(d1.U, d2.U), block_diag(d1.j, d2.j), Bivector(n1 + n2, lam))
+
+
 def test_criterion_7_product_theorem():
     with criterion(7, "product theorem"):
         passing = []
@@ -192,7 +209,7 @@ def test_criterion_7_product_theorem():
         assert len(passing) >= 2
         for d1 in passing:
             for d2 in passing:
-                prod = product_structure(d1, d2)
+                prod = product_data(d1, d2)
                 assert check_pseudo_poisson(prod).passed
                 assert check_j_invariance(prod).passed
                 t = schouten(prod.algebra, prod.Lambda, prod.Lambda)

@@ -21,10 +21,11 @@ from crlie.linalg import Matrix, Subspace
 from crlie.report import fmt_vec
 
 from oracles import (
-    basis_vector, bilinear, bracket, build_extension_lifted, center_U_ambient,
+    basis_vector, bilinear, block_diag, bracket, build_extension_lifted, center_U_ambient,
     check_cr_ambient, check_j_invariance_ambient, check_kahler_by_triples,
     check_left_symmetric_ambient, check_pseudo_poisson_ambient, coboundary_pi_ambient, column,
-    crdata_error_ambient, dense_tensor, densify, det_over_fractions, from_columns, h_coordinates,
+    crdata_error_ambient, dense_tensor, densify, det_over_fractions, direct_sum, from_columns,
+    h_coordinates,
     ideal_complement_complex_ambient, identity, int_table, is_zero,
     left_symmetric_product_by_solves, mat_add, mat_scale, matvec, omega, omega_radical_ambient,
     product_from_coordinates, rows_of, semisimple_exactness_full_system,
@@ -160,7 +161,7 @@ def test_left_symmetric_product_aff_aff_nonzero():
     rep = check_left_symmetric(k, p)
     assert rep.passed
     # omega|H nondegenerate, so identity (1) forces [x,y]' = [x,y] exactly
-    comm = induced_bracket(k, p)
+    comm = induced_bracket(p)
     g = k.algebra
     for a in range(4):
         for b in range(4):
@@ -215,7 +216,7 @@ def heisenberg_r2_kahler():
     """heisenberg3 + R^2 with H = span(e1, e2, e4, e5), j e1 = -e4, j e2 = -e5:
     the center meets H in span(e4, e5), j moves it onto e1, e2, and U = H is
     neither commutative nor stabilizes H, as [e1, e2] = e3."""
-    g = heisenberg3().direct_sum(LieAlgebra.from_brackets(2, {}))
+    g = direct_sum(heisenberg3(), LieAlgebra.from_brackets(2, {}))
     H = Subspace.span([basis_vector(5, i) for i in (0, 1, 3, 4)], 5)
     j = Matrix([[0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0] * 5, [-1, 0, 0, 0, 0], [0, -1, 0, 0, 0]])
     return KahlerCRData(CRData(g, H, j), identity(5))
@@ -237,7 +238,7 @@ def test_ideal_complement_abelian(rn_kahler):
 
 
 def test_ideal_complement_heisenberg_plus_r2():
-    g = heisenberg3().direct_sum(LieAlgebra.from_brackets(2, {}))
+    g = direct_sum(heisenberg3(), LieAlgebra.from_brackets(2, {}))
     H = Subspace.span([basis_vector(5, 3), basis_vector(5, 4)], 5)
     cols = [(0,) * 5] * 3 + [vector([0, 0, 0, 0, 1]), vector([0, 0, 0, -1, 0])]
     j = from_columns([vector(c) for c in cols])
@@ -371,10 +372,10 @@ def test_exactness_matches_full_system_oracle():
     # have zero brackets; coupling the two metrics makes w nonzero on some of
     # them, and then there is no solution
     k1, k2 = (entry_payloads(e).kahler for e in ("so3_cr", "sl2"))
-    g = k1.algebra.direct_sum(k2.algebra)
+    g = direct_sum(k1.algebra, k2.algebra)
     H = Subspace.span([h + (0,) * 3 for h in k1.H.basis] + [(0,) * 3 + h for h in k2.H.basis], 6)
-    cr = CRData(g, H, Matrix.block_diag(k1.j, k2.j))
-    metric = Matrix.block_diag(k1.metric, k2.metric)
+    cr = CRData(g, H, block_diag(k1.j, k2.j))
+    metric = block_diag(k1.metric, k2.metric)
     coupling = Matrix([[Fraction(1, 4) * (abs(a - b) == 3) for b in range(6)] for a in range(6)])
     inputs = exactness_inputs() + [
         p.kahler for p in map(parse_document, ORACLE_DOCS.values())
@@ -396,9 +397,10 @@ def test_exactness_sl2():
 
 
 def test_exactness_refuses_non_semisimple(rn_kahler):
-    alpha, X, L, rep = semisimple_exactness(rn_kahler)
-    assert alpha is None and X is None and L is None
-    assert not rep.passed
+    # run_checks alone gates on semisimplicity, so a direct call raises
+    for exactness in (semisimple_exactness, semisimple_exactness_full_system):
+        with pytest.raises(ValueError, match="^algebra is not semisimple; exactness"):
+            exactness(rn_kahler)
 
 
 def test_radical_equal_ker_j_and_ideal_implies_not_semisimple():
@@ -588,9 +590,9 @@ def unimodular(draw, n):
 
 
 CR_ALGEBRAS = {
-    "so3+so3": so3().direct_sum(so3()),
-    "aff_aff+R": entry_payloads("aff_aff").algebra.direct_sum(LieAlgebra.from_brackets(1, {})),
-    "sl2+heisenberg": sl2().direct_sum(heisenberg3()),
+    "so3+so3": direct_sum(so3(), so3()),
+    "aff_aff+R": direct_sum(entry_payloads("aff_aff").algebra, LieAlgebra.from_brackets(1, {})),
+    "sl2+heisenberg": direct_sum(sl2(), heisenberg3()),
 }
 
 
@@ -613,7 +615,7 @@ def dense_cr_data(draw, full=False):
                  for a in range(m)])
     j = S * J0 * _inverse(S)
     if m < n:
-        j = Matrix.block_diag(j, zeros(n - m, n - m))
+        j = block_diag(j, zeros(n - m, n - m))
     return CRData(g, Subspace.span([column(R, a) for a in range(m)], n),
                   R * j * _inverse(R))
 
@@ -796,7 +798,7 @@ def aff_power_kahler(k):
                                      for i in range(k)})
     j = rotation
     for _ in range(k - 1):
-        j = Matrix.block_diag(j, rotation)
+        j = block_diag(j, rotation)
     full = Subspace.from_ints(n, ({i: 1} for i in range(n)))
     return KahlerCRData(CRData(g, full, j), identity(n))
 

@@ -23,6 +23,7 @@ import pytest
 
 from crlie import catalog, dump_document
 from crlie.cli import main
+from crlie.linalg import Subspace
 
 GOLDEN = Path(__file__).with_name("golden")
 DEMOS = Path(__file__).parent.parent / "demos"
@@ -160,6 +161,17 @@ def test_output_matches_golden(case, tmp_path):
 @pytest.mark.parametrize("stem", DEMO_STEMS)
 def test_demo_output_matches_golden(stem):
     assert render_demo(stem) == (GOLDEN / f"demo-{stem}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("case", ["construct-aff_aff", "construct-aff_aff_r_dense"])
+def test_construct_builds_no_dense_vector(case, tmp_path, monkeypatch):
+    # construct prints from the integer tables, never through Subspace.member
+    def refuse(*args):
+        raise AssertionError("construct built a dense vector")
+
+    monkeypatch.setattr(Subspace, "member", refuse)
+    argv, doc = CASES[case]
+    assert render(argv, doc, tmp_path) == (GOLDEN / f"{case}.txt").read_bytes()
 
 
 def test_every_golden_file_has_a_case():

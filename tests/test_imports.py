@@ -139,7 +139,6 @@ def test_readme_python_blocks_run():
 
 
 def test_every_public_name_is_read_outside_the_tests():
-    # product_structure waits for a document that builds a product
     sources = [path.read_text(encoding="utf-8") for path in MODULES
                if path.name != "__init__.py"]
     sources += [path.read_text(encoding="utf-8") for path in (ROOT / "demos").glob("*.py")]
@@ -151,4 +150,4 @@ def test_every_public_name_is_read_outside_the_tests():
                     read.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     read.add(node.attr)
-    assert sorted(set(crlie.__all__) - read - {"product_structure"}) == []
+    assert sorted(set(crlie.__all__) - read) == []

@@ -6,23 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crlie import (
-    Bivector, LieAlgebra, PseudoPoissonData, catalog, check_cocycle,
-    check_j_invariance, check_pseudo_poisson, coboundary_delta, coboundary_pi,
-    parse_document, product_structure, schouten, sl2, so3,
+    Bivector, LieAlgebra, PseudoPoissonData, check_cocycle, check_j_invariance,
+    check_pseudo_poisson, coboundary_delta, coboundary_pi, schouten, sl2, so3,
 )
 from crlie.linalg import Matrix, Subspace
 
 from oracles import (
     ad_rows, apply_exterior_power, basis_vector, check_cocycle_ambient, check_j_invariance_ambient,
     check_pseudo_poisson_ambient, coboundary_pi_ambient, coefficients, combine, dense_tensor,
-    lincomb, matvec, schouten_decomposable, vadd, wedge_coeffs, zeros,
+    direct_sum, lincomb, matvec, schouten_decomposable, vadd, wedge_coeffs, zeros,
 )
 from strategies import fractions
 from test_crkahler import dense_cr_data, rescaled, units
-
-
-def entry_payloads(entry_id):
-    return parse_document(catalog.get(entry_id).document)
 
 
 def so3_poisson():
@@ -120,7 +115,7 @@ def test_mixed_factor_fixture_fails_found_by_search():
     """The genuinely failing fixture lives on so(3) + R and was discovered
     by searching sign patterns of block-mixing r; frozen here with its
     witness generator."""
-    g = so3().direct_sum(LieAlgebra.from_brackets(1, {}))
+    g = direct_sum(so3(), LieAlgebra.from_brackets(1, {}))
     r = Bivector(4, {(0, 1): 1, (0, 3): 1})
     rep = coboundary_pi(g, r, Subspace.from_ints(4, []))
     res = rep.result("poisson.coboundary_invariance")
@@ -177,7 +172,7 @@ def test_cocycle_refuses_bivectors_of_another_dimension(dim):
 def test_random_coboundaries_always_cocycles():
     rng = random.Random(11)
     algebras = [so3(), sl2(), LieAlgebra.from_brackets(3, {}),
-                so3().direct_sum(LieAlgebra.from_brackets(1, {}))]
+                direct_sum(so3(), LieAlgebra.from_brackets(1, {}))]
     for _ in range(20):
         g = rng.choice(algebras)
         keys = list(combinations(range(g.dim), 2))
@@ -185,48 +180,10 @@ def test_random_coboundaries_always_cocycles():
         assert check_cocycle(g, coboundary_delta(g, r)).passed
 
 
-# -- products ----------------------------------------------------------------
-
-def abelian_r2_poisson():
-    g = LieAlgebra.from_brackets(2, {})
-    return PseudoPoissonData(g, Subspace.from_ints(2, [{0: 1}, {1: 1}]), Subspace.from_ints(2, []),
-                             Matrix([[0, -1], [1, 0]]), Bivector(2, {(0, 1): 1}))
-
-
-def test_product_of_abelian_structures():
-    prod = product_structure(abelian_r2_poisson(), abelian_r2_poisson())
-    assert prod.algebra.dim == 4
-    assert check_pseudo_poisson(prod).passed
-    assert check_j_invariance(prod).passed
-
-
-def test_product_so3_with_abelian_matches_catalog_entry():
-    prod = product_structure(so3_poisson(), abelian_r2_poisson())
-    assert prod.algebra.dim == 5
-    assert check_pseudo_poisson(prod).passed
-    assert check_j_invariance(prod).passed
-    stored = entry_payloads("so3_x_r2").poisson
-    assert prod.Lambda == stored.Lambda
-    assert prod.H == stored.H and prod.U == stored.U
-    assert prod.algebra == stored.algebra
-
-
-def test_product_with_failing_factor_fails_in_that_block():
-    bad = PseudoPoissonData(so3(), Subspace.from_ints(3, [{0: 1}, {1: 1}, {2: 1}]),
-                            Subspace.from_ints(3, []), zeros(3, 3), Bivector(3, {(0, 1): 1}))
-    prod = product_structure(abelian_r2_poisson(), bad)
-    rep = check_pseudo_poisson(prod)
-    res = rep.result("poisson.schouten_membership")
-    assert not res.passed
-    # residual localized in the second factor's coordinates (e3..e5)
-    t = schouten(prod.algebra, prod.Lambda, prod.Lambda)
-    assert all(min(key) >= 2 for key in t.ints)
-
-
 def test_block_bivector_schouten_has_no_cross_terms():
     rng = random.Random(3)
     g1, g2 = so3(), sl2()
-    g = g1.direct_sum(g2)
+    g = direct_sum(g1, g2)
     for _ in range(10):
         b1 = Bivector(3, {k: rng.randint(-2, 2) for k in combinations(range(3), 2)})
         b2 = Bivector(3, {k: rng.randint(-2, 2) for k in combinations(range(3), 2)})

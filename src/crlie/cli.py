@@ -60,10 +60,7 @@ def cmd_construct(args) -> int:
     payloads = _load(args.file)
     if payloads.kahler is None:
         raise InputError(["left-symmetric construction needs cr and metric blocks"])
-    try:
-        product = left_symmetric_product(payloads.kahler)
-    except ValueError as e:
-        raise InputError([str(e)])
+    product = left_symmetric_product(payloads.kahler)
     # each value is read from the integer table in H-coordinates and mapped
     # into G through the integer basis of H, so it is s_P s_H times the vector
     names, H, P = payloads.algebra.names, product.H, product.P

@@ -16,10 +16,10 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, permutations
 from math import gcd
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
 from .lie import IntTable, LieAlgebra, cyclic_nonzero
-from .linalg import Frozen, Matrix, Subspace, Vector, contraction, kernel, read_row, rref, solve
+from .linalg import Frozen, Matrix, Subspace, Vector, contraction, kernel, rref, solve
 from .report import Report, fmt_vec, witness
 
 
@@ -258,10 +258,9 @@ def left_symmetric_product(k: KahlerCRData) -> LeftSymmetricProduct:
     m, G = k.H.dim, k.gram
     # w(sum_c coeff_c h_c, h_b) = sum_c coeff_c gram[c][b]  =>  coeff = (gram^T)^-1 rhs,
     # so coeff_c = sum_z gram^-1[z][c] rhs[z], read from si [I | G^-1] with
-    # gram^-1 = s_G G^-1
-    si, reduced, pivots = k.gram_reduced
-    if pivots != list(range(m)):
-        raise ValueError("omega restricted to H is degenerate")
+    # gram^-1 = s_G G^-1.  G is nonsingular for every KahlerCRData: for
+    # x != 0 in H, j x is in H and w(x, j x) = <x, j^2 x> = -<x, x> < 0
+    si, reduced, _ = k.gram_reduced
     inverse = {z: {c - m: G.scale * x for c, x in r.items() if c >= m}
                for z, r in enumerate(reduced)}
     # w(h_b, v) = sum_t R[t][b] v_t for R = (H Omega)^T = Omega^T H^T; rhs[z] =
@@ -437,11 +436,11 @@ def ideal_complement_complex(d: CRData, ideal: Subspace) -> tuple[LieAlgebra, Ma
 # ---------------------------------------------------------------------------
 # extension checks
 
-def build_extension(base: KahlerCRData, v_dim: int,
-                    alpha: Mapping[tuple[int, int], Sequence]) -> Report:
+def build_extension(base: KahlerCRData, alpha: IntTable) -> Report:
     """Check the extension of a Kahler algebra G (base.H must be the full
     space) by a vector space V: [x, y] = [x, y]' + alpha(x, y), with
-    [G, V] = [V, V] = 0.
+    [G, V] = [V, V] = 0, for alpha the antisymmetric table of V-vectors
+    alpha(e_a, e_b) that the parser reads.
 
     Verifies Jacobi on G + V, j-invariance of alpha, the cyclic compatibility
     condition, and closedness of the extended form, without building G + V.
@@ -452,27 +451,10 @@ def build_extension(base: KahlerCRData, v_dim: int,
     therefore also the cyclic condition.  The extended form is w + 0, so it
     is closed exactly when w is antisymmetric and closed.
     """
-    alg = base.algebra
+    alg, A = base.algebra, alpha.rows
     n, names = alg.dim, alg.names
     if base.H.dim != n:
         raise ValueError("extension base must have H equal to the full algebra")
-    if v_dim < 1:
-        raise ValueError("V must be at least one-dimensional")
-
-    # given[(a, b)] = alpha(e_a, e_b), for the pairs given either way
-    given = {}
-    for (a, b), val in alpha.items():
-        s, v = read_row(val)
-        if len(val) != v_dim:
-            raise ValueError(f"alpha value at {(a, b)} has wrong dimension")
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"alpha index {(a, b)} out of range")
-        if a == b and v:
-            raise ValueError(f"alpha({a + 1},{a + 1}) must vanish (antisymmetry)")
-        if given.get((a, b), (s, v)) != (s, v):
-            raise ValueError(f"alpha not antisymmetric at {(a + 1, b + 1)}")
-        given[(a, b)], given[(b, a)] = (s, v), (s, {k: -x for k, x in v.items()})
-    A = IntTable.from_rows(n, given).rows
 
     # the V-part of the Jacobiator needs a nonzero bracket among the triple
     rows = alg.table.rows

@@ -33,7 +33,7 @@ class Payloads:
     def __init__(self, document: dict, algebra: LieAlgebra):
         self.document, self.algebra = document, algebra
         self.cr = self.kahler = self.poisson = self.poisson_r = self.ideal = None
-        self.extension = None  # {"v_dim": int, "alpha": {(a, b): rationals}}
+        self.extension = None  # the IntTable of alpha, alpha(e_a, e_b) in V
 
 
 def _int(value) -> int:
@@ -91,12 +91,14 @@ def _bivector(entries, dim, where, diags) -> Optional[Bivector]:
     return Bivector(dim, coeffs)
 
 
-def _pairs(block: dict, where: str, noun: str, dim: int, width: int, diags) -> dict:
-    """{(x - 1, y - 1): (result, read_row(result))} over the entries
+def _table(block: dict, where: str, noun: str, dim: int, width: int, diags) -> IntTable:
+    """The antisymmetric `IntTable` on dim indices of the entries
     {"x", "y", "result"} of the list that `where` names in block, for
     distinct indices 1 <= x, y <= dim and, when width >= 1, a result of width
-    rationals; every other entry gets its diagnostic and is left out."""
-    pairs = {}
+    rationals; every other entry gets its diagnostic and is left out.  A
+    pair given in both orientations must be antisymmetric, c(x,y) = -c(y,x)
+    compared across the two scales; every other pair is mirrored."""
+    given = {}
     for k, entry in enumerate(_list(block, where.rpartition(".")[2], where, diags)):
         at = f"{where}[{k}]"
         try:
@@ -110,11 +112,18 @@ def _pairs(block: dict, where: str, noun: str, dim: int, width: int, diags) -> d
             diags.append(f"{at}: indices ({x},{y}) out of range or equal")
         elif width >= 1 and len(result) != width:
             diags.append(f"{at}: result has {len(result)} entries, expected {width}")
-        elif (x - 1, y - 1) in pairs:
+        elif (x - 1, y - 1) in given:
             diags.append(f"{at}: duplicate {noun} for ({x},{y})")
         else:
-            pairs[(x - 1, y - 1)] = result, row
-    return pairs
+            given[(x - 1, y - 1)] = row
+    for i, j in sorted(ij for ij in given if ij[0] < ij[1] and ij[::-1] in given):
+        (sa, a), (sb, b) = given[(i, j)], given[(j, i)]
+        k = next((k for k in sorted({*a, *b}) if a.get(k, 0) * sb != -b.get(k, 0) * sa), None)
+        if k is not None:
+            diags.append(f"{where}: antisymmetry violated at "
+                         f"({i + 1},{j + 1},{k + 1}): c={format_rat(a.get(k, 0), sa)} "
+                         f"vs c={format_rat(b.get(k, 0), sb)}")
+    return IntTable.antisymmetric(dim, given)
 
 
 def parse_document(doc: dict) -> Payloads:
@@ -148,23 +157,12 @@ def parse_document(doc: dict) -> Payloads:
             duplicate = next(nm for nm, count in Counter(names).items() if count > 1)
             diags.append(f"algebra.names: duplicate name {duplicate!r}")
 
-    given = {ij: row for ij, (_, row) in
-             _pairs(ablock, "algebra.brackets", "bracket", dim, dim, diags).items()}
-
-    # a pair given in both orientations must be antisymmetric, c(i,j) =
-    # -c(j,i), compared across the two scales; every other pair is mirrored
-    for i, j in sorted(ij for ij in given if ij[0] < ij[1] and ij[::-1] in given):
-        (sa, a), (sb, b) = given[(i, j)], given[(j, i)]
-        k = next((k for k in range(dim) if a.get(k, 0) * sb != -b.get(k, 0) * sa), None)
-        if k is not None:
-            diags.append(f"algebra.brackets: antisymmetry violated at "
-                         f"({i + 1},{j + 1},{k + 1}): c={format_rat(a.get(k, 0), sa)} "
-                         f"vs c={format_rat(b.get(k, 0), sb)}")
+    table = _table(ablock, "algebra.brackets", "bracket", dim, dim, diags)
     if diags:
         raise InputError(diags)
 
     try:
-        algebra = LieAlgebra(IntTable.antisymmetric(dim, given), names=names)
+        algebra = LieAlgebra(table, names=names)
     except StructureError as e:
         raise InputError([f"algebra.brackets: {e}"])
 
@@ -233,9 +231,7 @@ def parse_document(doc: dict) -> Payloads:
             else:
                 if v_dim < 1:
                     diags.append("extension.V_dim: must be >= 1")
-            alpha = {ij: result for ij, (result, _) in
-                     _pairs(block, "extension.alpha", "alpha", dim, v_dim, diags).items()}
-            payloads.extension = {"v_dim": v_dim, "alpha": alpha}
+            payloads.extension = _table(block, "extension.alpha", "alpha", dim, v_dim, diags)
 
     if diags:
         raise InputError(diags)

@@ -410,12 +410,8 @@ class Subspace(Frozen):
     def member(self, coords, s: int = 1) -> Vector:
         """The rational vector sum_a coords[a] h_a / s, for integer
         coordinates {a: x} on the RREF basis h_a."""
-        acc = [0] * self.ambient_dim
-        for a, c in coords.items():
-            if c:
-                for k, x in self.ints[a].items():
-                    acc[k] += c * x
-        return tuple(Fraction(x, s * self.scale) for x in acc)
+        v = contraction([(1, coords, dict(enumerate(self.ints)))])
+        return tuple(Fraction(v.get(k, 0), s * self.scale) for k in range(self.ambient_dim))
 
     def contains(self, v: Mapping) -> bool:
         """Membership of the sparse vector v = {k: x}, or of any nonzero

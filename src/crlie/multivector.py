@@ -21,7 +21,7 @@ zero iff t is a member.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 from math import gcd, prod
 from typing import Mapping
 
@@ -29,17 +29,12 @@ from .lie import LieAlgebra
 from .linalg import Frozen, Subspace, format_terms, read_row
 
 def _sort_key(idx):
-    """Sort a key of distinct indices; returns (sorted, sign) or None on repeat."""
-    idx = list(idx)
+    """Sort a key of distinct indices; returns (sorted, sign) or None on repeat,
+    the sign (-1)^inversions of the sorting permutation."""
     if len(set(idx)) != len(idx):
         return None
-    sign = 1
-    for a in range(len(idx)):
-        for b in range(len(idx) - 1 - a):
-            if idx[b] > idx[b + 1]:
-                idx[b], idx[b + 1] = idx[b + 1], idx[b]
-                sign = -sign
-    return tuple(idx), sign
+    inversions = sum(a > b for a, b in combinations(idx, 2))
+    return tuple(sorted(idx)), -1 if inversions % 2 else 1
 
 
 def _collect(raw: Mapping) -> dict:

@@ -356,8 +356,15 @@ def first_nonpositive_minor_over_fractions(M: Matrix):
 def dense_tensor(algebra: LieAlgebra) -> list:
     """The dense `Fraction` tensor c[i][j] = [e_i, e_j], zero vectors
     included, read from `algebra.table`."""
-    n, s, rows = algebra.dim, algebra.table.scale, algebra.table.rows
-    return [[tuple(Fraction(rows[i].get(j, {}).get(k, 0), s) for k in range(n))
+    return dense_table(algebra.table, algebra.dim)
+
+
+def dense_table(table, width: int) -> list:
+    """The dense `Fraction` table c[i][j] = rows[i][j] / scale of width-vectors,
+    zero vectors included, read from the scale and rows of a table in the
+    form of `IntTable`."""
+    n, s, rows = table.dim, table.scale, table.rows
+    return [[tuple(Fraction(rows[i].get(j, {}).get(k, 0), s) for k in range(width))
              for j in range(n)] for i in range(n)]
 
 
@@ -795,9 +802,13 @@ def ideal_complement_complex_ambient(d: CRData, ideal: Subspace):
     return cq, transpose(jH), rep
 
 
-def build_extension_lifted(base: KahlerCRData, v_dim: int, alpha: Mapping):
+def build_extension_lifted(base: KahlerCRData, alpha):
     """Extend a Kahler algebra G (base.H must be the full space) by a vector
-    space V: [x, y] = [x, y]' + alpha(x, y), with [G, V] = [V, V] = 0.
+    space V: [x, y] = [x, y]' + alpha(x, y), with [G, V] = [V, V] = 0, for
+    alpha the table of V-vectors alpha(e_a, e_b), read as data through its
+    scale and rows.  V has one dimension more than the largest V index that
+    alpha uses, or 1 when alpha is zero: V is central, so trailing zero
+    coordinates change no verdict and no witness.
 
     Builds the dense tensor of G + V and verifies Jacobi on it entry by
     entry, j-invariance of alpha, the cyclic compatibility condition, and
@@ -808,24 +819,9 @@ def build_extension_lifted(base: KahlerCRData, v_dim: int, alpha: Mapping):
     n = alg.dim
     if base.H.dim != n:
         raise ValueError("extension base must have H equal to the full algebra")
-    if v_dim < 1:
-        raise ValueError("V must be at least one-dimensional")
-
+    v_dim = 1 + max((k for row in alpha.rows for v in row.values() for k in v), default=0)
     # alpha on basis pairs: alpha_rows[a][b] = alpha(e_a, e_b)
-    alpha_rows = [[None] * n for _ in range(n)]
-    for (a, b), val in alpha.items():
-        v = vector(val)
-        if len(v) != v_dim:
-            raise ValueError(f"alpha value at {(a, b)} has wrong dimension")
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"alpha index {(a, b)} out of range")
-        if a == b and not is_zero(v):
-            raise ValueError(f"alpha({a + 1},{a + 1}) must vanish (antisymmetry)")
-        if alpha_rows[a][b] not in (None, v):
-            raise ValueError(f"alpha not antisymmetric at {(a + 1, b + 1)}")
-        alpha_rows[a][b], alpha_rows[b][a] = v, vscale(-1, v)
-    alpha_rows = [[zero_vector(v_dim) if v is None else v for v in row]
-                  for row in alpha_rows]
+    alpha_rows = dense_table(alpha, v_dim)
 
     total = n + v_dim
     base_c = dense_tensor(alg)
@@ -1020,15 +1016,19 @@ def table_over_fractions(dim: int, entries: Mapping) -> tuple[int, list]:
 def parse_over_fractions(doc: dict) -> dict:
     """The parts of a valid document that `parse_document` reads as
     rationals, each converted through `vector` to `Fraction`s and scaled by
-    a common denominator: {"table": (scale, rows), "H", "U", "ideal":
-    Subspace, "j", "metric": Matrix, "lambda", "r": Bivector, "alpha":
-    {(a, b): (s, ints)}}, for the blocks present."""
+    a common denominator: {"table", "alpha": (scale, rows), "H", "U",
+    "ideal": Subspace, "j", "metric": Matrix, "lambda", "r": Bivector}, for
+    the blocks present."""
     dim = doc["algebra"]["dim"]
-    given = {}
-    for e in doc["algebra"].get("brackets", []):
-        i, j, v = e["x"] - 1, e["y"] - 1, vector(e["result"])
-        given[(i, j)], given[(j, i)] = v, tuple(-x for x in v)
-    out = {"table": table_over_fractions(dim, given)}
+
+    def table(entries):
+        given = {}
+        for e in entries:
+            i, j, v = e["x"] - 1, e["y"] - 1, vector(e["result"])
+            given[(i, j)], given[(j, i)] = v, tuple(-x for x in v)
+        return table_over_fractions(dim, given)
+
+    out = {"table": table(doc["algebra"].get("brackets", []))}
 
     def subspace(rows):
         return Subspace.from_ints(dim, scaled_sparse([vector(r) for r in rows])[1])
@@ -1055,10 +1055,7 @@ def parse_over_fractions(doc: dict) -> dict:
     if "ideal" in doc:
         out["ideal"] = subspace(doc["ideal"])
     if "extension" in doc:
-        out["alpha"] = {}
-        for e in doc["extension"].get("alpha", []):
-            s, (ints,) = scaled_sparse([vector(e["result"])])
-            out["alpha"][(e["x"] - 1, e["y"] - 1)] = (s, ints)
+        out["alpha"] = table(doc["extension"].get("alpha", []))
     return out
 
 

@@ -10,14 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crlie import (
-    Bivector, CRData, KahlerCRData, LieAlgebra, PseudoPoissonData, build_extension, catalog,
-    center_U, check_cr, check_kahler, check_left_symmetric, ideal_complement_complex,
+    Bivector, CRData, InputError, KahlerCRData, LieAlgebra, PseudoPoissonData, build_extension,
+    catalog, center_U, check_cr, check_kahler, check_left_symmetric, ideal_complement_complex,
     left_symmetric_product, omega_radical, parse_document, run_checks,
     semisimple_exactness, sl2, so3,
 )
 from crlie import checks, linalg
 from crlie.crkahler import induced_bracket
-from crlie.linalg import Matrix, Subspace
+from crlie.lie import IntTable
+from crlie.linalg import Matrix, Subspace, read_row
 from crlie.report import fmt_vec
 
 from oracles import (
@@ -260,22 +261,28 @@ def base_r2():
     return entry_payloads("heisenberg").kahler
 
 
-def lifted_extension(base, v_dim, alpha):
+def alpha_table(n, alpha):
+    """The table of alpha = {(a, b): rationals} as the parser reads it, each
+    pair mirrored."""
+    return IntTable.antisymmetric(n, {ab: read_row(v) for ab, v in alpha.items()})
+
+
+def lifted_extension(base, alpha):
     """The lifted algebra G + V from the oracle, and its report, which must
     equal the one `build_extension` reads off the base tables."""
-    data, rep = build_extension_lifted(base, v_dim, alpha)
-    assert build_extension(base, v_dim, alpha).to_dict() == rep.to_dict()
+    data, rep = build_extension_lifted(base, alpha)
+    assert build_extension(base, alpha).to_dict() == rep.to_dict()
     return data, rep
 
 
 def test_extension_with_zero_alpha_is_direct_sum():
-    data, rep = lifted_extension(base_r2(), 1, {})
+    data, rep = lifted_extension(base_r2(), alpha_table(2, {}))
     assert rep.passed
     assert data.algebra == LieAlgebra.from_brackets(3, {})
 
 
 def test_extension_heisenberg_type():
-    data, rep = lifted_extension(base_r2(), 1, {(0, 1): [1]})
+    data, rep = lifted_extension(base_r2(), alpha_table(2, {(0, 1): [1]}))
     assert rep.passed
     assert data.algebra == heisenberg3()
     assert check_kahler(data).passed
@@ -287,7 +294,7 @@ def test_extension_form_must_be_antisymmetric_as_well_as_closed():
     # rotation j gives w = [[0, -2], [1, 0]], which is not antisymmetric
     base = base_r2()
     k = KahlerCRData(base.cr, Matrix([[2, 0], [0, 1]]))
-    _, rep = lifted_extension(k, 1, {})
+    _, rep = lifted_extension(k, alpha_table(2, {}))
     assert rep.result("extension.jacobi").passed
     assert not rep.result("extension.omega_closed").passed
     assert check_kahler(k).result("kahler.omega_closed").passed
@@ -295,7 +302,7 @@ def test_extension_form_must_be_antisymmetric_as_well_as_closed():
 
 def test_extension_detects_non_j_invariant_alpha():
     k = entry_payloads("r4_ext_bad_alpha").kahler
-    data, rep = lifted_extension(k, 1, {(0, 2): [1]})
+    data, rep = lifted_extension(k, alpha_table(4, {(0, 2): [1]}))
     assert data is not None
     assert rep.result("extension.jacobi").passed
     assert rep.result("extension.cyclic").passed
@@ -305,8 +312,15 @@ def test_extension_detects_non_j_invariant_alpha():
 
 
 def test_extension_rejects_inconsistent_alpha():
-    with pytest.raises(ValueError, match="antisymmetric"):
-        build_extension(base_r2(), 1, {(0, 1): [1], (1, 0): [1]})
+    # alpha is read like the brackets, so a pair given both ways must be
+    # antisymmetric, and a conflict is an input error
+    doc = catalog.get("heisenberg").document
+    doc = {**doc, "extension": {**doc["extension"], "alpha": [
+        {"x": 1, "y": 2, "result": ["1"]}, {"x": 2, "y": 1, "result": ["1"]}]}}
+    with pytest.raises(InputError) as exc:
+        parse_document(doc)
+    assert exc.value.diagnostics == [
+        "extension.alpha: antisymmetry violated at (1,2,1): c=1 vs c=1"]
 
 
 # -- semisimple exactness ----------------------------------------------------
@@ -728,7 +742,7 @@ def test_extension_by_a_coboundary_passes_jacobi_and_cyclic(d, theta):
     n, c = d.algebra.dim, dense_tensor(d.algebra)
     alpha = {(a, b): [vdot(vector(theta), c[a][b])]
              for a in range(n) for b in range(a + 1, n)}
-    rep = build_extension(KahlerCRData(d, identity(n)), 1, alpha)
+    rep = build_extension(KahlerCRData(d, identity(n)), alpha_table(n, alpha))
     assert rep.result("extension.jacobi").passed
     assert rep.result("extension.cyclic").passed
 
@@ -766,27 +780,28 @@ def test_extension_matches_lifted_oracle_in_dense_bases(d, v_dim, data):
             if not is_zero(table[a][b]) or data.draw(st.booleans()):
                 key = (b, a) if data.draw(st.booleans()) else (a, b)
                 alpha[key] = table[key[0]][key[1]]
-    lifted_extension(KahlerCRData(d, identity(n)), v_dim, alpha)
+    lifted_extension(KahlerCRData(d, identity(n)), alpha_table(n, alpha))
 
 
 @pytest.mark.parametrize("entry_id", [e for e in catalog.ids()
                                       if "extension" in catalog.get(e).document])
 def test_extension_matches_lifted_oracle_on_catalog(entry_id):
     p = entry_payloads(entry_id)
-    lifted_extension(p.kahler, p.extension["v_dim"], p.extension["alpha"])
+    lifted_extension(p.kahler, p.extension)
 
 
 def test_extension_cost_does_not_grow_with_v_dim():
-    # nothing of size dim + V_dim is built; the lifted algebra of
-    # `build_extension_lifted` has (2 + 200)^3 structure constants here
-    base = base_r2()
+    # nothing of size V_dim is built, by the parser or by the checks; G + V
+    # would have (2 + 10^6)^3 structure constants here
+    doc = catalog.get("heisenberg").document
+    doc = {**doc, "extension": {"V_dim": 1000000, "alpha": []}}
     tracemalloc.start()
     try:
-        rep = build_extension(base, 200, {})
+        rep = run_checks(parse_document(doc))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rep.passed
+    assert rep.passed and rep.result("extension.omega_closed").passed
     assert peak < 2 ** 20
 
 

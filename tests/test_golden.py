@@ -4,8 +4,9 @@ Each golden file holds `exit <code>` on its first line and the command's
 stdout after it: `crlie check` in both formats on every catalog entry, on
 documents that reach the `ideal` and `extension` branches (passing and
 failing), on one whose Schouten residuals are reduced against a nonzero U,
-on one that fails closedness, on one that fails CR condition (2) and on
-one whose ideal is G and whose H is {0}, plus
+on one that fails closedness, on one that fails CR condition (2), on one
+whose ideal is G and whose H is {0} and on one whose center meets H
+properly, plus
 `construct left-symmetric` (also on H != G in a dense basis) and
 `schouten`.  The `demo-*` files hold the stdout of the scripts in `demos/`.
 After a deliberate change to the reports, regenerate the files with
@@ -112,6 +113,16 @@ def _cases() -> dict:
     docs["aff_aff_alpha_jacobi"] = _with(
         "aff_aff", extension={"V_dim": 1,
                               "alpha": [{"x": 2, "y": 3, "result": ["1"]}]})
+    # heisenberg(3), [e1, e2] = e3, with H = span{e1, e3}, j e1 = e3 and the
+    # metric I: every check passes.  The center span{e3} meets H properly, so
+    # center_U reaches the general branch of `Subspace.intersect`, and the
+    # radical span{e2} is nonzero and orthogonal to H
+    docs["heisenberg3_center_in_H"] = {
+        "algebra": {"dim": 3, "names": ["e1", "e2", "e3"], "brackets": [
+            {"x": 1, "y": 2, "result": ["0", "0", "1"]}]},
+        "cr": {"H": [["1", "0", "0"], ["0", "0", "1"]],
+               "j": [["0", "0", "-1"], ["0", "0", "0"], ["1", "0", "0"]]},
+        "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
     # H = {0} with the ideal G, which is supplementary to {0}: the tables on
     # H are empty and every check passes
     docs["abelian2_zero_H_ideal"] = {

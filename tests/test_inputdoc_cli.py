@@ -14,7 +14,6 @@ from crlie import (
     parse_text, run_checks,
 )
 from crlie.cli import main
-from crlie.linalg import read_row
 
 from oracles import parse_over_fractions
 
@@ -133,6 +132,10 @@ def _with_block(entry_id, key, **fields):
      "ideal: expected a list of rationals, not the object {'0': 0, '-0': 0, '1': 0, '0/1': 0}"),
     (_with_block("heisenberg", "extension", alpha=[{"x": 1, "y": 2, "result": {"1": "v"}}]),
      "extension.alpha[0]: expected a list of rationals, not the object {'1': 'v'}"),
+    # a pair of alpha given both ways must be antisymmetric, as for brackets
+    (_with_block("heisenberg", "extension", alpha=[{"x": 1, "y": 2, "result": ["1"]},
+                                                   {"x": 2, "y": 1, "result": ["1"]}]),
+     "extension.alpha: antisymmetry violated at (1,2,1): c=1 vs c=1"),
 ])
 def test_malformed_field_types_exit_two(tmp_path, capsys, doc, message):
     assert main(["check", write(tmp_path, doc)]) == 2
@@ -389,7 +392,7 @@ def payload_parts(p):
     if p.ideal is not None:
         out["ideal"] = p.ideal
     if p.extension is not None:
-        out["alpha"] = {ij: read_row(v) for ij, v in p.extension["alpha"].items()}
+        out["alpha"] = (p.extension.scale, p.extension.rows)
     return out
 
 

@@ -157,16 +157,13 @@ class KahlerCRData(Frozen):
         anti = [witness(x=names[a], y=names[b]) for a in range(n) for b in range(a, n)
                 if om[a].get(b, 0) != -om[b].get(a, 0)]
 
-        # W[a, b, t] = w([e_a, e_b], e_t) = sum_m c[a][b][m] omega[m, t], times
-        # the scales of c and omega, kept for the nonzero brackets only
-        table, om = alg.table, dict(enumerate(om))
-        W = {(a, b, t): x for a, row in enumerate(table.rows) for b, v in row.items()
-             for t, x in contraction([(1, v, om)]).items()}
-        # S(a, b, t) = W[a, b, t] + W[t, a, b] + W[b, t, a] is cyclic and, as W is
-        # antisymmetric in a, b, alternating: it vanishes when two indices agree,
-        # and its value on a < b < t fixes it on the five other orderings
-        failing = [(a, b, t) for a, b, t in table.triples()
-                   if W.get((a, b, t), 0) + W.get((t, a, b), 0) + W.get((b, t, a), 0)]
+        # dw = 0 is the Jacobi identity of the central extension G + R by w, so
+        # cyclic_nonzero(c, O, a, b, t) with O[t] = {l: {0: w(e_l, e_t)}} tests
+        # w([e_a, e_b], e_t) + w([e_t, e_a], e_b) + w([e_b, e_t], e_a).  As c is
+        # antisymmetric, that sum is alternating: it vanishes when two indices
+        # agree, and its value on a < b < t fixes it on the five other orderings
+        O = [{l: {0: x} for l, x in row.items()} for row in self.omega_matrix.transpose().ints]
+        failing = [t for t in alg.table.triples() if cyclic_nonzero(alg.table.rows, O, *t)]
         return anti, [witness(x=names[a], y=names[b], z=names[t])
                       for a, b, t in sorted(p for abt in failing for p in permutations(abt))]
 
@@ -409,16 +406,11 @@ def ideal_complement_complex(d: CRData, ideal: Subspace) -> tuple[LieAlgebra, Ma
     s, R, _ = rref(Matrix.from_ints(n, 1, columns).transpose().ints, n + len(pairs))
     X = Matrix.from_ints(len(pairs), s * sB,
                          [{p - n: H.scale * x for p, x in r.items() if p >= n} for r in R[:m]])
-    rows = [{} for _ in range(m)]
-    for e, row in enumerate(X.ints):
-        for p, x in row.items():
-            a, b = pairs[p]
-            rows[a].setdefault(b, {})[e] = x
-            rows[b].setdefault(a, {})[e] = -x
-    quotient_like = LieAlgebra(IntTable(m, X.scale, rows), names=[f"h{i + 1}" for i in range(m)],
-                               validate=False)
+    # X is in lowest terms, so the table is canonical
+    table = IntTable.antisymmetric(m, dict(zip(pairs, ((X.scale, c) for c in X.transpose().ints))))
+    quotient_like = LieAlgebra(table, names=[f"h{i + 1}" for i in range(m)], validate=False)
     rep = Report()
-    bad = quotient_like.table.violations()
+    bad = table.violations()
     rep.add("ideal.jacobi", not bad,
             [witness(kind=k, indices=str(tuple(i + 1 for i in idx))) for k, idx in bad])
 
@@ -427,8 +419,8 @@ def ideal_complement_complex(d: CRData, ideal: Subspace) -> tuple[LieAlgebra, Ma
     sJ, J = d.jH
     jmap, fmt = dict(enumerate(J)), [fmt_vec(alg.names, h, H.scale) for h in H.ints]
     wj = [witness(x=fmt[a], y=fmt[b]) for a, b in pairs
-          if contraction([(1, rows[a].get(b, {}), jmap),
-                          (-1, J[a], {e: r.get(b, {}) for e, r in enumerate(rows)})])]
+          if contraction([(1, table.rows[a].get(b, {}), jmap),
+                          (-1, J[a], {e: r.get(b, {}) for e, r in enumerate(table.rows)})])]
     rep.add("ideal.complex_structure", not wj, wj)
     return quotient_like, Matrix.from_ints(m, sJ, J).transpose(), rep
 

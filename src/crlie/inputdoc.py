@@ -45,31 +45,36 @@ def _int(value) -> int:
 
 def _list(block: dict, key: str, where: str, diags) -> list:
     """block[key] (default []) when it is a list; otherwise [] and a diagnostic."""
-    value = block.get(key, [])
-    if isinstance(value, list):
-        return value
-    diags.append(f"{where}: must be a list")
-    return []
+    return _build(list, block.get(key, []), where, diags) or []
 
 
-def _matrix(rows, n_cols, where, diags) -> Optional[Matrix]:
+def _build(build, value, where, diags):
+    """build(value) for a list value; otherwise, or when build refuses it,
+    None and a diagnostic."""
+    if not isinstance(value, list):
+        diags.append(f"{where}: must be a list")
+        return None
     try:
-        m = Matrix(rows)
+        return build(value)
     except (ValueError, TypeError) as e:
         diags.append(f"{where}: {e}")
         return None
-    if m.cols != n_cols:
-        diags.append(f"{where}: expected {n_cols} columns, got {m.cols}")
-        return None
-    return m
+
+
+def _matrix(rows, n, where, diags) -> Optional[Matrix]:
+    """The n x n matrix with the given rows, or None and a diagnostic."""
+    m = _build(Matrix, rows, where, diags)
+    if m is not None and m.cols != n:
+        diags.append(f"{where}: expected {n} columns, got {m.cols}")
+    elif m is not None and m.rows != n:
+        diags.append(f"{where}: expected {n} rows, got {m.rows}")
+    else:
+        return m
+    return None
 
 
 def _subspace(rows, dim, where, diags) -> Optional[Subspace]:
-    try:
-        return Subspace.span(rows, dim)
-    except (ValueError, TypeError) as e:
-        diags.append(f"{where}: {e}")
-        return None
+    return _build(lambda r: Subspace.span(r, dim), rows, where, diags)
 
 
 def _bivector(entries, dim, where, diags) -> Optional[Bivector]:
@@ -172,13 +177,11 @@ def parse_document(doc: dict) -> Payloads:
         block = doc["cr"]
         H = _subspace(block.get("H", []), dim, "cr.H", diags)
         j = _matrix(block.get("j", []), dim, "cr.j", diags)
-        if H is not None and j is not None and j.rows == dim:
+        if H is not None and j is not None:
             try:
                 payloads.cr = CRData(algebra, H, j)
             except ValueError as e:
                 diags.append(f"cr: {e}")
-        elif j is not None and j.rows != dim:
-            diags.append(f"cr.j: expected {dim} rows, got {j.rows}")
 
     if "metric" in doc:
         if payloads.cr is None:
@@ -186,13 +189,10 @@ def parse_document(doc: dict) -> Payloads:
         else:
             m = _matrix(doc["metric"], dim, "metric", diags)
             if m is not None:
-                if m.rows != dim:
-                    diags.append(f"metric: expected {dim} rows, got {m.rows}")
-                else:
-                    try:
-                        payloads.kahler = KahlerCRData(payloads.cr, m)
-                    except ValueError as e:
-                        diags.append(f"metric: {e}")
+                try:
+                    payloads.kahler = KahlerCRData(payloads.cr, m)
+                except ValueError as e:
+                    diags.append(f"metric: {e}")
 
     if "poisson" in doc:
         block = doc["poisson"]

@@ -1,15 +1,16 @@
 """Lie algebras given by exact rational structure constants.
 
 Brackets are computed by `linalg.contraction`, the sparse kernel through
-which every table in crlie is read.  `LieAlgebra.__eq__` and `__hash__`
-compare the canonical table; no check calls them, and they are kept as
-library API.
+which every table in crlie is read; `IntTable.antisymmetric` builds every
+table given by its pairs and `cyclic_nonzero` decides every cyclic identity.
+`LieAlgebra.__eq__` and `__hash__` compare the canonical table; no check
+calls them, and they are kept as library API.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .linalg import (
     Frozen, Matrix, Subspace, Vector, common_scale, contraction, kernel, read_row, rref,
@@ -38,8 +39,12 @@ class IntTable:
     entries, grouped per row.  Both are canonical, so two tables hold the same
     c exactly when their dim, scale and rows agree.  The constructor takes the
     three as they are; `from_rows` and `antisymmetric` compute them from c.
+    `antisymmetric` builds every table given by its pairs: the parsed
+    brackets and alpha, `so3`, `sl2`, the ideal's projected bracket and xy - yx.
     The same row form, lists of {j: {k: x}}, holds the tables on H
-    in `crkahler`; `linalg.contraction` reads any table in it."""
+    in `crkahler`; `linalg.contraction` reads any table in it.  The brackets
+    on H mirror their pairs by hand: they share one scale, and `from_rows`
+    (sort, lcm, rescale) would nearly double their cost on a dense document."""
 
     __slots__ = ("dim", "scale", "rows")
 
@@ -95,8 +100,8 @@ def cyclic_nonzero(inner, outer, i: int, j: int, k: int) -> bool:
     `IntTable.rows`.  With inner = outer = c it is the Jacobiator
     [e_i,[e_j,e_k]] + [e_k,[e_i,e_j]] + [e_j,[e_k,e_i]], as
     [e_a, sum_l x_l e_l] = sum_l x_l c[a][l]."""
-    return bool(contraction(
-        (1, inner[b].get(c, {}), outer[a]) for a, b, c in ((i, j, k), (k, i, j), (j, k, i))))
+    return bool(contraction([(1, inner[j].get(k, {}), outer[i]), (1, inner[i].get(j, {}), outer[k]),
+                             (1, inner[k].get(i, {}), outer[j])]))
 
 
 class LieAlgebra(Frozen):
@@ -125,19 +130,6 @@ class LieAlgebra(Frozen):
         object.__setattr__(self, "table", c)
         object.__setattr__(self, "_killing", None)
         object.__setattr__(self, "_semisimple", None)
-
-    @classmethod
-    def from_brackets(cls, dim: int, brackets: Mapping[tuple[int, int], Iterable],
-                      names: Optional[Sequence[str]] = None) -> "LieAlgebra":
-        """Build from a sparse table {(i, j): [e_i, e_j]} with i < j, 0-based."""
-        entries = {}
-        for (i, j), v in brackets.items():
-            if not (0 <= i < j < dim):
-                raise ValueError(f"bracket indices out of range or not i<j: {(i, j)}")
-            entries[(i, j)] = read_row(v)
-            if len(v) != dim:
-                raise ValueError(f"bracket value at {(i, j)} has wrong dimension")
-        return cls(IntTable.antisymmetric(dim, entries), names=names)
 
     # -- basic operations --------------------------------------------------
 
@@ -223,21 +215,15 @@ class LieAlgebra(Frozen):
         return f"LieAlgebra(dim={self.dim}, names={list(self.names)})"
 
 
-# -- standard algebras used throughout the test-bed -------------------------
+# -- standard algebras, each built from its antisymmetric table -------------
 
 def so3() -> LieAlgebra:
-    return LieAlgebra.from_brackets(3, {
-        (0, 1): [0, 0, 1],    # [e1,e2] = e3
-        (0, 2): [0, -1, 0],   # [e1,e3] = -e2
-        (1, 2): [1, 0, 0],    # [e2,e3] = e1
-    })
+    # [e1,e2] = e3, [e1,e3] = -e2, [e2,e3] = e1
+    return LieAlgebra(IntTable.antisymmetric(3, {
+        (0, 1): (1, {2: 1}), (0, 2): (1, {1: -1}), (1, 2): (1, {0: 1})}))
 
 
 def sl2() -> LieAlgebra:
-    # basis (e, f, h): [e,f] = h, [h,e] = 2e, [h,f] = -2f
-    return LieAlgebra.from_brackets(3, {
-        (0, 1): [0, 0, 1],
-        (0, 2): [-2, 0, 0],   # [e,h] = -2e
-        (1, 2): [0, 2, 0],    # [f,h] = 2f
-    }, names=["e", "f", "h"])
-
+    # basis (e, f, h): [e,f] = h, [e,h] = -2e, [f,h] = 2f
+    return LieAlgebra(IntTable.antisymmetric(3, {
+        (0, 1): (1, {2: 1}), (0, 2): (1, {0: -2}), (1, 2): (1, {1: 2})}), names=["e", "f", "h"])

@@ -44,7 +44,8 @@ traces, maps on Lambda^k by minors, the parse conversion and the number
 formatters over `Fraction`.  `supplementary_by_intersection` keeps the
 library's former test for H + U = G direct.  `int_table` goes the other way from
 `dense_tensor`, for tests that build an algebra from a dense tensor, and
-`direct_sum` builds a block algebra through it; no oracle calls either.
+`direct_sum` builds a block algebra through it; `from_brackets` builds an
+algebra from its brackets on pairs.  No oracle calls any of the three.
 """
 
 from fractions import Fraction
@@ -53,7 +54,7 @@ from itertools import product as iproduct
 from math import lcm, prod
 from typing import Mapping
 
-from crlie import Bivector, LieAlgebra, Trivector
+from crlie import Bivector, LieAlgebra, Trivector, parse_document
 from crlie.crkahler import CRData, KahlerCRData, LeftSymmetricProduct
 from crlie.lie import IntTable
 from crlie.linalg import Matrix, Subspace, Vector, rat, read_row
@@ -372,6 +373,13 @@ def int_table(c) -> IntTable:
     """The table of a dense tensor c, antisymmetric or not: `dense_tensor` inverted."""
     return IntTable.from_rows(len(c), {(i, j): read_row(v) for i, row in enumerate(c)
                                        for j, v in enumerate(row)})
+
+
+def from_brackets(dim: int, brackets: Mapping, names=None) -> LieAlgebra:
+    """The Lie algebra with [e_i, e_j] = brackets[(i, j)], a list of rationals,
+    for 0-based pairs, each mirrored, and zero at every pair not listed."""
+    return LieAlgebra(IntTable.antisymmetric(dim, {ij: read_row(v) for ij, v in brackets.items()}),
+                      names)
 
 
 def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
@@ -859,13 +867,17 @@ def build_extension_lifted(base: KahlerCRData, alpha):
     anti, closed = omega_defects_by_triples(c, om, ext_names)
     rep.add("extension.omega_closed", not anti and not closed)
 
-    big = LieAlgebra.from_brackets(total, {(a, b): c[a][b]
-                                           for a, b in combinations(range(total), 2)},
-                                   names=ext_names)
-    H_ext = Subspace.span([tuple(h) + zero_vector(v_dim) for h in base.H.basis], total)
-    data = KahlerCRData(CRData(big, H_ext, block_diag(base.j, zeros(v_dim, v_dim))),
-                        block_diag(base.metric, identity(v_dim)))
-    return data, rep
+    # the lifted data, read by the parser from the document of G + V
+    def text(rows):
+        return [[str(x) for x in r] for r in rows]
+
+    doc = {"algebra": {"dim": total, "names": ext_names, "brackets": [
+               {"x": a + 1, "y": b + 1, "result": [str(x) for x in c[a][b]]}
+               for a, b in combinations(range(total), 2)]},
+           "cr": {"H": text(h + zero_vector(v_dim) for h in base.H.basis),
+                  "j": text(rows_of(block_diag(base.j, zeros(v_dim, v_dim))))},
+           "metric": text(rows_of(block_diag(base.metric, identity(v_dim))))}
+    return parse_document(doc).kahler, rep
 
 
 def semisimple_exactness_full_system(k: KahlerCRData):

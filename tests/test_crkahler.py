@@ -25,15 +25,15 @@ from oracles import (
     basis_vector, bilinear, block_diag, bracket, build_extension_lifted, center_U_ambient,
     check_cr_ambient, check_j_invariance_ambient, check_kahler_by_triples,
     check_left_symmetric_ambient, check_pseudo_poisson_ambient, coboundary_pi_ambient, column,
-    crdata_error_ambient, dense_tensor, densify, det_over_fractions, direct_sum, from_columns,
-    h_coordinates,
-    ideal_complement_complex_ambient, identity, int_table, is_zero,
+    crdata_error_ambient, dense_tensor, densify, det_over_fractions, direct_sum, from_brackets,
+    from_columns, h_coordinates, ideal_complement_complex_ambient, identity, int_table, is_zero,
     left_symmetric_product_by_solves, mat_add, mat_scale, matvec, omega, omega_radical_ambient,
-    product_from_coordinates, rows_of, semisimple_exactness_full_system,
+    omega_rows, product_from_coordinates, rows_of, semisimple_exactness_full_system,
     supplementary_by_intersection, unscaled, vadd, vdot, vector, zeros,
 )
 from strategies import fractions
 from test_golden import AFF_AFF_R_DENSE, CASES
+from test_inputdoc_cli import DOCUMENTS
 from test_lie import heisenberg3
 
 
@@ -217,7 +217,7 @@ def heisenberg_r2_kahler():
     """heisenberg3 + R^2 with H = span(e1, e2, e4, e5), j e1 = -e4, j e2 = -e5:
     the center meets H in span(e4, e5), j moves it onto e1, e2, and U = H is
     neither commutative nor stabilizes H, as [e1, e2] = e3."""
-    g = direct_sum(heisenberg3(), LieAlgebra.from_brackets(2, {}))
+    g = direct_sum(heisenberg3(), from_brackets(2, {}))
     H = Subspace.span([basis_vector(5, i) for i in (0, 1, 3, 4)], 5)
     j = Matrix([[0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0] * 5, [-1, 0, 0, 0, 0], [0, -1, 0, 0, 0]])
     return KahlerCRData(CRData(g, H, j), identity(5))
@@ -234,18 +234,18 @@ def test_center_U_failures_carry_witnesses():
 def test_ideal_complement_abelian(rn_kahler):
     ideal = Subspace.span([basis_vector(4, 2), basis_vector(4, 3)], 4)
     alg, jH, rep = ideal_complement_complex(rn_kahler.cr, ideal)
-    assert alg == LieAlgebra.from_brackets(2, {})
+    assert alg == from_brackets(2, {})
     assert rep.passed
 
 
 def test_ideal_complement_heisenberg_plus_r2():
-    g = direct_sum(heisenberg3(), LieAlgebra.from_brackets(2, {}))
+    g = direct_sum(heisenberg3(), from_brackets(2, {}))
     H = Subspace.span([basis_vector(5, 3), basis_vector(5, 4)], 5)
     cols = [(0,) * 5] * 3 + [vector([0, 0, 0, 0, 1]), vector([0, 0, 0, -1, 0])]
     j = from_columns([vector(c) for c in cols])
     ideal = Subspace.span([basis_vector(5, t) for t in range(3)], 5)
     alg, _, rep = ideal_complement_complex(CRData(g, H, j), ideal)
-    assert alg == LieAlgebra.from_brackets(2, {})
+    assert alg == from_brackets(2, {})
     assert rep.passed
 
 
@@ -278,7 +278,7 @@ def lifted_extension(base, alpha):
 def test_extension_with_zero_alpha_is_direct_sum():
     data, rep = lifted_extension(base_r2(), alpha_table(2, {}))
     assert rep.passed
-    assert data.algebra == LieAlgebra.from_brackets(3, {})
+    assert data.algebra == from_brackets(3, {})
 
 
 def test_extension_heisenberg_type():
@@ -605,7 +605,7 @@ def unimodular(draw, n):
 
 CR_ALGEBRAS = {
     "so3+so3": direct_sum(so3(), so3()),
-    "aff_aff+R": direct_sum(entry_payloads("aff_aff").algebra, LieAlgebra.from_brackets(1, {})),
+    "aff_aff+R": direct_sum(entry_payloads("aff_aff").algebra, from_brackets(1, {})),
     "sl2+heisenberg": direct_sum(sl2(), heisenberg3()),
 }
 
@@ -666,7 +666,7 @@ def test_supplementary_rank_test_matches_intersection(d, data):
     # the supplementary test of ideal_complement_complex as well as that of
     # PseudoPoissonData; both raise as before exactly when H + U = G is not direct
     n = d.algebra.dim
-    cr = CRData(LieAlgebra.from_brackets(n, {}), d.H, d.j)
+    cr = CRData(from_brackets(n, {}), d.H, d.j)
     U = data.draw(subspaces_around(d.H))
     direct = supplementary_by_intersection(d.H, U)
     for build, message in [
@@ -790,6 +790,43 @@ def test_extension_matches_lifted_oracle_on_catalog(entry_id):
     lifted_extension(p.kahler, p.extension)
 
 
+def omega_extension_documents() -> dict:
+    """{name: document} for each catalog entry and seed-1 workload document
+    with H = G and an antisymmetric w, its extension block replaced by the
+    central extension G + R by w: V_dim 1 and alpha(e_a, e_b) = w(e_a, e_b)."""
+    out = {}
+    for name, doc in DOCUMENTS.items():
+        k = parse_document(doc).kahler
+        if k is None or k.H.dim != k.algebra.dim:
+            continue
+        om, n = omega_rows(k), k.algebra.dim
+        if any(om[a][b] != -om[b][a] for a in range(n) for b in range(a, n)):
+            continue
+        alpha = [{"x": a + 1, "y": b + 1, "result": [str(om[a][b])]}
+                 for a in range(n) for b in range(a + 1, n) if om[a][b]]
+        out[name] = {**doc, "extension": {"V_dim": 1, "alpha": alpha}}
+    return out
+
+
+def test_closedness_is_the_jacobi_identity_of_the_extension_by_omega():
+    # dw = 0 is the Jacobi identity of G + R by w: extension.jacobi fails
+    # exactly on the triples a < b < t among the kahler.omega_closed witnesses
+    failing = set()
+    for name, doc in omega_extension_documents().items():
+        p = parse_document(doc)
+        rep, index = run_checks(p), {x: i + 1 for i, x in enumerate(p.algebra.names)}
+        closed = {str(t) for t in (tuple(index[dict(w)[v]] for v in "xyz")
+                                   for w in rep.result("kahler.omega_closed").witnesses)
+                  if t == tuple(sorted(t))}
+        jacobi = {dict(w)["indices"] for w in rep.result("extension.jacobi").witnesses}
+        assert jacobi == closed, name
+        assert rep.result("extension.jacobi").passed == rep.result("kahler.omega_closed").passed
+        if closed:
+            failing.add(name.rpartition(":")[2].split("@")[0])
+    # the coupled metrics of reject_dense are the documents that fail closedness
+    assert failing == {"aff_coupled^2", "aff_coupled^3", "aff_coupled^4"}
+
+
 def test_extension_cost_does_not_grow_with_v_dim():
     # nothing of size V_dim is built, by the parser or by the checks; G + V
     # would have (2 + 10^6)^3 structure constants here
@@ -809,7 +846,7 @@ def aff_power_kahler(k):
     """aff(R)^k, [e_{2i-1}, e_{2i}] = e_{2i}, with H = G, the rotation j of
     each block and the metric I."""
     n, rotation = 2 * k, Matrix([[0, -1], [1, 0]])
-    g = LieAlgebra.from_brackets(n, {(2 * i, 2 * i + 1): basis_vector(n, 2 * i + 1)
+    g = from_brackets(n, {(2 * i, 2 * i + 1): basis_vector(n, 2 * i + 1)
                                      for i in range(k)})
     j = rotation
     for _ in range(k - 1):
@@ -996,7 +1033,7 @@ def test_ideal_complement_keeps_the_scale_of_H(name):
     # projected bracket is [h1, h2]' = h2, as given and in the basis q_i e_i
     p = parse_document(IDEAL_DOCS[name])
     alg, _, _ = ideal_complement_complex(p.cr, p.ideal)
-    assert alg == LieAlgebra.from_brackets(2, {(0, 1): [0, 1]})
+    assert alg == from_brackets(2, {(0, 1): [0, 1]})
     assert_ideal_complement_matches_oracle(p.cr, p.ideal)
     assert_ideal_complement_matches_oracle(*rescaled_ideal(p.cr, p.ideal, [Fraction(-2, 3), Fraction(3), Fraction(1)]))
 

@@ -136,6 +136,14 @@ def _with_block(entry_id, key, **fields):
     (_with_block("heisenberg", "extension", alpha=[{"x": 1, "y": 2, "result": ["1"]},
                                                    {"x": 2, "y": 1, "result": ["1"]}]),
      "extension.alpha: antisymmetry violated at (1,2,1): c=1 vs c=1"),
+    # a block of rows that is not a list is refused, not read as no rows
+    *((_with_block("so3_cr", "cr", **{key: value}), f"cr.{key}: must be a list")
+      for key in ("H", "j") for value in ({}, "")),
+    *(({**catalog.get("so3_cr").document, "metric": value}, "metric: must be a list")
+      for value in ({}, "")),
+    *((_with_block("sl2", "poisson", U=value), "poisson.U: must be a list") for value in ({}, "")),
+    *(({**catalog.get("sl2").document, "ideal": value}, "ideal: must be a list")
+      for value in ({}, "")),
 ])
 def test_malformed_field_types_exit_two(tmp_path, capsys, doc, message):
     assert main(["check", write(tmp_path, doc)]) == 2

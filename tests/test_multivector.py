@@ -10,8 +10,8 @@ from crlie.linalg import Matrix, Subspace
 from crlie.multivector import derive_ints, push_ints, wedge_subspace_residual
 
 from oracles import (
-    apply_exterior_power, basis_vector, coefficients, column, combine, identity, int_table,
-    rows_of, schouten_decomposable, vector, wedge_coeffs, wedge_span_remainder,
+    apply_exterior_power, basis_vector, coefficients, column, combine, from_brackets, identity,
+    int_table, rows_of, schouten_decomposable, vector, wedge_coeffs, wedge_span_remainder,
 )
 from strategies import fractions
 
@@ -140,7 +140,7 @@ def test_push_and_derive_match_fraction_oracles(cls, data):
 # -- schouten ----------------------------------------------------------------
 
 def test_schouten_abelian_vanishes():
-    g = LieAlgebra.from_brackets(4, {})
+    g = from_brackets(4, {})
     p = Bivector(4, {(0, 1): 1, (2, 3): Fraction(1, 2)})
     q = Bivector(4, {(0, 2): -1})
     assert schouten(g, p, q).is_zero()

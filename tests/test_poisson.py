@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crlie import (
-    Bivector, LieAlgebra, PseudoPoissonData, check_cocycle, check_j_invariance,
+    Bivector, PseudoPoissonData, check_cocycle, check_j_invariance,
     check_pseudo_poisson, coboundary_delta, coboundary_pi, schouten, sl2, so3,
 )
 from crlie.linalg import Matrix, Subspace
@@ -14,7 +14,7 @@ from crlie.linalg import Matrix, Subspace
 from oracles import (
     ad_rows, apply_exterior_power, basis_vector, check_cocycle_ambient, check_j_invariance_ambient,
     check_pseudo_poisson_ambient, coboundary_pi_ambient, coefficients, combine, dense_tensor,
-    direct_sum, lincomb, matvec, schouten_decomposable, vadd, wedge_coeffs, zeros,
+    direct_sum, from_brackets, lincomb, matvec, schouten_decomposable, vadd, wedge_coeffs, zeros,
 )
 from strategies import fractions
 from test_crkahler import dense_cr_data, rescaled, units
@@ -47,7 +47,7 @@ def test_so3_membership_fails_with_zero_U():
 
 
 def test_abelian_membership_trivially_true():
-    g = LieAlgebra.from_brackets(4, {})
+    g = from_brackets(4, {})
     d = PseudoPoissonData(g, Subspace.from_ints(4, [{0: 1}, {1: 1}, {2: 1}, {3: 1}]),
                           Subspace.from_ints(4, []), zeros(4, 4),
                           Bivector(4, {(0, 1): 1, (2, 3): 1}))
@@ -98,7 +98,7 @@ def test_sl2_r_matrix_invariant_for_every_U():
 
 
 def test_abelian_coboundary_trivially_passes():
-    g = LieAlgebra.from_brackets(3, {})
+    g = from_brackets(3, {})
     rep = coboundary_pi(g, Bivector(3, {(0, 1): 2, (1, 2): -1}), Subspace.from_ints(3, []))
     assert rep.passed
 
@@ -115,7 +115,7 @@ def test_mixed_factor_fixture_fails_found_by_search():
     """The genuinely failing fixture lives on so(3) + R and was discovered
     by searching sign patterns of block-mixing r; frozen here with its
     witness generator."""
-    g = direct_sum(so3(), LieAlgebra.from_brackets(1, {}))
+    g = direct_sum(so3(), from_brackets(1, {}))
     r = Bivector(4, {(0, 1): 1, (0, 3): 1})
     rep = coboundary_pi(g, r, Subspace.from_ints(4, []))
     res = rep.result("poisson.coboundary_invariance")
@@ -171,8 +171,8 @@ def test_cocycle_refuses_bivectors_of_another_dimension(dim):
 
 def test_random_coboundaries_always_cocycles():
     rng = random.Random(11)
-    algebras = [so3(), sl2(), LieAlgebra.from_brackets(3, {}),
-                direct_sum(so3(), LieAlgebra.from_brackets(1, {}))]
+    algebras = [so3(), sl2(), from_brackets(3, {}),
+                direct_sum(so3(), from_brackets(1, {}))]
     for _ in range(20):
         g = rng.choice(algebras)
         keys = list(combinations(range(g.dim), 2))

@@ -14,12 +14,14 @@ table; no check calls it, and it is kept as library API.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, permutations
+from itertools import chain, permutations, repeat
 from math import gcd
+from operator import mul
 from typing import Optional
 
 from .lie import IntTable, LieAlgebra, cyclic_nonzero
-from .linalg import Frozen, Matrix, Subspace, Vector, contraction, kernel, rref, solve
+from .linalg import (Frozen, Matrix, Subspace, Vector, contraction, kernel, pack, rref, solve,
+                     unpack)
 from .report import Report, fmt_vec, witness
 
 
@@ -200,36 +202,49 @@ def check_cr(d: CRData) -> Report:
     (2) [X,Y] - [jX,jY] in H, and
     (3) [jX,jY] = [X,Y] + j([X,jY] + [jX,Y]).
 
-    Every bracket is a contraction of the table B = d.brackets: with
-    K[a][b] = [j h_a, h_b] = sum_e jH[a][e] B[e][b] = -sum_e jH[a][e] B[b][e],
-    formed only for the b with some B[b][e] != 0 where jH[a][e] != 0,
-    [j h_a, j h_b] is sum_f jH[b][f] K[a][f] and [h_a, j h_b] = -K[b][a].
-    Both conditions are tested on integers: (2) on s_J^2 s_B times the
-    difference, (3) on s_j s_J^2 s_B times both sides."""
+    Every bracket is a combination of the table B = d.brackets: with
+    K[a][b] = [j h_a, h_b] = sum_e jH[a][e] B[e][b], formed only for the b
+    with some B[e][b] != 0 where jH[a][e] != 0, [j h_a, j h_b] is
+    sum_f jH[b][f] K[a][f] and [h_a, j h_b] = -K[b][a].  Both conditions are
+    tested on integers: (2) on s_J^2 s_B times the difference, (3) on
+    s_j s_J^2 s_B times both sides.  Each bracket v is `pack`ed with its image
+    as [v | s_j j v] in 2n slots of w bits, so a combination is one integer
+    P = r + q 2^N, N = w n, with r its first n slots, |r| < 2^(N-1), and
+    q = (P + 2^(N-1)) >> N; only a witness or a test in a proper H unpacks."""
     rep = Report()
-    (sB, B), (sJ, J), sj = d.brackets, d.jH, d.j.scale
-    columns = dict(enumerate(d.j.transpose().ints))
+    (sB, B), (sJ, J), j = d.brackets, d.jH, d.j
     basis, sh, names = d.H.ints, d.H.scale, d.algebra.names
-    m = len(basis)
-    # B is antisymmetric, so B[b][e] != 0 exactly when b is a key of B[e]
-    K = [{b: contraction([(-1, row, B[b])]) for b in {b for e in row for b in B[e]}}
-         for row in J]
-    # a contraction with the unit rows adds sparse vectors
-    unit, s2, s3 = {k: {k: 1} for k in range(d.algebra.dim)}, sJ * sJ * sB, sj * sJ * sJ * sB
-    w2, w3 = [], []
+    m, proper = len(basis), d.H.dim < d.algebra.dim
+    # With beta the largest |entry| of B and r_J, r_j the largest row L1 norms of J and
+    # s_j j, the digits of K, (2), K[a][b] - K[b][a] and its image under s_j j are at most
+    # r_J, s_J^2 + r_J^2, 2 r_J and 2 r_J r_j times beta: w bounds (3), so all, as s_J r_j >= 1
+    entries = chain.from_iterable(map(dict.values, chain.from_iterable(map(dict.values, B))))
+    rJ, rj = (max((sum(map(abs, r.values())) for r in t), default=0) for t in (J, j.ints))
+    w = (max(map(abs, entries), default=0)
+         * (j.scale * (sJ * sJ + rJ * rJ) + 2 * sJ * rJ * rj)).bit_length() + 1
+    N = w * d.algebra.dim
+    # E[k] packs [e_k | column k of s_j j], so sum_k v_k E[k] packs [v | s_j j v]
+    E = [(1 << w * k) + (pack(c, w) << N) for k, c in enumerate(j.transpose().ints)]
+    PB = {a: {} for a in range(m)}  # B is antisymmetric: each bracket is packed once
+    for a, row in enumerate(B):
+        for b, v in row.items():
+            PB[a][b] = -PB[b][a] if b < a else sum(map(mul, v.values(), map(E.__getitem__, v)))
+    K = [contraction([(1, row, PB)]) for row in J]  # it adds packed vectors too
+    s2, w2, w3, half, zeros = sJ * sJ * sB, [], [], 1 << N >> 1, repeat(0)
     for a, x in enumerate(basis):
         for b in range(a + 1, m):
-            # s_J^2 s_B ([h_a, h_b] - [j h_a, j h_b]), and s_j times its negative
-            # minus s_J j([j h_a, h_b] - [j h_b, h_a])
-            diff = contraction([(sJ * sJ, {b: 1}, B[a]), (-1, J[b], K[a])])
-            if not d.H.contains(diff):
+            # s_J^2 s_B ([h_a, h_b] - [j h_a, j h_b]) is r, and s_j times its negative
+            # minus s_J j([j h_a, h_b] - [j h_b, h_a]) reads q of K[a][b] - K[b][a]
+            P = sJ * sJ * PB[a].get(b, 0) - sum(map(mul, J[b].values(), map(K[a].get, J[b], zeros)))
+            diff = P and P - ((P + half) >> N << N)
+            if proper and not d.H.contains(unpack(diff, w)):
                 w2.append(witness(x=fmt_vec(names, x, sh), y=fmt_vec(names, basis[b], sh),
-                                  offending=fmt_vec(names, diff, s2)))
-            jk = contraction([(1, K[a].get(b, {}), unit), (-1, K[b].get(a, {}), unit)])
-            offending = contraction([(-sj, diff, unit), (-sJ, jk, columns)])
+                                  offending=fmt_vec(names, unpack(diff, w), s2)))
+            P = K[a].get(b, 0) - K[b].get(a, 0)
+            offending = -j.scale * diff - sJ * (P and (P + half) >> N)
             if offending:
                 w3.append(witness(x=fmt_vec(names, x, sh), y=fmt_vec(names, basis[b], sh),
-                                  offending=fmt_vec(names, offending, s3)))
+                                  offending=fmt_vec(names, unpack(offending, w), j.scale * s2)))
     rep.add("cr.condition2", not w2, w2)
     rep.add("cr.condition3", not w3, w3)
     return rep

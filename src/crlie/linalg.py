@@ -8,20 +8,22 @@ equality is a comparison; `__eq__` and `__hash__` are kept as library API.
 Vectors inside the library are sparse integer rows {k: x} over their
 nonzero entries, as `Subspace.reduce` and `contains` take them.
 
-Two kernels do the library's sparse integer arithmetic, and the cost of
-each follows the entries it reads, not the size of the space:
-`contraction` sums sparse vectors against rows of a table (a bracket, a
-matrix product, a map applied to a vector), and `remainder` reduces a
-vector against rows keyed by their pivot columns, visiting only the
-vector's own entries.  One fraction-free Gauss-Jordan elimination,
-`_echelon`, built on `remainder`, serves `rref`, `kernel`, `solve`,
-`Subspace.supplements`, the Killing form's rank and the leading minors:
-Bareiss's exact division (Math. Comp. 22 (1968) 565-578) in the
-Gauss-Jordan form of Nakos, Turner and Williams (ACM SIGSAM Bull. 31(3),
-1997).  Rationals are read by `read_row`, straight into one integer row
-over its least common denominator; `Fraction` appears there only for a
-spelling other than the canonical ones, and otherwise only where an entry
-or a dense vector is handed out (and where such a `Fraction` is formatted).
+Two kernels do the library's sparse integer arithmetic, and the cost of each
+follows the entries it reads, not the size of the space: `contraction` sums
+sparse vectors against rows of a table (a bracket, a matrix product, a map
+applied to a vector), and `remainder` reduces a vector against rows keyed by
+their pivot columns, visiting only the vector's own entries.  `pack` makes a
+vector one integer (Kronecker substitution: D. Harvey, J. Symbolic Comput.
+44 (2009) 1502-1510), so that a combination of vectors is one big-integer
+expression.  One fraction-free Gauss-Jordan elimination, `_echelon`, built
+on `remainder`, serves `rref`, `kernel`, `solve`, `Subspace.supplements`,
+the Killing form's rank and the leading minors: Bareiss's exact division
+(Math. Comp. 22 (1968) 565-578) in the Gauss-Jordan form of Nakos, Turner
+and Williams (ACM SIGSAM Bull. 31(3), 1997).  Rationals are read by
+`read_row`, straight into one integer row over its least common denominator;
+`Fraction` appears there only for a spelling other than the canonical ones,
+and otherwise only where an entry or a dense vector is handed out (and where
+such a `Fraction` is formatted).
 """
 
 from __future__ import annotations
@@ -43,9 +45,11 @@ def rat(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            f = Fraction(x)
+            str(f)  # raises past the int-string limit, so "1e5000" is read as its digits are
         except (ValueError, ZeroDivisionError) as e:
             raise ValueError(f"malformed rational {x!r}: {e}") from None
+        return f
     raise ValueError(f"not a rational: {x!r}")
 
 
@@ -156,6 +160,27 @@ def remainder(v: Mapping, d: int, rows: Mapping) -> dict:
             for k, y in b.items():
                 r[k] = r.get(k, 0) - x * y
     return {k: x for k, x in r.items() if x}
+
+
+def pack(v: Mapping, w: int) -> int:
+    """sum_k v[k] 2^(w k) for a sparse integer vector v = {k: x}: linear, so
+    packed vectors combine as the vectors do.  `unpack` reads back digits
+    |d_k| < 2^(w-1), as w = bound.bit_length() + 1 gives |d_k| <= bound: two
+    such digit vectors of one integer would first differ at a slot k, by
+    0 < |e| <= 2^w - 2, and e 2^(w k) plus multiples of 2^(w (k+1)) is not 0,
+    so P = 0 iff v = 0.  {0: 2^(w-1)} and {0: -2^(w-1), 1: 1} pack alike."""
+    return sum(x << (w * k) for k, x in v.items())
+
+
+def unpack(P: int, w: int) -> dict:
+    """The digits {k: d_k != 0} of P = sum_k d_k 2^(w k), |d_k| < 2^(w-1)."""
+    v, k, half = {}, 0, 1 << (w - 1)
+    while P:
+        z = ((P & -P).bit_length() - 1) // w  # zero slots below the lowest set bit
+        P, k = P >> w * z, k + z
+        v[k] = d = ((P + half) & (2 * half - 1)) - half
+        P, k = (P - d) >> w, k + 1
+    return v
 
 
 class Frozen:

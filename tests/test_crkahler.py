@@ -15,7 +15,7 @@ from crlie import (
     left_symmetric_product, omega_radical, parse_document, run_checks,
     semisimple_exactness, sl2, so3,
 )
-from crlie import checks, linalg
+from crlie import checks, crkahler, linalg
 from crlie.crkahler import induced_bracket
 from crlie.lie import IntTable
 from crlie.linalg import Matrix, Subspace, read_row
@@ -84,6 +84,11 @@ def test_check_cr_negative_fixture_fails_condition3():
     assert not res.passed
     first = dict(res.witnesses[0])
     assert (first["x"], first["y"]) == ("e1", "e2")
+
+
+def test_check_cr_passes_on_the_zero_algebra():
+    g = LieAlgebra(IntTable.antisymmetric(0, {}))
+    assert check_cr(CRData(g, Subspace.from_ints(0, []), Matrix.from_ints(0, 1, []))).passed
 
 
 def test_two_dimensional_H_satisfies_conditions_automatically():
@@ -919,6 +924,40 @@ def rescaled_kahler_data(draw):
 def test_check_cr_matches_fraction_oracle_with_denominators(d):
     assert check_cr(d).to_dict() == check_cr_ambient(d).to_dict()
     assert_h_tables_match_definitions(d)
+
+
+# units of 20 and more digits make the packed slots of check_cr wider than 64 bits
+large_units = st.sampled_from([Fraction(10 ** 25, 7), Fraction(-7, 10 ** 25),
+                               Fraction(3 ** 50, 2 ** 40), Fraction(-(10 ** 21) - 1, 3)]) | units
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_cr_data(), st.data())
+def test_check_cr_matches_fraction_oracle_with_large_coefficients(d, data):
+    n = d.algebra.dim
+    d = rescaled(d, data.draw(st.lists(large_units, min_size=n, max_size=n)))
+    assert check_cr(d).to_dict() == check_cr_ambient(d).to_dict()
+
+
+def test_check_cr_with_large_coefficients_on_a_proper_H_fails_both_conditions(monkeypatch):
+    # H = span(e1 + e5, e2, e3, e4) of sl2 + heisenberg with j rotating
+    # (e1 + e5, e2) and (e3, e4) and zero on e5, e6: both conditions fail
+    # there, and they still fail, with the oracle's witnesses, in a basis
+    # whose units have up to 25 digits
+    n, R = 6, [[int(a == b) for b in range(6)] for a in range(6)]
+    R[4][0] = 1
+    J0 = [[-1 if (a, b) in {(0, 1), (2, 3)} else int((a, b) in {(1, 0), (3, 2)})
+           for b in range(n)] for a in range(n)]
+    d = CRData(CR_ALGEBRAS["sl2+heisenberg"], Subspace.span(list(zip(*R))[:4], n),
+               Matrix(R) * Matrix(J0) * _inverse(Matrix(R)))
+    d = rescaled(d, [Fraction(10 ** 25, 7), Fraction(-7, 10 ** 25), Fraction(3 ** 50, 2 ** 40),
+                     Fraction(1), Fraction(-(10 ** 21) - 1, 3), Fraction(-2)])
+    widths = []
+    monkeypatch.setattr(crkahler, "pack", lambda v, w: widths.append(w) or linalg.pack(v, w))
+    rep = check_cr(d)
+    assert min(widths) > 64 and d.H.dim < n
+    assert [r.passed for r in rep.results] == [False, False]
+    assert rep.to_dict() == check_cr_ambient(d).to_dict()
 
 
 @settings(max_examples=60, deadline=None)

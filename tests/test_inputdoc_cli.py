@@ -218,6 +218,21 @@ def test_indefinite_metric_exits_two_with_its_leading_minor(tmp_path, capsys):
         "error: metric: metric is not positive definite (leading minor 2 = -1)\n")
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter reads integers of any length")
+@pytest.mark.parametrize("spelling", ["exponent", "digits", "shifted exponent"])
+def test_a_lambda_coefficient_past_the_digit_limit_exits_two_however_spelled(
+        tmp_path, capsys, spelling):
+    # 10^limit has one digit more than int() reads from a string
+    limit = sys.get_int_max_str_digits()
+    doc = copy.deepcopy(catalog.get("sl2").document)
+    doc["poisson"]["lambda"][0]["coeff"] = {
+        "exponent": f"1e{limit}", "digits": "1" + "0" * limit,
+        "shifted exponent": f"10e{limit - 1}"}[spelling]
+    assert main(["check", write(tmp_path, doc)]) == 2
+    assert "error: poisson.lambda" in capsys.readouterr().err
+
+
 def test_lambda_coefficients_over_different_denominators():
     # 1/2 e1^e2 - 2/3 e2^e3 = (3 e1^e2 - 4 e2^e3) / 6
     doc = _with_block("sl2", "poisson", **{"lambda": [{"i": 1, "j": 2, "coeff": "1/2"},

@@ -35,6 +35,57 @@ def test_rat_parsing():
         rat("abc")
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter reads integers of any length")
+def test_rat_reads_every_spelling_of_one_value_alike_at_the_digit_limit():
+    # 10^(limit - 1) has as many digits as int() reads from a string, 10^limit one more
+    limit = sys.get_int_max_str_digits()
+    assert rat(f"1e{limit - 1}") == rat(f"1{'0' * (limit - 1)}") == 10 ** (limit - 1)
+    for spelling in [f"1e{limit}", f"10e{limit - 1}", f"1{'0' * limit}", f"-1e{limit}",
+                     f"1e-{limit}", f"1/1{'0' * limit}", f"0.{'0' * (limit - 1)}1"]:
+        with pytest.raises(ValueError, match="malformed rational"):
+            rat(spelling)
+
+
+@st.composite
+def packable(draw, count=1):
+    """A slot width w and `count` sparse integer vectors whose digits, and
+    those of their sum, have |d| < 2^(w-1); the extremes are drawn often."""
+    w = draw(st.integers(1, 80))
+    top = ((1 << (w - 1)) - 1) // count
+    if not top:
+        return (w, *({} for _ in range(count)))
+    digit = st.sampled_from([top, -top, 1, -1]) | st.integers(-top, top).filter(bool)
+    return (w, *(draw(st.dictionaries(st.integers(0, 40), digit, max_size=12))
+                 for _ in range(count)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(packable())
+def test_unpack_inverts_pack_below_the_strict_digit_bound(case):
+    w, v = case
+    P = linalg.pack(v, w)
+    assert linalg.unpack(P, w) == v
+    assert (P == 0) == (not v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(packable(count=2))
+def test_a_difference_of_packed_vectors_unpacks_to_the_difference(case):
+    w, u, v = case
+    want = {k: x for k in {*u, *v} if (x := u.get(k, 0) - v.get(k, 0))}
+    assert linalg.unpack(linalg.pack(u, w) - linalg.pack(v, w), w) == want
+
+
+@pytest.mark.parametrize("w", [1, 2, 8, 63, 64, 65])
+def test_a_digit_at_the_bound_aliases(w):
+    # two vectors with |d_k| <= 2^(w-1) pack alike, so their difference
+    # {0: 2^w, 1: -1} packs to 0: the bound |d_k| < 2^(w-1) must be strict
+    half = 1 << (w - 1)
+    assert linalg.pack({0: half}, w) == linalg.pack({0: -half, 1: 1}, w)
+    assert linalg.pack({0: 2 * half, 1: -1}, w) == 0
+
+
 MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300
 
 digits = st.integers(0, 10 ** 6).map(str)

@@ -19,7 +19,7 @@ from math import gcd
 from operator import mul
 from typing import Optional
 
-from .lie import IntTable, LieAlgebra, cyclic_nonzero
+from .lie import IntTable, LieAlgebra
 from .linalg import (Frozen, Matrix, Subspace, Vector, contraction, kernel, pack, rref, solve,
                      unpack)
 from .report import Report, fmt_vec, witness
@@ -160,14 +160,13 @@ class KahlerCRData(Frozen):
                 if om[a].get(b, 0) != -om[b].get(a, 0)]
 
         # dw = 0 is the Jacobi identity of the central extension G + R by w, so
-        # cyclic_nonzero(c, O, a, b, t) with O[t] = {l: {0: w(e_l, e_t)}} tests
-        # w([e_a, e_b], e_t) + w([e_t, e_a], e_b) + w([e_b, e_t], e_a).  As c is
-        # antisymmetric, that sum is alternating: it vanishes when two indices
-        # agree, and its value on a < b < t fixes it on the five other orderings
+        # cyclic_defects(O) with O[t] = {l: {0: w(e_l, e_t)}} finds the a < b < t
+        # where w([e_a, e_b], e_t) + w([e_t, e_a], e_b) + w([e_b, e_t], e_a) != 0.
+        # As c is antisymmetric, that sum is alternating: it vanishes when two
+        # indices agree, and its value on a < b < t fixes it on the five others
         O = [{l: {0: x} for l, x in row.items()} for row in self.omega_matrix.transpose().ints]
-        failing = [t for t in alg.table.triples() if cyclic_nonzero(alg.table.rows, O, *t)]
-        return anti, [witness(x=names[a], y=names[b], z=names[t])
-                      for a, b, t in sorted(p for abt in failing for p in permutations(abt))]
+        return anti, [witness(x=names[a], y=names[b], z=names[t]) for a, b, t in sorted(
+            p for abt in alg.table.cyclic_defects(O) for p in permutations(abt))]
 
 
 class LeftSymmetricProduct(Frozen):
@@ -316,8 +315,8 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
         w1.extend(witness(x=fmt[a], y=fmt[b], u=fmt[t]) for t in sorted(d))
     rep.add("leftsym.identity1", not w1, w1)
 
-    # C is antisymmetric by construction, so only Jacobi violations come back
-    jac = [witness(x=fmt[a], y=fmt[b], z=fmt[c]) for _, (a, b, c) in C.violations()]
+    # C is antisymmetric by construction, so only its Jacobiator is decided
+    jac = [witness(x=fmt[a], y=fmt[b], z=fmt[c]) for a, b, c in C.cyclic_defects(C.rows)]
     rep.add("leftsym.jacobi_induced", not jac, jac)
 
     if not jac:
@@ -425,9 +424,9 @@ def ideal_complement_complex(d: CRData, ideal: Subspace) -> tuple[LieAlgebra, Ma
     table = IntTable.antisymmetric(m, dict(zip(pairs, ((X.scale, c) for c in X.transpose().ints))))
     quotient_like = LieAlgebra(table, names=[f"h{i + 1}" for i in range(m)], validate=False)
     rep = Report()
-    bad = table.violations()
+    bad = table.cyclic_defects(table.rows)
     rep.add("ideal.jacobi", not bad,
-            [witness(kind=k, indices=str(tuple(i + 1 for i in idx))) for k, idx in bad])
+            [witness(kind="jacobi", indices=str(tuple(i + 1 for i in t))) for t in bad])
 
     # j [h_a, h_b]' = sum_e c[a][b][e] j h_e and [j h_a, h_b]' = sum_e jH[a][e] [h_e, h_b]',
     # compared as s_J times both sides
@@ -463,9 +462,7 @@ def build_extension(base: KahlerCRData, alpha: IntTable) -> Report:
     if base.H.dim != n:
         raise ValueError("extension base must have H equal to the full algebra")
 
-    # the V-part of the Jacobiator needs a nonzero bracket among the triple
-    rows = alg.table.rows
-    failing = [t for t in alg.table.triples() if cyclic_nonzero(rows, A, *t)]
+    failing = alg.table.cyclic_defects(A)
     rep = Report()
     rep.add("extension.jacobi", not failing,
             [witness(kind="jacobi", indices=str(tuple(i + 1 for i in t))) for t in failing])

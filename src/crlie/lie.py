@@ -2,7 +2,8 @@
 
 Brackets are computed by `linalg.contraction`, the sparse kernel through
 which every table in crlie is read; `IntTable.antisymmetric` builds every
-table given by its pairs and `cyclic_nonzero` decides every cyclic identity.
+table given by its pairs and `IntTable.cyclic_defects` decides every cyclic
+identity, summing only the triples that can carry a nonzero term.
 `LieAlgebra.__eq__` and `__hash__` compare the canonical table; no check
 calls them, and they are kept as library API.
 """
@@ -38,13 +39,13 @@ class IntTable:
     denominator of c and rows[i] = {j: {k: x}} keeps only the nonzero
     entries, grouped per row.  Both are canonical, so two tables hold the same
     c exactly when their dim, scale and rows agree.  The constructor takes the
-    three as they are; `from_rows` and `antisymmetric` compute them from c.
-    `antisymmetric` builds every table given by its pairs: the parsed
-    brackets and alpha, `so3`, `sl2`, the ideal's projected bracket and xy - yx.
-    The same row form, lists of {j: {k: x}}, holds the tables on H
-    in `crkahler`; `linalg.contraction` reads any table in it.  The brackets
-    on H mirror their pairs by hand: they share one scale, and `from_rows`
-    (sort, lcm, rescale) would nearly double their cost on a dense document."""
+    three as they are; `antisymmetric` computes them for every table given by
+    its pairs: the parsed brackets and alpha, `so3`, `sl2`, the ideal's
+    projected bracket and xy - yx.  The same row form, lists of {j: {k: x}},
+    holds the tables on H in `crkahler`; `linalg.contraction` reads any table
+    in it.  The brackets on H mirror their pairs by hand: they share one
+    scale, and `antisymmetric` would nearly double their cost on a dense
+    document."""
 
     __slots__ = ("dim", "scale", "rows")
 
@@ -52,35 +53,40 @@ class IntTable:
         self.dim, self.scale, self.rows = dim, scale, rows
 
     @classmethod
-    def from_rows(cls, dim: int, entries: Mapping[tuple[int, int], tuple[int, dict]]) -> "IntTable":
-        """The table with c[i][j] = ints / s for entries[(i, j)] = (s, ints),
-        a vector in the form `read_row` gives, and zero at every pair not
-        listed."""
-        nonzero = [(ij, v) for ij, v in sorted(entries.items()) if v[1]]
+    def antisymmetric(cls, dim: int,
+                      entries: Mapping[tuple[int, int], tuple[int, dict]]) -> "IntTable":
+        """The table with c[i][j] = ints / s for entries[(i, j)] = (s, ints), a
+        vector in the form `read_row` gives, c[j][i] = -c[i][j], mirrored by
+        negating the integers, and zero at every pair not listed; a pair listed
+        both ways must be listed antisymmetric."""
+        mirrored = {**entries, **{(j, i): (s, {k: -x for k, x in v.items()})
+                                  for (i, j), (s, v) in entries.items()}}
+        nonzero = [(ij, v) for ij, v in sorted(mirrored.items()) if v[1]]
         scale, ints = common_scale(v for _, v in nonzero)
         rows = [{} for _ in range(dim)]
         for ((i, j), _), r in zip(nonzero, ints):
             rows[i][j] = r
         return cls(dim, scale, rows)
 
-    @classmethod
-    def antisymmetric(cls, dim: int,
-                      entries: Mapping[tuple[int, int], tuple[int, dict]]) -> "IntTable":
-        """The table with c[i][j] = entries[(i, j)] and c[j][i] = -c[i][j],
-        mirrored by negating the integers; a pair listed both ways must be
-        listed antisymmetric."""
-        mirrored = dict(entries)
-        for (i, j), (s, v) in entries.items():
-            mirrored[(j, i)] = (s, {k: -x for k, x in v.items()})
-        return cls.from_rows(dim, mirrored)
+    def cyclic_defects(self, outer) -> list:
+        """The triples i < j < k, in lexicographic order, on which
+        sum_l c[b][d][l] outer[a][l], summed over the cyclic orderings (a, b, d)
+        of (i, j, k), is nonzero, for a table outer in the form of `rows`.  With
+        outer = rows it is the Jacobiator [e_i,[e_j,e_k]] + [e_k,[e_i,e_j]] +
+        [e_j,[e_k,e_i]], as [e_a, sum_l x_l e_l] = sum_l x_l c[a][l].
 
-    def triples(self) -> list:
-        """The triples i < j < k, in lexicographic order, on which some entry
-        c[a][b] with a, b two of the indices is nonzero.  A sum of terms that
-        each carry such an entry as a factor vanishes on every other triple."""
-        return sorted({tuple(sorted((i, j, k)))
-                       for i, row in enumerate(self.rows) for j in row if i < j
-                       for k in range(self.dim) if k != i and k != j})
+        c must be antisymmetric (`violations` tests that first).  Then only the
+        triples that can carry a nonzero term are summed: c[b][d] . outer[a] is
+        nonzero only where supp c[b][d] meets the rows l of outer[a], and
+        c[b][d] = -c[d][b], so such a triple is met from its pair b < d or
+        d < b with k = a."""
+        rows = self.rows
+        met = {(k, i, j) if k < i else (i, k, j) if k < j else (i, j, k)
+               for i, row in enumerate(rows) for j, v in row.items() if i < j
+               for k, o in enumerate(outer) if k != i and k != j and not v.keys().isdisjoint(o)}
+        return sorted((i, j, k) for i, j, k in met if contraction([
+            (1, rows[j].get(k, {}), outer[i]), (1, rows[i].get(j, {}), outer[k]),
+            (1, rows[k].get(i, {}), outer[j])]))
 
     def violations(self) -> list:
         """Antisymmetry violations (i, j), i <= j; when there are none, Jacobi
@@ -89,19 +95,7 @@ class IntTable:
         pairs = sorted({(min(i, j), max(i, j)) for i, row in enumerate(rows) for j in row})
         bad = [("antisymmetry", (i, j)) for i, j in pairs
                if rows[i].get(j, {}) != {k: -x for k, x in rows[j].get(i, {}).items()}]
-        if bad:
-            return bad
-        return [("jacobi", t) for t in self.triples() if cyclic_nonzero(rows, rows, *t)]
-
-
-def cyclic_nonzero(inner, outer, i: int, j: int, k: int) -> bool:
-    """Whether sum_l inner[b][c][l] outer[a][l], summed over the cyclic
-    orderings (a, b, c) of (i, j, k), is nonzero, for tables in the form of
-    `IntTable.rows`.  With inner = outer = c it is the Jacobiator
-    [e_i,[e_j,e_k]] + [e_k,[e_i,e_j]] + [e_j,[e_k,e_i]], as
-    [e_a, sum_l x_l e_l] = sum_l x_l c[a][l]."""
-    return bool(contraction([(1, inner[j].get(k, {}), outer[i]), (1, inner[i].get(j, {}), outer[k]),
-                             (1, inner[k].get(i, {}), outer[j])]))
+        return bad or [("jacobi", t) for t in self.cyclic_defects(rows)]
 
 
 class LieAlgebra(Frozen):
@@ -156,14 +150,17 @@ class LieAlgebra(Frozen):
 
     def killing_form(self) -> Matrix:
         """K(e_i, e_j) = trace(ad e_i ad e_j) = sum_{k,l} c[i][l][k] c[j][k][l],
-        summed over the nonzero entries of c[i] and built once per algebra."""
+        built once per algebra: row i contracts {(l, k): c[i][l][k]} with the
+        index T[(l, k)] = {j: c[j][k][l]} of the nonzero entries."""
         if self._killing is None:
-            rows, s = self.table.rows, self.table.scale
+            rows, s, T = self.table.rows, self.table.scale, {}
+            for j, row in enumerate(rows):
+                for k, v in row.items():
+                    for l, y in v.items():
+                        T.setdefault((l, k), {})[j] = y
             object.__setattr__(self, "_killing", Matrix.from_ints(self.dim, s * s, [
-                {j: sum(x * rows[j].get(k, {}).get(l, 0)
-                        for l, v in rows[i].items() for k, x in v.items())
-                 for j in range(self.dim)}
-                for i in range(self.dim)]))
+                contraction([(1, {(l, k): x for l, v in row.items() for k, x in v.items()}, T)])
+                for row in rows]))
         return self._killing
 
     def is_semisimple(self) -> bool:

@@ -28,6 +28,7 @@ such a `Fraction` is formatted).
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
@@ -55,14 +56,18 @@ def rat(x) -> Fraction:
 
 def format_rat(q, scale: int = 1) -> str:
     """Serialize q / scale, for a rational q and a scale >= 1, as "p/q", or
-    "p" when the denominator is 1; an int q is reduced by its gcd with scale."""
+    "p" when the denominator is 1; an int q is reduced by its gcd with scale.
+    An integer past the int-string limit is spelled by `Decimal`, exactly."""
     if isinstance(q, int):
         g = gcd(q, scale)
         p, d = q // g, scale // g
     else:
         q = Fraction(q, scale)
         p, d = q.numerator, q.denominator
-    return str(p) if d == 1 else f"{p}/{d}"
+    try:
+        return str(p) if d == 1 else f"{p}/{d}"
+    except ValueError:  # past sys.get_int_max_str_digits(); Decimal spells an int exactly
+        return str(Decimal(p)) if d == 1 else f"{Decimal(p)}/{Decimal(d)}"
 
 
 def format_terms(terms: Iterable, scale: int = 1) -> str:

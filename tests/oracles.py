@@ -6,7 +6,7 @@ library must give, witnesses in order.  It reads its inputs only as data --
 the structure constants through `dense_tensor`, a subspace through its
 basis vectors, a matrix through its entries, a multivector through its
 coefficients -- and calls none of the library's integer kernels
-(`contraction`, `remainder`, `cyclic_nonzero`, `bracket_ints`, `rref`,
+(`contraction`, `remainder`, `cyclic_defects`, `bracket_ints`, `rref`,
 `push_ints`, `derive_ints`, `schouten_ints`, `quotient_columns`,
 `induced_bracket`, `IntTable`).  Every elimination is the `Fraction` one below.  Where the
 library derives a fact from the shape of an identity (alternation, a zero
@@ -371,8 +371,9 @@ def dense_table(table, width: int) -> list:
 
 def int_table(c) -> IntTable:
     """The table of a dense tensor c, antisymmetric or not: `dense_tensor` inverted."""
-    return IntTable.from_rows(len(c), {(i, j): read_row(v) for i, row in enumerate(c)
-                                       for j, v in enumerate(row)})
+    s = lcm(*(Fraction(e).denominator for row in c for v in row for e in v))
+    return IntTable(len(c), s, [{j: {k: int(e * s) for k, e in enumerate(v) if e}
+                                 for j, v in enumerate(row) if any(v)} for row in c])
 
 
 def from_brackets(dim: int, brackets: Mapping, names=None) -> LieAlgebra:
@@ -436,6 +437,20 @@ def jacobiator(c, i, j, k) -> tuple:
                     if y:
                         acc[m] += sign * x * y
     return tuple(acc)
+
+
+def cyclic_defects_by_sums(c, outer, width: int) -> list:
+    """The triples i < j < k on which sum_l c[b][d][l] outer[a][l], summed over
+    the cyclic orderings (a, b, d) of (i, j, k), is nonzero, for a dense tensor
+    c and a dense table outer of width-vectors, summed over every l."""
+    n = len(c)
+
+    def term(a, b, d):
+        return [sum((c[b][d][l] * outer[a][l][m] for l in range(n)), Fraction(0))
+                for m in range(width)]
+
+    return [(i, j, k) for i, j, k in combinations(range(n), 3)
+            if any(map(sum, zip(term(i, j, k), term(k, i, j), term(j, k, i))))]
 
 
 def structure_violations(c) -> list:

@@ -15,7 +15,7 @@ from crlie import (
     left_symmetric_product, omega_radical, parse_document, run_checks,
     semisimple_exactness, sl2, so3,
 )
-from crlie import checks, crkahler, linalg
+from crlie import checks, crkahler, lie, linalg
 from crlie.crkahler import induced_bracket
 from crlie.lie import IntTable
 from crlie.linalg import Matrix, Subspace, read_row
@@ -33,7 +33,7 @@ from oracles import (
 )
 from strategies import fractions
 from test_golden import AFF_AFF_R_DENSE, CASES
-from test_inputdoc_cli import DOCUMENTS
+from test_inputdoc_cli import DOCUMENTS, bench_families
 from test_lie import heisenberg3
 
 
@@ -737,6 +737,26 @@ def test_omega_defects_are_computed_once_with_an_extension(monkeypatch):
     assert rep.result("extension.omega_closed").passed
     assert rep.result("kahler.omega_closed").passed
     assert len(builds) == 1 and builds[0] is p.kahler
+
+
+@pytest.mark.parametrize("family", ["aff_power", "so3_power", "heisenberg"])
+def test_cyclic_defects_sum_no_triple_on_sparse_families(family, monkeypatch):
+    # each bracket [e_a, e_b] lies on one basis vector e_t of the block of e_a
+    # and e_b, and the rows of every third e_k, in c, in the closedness table
+    # and in an alpha on the pairs that j rotates, miss e_t (so(3): the row of
+    # e_t holds e_a and e_b; aff(R): a block has no third vector).  So Jacobi
+    # validation, dw = 0 and the extension's Jacobiator visit no triple
+    p = parse_document(getattr(bench_families(), family)(4).document)
+    k, table = p.kahler, p.algebra.table
+    alpha = p.extension or IntTable.antisymmetric(p.algebra.dim, {
+        (a, b): (1, {0: 1}) for a, row in enumerate(k.cr.j.ints) for b in row if a < b})
+    calls = []
+    monkeypatch.setattr(lie, "contraction",
+                        lambda terms: calls.append(terms) or linalg.contraction(terms))
+    assert table.cyclic_defects(table.rows) == []
+    assert k.omega_defects == ([], [])
+    assert table.cyclic_defects(alpha.rows) == []
+    assert calls == []
 
 
 @settings(max_examples=20, deadline=None)

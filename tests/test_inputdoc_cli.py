@@ -233,6 +233,17 @@ def test_a_lambda_coefficient_past_the_digit_limit_exits_two_however_spelled(
     assert "error: poisson.lambda" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["check"], ["check", "--format", "structured"],
+                                     ["schouten"]])
+def test_a_schouten_coefficient_past_the_digit_limit_is_printed(tmp_path, capsys, command):
+    # 10^3000 is read, and [Lambda, Lambda] = 2 10^6000 e1^e2^e3 has more
+    # digits than str() prints from an int
+    doc = copy.deepcopy(catalog.get("sl2").document)
+    doc["poisson"]["lambda"][0]["coeff"] = "1e3000"
+    assert main([*command, write(tmp_path, doc)]) in (0, 1)
+    assert "2" + "0" * 6000 in capsys.readouterr().out
+
+
 def test_lambda_coefficients_over_different_denominators():
     # 1/2 e1^e2 - 2/3 e2^e3 = (3 e1^e2 - 4 e2^e3) / 6
     doc = _with_block("sl2", "poisson", **{"lambda": [{"i": 1, "j": 2, "coeff": "1/2"},
@@ -385,13 +396,19 @@ def test_dump_then_check_pipeline(tmp_path, capsys):
 
 # -- the reader against the former `Fraction` conversion -----------------------
 
-def workload_documents(seed):
-    """{name: document} for the ladders of the three benchmark workloads."""
+def bench_families():
+    """The module `bench/families.py`, which generates the benchmark documents."""
     path = Path(__file__).parent.parent / "bench" / "families.py"
     spec = importlib.util.spec_from_file_location("families", path)
     families = importlib.util.module_from_spec(spec)
     sys.modules.setdefault("families", families)
     spec.loader.exec_module(families)
+    return families
+
+
+def workload_documents(seed):
+    """{name: document} for the ladders of the three benchmark workloads."""
+    families = bench_families()
     return {f"{w}:{c.name}": c.document
             for w in ("kahler_solvable", "semisimple_poisson", "reject_dense")
             for c in families.workload_cases(w, seed)}

@@ -8,10 +8,10 @@ from crlie import InputError, LieAlgebra, StructureError, catalog, parse_documen
 from crlie.linalg import Matrix, Subspace, format_rat, solve
 
 from oracles import (
-    ad_rows, basis_vector, bracket_expanded, center_kernel, column, dense_tensor,
-    det_over_fractions, direct_sum, from_brackets, identity, int_table, is_zero, jacobiator,
-    kernel_over_fractions, killing_entry, matvec, rows_of, structure_violations, vdot, vector,
-    zeros,
+    ad_rows, basis_vector, bracket_expanded, center_kernel, column, cyclic_defects_by_sums,
+    dense_tensor, det_over_fractions, direct_sum, from_brackets, identity, int_table, is_zero,
+    jacobiator, kernel_over_fractions, killing_entry, matvec, rows_of, structure_violations,
+    vdot, vector, zeros,
 )
 from strategies import fractions
 
@@ -113,14 +113,34 @@ def asymmetric_tensors(draw):
     return c
 
 
+@st.composite
+def outer_tables(draw, c):
+    """A table outer[a][l] of integer vectors of width 1 or 2, most entries
+    zero; a row drawn not to meet c keeps only the l outside every bracket."""
+    n, width = len(c), draw(st.integers(min_value=1, max_value=2))
+    support = {l for row in c for v in row for l, x in enumerate(v) if x}
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2])
+    outer = []
+    for _ in range(n):
+        meets = draw(st.booleans())
+        outer.append([tuple(Fraction(draw(entry)) if meets or l not in support else Fraction(0)
+                            for _ in range(width)) for l in range(n)])
+    return outer, width
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(dense_tensors(), perturbed_algebras(), dense_basis_algebras()))
-def test_validate_structure_matches_entrywise_jacobiator(c):
-    # antisymmetric inputs: exactly the triples with a nonzero Jacobiator
+@given(st.data())
+def test_validate_structure_matches_entrywise_jacobiator(data):
+    # antisymmetric inputs: exactly the triples with a nonzero Jacobiator, and
+    # against any outer table exactly those with a nonzero cyclic sum
+    c = data.draw(st.one_of(dense_tensors(), perturbed_algebras(), dense_basis_algebras()))
     n = len(c)
     expected = [("jacobi", (i, j, k)) for i in range(n) for j in range(i + 1, n)
                 for k in range(j + 1, n) if not is_zero(jacobiator(c, i, j, k))]
     assert validate_structure(c) == expected
+    outer, width = data.draw(outer_tables(c))
+    found = int_table(c).cyclic_defects(int_table(outer).rows)
+    assert found == cyclic_defects_by_sums(c, outer, width)
 
 
 @settings(max_examples=80, deadline=None)

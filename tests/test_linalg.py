@@ -133,6 +133,9 @@ def test_format_rat():
     assert format_rat(Fraction(-6, 3)) == "-2"
     assert format_rat(-6, 4) == "-3/2"
     assert format_rat(0, 7) == "0"
+    # past the int-string limit the digits are still printed in full
+    assert format_rat(-(10 ** 5000)) == "-1" + "0" * 5000
+    assert format_rat(Fraction(3, 10 ** 5000)) == "3/1" + "0" * 5000
 
 
 @settings(max_examples=300, deadline=None)

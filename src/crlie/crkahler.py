@@ -65,16 +65,13 @@ class CRData(Frozen):
     @cached_property
     def brackets(self) -> tuple[int, list]:
         """(s, B) with B[a] = {b: s [h_a, h_b]} over the nonzero brackets of
-        the RREF basis of H; each pair a < b is one `bracket_ints`, and
+        the RREF basis of H: the pairs a < b are `evaluate`d on the table, and
         B[b][a] = -B[a][b]."""
-        alg, H = self.algebra, self.H.ints
+        table, H = self.algebra.table, self.H.ints
         B = [{} for _ in H]
-        for a, x in enumerate(H):
-            for b in range(a + 1, len(H)):
-                v = alg.bracket_ints(x, H[b])
-                if v:
-                    B[a][b], B[b][a] = v, {k: -e for k, e in v.items()}
-        return self.H.scale ** 2 * alg.table.scale, B
+        for (a, b), v in table.evaluate(H).items():
+            B[a][b], B[b][a] = v, {k: -e for k, e in v.items()}
+        return self.H.scale ** 2 * table.scale, B
 
     @cached_property
     def jH(self) -> tuple[int, list]:
@@ -367,8 +364,8 @@ def omega_radical(k: KahlerCRData) -> tuple[Subspace, Report]:
 def center_U(k: KahlerCRData) -> tuple[Subspace, Report]:
     """U = (Z(G) cap H) + j(Z(G) cap H); commutative, and ad z keeps H in H.
 
-    Every bracket contracts integer rows of U and H with the table, and its
-    membership in H is that of the integer vector."""
+    The brackets of the integer rows of U and H are `evaluate`d on the table;
+    a pair it skips has a zero bracket, which lies in H."""
     rep = Report()
     alg, H, names = k.algebra, k.H, k.algebra.names
     zh = alg.center().intersect(H)
@@ -376,21 +373,12 @@ def center_U(k: KahlerCRData) -> tuple[Subspace, Report]:
     cols = dict(enumerate(k.j.transpose().ints))
     U = Subspace.from_ints(alg.dim, [*zh.ints, *(contraction([(1, z, cols)]) for z in zh.ints)])
     s_uu, s_uh = alg.table.scale * U.scale * U.scale, alg.table.scale * U.scale * H.scale
-    comm = []
-    for a, x in enumerate(U.ints):
-        for y in U.ints[a + 1:]:
-            b = alg.bracket_ints(x, y)
-            if b:
-                comm.append(witness(x=fmt_vec(names, x, U.scale), y=fmt_vec(names, y, U.scale),
-                                    offending=fmt_vec(names, b, s_uu)))
+    u = [fmt_vec(names, x, U.scale) for x in U.ints]
+    comm = [witness(x=u[a], y=u[b], offending=fmt_vec(names, v, s_uu))
+            for (a, b), v in alg.table.evaluate(U.ints).items()]
     rep.add("center_u.commutative", not comm, comm)
-    stab = []
-    for z in U.ints:
-        for h in H.ints:
-            b = alg.bracket_ints(z, h)
-            if not H.contains(b):
-                stab.append(witness(z=fmt_vec(names, z, U.scale), h=fmt_vec(names, h, H.scale),
-                                    offending=fmt_vec(names, b, s_uh)))
+    stab = [witness(z=u[a], h=fmt_vec(names, H.ints[b], H.scale), offending=fmt_vec(names, v, s_uh))
+            for (a, b), v in alg.table.evaluate(U.ints, H.ints).items() if not H.contains(v)]
     rep.add("center_u.stabilizes_h", not stab, stab)
     return U, rep
 
@@ -429,12 +417,12 @@ def ideal_complement_complex(d: CRData, ideal: Subspace) -> tuple[LieAlgebra, Ma
             [witness(kind="jacobi", indices=str(tuple(i + 1 for i in t))) for t in bad])
 
     # j [h_a, h_b]' = sum_e c[a][b][e] j h_e and [j h_a, h_b]' = sum_e jH[a][e] [h_e, h_b]',
-    # compared as s_J times both sides
+    # compared as s_J times both sides; the latter is the table evaluated on jH and the units
     sJ, J = d.jH
     jmap, fmt = dict(enumerate(J)), [fmt_vec(alg.names, h, H.scale) for h in H.ints]
+    K = table.evaluate(J, [{b: 1} for b in range(m)])
     wj = [witness(x=fmt[a], y=fmt[b]) for a, b in pairs
-          if contraction([(1, table.rows[a].get(b, {}), jmap),
-                          (-1, J[a], {e: r.get(b, {}) for e, r in enumerate(table.rows)})])]
+          if contraction([(1, table.rows[a].get(b, {}), jmap)]) != K.get((a, b), {})]
     rep.add("ideal.complex_structure", not wj, wj)
     return quotient_like, Matrix.from_ints(m, sJ, J).transpose(), rep
 
@@ -467,12 +455,12 @@ def build_extension(base: KahlerCRData, alpha: IntTable) -> Report:
     rep.add("extension.jacobi", not failing,
             [witness(kind="jacobi", indices=str(tuple(i + 1 for i in t))) for t in failing])
 
-    # j and A hold s_j j and s_A alpha, so s_j^2 s_A alpha(j e_a, j e_b) is
-    # sum_r j[r][a] sum_t j[t][b] A[r][t], to be compared with s_j^2 A[a][b]
-    sj, cols = base.j.scale, base.j.transpose().ints
-    jinv = [witness(x=names[a], y=names[b]) for a in range(n) for b in range(a + 1, n)
-            if contraction(chain(((x, cols[b], A[r]) for r, x in cols[a].items()),
-                                 [(-sj * sj, {b: 1}, A[a])]))]
+    # j and A hold s_j j and s_A alpha, so s_j^2 s_A alpha(j e_a, j e_b) is A evaluated
+    # on the columns of j, compared with s_j^2 A[a][b] wherever either is nonzero
+    sj, jA = base.j.scale, alpha.evaluate(base.j.transpose().ints)
+    jinv = [witness(x=names[a], y=names[b]) for a, b in sorted(
+                {*jA, *((a, b) for a, row in enumerate(A) for b in row if a < b)})
+            if jA.get((a, b), {}) != {k: sj * sj * x for k, x in A[a].get(b, {}).items()}]
     rep.add("extension.alpha_j_invariant", not jinv, jinv)
 
     if failing:

@@ -2,8 +2,9 @@
 
 Brackets are computed by `linalg.contraction`, the sparse kernel through
 which every table in crlie is read; `IntTable.antisymmetric` builds every
-table given by its pairs and `IntTable.cyclic_defects` decides every cyclic
-identity, summing only the triples that can carry a nonzero term.
+table given by its pairs, `IntTable.evaluate` every bilinear value on two
+vector lists and `IntTable.cyclic_defects` every cyclic identity, each
+summing only the pairs or triples that can carry a nonzero term.
 `LieAlgebra.__eq__` and `__hash__` compare the canonical table; no check
 calls them, and they are kept as library API.
 """
@@ -43,9 +44,9 @@ class IntTable:
     its pairs: the parsed brackets and alpha, `so3`, `sl2`, the ideal's
     projected bracket and xy - yx.  The same row form, lists of {j: {k: x}},
     holds the tables on H in `crkahler`; `linalg.contraction` reads any table
-    in it.  The brackets on H mirror their pairs by hand: they share one
-    scale, and `antisymmetric` would nearly double their cost on a dense
-    document."""
+    in it; `evaluate` extends any table bilinearly.  The brackets on H mirror
+    their pairs by hand: they share one scale, and `antisymmetric` would
+    nearly double their cost on a dense document."""
 
     __slots__ = ("dim", "scale", "rows")
 
@@ -67,6 +68,22 @@ class IntTable:
         for ((i, j), _), r in zip(nonzero, ints):
             rows[i][j] = r
         return cls(dim, scale, rows)
+
+    def evaluate(self, S, T=None) -> dict:
+        """{(a, b): v} over the nonzero v = sum_{i,j} S[a]_i T[b]_j rows[i][j], as
+        integer vectors {k: x}, for lists S and T of sparse integer vectors; with T
+        omitted, over the pairs a < b of S.  A term is nonzero only for j a key of
+        rows[i], so a pair is contracted only when supp T[b] meets some rows[i],
+        i in supp S[a]: any other v is a sum of zero terms, antisymmetric or not."""
+        rows, out, pairs, T = self.rows, {}, T is None, S if T is None else T
+        for a, x in enumerate(S):
+            met = set().union(*map(rows.__getitem__, x))
+            for b in range(a + 1 if pairs else 0, len(T)) if met else ():
+                if not met.isdisjoint(T[b]):
+                    v = contraction((xi, T[b], rows[i]) for i, xi in x.items())
+                    if v:
+                        out[a, b] = v
+        return out
 
     def cyclic_defects(self, outer) -> list:
         """The triples i < j < k, in lexicographic order, on which
@@ -131,22 +148,18 @@ class LieAlgebra(Frozen):
         """sum_{i,j} x_i y_j c[i][j], over the nonzero entries of the table."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("dimension mismatch in bracket")
-        acc = self.bracket_ints(*({i: e for i, e in enumerate(v) if e} for v in (x, y)))
-        return tuple(Fraction(acc.get(k, 0), self.table.scale) for k in range(self.dim))
-
-    def bracket_ints(self, x: Mapping, y: Mapping) -> dict:
-        """table.scale [x, y] as its nonzero entries {k: z}, for sparse vectors
-        {i: x_i}: integer for integer x and y."""
-        rows = self.table.rows
-        return contraction((xi, y, rows[i]) for i, xi in x.items())
+        acc = self.table.evaluate(*([{i: e for i, e in enumerate(v) if e}] for v in (x, y)))
+        return tuple(Fraction(acc.get((0, 0), {}).get(k, 0), self.table.scale)
+                     for k in range(self.dim))
 
     def ad(self, x: Vector) -> Matrix:
         """Matrix of y -> [x, y]: the transpose of the rows [x, e_j]."""
         if len(x) != self.dim:
             raise ValueError("dimension mismatch in ad")
         sx, xs = read_row(x)
-        columns = [self.bracket_ints(xs, {j: 1}) for j in range(self.dim)]
-        return Matrix.from_ints(self.dim, sx * self.table.scale, columns).transpose()
+        columns = self.table.evaluate([xs], [{j: 1} for j in range(self.dim)])
+        return Matrix.from_ints(self.dim, sx * self.table.scale, [
+            columns.get((0, j), {}) for j in range(self.dim)]).transpose()
 
     def killing_form(self) -> Matrix:
         """K(e_i, e_j) = trace(ad e_i ad e_j) = sum_{k,l} c[i][l][k] c[j][k][l],
@@ -186,13 +199,12 @@ class LieAlgebra(Frozen):
 
     def is_subalgebra(self, s: Subspace) -> bool:
         self._check_space(s)
-        return all(s.contains(self.bracket_ints(u, v))
-                   for a, u in enumerate(s.ints) for v in s.ints[a + 1:])
+        return all(map(s.contains, self.table.evaluate(s.ints).values()))
 
     def is_ideal(self, s: Subspace) -> bool:
         self._check_space(s)
-        return all(s.contains(self.bracket_ints({i: 1}, v))
-                   for i in range(self.dim) for v in s.ints)
+        units = [{i: 1} for i in range(self.dim)]
+        return all(map(s.contains, self.table.evaluate(units, s.ints).values()))
 
     def _check_space(self, s: Subspace) -> None:
         if s.ambient_dim != self.dim:

@@ -6,7 +6,7 @@ library must give, witnesses in order.  It reads its inputs only as data --
 the structure constants through `dense_tensor`, a subspace through its
 basis vectors, a matrix through its entries, a multivector through its
 coefficients -- and calls none of the library's integer kernels
-(`contraction`, `remainder`, `cyclic_defects`, `bracket_ints`, `rref`,
+(`contraction`, `remainder`, `cyclic_defects`, `evaluate`, `rref`,
 `push_ints`, `derive_ints`, `schouten_ints`, `quotient_columns`,
 `induced_bracket`, `IntTable`).  Every elimination is the `Fraction` one below.  Where the
 library derives a fact from the shape of an identity (alternation, a zero
@@ -437,6 +437,20 @@ def jacobiator(c, i, j, k) -> tuple:
                     if y:
                         acc[m] += sign * x * y
     return tuple(acc)
+
+
+def evaluate_by_sums(c, S, T=None) -> dict:
+    """{(a, b): sum_{i,j} S[a]_i T[b]_j c[i][j]} over its nonzero values, for a
+    dense table c of vectors, antisymmetric or not, and lists S and T of dense
+    vectors, summed over every i and j; with T omitted, over the pairs a < b of S."""
+    n = len(c)
+    pairs = ([(a, b) for a in range(len(S)) for b in range(a + 1, len(S))] if T is None
+             else [(a, b) for a in range(len(S)) for b in range(len(T))])
+    T = S if T is None else T
+    values = {(a, b): tuple(sum((S[a][i] * T[b][j] * c[i][j][m] for i in range(n)
+                                 for j in range(n)), Fraction(0)) for m in range(len(c[0][0])))
+              for a, b in pairs}
+    return {ab: v for ab, v in values.items() if not is_zero(v)}
 
 
 def cyclic_defects_by_sums(c, outer, width: int) -> list:

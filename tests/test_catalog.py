@@ -14,7 +14,7 @@ SRC = Path(__file__).parent.parent / "src" / "crlie"
 GOLDEN = Path(__file__).with_name("golden")
 
 # The integer kernels of the library, which no definition-level oracle may use.
-KERNELS = {"contraction", "remainder", "cyclic_defects", "bracket_ints", "rref", "push_ints",
+KERNELS = {"contraction", "remainder", "cyclic_defects", "evaluate", "rref", "push_ints",
            "derive_ints", "schouten_ints", "quotient_columns", "induced_bracket", "IntTable"}
 
 

@@ -759,6 +759,25 @@ def test_cyclic_defects_sum_no_triple_on_sparse_families(family, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("k", [2, 5])
+def test_evaluate_contracts_no_zero_pair_on_heisenberg(k, monkeypatch):
+    # the base table of heisenberg(k) is empty, so no pair of H or of U meets a
+    # row: a fresh CRData.brackets and center_U contract nothing.  alpha is
+    # nonzero only on the k pairs (2i, 2i+1), and j maps e_2i and e_2i+1 into
+    # each other's span, so alpha_j_invariant contracts one pair per nonzero
+    # alpha pair, and the Jacobi and closedness tests none
+    p = parse_document(bench_families().heisenberg(k).document)
+    cr = CRData(p.algebra, p.cr.H, p.cr.j)
+    calls = []
+    monkeypatch.setattr(lie, "contraction",
+                        lambda terms: calls.append(terms) or linalg.contraction(terms))
+    assert cr.brackets == (1, [{} for _ in range(2 * k)])
+    assert center_U(p.kahler)[1].passed
+    assert calls == []
+    assert build_extension(p.kahler, p.extension).passed
+    assert len(calls) == k
+
+
 @settings(max_examples=20, deadline=None)
 @given(dense_cr_data(full=True), st.lists(st.integers(-2, 2), min_size=6, max_size=6))
 def test_extension_by_a_coboundary_passes_jacobi_and_cyclic(d, theta):

@@ -9,9 +9,9 @@ from crlie.linalg import Matrix, Subspace, format_rat, solve
 
 from oracles import (
     ad_rows, basis_vector, bracket_expanded, center_kernel, column, cyclic_defects_by_sums,
-    dense_tensor, det_over_fractions, direct_sum, from_brackets, identity, int_table, is_zero,
-    jacobiator, kernel_over_fractions, killing_entry, matvec, rows_of, structure_violations,
-    vdot, vector, zeros,
+    dense_tensor, det_over_fractions, direct_sum, evaluate_by_sums, from_brackets, identity,
+    int_table, is_zero, jacobiator, kernel_over_fractions, killing_entry, matvec, rows_of,
+    structure_violations, vdot, vector, zeros,
 )
 from strategies import fractions
 
@@ -141,6 +141,43 @@ def test_validate_structure_matches_entrywise_jacobiator(data):
     outer, width = data.draw(outer_tables(c))
     found = int_table(c).cyclic_defects(int_table(outer).rows)
     assert found == cyclic_defects_by_sums(c, outer, width)
+
+
+@st.composite
+def evaluations(draw):
+    """A table c[i][j] of width-vectors drawn independently, most of them zero,
+    so almost never antisymmetric, and lists S and T of up to three integer
+    vectors, possibly empty.  A vector drawn on the free indices meets no row:
+    in S those whose row c[i] is zero, in T those that no row holds."""
+    n, width = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    entry, zero = st.sampled_from([0, 1, -1, Fraction(1, 2), 3]), (0,) * width
+    c = [[tuple(draw(entry) for _ in range(width)) if draw(st.integers(0, 2)) == 2 else zero
+          for _ in range(n)] for _ in range(n)]
+    free_S = [i for i in range(n) if not any(map(any, c[i]))]
+    free_T = [j for j in range(n) if not any(any(row[j]) for row in c)]
+
+    def vector_list(free):
+        return [tuple(draw(st.integers(-2, 2)) if k in support else 0 for k in range(n))
+                for support in draw(st.lists(st.sampled_from([range(n), free]), max_size=3))]
+
+    return c, vector_list(free_S), vector_list(free_T)
+
+
+@settings(max_examples=120, deadline=None)
+@given(evaluations())
+def test_evaluate_matches_double_sum_oracle(drawn):
+    # the oracle sums every (a, b) over every i and j, so a pair the support
+    # test skips must have a zero value
+    c, S, T = drawn
+    table, width = int_table(c), len(c[0][0])
+    sparse = [[{i: x for i, x in enumerate(v) if x} for v in vs] for vs in (S, T)]
+
+    def values(found):
+        return {ab: tuple(Fraction(v.get(m, 0), table.scale) for m in range(width))
+                for ab, v in found.items()}
+
+    assert values(table.evaluate(*sparse)) == evaluate_by_sums(c, S, T)
+    assert values(table.evaluate(sparse[0])) == evaluate_by_sums(c, S)
 
 
 @settings(max_examples=80, deadline=None)

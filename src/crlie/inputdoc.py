@@ -81,6 +81,8 @@ def _bivector(entries, dim, where, diags) -> Optional[Bivector]:
     coeffs = {}
     for e in entries:
         try:
+            if not isinstance(e, dict):
+                raise TypeError("must be an object")
             i, j = _int(e["i"]), _int(e["j"])
             read_row([e["coeff"]])  # for its diagnostic; Bivector reads it
         except (KeyError, ValueError, TypeError) as err:
@@ -107,6 +109,8 @@ def _table(block: dict, where: str, noun: str, dim: int, width: int, diags) -> I
     for k, entry in enumerate(_list(block, where.rpartition(".")[2], where, diags)):
         at = f"{where}[{k}]"
         try:
+            if not isinstance(entry, dict):
+                raise TypeError("must be an object")
             x, y = _int(entry["x"]), _int(entry["y"])
             result = entry["result"]
             row = read_row(result)

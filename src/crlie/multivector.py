@@ -6,9 +6,9 @@ coefficients on strictly increasing index pairs / triples and scale > 0,
 in lowest terms -- the form of `Matrix` and `Subspace`, canonical, so `==`
 compares it; `__eq__` is kept as library API.  It has no arithmetic: the
 contractions `schouten_ints`, `push_ints` and `derive_ints` act on the
-integer coefficients, emitting raw index tuples that `_collect` signs and
-merges onto sorted keys, and each caller builds its result with
-`from_ints` over the product of the scales.
+integer coefficients and return nonzero ints on sorted keys, `_wedge_front`
+adding each term straight onto its key with the sign of the sort; each
+caller builds its result with `from_ints` over the product of the scales.
 
 Membership in U ^ Lambda^2 G goes through the quotient map G -> G/U, taken
 as R_U, whose column i is the remainder of e_i against the RREF basis of U.
@@ -21,33 +21,12 @@ zero iff t is a member.
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from math import gcd, prod
+from itertools import combinations
+from math import gcd
 from typing import Mapping
 
 from .lie import LieAlgebra
 from .linalg import Frozen, Subspace, format_terms, read_row
-
-def _sort_key(idx):
-    """Sort a key of distinct indices; returns (sorted, sign) or None on repeat,
-    the sign (-1)^inversions of the sorting permutation."""
-    if len(set(idx)) != len(idx):
-        return None
-    inversions = sum(a > b for a, b in combinations(idx, 2))
-    return tuple(sorted(idx)), -1 if inversions % 2 else 1
-
-
-def _collect(raw: Mapping) -> dict:
-    """Coefficients on raw index tuples moved to their sorted keys with the
-    sign of the sort, keys with a repeated index and zero sums dropped; the
-    keys come out unordered, and `from_ints` puts them in order."""
-    acc: dict = {}
-    for key, val in raw.items():
-        norm = _sort_key(key)
-        if norm is not None:
-            skey, sign = norm
-            acc[skey] = acc.get(skey, 0) + sign * val
-    return {k: v for k, v in acc.items() if v}
 
 
 class _Alternating(Frozen):
@@ -57,15 +36,20 @@ class _Alternating(Frozen):
     arity = 0
 
     def __init__(self, dim: int, coeffs: Mapping = ()):
-        """Rational coefficients on index tuples in any order, signed and
-        merged onto their sorted keys by `_collect`."""
+        """Rational coefficients on index tuples in any order, merged onto their
+        sorted keys with the sign of the sort; keys repeating an index drop out."""
         items = list(dict(coeffs).items())
         s, read = read_row(val for _, val in items)
-        raw = {items[k][0]: x for k, x in read.items()}
-        for key in raw:
+        ints: dict = {}
+        for k, x in read.items():
+            key = items[k][0]
             if len(key) != self.arity or any(not (0 <= i < dim) for i in key):
                 raise ValueError(f"bad index {key} for dimension {dim}")
-        self._store(dim, s, _collect(raw))
+            if len(set(key)) == len(key):
+                inversions = sum(a > b for a, b in combinations(key, 2))
+                key = tuple(sorted(key))
+                ints[key] = ints.get(key, 0) + (-1) ** inversions * x
+        self._store(dim, s, ints)
 
     @classmethod
     def from_ints(cls, dim: int, s: int, ints: Mapping):
@@ -112,46 +96,86 @@ class Trivector(_Alternating):
 # linear maps and the Schouten bracket on integer coefficients; a map is
 # given by its nonzero columns {a: {i: x}}, A e_a = sum_i x e_i
 
+def _wedge_front(acc: dict, col: Mapping, rest: tuple, w: int) -> None:
+    """acc += w (sum_k x e_k) ^ e_rest for col = {k: x} and a strictly
+    increasing single or pair rest: each term is added on its sorted key with
+    the sign (-1)^(indices of rest below k), and dropped when k is in rest."""
+    get = acc.get
+    if len(rest) == 1:
+        (p,) = rest
+        for k, x in col.items():
+            if k < p:
+                acc[k, p] = get((k, p), 0) + w * x
+            elif k > p:
+                acc[p, k] = get((p, k), 0) - w * x
+        return
+    p, q = rest
+    for k, x in col.items():
+        if k < p:
+            key, y = (k, p, q), w * x
+        elif p < k < q:
+            key, y = (p, k, q), -w * x
+        elif k > q:
+            key, y = (p, q, k), w * x
+        else:
+            continue
+        acc[key] = get(key, 0) + y
+
+
 def push_ints(cols: Mapping, coeffs: Mapping) -> dict:
     """Multiplicative extension: e_a^e_b(^e_c) -> Ae_a ^ Ae_b (^ Ae_c)
-    (used for j and the quotient map G -> G/U)."""
-    raw: dict = {}
+    (used for j and the quotient map G -> G/U), formed from the last column
+    forward, each partial wedge merged on its sorted keys."""
+    acc: dict = {}
     for key, v in coeffs.items():
-        for entries in product(*(cols.get(a, {}).items() for a in key)):
-            idx, xs = zip(*entries)
-            raw[idx] = raw.get(idx, 0) + v * prod(xs)
-    return _collect(raw)
+        part = {(i,): v * x for i, x in cols.get(key[-1], {}).items()}
+        for m in range(len(key) - 2, -1, -1):
+            out, col = acc if m == 0 else {}, cols.get(key[m], {})
+            for rest, w in part.items():
+                if w:
+                    _wedge_front(out, col, rest, w)
+            part = out
+    return {k: x for k, x in acc.items() if x}
 
 
 def derive_ints(cols: Mapping, coeffs: Mapping) -> dict:
     """Leibniz extension: e_a^e_b(^e_c) -> De_a^e_b(^e_c) + e_a^De_b(^e_c)
-    (+ e_a^e_b^De_c); ad e_i when cols is the row `IntTable.rows[i]`."""
-    raw: dict = {}
+    (+ e_a^e_b^De_c); ad e_i when cols is the row `IntTable.rows[i]`; De_a
+    moves from slot s to the front, (-1)^s, before the others (still sorted)."""
+    acc: dict = {}
     for key, v in coeffs.items():
         for s, a in enumerate(key):
-            for i, x in cols.get(a, {}).items():
-                idx = key[:s] + (i,) + key[s + 1:]
-                raw[idx] = raw.get(idx, 0) + v * x
-    return _collect(raw)
+            col = cols.get(a)
+            if col:
+                _wedge_front(acc, col, key[:s] + key[s + 1:], -v if s % 2 else v)
+    return {k: x for k, x in acc.items() if x}
 
 
 def schouten_ints(rows, p: Mapping, q: Mapping) -> dict:
-    """[P,Q] = sum_{a,b,c,d} P^{ab} Q^{cd} [e_a, e_c] ^ e_b ^ e_d over the full
-    antisymmetric coefficient matrices, reading the nonzero brackets from
-    rows in the form of `IntTable.rows`."""
-    qrows: dict = {}
-    for (c, d), v in q.items():
-        qrows.setdefault(c, []).append((d, v))
-        qrows.setdefault(d, []).append((c, -v))
-    raw: dict = {}
-    for (a0, b0), v0 in p.items():
-        for a, b, v in ((a0, b0, v0), (b0, a0, -v0)):
-            for c, bracket in rows[a].items():
-                for d, u in qrows.get(c, ()):
-                    for k, x in bracket.items():
-                        idx = (k, b, d)
-                        raw[idx] = raw.get(idx, 0) + v * u * x
-    return _collect(raw)
+    """[P,Q] = sum_{a,b,d} P^{ab} W_ad ^ e_b ^ e_d with W_ad = sum_c Q^{cd} [e_a, e_c],
+    over the full antisymmetric coefficient matrices, reading the nonzero
+    brackets from rows in the form of `IntTable.rows`; the W_ad are built once
+    per a, and each entry k of W_ad goes into the sorted (b, d)."""
+    prows, qrows = {}, {}
+    for lists, t in ((prows, p), (qrows, q)):
+        for (c, d), v in t.items():
+            lists.setdefault(c, []).append((d, v))
+            lists.setdefault(d, []).append((c, -v))
+    acc: dict = {}
+    for a, bs in prows.items():
+        wa: dict = {}
+        for c, bracket in rows[a].items():
+            for d, u in qrows.get(c, ()):
+                w = wa.setdefault(d, {})
+                for k, x in bracket.items():
+                    w[k] = w.get(k, 0) + u * x
+        for d, w in wa.items():
+            for b, v in bs:
+                if b < d:
+                    _wedge_front(acc, w, (b, d), v)
+                elif d < b:
+                    _wedge_front(acc, w, (d, b), -v)
+    return {k: x for k, x in acc.items() if x}
 
 
 def quotient_columns(u: Subspace) -> tuple[int, dict]:

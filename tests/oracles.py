@@ -7,11 +7,11 @@ the structure constants through `dense_tensor`, a subspace through its
 basis vectors, a matrix through its entries, a multivector through its
 coefficients -- and calls none of the library's integer kernels
 (`contraction`, `remainder`, `cyclic_defects`, `evaluate`, `rref`,
-`push_ints`, `derive_ints`, `schouten_ints`, `quotient_columns`,
-`induced_bracket`, `IntTable`).  Every elimination is the `Fraction` one below.  Where the
-library derives a fact from the shape of an identity (alternation, a zero
-table entry, a cached table), the oracle evaluates the identity on every
-basis pair or triple instead.  `ORACLES` at the end maps each check id to
+`push_ints`, `derive_ints`, `schouten_ints`, `_wedge_front`,
+`quotient_columns`, `induced_bracket`, `IntTable`).  Every elimination is
+the `Fraction` one below.  Where the library derives a fact from the shape
+of an identity (alternation, a zero table entry, a cached table), the
+oracle evaluates the identity on every basis pair or triple instead.  `ORACLES` at the end maps each check id to
 its oracle; `test_catalog` asserts the map and the rule.
 
 - `check_cr_ambient`: CR conditions (2) and (3) on four ambient brackets of

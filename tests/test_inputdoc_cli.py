@@ -150,6 +150,22 @@ def test_malformed_field_types_exit_two(tmp_path, capsys, doc, message):
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [[1, 2, "1"], "abc", None], ids=["list", "string", "null"])
+@pytest.mark.parametrize("block", ["algebra.brackets", "extension.alpha",
+                                   "poisson.lambda", "poisson.r"])
+def test_list_entry_that_is_not_an_object_exits_two(tmp_path, capsys, block, entry):
+    doc = {"algebra.brackets": {"algebra": {"dim": 2, "brackets": [entry]}},
+           "extension.alpha": _with_block("heisenberg", "extension", alpha=[entry]),
+           "poisson.lambda": _with_block("sl2", "poisson", **{"lambda": [entry]}),
+           "poisson.r": _with_block("sl2", "poisson", r=[entry])}[block]
+    message = (f"{block}[0]: must be an object" if block.endswith(("brackets", "alpha"))
+               else f"{block}: bad entry {entry!r}: must be an object")
+    assert main(["check", write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}\n" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("data, message", [
     (b"\xff\xfe{}", "is not UTF-8 text"),
     (b"[" * 100000 + b"]" * 100000, "not valid JSON"),

@@ -17,11 +17,11 @@ from functools import cached_property
 from itertools import chain, permutations, repeat
 from math import gcd
 from operator import mul
-from typing import Optional
+from typing import Optional, Sequence
 
 from .lie import IntTable, LieAlgebra
-from .linalg import (Frozen, Matrix, Subspace, Vector, contraction, kernel, pack, rref, solve,
-                     unpack)
+from .linalg import (Frozen, Matrix, Subspace, Vector, contraction, format_rat, kernel, pack,
+                     rref, solve, unpack)
 from .report import Report, fmt_vec, witness
 
 
@@ -42,7 +42,8 @@ class CRData(Frozen):
     and j on H are integer tables built once from the integer forms of H and
     j, each a pair (s, rows) with rows / s the exact value and rows in the
     form of `IntTable.rows`, holding only the nonzero entries; the fields are
-    read-only, so those tables cannot go stale.
+    read-only, so those tables cannot go stale.  With H = G the RREF basis of
+    H is the unit basis with scale 1, so both are read off the table and j.
     """
 
     def __init__(self, algebra: LieAlgebra, H: Subspace, j: Matrix):
@@ -66,17 +67,24 @@ class CRData(Frozen):
     def brackets(self) -> tuple[int, list]:
         """(s, B) with B[a] = {b: s [h_a, h_b]} over the nonzero brackets of
         the RREF basis of H: the pairs a < b are `evaluate`d on the table, and
-        B[b][a] = -B[a][b]."""
+        B[b][a] = -B[a][b].  With H = G, h_a = e_a and this is the table
+        itself: its rows hold both orientations, nonzero entries only, on
+        sorted keys, which is what the pair loop builds."""
         table, H = self.algebra.table, self.H.ints
+        if self.H.dim == self.algebra.dim:
+            return table.scale, table.rows
         B = [{} for _ in H]
         for (a, b), v in table.evaluate(H).items():
             B[a][b], B[b][a] = v, {k: -e for k, e in v.items()}
         return self.H.scale ** 2 * table.scale, B
 
     @cached_property
-    def jH(self) -> tuple[int, list]:
+    def jH(self) -> tuple[int, Sequence[dict]]:
         """(s, J): j on H in H-coordinates, J[a] = {e: x} holding the nonzero
-        entries of s j h_a read at the pivots of H."""
+        entries of s j h_a read at the pivots of H.  With H = G, h_a = e_a at
+        pivot a, so J[a] is column a of s_j j and the columns of j are J."""
+        if self.H.dim == self.algebra.dim:
+            return self.j.scale, self.j.transpose().ints
         H, columns = self.H, dict(enumerate(self.j.transpose().ints))
         images = (contraction([(1, h, columns)]) for h in H.ints)
         return self.j.scale * H.scale, [{e: v[p] for e, p in enumerate(H.pivots) if p in v}
@@ -98,8 +106,8 @@ class KahlerCRData(Frozen):
         # positive definiteness: Sylvester's leading minors, from one elimination
         bad = metric.first_nonpositive_minor()
         if bad is not None:
-            raise ValueError(
-                "metric is not positive definite (leading minor {} = {})".format(*bad))
+            raise ValueError("metric is not positive definite "
+                             f"(leading minor {bad[0]} = {format_rat(bad[1])})")
 
     @property
     def algebra(self) -> LieAlgebra:

@@ -44,9 +44,10 @@ class IntTable:
     its pairs: the parsed brackets and alpha, `so3`, `sl2`, the ideal's
     projected bracket and xy - yx.  The same row form, lists of {j: {k: x}},
     holds the tables on H in `crkahler`; `linalg.contraction` reads any table
-    in it; `evaluate` extends any table bilinearly.  The brackets on H mirror
-    their pairs by hand: they share one scale, and `antisymmetric` would
-    nearly double their cost on a dense document."""
+    in it; `evaluate` extends any table bilinearly.  The brackets on a proper
+    H mirror their pairs by hand (they share one scale, and `antisymmetric`
+    would nearly double their cost on a dense document); on H = G they are
+    the rows of the algebra's own table."""
 
     __slots__ = ("dim", "scale", "rows")
 

@@ -208,7 +208,9 @@ class Matrix(Frozen):
     form is canonical, so `==` compares it.  Any shape is allowed, 0 x n and
     n x 0 included; `Matrix(rows)` reads rational rows, `from_ints` integer
     ones.  A matrix builds its transpose on first use and keeps it, so every
-    reader of one matrix shares one transpose."""
+    reader of one matrix shares one transpose.  A product with the identity,
+    in canonical form scale 1 with rows {i: 1} (row 0 settles that for almost
+    any other matrix), is its other factor, as it is, with its transpose."""
 
     __slots__ = ("rows", "cols", "scale", "ints", "_transpose")
 
@@ -246,9 +248,17 @@ class Matrix(Frozen):
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
+        if self._is_identity():
+            return other
+        if other._is_identity():
+            return self
         rows = dict(enumerate(other.ints))
         return Matrix.from_ints(other.cols, self.scale * other.scale,
                                 [contraction([(1, r, rows)]) for r in self.ints])
+
+    def _is_identity(self) -> bool:
+        return self.scale == 1 and self.rows == self.cols and all(
+            len(r) == 1 and r.get(i) == 1 for i, r in enumerate(self.ints))
 
     def transpose(self) -> "Matrix":
         """Built once and kept.  It has the entries and the scale of this

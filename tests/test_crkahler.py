@@ -695,10 +695,35 @@ def test_check_cr_matches_ambient_oracle_on_catalog(entry_id):
 
 
 @settings(max_examples=60, deadline=None)
-@given(dense_cr_data())
+@given(dense_cr_data() | dense_cr_data(full=True))
 def test_check_cr_matches_ambient_oracle_in_dense_bases(d):
     assert check_cr(d).to_dict() == check_cr_ambient(d).to_dict()
     assert_h_tables_match_definitions(d)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("family", ["aff_power", "heisenberg"])
+def test_full_h_with_the_unit_metric_changes_no_basis(family, k):
+    # H = G has the unit basis with scale 1 as its RREF basis, and the metric
+    # is I, so every product that forms w and its images has an identity factor
+    # and is its other factor, and the tables on H are those of the algebra and j
+    p = parse_document(getattr(bench_families(), family)(k).document)
+    d, kd = p.cr, p.kahler
+    assert kd.omega_matrix is kd.j
+    assert kd.gram is kd.omega_images is kd.omega_matrix
+    assert d.brackets[1] is d.algebra.table.rows
+    assert d.jH[1] == d.j.transpose().ints
+    assert_h_tables_match_definitions(d, kd)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_proper_h_builds_its_tables_on_the_rref_basis(k):
+    p = parse_document(bench_families().so3_power(k).document)
+    d, kd = p.cr, p.kahler
+    assert d.H.dim < d.algebra.dim
+    assert d.brackets[1] is not d.algebra.table.rows
+    assert len(d.jH[1]) == d.H.dim < d.j.cols
+    assert_h_tables_match_definitions(d, kd)
 
 
 def test_h_brackets_are_computed_once_per_crdata(monkeypatch):

@@ -234,6 +234,17 @@ def test_indefinite_metric_exits_two_with_its_leading_minor(tmp_path, capsys):
         "error: metric: metric is not positive definite (leading minor 2 = -1)\n")
 
 
+def test_a_leading_minor_past_the_digit_limit_is_spelled_in_the_diagnostic(tmp_path, capsys):
+    # minor 2 of [[1, 10^2200], [10^2200, 1]] is 1 - 10^4400, 4,400 nines: more
+    # digits than str() prints from an int
+    doc = copy.deepcopy(catalog.get("so3_cr").document)
+    doc["metric"][0][1] = doc["metric"][1][0] = "1" + "0" * 2200
+    assert main(["check", write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        "error: metric: metric is not positive definite (leading minor 2 = -"
+        + "9" * 4400 + ")\n")
+
+
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                     reason="this interpreter reads integers of any length")
 @pytest.mark.parametrize("spelling", ["exponent", "digits", "shifted exponent"])

@@ -394,6 +394,44 @@ def test_kept_transpose_is_the_matrix_of_swapped_entries(A):
     assert A.transpose() is t and t.transpose() is A
 
 
+@st.composite
+def near_identities(draw, n):
+    """Matrices with n columns next to the n x n identity: one entry of it
+    changed, a permutation of its rows, a selection of its rows (any number,
+    repeats allowed) or c I for c != 1."""
+    kind = draw(st.sampled_from(["entry", "permutation", "selection", "scaled"]))
+    if kind == "entry" and n:
+        i, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        x = draw(rationals.filter(lambda x: x != (i == k)))
+        return Matrix([[x if (a, b) == (i, k) else int(a == b) for b in range(n)]
+                       for a in range(n)])
+    if kind == "permutation":
+        return Matrix([basis_vector(n, a) for a in draw(st.permutations(range(n)))])
+    if kind == "selection" and n:
+        rows = draw(st.lists(st.integers(0, n - 1), max_size=n + 1))
+        return Matrix.from_ints(n, 1, [{a: 1} for a in rows])
+    return identity(n, draw(rationals.filter(lambda c: c != 1)))
+
+
+def product_over_fractions(A, B):
+    return [tuple(sum((A[i, l] * B[l, k] for l in range(A.cols)), Fraction(0))
+                  for k in range(B.cols)) for i in range(A.rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_a_product_with_the_identity_is_its_other_factor(M, data):
+    # the other factor is returned as it is, its kept transpose with it; when
+    # M is an identity too, either factor is the product
+    for P in (identity(M.rows) * M, M * identity(M.cols)):
+        assert P is M or P == M == identity(M.rows)
+    # a factor next to the identity goes through the product
+    for A, B in ((data.draw(near_identities(M.rows)), M),
+                 (M, data.draw(near_identities(M.cols)).transpose())):
+        P = A * B
+        assert ((P.rows, P.cols), rows_of(P)) == ((A.rows, B.cols), product_over_fractions(A, B))
+
+
 def test_empty_shapes():
     zero_by_three, three_by_zero = Matrix.from_ints(3, 1, []), Matrix([[], [], []])
     assert (zero_by_three.rows, zero_by_three.cols) == (0, 3)

@@ -3,12 +3,14 @@
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 input error
 (malformed file, invalid structure constants, unknown catalog entry), 3
 internal error (an unexpected exception, reported as one line on stderr).
+A reader that closes the pipe early ends the output, not the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .checks import run_checks
@@ -16,7 +18,7 @@ from .crkahler import left_symmetric_product
 from .inputdoc import InputError, dump_document, parse_text
 from .linalg import contraction
 from .multivector import schouten, wedge_subspace_residual
-from .report import Report, fmt_vec
+from .report import fmt_vec
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -40,71 +42,64 @@ def _load(path: str):
     return parse_text(_read(path))
 
 
-def _emit_report(rep: Report, fmt: str) -> None:
-    if fmt == "structured":
-        print(json.dumps(rep.to_dict(), indent=2))
-    else:
-        print(rep.to_text())
+def cmd_check(args):
+    rep = run_checks(_load(args.file))
+    text = json.dumps(rep.to_dict(), indent=2) if args.format == "structured" else rep.to_text()
+    return (EXIT_PASS if rep.passed else EXIT_CHECK_FAILED), [text]
 
 
-def cmd_check(args) -> int:
-    payloads = _load(args.file)
-    rep = run_checks(payloads)
-    _emit_report(rep, args.format)
-    return EXIT_PASS if rep.passed else EXIT_CHECK_FAILED
-
-
-def cmd_construct(args) -> int:
+def cmd_construct(args):
     if args.what != "left-symmetric":
         raise InputError([f"unknown construction: {args.what!r}"])
     payloads = _load(args.file)
     if payloads.kahler is None:
         raise InputError(["left-symmetric construction needs cr and metric blocks"])
-    product = left_symmetric_product(payloads.kahler)
+    return EXIT_PASS, _left_symmetric_lines(payloads.algebra.names,
+                                            left_symmetric_product(payloads.kahler))
+
+
+def _left_symmetric_lines(names, product):
     # each value is read from the integer table in H-coordinates and mapped
     # into G through the integer basis of H, so it is s_P s_H times the vector
-    names, H, P = payloads.algebra.names, product.H, product.P
+    H, P = product.H, product.P
     rows, s = dict(enumerate(H.ints)), product.scale * H.scale
     basis = [fmt_vec(names, h, H.scale) for h in H.ints]
-    print("left-symmetric product on H:")
+    yield "left-symmetric product on H:"
     for a, x in enumerate(basis):
         for b, y in enumerate(basis):
             value = contraction([(1, P[a].get(b, {}), rows)])
-            print(f"  ({x}) * ({y}) = {fmt_vec(names, value, s)}")
-    print("induced bracket [x,y]' = xy - yx:")
+            yield f"  ({x}) * ({y}) = {fmt_vec(names, value, s)}"
+    yield "induced bracket [x,y]' = xy - yx:"
     for a, x in enumerate(basis):
         for b in range(a + 1, len(basis)):
             value = contraction([(1, product.commutator(a, b), rows)])
-            print(f"  [{x}, {basis[b]}]' = {fmt_vec(names, value, s)}")
-    return EXIT_PASS
+            yield f"  [{x}, {basis[b]}]' = {fmt_vec(names, value, s)}"
 
 
-def cmd_schouten(args) -> int:
+def cmd_schouten(args):
     payloads = _load(args.file)
     if payloads.poisson is None:
         raise InputError(["schouten needs a poisson block (and its cr block)"])
     d = payloads.poisson
     t = schouten(d.algebra, d.Lambda, d.Lambda)
-    print(f"[Lambda, Lambda] = {t.format(d.algebra.names)}")
     verdict = wedge_subspace_residual(t, d.U).is_zero()
-    print(f"membership in U^Lambda^2: {'pass' if verdict else 'fail'}")
-    return EXIT_PASS if verdict else EXIT_CHECK_FAILED
+    return (EXIT_PASS if verdict else EXIT_CHECK_FAILED), [
+        f"[Lambda, Lambda] = {t.format(d.algebra.names)}",
+        f"membership in U^Lambda^2: {'pass' if verdict else 'fail'}"]
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args):
     from . import catalog  # only this command needs the built catalog
     if args.action == "list":
-        for entry_id, description in catalog.list_entries():
-            print(f"{entry_id}: {description}")
-        return EXIT_PASS
+        return EXIT_PASS, [f"{entry_id}: {description}"
+                           for entry_id, description in catalog.list_entries()]
     if not args.id:
         raise InputError(["catalog dump requires an entry id"])
     try:
         entry = catalog.get(args.id)
     except catalog.UnknownEntryError as e:
         raise InputError([str(e)])
-    sys.stdout.write(dump_document(entry.document))
-    return EXIT_PASS
+    return EXIT_PASS, [dump_document(entry.document).removesuffix("\n")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,9 +132,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: its exit status, after its lines are written."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status, lines = args.func(args)
+        try:
+            for line in lines:
+                print(line)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone: write nowhere, so that the shutdown flush
+            # cannot raise either (the Python docs' note on SIGPIPE)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return status
     except InputError as e:
         for d in e.diagnostics:
             print(f"error: {d}", file=sys.stderr)

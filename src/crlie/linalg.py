@@ -16,14 +16,15 @@ their pivot columns, visiting only the vector's own entries.  `pack` makes a
 vector one integer (Kronecker substitution: D. Harvey, J. Symbolic Comput.
 44 (2009) 1502-1510), so that a combination of vectors is one big-integer
 expression.  One fraction-free Gauss-Jordan elimination, `_echelon`, built
-on `remainder`, serves `rref`, `kernel`, `solve`, `Subspace.supplements`,
-the Killing form's rank and the leading minors: Bareiss's exact division
-(Math. Comp. 22 (1968) 565-578) in the Gauss-Jordan form of Nakos, Turner
-and Williams (ACM SIGSAM Bull. 31(3), 1997).  Rationals are read by
-`read_row`, straight into one integer row over its least common denominator;
-`Fraction` appears there only for a spelling other than the canonical ones,
-and otherwise only where an entry or a dense vector is handed out (and where
-such a `Fraction` is formatted).
+on `remainder`, serves `Subspace.supplements`, the leading minors and,
+except on monomial rows (whose reduced form `rref` reads off their
+columns), `rref`, `kernel`, `solve` and the Killing form's rank: Bareiss's
+exact division (Math. Comp. 22 (1968) 565-578) in the Gauss-Jordan form of
+Nakos, Turner and Williams (ACM SIGSAM Bull. 31(3), 1997).  Rationals are
+read by `read_row`, straight into one integer row over its least common
+denominator; `Fraction` appears there only for a spelling other than the
+canonical ones, and otherwise only where an entry or a dense vector is handed
+out (and where such a `Fraction` is formatted).
 """
 
 from __future__ import annotations
@@ -362,7 +363,16 @@ def _echelon(rows: Iterable, cols: int) -> tuple[list, dict]:
 def rref(rows: Iterable, cols: int) -> tuple[int, list, list]:
     """The reduced row-echelon form of integer rows {k: x} in `cols` columns,
     as (s, R, pivots): its rows are R[a] / s, sorted by pivot, where s > 0 is
-    their least common denominator and R[a][pivots[a]] = s."""
+    their least common denominator and R[a][pivots[a]] = s.
+
+    Monomial rows, each with at most one nonzero entry, need no elimination:
+    a nonzero row x e_c spans the line of e_c, so the rows span the e_c for
+    c in the set C of columns holding an entry, and the reduced form is
+    those unit rows over s = 1, with pivots C."""
+    rows = list(rows)
+    if all(len(r) <= 1 for r in rows):
+        pivots = sorted({c for r in rows for c in r})
+        return 1, [{c: 1} for c in pivots], pivots
     ds, basis = _echelon(rows, cols)
     d = ds[-1] if ds else 1
     g = gcd(d, *(x for b in basis.values() for x in b.values()))

@@ -1206,3 +1206,23 @@ def test_derived_matrices_are_built_once_per_document(name, monkeypatch):
         assert sum(len(rows) == len(metric) and all(map(operator.is_, rows, metric))
                    for rows, _ in calls[:parsed]) == 1
         assert eliminations_of(p.kahler.gram, calls) == 1
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("family, eliminations", [
+    # the metric's leading minors and [G | I]
+    ("aff_power", 2), ("heisenberg", 2),
+    # supplements, the leading minors, [G | I] and the two solves of exactness
+    ("so3_power", 5),
+    # supplements
+    ("so3_plus_abelian", 1)])
+def test_only_rows_with_two_entries_are_eliminated(family, eliminations, k, monkeypatch):
+    # on the unit bases of the bench families every other row reduction (the
+    # spans of H and U, both eliminations of each kernel, the Killing rank)
+    # is of monomial rows, which rref reads off their columns
+    calls = []
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda rows, cols: calls.append(cols)
+                        or echelon(rows, cols))
+    run_checks(parse_document(getattr(bench_families(), family)(k).document))
+    assert len(calls) == eliminations

@@ -2,6 +2,8 @@ import copy
 import importlib.util
 import itertools
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -396,6 +398,63 @@ def test_unexpected_exception_exits_three_without_traceback(tmp_path, capsys, mo
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: boom second line\n"
     assert "Traceback" not in err
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its descriptor is a scratch file's, so that pointing it elsewhere is safe."""
+
+    def __init__(self, path):
+        self.file = open(path, "w")
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.file.fileno()
+
+
+@pytest.fixture
+def closed_stdout(tmp_path, monkeypatch):
+    pipe = ClosedPipe(tmp_path / "stdout")
+    monkeypatch.setattr("sys.stdout", pipe)
+    yield
+    pipe.file.close()
+
+
+@pytest.mark.parametrize("command, entry, status", [
+    (["check"], "so3_cr", 0), (["check", "--format", "structured"], "so3_bad_metric", 1),
+    (["schouten"], "sl2", 0), (["schouten"], "so3_r_mixed", 1),
+    (["construct", "left-symmetric"], "aff_aff", 0)])
+def test_a_closed_pipe_keeps_the_exit_code_and_stderr_quiet(
+        tmp_path, capsys, closed_stdout, command, entry, status):
+    assert main([*command, write(tmp_path, catalog.get(entry).document)]) == status
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [["catalog", "list"], ["catalog", "dump", "so3_cr"]])
+def test_a_closed_pipe_after_a_catalog_command_exits_zero(capsys, closed_stdout, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_reader_closed_before_any_output_leaves_the_verdict(tmp_path):
+    # the reading end is closed before the child starts, so its first write
+    # to stdout fails, however short the report
+    path = write(tmp_path, catalog.get("so3_bad_metric").document)
+    src = str(Path(importlib.util.find_spec("crlie").origin).parent.parent)
+    read, written = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "crlie.cli", "check", path],
+                              stdout=written, stderr=subprocess.PIPE, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(written)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_catalog_list_and_dump(capsys):

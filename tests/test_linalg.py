@@ -360,12 +360,41 @@ def matrices(draw):
     return Matrix.from_ints(cols, 1, []) if not data else Matrix(data)
 
 
+@st.composite
+def monomial_matrices(draw, cols=None):
+    """Rational matrices whose rows hold at most one nonzero entry, of any
+    shape from 0 x n and n x 0 up to 6 x 5 (or 6 x cols): negative and
+    non-unit entries, zero rows, and columns that several rows share or that
+    no row uses."""
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 5)) if cols is None else cols
+    data = [[Fraction(0)] * cols for _ in range(rows)]
+    for row in data:
+        k = draw(st.integers(-1, cols - 1))  # -1: a zero row
+        if k >= 0:
+            row[k] = draw(rationals.filter(bool))
+    return Matrix.from_ints(cols, 1, []) if not data else Matrix(data)
+
+
+def test_rref_of_monomial_rows_calls_no_elimination(monkeypatch):
+    calls = []
+    for name in ("_echelon", "remainder"):
+        monkeypatch.setattr(linalg, name, lambda *args, f=getattr(linalg, name), name=name:
+                            calls.append(name) or f(*args))
+    rows = [{3: -2}, {}, {0: 5}, {3: 7}]
+    assert rref(rows, 5) == (1, [{0: 1}, {3: 1}], [0, 3])
+    assert calls == []
+    # one row with two entries sends the whole set through one elimination
+    assert rref([*rows, {1: 3, 4: 6}], 5) == (1, [{0: 1}, {1: 1, 4: 2}, {3: 1}], [0, 1, 3])
+    assert calls.count("_echelon") == 1
+
+
 def fractions_of(s, R, cols):
     return [tuple(Fraction(r.get(k, 0), s) for k in range(cols)) for r in R]
 
 
 @settings(max_examples=200, deadline=None)
-@given(matrices())
+@given(st.one_of(matrices(), monomial_matrices()))
 def test_rref_matches_fraction_oracle(A):
     s, R, pivots = rref(A.ints, A.cols)
     rows, want_pivots = rref_over_fractions(rows_of(A))
@@ -374,7 +403,7 @@ def test_rref_matches_fraction_oracle(A):
 
 
 @settings(max_examples=200, deadline=None)
-@given(matrices(), st.data())
+@given(st.one_of(matrices(), monomial_matrices()), st.data())
 def test_kernel_and_solve_match_fraction_oracles(A, data):
     K = kernel(A)
     assert (list(K.basis), list(K.pivots)) == kernel_over_fractions(rows_of(A), A.cols)
@@ -446,10 +475,11 @@ def test_empty_shapes():
 
 
 def spanning_lists(n):
-    """Up to four rational vectors of length n, or the n unit vectors, which
-    span the whole space."""
+    """Up to four rational vectors of length n, the n unit vectors, which
+    span the whole space, or the rows of a monomial matrix."""
     return st.one_of(st.lists(st.lists(rationals, min_size=n, max_size=n), max_size=4),
-                     st.just([basis_vector(n, k) for k in range(n)]))
+                     st.just([basis_vector(n, k) for k in range(n)]),
+                     monomial_matrices(n).map(rows_of))
 
 
 @settings(max_examples=150, deadline=None)

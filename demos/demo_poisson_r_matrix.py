@@ -4,13 +4,11 @@ The bivector Lambda = e ^ f fails the classical Yang-Baxter equation
 ([Lambda, Lambda] = 2 e^f^h is nonzero) but satisfies the weaker membership
 condition [Lambda, Lambda] in U ^ Lambda^2 G for U = span{h}.  The same
 bivector used as a constant r-matrix yields a coboundary tensor whose
-invariance condition holds for every choice of U, and whose differential is
-an infinitesimal cocycle.
+invariance condition holds for every choice of U.
 """
 
 from crlie import (
-    catalog, check_cocycle, check_j_invariance, check_pseudo_poisson,
-    coboundary_delta, coboundary_pi, parse_document, schouten,
+    catalog, check_j_invariance, check_pseudo_poisson, coboundary_pi, parse_document, schouten,
 )
 
 
@@ -28,12 +26,6 @@ def main():
     r = payloads.poisson_r
     print("\ncoboundary tensor: pi = right_invariant(r) - left_invariant(r)")
     print(coboundary_pi(g, r, d.U).to_text())
-
-    delta = coboundary_delta(g, r)
-    print("\ndifferential delta(x) = (extended ad x) r:")
-    for name, b in zip(g.names, delta):
-        print(f"  delta({name}) = {b.format(g.names)}")
-    print(check_cocycle(g, delta).to_text())
 
 
 if __name__ == "__main__":

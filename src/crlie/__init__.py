@@ -18,8 +18,8 @@ _EXPORTS = {
                  "center_U", "check_cr", "check_kahler", "check_left_symmetric",
                  "ideal_complement_complex", "induced_bracket", "left_symmetric_product",
                  "omega_radical", "semisimple_exactness"),
-    "poisson": ("PseudoPoissonData", "check_cocycle", "check_j_invariance",
-                "check_pseudo_poisson", "coboundary_delta", "coboundary_pi"),
+    "poisson": ("PseudoPoissonData", "check_j_invariance", "check_pseudo_poisson",
+                "coboundary_pi"),
     "report": ("CheckResult", "Report"),
     "inputdoc": ("InputError", "Payloads", "dump_document", "parse_document", "parse_text"),
     "checks": ("run_checks",),

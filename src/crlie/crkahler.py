@@ -241,7 +241,7 @@ def check_cr(d: CRData) -> Report:
             # minus s_J j([j h_a, h_b] - [j h_b, h_a]) reads q of K[a][b] - K[b][a]
             P = sJ * sJ * PB[a].get(b, 0) - sum(map(mul, J[b].values(), map(K[a].get, J[b], zeros)))
             diff = P and P - ((P + half) >> N << N)
-            if proper and not d.H.contains(unpack(diff, w)):
+            if proper and diff and not d.H.contains(unpack(diff, w)):
                 w2.append(witness(x=fmt_vec(names, x, sh), y=fmt_vec(names, basis[b], sh),
                                   offending=fmt_vec(names, unpack(diff, w), s2)))
             P = K[a].get(b, 0) - K[b].get(a, 0)

@@ -9,10 +9,8 @@ multivectors.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .lie import LieAlgebra
-from .linalg import Frozen, Matrix, Subspace, common_scale, contraction
+from .linalg import Frozen, Matrix, Subspace
 from .multivector import (
     Bivector, Trivector, derive_ints, push_ints, quotient_columns, schouten,
     wedge_subspace_residual,
@@ -84,38 +82,3 @@ def coboundary_pi(algebra: LieAlgebra, r: Bivector, U: Subspace) -> Report:
     rep.add("poisson.coboundary_invariance", not bad, bad, detail=f"[r,r] = {rr.format(names)}")
     return rep
 
-
-def coboundary_delta(algebra: LieAlgebra, r: Bivector) -> list[Bivector]:
-    """The coboundary cocycle x -> (derivation extension of ad x)(r), on the
-    basis generators; ad e_i acts through row i of the integer table."""
-    table = algebra.table
-    return [Bivector.from_ints(algebra.dim, table.scale * r.scale, derive_ints(row, r.ints))
-            for row in table.rows]
-
-
-def check_cocycle(algebra: LieAlgebra, delta: Sequence[Bivector]) -> Report:
-    """Infinitesimal 1-cocycle identity for the adjoint action on Lambda^2:
-    delta([x, y]) = ad2(x) delta(y) - ad2(y) delta(x) on all basis pairs,
-    tested on T s times both sides, for the table scale T and the least
-    common denominator s of the delta(e_k)."""
-    rep = Report()
-    n, names = algebra.dim, algebra.names
-    if len(delta) != n:
-        raise ValueError("delta must assign a bivector to every basis generator")
-    if any(d.dim != n for d in delta):
-        raise ValueError("dimension mismatch in check_cocycle")
-    rows, T = algebra.table.rows, algebra.table.scale
-    s, D = common_scale((d.scale, d.ints) for d in delta)
-    D = dict(enumerate(D))
-    bad = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            # T s delta([e_a, e_b]) = sum_k rows[a][b][k] D[k]; {b: 1} selects a single row
-            diff = contraction([(1, rows[a].get(b, {}), D),
-                                (1, {b: 1}, {b: derive_ints(rows[b], D[a])}),
-                                (-1, {a: 1}, {a: derive_ints(rows[a], D[b])})])
-            if diff:
-                difference = Bivector.from_ints(n, T * s, diff).format(names)
-                bad.append(witness(x=names[a], y=names[b], difference=difference))
-    rep.add("poisson.cocycle", not bad, bad)
-    return rep

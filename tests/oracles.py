@@ -32,10 +32,10 @@ its oracle; `test_catalog` asserts the map and the rule.
 - `semisimple_exactness_full_system`: Cartan's criterion on the Killing
   form of traces, one exactness equation per pair a < b, and the
   centralizer of X as a kernel.
-- `check_pseudo_poisson_ambient`, `check_j_invariance_ambient`,
-  `coboundary_pi_ambient` and `check_cocycle_ambient`: the Schouten bracket
-  expanded over decomposables, maps on Lambda^k by minors, and membership
-  in U ^ Lambda^2 G as the remainder against the span of its generators.
+- `check_pseudo_poisson_ambient`, `check_j_invariance_ambient` and
+  `coboundary_pi_ambient`: the Schouten bracket expanded over
+  decomposables, maps on Lambda^k by minors, and membership in
+  U ^ Lambda^2 G as the remainder against the span of its generators.
 
 The other oracles are definitions of library pieces that the checks build
 on: the `Fraction` `rref`/`solve`/`kernel`/`det` and subspace operations,
@@ -987,25 +987,6 @@ def coboundary_pi_ambient(algebra: LieAlgebra, r: Bivector, U: Subspace) -> Repo
     return rep
 
 
-def check_cocycle_ambient(algebra: LieAlgebra, delta) -> Report:
-    """delta([x, y]) = ad2(x) delta(y) - ad2(y) delta(x) on every basis pair,
-    delta extended linearly and ad2 the derivation extension by minors."""
-    rep = Report()
-    n, names, c = algebra.dim, algebra.names, dense_tensor(algebra)
-    ad = [exterior_power_matrix(ad_rows(c, basis_vector(n, i)), 2, leibniz=True)
-          for i in range(n)]
-    bad = []
-    for a, b in combinations(range(n), 2):
-        lhs = Bivector(n, combine(*((ck, delta[k]) for k, ck in enumerate(c[a][b]) if ck)))
-        rhs = Bivector(n, combine((1, map_multivector(ad[a], delta[b])),
-                                  (-1, map_multivector(ad[b], delta[a]))))
-        if lhs != rhs:
-            difference = Bivector(n, combine((1, lhs), (-1, rhs)))
-            bad.append(witness(x=names[a], y=names[b], difference=difference.format(names)))
-    rep.add("poisson.cocycle", not bad, bad)
-    return rep
-
-
 # -- the parse conversion and the number formatters -------------------------------------
 
 def format_rat_over_fractions(q, scale: int = 1) -> str:
@@ -1118,5 +1099,4 @@ ORACLES = {
     "poisson.schouten_membership": check_pseudo_poisson_ambient,
     "poisson.j_invariance": check_j_invariance_ambient,
     "poisson.coboundary_invariance": coboundary_pi_ambient,
-    "poisson.cocycle": check_cocycle_ambient,
 }

@@ -726,6 +726,19 @@ def test_proper_h_builds_its_tables_on_the_rref_basis(k):
     assert_h_tables_match_definitions(d, kd)
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_cr_condition2_tests_no_zero_difference_for_membership(k, monkeypatch):
+    # on so(3)^k, [h_a, h_b] = [j h_a, j h_b] within a block and pairs of
+    # different blocks commute, so every difference of (2) is 0, which lies
+    # in the proper H without a membership test
+    d = parse_document(bench_families().so3_power(k).document).cr
+    assert d.H.dim < d.algebra.dim
+    calls, contains = [], Subspace.contains
+    monkeypatch.setattr(Subspace, "contains", lambda self, v: calls.append(v) or contains(self, v))
+    assert check_cr(d).passed
+    assert calls == []
+
+
 def test_h_brackets_are_computed_once_per_crdata(monkeypatch):
     # every integer table of the CR and Kahler data is built once, however
     # many checks read it

@@ -503,6 +503,17 @@ def workload_documents(seed):
 DOCUMENTS = {**{e: catalog.get(e).document for e in catalog.ids()}, **workload_documents(1)}
 
 
+@pytest.mark.parametrize("name", [name for name, doc in DOCUMENTS.items() if "poisson" in doc])
+def test_schouten_command_agrees_with_the_membership_check(tmp_path, capsys, name):
+    # `crlie schouten` forms [Lambda, Lambda] and its verdict on a path of its
+    # own; it must print the bracket and reach the verdict that `check` reports
+    result = run_checks(parse_document(DOCUMENTS[name])).result("poisson.schouten_membership")
+    status = main(["schouten", write(tmp_path, DOCUMENTS[name])])
+    printed = capsys.readouterr().out.splitlines()[0]
+    assert status == (0 if result.passed else 1)
+    assert printed.removeprefix("[Lambda, Lambda] = ") == result.detail.removeprefix("[L,L] = ")
+
+
 def payload_parts(p):
     """The parts of a parse that hold rationals, in the form of
     `parse_over_fractions`."""

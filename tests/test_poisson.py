@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crlie import (
-    Bivector, PseudoPoissonData, check_cocycle, check_j_invariance,
-    check_pseudo_poisson, coboundary_delta, coboundary_pi, schouten, sl2, so3,
+    Bivector, PseudoPoissonData, check_j_invariance, check_pseudo_poisson, coboundary_pi,
+    schouten, sl2, so3,
 )
 from crlie.linalg import Matrix, Subspace
 
 from oracles import (
-    ad_rows, apply_exterior_power, basis_vector, check_cocycle_ambient, check_j_invariance_ambient,
+    ad_rows, apply_exterior_power, basis_vector, check_j_invariance_ambient,
     check_pseudo_poisson_ambient, coboundary_pi_ambient, coefficients, combine, dense_tensor,
     direct_sum, from_brackets, lincomb, matvec, schouten_decomposable, vadd, wedge_coeffs, zeros,
 )
@@ -140,44 +140,15 @@ def test_search_confirms_no_pure_so3_failure():
         assert coboundary_pi(g, r, Subspace.from_ints(3, [])).passed
 
 
-# -- cocycles ----------------------------------------------------------------
-
-def test_coboundaries_are_cocycles_sl2():
-    g = sl2()
-    r = Bivector(3, {(0, 1): 1})
-    assert check_cocycle(g, coboundary_delta(g, r)).passed
-
-
-def test_zero_delta_is_a_cocycle():
-    g = so3()
-    assert check_cocycle(g, [Bivector(3)] * 3).passed
-
-
-def test_non_cocycle_detected_with_witness():
-    g = sl2()
-    delta = [Bivector(3, {(0, 2): 1}), Bivector(3), Bivector(3)]  # delta(e) = e^h
-    rep = check_cocycle(g, delta)
-    res = rep.result("poisson.cocycle")
-    assert not res.passed
-    first = dict(res.witnesses[0])
-    assert (first["x"], first["y"]) == ("e", "f")
-
-
 @pytest.mark.parametrize("dim", [2, 4])
-def test_cocycle_refuses_bivectors_of_another_dimension(dim):
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        check_cocycle(so3(), [Bivector(dim, {(0, 1): 1})] * 3)
+def test_coboundary_pi_refuses_bivectors_of_another_dimension(dim):
+    with pytest.raises(ValueError, match="dimension mismatch in coboundary_pi"):
+        coboundary_pi(so3(), Bivector(dim, {(0, 1): 1}), Subspace.from_ints(3, []))
 
 
-def test_random_coboundaries_always_cocycles():
-    rng = random.Random(11)
-    algebras = [so3(), sl2(), from_brackets(3, {}),
-                direct_sum(so3(), from_brackets(1, {}))]
-    for _ in range(20):
-        g = rng.choice(algebras)
-        keys = list(combinations(range(g.dim), 2))
-        r = Bivector(g.dim, {k: rng.randint(-3, 3) for k in keys})
-        assert check_cocycle(g, coboundary_delta(g, r)).passed
+def test_coboundary_pi_refuses_a_complement_of_another_dimension():
+    with pytest.raises(ValueError, match="dimension mismatch in coboundary_pi"):
+        coboundary_pi(so3(), Bivector(3, {(0, 1): 1}), Subspace.from_ints(4, [{3: 1}]))
 
 
 def test_block_bivector_schouten_has_no_cross_terms():
@@ -242,17 +213,3 @@ def test_poisson_layers_match_fraction_oracles_in_dense_bases(case):
     assert check_j_invariance(d).to_dict() == check_j_invariance_ambient(d).to_dict()
     assert (coboundary_pi(d.algebra, r, d.U).to_dict()
             == coboundary_pi_ambient(d.algebra, r, d.U).to_dict())
-
-
-@settings(max_examples=10, deadline=None)
-@given(dense_poisson_data(), st.data())
-def test_cocycle_layer_matches_bracket_built_ad_in_dense_bases(case, data):
-    # on a coboundary and on a random delta, against the definition with ad
-    # matrices built from brackets and their derivation extensions by minors
-    (d, r), n = case, case[0].algebra.dim
-    g, c = d.algebra, dense_tensor(d.algebra)
-    deltas = [coboundary_delta(g, r), [data.draw(bivectors(n)) for _ in range(n)]]
-    assert deltas[0] == [apply_exterior_power(ad_rows(c, basis_vector(n, i)), r, leibniz=True)
-                         for i in range(n)]
-    assert ([check_cocycle(g, delta).to_dict() for delta in deltas]
-            == [check_cocycle_ambient(g, delta).to_dict() for delta in deltas])

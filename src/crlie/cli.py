@@ -17,7 +17,7 @@ from .checks import run_checks
 from .crkahler import left_symmetric_product
 from .inputdoc import InputError, dump_document, parse_text
 from .linalg import contraction
-from .multivector import schouten, wedge_subspace_residual
+from .multivector import wedge_subspace_residual
 from .report import fmt_vec
 
 EXIT_PASS = 0
@@ -81,7 +81,7 @@ def cmd_schouten(args):
     if payloads.poisson is None:
         raise InputError(["schouten needs a poisson block (and its cr block)"])
     d = payloads.poisson
-    t = schouten(d.algebra, d.Lambda, d.Lambda)
+    t = d.Lambda.square(d.algebra)
     verdict = wedge_subspace_residual(t, d.U).is_zero()
     return (EXIT_PASS if verdict else EXIT_CHECK_FAILED), [
         f"[Lambda, Lambda] = {t.format(d.algebra.names)}",

@@ -301,7 +301,20 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
 
     All three read the product table P in H-coordinates, and C = P - P^T,
     formed where P or P^T is nonzero, holds the structure constants of the
-    induced bracket."""
+    induced bracket.  Both identities are decided on pairs a < b only, and
+    each failure is reported in both orientations: B and C are both
+    antisymmetric, so the defect of (1) at (b, a) is minus the one at
+    (a, b), and the defect of (2) changes sign when x and y are swapped and
+    vanishes when x = y.
+
+    Identity (2) is summed only on the triples where one of its terms can be
+    nonzero.  With x, y, z = h_a, h_b, h_c and h_a v = sum_d v_d P[a][d],
+    x(yz) = sum_d P[b][c][d] P[a][d] has a term only where supp P[b][c]
+    meets the keys of P[a]; y(xz) only where the same holds with a and b
+    swapped; and (xy - yx)z = sum_d C[a][b][d] P[d][c] only where c is a key
+    of P[d] for some d in supp C[a][b].  The index
+    d -> {(b, c) : d in supp P[b][c]} lists the first two kinds from the keys
+    of P[a], so no pair a < b is scanned."""
     rep = Report()
     m, s, P = k.H.dim, p.scale, p.P
     fmt = [fmt_vec(k.algebra.names, h, k.H.scale) for h in k.H.ints]
@@ -313,11 +326,14 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
     # s s_G s_B s_V times the difference, which vanishes where B and C do
     (sB, B), V, G = k.cr.brackets, k.omega_images, k.gram
     gram, images = dict(enumerate(G.ints)), dict(enumerate(V.ints))
-    w1 = []
-    for a, b in sorted({(a, b) for rows in (B, C.rows) for a, row in enumerate(rows) for b in row}):
+    bad = {}
+    for a, b in sorted({(a, b) for rows in (B, C.rows) for a, row in enumerate(rows)
+                        for b in row if a < b}):
         d = contraction([(sB * V.scale, C.rows[a].get(b, {}), gram),
                          (-s * G.scale, B[a].get(b, {}), images)])
-        w1.extend(witness(x=fmt[a], y=fmt[b], u=fmt[t]) for t in sorted(d))
+        if d:
+            bad[a, b] = bad[b, a] = sorted(d)
+    w1 = [witness(x=fmt[a], y=fmt[b], u=fmt[t]) for a, b in sorted(bad) for t in bad[a, b]]
     rep.add("leftsym.identity1", not w1, w1)
 
     # C is antisymmetric by construction, so only its Jacobiator is decided
@@ -325,17 +341,20 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
     rep.add("leftsym.jacobi_induced", not jac, jac)
 
     if not jac:
-        # h_a v = sum_d v_d P[a][d] and (xy - yx)z = sum_d C[a][b][d] P[d][c].
-        # The defect x(yz) - y(xz) - (xy - yx)z changes sign when a and b are
-        # swapped and vanishes when a = b, so a < b decides every triple.  It
-        # is homogeneous of degree 2 in P, so the scale cannot change a zero test.
-        # A term is nonzero only for c in P[a] or P[b], or, when C[a][b] is,
-        # for c with a nonzero column
-        comm = C.rows
-        cols = [{d: P[d][c] for d in range(m) if c in P[d]} for c in range(m)]
-        reached = [c for c in range(m) if cols[c]]
-        failing = [(a, b, c) for a in range(m) for b in range(a + 1, m)
-                   for c in {*P[a], *P[b], *(reached if b in comm[a] else ())}
+        # the defect x(yz) - y(xz) - (xy - yx)z is homogeneous of degree 2 in
+        # P, so the scale cannot change a zero test; cols[c] = {d: P[d][c]}
+        comm, cols, index = C.rows, {}, {}
+        for b, row in enumerate(P):
+            for c, v in row.items():
+                cols.setdefault(c, {})[b] = v
+                for d in v:
+                    index.setdefault(d, []).append((b, c))
+        # the unions form each triple once, however many d reach it
+        triples = {(min(a, b), max(a, b), c) for a, row in enumerate(P)
+                   for b, c in set().union(*(index.get(d, ()) for d in row)) if a != b}
+        triples.update((a, b, c) for a, row in enumerate(comm) for b, v in row.items()
+                       if a < b for c in set().union(*map(P.__getitem__, v)))
+        failing = [(a, b, c) for a, b, c in triples
                    if contraction(((1, P[b].get(c, {}), P[a]),
                                    (-1, P[a].get(c, {}), P[b]),
                                    (-1, comm[a].get(b, {}), cols[c])))]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from math import lcm
 from typing import Optional
 
 from .crkahler import CRData, KahlerCRData
@@ -78,13 +79,15 @@ def _subspace(rows, dim, where, diags) -> Optional[Subspace]:
 
 
 def _bivector(entries, dim, where, diags) -> Optional[Bivector]:
+    """The bivector of the entries {"i", "j", "coeff"}, i < j, each
+    coefficient read once, or None and a diagnostic for the first bad one."""
     coeffs = {}
     for e in entries:
         try:
             if not isinstance(e, dict):
                 raise TypeError("must be an object")
             i, j = _int(e["i"]), _int(e["j"])
-            read_row([e["coeff"]])  # for its diagnostic; Bivector reads it
+            t, x = read_row([e["coeff"]])
         except (KeyError, ValueError, TypeError) as err:
             diags.append(f"{where}: bad entry {e!r}: {err}")
             return None
@@ -94,8 +97,9 @@ def _bivector(entries, dim, where, diags) -> Optional[Bivector]:
         if (i - 1, j - 1) in coeffs:
             diags.append(f"{where}: duplicate entry for ({i},{j})")
             return None
-        coeffs[(i - 1, j - 1)] = e["coeff"]
-    return Bivector(dim, coeffs)
+        coeffs[(i - 1, j - 1)] = t, x.get(0, 0)
+    s = lcm(*(t for t, _ in coeffs.values()))
+    return Bivector.from_ints(dim, s, {key: x * (s // t) for key, (t, x) in coeffs.items()})
 
 
 def _table(block: dict, where: str, noun: str, dim: int, width: int, diags) -> IntTable:
@@ -213,8 +217,9 @@ def parse_document(doc: dict) -> Payloads:
                 except ValueError as e:
                     diags.append(f"poisson: {e}")
             if "r" in block:
-                payloads.poisson_r = _bivector(_list(block, "r", "poisson.r", diags), dim,
-                                               "poisson.r", diags)
+                r = _bivector(_list(block, "r", "poisson.r", diags), dim, "poisson.r", diags)
+                # r = Lambda shares Lambda's object, and with it the kept [r, r]
+                payloads.poisson_r = lam if r == lam else r
 
     if "ideal" in doc:
         if payloads.cr is None:

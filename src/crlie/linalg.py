@@ -18,7 +18,8 @@ vector one integer (Kronecker substitution: D. Harvey, J. Symbolic Comput.
 expression.  One fraction-free Gauss-Jordan elimination, `_echelon`, built
 on `remainder`, serves `Subspace.supplements`, the leading minors and,
 except on monomial rows (whose reduced form `rref` reads off their
-columns), `rref`, `kernel`, `solve` and the Killing form's rank: Bareiss's
+columns, and whose systems `solve` reads off row by row), `rref`, `kernel`,
+`solve` and the Killing form's rank: Bareiss's
 exact division (Math. Comp. 22 (1968) 565-578) in the Gauss-Jordan form of
 Nakos, Turner and Williams (ACM SIGSAM Bull. 31(3), 1997).  Rationals are
 read by `read_row`, straight into one integer row over its least common
@@ -87,22 +88,30 @@ def format_terms(terms: Iterable, scale: int = 1) -> str:
     return out or "0"
 
 
+# the canonical spellings of -9..9 but 0, which most nonzero entries of a document are
+_SMALL = {str(p): p for p in range(-9, 10) if p}
+
+
 def read_row(entries: Iterable) -> tuple[int, dict]:
     """(s, ints) with entries[k] = ints.get(k, 0) / s exactly, where s is the
     least common denominator of the entries (1 when all vanish) and
     ints = {k: x} keeps the nonzero ones.
 
     The canonical spellings -- ints other than bool, and strings "p", "-p",
-    "p/q" and "-p/q" of ASCII digits with q != 0 -- are read with int().
-    Every other value, and one whose int() raises (too many digits), goes
-    through `rat`, so what is accepted, and the error for what is not, are
-    exactly those of `Fraction`."""
+    "p/q" and "-p/q" of ASCII digits with q != 0 -- are read with int(), the
+    strings "-9" to "9" from a table.  Every other value, and one whose int()
+    raises (too many digits), goes through `rat`, so what is accepted, and
+    the error for what is not, are exactly those of `Fraction`."""
     if isinstance(entries, (str, dict)):
         kind = "string" if isinstance(entries, str) else "object"
         raise TypeError(f"expected a list of rationals, not the {kind} {entries!r}")
-    ints, dens = {}, {}
+    ints, dens, small = {}, {}, _SMALL.get
     for k, e in enumerate(entries):
         if e == "0":  # most entries of a sparse document; it adds nothing
+            continue
+        p = small(e) if type(e) is str else None
+        if p:
+            ints[k] = p
             continue
         if type(e) is int:
             p, q = e, 1
@@ -235,8 +244,9 @@ class Matrix(Frozen):
         ints = [{k: x for k, x in r.items() if x} for r in ints]
         g = gcd(scale, *(x for r in ints for x in r.values()))
         g = -g if scale < 0 else g
-        self._set(len(ints), cols, scale // g,
-                  tuple({k: x // g for k, x in r.items()} for r in ints), None)
+        if g != 1:
+            ints = [{k: x // g for k, x in r.items()} for r in ints]
+        self._set(len(ints), cols, scale // g, tuple(ints), None)
 
     def _set(self, *values) -> None:
         for name, value in zip(Matrix.__slots__, values):
@@ -396,10 +406,26 @@ def solve(A: Matrix, b: Sequence) -> Optional[Vector]:
     space, free variables are set to zero (canonical representative).  One
     `rref` of the integer system [ints | scale * sb * b], with sb the least
     common denominator of b, which sb x solves.
+
+    When every row of A holds at most one entry, no elimination is needed:
+    row i reads a x_c = b_i, so x_c = s b_i / a for the integer entry a of
+    s A, and a zero row reads 0 = b_i.  The system is consistent iff every
+    zero row has b_i = 0 and the rows that share a column agree on x_c; the
+    columns no row holds are the free variables.
     """
     if A.rows != len(b):
         raise ValueError(f"dimension mismatch: {A.rows} rows vs rhs of {len(b)}")
     n, (sb, bi) = A.cols, read_row(b)
+    if all(len(r) <= 1 for r in A.ints):
+        x = {}
+        for i, r in enumerate(A.ints):
+            for c, a in r.items():
+                v = Fraction(A.scale * bi.get(i, 0), sb * a)
+                if x.setdefault(c, v) != v:
+                    return None
+            if not r and i in bi:
+                return None
+        return tuple(x.get(c, Fraction(0)) for c in range(n))
     s, R, pivots = rref([{**r, n: A.scale * bi[i]} if i in bi else r
                          for i, r in enumerate(A.ints)], n + 1)
     if pivots and pivots[-1] == n:

@@ -87,6 +87,14 @@ class _Alternating(Frozen):
 class Bivector(_Alternating):
     arity = 2
 
+    def square(self, algebra: LieAlgebra) -> "Trivector":
+        """[self, self], the `schouten` square, kept for the last algebra it
+        was taken on, so that the checks reading one bivector build it once."""
+        kept = self.__dict__.get("_square")
+        if kept is None or kept[0] is not algebra:
+            kept = self.__dict__["_square"] = algebra, schouten(algebra, self, self)
+        return kept[1]
+
 
 class Trivector(_Alternating):
     arity = 3

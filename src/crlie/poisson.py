@@ -12,8 +12,7 @@ from __future__ import annotations
 from .lie import LieAlgebra
 from .linalg import Frozen, Matrix, Subspace
 from .multivector import (
-    Bivector, Trivector, derive_ints, push_ints, quotient_columns, schouten,
-    wedge_subspace_residual,
+    Bivector, Trivector, derive_ints, push_ints, quotient_columns, wedge_subspace_residual,
 )
 from .report import Report, witness
 
@@ -39,7 +38,7 @@ def check_pseudo_poisson(d: PseudoPoissonData) -> Report:
     canonical residual trivector is reported."""
     rep = Report()
     names = d.algebra.names
-    t = schouten(d.algebra, d.Lambda, d.Lambda)
+    t = d.Lambda.square(d.algebra)
     res = wedge_subspace_residual(t, d.U)
     ok = res.is_zero()
     w = [] if ok else [witness(residual=res.format(names))]
@@ -66,13 +65,15 @@ def coboundary_pi(algebra: LieAlgebra, r: Bivector, U: Subspace) -> Report:
     pi = right_invariant(r) - left_invariant(r): the infinitesimal invariance
     of [r, r].  For every basis generator e_i, the derivation extension of
     ad e_i must send [r, r] into U ^ Lambda^2 G.  [r, r] and the quotient map
-    are built once, and each generator is tested on integer coefficients.
+    are built once, and each generator is tested on integer coefficients;
+    when r is the document's Lambda, [r, r] is the one the membership check
+    built.
     """
     if r.dim != algebra.dim or U.ambient_dim != algebra.dim:
         raise ValueError("dimension mismatch in coboundary_pi")
     rep = Report()
     n, names, table = algebra.dim, algebra.names, algebra.table
-    rr, (su, Q) = schouten(algebra, r, r), quotient_columns(U)
+    rr, (su, Q) = r.square(algebra), quotient_columns(U)
     bad = []
     for i, row in enumerate(table.rows):
         res = push_ints(Q, derive_ints(row, rr.ints))

@@ -555,6 +555,21 @@ def test_identity2_reaches_a_triple_through_the_induced_bracket_alone():
     assert (("x", fmt[0]), ("y", fmt[1]), ("z", fmt[2])) in witnesses
 
 
+@pytest.mark.parametrize("k", [4, 8, 16])
+def test_identity2_sums_only_the_triples_its_supports_reach(k, monkeypatch):
+    # each aff(R) block has 2 nonzero products, and one triple per block can
+    # carry a term of identity (2): with one contraction per block for C and
+    # one for identity (1), that is 3k.  A scan of the pairs a < b made 76,
+    # 312 and 1,264 contractions here
+    kd = aff_power_kahler(k)
+    product, calls = left_symmetric_product(kd), []
+    monkeypatch.setattr(crkahler, "contraction",
+                        lambda terms, f=crkahler.contraction: calls.append(1) or f(terms))
+    rep = check_left_symmetric(kd, product)
+    assert rep.passed and rep.result("leftsym.identity2").passed
+    assert len(calls) <= 3 * k
+
+
 def perturbed_product(data, k):
     """The product of k with q added to the H-coordinates of 1-3 entries,
     optionally to the transposed entry too."""
@@ -1225,14 +1240,16 @@ def test_derived_matrices_are_built_once_per_document(name, monkeypatch):
 @pytest.mark.parametrize("family, eliminations", [
     # the metric's leading minors and [G | I]
     ("aff_power", 2), ("heisenberg", 2),
-    # supplements, the leading minors, [G | I] and the two solves of exactness
-    ("so3_power", 5),
+    # supplements, the leading minors and [G | I]; both solves of exactness
+    # are monomial, and `solve` reads them off their rows
+    ("so3_power", 3),
     # supplements
     ("so3_plus_abelian", 1)])
 def test_only_rows_with_two_entries_are_eliminated(family, eliminations, k, monkeypatch):
     # on the unit bases of the bench families every other row reduction (the
     # spans of H and U, both eliminations of each kernel, the Killing rank)
-    # is of monomial rows, which rref reads off their columns
+    # is of monomial rows, which rref reads off their columns, and every
+    # system solved is monomial
     calls = []
     echelon = linalg._echelon
     monkeypatch.setattr(linalg, "_echelon", lambda rows, cols: calls.append(cols)

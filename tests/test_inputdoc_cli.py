@@ -1,15 +1,19 @@
 import copy
 import importlib.util
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crlie import (
     InputError, catalog, dump_document, parse_document,
@@ -592,3 +596,64 @@ def test_parse_matches_fraction_conversion(name):
     assert again != doc
     assert payload_parts(parse_document(again)) == want
     assert report_text(again) == report_text(doc)
+
+
+# -- the CLI contract on mutated documents -------------------------------------
+
+MUTANTS = (None, True, False, 0.5, -1e308, "1/0", [], {})
+
+
+def paths(node, prefix=()):
+    """The path of every value inside a document, as key and index tuples."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A catalog document with 1-3 values swapped for a null, a bool, a float,
+    "1/0", an empty list or object, or deleted.  No mutant is an integer, so
+    every dim stays that of the catalog entry (at most 1000)."""
+    doc = copy.deepcopy(catalog.get(draw(st.sampled_from(catalog.ids()))).document)
+    for _ in range(draw(st.integers(1, 3))):
+        *parent, key = draw(st.sampled_from(list(paths(doc))))
+        container = doc
+        for step in parent:
+            container = container[step]
+        if draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = copy.deepcopy(draw(st.sampled_from(MUTANTS)))
+        if not doc:
+            break
+    return doc
+
+
+def run_cli(argv, text):
+    """(exit status, stderr) of `main(argv)` reading text from stdin."""
+    streams = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(text), io.StringIO(), io.StringIO()
+    try:
+        return main(argv), sys.stderr.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = streams
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_documents())
+def keep_the_cli_contract(doc):
+    text = json.dumps(doc)
+    for argv in (["check", "-"], ["schouten", "-"], ["construct", "left-symmetric", "-"]):
+        status, err = run_cli(argv, text)
+        assert status in (0, 1, 2), (argv, doc)
+        assert "internal error" not in err, (argv, doc, err)
+
+
+def test_mutated_catalog_documents_keep_the_cli_contract():
+    # exit 0, 1 or 2 and no internal error for check, schouten and construct
+    start = time.perf_counter()
+    keep_the_cli_contract()
+    assert time.perf_counter() - start < 5

@@ -93,7 +93,8 @@ canonical = st.one_of(
     digits, digits.map(lambda p: "-" + p),
     st.tuples(st.sampled_from(["", "-"]), digits, st.integers(1, 10 ** 4)).map(
         lambda t: f"{t[0]}{t[1]}/{t[2]}"),
-    st.sampled_from(["-0", "3/06", "0/5", "-0/7", "007"]))
+    st.sampled_from(["-0", "3/06", "0/5", "-0/7", "007"]),
+    st.sampled_from([str(p) for p in range(-9, 10) if p]))
 spelled = st.one_of(
     st.sampled_from(["1/0", "0/0", "+3", " 2 ", "1.5", "1e2", "1_000", "-", "", "1/", "/2",
                      "--1", "12/-4", "\u0663", "1\u0662", "\u00b2", "\uff11", "1/\u0663", "x"]),
@@ -176,14 +177,21 @@ def test_solve_identity():
     assert solve(A, vector(["3", "1/2"])) == vector(["3", "1/2"])
 
 
+MONOMIAL = Matrix([[0, 2, 0], [0, 0, 0], [0, -4, 0]])  # column 1 shared, row 1 zero
+
+
 def test_solve_inconsistent():
     A = Matrix([[1, 1], [2, 2]])
     assert solve(A, vector([1, 3])) is None
+    # rows that share a column disagree; a zero row has b_i != 0
+    assert solve(MONOMIAL, vector([1, 0, 2])) is None
+    assert solve(MONOMIAL, vector(["1", "1/3", "-2"])) is None
 
 
 def test_solve_free_variables_zero():
     A = Matrix([[1, 1]])
     assert solve(A, vector([5])) == vector([5, 0])
+    assert solve(MONOMIAL, vector([1, 0, -2])) == vector(["0", "1/2", "0"])
 
 
 def test_solve_dimension_mismatch():
@@ -387,6 +395,33 @@ def test_rref_of_monomial_rows_calls_no_elimination(monkeypatch):
     # one row with two entries sends the whole set through one elimination
     assert rref([*rows, {1: 3, 4: 6}], 5) == (1, [{0: 1}, {1: 1, 4: 2}, {3: 1}], [0, 1, 3])
     assert calls.count("_echelon") == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_matrices(), st.data())
+def test_monomial_solve_matches_fraction_oracle_without_elimination(A, data):
+    """Right sides: A x, A x changed on one row of a column that other rows
+    share (inconsistent there only), A x with a nonzero entry on a zero row,
+    and an arbitrary one.  A column no row holds is a free variable, 0."""
+    b = matvec(A, vector(data.draw(st.lists(rationals, min_size=A.cols, max_size=A.cols))))
+    sides = [b, vector(data.draw(st.lists(rationals, min_size=A.rows, max_size=A.rows)))]
+    by_column = {}
+    for i, r in enumerate(A.ints):
+        by_column.setdefault(min(r, default=None), []).append(i)
+    shared = [rows for c, rows in by_column.items() if c is not None and len(rows) > 1]
+    for rows in (data.draw(st.sampled_from(shared)) if shared else None, by_column.get(None)):
+        if rows:
+            i, q = data.draw(st.sampled_from(rows)), data.draw(rationals.filter(bool))
+            sides.append(b[:i] + (b[i] + q,) + b[i + 1:])
+    calls, echelon = [], linalg._echelon
+    linalg._echelon = lambda *args: calls.append(args) or echelon(*args)
+    try:
+        got = [solve(A, side) for side in sides]
+    finally:
+        linalg._echelon = echelon
+    assert calls == []
+    assert got == [solve_over_fractions(rows_of(A), side, A.cols) for side in sides]
+    assert got[0] is not None and all(x is None for x in got[2:])
 
 
 def fractions_of(s, R, cols):

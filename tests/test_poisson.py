@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from crlie import (
     Bivector, PseudoPoissonData, check_j_invariance, check_pseudo_poisson, coboundary_pi,
-    schouten, sl2, so3,
+    parse_document, run_checks, schouten, sl2, so3,
 )
+from crlie import multivector
 from crlie.linalg import Matrix, Subspace
 
 from oracles import (
@@ -18,6 +19,7 @@ from oracles import (
 )
 from strategies import fractions
 from test_crkahler import dense_cr_data, rescaled, units
+from test_inputdoc_cli import bench_families
 
 
 def so3_poisson():
@@ -149,6 +151,23 @@ def test_coboundary_pi_refuses_bivectors_of_another_dimension(dim):
 def test_coboundary_pi_refuses_a_complement_of_another_dimension():
     with pytest.raises(ValueError, match="dimension mismatch in coboundary_pi"):
         coboundary_pi(so3(), Bivector(3, {(0, 1): 1}), Subspace.from_ints(4, [{3: 1}]))
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("r, squares", [(None, 1), ([{"i": 1, "j": 3, "coeff": "2"}], 2)],
+                         ids=["r=Lambda", "r!=Lambda"])
+def test_one_schouten_square_per_bivector_of_a_document(k, r, squares, monkeypatch):
+    # so(3)^k gives r = Lambda: the membership and coboundary checks share
+    # [Lambda, Lambda]; another r has a square of its own
+    doc = bench_families().so3_power(k).document
+    if r is not None:
+        doc = {**doc, "poisson": {**doc["poisson"], "r": r}}
+    calls = []
+    monkeypatch.setattr(multivector, "schouten_ints",
+                        lambda *args, f=multivector.schouten_ints: calls.append(1) or f(*args))
+    rep = run_checks(parse_document(doc))
+    assert "poisson.coboundary_invariance" in {c.check_id for c in rep.results}
+    assert len(calls) == squares
 
 
 def test_block_bivector_schouten_has_no_cross_terms():

@@ -18,7 +18,7 @@ from .crkahler import (
 )
 from .inputdoc import Payloads
 from .poisson import check_j_invariance, check_pseudo_poisson, coboundary_pi
-from .report import Report, witness
+from .report import Report
 
 def run_checks(p: Payloads) -> Report:
     rep = Report()
@@ -50,7 +50,7 @@ def run_checks(p: Payloads) -> Report:
         try:
             _, _, ideal_rep = ideal_complement_complex(p.cr, p.ideal)
         except ValueError as e:
-            rep.add("ideal.valid_input", False, [witness(reason=str(e))])
+            rep.add("ideal.valid_input", False, [dict(reason=str(e))])
         else:
             rep.add("ideal.valid_input", True)
             rep.extend(ideal_rep)
@@ -59,7 +59,7 @@ def run_checks(p: Payloads) -> Report:
         try:
             ext_rep = build_extension(p.kahler, p.extension)
         except ValueError as e:
-            rep.add("extension.valid_input", False, [witness(reason=str(e))])
+            rep.add("extension.valid_input", False, [dict(reason=str(e))])
         else:
             rep.extend(ext_rep)
 

@@ -17,7 +17,7 @@ from .checks import run_checks
 from .crkahler import left_symmetric_product
 from .inputdoc import InputError, dump_document, parse_text
 from .linalg import contraction
-from .multivector import wedge_subspace_residual
+from .poisson import check_pseudo_poisson
 from .report import fmt_vec
 
 EXIT_PASS = 0
@@ -54,16 +54,15 @@ def cmd_construct(args):
     payloads = _load(args.file)
     if payloads.kahler is None:
         raise InputError(["left-symmetric construction needs cr and metric blocks"])
-    return EXIT_PASS, _left_symmetric_lines(payloads.algebra.names,
+    return EXIT_PASS, _left_symmetric_lines(payloads.algebra.names, payloads.cr.basis_names,
                                             left_symmetric_product(payloads.kahler))
 
 
-def _left_symmetric_lines(names, product):
+def _left_symmetric_lines(names, basis, product):
     # each value is read from the integer table in H-coordinates and mapped
     # into G through the integer basis of H, so it is s_P s_H times the vector
     H, P = product.H, product.P
     rows, s = dict(enumerate(H.ints)), product.scale * H.scale
-    basis = [fmt_vec(names, h, H.scale) for h in H.ints]
     yield "left-symmetric product on H:"
     for a, x in enumerate(basis):
         for b, y in enumerate(basis):
@@ -81,10 +80,10 @@ def cmd_schouten(args):
     if payloads.poisson is None:
         raise InputError(["schouten needs a poisson block (and its cr block)"])
     d = payloads.poisson
-    t = d.Lambda.square(d.algebra)
-    verdict = wedge_subspace_residual(t, d.U).is_zero()
+    # the verdict is `crlie check`'s, and [Lambda, Lambda] the one it built
+    verdict = check_pseudo_poisson(d).passed
     return (EXIT_PASS if verdict else EXIT_CHECK_FAILED), [
-        f"[Lambda, Lambda] = {t.format(d.algebra.names)}",
+        f"[Lambda, Lambda] = {d.Lambda.square(d.algebra).format(d.algebra.names)}",
         f"membership in U^Lambda^2: {'pass' if verdict else 'fail'}"]
 
 

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from .lie import IntTable, LieAlgebra
 from .linalg import (Frozen, Matrix, Subspace, Vector, contraction, format_rat, kernel, pack,
                      rref, solve, unpack)
-from .report import Report, fmt_vec, witness
+from .report import Report, fmt_vec
 
 
 def _basis_matrix(S: Subspace) -> Matrix:
@@ -89,6 +89,12 @@ class CRData(Frozen):
         images = (contraction([(1, h, columns)]) for h in H.ints)
         return self.j.scale * H.scale, [{e: v[p] for e, p in enumerate(H.pivots) if p in v}
                                         for v in images]
+
+    @cached_property
+    def basis_names(self) -> list:
+        """H's RREF basis in the algebra's names, read only where a witness or
+        an output line names it, so a passing document formats none."""
+        return [fmt_vec(self.algebra.names, h, self.H.scale) for h in self.H.ints]
 
 
 class KahlerCRData(Frozen):
@@ -161,7 +167,7 @@ class KahlerCRData(Frozen):
         `kahler.omega_closed`, read by `check_kahler` and `build_extension`."""
         alg, n = self.algebra, self.algebra.dim
         names, om = alg.names, self.omega_matrix.ints
-        anti = [witness(x=names[a], y=names[b]) for a in range(n) for b in range(a, n)
+        anti = [dict(x=names[a], y=names[b]) for a in range(n) for b in range(a, n)
                 if om[a].get(b, 0) != -om[b].get(a, 0)]
 
         # dw = 0 is the Jacobi identity of the central extension G + R by w, so
@@ -170,7 +176,7 @@ class KahlerCRData(Frozen):
         # As c is antisymmetric, that sum is alternating: it vanishes when two
         # indices agree, and its value on a < b < t fixes it on the five others
         O = [{l: {0: x} for l, x in row.items()} for row in self.omega_matrix.transpose().ints]
-        return anti, [witness(x=names[a], y=names[b], z=names[t]) for a, b, t in sorted(
+        return anti, [dict(x=names[a], y=names[b], z=names[t]) for a, b, t in sorted(
             p for abt in alg.table.cyclic_defects(O) for p in permutations(abt))]
 
 
@@ -198,6 +204,11 @@ class LeftSymmetricProduct(Frozen):
         return self.H.member(self.P[a].get(b, {}), self.scale)
 
 
+def _named(d: CRData, keys: str, indices) -> list:
+    """A witness per index tuple t, with keys[k] naming H's basis vector t[k]."""
+    return [dict(zip(keys, (d.basis_names[i] for i in t))) for t in indices]
+
+
 # ---------------------------------------------------------------------------
 # CR conditions
 
@@ -217,8 +228,7 @@ def check_cr(d: CRData) -> Report:
     q = (P + 2^(N-1)) >> N; only a witness or a test in a proper H unpacks."""
     rep = Report()
     (sB, B), (sJ, J), j = d.brackets, d.jH, d.j
-    basis, sh, names = d.H.ints, d.H.scale, d.algebra.names
-    m, proper = len(basis), d.H.dim < d.algebra.dim
+    names, m, proper = d.algebra.names, d.H.dim, d.H.dim < d.algebra.dim
     # With beta the largest |entry| of B and r_J, r_j the largest row L1 norms of J and
     # s_j j, the digits of K, (2), K[a][b] - K[b][a] and its image under s_j j are at most
     # r_J, s_J^2 + r_J^2, 2 r_J and 2 r_J r_j times beta: w bounds (3), so all, as s_J r_j >= 1
@@ -235,20 +245,20 @@ def check_cr(d: CRData) -> Report:
             PB[a][b] = -PB[b][a] if b < a else sum(map(mul, v.values(), map(E.__getitem__, v)))
     K = [contraction([(1, row, PB)]) for row in J]  # it adds packed vectors too
     s2, w2, w3, half, zeros = sJ * sJ * sB, [], [], 1 << N >> 1, repeat(0)
-    for a, x in enumerate(basis):
+    for a in range(m):
         for b in range(a + 1, m):
             # s_J^2 s_B ([h_a, h_b] - [j h_a, j h_b]) is r, and s_j times its negative
             # minus s_J j([j h_a, h_b] - [j h_b, h_a]) reads q of K[a][b] - K[b][a]
             P = sJ * sJ * PB[a].get(b, 0) - sum(map(mul, J[b].values(), map(K[a].get, J[b], zeros)))
             diff = P and P - ((P + half) >> N << N)
             if proper and diff and not d.H.contains(unpack(diff, w)):
-                w2.append(witness(x=fmt_vec(names, x, sh), y=fmt_vec(names, basis[b], sh),
-                                  offending=fmt_vec(names, unpack(diff, w), s2)))
+                w2.append(dict(x=d.basis_names[a], y=d.basis_names[b],
+                               offending=fmt_vec(names, unpack(diff, w), s2)))
             P = K[a].get(b, 0) - K[b].get(a, 0)
             offending = -j.scale * diff - sJ * (P and (P + half) >> N)
             if offending:
-                w3.append(witness(x=fmt_vec(names, x, sh), y=fmt_vec(names, basis[b], sh),
-                                  offending=fmt_vec(names, unpack(offending, w), j.scale * s2)))
+                w3.append(dict(x=d.basis_names[a], y=d.basis_names[b],
+                               offending=fmt_vec(names, unpack(offending, w), j.scale * s2)))
     rep.add("cr.condition2", not w2, w2)
     rep.add("cr.condition3", not w3, w3)
     return rep
@@ -317,7 +327,6 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
     of P[a], so no pair a < b is scanned."""
     rep = Report()
     m, s, P = k.H.dim, p.scale, p.P
-    fmt = [fmt_vec(k.algebra.names, h, k.H.scale) for h in k.H.ints]
     pairs = {(min(a, b), max(a, b)) for a, row in enumerate(P) for b in row if a != b}
     C = IntTable.antisymmetric(m, {(a, b): (1, p.commutator(a, b)) for a, b in pairs})
 
@@ -333,11 +342,11 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
                          (-s * G.scale, B[a].get(b, {}), images)])
         if d:
             bad[a, b] = bad[b, a] = sorted(d)
-    w1 = [witness(x=fmt[a], y=fmt[b], u=fmt[t]) for a, b in sorted(bad) for t in bad[a, b]]
+    w1 = _named(k.cr, "xyu", ((a, b, t) for a, b in sorted(bad) for t in bad[a, b]))
     rep.add("leftsym.identity1", not w1, w1)
 
     # C is antisymmetric by construction, so only its Jacobiator is decided
-    jac = [witness(x=fmt[a], y=fmt[b], z=fmt[c]) for a, b, c in C.cyclic_defects(C.rows)]
+    jac = _named(k.cr, "xyz", C.cyclic_defects(C.rows))
     rep.add("leftsym.jacobi_induced", not jac, jac)
 
     if not jac:
@@ -358,8 +367,7 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
                    if contraction(((1, P[b].get(c, {}), P[a]),
                                    (-1, P[a].get(c, {}), P[b]),
                                    (-1, comm[a].get(b, {}), cols[c])))]
-        w2 = [witness(x=fmt[a], y=fmt[b], z=fmt[c])
-              for a, b, c in sorted(failing + [(b, a, c) for a, b, c in failing])]
+        w2 = _named(k.cr, "xyz", sorted(failing + [(b, a, c) for a, b, c in failing]))
         rep.add("leftsym.identity2", not w2, w2)
     return rep
 
@@ -378,11 +386,11 @@ def omega_radical(k: KahlerCRData) -> tuple[Subspace, Report]:
     """L = {x : w(x, G) = 0}, with the subalgebra and <,>-orthogonality
     verdicts of the radical proposition."""
     rep = Report()
-    L, H, names = k.radical, k.H, k.algebra.names
+    L, names = k.radical, k.algebra.names
     rep.add("radical.subalgebra", k.algebra.is_subalgebra(L))
     # entry (i, b) of L M H^T is <x_i, h_b> for the basis x_i of L
     inner = _basis_matrix(L) * k.metric * k.h_basis.transpose()
-    orth = [witness(x=fmt_vec(names, L.ints[i], L.scale), h=fmt_vec(names, H.ints[b], H.scale))
+    orth = [dict(x=fmt_vec(names, L.ints[i], L.scale), h=k.cr.basis_names[b])
             for i, row in enumerate(inner.ints) for b in sorted(row)]
     rep.add("radical.orthogonal_h", not orth, orth)
     return L, rep
@@ -401,10 +409,10 @@ def center_U(k: KahlerCRData) -> tuple[Subspace, Report]:
     U = Subspace.from_ints(alg.dim, [*zh.ints, *(contraction([(1, z, cols)]) for z in zh.ints)])
     s_uu, s_uh = alg.table.scale * U.scale * U.scale, alg.table.scale * U.scale * H.scale
     u = [fmt_vec(names, x, U.scale) for x in U.ints]
-    comm = [witness(x=u[a], y=u[b], offending=fmt_vec(names, v, s_uu))
+    comm = [dict(x=u[a], y=u[b], offending=fmt_vec(names, v, s_uu))
             for (a, b), v in alg.table.evaluate(U.ints).items()]
     rep.add("center_u.commutative", not comm, comm)
-    stab = [witness(z=u[a], h=fmt_vec(names, H.ints[b], H.scale), offending=fmt_vec(names, v, s_uh))
+    stab = [dict(z=u[a], h=k.cr.basis_names[b], offending=fmt_vec(names, v, s_uh))
             for (a, b), v in alg.table.evaluate(U.ints, H.ints).items() if not H.contains(v)]
     rep.add("center_u.stabilizes_h", not stab, stab)
     return U, rep
@@ -441,15 +449,14 @@ def ideal_complement_complex(d: CRData, ideal: Subspace) -> tuple[LieAlgebra, Ma
     rep = Report()
     bad = table.cyclic_defects(table.rows)
     rep.add("ideal.jacobi", not bad,
-            [witness(kind="jacobi", indices=str(tuple(i + 1 for i in t))) for t in bad])
+            [dict(kind="jacobi", indices=str(tuple(i + 1 for i in t))) for t in bad])
 
     # j [h_a, h_b]' = sum_e c[a][b][e] j h_e and [j h_a, h_b]' = sum_e jH[a][e] [h_e, h_b]',
     # compared as s_J times both sides; the latter is the table evaluated on jH and the units
     sJ, J = d.jH
-    jmap, fmt = dict(enumerate(J)), [fmt_vec(alg.names, h, H.scale) for h in H.ints]
-    K = table.evaluate(J, [{b: 1} for b in range(m)])
-    wj = [witness(x=fmt[a], y=fmt[b]) for a, b in pairs
-          if contraction([(1, table.rows[a].get(b, {}), jmap)]) != K.get((a, b), {})]
+    jmap, K = dict(enumerate(J)), table.evaluate(J, [{b: 1} for b in range(m)])
+    wj = _named(d, "xy", [(a, b) for a, b in pairs if contraction(
+        [(1, table.rows[a].get(b, {}), jmap)]) != K.get((a, b), {})])
     rep.add("ideal.complex_structure", not wj, wj)
     return quotient_like, Matrix.from_ints(m, sJ, J).transpose(), rep
 
@@ -480,12 +487,12 @@ def build_extension(base: KahlerCRData, alpha: IntTable) -> Report:
     failing = alg.table.cyclic_defects(A)
     rep = Report()
     rep.add("extension.jacobi", not failing,
-            [witness(kind="jacobi", indices=str(tuple(i + 1 for i in t))) for t in failing])
+            [dict(kind="jacobi", indices=str(tuple(i + 1 for i in t))) for t in failing])
 
     # j and A hold s_j j and s_A alpha, so s_j^2 s_A alpha(j e_a, j e_b) is A evaluated
     # on the columns of j, compared with s_j^2 A[a][b] wherever either is nonzero
     sj, jA = base.j.scale, alpha.evaluate(base.j.transpose().ints)
-    jinv = [witness(x=names[a], y=names[b]) for a, b in sorted(
+    jinv = [dict(x=names[a], y=names[b]) for a, b in sorted(
                 {*jA, *((a, b) for a, row in enumerate(A) for b in row if a < b)})
             if jA.get((a, b), {}) != {k: sj * sj * x for k, x in A[a].get(b, {}).items()}]
     rep.add("extension.alpha_j_invariant", not jinv, jinv)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from math import lcm
 from typing import Optional
 
 from .crkahler import CRData, KahlerCRData
 from .lie import IntTable, LieAlgebra, StructureError
-from .linalg import Matrix, Subspace, format_rat, read_row
+from .linalg import Matrix, Subspace, common_scale, format_rat, read_row
 from .multivector import Bivector
 from .poisson import PseudoPoissonData
 
@@ -98,8 +97,8 @@ def _bivector(entries, dim, where, diags) -> Optional[Bivector]:
             diags.append(f"{where}: duplicate entry for ({i},{j})")
             return None
         coeffs[(i - 1, j - 1)] = t, x.get(0, 0)
-    s = lcm(*(t for t, _ in coeffs.values()))
-    return Bivector.from_ints(dim, s, {key: x * (s // t) for key, (t, x) in coeffs.items()})
+    s, ints = common_scale((t, {key: x}) for key, (t, x) in coeffs.items())
+    return Bivector.from_ints(dim, s, {k: x for row in ints for k, x in row.items()})
 
 
 def _table(block: dict, where: str, noun: str, dim: int, width: int, diags) -> IntTable:

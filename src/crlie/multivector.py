@@ -4,11 +4,12 @@ Degrees 2 and 3 only: the pseudo-Poisson condition lives in Lambda^3.  A
 multivector is ints / scale, with ints = {key: x} its nonzero integer
 coefficients on strictly increasing index pairs / triples and scale > 0,
 in lowest terms -- the form of `Matrix` and `Subspace`, canonical, so `==`
-compares it; `__eq__` is kept as library API.  It has no arithmetic: the
-contractions `schouten_ints`, `push_ints` and `derive_ints` act on the
-integer coefficients and return nonzero ints on sorted keys, `_wedge_front`
-adding each term straight onto its key with the sign of the sort; each
-caller builds its result with `from_ints` over the product of the scales.
+compares it; `__eq__` is kept as library API.  It is built only by
+`from_ints`, from integers, and has no arithmetic: the contractions
+`schouten_ints`, `push_ints` and `derive_ints` act on the integer
+coefficients and return nonzero ints on sorted keys, `_wedge_front` adding
+each term straight onto its key with the sign of the sort; each caller
+builds its result with `from_ints` over the product of the scales.
 
 Membership in U ^ Lambda^2 G goes through the quotient map G -> G/U, taken
 as R_U, whose column i is the remainder of e_i against the RREF basis of U.
@@ -21,51 +22,26 @@ zero iff t is a member.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import gcd
 from typing import Mapping
 
 from .lie import LieAlgebra
-from .linalg import Frozen, Subspace, format_terms, read_row
+from .linalg import Frozen, Subspace, format_terms
 
 
 class _Alternating(Frozen):
     """Shared plumbing for Bivector / Trivector."""
 
-    __slots__ = ("dim", "scale", "ints")
-    arity = 0
-
-    def __init__(self, dim: int, coeffs: Mapping = ()):
-        """Rational coefficients on index tuples in any order, merged onto their
-        sorted keys with the sign of the sort; keys repeating an index drop out."""
-        items = list(dict(coeffs).items())
-        s, read = read_row(val for _, val in items)
-        ints: dict = {}
-        for k, x in read.items():
-            key = items[k][0]
-            if len(key) != self.arity or any(not (0 <= i < dim) for i in key):
-                raise ValueError(f"bad index {key} for dimension {dim}")
-            if len(set(key)) == len(key):
-                inversions = sum(a > b for a, b in combinations(key, 2))
-                key = tuple(sorted(key))
-                ints[key] = ints.get(key, 0) + (-1) ** inversions * x
-        self._store(dim, s, ints)
-
     @classmethod
     def from_ints(cls, dim: int, s: int, ints: Mapping):
         """The multivector ints / s, for integer coefficients on sorted keys
         and a nonzero integer s, put in lowest terms with its keys in order."""
-        t = object.__new__(cls)
-        t._store(dim, s, ints)
-        return t
-
-    def _store(self, dim: int, s: int, ints: Mapping) -> None:
         ints = {k: x for k, x in sorted(ints.items()) if x}
         g = gcd(s, *ints.values())
         g = -g if s < 0 else g
-        for name, value in (("dim", dim), ("scale", s // g),
-                            ("ints", {k: x // g for k, x in ints.items()})):
-            object.__setattr__(self, name, value)
+        t = object.__new__(cls)
+        t.__dict__.update(dim=dim, scale=s // g, ints={k: x // g for k, x in ints.items()})
+        return t
 
     def is_zero(self) -> bool:
         return not self.ints
@@ -85,8 +61,6 @@ class _Alternating(Frozen):
 
 
 class Bivector(_Alternating):
-    arity = 2
-
     def square(self, algebra: LieAlgebra) -> "Trivector":
         """[self, self], the `schouten` square, kept for the last algebra it
         was taken on, so that the checks reading one bivector build it once."""
@@ -97,7 +71,7 @@ class Bivector(_Alternating):
 
 
 class Trivector(_Alternating):
-    arity = 3
+    """An element of Lambda^3 G, where [Lambda, Lambda] lives."""
 
 
 # ---------------------------------------------------------------------------

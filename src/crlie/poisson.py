@@ -14,7 +14,7 @@ from .linalg import Frozen, Matrix, Subspace
 from .multivector import (
     Bivector, Trivector, derive_ints, push_ints, quotient_columns, wedge_subspace_residual,
 )
-from .report import Report, witness
+from .report import Report
 
 
 class PseudoPoissonData(Frozen):
@@ -41,7 +41,7 @@ def check_pseudo_poisson(d: PseudoPoissonData) -> Report:
     t = d.Lambda.square(d.algebra)
     res = wedge_subspace_residual(t, d.U)
     ok = res.is_zero()
-    w = [] if ok else [witness(residual=res.format(names))]
+    w = [] if ok else [dict(residual=res.format(names))]
     rep.add("poisson.schouten_membership", ok, w, detail=f"[L,L] = {t.format(names)}")
     return rep
 
@@ -54,7 +54,7 @@ def check_j_invariance(d: PseudoPoissonData) -> Report:
     sj = columns.scale
     image = push_ints(dict(enumerate(columns.ints)), lam.ints)
     ok = image == {k: sj * sj * x for k, x in lam.ints.items()}
-    w = [] if ok else [witness(image=Bivector.from_ints(
+    w = [] if ok else [dict(image=Bivector.from_ints(
         lam.dim, sj * sj * lam.scale, image).format(d.algebra.names))]
     rep.add("poisson.j_invariance", ok, w)
     return rep
@@ -79,7 +79,7 @@ def coboundary_pi(algebra: LieAlgebra, r: Bivector, U: Subspace) -> Report:
         res = push_ints(Q, derive_ints(row, rr.ints))
         if res:
             residual = Trivector.from_ints(n, table.scale * rr.scale * su ** 3, res)
-            bad.append(witness(generator=names[i], residual=residual.format(names)))
+            bad.append(dict(generator=names[i], residual=residual.format(names)))
     rep.add("poisson.coboundary_invariance", not bad, bad, detail=f"[r,r] = {rr.format(names)}")
     return rep
 

@@ -26,7 +26,7 @@ class CheckResult:
 
     def to_dict(self) -> dict:
         d = {"check_id": self.check_id, "status": self.status,
-             "witnesses": [dict(w) for w in self.witnesses]}
+             "witnesses": list(self.witnesses)}
         if self.detail:
             d["detail"] = self.detail
         return d
@@ -39,9 +39,7 @@ class Report:
     def add(self, check_id: str, ok: bool, witnesses: Iterable = (), detail: str = ""):
         self.results.append(CheckResult(
             check_id, PASS if ok else FAIL,
-            tuple(tuple(sorted(w.items())) if isinstance(w, dict) else w
-                  for w in witnesses),
-            detail))
+            tuple(dict(sorted(w.items())) for w in witnesses), detail))
 
     def extend(self, other: "Report"):
         self.results.extend(other.results)
@@ -66,15 +64,10 @@ class Report:
             lines.append(f"[{r.status.upper():4}] {r.check_id}"
                          + (f"  ({r.detail})" if r.detail else ""))
             for w in r.witnesses:
-                parts = ", ".join(f"{k}={v}" for k, v in dict(w).items())
+                parts = ", ".join(f"{k}={v}" for k, v in w.items())
                 lines.append(f"         witness: {parts}")
         lines.append("overall: " + (PASS if self.passed else FAIL))
         return "\n".join(lines)
-
-
-def witness(**kwargs) -> dict:
-    """Build a witness dict; callers render vectors with `fmt_vec` first."""
-    return dict(kwargs)
 
 
 def fmt_vec(names, v, scale: int = 1) -> str:

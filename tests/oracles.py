@@ -58,7 +58,7 @@ from crlie import Bivector, LieAlgebra, Trivector, parse_document
 from crlie.crkahler import CRData, KahlerCRData, LeftSymmetricProduct
 from crlie.lie import IntTable
 from crlie.linalg import Matrix, Subspace, Vector, rat, read_row
-from crlie.report import Report, fmt_vec, witness
+from crlie.report import Report, fmt_vec
 
 
 # -- `Fraction` vectors and matrices ---------------------------------------------
@@ -195,6 +195,23 @@ def _nonzero(v) -> list:
 
 # -- coefficient dicts of multivectors --------------------------------------------
 
+ARITY = {Bivector: 2, Trivector: 3}
+
+
+def alternating(cls, dim: int, coeffs=()):
+    """The `cls` multivector with rational coefficients on index tuples in
+    any order: each key is sorted and its coefficient, signed by the parity
+    of the sort, merged onto it; a key that repeats an index drops out."""
+    acc: dict = {}
+    for key, v in dict(coeffs).items():
+        assert len(key) == ARITY[cls] and all(0 <= i < dim for i in key), (key, dim)
+        if len(set(key)) == len(key):
+            sign, key = (-1) ** sum(a > b for a, b in combinations(key, 2)), tuple(sorted(key))
+            acc[key] = acc.get(key, 0) + sign * Fraction(v)
+    s = lcm(*(q.denominator for q in acc.values()))
+    return cls.from_ints(dim, s, {k: q.numerator * (s // q.denominator) for k, q in acc.items()})
+
+
 def coefficients(t) -> dict:
     """The coefficients of a multivector as {sorted key: Fraction}."""
     return {key: Fraction(x, t.scale) for key, x in t.ints.items()}
@@ -203,7 +220,7 @@ def coefficients(t) -> dict:
 def combine(*terms) -> dict:
     """sum c * coeffs over the pairs (c, coeffs), for coefficient dicts or
     multivectors, as a coefficient dict on the keys as given; the
-    multivector constructors sign and merge raw keys."""
+    multivector comes from `alternating`, which signs and merges raw keys."""
     acc: dict = {}
     for c, coeffs in terms:
         for key, v in (coeffs if isinstance(coeffs, dict) else coefficients(coeffs)).items():
@@ -503,7 +520,7 @@ def all_sign_bivectors(dim: int):
     """Every bivector with coefficients in {-1, 0, 1}."""
     keys = list(combinations(range(dim), 2))
     for combo in iproduct((-1, 0, 1), repeat=len(keys)):
-        yield Bivector(dim, dict(zip(keys, combo)))
+        yield alternating(Bivector, dim, dict(zip(keys, combo)))
 
 
 def minors(cols) -> dict:
@@ -547,12 +564,12 @@ def map_multivector(matrix, t):
     for J, x in coefficients(t).items():
         for I, e in matrix[J].items():
             acc[I] = acc.get(I, 0) + x * e
-    return type(t)(t.dim, acc)
+    return alternating(type(t), t.dim, acc)
 
 
 def apply_exterior_power(A, t, leibniz: bool = False):
     """t mapped by the exterior power matrix of A (given by its rows)."""
-    return map_multivector(exterior_power_matrix(A, t.arity, leibniz), t)
+    return map_multivector(exterior_power_matrix(A, ARITY[type(t)], leibniz), t)
 
 
 def wedge_span(u_rows, n: int):
@@ -573,7 +590,7 @@ def span_remainder(t: Trivector, span) -> Trivector:
     keys = list(combinations(range(t.dim), 3))
     coeffs = coefficients(t)
     coords = reduce_over_fractions(span, tuple(coeffs.get(key, Fraction(0)) for key in keys))
-    return Trivector(t.dim, dict(zip(keys, coords)))
+    return alternating(Trivector, t.dim, dict(zip(keys, coords)))
 
 
 def wedge_span_remainder(t: Trivector, u: Subspace) -> Trivector:
@@ -585,7 +602,7 @@ def schouten_decomposable(algebra: LieAlgebra, p: Bivector, q: Bivector) -> Triv
     """Brute-force bilinear expansion of
     [a^b, c^d] = [a,c]^b^d - [a,d]^b^c - [b,c]^a^d + [b,d]^a^c over the
     coefficients of p and q, each [e_i, e_j] ^ e_v ^ e_z accumulated on raw
-    index triples, which the `Trivector` constructor signs and merges."""
+    index triples, which `alternating` signs and merges."""
     brackets = [[_nonzero(v) for v in row] for row in dense_tensor(algebra)]
     acc: dict = {}
     for (a, b), pv in coefficients(p).items():
@@ -595,7 +612,7 @@ def schouten_decomposable(algebra: LieAlgebra, p: Bivector, q: Bivector) -> Triv
                                      (-w, b, c, a, d), (w, b, d, a, c)):
                 for k, x in brackets[i][j]:
                     acc[(k, v, z)] = acc.get((k, v, z), 0) + sign * x
-    return Trivector(algebra.dim, acc)
+    return alternating(Trivector, algebra.dim, acc)
 
 
 # -- the CR and Kahler layers ---------------------------------------------------------
@@ -623,11 +640,11 @@ def check_cr_ambient(d: CRData) -> Report:
             xy, lhs = bracket(c, x, y), bracket(c, jx, jy)
             diff = vsub(xy, lhs)
             if not in_span(H, diff):
-                w2.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, y),
+                w2.append(dict(x=fmt_vec(names, x), y=fmt_vec(names, y),
                                   offending=fmt_vec(names, diff)))
             rhs = vadd(xy, apply(j, vadd(bracket(c, x, jy), bracket(c, jx, y))))
             if lhs != rhs:
-                w3.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, y),
+                w3.append(dict(x=fmt_vec(names, x), y=fmt_vec(names, y),
                                   offending=fmt_vec(names, vsub(lhs, rhs))))
     rep.add("cr.condition2", not w2, w2)
     rep.add("cr.condition3", not w3, w3)
@@ -651,10 +668,10 @@ def omega_defects_by_triples(c, om, names) -> tuple:
     triples (a, b, t) with w([e_a, e_b], e_t) + w([e_t, e_a], e_b)
     + w([e_b, e_t], e_a) != 0, three dot products each."""
     n = len(c)
-    anti = [witness(x=names[a], y=names[b]) for a in range(n) for b in range(a, n)
+    anti = [dict(x=names[a], y=names[b]) for a in range(n) for b in range(a, n)
             if om[a][b] != -om[b][a]]
     col = transpose(om)
-    closed = [witness(x=names[a], y=names[b], z=names[t])
+    closed = [dict(x=names[a], y=names[b], z=names[t])
               for a in range(n) for b in range(n) for t in range(n)
               if vdot(c[a][b], col[t]) + vdot(c[t][a], col[b]) + vdot(c[b][t], col[a]) != 0]
     return anti, closed
@@ -735,7 +752,7 @@ def check_left_symmetric_ambient(k: KahlerCRData, p: LeftSymmetricProduct) -> Re
     for a in range(m):
         for b in range(m):
             d = vsub(vsub(R[a][b], R[b][a]), bracket(c, basis[a], basis[b]))
-            w1.extend(witness(x=fmt[a], y=fmt[b], u=fmt[t])
+            w1.extend(dict(x=fmt[a], y=fmt[b], u=fmt[t])
                       for t, image in enumerate(images) if vdot(d, image) != 0)
     rep.add("leftsym.identity1", not w1, w1)
 
@@ -744,14 +761,14 @@ def check_left_symmetric_ambient(k: KahlerCRData, p: LeftSymmetricProduct) -> Re
         return [term for x, v in pairs for term in ((1, x, v), (-1, v, x))]
 
     # [x, [y, z]'] + [z, [x, y]'] + [y, [z, x]']
-    jac = [witness(x=fmt[a], y=fmt[b], z=fmt[t]) for a, b, t in combinations(range(m), 3)
+    jac = [dict(x=fmt[a], y=fmt[b], z=fmt[t]) for a, b, t in combinations(range(m), 3)
            if nonzero_sum(*commutators((unit[a], Cz[b][t]), (unit[t], Cz[a][b]),
                                        (unit[b], Cz[t][a])))]
     rep.add("leftsym.jacobi_induced", not jac, jac)
 
     if not jac:
         # x(yz) - (xy)z - y(xz) + (yx)z
-        w2 = [witness(x=fmt[a], y=fmt[b], z=fmt[t])
+        w2 = [dict(x=fmt[a], y=fmt[b], z=fmt[t])
               for a in range(m) for b in range(m) for t in range(m)
               if nonzero_sum((1, unit[a], Rz[b][t]), (-1, Rz[a][b], unit[t]),
                              (-1, unit[b], Rz[a][t]), (1, Rz[b][a], unit[t]))]
@@ -769,7 +786,7 @@ def omega_radical_ambient(k: KahlerCRData):
     L = kernel_over_fractions(transpose(omega_rows(k)), n)
     rep.add("radical.subalgebra", all(in_span(L, bracket(c, x, y))
                                       for x, y in combinations(L[0], 2)))
-    orth = [witness(x=fmt_vec(names, x), h=fmt_vec(names, h))
+    orth = [dict(x=fmt_vec(names, x), h=fmt_vec(names, h))
             for x in L[0] for h in rref_over_fractions(k.H.basis)[0]
             if vdot(x, apply(metric, h)) != 0]
     rep.add("radical.orthogonal_h", not orth, orth)
@@ -790,7 +807,7 @@ def center_U_ambient(k: KahlerCRData):
         for y in U[a + 1:]:
             b = bracket(c, x, y)
             if not is_zero(b):
-                comm.append(witness(x=fmt_vec(names, x), y=fmt_vec(names, y),
+                comm.append(dict(x=fmt_vec(names, x), y=fmt_vec(names, y),
                                     offending=fmt_vec(names, b)))
     rep.add("center_u.commutative", not comm, comm)
     stab = []
@@ -798,7 +815,7 @@ def center_U_ambient(k: KahlerCRData):
         for h in H[0]:
             b = bracket(c, z, h)
             if not in_span(H, b):
-                stab.append(witness(z=fmt_vec(names, z), h=fmt_vec(names, h),
+                stab.append(dict(z=fmt_vec(names, z), h=fmt_vec(names, h),
                                     offending=fmt_vec(names, b)))
     rep.add("center_u.stabilizes_h", not stab, stab)
     return U, rep
@@ -829,10 +846,10 @@ def ideal_complement_complex_ambient(d: CRData, ideal: Subspace):
     rep = Report()
     bad = structure_violations(cq)
     rep.add("ideal.jacobi", not bad,
-            [witness(kind=kind, indices=str(tuple(i + 1 for i in idx))) for kind, idx in bad])
+            [dict(kind=kind, indices=str(tuple(i + 1 for i in idx))) for kind, idx in bad])
     # row a: the H-coordinates of j h_a
     jH = [project(apply(j, h)) for h in basis]
-    wj = [witness(x=fmt_vec(names, basis[a]), y=fmt_vec(names, basis[b]))
+    wj = [dict(x=fmt_vec(names, basis[a]), y=fmt_vec(names, basis[b]))
           for a, b in combinations(range(m), 2)
           if lincomb(cq[a][b], jH, m) != lincomb(jH[a], [cq[e][b] for e in range(m)], m)]
     rep.add("ideal.complex_structure", not wj, wj)
@@ -868,11 +885,11 @@ def build_extension_lifted(base: KahlerCRData, alpha):
     rep = Report()
     bad = structure_violations(c)
     rep.add("extension.jacobi", not bad,
-            [witness(kind=k, indices=str(tuple(i + 1 for i in idx))) for k, idx in bad])
+            [dict(kind=k, indices=str(tuple(i + 1 for i in idx))) for k, idx in bad])
 
     j, names = rows_of(base.j), alg.names
     jcols = transpose(j)
-    jinv = [witness(x=names[a], y=names[b]) for a, b in combinations(range(n), 2)
+    jinv = [dict(x=names[a], y=names[b]) for a, b in combinations(range(n), 2)
             if bilinear(alpha_rows, jcols[a], jcols[b], v_dim) != alpha_rows[a][b]]
     rep.add("extension.alpha_j_invariant", not jinv, jinv)
 
@@ -884,7 +901,7 @@ def build_extension_lifted(base: KahlerCRData, alpha):
     def alpha_of(x, z):
         return bilinear(alpha_rows, x, basis_vector(n, z), v_dim)
 
-    cyc = [witness(x=names[a], y=names[b], z=names[t])
+    cyc = [dict(x=names[a], y=names[b], z=names[t])
            for a, b, t in combinations(range(n), 3)
            if not is_zero(vadd(vadd(alpha_of(base_c[a][b], t), alpha_of(base_c[t][a], b)),
                                alpha_of(base_c[b][t], a)))]
@@ -954,7 +971,7 @@ def check_pseudo_poisson_ambient(d) -> Report:
     t = schouten_decomposable(d.algebra, d.Lambda, d.Lambda)
     res = wedge_span_remainder(t, d.U)
     ok = res.is_zero()
-    rep.add("poisson.schouten_membership", ok, [] if ok else [witness(residual=res.format(names))],
+    rep.add("poisson.schouten_membership", ok, [] if ok else [dict(residual=res.format(names))],
             detail=f"[L,L] = {t.format(names)}")
     return rep
 
@@ -965,7 +982,7 @@ def check_j_invariance_ambient(d) -> Report:
     image = apply_exterior_power(rows_of(d.j), d.Lambda)
     ok = image == d.Lambda
     rep.add("poisson.j_invariance", ok,
-            [] if ok else [witness(image=image.format(d.algebra.names))])
+            [] if ok else [dict(image=image.format(d.algebra.names))])
     return rep
 
 
@@ -981,7 +998,7 @@ def coboundary_pi_ambient(algebra: LieAlgebra, r: Bivector, U: Subspace) -> Repo
         res = span_remainder(apply_exterior_power(ad_rows(c, basis_vector(n, i)), rr, leibniz=True),
                              span)
         if not res.is_zero():
-            bad.append(witness(generator=names[i], residual=res.format(names)))
+            bad.append(dict(generator=names[i], residual=res.format(names)))
     rep.add("poisson.coboundary_invariance", not bad, bad,
             detail=f"[r,r] = {rr.format(names)}")
     return rep
@@ -1063,7 +1080,7 @@ def parse_over_fractions(doc: dict) -> dict:
         for e in entries:
             ij = (e["i"] - 1, e["j"] - 1)
             coeffs[ij] = coeffs.get(ij, 0) + rat(e["coeff"])
-        return Bivector(dim, coeffs)
+        return alternating(Bivector, dim, coeffs)
 
     if "cr" in doc:
         out["H"], out["j"] = subspace(doc["cr"]["H"]), matrix(doc["cr"]["j"])

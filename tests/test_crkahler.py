@@ -22,8 +22,8 @@ from crlie.linalg import Matrix, Subspace, read_row
 from crlie.report import fmt_vec
 
 from oracles import (
-    basis_vector, bilinear, block_diag, bracket, build_extension_lifted, center_U_ambient,
-    check_cr_ambient, check_j_invariance_ambient, check_kahler_by_triples,
+    alternating, basis_vector, bilinear, block_diag, bracket, build_extension_lifted,
+    center_U_ambient, check_cr_ambient, check_j_invariance_ambient, check_kahler_by_triples,
     check_left_symmetric_ambient, check_pseudo_poisson_ambient, coboundary_pi_ambient, column,
     crdata_error_ambient, dense_tensor, densify, det_over_fractions, direct_sum, from_brackets,
     from_columns, h_coordinates, ideal_complement_complex_ambient, identity, int_table, is_zero,
@@ -82,7 +82,7 @@ def test_check_cr_negative_fixture_fails_condition3():
     assert rep.result("cr.condition2").passed
     res = rep.result("cr.condition3")
     assert not res.passed
-    first = dict(res.witnesses[0])
+    first = res.witnesses[0]
     assert (first["x"], first["y"]) == ("e1", "e2")
 
 
@@ -137,7 +137,7 @@ def test_check_kahler_broken_metric():
     rep = check_kahler(entry_payloads("so3_bad_metric").kahler)
     res = rep.result("kahler.omega_antisymmetric")
     assert not res.passed
-    first = dict(res.witnesses[0])
+    first = res.witnesses[0]
     assert (first["x"], first["y"]) == ("e1", "e2")
 
 
@@ -313,7 +313,7 @@ def test_extension_detects_non_j_invariant_alpha():
     assert rep.result("extension.cyclic").passed
     res = rep.result("extension.alpha_j_invariant")
     assert not res.passed
-    assert dict(res.witnesses[0]) == {"x": "e1", "y": "e3"}
+    assert res.witnesses[0] == {"x": "e1", "y": "e3"}
 
 
 def test_extension_rejects_inconsistent_alpha():
@@ -552,7 +552,7 @@ def test_identity2_reaches_a_triple_through_the_induced_bracket_alone():
     fmt = [fmt_vec(k.algebra.names, h, k.H.scale) for h in k.H.ints]
     assert rep.result("leftsym.jacobi_induced").passed
     witnesses = rep.result("leftsym.identity2").witnesses
-    assert (("x", fmt[0]), ("y", fmt[1]), ("z", fmt[2])) in witnesses
+    assert {"x": fmt[0], "y": fmt[1], "z": fmt[2]} in witnesses
 
 
 @pytest.mark.parametrize("k", [4, 8, 16])
@@ -690,7 +690,7 @@ def test_supplementary_rank_test_matches_intersection(d, data):
     U = data.draw(subspaces_around(d.H))
     direct = supplementary_by_intersection(d.H, U)
     for build, message in [
-            (lambda: PseudoPoissonData(cr.algebra, cr.H, U, cr.j, Bivector(n)),
+            (lambda: PseudoPoissonData(cr.algebra, cr.H, U, cr.j, alternating(Bivector, n)),
              "H and U must be supplementary"),
             (lambda: ideal_complement_complex(cr, U), "ideal is not supplementary to H")]:
         try:
@@ -1256,3 +1256,21 @@ def test_only_rows_with_two_entries_are_eliminated(family, eliminations, k, monk
                         or echelon(rows, cols))
     run_checks(parse_document(getattr(bench_families(), family)(k).document))
     assert len(calls) == eliminations
+
+
+@pytest.mark.parametrize("workload, most", [("reject_dense", 1), ("kahler_solvable", 0)])
+def test_h_basis_is_formatted_only_for_witnesses(workload, most, monkeypatch):
+    # every basis vector of H is formatted at most once per document, and on
+    # documents that pass (every kahler_solvable one) never
+    formatted = []
+    fmt = crkahler.fmt_vec
+    monkeypatch.setattr(crkahler, "fmt_vec", lambda names, v, scale=1: formatted.append(v)
+                        or fmt(names, v, scale))
+    names = [name for name in DOCUMENTS if name.startswith(f"{workload}:")]
+    assert names
+    for name in names:
+        p = parse_document(DOCUMENTS[name])
+        formatted.clear()
+        assert run_checks(p).passed or most
+        basis = p.cr.H.ints if p.cr is not None else []
+        assert max((sum(v is h for v in formatted) for h in basis), default=0) <= most, name

@@ -7,11 +7,12 @@ integer forms of `Matrix`, `Subspace` and the multivectors, and how
 rationals are scaled to integers and back is decided in `linalg` alone:
 `crkahler`, `multivector`, `poisson` and the document reader `inputdoc`
 neither import `fractions` nor call the `Fraction` readers and scaling
-helpers; `inputdoc` and the multivector constructors read every rational
-with `read_row`.  No module imports `dataclasses`, which pulls in
-`inspect`, `ast` and `dis` and costs about 20 ms of each `crlie check`
-start; a subprocess confirms that importing the command line loads neither
-`dataclasses` nor `inspect`.
+helpers, nor import `lcm`.  `inputdoc` reads every rational with
+`read_row` and brings a bivector's coefficients to one scale with
+`common_scale`; a multivector is built only from integers.  No module
+imports `dataclasses`, which pulls in `inspect`, `ast` and `dis` and costs
+about 20 ms of each `crlie check` start; a subprocess confirms that
+importing the command line loads neither `dataclasses` nor `inspect`.
 
 `import crlie` loads no submodule: each public name is imported from its
 home module on first access, so a program that reads only `crlie.catalog`
@@ -70,8 +71,8 @@ def test_imports_are_stdlib_and_used(path):
 @pytest.mark.parametrize("name", ["crkahler.py", "multivector.py", "poisson.py", "inputdoc.py"])
 def test_checks_leave_the_number_format_to_linalg(name):
     tree = ast.parse((MODULES[0].parent / name).read_text(encoding="utf-8"))
-    modules, _ = imports(tree)
-    assert "fractions" not in modules
+    modules, bound = imports(tree)
+    assert "fractions" not in modules and "lcm" not in bound
     called = {node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
               for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert called & {"scaled", "scaled_sparse", "unscaled", "vector", "rat",

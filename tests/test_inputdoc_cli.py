@@ -208,8 +208,15 @@ ZERO_J4 = [["0"] * 4] * 4
     (_with_block("sl2", "poisson", r=[{"i": 2, "j": 3, "coeff": "1"},
                                       {"i": 2, "j": 3, "coeff": "1/2"}]),
      "poisson.r: duplicate entry for (2,3)"),
+    (_with_block("sl2", "poisson", **{"lambda": [{"i": 2, "j": 1, "coeff": "1"}]}),
+     "poisson.lambda: indices (2,1) must satisfy 1 <= i < j <= 3"),
+    (_with_block("sl2", "poisson", r=[{"i": 1, "j": 4, "coeff": "1"}]),
+     "poisson.r: indices (1,4) must satisfy 1 <= i < j <= 3"),
+    (_with_block("sl2", "poisson", **{"lambda": [{"i": 1, "j": 2, "coeff": "1/0"}]}),
+     "poisson.lambda: bad entry {'i': 1, 'j': 2, 'coeff': '1/0'}: malformed rational"),
 ], ids=["duplicate_alpha", "metric_on_zero_H", "zero_V_dim", "negative_V_dim",
-        "duplicate_names", "duplicate_lambda", "duplicate_r"])
+        "duplicate_names", "duplicate_lambda", "duplicate_r", "lambda_index_order",
+        "r_index_range", "lambda_zero_denominator"])
 def test_invalid_blocks_exit_two(tmp_path, capsys, doc, message):
     assert main(["check", write(tmp_path, doc)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
@@ -509,8 +516,8 @@ DOCUMENTS = {**{e: catalog.get(e).document for e in catalog.ids()}, **workload_d
 
 @pytest.mark.parametrize("name", [name for name, doc in DOCUMENTS.items() if "poisson" in doc])
 def test_schouten_command_agrees_with_the_membership_check(tmp_path, capsys, name):
-    # `crlie schouten` forms [Lambda, Lambda] and its verdict on a path of its
-    # own; it must print the bracket and reach the verdict that `check` reports
+    # `crlie schouten` prints the [Lambda, Lambda] and the verdict that
+    # `check` reports
     result = run_checks(parse_document(DOCUMENTS[name])).result("poisson.schouten_membership")
     status = main(["schouten", write(tmp_path, DOCUMENTS[name])])
     printed = capsys.readouterr().out.splitlines()[0]
@@ -612,17 +619,26 @@ def paths(node, prefix=()):
             yield from paths(value, prefix + (key,))
 
 
+def catalog_document(draw):
+    return copy.deepcopy(catalog.get(draw(st.sampled_from(catalog.ids()))).document)
+
+
+def draw_place(draw, doc):
+    """(container, key) of a value drawn from inside doc."""
+    *parent, key = draw(st.sampled_from(list(paths(doc))))
+    for step in parent:
+        doc = doc[step]
+    return doc, key
+
+
 @st.composite
 def mutated_documents(draw):
     """A catalog document with 1-3 values swapped for a null, a bool, a float,
     "1/0", an empty list or object, or deleted.  No mutant is an integer, so
     every dim stays that of the catalog entry (at most 1000)."""
-    doc = copy.deepcopy(catalog.get(draw(st.sampled_from(catalog.ids()))).document)
+    doc = catalog_document(draw)
     for _ in range(draw(st.integers(1, 3))):
-        *parent, key = draw(st.sampled_from(list(paths(doc))))
-        container = doc
-        for step in parent:
-            container = container[step]
+        container, key = draw_place(draw, doc)
         if draw(st.booleans()):
             del container[key]
         else:
@@ -642,9 +658,8 @@ def run_cli(argv, text):
         sys.stdin, sys.stdout, sys.stderr = streams
 
 
-@settings(max_examples=150, deadline=None)
-@given(mutated_documents())
-def keep_the_cli_contract(doc):
+def assert_cli_contract(doc):
+    """check, schouten and construct exit 0, 1 or 2 on doc, with no internal error."""
     text = json.dumps(doc)
     for argv in (["check", "-"], ["schouten", "-"], ["construct", "left-symmetric", "-"]):
         status, err = run_cli(argv, text)
@@ -652,8 +667,54 @@ def keep_the_cli_contract(doc):
         assert "internal error" not in err, (argv, doc, err)
 
 
+@settings(max_examples=150, deadline=None)
+@given(mutated_documents())
+def keep_the_cli_contract(doc):
+    assert_cli_contract(doc)
+
+
 def test_mutated_catalog_documents_keep_the_cli_contract():
     # exit 0, 1 or 2 and no internal error for check, schouten and construct
     start = time.perf_counter()
     keep_the_cli_contract()
+    assert time.perf_counter() - start < 5
+
+
+# -- the CLI contract on random JSON trees -------------------------------------
+
+VOCABULARY = ("algebra", "dim", "brackets", "x", "y", "result", "cr", "H", "j", "metric",
+              "poisson", "U", "lambda", "r", "i", "coeff", "ideal", "extension", "V_dim",
+              "alpha", "names")
+
+# integers stay in 0..40, so that no tree asks for a large algebra; 1..3 is
+# drawn on its own as well, so that indices often fall inside a small dim
+leaves = st.one_of(st.none(), st.booleans(), st.integers(1, 3), st.integers(0, 40),
+                   st.sampled_from(["0", "1", "-1", "1/2", "-2/3", "e1", ""]))
+trees = st.recursive(leaves, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.dictionaries(st.sampled_from(VOCABULARY), children,
+                                                    max_size=4)), max_leaves=12)
+blocks = st.dictionaries(st.sampled_from(VOCABULARY), trees, max_size=5)
+
+
+@st.composite
+def grafted_documents(draw):
+    """A catalog document with one value replaced by a random tree."""
+    doc = catalog_document(draw)
+    container, key = draw_place(draw, doc)
+    container[key] = draw(st.one_of(leaves, trees))
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(trees, grafted_documents(), st.builds(
+    lambda a, n, doc: {**doc, "algebra": {**a, "dim": n}}, blocks, st.integers(1, 40), blocks)))
+def keep_the_cli_contract_on_trees(doc):
+    assert_cli_contract(doc)
+
+
+def test_random_json_trees_keep_the_cli_contract():
+    # trees built from the format's keys, alone, grafted into a catalog
+    # document, or as the blocks of a document whose algebra has a dim
+    start = time.perf_counter()
+    keep_the_cli_contract_on_trees()
     assert time.perf_counter() - start < 5

@@ -31,10 +31,11 @@ def main():
     print("\nKahler conditions (antisymmetry, closedness, nondegeneracy on H):")
     print(check_kahler(k).to_text())
 
-    alpha, X, L, rep = semisimple_exactness(k)
+    (sa, alpha), (sx, X), L, rep = semisimple_exactness(k)
     print("\nexactness on a semisimple algebra: omega(x, y) = alpha([x, y])")
-    print(f"  alpha = ({', '.join(format_rat(a) for a in alpha)}) in the dual basis")
-    print(f"  Killing-dual element X = {fmt_vec(g.names, X)}")
+    dual = ", ".join(format_rat(alpha.get(c, 0), sa) for c in range(3))
+    print(f"  alpha = ({dual}) in the dual basis")
+    print(f"  Killing-dual element X = {fmt_vec(g.names, X, sx)}")
     print(f"  centralizer of X has dimension {L.dim} = codim H")
     print(rep.to_text())
 

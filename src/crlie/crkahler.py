@@ -400,7 +400,7 @@ def center_U(k: KahlerCRData) -> tuple[Subspace, Report]:
     """U = (Z(G) cap H) + j(Z(G) cap H); commutative, and ad z keeps H in H.
 
     The brackets of the integer rows of U and H are `evaluate`d on the table;
-    a pair it skips has a zero bracket, which lies in H."""
+    a pair it skips has a zero bracket, which lies in H; U's basis is named only for a witness."""
     rep = Report()
     alg, H, names = k.algebra, k.H, k.algebra.names
     zh = alg.center().intersect(H)
@@ -408,13 +408,14 @@ def center_U(k: KahlerCRData) -> tuple[Subspace, Report]:
     cols = dict(enumerate(k.j.transpose().ints))
     U = Subspace.from_ints(alg.dim, [*zh.ints, *(contraction([(1, z, cols)]) for z in zh.ints)])
     s_uu, s_uh = alg.table.scale * U.scale * U.scale, alg.table.scale * U.scale * H.scale
-    u = [fmt_vec(names, x, U.scale) for x in U.ints]
-    comm = [dict(x=u[a], y=u[b], offending=fmt_vec(names, v, s_uu))
-            for (a, b), v in alg.table.evaluate(U.ints).items()]
-    rep.add("center_u.commutative", not comm, comm)
-    stab = [dict(z=u[a], h=k.cr.basis_names[b], offending=fmt_vec(names, v, s_uh))
-            for (a, b), v in alg.table.evaluate(U.ints, H.ints).items() if not H.contains(v)]
-    rep.add("center_u.stabilizes_h", not stab, stab)
+    comm = {ab: fmt_vec(names, v, s_uu) for ab, v in alg.table.evaluate(U.ints).items()}
+    stab = {ab: fmt_vec(names, v, s_uh) for ab, v in alg.table.evaluate(U.ints, H.ints).items()
+            if not H.contains(v)}
+    u = [fmt_vec(names, x, U.scale) for x in U.ints] if comm or stab else []
+    rep.add("center_u.commutative", not comm, [dict(x=u[a], y=u[b], offending=v)
+                                               for (a, b), v in comm.items()])
+    rep.add("center_u.stabilizes_h", not stab, [dict(z=u[a], h=k.cr.basis_names[b], offending=v)
+                                                for (a, b), v in stab.items()])
     return U, rep
 
 
@@ -509,13 +510,13 @@ def build_extension(base: KahlerCRData, alpha: IntTable) -> Report:
 # ---------------------------------------------------------------------------
 # semisimple exactness machinery
 
-def semisimple_exactness(k: KahlerCRData) -> tuple[Optional[Vector], Optional[Vector],
+def semisimple_exactness(k: KahlerCRData) -> tuple[Optional[tuple], Optional[tuple],
                                                    Optional[Subspace], Report]:
     """On a semisimple algebra, solve w(x, y) = a([x, y]) for the dual
-    vector a, then K(X, .) = a for X; return L = centralizer(X) with the
-    verdicts that L equals the w-radical and dim L = codim H.  Raises
-    ValueError on an algebra that is not semisimple; `run_checks` decides
-    that gate before calling it."""
+    vector a, then K(X, .) = a for X, each an integer pair (s, {c: x}) from
+    `solve`; return them with L = centralizer(X) and the verdicts that L is
+    the w-radical and dim L = codim H.  Raises ValueError on an algebra that
+    is not semisimple; `run_checks` decides that gate before calling it."""
     rep = Report()
     alg = k.algebra
     if not alg.is_semisimple():
@@ -527,11 +528,12 @@ def semisimple_exactness(k: KahlerCRData) -> tuple[Optional[Vector], Optional[Ve
     # nonzero bracket or a nonzero w enter.  An exact row reduction that finds
     # a solution satisfies every equation, so alpha_exact fails only when
     # there is none
-    table = alg.table
-    pairs = sorted({(a, b) for rows in (table.rows, k.omega_matrix.ints)
+    table, om = alg.table, k.omega_matrix
+    pairs = sorted({(a, b) for rows in (table.rows, om.ints)
                     for a, row in enumerate(rows) for b in row if a < b})
     alpha = solve(Matrix.from_ints(alg.dim, 1, [table.rows[a].get(b, {}) for a, b in pairs]),
-                  tuple(table.scale * k.omega_matrix[a, b] for a, b in pairs))
+                  (om.scale, {i: table.scale * om.ints[a][b]
+                              for i, (a, b) in enumerate(pairs) if b in om.ints[a]}))
     if alpha is None:
         rep.add("exactness.alpha_exact", False,
                 detail="w(x,y) = a([x,y]) has no solution: input data invalid "
@@ -545,7 +547,7 @@ def semisimple_exactness(k: KahlerCRData) -> tuple[Optional[Vector], Optional[Ve
     # K is symmetric and K X = alpha, so K(X, [x, y]) = alpha([x, y]) = w(x, y)
     rep.add("exactness.killing_dual", True)
 
-    L = alg.centralizer(X)
+    L = alg.centralizer(X[1])
     rep.add("exactness.radical_match",
             L == k.radical and L.dim == alg.dim - k.H.dim,
             detail=f"dim L = {L.dim}, codim H = {alg.dim - k.H.dim}")

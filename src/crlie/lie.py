@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .linalg import (
-    Frozen, Matrix, Subspace, Vector, common_scale, contraction, kernel, read_row, rref,
+    Frozen, Matrix, Subspace, Vector, common_scale, contraction, kernel, rref,
 )
 
 
@@ -153,13 +153,13 @@ class LieAlgebra(Frozen):
         return tuple(Fraction(acc.get((0, 0), {}).get(k, 0), self.table.scale)
                      for k in range(self.dim))
 
-    def ad(self, x: Vector) -> Matrix:
-        """Matrix of y -> [x, y]: the transpose of the rows [x, e_j]."""
-        if len(x) != self.dim:
+    def ad(self, x: Mapping) -> Matrix:
+        """Matrix of y -> [x, y] for the sparse integer vector x = {k: x_k}:
+        the transpose of the rows [x, e_j]."""
+        if x and max(x) >= self.dim:
             raise ValueError("dimension mismatch in ad")
-        sx, xs = read_row(x)
-        columns = self.table.evaluate([xs], [{j: 1} for j in range(self.dim)])
-        return Matrix.from_ints(self.dim, sx * self.table.scale, [
+        columns = self.table.evaluate([x], [{j: 1} for j in range(self.dim)])
+        return Matrix.from_ints(self.dim, self.table.scale, [
             columns.get((0, j), {}) for j in range(self.dim)]).transpose()
 
     def killing_form(self) -> Matrix:
@@ -195,7 +195,7 @@ class LieAlgebra(Frozen):
                     eqs.setdefault((i, k), {})[j] = x
         return kernel(Matrix.from_ints(self.dim, 1, eqs.values()))
 
-    def centralizer(self, x: Vector) -> Subspace:
+    def centralizer(self, x: Mapping) -> Subspace:
         return kernel(self.ad(x))
 
     def is_subalgebra(self, s: Subspace) -> bool:

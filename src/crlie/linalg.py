@@ -399,41 +399,38 @@ def _perp(s: int, R: Sequence, pivots: Sequence, n: int) -> list:
     return [{f: s, **{p: -r[f] for p, r in zip(pivots, R) if f in r}} for f in sorted(free)]
 
 
-def solve(A: Matrix, b: Sequence) -> Optional[Vector]:
-    """Solve A x = b exactly, for a rational b.
-
-    Returns None when inconsistent; with a positive-dimensional solution
-    space, free variables are set to zero (canonical representative).  One
-    `rref` of the integer system [ints | scale * sb * b], with sb the least
-    common denominator of b, which sb x solves.
+def solve(A: Matrix, b: tuple[int, Mapping]) -> Optional[tuple[int, dict]]:
+    """Solve A x = y / sb exactly for b = (sb, {i: y_i}), a vector in the
+    form `read_row` gives (sb > 0, zeros omitted): (s, {c: x_c}), the
+    solution x / s with free variables set to zero (canonical
+    representative), or None when inconsistent.  One `rref` of the integer
+    system [ints | scale * y], which sb x solves.
 
     When every row of A holds at most one entry, no elimination is needed:
-    row i reads a x_c = b_i, so x_c = s b_i / a for the integer entry a of
-    s A, and a zero row reads 0 = b_i.  The system is consistent iff every
-    zero row has b_i = 0 and the rows that share a column agree on x_c; the
-    columns no row holds are the free variables.
+    row i reads a x_c = scale * y_i / sb for the integer entry a of
+    scale * A, and a zero row reads 0 = y_i.  The system is consistent iff
+    every zero row has y_i = 0 and the rows that share a column agree,
+    y_i a' = y_i' a; the columns no row holds are the free variables.
     """
-    if A.rows != len(b):
-        raise ValueError(f"dimension mismatch: {A.rows} rows vs rhs of {len(b)}")
-    n, (sb, bi) = A.cols, read_row(b)
+    n, (sb, y) = A.cols, b
+    if y and max(y) >= A.rows:
+        raise ValueError(f"dimension mismatch: {A.rows} rows vs rhs index {max(y)}")
     if all(len(r) <= 1 for r in A.ints):
         x = {}
         for i, r in enumerate(A.ints):
             for c, a in r.items():
-                v = Fraction(A.scale * bi.get(i, 0), sb * a)
-                if x.setdefault(c, v) != v:
+                yc, ac = x.setdefault(c, (y.get(i, 0), a))
+                if y.get(i, 0) * ac != yc * a:
                     return None
-            if not r and i in bi:
+            if not r and i in y:
                 return None
-        return tuple(x.get(c, Fraction(0)) for c in range(n))
-    s, R, pivots = rref([{**r, n: A.scale * bi[i]} if i in bi else r
+        t = lcm(*(a for yc, a in x.values() if yc))
+        return sb * t, {c: A.scale * yc * (t // a) for c, (yc, a) in x.items() if yc}
+    s, R, pivots = rref([{**r, n: A.scale * y[i]} if i in y else r
                          for i, r in enumerate(A.ints)], n + 1)
     if pivots and pivots[-1] == n:
         return None
-    x = [Fraction(0)] * n
-    for r, p in zip(R, pivots):
-        x[p] = Fraction(r.get(n, 0), s * sb)
-    return tuple(x)
+    return s * sb, {p: r[n] for r, p in zip(R, pivots) if n in r}
 
 
 def kernel(A: Matrix) -> "Subspace":

@@ -189,6 +189,13 @@ def unscaled(v, s: int) -> Vector:
     return tuple(Fraction(x, s) for x in v)
 
 
+def from_pair(x, n: int):
+    """The `Fraction` n-vector x / s of a pair x = (s, {k: x_k}), the form in
+    which `read_row` reads a vector and `solve` and `semisimple_exactness`
+    return one; None, which they return for no solution, stays None."""
+    return None if x is None else tuple(Fraction(x[1].get(k, 0), x[0]) for k in range(n))
+
+
 def _nonzero(v) -> list:
     return [(i, c) for i, c in enumerate(v) if c != 0]
 

@@ -21,8 +21,8 @@ from crlie.linalg import Matrix, Subspace, solve
 
 from oracles import (
     all_sign_bivectors, alternating, basis_vector, block_diag, coefficients, dense_tensor,
-    det_over_fractions, direct_sum, from_columns, identity, int_table, matvec, omega, rows_of,
-    schouten_decomposable, vdot, vector,
+    det_over_fractions, direct_sum, from_columns, from_pair, identity, int_table, matvec, omega,
+    rows_of, schouten_decomposable, vdot, vector,
 )
 
 
@@ -86,7 +86,7 @@ def _random_invertible(rng, n):
 
 def _inverse(m):
     n = m.rows
-    return from_columns([solve(m, basis_vector(n, i)) for i in range(n)])
+    return from_columns([from_pair(solve(m, (1, {i: 1})), n) for i in range(n)])
 
 
 def test_criterion_3_radical_structure():
@@ -114,6 +114,7 @@ def test_criterion_4_semisimple_duality_on_so3():
         k = entry_payloads("so3_cr").kahler
         g = k.algebra
         alpha, X, L, rep = semisimple_exactness(k)
+        alpha, X = from_pair(alpha, 3), from_pair(X, 3)
         assert rep.passed
         assert g.killing_form() == identity(3, -2)
         assert alpha == vector([0, 0, -1])           # alpha = -e3*

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from crlie import (
     Bivector, CRData, InputError, KahlerCRData, LieAlgebra, PseudoPoissonData, build_extension,
-    catalog, center_U, check_cr, check_kahler, check_left_symmetric, ideal_complement_complex,
-    left_symmetric_product, omega_radical, parse_document, run_checks,
+    catalog, center_U, check_cr, check_kahler, check_left_symmetric, dump_document,
+    ideal_complement_complex, left_symmetric_product, omega_radical, parse_document, run_checks,
     semisimple_exactness, sl2, so3,
 )
 from crlie import checks, crkahler, lie, linalg
 from crlie.crkahler import induced_bracket
+from crlie.inputdoc import parse_text
 from crlie.lie import IntTable
 from crlie.linalg import Matrix, Subspace, read_row
 from crlie.report import fmt_vec
@@ -26,10 +27,11 @@ from oracles import (
     center_U_ambient, check_cr_ambient, check_j_invariance_ambient, check_kahler_by_triples,
     check_left_symmetric_ambient, check_pseudo_poisson_ambient, coboundary_pi_ambient, column,
     crdata_error_ambient, dense_tensor, densify, det_over_fractions, direct_sum, from_brackets,
-    from_columns, h_coordinates, ideal_complement_complex_ambient, identity, int_table, is_zero,
-    left_symmetric_product_by_solves, mat_add, mat_scale, matvec, omega, omega_radical_ambient,
-    omega_rows, product_from_coordinates, rows_of, semisimple_exactness_full_system,
-    supplementary_by_intersection, unscaled, vadd, vdot, vector, zeros,
+    from_columns, from_pair, h_coordinates, ideal_complement_complex_ambient, identity, int_table,
+    is_zero, left_symmetric_product_by_solves, mat_add, mat_scale, matvec, omega,
+    omega_radical_ambient, omega_rows, product_from_coordinates, rows_of,
+    semisimple_exactness_full_system, supplementary_by_intersection, unscaled, vadd, vdot, vector,
+    zeros,
 )
 from strategies import fractions
 from test_golden import AFF_AFF_R_DENSE, CASES
@@ -333,8 +335,8 @@ def test_extension_rejects_inconsistent_alpha():
 def test_exactness_so3(so3_kahler):
     alpha, X, L, rep = semisimple_exactness(so3_kahler)
     assert rep.passed
-    assert alpha == vector([0, 0, -1])          # alpha = -e3*
-    assert X == vector([0, 0, "1/2"])           # X = e3 / 2
+    assert from_pair(alpha, 3) == vector([0, 0, -1])    # alpha = -e3*
+    assert from_pair(X, 3) == vector([0, 0, "1/2"])     # X = e3 / 2
     assert L == Subspace.span([basis_vector(3, 2)], 3)
 
 
@@ -342,8 +344,8 @@ def test_exactness_scaled_metric_scales_alpha_but_not_L(so3_kahler):
     scaled = KahlerCRData(so3_kahler.cr, mat_scale(2, so3_kahler.metric))
     alpha, X, L, rep = semisimple_exactness(scaled)
     assert rep.passed
-    assert alpha == vector([0, 0, -2])
-    assert X == vector([0, 0, 1])
+    assert from_pair(alpha, 3) == vector([0, 0, -2])
+    assert from_pair(X, 3) == vector([0, 0, 1])
     assert L == Subspace.span([basis_vector(3, 2)], 3)
 
 
@@ -378,7 +380,7 @@ def test_exactness_killing_dual_identity_on_all_pairs():
     for k in exactness_inputs():
         alpha, X, L, rep = semisimple_exactness(k)
         assert rep.passed
-        g, K = k.algebra, k.algebra.killing_form()
+        g, K, X = k.algebra, k.algebra.killing_form(), from_pair(X, 3)
         for a in range(3):
             for b in range(3):
                 x, y = basis_vector(3, a), basis_vector(3, b)
@@ -403,15 +405,16 @@ def test_exactness_matches_full_system_oracle():
     assert [semisimple_exactness(k)[0] is None for k in inputs[-2:]] == [False, True]
     for k in inputs:
         (alpha, X, L, rep), want = semisimple_exactness(k), semisimple_exactness_full_system(k)
-        assert (alpha, X, None if L is None else list(L.basis)) == want[:3]
+        n, basis = k.algebra.dim, None if L is None else list(L.basis)
+        assert (from_pair(alpha, n), from_pair(X, n), basis) == want[:3]
         assert rep.to_dict() == want[3].to_dict()
 
 
 def test_exactness_sl2():
     alpha, X, L, rep = semisimple_exactness(entry_payloads("sl2").kahler)
     assert rep.passed
-    assert alpha == vector([0, 0, -1])
-    assert X == vector([0, 0, "-1/8"])
+    assert from_pair(alpha, 3) == vector([0, 0, -1])
+    assert from_pair(X, 3) == vector([0, 0, "-1/8"])
     assert L == Subspace.span([basis_vector(3, 2)], 3)
 
 
@@ -462,7 +465,7 @@ def _random_invertible(rng, n):
 def _inverse(m):
     from crlie.linalg import solve
     n = m.rows
-    cols = [solve(m, basis_vector(n, i)) for i in range(n)]
+    cols = [from_pair(solve(m, (1, {i: 1})), n) for i in range(n)]
     return from_columns(cols)
 
 
@@ -1271,6 +1274,26 @@ def test_h_basis_is_formatted_only_for_witnesses(workload, most, monkeypatch):
     for name in names:
         p = parse_document(DOCUMENTS[name])
         formatted.clear()
-        assert run_checks(p).passed or most
+        passed = run_checks(p).passed
+        assert passed or most
         basis = p.cr.H.ints if p.cr is not None else []
         assert max((sum(v is h for v in formatted) for h in basis), default=0) <= most, name
+        # nor is U's basis, or any other vector, formatted without a witness
+        assert not passed or formatted == [], name
+
+
+def test_no_fraction_is_built_from_parse_to_report(monkeypatch):
+    # the seed-1 documents of the three benchmark workloads and the catalog
+    # entries are read, checked and reported on integer rows alone.  The
+    # texts are made before `Fraction` is patched: the benchmark's
+    # generator builds Fractions
+    texts = [dump_document(doc) for doc in DOCUMENTS.values()]
+    built, new = [], Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kwargs: built.append(args)
+                        or new(cls, *args, **kwargs))
+    assert Fraction(1, 2) == Fraction(2, 4) and len(built) == 2  # the patch counts
+    built.clear()
+    for text in texts:
+        rep = run_checks(parse_text(text))
+        rep.to_dict(), rep.to_text()
+    assert len(texts) == 29 and built == []

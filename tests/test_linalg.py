@@ -15,7 +15,7 @@ from crlie.report import fmt_vec
 
 from oracles import (
     basis_vector, first_nonpositive_minor_over_fractions,
-    format_rat_over_fractions, format_terms_over_fractions, from_columns, identity,
+    format_rat_over_fractions, format_terms_over_fractions, from_columns, from_pair, identity,
     intersect_over_fractions, is_zero, kernel_over_fractions, mat_add, matvec,
     reduce_over_fractions, rref_over_fractions, rows_of, scaled_sparse, solve_over_fractions,
     sparse, supplementary_by_intersection, vector, zeros,
@@ -174,7 +174,7 @@ def test_rational_field_identities_exact(a, b, c):
 
 def test_solve_identity():
     A = identity(2)
-    assert solve(A, vector(["3", "1/2"])) == vector(["3", "1/2"])
+    assert from_pair(solve(A, read_row(["3", "1/2"])), 2) == vector(["3", "1/2"])
 
 
 MONOMIAL = Matrix([[0, 2, 0], [0, 0, 0], [0, -4, 0]])  # column 1 shared, row 1 zero
@@ -182,21 +182,59 @@ MONOMIAL = Matrix([[0, 2, 0], [0, 0, 0], [0, -4, 0]])  # column 1 shared, row 1 
 
 def test_solve_inconsistent():
     A = Matrix([[1, 1], [2, 2]])
-    assert solve(A, vector([1, 3])) is None
+    assert solve(A, read_row([1, 3])) is None
     # rows that share a column disagree; a zero row has b_i != 0
-    assert solve(MONOMIAL, vector([1, 0, 2])) is None
-    assert solve(MONOMIAL, vector(["1", "1/3", "-2"])) is None
+    assert solve(MONOMIAL, read_row([1, 0, 2])) is None
+    assert solve(MONOMIAL, read_row(["1", "1/3", "-2"])) is None
 
 
 def test_solve_free_variables_zero():
     A = Matrix([[1, 1]])
-    assert solve(A, vector([5])) == vector([5, 0])
-    assert solve(MONOMIAL, vector([1, 0, -2])) == vector(["0", "1/2", "0"])
+    assert from_pair(solve(A, read_row([5])), 2) == vector([5, 0])
+    assert from_pair(solve(MONOMIAL, read_row([1, 0, -2])), 3) == vector(["0", "1/2", "0"])
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve(identity(2), vector([1, 2, 3]))
+        solve(identity(2), read_row([1, 2, 3]))
+    # b is sparse, so only an index past A's rows shows the mismatch
+    for A in (identity(2), Matrix([[1, 1], [1, -1]])):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solve(A, (1, {2: 1}))
+
+
+DENSE = Matrix([[1, 1], [1, -1]])  # eliminated: a row holds two entries
+
+
+def test_solve_reads_the_scale_of_b():
+    # b = (3/6, 4/6) on a monomial and on an eliminated system
+    b = (6, {0: 3, 1: 4})
+    assert from_pair(solve(Matrix([[2, 0], [0, 3]]), b), 2) == vector(["1/4", "2/9"])
+    assert from_pair(solve(DENSE, b), 2) == vector(["7/12", "-1/12"])
+    # and A's: (1/2) x = 1/2, (1/3) y = 2/3
+    assert from_pair(solve(Matrix([["1/2", 0], [0, "1/3"]]), b), 2) == vector([1, 2])
+
+
+def test_solve_reads_a_sparse_b_without_its_zeros():
+    assert from_pair(solve(DENSE, (1, {1: 2})), 2) == vector([1, -1])
+    assert from_pair(solve(MONOMIAL, (1, {})), 3) == vector([0, 0, 0])
+    # b_1 = 0 on the zero row is omitted
+    assert from_pair(solve(MONOMIAL, (3, {0: 2, 2: -4})), 3) == vector(["0", "1/3", "0"])
+
+
+def test_solve_a_zero_row_needs_a_zero_b_i():
+    assert solve(MONOMIAL, (1, {1: 1})) is None
+    assert solve(Matrix([[1, 1], [0, 0]]), (1, {1: 1})) is None
+    assert from_pair(solve(Matrix([[1, 1], [0, 0]]), (2, {0: 1})), 2) == vector(["1/2", 0])
+
+
+def test_solve_rows_on_one_column_agree_as_rationals():
+    # 2x = 1 and 4x = 2 agree only after reduction; 2x = 1 and 4x = 3 disagree
+    A = Matrix([[2], [4]])
+    assert from_pair(solve(A, (1, {0: 1, 1: 2})), 1) == vector(["1/2"])
+    assert from_pair(solve(A, (3, {0: 3, 1: 6})), 1) == vector(["1/2"])
+    assert solve(A, (1, {0: 1, 1: 3})) is None
+    assert solve(Matrix([[2], [-4]]), (1, {0: 1, 1: 2})) is None
 
 
 # -- kernel ------------------------------------------------------------------
@@ -416,11 +454,12 @@ def test_monomial_solve_matches_fraction_oracle_without_elimination(A, data):
     calls, echelon = [], linalg._echelon
     linalg._echelon = lambda *args: calls.append(args) or echelon(*args)
     try:
-        got = [solve(A, side) for side in sides]
+        got = [solve(A, read_row(side)) for side in sides]
     finally:
         linalg._echelon = echelon
     assert calls == []
-    assert got == [solve_over_fractions(rows_of(A), side, A.cols) for side in sides]
+    assert ([from_pair(x, A.cols) for x in got]
+            == [solve_over_fractions(rows_of(A), side, A.cols) for side in sides])
     assert got[0] is not None and all(x is None for x in got[2:])
 
 
@@ -446,7 +485,8 @@ def test_kernel_and_solve_match_fraction_oracles(A, data):
     x = vector(data.draw(st.lists(rationals, min_size=A.cols, max_size=A.cols)))
     for b in (matvec(A, x), vector(data.draw(st.lists(rationals, min_size=A.rows,
                                                       max_size=A.rows)))):
-        assert solve(A, b) == solve_over_fractions(rows_of(A), b, A.cols)
+        want = solve_over_fractions(rows_of(A), b, A.cols)
+        assert from_pair(solve(A, read_row(b)), A.cols) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -502,9 +542,9 @@ def test_empty_shapes():
     assert (three_by_zero.rows, three_by_zero.cols) == (3, 0)
     assert kernel(zero_by_three) == Subspace.from_ints(3, [{0: 1}, {1: 1}, {2: 1}])
     assert kernel(three_by_zero) == Subspace.from_ints(0, [])
-    assert solve(zero_by_three, ()) == (0, 0, 0)
-    assert solve(three_by_zero, (0, 0, 0)) == ()
-    assert solve(three_by_zero, (0, 1, 0)) is None
+    assert from_pair(solve(zero_by_three, read_row(())), 3) == (0, 0, 0)
+    assert from_pair(solve(three_by_zero, read_row((0, 0, 0))), 0) == ()
+    assert solve(three_by_zero, read_row((0, 1, 0))) is None
     assert zero_by_three.transpose() == three_by_zero
     assert (three_by_zero * zero_by_three) == zeros(3, 3)
 

@@ -7,39 +7,40 @@ bracket, and the associator identity that makes it left-symmetric is checked
 on every basis triple.
 """
 
-from crlie import (
-    catalog, check_left_symmetric, induced_bracket, left_symmetric_product,
-    parse_document,
-)
+from crlie import catalog, check_left_symmetric, left_symmetric_product, parse_document
+from crlie.linalg import contraction
 from crlie.report import fmt_vec
 
 
 def main():
     payloads = parse_document(catalog.get("aff_aff").document)
     g = payloads.algebra
-    names = g.names
+    names, basis = g.names, payloads.cr.basis_names
     k = payloads.kahler
 
     product = left_symmetric_product(k)
+    # each value is read from the integer table in H-coordinates and mapped
+    # into G through the integer basis of H, so it is s_P s_H times the vector
+    H, P = product.H, product.P
+    rows, s = dict(enumerate(H.ints)), product.scale * H.scale
     print("left-symmetric product on H (zero rows omitted):")
-    basis = product.H.basis
-    m = len(basis)
-    for a in range(m):
-        for b in range(m):
-            value = product.ambient(a, b)
-            if any(value):
-                x = fmt_vec(names, basis[a])
-                y = fmt_vec(names, basis[b])
-                print(f"  ({x}) * ({y}) = {fmt_vec(names, value)}")
+    for a, x in enumerate(basis):
+        for b, y in enumerate(basis):
+            value = contraction([(1, P[a].get(b, {}), rows)])
+            if value:
+                print(f"  ({x}) * ({y}) = {fmt_vec(names, value, s)}")
 
     print("\ncommutator x*y - y*x versus the ambient bracket:")
-    comm = induced_bracket(product)
-    for a in range(m):
-        for b in range(a + 1, m):
-            x, y = basis[a], basis[b]
-            agree = comm[(a, b)] == g.bracket(x, y)
-            print(f"  [{fmt_vec(names, x)}, {fmt_vec(names, y)}]'"
-                  f" = {fmt_vec(names, comm[(a, b)])}"
+    # the table evaluates to t [h_a, h_b] for t = s_c s_H^2, and comm is
+    # s (h_a h_b - h_b h_a), so the two agree exactly when t comm = s bracket
+    brackets, t = g.table.evaluate(H.ints), g.table.scale * H.scale * H.scale
+    for a, x in enumerate(basis):
+        for b in range(a + 1, len(basis)):
+            comm = contraction([(1, product.commutator(a, b), rows)])
+            bracket = brackets.get((a, b), {})
+            agree = ({i: t * v for i, v in comm.items()}
+                     == {i: s * v for i, v in bracket.items()})
+            print(f"  [{x}, {basis[b]}]' = {fmt_vec(names, comm, s)}"
                   f"  (matches bracket: {agree})")
 
     print("\nidentity checks:")

@@ -19,11 +19,11 @@ def main():
     k = payloads.kahler
 
     print("algebra: so(3), brackets in basis e1, e2, e3:")
-    e = [tuple(int(k == i) for k in range(3)) for i in range(3)]
+    table = g.table
     for a in range(3):
         for b in range(a + 1, 3):
-            lhs = g.bracket(e[a], e[b])
-            print(f"  [e{a + 1}, e{b + 1}] = {fmt_vec(g.names, lhs)}")
+            lhs = table.rows[a].get(b, {})
+            print(f"  [e{a + 1}, e{b + 1}] = {fmt_vec(g.names, lhs, table.scale)}")
 
     print("\nCR conditions (bracket stability of the i-eigenspace):")
     print(check_cr(payloads.cr).to_text())

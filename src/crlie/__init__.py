@@ -11,12 +11,12 @@ and `catalog` alone.
 from importlib import import_module
 
 _EXPORTS = {
-    "linalg": ("Matrix", "Subspace", "Vector", "kernel", "rat", "solve"),
+    "linalg": ("Matrix", "Subspace", "kernel", "rat", "solve"),
     "lie": ("LieAlgebra", "StructureError", "sl2", "so3"),
     "multivector": ("Bivector", "Trivector", "schouten"),
     "crkahler": ("CRData", "KahlerCRData", "LeftSymmetricProduct", "build_extension",
                  "center_U", "check_cr", "check_kahler", "check_left_symmetric",
-                 "ideal_complement_complex", "induced_bracket", "left_symmetric_product",
+                 "ideal_complement_complex", "left_symmetric_product",
                  "omega_radical", "semisimple_exactness"),
     "poisson": ("PseudoPoissonData", "check_j_invariance", "check_pseudo_poisson",
                 "coboundary_pi"),

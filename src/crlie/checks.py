@@ -46,7 +46,7 @@ def run_checks(p: Payloads) -> Report:
         if p.poisson_r is not None:
             rep.extend(coboundary_pi(p.algebra, p.poisson_r, p.poisson.U))
 
-    if p.ideal is not None and p.cr is not None:
+    if p.ideal is not None:
         try:
             _, _, ideal_rep = ideal_complement_complex(p.cr, p.ideal)
         except ValueError as e:
@@ -55,7 +55,7 @@ def run_checks(p: Payloads) -> Report:
             rep.add("ideal.valid_input", True)
             rep.extend(ideal_rep)
 
-    if p.extension is not None and p.kahler is not None:
+    if p.extension is not None:
         try:
             ext_rep = build_extension(p.kahler, p.extension)
         except ValueError as e:

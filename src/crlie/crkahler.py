@@ -20,7 +20,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .lie import IntTable, LieAlgebra
-from .linalg import (Frozen, Matrix, Subspace, Vector, contraction, format_rat, kernel, pack,
+from .linalg import (Frozen, Matrix, Subspace, contraction, format_rat, kernel, pack,
                      rref, solve, unpack)
 from .report import Report, fmt_vec
 
@@ -199,9 +199,10 @@ class LeftSymmetricProduct(Frozen):
         """scale (h_a h_b - h_b h_a) in H-coordinates, as its nonzero entries."""
         return contraction([(1, {b: 1}, self.P[a]), (-1, {a: 1}, self.P[b])])
 
-    def ambient(self, a: int, b: int) -> Vector:
-        """h_a h_b in the coordinates of G."""
-        return self.H.member(self.P[a].get(b, {}), self.scale)
+
+def _jacobi(triples) -> list:
+    """A witness per basis triple on which a Jacobiator fails, its indices 1-based."""
+    return [dict(kind="jacobi", indices=str(tuple(i + 1 for i in t))) for t in triples]
 
 
 def _named(d: CRData, keys: str, indices) -> list:
@@ -372,13 +373,6 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
     return rep
 
 
-def induced_bracket(p: LeftSymmetricProduct) -> dict:
-    """The commutator table [x,y]' = xy - yx on the H basis."""
-    m = p.H.dim
-    return {(a, b): p.H.member(p.commutator(a, b), p.scale)
-            for a in range(m) for b in range(m)}
-
-
 # ---------------------------------------------------------------------------
 # omega-radical and center machinery
 
@@ -449,8 +443,7 @@ def ideal_complement_complex(d: CRData, ideal: Subspace) -> tuple[LieAlgebra, Ma
     quotient_like = LieAlgebra(table, names=[f"h{i + 1}" for i in range(m)], validate=False)
     rep = Report()
     bad = table.cyclic_defects(table.rows)
-    rep.add("ideal.jacobi", not bad,
-            [dict(kind="jacobi", indices=str(tuple(i + 1 for i in t))) for t in bad])
+    rep.add("ideal.jacobi", not bad, _jacobi(bad))
 
     # j [h_a, h_b]' = sum_e c[a][b][e] j h_e and [j h_a, h_b]' = sum_e jH[a][e] [h_e, h_b]',
     # compared as s_J times both sides; the latter is the table evaluated on jH and the units
@@ -487,8 +480,7 @@ def build_extension(base: KahlerCRData, alpha: IntTable) -> Report:
 
     failing = alg.table.cyclic_defects(A)
     rep = Report()
-    rep.add("extension.jacobi", not failing,
-            [dict(kind="jacobi", indices=str(tuple(i + 1 for i in t))) for t in failing])
+    rep.add("extension.jacobi", not failing, _jacobi(failing))
 
     # j and A hold s_j j and s_A alpha, so s_j^2 s_A alpha(j e_a, j e_b) is A evaluated
     # on the columns of j, compared with s_j^2 A[a][b] wherever either is nonzero

@@ -11,12 +11,9 @@ calls them, and they are kept as library API.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .linalg import (
-    Frozen, Matrix, Subspace, Vector, common_scale, contraction, kernel, rref,
-)
+from .linalg import Frozen, Matrix, Subspace, common_scale, contraction, kernel, rref
 
 
 class StructureError(ValueError):
@@ -144,14 +141,6 @@ class LieAlgebra(Frozen):
         object.__setattr__(self, "_semisimple", None)
 
     # -- basic operations --------------------------------------------------
-
-    def bracket(self, x: Vector, y: Vector) -> Vector:
-        """sum_{i,j} x_i y_j c[i][j], over the nonzero entries of the table."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("dimension mismatch in bracket")
-        acc = self.table.evaluate(*([{i: e for i, e in enumerate(v) if e}] for v in (x, y)))
-        return tuple(Fraction(acc.get((0, 0), {}).get(k, 0), self.table.scale)
-                     for k in range(self.dim))
 
     def ad(self, x: Mapping) -> Matrix:
         """Matrix of y -> [x, y] for the sparse integer vector x = {k: x_k}:

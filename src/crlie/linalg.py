@@ -5,8 +5,8 @@ Identities are checked against literal zero -- no tolerances anywhere.  A
 denominator of its entries, and a `Subspace` as its reduced row-echelon
 basis in the same form plus its pivots.  Both forms are canonical, so
 equality is a comparison; `__eq__` and `__hash__` are kept as library API.
-Vectors inside the library are sparse integer rows {k: x} over their
-nonzero entries, as `Subspace.reduce` and `contains` take them.
+A vector inside the library is a sparse integer row {k: x} over its
+nonzero entries, as `Subspace.reduce` and `contains` take it.
 
 Two kernels do the library's sparse integer arithmetic, and the cost of each
 follows the entries it reads, not the size of the space: `contraction` sums
@@ -24,8 +24,8 @@ exact division (Math. Comp. 22 (1968) 565-578) in the Gauss-Jordan form of
 Nakos, Turner and Williams (ACM SIGSAM Bull. 31(3), 1997).  Rationals are
 read by `read_row`, straight into one integer row over its least common
 denominator; `Fraction` appears there only for a spelling other than the
-canonical ones, and otherwise only where an entry or a dense vector is handed
-out (and where such a `Fraction` is formatted).
+canonical ones, and otherwise only where a `Fraction` is formatted and in
+the leading-minor diagnostic.  Nothing else the library hands out is one.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
-
-Vector = tuple[Fraction, ...]
 
 
 def rat(x) -> Fraction:
@@ -214,13 +212,14 @@ class Frozen:
 class Matrix(Frozen):
     """Rational matrix, immutable: entry (i, k) is ints[i].get(k, 0) / scale,
     where scale is the least common denominator of the entries (1 when all
-    vanish) and ints[i] = {k: x} keeps the nonzero entries of row i.  The
-    form is canonical, so `==` compares it.  Any shape is allowed, 0 x n and
-    n x 0 included; `Matrix(rows)` reads rational rows, `from_ints` integer
-    ones.  A matrix builds its transpose on first use and keeps it, so every
-    reader of one matrix shares one transpose.  A product with the identity,
-    in canonical form scale 1 with rows {i: 1} (row 0 settles that for almost
-    any other matrix), is its other factor, as it is, with its transpose."""
+    vanish) and ints[i] = {k: x} keeps the nonzero entries of row i; entries
+    are read from these two, never as `Fraction`s.  The form is canonical, so
+    `==` compares it.  Any shape is allowed, 0 x n and n x 0 included;
+    `Matrix(rows)` reads rational rows, `from_ints` integer ones.  A matrix
+    builds its transpose on first use and keeps it, so every reader of one
+    matrix shares one transpose.  A product with the identity, in canonical
+    form scale 1 with rows {i: 1} (row 0 settles that for almost any other
+    matrix), is its other factor, as it is, with its transpose."""
 
     __slots__ = ("rows", "cols", "scale", "ints", "_transpose")
 
@@ -251,10 +250,6 @@ class Matrix(Frozen):
     def _set(self, *values) -> None:
         for name, value in zip(Matrix.__slots__, values):
             object.__setattr__(self, name, value)
-
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        return Fraction(self.ints[i].get(j, 0), self.scale)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -319,8 +314,8 @@ class Matrix(Frozen):
                 and self.ints == other.ints)
 
     def __repr__(self):
-        body = "; ".join(" ".join(format_rat(self[i, k]) for k in range(self.cols))
-                         for i in range(self.rows))
+        body = "; ".join(" ".join(format_rat(r.get(k, 0), self.scale) for k in range(self.cols))
+                         for r in self.ints)
         return f"Matrix[{body}]"
 
 
@@ -475,17 +470,6 @@ class Subspace(Frozen):
     def dim(self) -> int:
         return len(self.pivots)
 
-    @property
-    def basis(self) -> tuple:
-        """The RREF basis as rational vectors."""
-        return tuple(self.member({a: 1}) for a in range(self.dim))
-
-    def member(self, coords, s: int = 1) -> Vector:
-        """The rational vector sum_a coords[a] h_a / s, for integer
-        coordinates {a: x} on the RREF basis h_a."""
-        v = contraction([(1, coords, dict(enumerate(self.ints)))])
-        return tuple(Fraction(v.get(k, 0), s * self.scale) for k in range(self.ambient_dim))
-
     def contains(self, v: Mapping) -> bool:
         """Membership of the sparse vector v = {k: x}, or of any nonzero
         multiple of it.  The whole space holds every v of its dimension."""
@@ -534,5 +518,6 @@ class Subspace(Frozen):
         return hash((self.ambient_dim, self.scale, self.pivots))
 
     def __repr__(self):
-        rows = "; ".join(" ".join(format_rat(e) for e in v) for v in self.basis)
+        rows = "; ".join(" ".join(format_rat(v.get(k, 0), self.scale)
+                                  for k in range(self.ambient_dim)) for v in self.ints)
         return f"Subspace(dim {self.dim} of {self.ambient_dim}: {rows})"

@@ -57,15 +57,24 @@ from typing import Mapping
 from crlie import Bivector, LieAlgebra, Trivector, parse_document
 from crlie.crkahler import CRData, KahlerCRData, LeftSymmetricProduct
 from crlie.lie import IntTable
-from crlie.linalg import Matrix, Subspace, Vector, rat, read_row
+from crlie.linalg import Matrix, Subspace, rat, read_row
 from crlie.report import Report, fmt_vec
 
 
 # -- `Fraction` vectors and matrices ---------------------------------------------
 
+Vector = tuple[Fraction, ...]
+
+
 def rows_of(A: Matrix) -> list:
-    """The rows of A as `Fraction` tuples."""
-    return [tuple(A[i, k] for k in range(A.cols)) for i in range(A.rows)]
+    """The rows of A as `Fraction` tuples, read from its integer rows and scale."""
+    return [tuple(Fraction(r.get(k, 0), A.scale) for k in range(A.cols)) for r in A.ints]
+
+
+def basis_of(S: Subspace) -> tuple:
+    """The RREF basis of S as `Fraction` tuples, read from its integer rows and scale."""
+    return tuple(tuple(Fraction(v.get(k, 0), S.scale) for k in range(S.ambient_dim))
+                 for v in S.ints)
 
 
 def transpose(rows) -> list:
@@ -88,7 +97,7 @@ def matmul(A, B) -> list:
 
 
 def column(A: Matrix, j: int) -> Vector:
-    return tuple(A[i, j] for i in range(A.rows))
+    return tuple(Fraction(r.get(j, 0), A.scale) for r in A.ints)
 
 
 def from_columns(cols) -> Matrix:
@@ -602,7 +611,7 @@ def span_remainder(t: Trivector, span) -> Trivector:
 
 def wedge_span_remainder(t: Trivector, u: Subspace) -> Trivector:
     """RREF remainder of t against span{u ^ e_a ^ e_b : u in basis(U), a < b}."""
-    return span_remainder(t, wedge_span(u.basis, t.dim))
+    return span_remainder(t, wedge_span(basis_of(u), t.dim))
 
 
 def schouten_decomposable(algebra: LieAlgebra, p: Bivector, q: Bivector) -> Trivector:
@@ -639,7 +648,7 @@ def check_cr_ambient(d: CRData) -> Report:
     (2) [x, y] - [jx, jy] in H and (3) [jx, jy] = [x, y] + j([x, jy] + [jx, y])."""
     rep = Report()
     c, j, names = dense_tensor(d.algebra), rows_of(d.j), d.algebra.names
-    H = rref_over_fractions(d.H.basis)
+    H = rref_over_fractions(basis_of(d.H))
     w2, w3 = [], []
     for a, x in enumerate(H[0]):
         for y in H[0][a + 1:]:
@@ -661,7 +670,7 @@ def check_cr_ambient(d: CRData) -> Report:
 def crdata_error_ambient(H: Subspace, j: Matrix):
     """The message CRData construction raises for H and j, or None: the image
     of j column by column, then j j h = -h for each basis vector h of H."""
-    span, rows = rref_over_fractions(H.basis), rows_of(j)
+    span, rows = rref_over_fractions(basis_of(H)), rows_of(j)
     for i in range(j.cols):
         if not in_span(span, column(j, i)):
             return f"image of j not contained in H (column {i + 1})"
@@ -692,7 +701,7 @@ def check_kahler_by_triples(k: KahlerCRData) -> Report:
     anti, closed = omega_defects_by_triples(dense_tensor(k.algebra), om, k.algebra.names)
     rep.add("kahler.omega_antisymmetric", not anti, anti)
     rep.add("kahler.omega_closed", not closed, closed)
-    basis = rref_over_fractions(k.H.basis)[0]
+    basis = rref_over_fractions(basis_of(k.H))[0]
     rep.add("kahler.omega_h_nondegenerate",
             det_over_fractions([[vdot(x, apply(om, y)) for y in basis] for x in basis]) != 0)
     return rep
@@ -710,7 +719,7 @@ def left_symmetric_product_by_solves(k: KahlerCRData) -> LeftSymmetricProduct:
     """xy for each basis pair of H from its own Gram system
     w(xy, z) = -w(y, [x, z]) for every basis vector z of H."""
     c, om = dense_tensor(k.algebra), omega_rows(k)
-    basis = rref_over_fractions(k.H.basis)[0]
+    basis = rref_over_fractions(basis_of(k.H))[0]
     m = len(basis)
 
     def w(x, y):
@@ -731,7 +740,7 @@ def check_left_symmetric_ambient(k: KahlerCRData, p: LeftSymmetricProduct) -> Re
     rep = Report()
     alg, names = k.algebra, k.algebra.names
     c, om, n = dense_tensor(alg), omega_rows(k), alg.dim
-    basis = p.H.basis
+    basis = basis_of(p.H)
     m = len(basis)
     fmt = [fmt_vec(names, h) for h in basis]
     R = [[lincomb([Fraction(x, p.scale) for x in densify(p.P[a].get(b, {}), m)], basis, n)
@@ -794,7 +803,7 @@ def omega_radical_ambient(k: KahlerCRData):
     rep.add("radical.subalgebra", all(in_span(L, bracket(c, x, y))
                                       for x, y in combinations(L[0], 2)))
     orth = [dict(x=fmt_vec(names, x), h=fmt_vec(names, h))
-            for x in L[0] for h in rref_over_fractions(k.H.basis)[0]
+            for x in L[0] for h in rref_over_fractions(basis_of(k.H))[0]
             if vdot(x, apply(metric, h)) != 0]
     rep.add("radical.orthogonal_h", not orth, orth)
     return L[0], rep
@@ -806,7 +815,7 @@ def center_U_ambient(k: KahlerCRData):
     vector z of U and h of H."""
     rep = Report()
     alg, names, n = k.algebra, k.algebra.names, k.algebra.dim
-    c, j, H = dense_tensor(alg), rows_of(k.j), rref_over_fractions(k.H.basis)
+    c, j, H = dense_tensor(alg), rows_of(k.j), rref_over_fractions(basis_of(k.H))
     zh, _ = intersect_over_fractions(center_kernel(c)[0], H[0], n)
     U, _ = rref_over_fractions([*zh, *(apply(j, z) for z in zh)])
     comm = []
@@ -836,7 +845,7 @@ def ideal_complement_complex_ambient(d: CRData, ideal: Subspace):
     Returns (c, the matrix of j on H as rows, report)."""
     alg, n, names = d.algebra, d.algebra.dim, d.algebra.names
     c = dense_tensor(alg)
-    I, H = rref_over_fractions(ideal.basis), rref_over_fractions(d.H.basis)
+    I, H = rref_over_fractions(basis_of(ideal)), rref_over_fractions(basis_of(d.H))
     if not all(in_span(I, bracket(c, basis_vector(n, i), x)) for x in I[0] for i in range(n)):
         raise ValueError("not an ideal")
     if len(I[0]) + len(H[0]) != n or len(rref_over_fractions(I[0] + H[0])[0]) != n:
@@ -927,7 +936,7 @@ def build_extension_lifted(base: KahlerCRData, alpha):
     doc = {"algebra": {"dim": total, "names": ext_names, "brackets": [
                {"x": a + 1, "y": b + 1, "result": [str(x) for x in c[a][b]]}
                for a, b in combinations(range(total), 2)]},
-           "cr": {"H": text(h + zero_vector(v_dim) for h in base.H.basis),
+           "cr": {"H": text(h + zero_vector(v_dim) for h in basis_of(base.H)),
                   "j": text(rows_of(block_diag(base.j, zeros(v_dim, v_dim))))},
            "metric": text(rows_of(block_diag(base.metric, identity(v_dim))))}
     return parse_document(doc).kahler, rep
@@ -961,7 +970,7 @@ def semisimple_exactness_full_system(k: KahlerCRData):
     rep.add("exactness.killing_dual", True)
 
     L = kernel_over_fractions(ad_rows(c, X), n)[0]
-    codim = n - len(rref_over_fractions(k.H.basis)[0])
+    codim = n - len(rref_over_fractions(basis_of(k.H))[0])
     rep.add("exactness.radical_match",
             L == kernel_over_fractions(transpose(om), n)[0] and len(L) == codim,
             detail=f"dim L = {len(L)}, codim H = {codim}")
@@ -999,7 +1008,7 @@ def coboundary_pi_ambient(algebra: LieAlgebra, r: Bivector, U: Subspace) -> Repo
     the span of U ^ Lambda^2 G."""
     rep = Report()
     n, names, c = algebra.dim, algebra.names, dense_tensor(algebra)
-    rr, span = schouten_decomposable(algebra, r, r), wedge_span(U.basis, n)
+    rr, span = schouten_decomposable(algebra, r, r), wedge_span(basis_of(U), n)
     bad = []
     for i in range(n):
         res = span_remainder(apply_exterior_power(ad_rows(c, basis_vector(n, i)), rr, leibniz=True),

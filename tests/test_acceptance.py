@@ -20,9 +20,9 @@ from crlie.cli import main as cli_main
 from crlie.linalg import Matrix, Subspace, solve
 
 from oracles import (
-    all_sign_bivectors, alternating, basis_vector, block_diag, coefficients, dense_tensor,
-    det_over_fractions, direct_sum, from_columns, from_pair, identity, int_table, matvec, omega,
-    rows_of, schouten_decomposable, vdot, vector,
+    all_sign_bivectors, alternating, basis_of, basis_vector, block_diag, bracket, coefficients,
+    dense_tensor, det_over_fractions, direct_sum, from_columns, from_pair, identity, int_table,
+    matvec, omega, rows_of, schouten_decomposable, vdot, vector,
 )
 
 
@@ -101,7 +101,7 @@ def test_criterion_3_radical_structure():
             minv = _inverse(m)
             k2 = KahlerCRData(
                 CRData(base.algebra,
-                       Subspace.span([matvec(m, h) for h in base.H.basis], 4),
+                       Subspace.span([matvec(m, h) for h in basis_of(base.H)], 4),
                        m * base.j * minv),
                 minv.transpose() * minv)
             assert check_kahler(k2).passed
@@ -120,11 +120,11 @@ def test_criterion_4_semisimple_duality_on_so3():
         assert alpha == vector([0, 0, -1])           # alpha = -e3*
         assert X == vector(["0", "0", "1/2"])        # X = e3 / 2
         assert L.dim == 1 == g.dim - k.H.dim
-        K = g.killing_form()
+        K, c = g.killing_form(), dense_tensor(g)
         for a in range(3):
             for b in range(3):
                 x, y = basis_vector(3, a), basis_vector(3, b)
-                assert vdot(matvec(K, X), g.bracket(x, y)) == omega(k, x, y)
+                assert vdot(matvec(K, X), bracket(c, x, y)) == omega(k, x, y)
 
 
 def _catalog_algebras_dim_le_4():
@@ -176,8 +176,8 @@ def product_data(d1, d2) -> PseudoPoissonData:
     zero1, zero2 = (0,) * n1, (0,) * n2
 
     def block(s1, s2):
-        return Subspace.span([h + zero2 for h in s1.basis] + [zero1 + h for h in s2.basis],
-                             n1 + n2)
+        return Subspace.span([h + zero2 for h in basis_of(s1)]
+                             + [zero1 + h for h in basis_of(s2)], n1 + n2)
 
     lam = {**coefficients(d1.Lambda),
            **{(a + n1, b + n1): x for (a, b), x in coefficients(d2.Lambda).items()}}

@@ -16,14 +16,13 @@ from crlie import (
     semisimple_exactness, sl2, so3,
 )
 from crlie import checks, crkahler, lie, linalg
-from crlie.crkahler import induced_bracket
 from crlie.inputdoc import parse_text
 from crlie.lie import IntTable
 from crlie.linalg import Matrix, Subspace, read_row
 from crlie.report import fmt_vec
 
 from oracles import (
-    alternating, basis_vector, bilinear, block_diag, bracket, build_extension_lifted,
+    alternating, basis_of, basis_vector, bilinear, block_diag, bracket, build_extension_lifted,
     center_U_ambient, check_cr_ambient, check_j_invariance_ambient, check_kahler_by_triples,
     check_left_symmetric_ambient, check_pseudo_poisson_ambient, coboundary_pi_ambient, column,
     crdata_error_ambient, dense_tensor, densify, det_over_fractions, direct_sum, from_brackets,
@@ -127,8 +126,8 @@ def test_check_kahler_so3(so3_kahler):
     rep = check_kahler(so3_kahler)
     assert rep.passed
     omega = so3_kahler.omega_matrix
-    assert omega[0, 1] == -1
-    assert all(omega[2, t] == 0 for t in range(3))
+    assert rows_of(omega)[0][1] == -1
+    assert not any(rows_of(omega)[2])
 
 
 def test_check_kahler_abelian(rn_kahler):
@@ -168,12 +167,14 @@ def test_left_symmetric_product_aff_aff_nonzero():
     assert not is_zero_product(p)
     rep = check_left_symmetric(k, p)
     assert rep.passed
-    # omega|H nondegenerate, so identity (1) forces [x,y]' = [x,y] exactly
-    comm = induced_bracket(p)
-    g = k.algebra
+    # omega|H nondegenerate, so identity (1) forces [x,y]' = [x,y] exactly; H = G
+    # in the unit basis, so H-coordinates are G-coordinates
+    assert k.H.dim == 4 and k.H.scale == 1
+    c = dense_tensor(k.algebra)
     for a in range(4):
         for b in range(4):
-            assert comm[(a, b)] == g.bracket(basis_vector(4, a), basis_vector(4, b))
+            assert (from_pair((p.scale, p.commutator(a, b)), 4)
+                    == bracket(c, basis_vector(4, a), basis_vector(4, b)))
 
 
 # -- omega radical -----------------------------------------------------------
@@ -353,9 +354,10 @@ def rebased(k, P):
     """k in the basis of the columns of P: c'[a][b] = P^-1 [P e_a, P e_b],
     H' = P^-1 H, j' = P^-1 j P and M' = P^T M P."""
     g, n, p_inv = k.algebra, k.algebra.dim, _inverse(P)
-    c = [[matvec(p_inv, g.bracket(column(P, a), column(P, b))) for b in range(n)]
+    c0 = dense_tensor(g)
+    c = [[matvec(p_inv, bracket(c0, column(P, a), column(P, b))) for b in range(n)]
          for a in range(n)]
-    H = Subspace.span([matvec(p_inv, h) for h in k.H.basis], n)
+    H = Subspace.span([matvec(p_inv, h) for h in basis_of(k.H)], n)
     return KahlerCRData(CRData(LieAlgebra(int_table(c), names=g.names), H, p_inv * k.j * P),
                         P.transpose() * k.metric * P)
 
@@ -380,11 +382,11 @@ def test_exactness_killing_dual_identity_on_all_pairs():
     for k in exactness_inputs():
         alpha, X, L, rep = semisimple_exactness(k)
         assert rep.passed
-        g, K, X = k.algebra, k.algebra.killing_form(), from_pair(X, 3)
+        c, K, X = dense_tensor(k.algebra), k.algebra.killing_form(), from_pair(X, 3)
         for a in range(3):
             for b in range(3):
                 x, y = basis_vector(3, a), basis_vector(3, b)
-                assert vdot(X, matvec(K, g.bracket(x, y))) == omega(k, x, y)
+                assert vdot(X, matvec(K, bracket(c, x, y))) == omega(k, x, y)
 
 
 def test_exactness_matches_full_system_oracle():
@@ -394,7 +396,8 @@ def test_exactness_matches_full_system_oracle():
     # them, and then there is no solution
     k1, k2 = (entry_payloads(e).kahler for e in ("so3_cr", "sl2"))
     g = direct_sum(k1.algebra, k2.algebra)
-    H = Subspace.span([h + (0,) * 3 for h in k1.H.basis] + [(0,) * 3 + h for h in k2.H.basis], 6)
+    H = Subspace.span([h + (0,) * 3 for h in basis_of(k1.H)]
+                      + [(0,) * 3 + h for h in basis_of(k2.H)], 6)
     cr = CRData(g, H, block_diag(k1.j, k2.j))
     metric = block_diag(k1.metric, k2.metric)
     coupling = Matrix([[Fraction(1, 4) * (abs(a - b) == 3) for b in range(6)] for a in range(6)])
@@ -405,7 +408,7 @@ def test_exactness_matches_full_system_oracle():
     assert [semisimple_exactness(k)[0] is None for k in inputs[-2:]] == [False, True]
     for k in inputs:
         (alpha, X, L, rep), want = semisimple_exactness(k), semisimple_exactness_full_system(k)
-        n, basis = k.algebra.dim, None if L is None else list(L.basis)
+        n, basis = k.algebra.dim, None if L is None else list(basis_of(L))
         assert (from_pair(alpha, n), from_pair(X, n), basis) == want[:3]
         assert rep.to_dict() == want[3].to_dict()
 
@@ -446,7 +449,7 @@ def test_radical_subalgebra_on_randomized_valid_abelian_perturbations():
         m = _random_invertible(rng, 4)
         minv = _inverse(m)
         j2 = m * base.j * minv
-        H2 = Subspace.span([matvec(m, h) for h in base.H.basis], 4)
+        H2 = Subspace.span([matvec(m, h) for h in basis_of(base.H)], 4)
         metric2 = minv.transpose() * minv
         k2 = KahlerCRData(CRData(g, H2, j2), metric2)
         assert check_kahler(k2).passed
@@ -483,7 +486,7 @@ def assert_h_tables_match_definitions(d, k=None):
     their definitions: B[a][b] = s [h_a, h_b], row a of jH the H-coordinates
     of j h_a times its scale, omega_images[i][t] = w(e_i, h_t) and
     gram[a][b] = w(h_a, h_b)."""
-    n, basis, c = d.algebra.dim, d.H.basis, dense_tensor(d.algebra)
+    n, basis, c = d.algebra.dim, basis_of(d.H), dense_tensor(d.algebra)
     (sB, B), (sJ, J) = d.brackets, d.jH
     assert all(v and all(v.values()) for row in B for v in row.values())
     assert all(all(row.values()) for row in J)
@@ -512,7 +515,7 @@ def assert_kahler_layer_matches_oracles(k, product=None):
     assert (check_left_symmetric(k, product).to_dict()
             == check_left_symmetric_ambient(k, product).to_dict())
     (L, rep), (want_L, want) = omega_radical(k), omega_radical_ambient(k)
-    assert list(L.basis) == want_L and rep.to_dict() == want.to_dict()
+    assert list(basis_of(L)) == want_L and rep.to_dict() == want.to_dict()
 
 
 @pytest.mark.parametrize("name", sorted(KAHLER_INPUTS))
@@ -643,8 +646,8 @@ def dense_cr_data(draw, full=False):
     g = CR_ALGEBRAS[draw(st.sampled_from(names))]
     n = g.dim
     P = unimodular(draw, n)
-    p_inv = _inverse(P)
-    g = LieAlgebra(int_table([[matvec(p_inv, g.bracket(column(P, a), column(P, b)))
+    p_inv, c = _inverse(P), dense_tensor(g)
+    g = LieAlgebra(int_table([[matvec(p_inv, bracket(c, column(P, a), column(P, b)))
                                for b in range(n)] for a in range(n)]))
     m = n if full else draw(st.sampled_from([d for d in (2, 4, 6) if d <= n]))
     R, S = unimodular(draw, n), unimodular(draw, m)
@@ -967,7 +970,7 @@ def test_h_tables_grow_with_their_nonzero_entries():
         stored = [sum(len(v) for row in B for v in row.values()),
                   sum(len(row) for row in J),
                   sum(len(v) for row in p.P for v in row.values())]
-        basis, c = data.H.basis, dense_tensor(data.algebra)
+        basis, c = basis_of(data.H), dense_tensor(data.algebra)
         nonzero = [sum(bool(e) for x in basis for y in basis for e in bracket(c, x, y)),
                    sum(bool(e) for h in basis for e in h_coordinates(basis, matvec(data.j, h))),
                    sum(bool(x) for row in p.P for v in row.values() for x in v.values())]
@@ -991,13 +994,13 @@ def rescaled(d, q, metric=None):
     g, n, c0 = d.algebra, d.algebra.dim, dense_tensor(d.algebra)
     c = [[tuple(q[a] * q[b] / q[t] * e for t, e in enumerate(c0[a][b])) for b in range(n)]
          for a in range(n)]
-    H = Subspace.span([tuple(e / q[i] for i, e in enumerate(h)) for h in d.H.basis], n)
-    j = Matrix([[d.j[r, s] * q[s] / q[r] for s in range(n)] for r in range(n)])
+    H = Subspace.span([tuple(e / q[i] for i, e in enumerate(h)) for h in basis_of(d.H)], n)
+    j = Matrix([[e * q[s] / q[r] for s, e in enumerate(row)] for r, row in enumerate(rows_of(d.j))])
     cr = CRData(LieAlgebra(int_table(c), names=g.names), H, j)
     if metric is None:
         return cr
-    return KahlerCRData(cr, Matrix([[q[r] * metric[r, s] * q[s] for s in range(n)]
-                                    for r in range(n)]))
+    return KahlerCRData(cr, Matrix([[q[r] * e * q[s] for s, e in enumerate(row)]
+                                    for r, row in enumerate(rows_of(metric))]))
 
 
 @st.composite
@@ -1092,7 +1095,7 @@ CENTER_INPUTS["heisenberg+R2"] = heisenberg_r2_kahler()
 
 def assert_center_U_matches_oracle(k):
     (U, rep), (want_U, want) = center_U(k), center_U_ambient(k)
-    assert list(U.basis) == want_U
+    assert list(basis_of(U)) == want_U
     assert rep.to_dict() == want.to_dict()
 
 
@@ -1147,7 +1150,7 @@ def rescaled_ideal(d, ideal, q):
     denominators."""
     n = d.algebra.dim
     return rescaled(d, q), Subspace.span([[e / q[i] for i, e in enumerate(v)]
-                                          for v in ideal.basis], n)
+                                          for v in basis_of(ideal)], n)
 
 
 @settings(max_examples=30, deadline=None)

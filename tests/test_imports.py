@@ -2,14 +2,15 @@
 
 crlie has no runtime dependencies, so every absolute import names a module
 of the standard library; and every name a module imports is used in it, so
-a deletion leaves no dead import behind.  The checks read the
-integer forms of `Matrix`, `Subspace` and the multivectors, and how
-rationals are scaled to integers and back is decided in `linalg` alone:
-`crkahler`, `multivector`, `poisson` and the document reader `inputdoc`
-neither import `fractions` nor call the `Fraction` readers and scaling
-helpers, nor import `lcm`.  `inputdoc` reads every rational with
-`read_row` and brings a bivector's coefficients to one scale with
-`common_scale`; a multivector is built only from integers.  No module
+a deletion leaves no dead import behind.  The library reads the integer
+forms of `Matrix`, `Subspace`, the tables and the multivectors, and hands
+out no `Fraction` entry or vector; how rationals are scaled to integers and
+back is decided in `linalg` alone: `lie`, `crkahler`, `multivector`,
+`poisson` and the document reader `inputdoc` neither import `fractions`
+nor call the `Fraction` readers and scaling helpers, nor import `lcm`.
+`inputdoc` reads every rational with `read_row` and brings a bivector's
+coefficients to one scale with `common_scale`; a multivector is built only
+from integers.  No module
 imports `dataclasses`, which pulls in `inspect`, `ast` and `dis` and costs
 about 20 ms of each `crlie check` start; a subprocess confirms that
 importing the command line loads neither `dataclasses` nor `inspect`.
@@ -68,7 +69,8 @@ def test_imports_are_stdlib_and_used(path):
     assert {name: line for name, line in bound.items() if name not in used} == {}
 
 
-@pytest.mark.parametrize("name", ["crkahler.py", "multivector.py", "poisson.py", "inputdoc.py"])
+@pytest.mark.parametrize("name", ["lie.py", "crkahler.py", "multivector.py", "poisson.py",
+                                  "inputdoc.py"])
 def test_checks_leave_the_number_format_to_linalg(name):
     tree = ast.parse((MODULES[0].parent / name).read_text(encoding="utf-8"))
     modules, bound = imports(tree)

@@ -8,10 +8,10 @@ from crlie import InputError, LieAlgebra, StructureError, catalog, parse_documen
 from crlie.linalg import Matrix, Subspace, format_rat, read_row, solve
 
 from oracles import (
-    ad_rows, basis_vector, bracket_expanded, center_kernel, column, cyclic_defects_by_sums,
-    dense_tensor, det_over_fractions, direct_sum, evaluate_by_sums, from_brackets, from_pair,
-    identity, int_table, is_zero, jacobiator, kernel_over_fractions, killing_entry, matvec,
-    rows_of, structure_violations, vdot, vector, zeros,
+    ad_rows, basis_of, basis_vector, bracket, bracket_expanded, center_kernel, column,
+    cyclic_defects_by_sums, dense_tensor, det_over_fractions, direct_sum, evaluate_by_sums,
+    from_brackets, from_pair, identity, int_table, is_zero, jacobiator, kernel_over_fractions,
+    killing_entry, matvec, rows_of, structure_violations, vdot, vector, zeros,
 )
 from strategies import fractions
 
@@ -63,27 +63,16 @@ def perturbed_algebras(draw):
 
 
 def test_so3_bracket_example():
-    g = so3()
-    assert g.bracket(basis_vector(3, 0), basis_vector(3, 1)) == basis_vector(3, 2)
+    # [e1, e2] = e3 over scale 1
+    table = so3().table
+    assert table.scale == 1
+    assert table.evaluate([{0: 1}], [{1: 1}]) == {(0, 0): {2: 1}}
 
 
 @given(vec3)
 def test_bracket_of_x_with_itself_vanishes(x):
-    assert is_zero(so3().bracket(x, x))
-
-
-@given(vec3, vec3)
-def test_abelian_brackets_vanish(x, y):
-    assert is_zero(from_brackets(3, {}).bracket(x, y))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_bracket_matches_expanded_oracle_on_dense_tensors(data):
-    c = data.draw(dense_tensors())
-    n = len(c)
-    x, y = data.draw(vectors(n)), data.draw(vectors(n))
-    assert LieAlgebra(int_table(c), validate=False).bracket(x, y) == bracket_expanded(c, x, y)
+    xs = read_row(x)[1]
+    assert so3().table.evaluate([xs], [xs]) == {}
 
 
 @st.composite
@@ -217,7 +206,7 @@ def test_ad_and_centralizer_match_bracket_oracle(c, data):
     s, xs = read_row(x)
     ad = ad_rows(c, from_pair((1, xs), g.dim))
     assert g.ad(xs) == Matrix(ad)
-    assert list(g.centralizer(xs).basis) == kernel_over_fractions(ad, g.dim)[0]
+    assert list(basis_of(g.centralizer(xs))) == kernel_over_fractions(ad, g.dim)[0]
 
 
 # -- Killing form ------------------------------------------------------------
@@ -251,23 +240,24 @@ def test_killing_sl2_frozen_against_trace_oracle():
     K = g.killing_form()
     for i in range(3):
         for j in range(3):
-            assert K[i, j] == killing_entry(dense_tensor(g), i, j)
-    assert K[2, 2] == 8          # K(h,h)
-    assert K[0, 1] == 4          # K(e,f)
-    assert K[0, 0] == K[1, 1] == K[0, 2] == K[1, 2] == 0
+            assert rows_of(K)[i][j] == killing_entry(dense_tensor(g), i, j)
+    K = rows_of(K)
+    assert K[2][2] == 8          # K(h,h)
+    assert K[0][1] == 4          # K(e,f)
+    assert K[0][0] == K[1][1] == K[0][2] == K[1][2] == 0
 
 
 def test_killing_symmetric_and_ad_invariant():
     for g in (so3(), sl2(), heisenberg3()):
-        K = g.killing_form()
+        K, tensor = g.killing_form(), dense_tensor(g)
         assert K.is_symmetric()
         n = g.dim
         for a in range(n):
             for b in range(n):
                 for c in range(n):
                     x, y, z = (basis_vector(n, t) for t in (a, b, c))
-                    lhs = vdot(g.bracket(x, y), matvec(K, z))
-                    rhs = vdot(y, matvec(K, g.bracket(x, z)))
+                    lhs = vdot(bracket(tensor, x, y), matvec(K, z))
+                    rhs = vdot(y, matvec(K, bracket(tensor, x, z)))
                     assert lhs + rhs == 0
 
 
@@ -291,7 +281,7 @@ def test_center():
 @pytest.mark.parametrize("entry_id", catalog.ids())
 def test_center_matches_dense_construction_on_catalog(entry_id):
     g = parse_document(catalog.get(entry_id).document).algebra
-    assert list(g.center().basis) == center_kernel(dense_tensor(g))[0]
+    assert list(basis_of(g.center())) == center_kernel(dense_tensor(g))[0]
 
 
 @settings(max_examples=80, deadline=None)
@@ -300,7 +290,7 @@ def test_center_matches_dense_construction_on_catalog(entry_id):
                  st.integers(1, 4).map(lambda n: dense_tensor(from_brackets(n, {})))))
 def test_center_matches_dense_construction(c):
     g = LieAlgebra(int_table(c), validate=False)
-    assert list(g.center().basis) == center_kernel(c)[0]
+    assert list(basis_of(g.center())) == center_kernel(c)[0]
 
 
 def test_center_is_ideal_centralizer_is_subalgebra():

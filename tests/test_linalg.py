@@ -14,11 +14,11 @@ from crlie.linalg import (
 from crlie.report import fmt_vec
 
 from oracles import (
-    basis_vector, first_nonpositive_minor_over_fractions,
-    format_rat_over_fractions, format_terms_over_fractions, from_columns, from_pair, identity,
-    intersect_over_fractions, is_zero, kernel_over_fractions, mat_add, matvec,
-    reduce_over_fractions, rref_over_fractions, rows_of, scaled_sparse, solve_over_fractions,
-    sparse, supplementary_by_intersection, vector, zeros,
+    basis_of, basis_vector, first_nonpositive_minor_over_fractions, format_rat_over_fractions,
+    format_terms_over_fractions, from_columns, from_pair, identity, intersect_over_fractions,
+    is_zero, kernel_over_fractions, mat_add, matvec, reduce_over_fractions, rref_over_fractions,
+    rows_of, scaled_sparse, solve_over_fractions, sparse, supplementary_by_intersection, vector,
+    zeros,
 )
 from strategies import fractions
 
@@ -255,7 +255,7 @@ def test_kernel_hand_checkable():
 def test_kernel_vectors_annihilate_exactly():
     A = Matrix([[2, 1, -1], [4, 2, -2], [0, 1, 3]])
     k = kernel(A)
-    for v in k.basis:
+    for v in basis_of(k):
         assert is_zero(matvec(A, v))
 
 
@@ -302,7 +302,19 @@ def test_dimension_formula(vs, ws):
 @given(small_vectors)
 def test_span_idempotent(vs):
     s = Subspace.span(vs, 3)
-    assert Subspace.span(s.basis, 3) == s
+    assert Subspace.span(basis_of(s), 3) == s
+
+
+def test_reprs_format_the_integer_rows_over_their_scale():
+    # each entry is x / scale in lowest terms, as `format_rat` spells it
+    s = Subspace.span([(1, "1/2")], 2)
+    assert s.scale == 2 and repr(s) == "Subspace(dim 1 of 2: 1 1/2)"
+    assert (repr(Subspace.span([(0, "2/3", 4), (3, 0, "-1/5")], 3))
+            == "Subspace(dim 2 of 3: 1 0 -1/15; 0 1 6)")
+    assert repr(Subspace.span([], 2)) == "Subspace(dim 0 of 2: )"
+    m = Matrix([[1, "1/3"], [0, "-2"]])
+    assert m.scale == 3 and repr(m) == "Matrix[1 1/3; 0 -2]"
+    assert repr(Matrix([[0, 0]])) == "Matrix[0 0]"
 
 
 def test_matrix_transpose_and_product():
@@ -480,7 +492,7 @@ def test_rref_matches_fraction_oracle(A):
 @given(st.one_of(matrices(), monomial_matrices()), st.data())
 def test_kernel_and_solve_match_fraction_oracles(A, data):
     K = kernel(A)
-    assert (list(K.basis), list(K.pivots)) == kernel_over_fractions(rows_of(A), A.cols)
+    assert (list(basis_of(K)), list(K.pivots)) == kernel_over_fractions(rows_of(A), A.cols)
     # a consistent right side (A times a vector) and an arbitrary one
     x = vector(data.draw(st.lists(rationals, min_size=A.cols, max_size=A.cols)))
     for b in (matvec(A, x), vector(data.draw(st.lists(rationals, min_size=A.rows,
@@ -518,7 +530,8 @@ def near_identities(draw, n):
 
 
 def product_over_fractions(A, B):
-    return [tuple(sum((A[i, l] * B[l, k] for l in range(A.cols)), Fraction(0))
+    a, b = rows_of(A), rows_of(B)
+    return [tuple(sum((a[i][l] * b[l][k] for l in range(A.cols)), Fraction(0))
                   for k in range(B.cols)) for i in range(A.rows)]
 
 
@@ -566,7 +579,7 @@ def test_subspace_operations_match_fraction_oracles(case):
     S, T = Subspace.span(vs, n), Subspace.span(ws, n)
     span = rref_over_fractions(vs)
     for got, want in [(S, span), (S.intersect(T), intersect_over_fractions(vs, ws, n))]:
-        assert (list(got.basis), list(got.pivots)) == want
+        assert (list(basis_of(got)), list(got.pivots)) == want
     # the sparse remainder and the `Fraction` one
     assert S.reduce(sparse(v)) == sparse(S.scale * x for x in reduce_over_fractions(span, v))
     assert S.contains(sparse(v)) == is_zero(reduce_over_fractions(span, v))

@@ -13,7 +13,7 @@ from crlie import multivector
 from crlie.linalg import Matrix, Subspace
 
 from oracles import (
-    ad_rows, alternating, apply_exterior_power, basis_vector, check_j_invariance_ambient,
+    ad_rows, alternating, apply_exterior_power, basis_of, basis_vector, check_j_invariance_ambient,
     check_pseudo_poisson_ambient, coboundary_pi_ambient, coefficients, combine, dense_tensor,
     direct_sum, from_brackets, lincomb, matvec, schouten_decomposable, vadd, wedge_coeffs, zeros,
 )
@@ -211,11 +211,11 @@ def dense_poisson_data(draw):
     m = d.H.dim
 
     def in_H():
-        return lincomb(draw(st.lists(rationals, min_size=m, max_size=m)), d.H.basis, n)
+        return lincomb(draw(st.lists(rationals, min_size=m, max_size=m)), basis_of(d.H), n)
 
     U = Subspace.span([basis_vector(n, c) for c in range(n) if c not in d.H.pivots], n)
     if kind == "tilted":
-        U = Subspace.span([vadd(u, in_H()) for u in U.basis], n)
+        U = Subspace.span([vadd(u, in_H()) for u in basis_of(U)], n)
     if draw(st.booleans()):
         x, y = in_H(), in_H()
         lam = alternating(Bivector, n, combine((1, wedge_coeffs(x, y)),

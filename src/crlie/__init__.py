@@ -17,7 +17,7 @@ _EXPORTS = {
     "crkahler": ("CRData", "KahlerCRData", "LeftSymmetricProduct", "build_extension",
                  "center_U", "check_cr", "check_kahler", "check_left_symmetric",
                  "ideal_complement_complex", "left_symmetric_product",
-                 "omega_radical", "semisimple_exactness"),
+                 "omega_radical", "projected_brackets", "semisimple_exactness"),
     "poisson": ("PseudoPoissonData", "check_j_invariance", "check_pseudo_poisson",
                 "coboundary_pi"),
     "report": ("CheckResult", "Report"),

@@ -32,8 +32,7 @@ def run_checks(p: Payloads) -> Report:
         if kahler_rep.passed:
             product = left_symmetric_product(p.kahler)
             rep.extend(check_left_symmetric(p.kahler, product))
-            _, radical_rep = omega_radical(p.kahler)
-            rep.extend(radical_rep)
+            rep.extend(omega_radical(p.kahler))
             _, center_rep = center_U(p.kahler)
             rep.extend(center_rep)
             if p.algebra.is_semisimple():
@@ -48,7 +47,7 @@ def run_checks(p: Payloads) -> Report:
 
     if p.ideal is not None:
         try:
-            _, _, ideal_rep = ideal_complement_complex(p.cr, p.ideal)
+            ideal_rep = ideal_complement_complex(p.cr, p.ideal)
         except ValueError as e:
             rep.add("ideal.valid_input", False, [dict(reason=str(e))])
         else:

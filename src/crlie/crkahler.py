@@ -5,10 +5,10 @@ almost-complex endomorphism j and two integrability identities), the Kahler
 layer (a positive-definite metric whose form w(x, y) = <x, j y> is
 antisymmetric, closed and nondegenerate on H), and the derived machinery:
 the induced left-symmetric product on H, the w-radical, the commutative
-subalgebra built from the center, ideal-complement complex structures, the
-central-type extension checks, and the exactness construction available on
-semisimple algebras.  `LeftSymmetricProduct.__eq__` compares the canonical
-table; no check calls it, and it is kept as library API.
+subalgebra built from the center, the bracket of H projected along a
+supplement with the ideal-complement complex structure, the central-type
+extension checks and semisimple exactness.  `LeftSymmetricProduct.__eq__`
+compares the canonical table; no check calls it, and it is kept as API.
 """
 
 from __future__ import annotations
@@ -23,11 +23,6 @@ from .lie import IntTable, LieAlgebra
 from .linalg import (Frozen, Matrix, Subspace, contraction, format_rat, kernel, pack,
                      rref, solve, unpack)
 from .report import Report, fmt_vec
-
-
-def _basis_matrix(S: Subspace) -> Matrix:
-    """The RREF basis of S as the rows of a matrix."""
-    return Matrix.from_ints(S.ambient_dim, S.scale, S.ints)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +130,7 @@ class KahlerCRData(Frozen):
     @cached_property
     def h_basis(self) -> Matrix:
         """The RREF basis of H as the rows of a matrix, which keeps H^T."""
-        return _basis_matrix(self.H)
+        return Matrix.from_ints(self.H.ambient_dim, self.H.scale, self.H.ints)
 
     @cached_property
     def omega_images(self) -> Matrix:
@@ -376,18 +371,18 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
 # ---------------------------------------------------------------------------
 # omega-radical and center machinery
 
-def omega_radical(k: KahlerCRData) -> tuple[Subspace, Report]:
-    """L = {x : w(x, G) = 0}, with the subalgebra and <,>-orthogonality
-    verdicts of the radical proposition."""
+def omega_radical(k: KahlerCRData) -> Report:
+    """The subalgebra and <,>-orthogonality verdicts of the radical
+    proposition for L = {x : w(x, G) = 0}, which is `k.radical`."""
     rep = Report()
     L, names = k.radical, k.algebra.names
     rep.add("radical.subalgebra", k.algebra.is_subalgebra(L))
-    # entry (i, b) of L M H^T is <x_i, h_b> for the basis x_i of L
-    inner = _basis_matrix(L) * k.metric * k.h_basis.transpose()
-    orth = [dict(x=fmt_vec(names, L.ints[i], L.scale), h=k.cr.basis_names[b])
-            for i, row in enumerate(inner.ints) for b in sorted(row)]
+    # <x, h_b> = sum_i x_i (M H^T)[i][b] for each basis vector x of L
+    rows = dict(enumerate((k.metric * k.h_basis.transpose()).ints))
+    orth = [dict(x=fmt_vec(names, x, L.scale), h=k.cr.basis_names[b])
+            for x in L.ints for b in sorted(contraction([(1, x, rows)]))]
     rep.add("radical.orthogonal_h", not orth, orth)
-    return L, rep
+    return rep
 
 
 def center_U(k: KahlerCRData) -> tuple[Subspace, Report]:
@@ -414,45 +409,50 @@ def center_U(k: KahlerCRData) -> tuple[Subspace, Report]:
 
 
 # ---------------------------------------------------------------------------
-# ideal-complement complex structure
+# projection along a supplement and ideal-complement complex structure
 
-def ideal_complement_complex(d: CRData, ideal: Subspace) -> tuple[LieAlgebra, Matrix, Report]:
-    """Given an ideal I with I + H = G (direct), build the projected bracket
-    on H and verify j is complex-bilinear for it.
-
-    Raises ValueError when I is not an ideal or not complementary to H.
-    """
-    alg, H = d.algebra, d.H
-    if not alg.is_ideal(ideal):
-        raise ValueError("not an ideal")
-    if not ideal.supplements(H):
-        raise ValueError("ideal is not supplementary to H")
-
-    # [h_a, h_b] = sum_e x_e h_e + (a member of I), x holding the H-coordinates
-    # of its projection.  One row reduction of [A | B] solves every pair a < b:
-    # A has the integer columns of H and I and is invertible, B the columns
-    # s_B [h_a, h_b], so the RREF is s [I | A^-1 B], and x_e = s_H (A^-1 B)_e / s_B
-    n, m, (sB, B) = alg.dim, H.dim, d.brackets
+def projected_brackets(d: CRData, S: Subspace) -> Optional[IntTable]:
+    """The bracket of H projected onto H along S, as the table on H's RREF
+    basis, or None when S does not supplement H.  [h_a, h_b] is sum_e x_e h_e
+    plus a member of S; one RREF of [A | B], A the integer columns of H and S,
+    B those of s_B [h_a, h_b], solves every pair a < b.  S supplements H exactly
+    when A is square and invertible: dim H + dim S = n and the first n pivots
+    are 0..n-1.  The RREF is then s [I | A^-1 B], so x_e = s_H (A^-1 B)_e / s_B."""
+    n, m, H, (sB, B) = d.algebra.dim, d.H.dim, d.H, d.brackets
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    columns = [*H.ints, *ideal.ints, *(B[a].get(b, {}) for a, b in pairs)]
-    s, R, _ = rref(Matrix.from_ints(n, 1, columns).transpose().ints, n + len(pairs))
+    columns = [*H.ints, *S.ints, *(B[a].get(b, {}) for a, b in pairs)]
+    s, R, pivots = rref(Matrix.from_ints(n, 1, columns).transpose().ints, len(columns))
+    if m + S.dim != n or pivots[:n] != list(range(n)):
+        return None
     X = Matrix.from_ints(len(pairs), s * sB,
                          [{p - n: H.scale * x for p, x in r.items() if p >= n} for r in R[:m]])
     # X is in lowest terms, so the table is canonical
-    table = IntTable.antisymmetric(m, dict(zip(pairs, ((X.scale, c) for c in X.transpose().ints))))
-    quotient_like = LieAlgebra(table, names=[f"h{i + 1}" for i in range(m)], validate=False)
+    return IntTable.antisymmetric(m, dict(zip(pairs, ((X.scale, c) for c in X.transpose().ints))))
+
+
+def ideal_complement_complex(d: CRData, ideal: Subspace) -> Report:
+    """Given an ideal I with I + H = G (direct), verify the Jacobi identity of
+    the bracket projected onto H along I and that j is complex-bilinear for it.
+
+    Raises ValueError when I is not an ideal or not complementary to H.
+    """
+    if not d.algebra.is_ideal(ideal):
+        raise ValueError("not an ideal")
+    table = projected_brackets(d, ideal)
+    if table is None:
+        raise ValueError("ideal is not supplementary to H")
     rep = Report()
     bad = table.cyclic_defects(table.rows)
     rep.add("ideal.jacobi", not bad, _jacobi(bad))
 
     # j [h_a, h_b]' = sum_e c[a][b][e] j h_e and [j h_a, h_b]' = sum_e jH[a][e] [h_e, h_b]',
     # compared as s_J times both sides; the latter is the table evaluated on jH and the units
-    sJ, J = d.jH
+    m, (_, J) = table.dim, d.jH
     jmap, K = dict(enumerate(J)), table.evaluate(J, [{b: 1} for b in range(m)])
-    wj = _named(d, "xy", [(a, b) for a, b in pairs if contraction(
+    wj = _named(d, "xy", [(a, b) for a in range(m) for b in range(a + 1, m) if contraction(
         [(1, table.rows[a].get(b, {}), jmap)]) != K.get((a, b), {})])
     rep.add("ideal.complex_structure", not wj, wj)
-    return quotient_like, Matrix.from_ints(m, sJ, J).transpose(), rep
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +471,8 @@ def build_extension(base: KahlerCRData, alpha: IntTable) -> Report:
     G-triple its G-part is the base's and its V-part is minus the cyclic sum
     alpha([x, y]', z) + alpha([z, x]', y) + alpha([y, z]', x), which is
     therefore also the cyclic condition.  The extended form is w + 0, so it
-    is closed exactly when w is antisymmetric and closed.
+    is closed exactly when w is antisymmetric and closed, and w's defects
+    are its witnesses.
     """
     alg, A = base.algebra, alpha.rows
     n, names = alg.dim, alg.names
@@ -495,7 +496,7 @@ def build_extension(base: KahlerCRData, alpha: IntTable) -> Report:
     # the cyclic sum is the V-part of the Jacobiator tested above
     rep.add("extension.cyclic", not failing)
     anti, closed = base.omega_defects
-    rep.add("extension.omega_closed", not anti and not closed)
+    rep.add("extension.omega_closed", not anti and not closed, anti + closed)
     return rep
 
 

@@ -8,11 +8,12 @@ basis vectors, a matrix through its entries, a multivector through its
 coefficients -- and calls none of the library's integer kernels
 (`contraction`, `remainder`, `cyclic_defects`, `evaluate`, `rref`,
 `push_ints`, `derive_ints`, `schouten_ints`, `_wedge_front`,
-`quotient_columns`, `induced_bracket`, `IntTable`).  Every elimination is
-the `Fraction` one below.  Where the library derives a fact from the shape
-of an identity (alternation, a zero table entry, a cached table), the
-oracle evaluates the identity on every basis pair or triple instead.  `ORACLES` at the end maps each check id to
-its oracle; `test_catalog` asserts the map and the rule.
+`quotient_columns`, `projected_brackets`, `pack`, `unpack`, `IntTable`).
+Every elimination is the `Fraction` one below.  Where the library derives a
+fact from the shape of an identity (alternation, a zero table entry, a
+cached table), the oracle evaluates the identity on every basis pair or
+triple instead.  `ORACLES` at the end maps each check id to its oracle;
+`test_catalog` asserts the map and the rule.
 
 - `check_cr_ambient`: CR conditions (2) and (3) on four ambient brackets of
   the basis vectors of H per pair.
@@ -25,8 +26,9 @@ its oracle; `test_catalog` asserts the map and the rule.
   as the common kernel of the ad e_i, U as (Z cap H) + j(Z cap H), and the
   brackets and memberships that the propositions name.
 - `ideal_complement_complex_ambient`: the bracket of H projected along the
-  ideal by one solve per pair, its Jacobiator entry by entry, and
-  j-linearity in H-coordinates.
+  ideal by one solve per pair, which the tests compare with
+  `projected_brackets`, its Jacobiator entry by entry, and j-linearity in
+  H-coordinates.
 - `build_extension_lifted`: the algebra G + V built in full, its Jacobiator
   entry by entry, and closedness of the extended form.
 - `semisimple_exactness_full_system`: Cartan's criterion on the Killing
@@ -927,7 +929,7 @@ def build_extension_lifted(base: KahlerCRData, alpha):
     om = [tuple(r) + zero_vector(v_dim) for r in omega_rows(base)]
     om += [zero_vector(total)] * v_dim
     anti, closed = omega_defects_by_triples(c, om, ext_names)
-    rep.add("extension.omega_closed", not anti and not closed)
+    rep.add("extension.omega_closed", not anti and not closed, anti + closed)
 
     # the lifted data, read by the parser from the document of G + V
     def text(rows):

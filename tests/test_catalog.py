@@ -16,7 +16,7 @@ GOLDEN = Path(__file__).with_name("golden")
 # The integer kernels of the library, which no definition-level oracle may use.
 KERNELS = {"contraction", "remainder", "cyclic_defects", "evaluate", "rref", "push_ints",
            "derive_ints", "schouten_ints", "_wedge_front", "quotient_columns",
-           "induced_bracket", "IntTable"}
+           "projected_brackets", "pack", "unpack", "IntTable"}
 
 
 @pytest.mark.parametrize("entry_id", catalog.ids())

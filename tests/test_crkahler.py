@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from crlie import (
     Bivector, CRData, InputError, KahlerCRData, LieAlgebra, PseudoPoissonData, build_extension,
     catalog, center_U, check_cr, check_kahler, check_left_symmetric, dump_document,
-    ideal_complement_complex, left_symmetric_product, omega_radical, parse_document, run_checks,
-    semisimple_exactness, sl2, so3,
+    ideal_complement_complex, left_symmetric_product, omega_radical, parse_document,
+    projected_brackets, run_checks, semisimple_exactness, sl2, so3,
 )
 from crlie import checks, crkahler, lie, linalg
 from crlie.inputdoc import parse_text
@@ -25,10 +25,10 @@ from oracles import (
     alternating, basis_of, basis_vector, bilinear, block_diag, bracket, build_extension_lifted,
     center_U_ambient, check_cr_ambient, check_j_invariance_ambient, check_kahler_by_triples,
     check_left_symmetric_ambient, check_pseudo_poisson_ambient, coboundary_pi_ambient, column,
-    crdata_error_ambient, dense_tensor, densify, det_over_fractions, direct_sum, from_brackets,
-    from_columns, from_pair, h_coordinates, ideal_complement_complex_ambient, identity, int_table,
-    is_zero, left_symmetric_product_by_solves, mat_add, mat_scale, matvec, omega,
-    omega_radical_ambient, omega_rows, product_from_coordinates, rows_of,
+    crdata_error_ambient, dense_table, dense_tensor, densify, det_over_fractions, direct_sum,
+    from_brackets, from_columns, from_pair, h_coordinates, ideal_complement_complex_ambient,
+    identity, int_table, is_zero, left_symmetric_product_by_solves, mat_add, mat_scale, matvec,
+    omega, omega_radical_ambient, omega_rows, product_from_coordinates, rows_of,
     semisimple_exactness_full_system, supplementary_by_intersection, unscaled, vadd, vdot, vector,
     zeros,
 )
@@ -180,21 +180,19 @@ def test_left_symmetric_product_aff_aff_nonzero():
 # -- omega radical -----------------------------------------------------------
 
 def test_omega_radical_so3(so3_kahler):
-    L, rep = omega_radical(so3_kahler)
-    assert L == Subspace.span([basis_vector(3, 2)], 3)
-    assert rep.passed
+    assert so3_kahler.radical == Subspace.span([basis_vector(3, 2)], 3)
+    assert omega_radical(so3_kahler).passed
 
 
 def test_omega_radical_abelian_complement(rn_kahler):
-    L, rep = omega_radical(rn_kahler)
-    assert L == Subspace.span([basis_vector(4, 2), basis_vector(4, 3)], 4)
-    assert rep.passed
+    assert rn_kahler.radical == Subspace.span([basis_vector(4, 2), basis_vector(4, 3)], 4)
+    assert omega_radical(rn_kahler).passed
 
 
 def test_omega_radical_symplectic_case_trivial():
-    L, rep = omega_radical(entry_payloads("aff_aff").kahler)
-    assert L.dim == 0
-    assert rep.passed
+    k = entry_payloads("aff_aff").kahler
+    assert k.radical.dim == 0
+    assert omega_radical(k).passed
 
 
 # -- center machinery --------------------------------------------------------
@@ -241,9 +239,9 @@ def test_center_U_failures_carry_witnesses():
 
 def test_ideal_complement_abelian(rn_kahler):
     ideal = Subspace.span([basis_vector(4, 2), basis_vector(4, 3)], 4)
-    alg, jH, rep = ideal_complement_complex(rn_kahler.cr, ideal)
-    assert alg == from_brackets(2, {})
-    assert rep.passed
+    d = rn_kahler.cr
+    assert dense_table(projected_brackets(d, ideal), 2) == dense_tensor(from_brackets(2, {}))
+    assert ideal_complement_complex(d, ideal).passed
 
 
 def test_ideal_complement_heisenberg_plus_r2():
@@ -252,15 +250,30 @@ def test_ideal_complement_heisenberg_plus_r2():
     cols = [(0,) * 5] * 3 + [vector([0, 0, 0, 0, 1]), vector([0, 0, 0, -1, 0])]
     j = from_columns([vector(c) for c in cols])
     ideal = Subspace.span([basis_vector(5, t) for t in range(3)], 5)
-    alg, _, rep = ideal_complement_complex(CRData(g, H, j), ideal)
-    assert alg == from_brackets(2, {})
-    assert rep.passed
+    d = CRData(g, H, j)
+    assert dense_table(projected_brackets(d, ideal), 2) == dense_tensor(from_brackets(2, {}))
+    assert ideal_complement_complex(d, ideal).passed
 
 
 def test_ideal_complement_rejects_non_ideal(so3_kahler):
     with pytest.raises(ValueError, match="not an ideal"):
         ideal_complement_complex(so3_kahler.cr,
                                  Subspace.span([basis_vector(3, 2)], 3))
+
+
+@pytest.mark.parametrize("ideal", [
+    # dim H + dim I = n, but H + I = span(e1, e2, e3) is not direct
+    [["1", "0", "0", "0"], ["0", "0", "1", "0"]],
+    # dim H + dim I > n, although [H | I] has a pivot in every row
+    [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+    # dim H + dim I < n
+    [["0", "0", "1", "0"]]])
+def test_run_checks_rejects_an_ideal_that_does_not_supplement_H(ideal):
+    # rn_flat is abelian, so every subspace is an ideal, and H = span(e1, e2)
+    rep = run_checks(parse_document({**catalog.get("rn_flat").document, "ideal": ideal}))
+    res = rep.result("ideal.valid_input")
+    assert not res.passed
+    assert list(res.witnesses) == [{"reason": "ideal is not supplementary to H"}]
 
 
 # -- extension construction --------------------------------------------------
@@ -306,6 +319,21 @@ def test_extension_form_must_be_antisymmetric_as_well_as_closed():
     assert rep.result("extension.jacobi").passed
     assert not rep.result("extension.omega_closed").passed
     assert check_kahler(k).result("kahler.omega_closed").passed
+
+
+@pytest.mark.parametrize("doc", [
+    bench_families().aff_coupled_metric(2).document,
+    # the document of the test above
+    {**catalog.get("heisenberg").document, "metric": [["2", "0"], ["0", "1"]]}])
+def test_extension_omega_closed_names_the_defects_of_w(doc):
+    # the extended form is w + 0, so extension.omega_closed fails with the
+    # witnesses of kahler.omega_antisymmetric and kahler.omega_closed, in order
+    p = parse_document({**doc, "extension": {"V_dim": 1, "alpha": []}})
+    rep = run_checks(p)
+    want = [w for cid in ("kahler.omega_antisymmetric", "kahler.omega_closed")
+            for w in rep.result(cid).witnesses]
+    assert want and list(rep.result("extension.omega_closed").witnesses) == want
+    lifted_extension(p.kahler, p.extension)
 
 
 def test_extension_detects_non_j_invariant_alpha():
@@ -434,8 +462,7 @@ def test_radical_equal_ker_j_and_ideal_implies_not_semisimple():
     # entries)
     for entry_id in ("rn_flat", "heisenberg"):
         k = entry_payloads(entry_id).kahler
-        L, _ = omega_radical(k)
-        g = k.algebra
+        L, g = k.radical, k.algebra
         from crlie.linalg import kernel
         if L == kernel(k.j) and g.is_ideal(L):
             assert not g.is_semisimple()
@@ -453,8 +480,7 @@ def test_radical_subalgebra_on_randomized_valid_abelian_perturbations():
         metric2 = minv.transpose() * minv
         k2 = KahlerCRData(CRData(g, H2, j2), metric2)
         assert check_kahler(k2).passed
-        _, rep = omega_radical(k2)
-        assert rep.passed
+        assert omega_radical(k2).passed
 
 
 def _random_invertible(rng, n):
@@ -514,8 +540,8 @@ def assert_kahler_layer_matches_oracles(k, product=None):
     product = product or constructed
     assert (check_left_symmetric(k, product).to_dict()
             == check_left_symmetric_ambient(k, product).to_dict())
-    (L, rep), (want_L, want) = omega_radical(k), omega_radical_ambient(k)
-    assert list(basis_of(L)) == want_L and rep.to_dict() == want.to_dict()
+    want_L, want = omega_radical_ambient(k)
+    assert list(basis_of(k.radical)) == want_L and omega_radical(k).to_dict() == want.to_dict()
 
 
 @pytest.mark.parametrize("name", sorted(KAHLER_INPUTS))
@@ -1130,12 +1156,16 @@ IDEAL_DOCS.update(aff_r_tilted_h=tilted_h_ideal_doc("0"), aff_r_tilted_h2=tilted
 
 
 def assert_ideal_complement_matches_oracle(d, ideal):
+    # the projected table and j on H, (s_J, J) with J[a] the H-coordinates of
+    # s_J j h_a, against the oracle's c and matrix of j on H
     try:
-        alg, jH, rep = ideal_complement_complex(d, ideal)
+        rep = ideal_complement_complex(d, ideal)
     except ValueError as e:
         got = str(e)
     else:
-        got = (dense_tensor(alg), rows_of(jH), rep.to_dict())
+        m, (sJ, J) = d.H.dim, d.jH
+        got = (dense_table(projected_brackets(d, ideal), m),
+               list(zip(*(unscaled(densify(row, m), sJ) for row in J))), rep.to_dict())
     try:
         c, j_rows, want_rep = ideal_complement_complex_ambient(d, ideal)
     except ValueError as e:
@@ -1169,8 +1199,8 @@ def test_ideal_complement_keeps_the_scale_of_H(name):
     # [h1, h2] = [e1, e2] = e2, which is h2 plus a member of the ideal, so the
     # projected bracket is [h1, h2]' = h2, as given and in the basis q_i e_i
     p = parse_document(IDEAL_DOCS[name])
-    alg, _, _ = ideal_complement_complex(p.cr, p.ideal)
-    assert alg == from_brackets(2, {(0, 1): [0, 1]})
+    assert (dense_table(projected_brackets(p.cr, p.ideal), 2)
+            == dense_tensor(from_brackets(2, {(0, 1): [0, 1]})))
     assert_ideal_complement_matches_oracle(p.cr, p.ideal)
     assert_ideal_complement_matches_oracle(*rescaled_ideal(p.cr, p.ideal, [Fraction(-2, 3), Fraction(3), Fraction(1)]))
 
@@ -1184,16 +1214,29 @@ def test_reports_match_fraction_oracle_layers(name, monkeypatch):
                           ("check_kahler", check_kahler_by_triples),
                           ("left_symmetric_product", left_symmetric_product_by_solves),
                           ("check_left_symmetric", check_left_symmetric_ambient),
-                          ("omega_radical", omega_radical_ambient),
+                          ("omega_radical", lambda *args: omega_radical_ambient(*args)[1]),
                           ("center_U", center_U_ambient),
                           ("semisimple_exactness", semisimple_exactness_full_system),
                           ("check_pseudo_poisson", check_pseudo_poisson_ambient),
                           ("check_j_invariance", check_j_invariance_ambient),
                           ("coboundary_pi", coboundary_pi_ambient),
-                          ("ideal_complement_complex", ideal_complement_complex_ambient),
+                          ("ideal_complement_complex",
+                           lambda *args: ideal_complement_complex_ambient(*args)[2]),
                           ("build_extension", lambda *args: build_extension_lifted(*args)[1])]:
         monkeypatch.setattr(checks, layer, oracle)
     assert run_checks(parse_document(doc)).to_dict() == report
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DOCS))
+def test_run_checks_builds_nothing_it_discards(name, monkeypatch):
+    # after the parse, no layer builds a LieAlgebra (the ideal layer reads its
+    # projected table alone) or tests supplementarity apart from a projection
+    built, init = [], LieAlgebra.__init__
+    p = parse_document(ORACLE_DOCS[name])
+    monkeypatch.setattr(LieAlgebra, "__init__", lambda *a, **kw: built.append(a) or init(*a, **kw))
+    monkeypatch.setattr(Subspace, "supplements", lambda *a: built.append(a))
+    run_checks(p)
+    assert built == []
 
 
 def eliminations_of(M, calls):

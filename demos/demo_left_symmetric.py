@@ -21,7 +21,7 @@ def main():
     product = left_symmetric_product(k)
     # each value is read from the integer table in H-coordinates and mapped
     # into G through the integer basis of H, so it is s_P s_H times the vector
-    H, P = product.H, product.P
+    H, P = payloads.cr.H, product.rows
     rows, s = dict(enumerate(H.ints)), product.scale * H.scale
     print("left-symmetric product on H (zero rows omitted):")
     for a, x in enumerate(basis):
@@ -36,7 +36,7 @@ def main():
     brackets, t = g.table.evaluate(H.ints), g.table.scale * H.scale * H.scale
     for a, x in enumerate(basis):
         for b in range(a + 1, len(basis)):
-            comm = contraction([(1, product.commutator(a, b), rows)])
+            comm = contraction([(1, P[a].get(b, {}), rows), (-1, P[b].get(a, {}), rows)])
             bracket = brackets.get((a, b), {})
             agree = ({i: t * v for i, v in comm.items()}
                      == {i: s * v for i, v in bracket.items()})

@@ -14,10 +14,10 @@ _EXPORTS = {
     "linalg": ("Matrix", "Subspace", "kernel", "rat", "solve"),
     "lie": ("LieAlgebra", "StructureError", "sl2", "so3"),
     "multivector": ("Bivector", "Trivector", "schouten"),
-    "crkahler": ("CRData", "KahlerCRData", "LeftSymmetricProduct", "build_extension",
-                 "center_U", "check_cr", "check_kahler", "check_left_symmetric",
-                 "ideal_complement_complex", "left_symmetric_product",
-                 "omega_radical", "projected_brackets", "semisimple_exactness"),
+    "crkahler": ("CRData", "KahlerCRData", "build_extension", "center_U", "check_cr",
+                 "check_kahler", "check_left_symmetric", "ideal_complement_complex",
+                 "left_symmetric_product", "omega_radical", "projected_brackets",
+                 "semisimple_exactness"),
     "poisson": ("PseudoPoissonData", "check_j_invariance", "check_pseudo_poisson",
                 "coboundary_pi"),
     "report": ("CheckResult", "Report"),

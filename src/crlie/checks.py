@@ -46,20 +46,9 @@ def run_checks(p: Payloads) -> Report:
             rep.extend(coboundary_pi(p.algebra, p.poisson_r, p.poisson.U))
 
     if p.ideal is not None:
-        try:
-            ideal_rep = ideal_complement_complex(p.cr, p.ideal)
-        except ValueError as e:
-            rep.add("ideal.valid_input", False, [dict(reason=str(e))])
-        else:
-            rep.add("ideal.valid_input", True)
-            rep.extend(ideal_rep)
+        rep.extend(ideal_complement_complex(p.cr, p.ideal))
 
     if p.extension is not None:
-        try:
-            ext_rep = build_extension(p.kahler, p.extension)
-        except ValueError as e:
-            rep.add("extension.valid_input", False, [dict(reason=str(e))])
-        else:
-            rep.extend(ext_rep)
+        rep.extend(build_extension(p.kahler, p.extension))
 
     return rep

@@ -54,15 +54,14 @@ def cmd_construct(args):
     payloads = _load(args.file)
     if payloads.kahler is None:
         raise InputError(["left-symmetric construction needs cr and metric blocks"])
-    return EXIT_PASS, _left_symmetric_lines(payloads.algebra.names, payloads.cr.basis_names,
-                                            left_symmetric_product(payloads.kahler))
+    return EXIT_PASS, _left_symmetric_lines(payloads.cr, left_symmetric_product(payloads.kahler))
 
 
-def _left_symmetric_lines(names, basis, product):
+def _left_symmetric_lines(cr, product):
     # each value is read from the integer table in H-coordinates and mapped
     # into G through the integer basis of H, so it is s_P s_H times the vector
-    H, P = product.H, product.P
-    rows, s = dict(enumerate(H.ints)), product.scale * H.scale
+    names, basis, P = cr.algebra.names, cr.basis_names, product.rows
+    rows, s = dict(enumerate(cr.H.ints)), product.scale * cr.H.scale
     yield "left-symmetric product on H:"
     for a, x in enumerate(basis):
         for b, y in enumerate(basis):
@@ -71,7 +70,7 @@ def _left_symmetric_lines(names, basis, product):
     yield "induced bracket [x,y]' = xy - yx:"
     for a, x in enumerate(basis):
         for b in range(a + 1, len(basis)):
-            value = contraction([(1, product.commutator(a, b), rows)])
+            value = contraction([(1, P[a].get(b, {}), rows), (-1, P[b].get(a, {}), rows)])
             yield f"  [{x}, {basis[b]}]' = {fmt_vec(names, value, s)}"
 
 

@@ -7,8 +7,7 @@ antisymmetric, closed and nondegenerate on H), and the derived machinery:
 the induced left-symmetric product on H, the w-radical, the commutative
 subalgebra built from the center, the bracket of H projected along a
 supplement with the ideal-complement complex structure, the central-type
-extension checks and semisimple exactness.  `LeftSymmetricProduct.__eq__`
-compares the canonical table; no check calls it, and it is kept as API.
+extension checks and semisimple exactness.
 """
 
 from __future__ import annotations
@@ -175,26 +174,6 @@ class KahlerCRData(Frozen):
             p for abt in alg.table.cyclic_defects(O) for p in permutations(abt))]
 
 
-class LeftSymmetricProduct(Frozen):
-    """The product on the RREF basis h_a of H as one integer table in
-    H-coordinates, h_a h_b = sum_c P[a][b][c] h_c / scale, in the form of
-    `IntTable.rows`: P[a] = {b: {c: x}} holds only the nonzero entries.  It
-    is kept in lowest terms, so that equal products compare equal."""
-
-    def __init__(self, H: Subspace, scale: int, P):
-        g = gcd(scale, *(x for row in P for v in row.values() for x in v.values()))
-        self.__dict__.update(H=H, scale=scale // g, P=tuple(
-            {b: {c: x // g for c, x in v.items()} for b, v in row.items()} for row in P))
-
-    def __eq__(self, other):
-        return (type(other) is LeftSymmetricProduct and other.H == self.H
-                and other.scale == self.scale and other.P == self.P)
-
-    def commutator(self, a: int, b: int) -> dict:
-        """scale (h_a h_b - h_b h_a) in H-coordinates, as its nonzero entries."""
-        return contraction([(1, {b: 1}, self.P[a]), (-1, {a: 1}, self.P[b])])
-
-
 def _jacobi(triples) -> list:
     """A witness per basis triple on which a Jacobiator fails, its indices 1-based."""
     return [dict(kind="jacobi", indices=str(tuple(i + 1 for i in t))) for t in triples]
@@ -274,9 +253,11 @@ def check_kahler(k: KahlerCRData) -> Report:
 # ---------------------------------------------------------------------------
 # left-symmetric product
 
-def left_symmetric_product(k: KahlerCRData) -> LeftSymmetricProduct:
+def left_symmetric_product(k: KahlerCRData) -> IntTable:
     """For basis x, y of H, the unique xy in H with w(xy, z) = -w(y, [x, z])
-    for all z in H, solved through the w|H Gram system."""
+    for all z in H, solved through the w|H Gram system: the table on the RREF
+    basis h_a of H in H-coordinates, h_a h_b = sum_c rows[a][b][c] h_c / scale,
+    in lowest terms, so that equal products compare equal."""
     m, G = k.H.dim, k.gram
     # w(sum_c coeff_c h_c, h_b) = sum_c coeff_c gram[c][b]  =>  coeff = (gram^T)^-1 rhs,
     # so coeff_c = sum_z gram^-1[z][c] rhs[z], read from si [I | G^-1] with
@@ -297,21 +278,24 @@ def left_symmetric_product(k: KahlerCRData) -> LeftSymmetricProduct:
                 rhs[b][z] = x
         # the inverse is nonsingular, so a nonzero rhs gives a nonzero product
         P.append({b: contraction([(1, r, inverse)]) for b, r in enumerate(rhs) if r})
-    return LeftSymmetricProduct(k.H, si * R.scale * sB, P)
+    s = si * R.scale * sB
+    g = gcd(s, *(x for row in P for v in row.values() for x in v.values()))
+    return IntTable(m, s // g, [{b: {c: x // g for c, x in v.items()} for b, v in row.items()}
+                                for row in P])
 
 
-def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
+def check_left_symmetric(k: KahlerCRData, p: IntTable) -> Report:
     """Identity (1) w(xy - yx, u) = w([x, y], u) on H; the Jacobi test for
     the induced bracket xy - yx; and, when Jacobi holds, the left-symmetry
     identity (2) x(yz) - (xy)z = y(xz) - (yx)z on all basis triples.
 
-    All three read the product table P in H-coordinates, and C = P - P^T,
-    formed where P or P^T is nonzero, holds the structure constants of the
-    induced bracket.  Both identities are decided on pairs a < b only, and
-    each failure is reported in both orientations: B and C are both
-    antisymmetric, so the defect of (1) at (b, a) is minus the one at
-    (a, b), and the defect of (2) changes sign when x and y are swapped and
-    vanishes when x = y.
+    All three read the product table P = p.rows in H-coordinates, and
+    C = P - P^T, formed where P or P^T is nonzero, holds the structure
+    constants of the induced bracket.  Both identities are decided on pairs
+    a < b only, and each failure is reported in both orientations: B and C
+    are both antisymmetric, so the defect of (1) at (b, a) is minus the one
+    at (a, b), and the defect of (2) changes sign when x and y are swapped
+    and vanishes when x = y.
 
     Identity (2) is summed only on the triples where one of its terms can be
     nonzero.  With x, y, z = h_a, h_b, h_c and h_a v = sum_d v_d P[a][d],
@@ -322,9 +306,10 @@ def check_left_symmetric(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
     d -> {(b, c) : d in supp P[b][c]} lists the first two kinds from the keys
     of P[a], so no pair a < b is scanned."""
     rep = Report()
-    m, s, P = k.H.dim, p.scale, p.P
+    m, s, P = p.dim, p.scale, p.rows
     pairs = {(min(a, b), max(a, b)) for a, row in enumerate(P) for b in row if a != b}
-    C = IntTable.antisymmetric(m, {(a, b): (1, p.commutator(a, b)) for a, b in pairs})
+    C = IntTable.antisymmetric(m, {(a, b): (1, contraction([(1, {b: 1}, P[a]), (-1, {a: 1}, P[b])]))
+                                   for a, b in pairs})
 
     # w(xy - yx, h_t) = sum_c C[a][b][c] G[c][t] / (s s_G) and w([x, y], h_t) =
     # sum_i B[a][b][i] V[i][t] / (s_B s_V) for V = omega_images; tested on
@@ -434,14 +419,18 @@ def ideal_complement_complex(d: CRData, ideal: Subspace) -> Report:
     """Given an ideal I with I + H = G (direct), verify the Jacobi identity of
     the bracket projected onto H along I and that j is complex-bilinear for it.
 
-    Raises ValueError when I is not an ideal or not complementary to H.
+    `ideal.valid_input` fails, with its reason, when I is not an ideal or not
+    complementary to H, and then nothing else is decided.
     """
+    rep = Report()
     if not d.algebra.is_ideal(ideal):
-        raise ValueError("not an ideal")
+        rep.add("ideal.valid_input", False, [dict(reason="not an ideal")])
+        return rep
     table = projected_brackets(d, ideal)
     if table is None:
-        raise ValueError("ideal is not supplementary to H")
-    rep = Report()
+        rep.add("ideal.valid_input", False, [dict(reason="ideal is not supplementary to H")])
+        return rep
+    rep.add("ideal.valid_input", True)
     bad = table.cyclic_defects(table.rows)
     rep.add("ideal.jacobi", not bad, _jacobi(bad))
 
@@ -472,15 +461,18 @@ def build_extension(base: KahlerCRData, alpha: IntTable) -> Report:
     alpha([x, y]', z) + alpha([z, x]', y) + alpha([y, z]', x), which is
     therefore also the cyclic condition.  The extended form is w + 0, so it
     is closed exactly when w is antisymmetric and closed, and w's defects
-    are its witnesses.
+    are its witnesses.  A base with H != G fails `extension.valid_input`,
+    and then nothing else is decided.
     """
     alg, A = base.algebra, alpha.rows
     n, names = alg.dim, alg.names
+    rep = Report()
     if base.H.dim != n:
-        raise ValueError("extension base must have H equal to the full algebra")
+        rep.add("extension.valid_input", False,
+                [dict(reason="extension base must have H equal to the full algebra")])
+        return rep
 
     failing = alg.table.cyclic_defects(A)
-    rep = Report()
     rep.add("extension.jacobi", not failing, _jacobi(failing))
 
     # j and A hold s_j j and s_A alpha, so s_j^2 s_A alpha(j e_a, j e_b) is A evaluated

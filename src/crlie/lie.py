@@ -31,25 +31,27 @@ class StructureError(ValueError):
         super().__init__("; ".join(msgs))
 
 
-class IntTable:
-    """A bilinear table c (c[i][j] a vector, such as [e_i, e_j]) in integer
-    form: c[i][j][k] = rows[i][j][k] / scale, where scale is the least common
-    denominator of c and rows[i] = {j: {k: x}} keeps only the nonzero
+class IntTable(Frozen):
+    """A read-only bilinear table c (c[i][j] a vector, such as [e_i, e_j]) in
+    integer form: c[i][j][k] = rows[i][j][k] / scale, where scale is the least
+    common denominator of c and rows[i] = {j: {k: x}} keeps only the nonzero
     entries, grouped per row.  Both are canonical, so two tables hold the same
     c exactly when their dim, scale and rows agree.  The constructor takes the
     three as they are; `antisymmetric` computes them for every table given by
     its pairs: the parsed brackets and alpha, `so3`, `sl2`, the ideal's
-    projected bracket and xy - yx.  The same row form, lists of {j: {k: x}},
-    holds the tables on H in `crkahler`; `linalg.contraction` reads any table
-    in it; `evaluate` extends any table bilinearly.  The brackets on a proper
-    H mirror their pairs by hand (they share one scale, and `antisymmetric`
-    would nearly double their cost on a dense document); on H = G they are
-    the rows of the algebra's own table."""
+    projected bracket and xy - yx.  `crkahler.left_symmetric_product` builds
+    the left-symmetric product on H as one, in H-coordinates.  The same row
+    form, lists of {j: {k: x}}, holds the brackets on H in `crkahler`;
+    `linalg.contraction` reads any table in it; `evaluate` extends any table
+    bilinearly.  The brackets on a proper H mirror their pairs by hand (they
+    share one scale, and `antisymmetric` would nearly double their cost on a
+    dense document); on H = G they are the rows of the algebra's own table."""
 
     __slots__ = ("dim", "scale", "rows")
 
     def __init__(self, dim: int, scale: int, rows: list):
-        self.dim, self.scale, self.rows = dim, scale, rows
+        for name, value in zip(IntTable.__slots__, (dim, scale, rows)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def antisymmetric(cls, dim: int,

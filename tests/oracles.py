@@ -21,16 +21,18 @@ triple instead.  `ORACLES` at the end maps each check id to its oracle;
   as three dot products per ordered triple, and det of w on H.
 - `left_symmetric_product_by_solves` and `check_left_symmetric_ambient`:
   one Gram system per product h_a h_b, and the left-symmetric identities on
-  the ambient products, extended bilinearly through H-coordinates.
+  the ambient products, extended bilinearly through H-coordinates.  Both
+  hold the product as its dense `Fraction` table in H-coordinates, so the
+  tests compare the library's product through `dense_table`.
 - `omega_radical_ambient` and `center_U_ambient`: L as the kernel of w, Z(G)
   as the common kernel of the ad e_i, U as (Z cap H) + j(Z cap H), and the
   brackets and memberships that the propositions name.
-- `ideal_complement_complex_ambient`: the bracket of H projected along the
-  ideal by one solve per pair, which the tests compare with
-  `projected_brackets`, its Jacobiator entry by entry, and j-linearity in
-  H-coordinates.
-- `build_extension_lifted`: the algebra G + V built in full, its Jacobiator
-  entry by entry, and closedness of the extended form.
+- `ideal_complement_complex_ambient`: whether the input is an ideal
+  supplementary to H, the bracket of H projected along the ideal by one
+  solve per pair, which the tests compare with `projected_brackets`, its
+  Jacobiator entry by entry, and j-linearity in H-coordinates.
+- `build_extension_lifted`: whether H = G, the algebra G + V built in full,
+  its Jacobiator entry by entry, and closedness of the extended form.
 - `semisimple_exactness_full_system`: Cartan's criterion on the Killing
   form of traces, one exactness equation per pair a < b, and the
   centralizer of X as a kernel.
@@ -44,10 +46,11 @@ on: the `Fraction` `rref`/`solve`/`kernel`/`det` and subspace operations,
 the bracket and Jacobiator expanded over every index, the Killing form as
 traces, maps on Lambda^k by minors, the parse conversion and the number
 formatters over `Fraction`.  `supplementary_by_intersection` keeps the
-library's former test for H + U = G direct.  `int_table` goes the other way from
-`dense_tensor`, for tests that build an algebra from a dense tensor, and
-`direct_sum` builds a block algebra through it; `from_brackets` builds an
-algebra from its brackets on pairs.  No oracle calls any of the three.
+library's former test for H + U = G direct.  `int_table` goes the other
+way from `dense_tensor`, for tests that build an algebra or a product from
+a dense tensor, and `direct_sum` builds a block algebra through it;
+`from_brackets` builds an algebra from its brackets on pairs.  No oracle
+calls any of the three.
 """
 
 from fractions import Fraction
@@ -57,7 +60,7 @@ from math import lcm, prod
 from typing import Mapping
 
 from crlie import Bivector, LieAlgebra, Trivector, parse_document
-from crlie.crkahler import CRData, KahlerCRData, LeftSymmetricProduct
+from crlie.crkahler import CRData, KahlerCRData
 from crlie.lie import IntTable
 from crlie.linalg import Matrix, Subspace, rat, read_row
 from crlie.report import Report, fmt_vec
@@ -186,14 +189,6 @@ def sparse(v) -> dict:
 def densify(v, n: int) -> tuple:
     """The dense n-vector of a sparse one."""
     return tuple(v.get(k, 0) for k in range(n))
-
-
-def scaled(rows) -> tuple:
-    """(s, ints) with rows[i][k] = ints[i][k] / s, s the least common
-    denominator of the entries."""
-    rows = [tuple(r) for r in rows]
-    s = lcm(*(e.denominator for r in rows for e in r))
-    return s, [tuple(e.numerator * (s // e.denominator) for e in r) for r in rows]
 
 
 def unscaled(v, s: int) -> Vector:
@@ -709,17 +704,10 @@ def check_kahler_by_triples(k: KahlerCRData) -> Report:
     return rep
 
 
-def product_from_coordinates(H: Subspace, coords) -> LeftSymmetricProduct:
-    """The product whose h_a h_b has the `Fraction` H-coordinates coords[a][b]."""
-    m = H.dim
-    s, ints = scaled(v for row in coords for v in row)
-    return LeftSymmetricProduct(H, s, [{b: sparse(ints[a * m + b]) for b in range(m)
-                                        if any(ints[a * m + b])} for a in range(m)])
-
-
-def left_symmetric_product_by_solves(k: KahlerCRData) -> LeftSymmetricProduct:
+def left_symmetric_product_by_solves(k: KahlerCRData) -> list:
     """xy for each basis pair of H from its own Gram system
-    w(xy, z) = -w(y, [x, z]) for every basis vector z of H."""
+    w(xy, z) = -w(y, [x, z]) for every basis vector z of H: the dense table
+    whose entry [a][b] is the `Fraction` H-coordinates of h_a h_b."""
     c, om = dense_tensor(k.algebra), omega_rows(k)
     basis = rref_over_fractions(basis_of(k.H))[0]
     m = len(basis)
@@ -729,24 +717,23 @@ def left_symmetric_product_by_solves(k: KahlerCRData) -> LeftSymmetricProduct:
 
     # row z, column e: w(h_e, h_z)
     system = [[w(h, z) for h in basis] for z in basis]
-    coords = [[solve_over_fractions(system, tuple(-w(y, bracket(c, x, z)) for z in basis), m)
-               for y in basis] for x in basis]
-    return product_from_coordinates(k.H, coords)
+    return [[solve_over_fractions(system, tuple(-w(y, bracket(c, x, z)) for z in basis), m)
+             for y in basis] for x in basis]
 
 
-def check_left_symmetric_ambient(k: KahlerCRData, p: LeftSymmetricProduct) -> Report:
-    """`check_left_symmetric` on ambient vectors: R[a][b] = h_a h_b is read off
-    the product in G, the product of two members of H is extended
+def check_left_symmetric_ambient(k: KahlerCRData, P: list) -> Report:
+    """`check_left_symmetric` on ambient vectors, for the product whose dense
+    table P holds the H-coordinates P[a][b] of h_a h_b: R[a][b] = h_a h_b is
+    read off it in G, the product of two members of H is extended
     bilinearly through their H-coordinates, and every identity is tested on
     every basis pair or triple with the products themselves."""
     rep = Report()
     alg, names = k.algebra, k.algebra.names
     c, om, n = dense_tensor(alg), omega_rows(k), alg.dim
-    basis = basis_of(p.H)
+    basis = basis_of(k.H)
     m = len(basis)
     fmt = [fmt_vec(names, h) for h in basis]
-    R = [[lincomb([Fraction(x, p.scale) for x in densify(p.P[a].get(b, {}), m)], basis, n)
-          for b in range(m)] for a in range(m)]
+    R = [[lincomb(v, basis, n) for v in row] for row in P]
     # by their nonzero entries: each product, its H-coordinates, and those of
     # each commutator xy - yx
     Rc = [[h_coordinates(basis, v) for v in row] for row in R]
@@ -844,14 +831,20 @@ def ideal_complement_complex_ambient(d: CRData, ideal: Subspace):
     along I, c[a][b] = the H-coordinates of [h_a, h_b] in the basis of H and
     I, one solve per pair; its violations from `structure_violations`; and
     j[x, y]' = [jx, y]' for each basis pair, with j in H-coordinates.
-    Returns (c, the matrix of j on H as rows, report)."""
+    Returns (c, the matrix of j on H as rows, report); when I is not an
+    ideal or not supplementary to H, `ideal.valid_input` fails with its
+    reason, c and j are None, and nothing else is decided."""
     alg, n, names = d.algebra, d.algebra.dim, d.algebra.names
     c = dense_tensor(alg)
     I, H = rref_over_fractions(basis_of(ideal)), rref_over_fractions(basis_of(d.H))
+    rep = Report()
     if not all(in_span(I, bracket(c, basis_vector(n, i), x)) for x in I[0] for i in range(n)):
-        raise ValueError("not an ideal")
+        rep.add("ideal.valid_input", False, [dict(reason="not an ideal")])
+        return None, None, rep
     if len(I[0]) + len(H[0]) != n or len(rref_over_fractions(I[0] + H[0])[0]) != n:
-        raise ValueError("ideal is not supplementary to H")
+        rep.add("ideal.valid_input", False, [dict(reason="ideal is not supplementary to H")])
+        return None, None, rep
+    rep.add("ideal.valid_input", True)
 
     basis, j = H[0], rows_of(d.j)
     m = len(basis)
@@ -861,7 +854,6 @@ def ideal_complement_complex_ambient(d: CRData, ideal: Subspace):
         return solve_over_fractions(system, v, n)[:m]
 
     cq = [[project(bracket(c, x, y)) for y in basis] for x in basis]
-    rep = Report()
     bad = structure_violations(cq)
     rep.add("ideal.jacobi", not bad,
             [dict(kind=kind, indices=str(tuple(i + 1 for i in idx))) for kind, idx in bad])
@@ -885,12 +877,15 @@ def build_extension_lifted(base: KahlerCRData, alpha):
     Builds the dense tensor of G + V and verifies Jacobi on it entry by
     entry, j-invariance of alpha, the cyclic compatibility condition, and
     closedness of the extended form (w on G, 0 on V).  Returns (data,
-    report), data the lifted `KahlerCRData`, or None when Jacobi fails.
+    report), data the lifted `KahlerCRData`, or None when Jacobi fails or
+    H != G, which fails `extension.valid_input` and decides nothing else.
     """
     alg = base.algebra
-    n = alg.dim
+    n, rep = alg.dim, Report()
     if base.H.dim != n:
-        raise ValueError("extension base must have H equal to the full algebra")
+        rep.add("extension.valid_input", False,
+                [dict(reason="extension base must have H equal to the full algebra")])
+        return None, rep
     v_dim = 1 + max((k for row in alpha.rows for v in row.values() for k in v), default=0)
     # alpha on basis pairs: alpha_rows[a][b] = alpha(e_a, e_b)
     alpha_rows = dense_table(alpha, v_dim)
@@ -900,7 +895,6 @@ def build_extension_lifted(base: KahlerCRData, alpha):
     c = [[base_c[a][b] + alpha_rows[a][b] if a < n and b < n else zero_vector(total)
           for b in range(total)] for a in range(total)]
 
-    rep = Report()
     bad = structure_violations(c)
     rep.add("extension.jacobi", not bad,
             [dict(kind=k, indices=str(tuple(i + 1 for i in idx))) for k, idx in bad])

@@ -29,8 +29,8 @@ def test_entry_matches_expected_verdicts(entry_id):
 
 def test_parsed_payloads_are_read_only():
     p = parse_document(catalog.get("sl2").document)
-    objects = [p.algebra, p.cr, p.kahler, p.poisson, p.cr.H, p.cr.j, p.poisson.Lambda,
-               left_symmetric_product(p.kahler)]
+    objects = [p.algebra, p.algebra.table, p.cr, p.kahler, p.poisson, p.cr.H, p.cr.j,
+               p.poisson.Lambda, left_symmetric_product(p.kahler)]
     for obj in objects:
         with pytest.raises(AttributeError, match=f"^{type(obj).__name__} is immutable$"):
             obj.scale = 1

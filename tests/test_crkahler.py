@@ -4,6 +4,7 @@ import tracemalloc
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -28,9 +29,9 @@ from oracles import (
     crdata_error_ambient, dense_table, dense_tensor, densify, det_over_fractions, direct_sum,
     from_brackets, from_columns, from_pair, h_coordinates, ideal_complement_complex_ambient,
     identity, int_table, is_zero, left_symmetric_product_by_solves, mat_add, mat_scale, matvec,
-    omega, omega_radical_ambient, omega_rows, product_from_coordinates, rows_of,
+    omega, omega_radical_ambient, omega_rows, rows_of,
     semisimple_exactness_full_system, supplementary_by_intersection, unscaled, vadd, vdot, vector,
-    zeros,
+    vsub, zeros,
 )
 from strategies import fractions
 from test_golden import AFF_AFF_R_DENSE, CASES
@@ -43,7 +44,7 @@ def entry_payloads(entry_id):
 
 
 def is_zero_product(p):
-    return not any(p.P)
+    return not any(p.rows)
 
 
 @pytest.fixture
@@ -57,12 +58,14 @@ def rn_kahler():
 
 
 def test_records_are_read_only():
-    """The fields of CRData, KahlerCRData, LeftSymmetricProduct and
-    PseudoPoissonData refuse assignment, so the tables cached from them
-    cannot go stale; the cached tables themselves still fill in."""
+    """The fields of CRData, KahlerCRData, PseudoPoissonData and the tables
+    (the algebra's and the left-symmetric product) refuse assignment, so the
+    tables cached from them, such as the Killing form, cannot go stale; the
+    cached tables themselves still fill in."""
     k, d = entry_payloads("so3_cr").kahler, entry_payloads("so3_r_mixed").poisson
     p = left_symmetric_product(k)
-    for record, field in ((k.cr, "H"), (k, "metric"), (p, "scale"), (d, "Lambda")):
+    for record, field in ((k.cr, "H"), (k, "metric"), (k.algebra.table, "scale"),
+                          (p, "scale"), (p, "rows"), (d, "Lambda")):
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
     assert "brackets" in vars(k.cr) and "gram" in vars(k)
@@ -170,11 +173,10 @@ def test_left_symmetric_product_aff_aff_nonzero():
     # omega|H nondegenerate, so identity (1) forces [x,y]' = [x,y] exactly; H = G
     # in the unit basis, so H-coordinates are G-coordinates
     assert k.H.dim == 4 and k.H.scale == 1
-    c = dense_tensor(k.algebra)
+    c, P = dense_tensor(k.algebra), dense_table(p, 4)
     for a in range(4):
         for b in range(4):
-            assert (from_pair((p.scale, p.commutator(a, b)), 4)
-                    == bracket(c, basis_vector(4, a), basis_vector(4, b)))
+            assert vsub(P[a][b], P[b][a]) == bracket(c, basis_vector(4, a), basis_vector(4, b))
 
 
 # -- omega radical -----------------------------------------------------------
@@ -256,9 +258,10 @@ def test_ideal_complement_heisenberg_plus_r2():
 
 
 def test_ideal_complement_rejects_non_ideal(so3_kahler):
-    with pytest.raises(ValueError, match="not an ideal"):
-        ideal_complement_complex(so3_kahler.cr,
-                                 Subspace.span([basis_vector(3, 2)], 3))
+    rep = ideal_complement_complex(so3_kahler.cr, Subspace.span([basis_vector(3, 2)], 3))
+    assert [r.to_dict() for r in rep.results] == [{
+        "check_id": "ideal.valid_input", "status": "fail",
+        "witnesses": [{"reason": "not an ideal"}]}]
 
 
 @pytest.mark.parametrize("ideal", [
@@ -534,12 +537,14 @@ def assert_kahler_layer_matches_oracles(k, product=None):
     assert_h_tables_match_definitions(k.cr, k)
     assert check_cr(k.cr).to_dict() == check_cr_ambient(k.cr).to_dict()
     assert check_kahler(k).to_dict() == check_kahler_by_triples(k).to_dict()
-    constructed = left_symmetric_product(k)
-    assert constructed == left_symmetric_product_by_solves(k)
-    assert all(v and all(v.values()) for row in constructed.P for v in row.values())
+    constructed, m = left_symmetric_product(k), k.H.dim
+    assert dense_table(constructed, m) == left_symmetric_product_by_solves(k)
+    assert all(v and all(v.values()) for row in constructed.rows for v in row.values())
+    assert gcd(constructed.scale, *(x for row in constructed.rows
+                                    for v in row.values() for x in v.values())) == 1
     product = product or constructed
     assert (check_left_symmetric(k, product).to_dict()
-            == check_left_symmetric_ambient(k, product).to_dict())
+            == check_left_symmetric_ambient(k, dense_table(product, m)).to_dict())
     want_L, want = omega_radical_ambient(k)
     assert list(basis_of(k.radical)) == want_L and omega_radical(k).to_dict() == want.to_dict()
 
@@ -567,7 +572,7 @@ def test_left_symmetric_checks_match_oracles_on_perturbed_aff_power(data):
     k = aff_power_kahler(6)
     product = perturbed_product(data, k) if data.draw(st.booleans()) else left_symmetric_product(k)
     assert (check_left_symmetric(k, product).to_dict()
-            == check_left_symmetric_ambient(k, product).to_dict())
+            == check_left_symmetric_ambient(k, dense_table(product, k.H.dim)).to_dict())
 
 
 def test_identity2_reaches_a_triple_through_the_induced_bracket_alone():
@@ -578,9 +583,8 @@ def test_identity2_reaches_a_triple_through_the_induced_bracket_alone():
     m = k.H.dim
     coords = [[(Fraction(0),) * m for _ in range(m)] for _ in range(m)]
     coords[0][1] = coords[2][2] = basis_vector(m, 2)
-    product = product_from_coordinates(k.H, coords)
-    rep = check_left_symmetric(k, product)
-    assert rep.to_dict() == check_left_symmetric_ambient(k, product).to_dict()
+    rep = check_left_symmetric(k, int_table(coords))
+    assert rep.to_dict() == check_left_symmetric_ambient(k, coords).to_dict()
     fmt = [fmt_vec(k.algebra.names, h, k.H.scale) for h in k.H.ints]
     assert rep.result("leftsym.jacobi_induced").passed
     witnesses = rep.result("leftsym.identity2").witnesses
@@ -604,15 +608,15 @@ def test_identity2_sums_only_the_triples_its_supports_reach(k, monkeypatch):
 
 def perturbed_product(data, k):
     """The product of k with q added to the H-coordinates of 1-3 entries,
-    optionally to the transposed entry too."""
-    m, p = k.H.dim, left_symmetric_product(k)
-    coords = [[unscaled(densify(row.get(b, {}), m), p.scale) for b in range(m)] for row in p.P]
+    optionally to the transposed entry too, as a table in lowest terms."""
+    m = k.H.dim
+    coords = dense_table(left_symmetric_product(k), m)
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         a, b = data.draw(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)))
         q = vector(data.draw(st.lists(small, min_size=m, max_size=m)))
         for x, y in ({(a, b), (b, a)} if data.draw(st.booleans()) else {(a, b)}):
             coords[x][y] = vadd(coords[x][y], q)
-    return product_from_coordinates(k.H, coords)
+    return int_table(coords)
 
 
 half = fractions(Fraction(-1, 2), Fraction(1, 2), max_denominator=4)
@@ -716,21 +720,21 @@ def subspaces_around(draw, H):
 def test_supplementary_rank_test_matches_intersection(d, data):
     # every subspace of an abelian algebra is an ideal, so a drawn U reaches
     # the supplementary test of ideal_complement_complex as well as that of
-    # PseudoPoissonData; both raise as before exactly when H + U = G is not direct
+    # PseudoPoissonData: the one raises and the other fails ideal.valid_input
+    # exactly when H + U = G is not direct
     n = d.algebra.dim
     cr = CRData(from_brackets(n, {}), d.H, d.j)
     U = data.draw(subspaces_around(d.H))
     direct = supplementary_by_intersection(d.H, U)
-    for build, message in [
-            (lambda: PseudoPoissonData(cr.algebra, cr.H, U, cr.j, alternating(Bivector, n)),
-             "H and U must be supplementary"),
-            (lambda: ideal_complement_complex(cr, U), "ideal is not supplementary to H")]:
-        try:
-            build()
-        except ValueError as e:
-            assert (direct, str(e)) == (False, message)
-        else:
-            assert direct
+    try:
+        PseudoPoissonData(cr.algebra, cr.H, U, cr.j, alternating(Bivector, n))
+    except ValueError as e:
+        assert (direct, str(e)) == (False, "H and U must be supplementary")
+    else:
+        assert direct
+    res = ideal_complement_complex(cr, U).result("ideal.valid_input")
+    assert (res.passed, list(res.witnesses)) == (
+        direct, [] if direct else [{"reason": "ideal is not supplementary to H"}])
     assert_ideal_complement_matches_oracle(cr, U)
 
 
@@ -995,11 +999,11 @@ def test_h_tables_grow_with_their_nonzero_entries():
         (_, B), (_, J), p = data.cr.brackets, data.cr.jH, left_symmetric_product(data)
         stored = [sum(len(v) for row in B for v in row.values()),
                   sum(len(row) for row in J),
-                  sum(len(v) for row in p.P for v in row.values())]
+                  sum(len(v) for row in p.rows for v in row.values())]
         basis, c = basis_of(data.H), dense_tensor(data.algebra)
         nonzero = [sum(bool(e) for x in basis for y in basis for e in bracket(c, x, y)),
                    sum(bool(e) for h in basis for e in h_coordinates(basis, matvec(data.j, h))),
-                   sum(bool(x) for row in p.P for v in row.values() for x in v.values())]
+                   sum(bool(x) for row in p.rows for v in row.values() for x in v.values())]
         assert stored == nonzero
         assert all(stored)
         counts[k] = stored
@@ -1156,23 +1160,16 @@ IDEAL_DOCS.update(aff_r_tilted_h=tilted_h_ideal_doc("0"), aff_r_tilted_h2=tilted
 
 
 def assert_ideal_complement_matches_oracle(d, ideal):
-    # the projected table and j on H, (s_J, J) with J[a] the H-coordinates of
-    # s_J j h_a, against the oracle's c and matrix of j on H
-    try:
-        rep = ideal_complement_complex(d, ideal)
-    except ValueError as e:
-        got = str(e)
-    else:
+    # the report, and on a valid ideal the projected table and j on H, (s_J, J)
+    # with J[a] the H-coordinates of s_J j h_a, against the oracle's c and
+    # matrix of j on H
+    rep = ideal_complement_complex(d, ideal)
+    c, j_rows, want = ideal_complement_complex_ambient(d, ideal)
+    assert rep.to_dict() == want.to_dict()
+    if rep.result("ideal.valid_input").passed:
         m, (sJ, J) = d.H.dim, d.jH
-        got = (dense_table(projected_brackets(d, ideal), m),
-               list(zip(*(unscaled(densify(row, m), sJ) for row in J))), rep.to_dict())
-    try:
-        c, j_rows, want_rep = ideal_complement_complex_ambient(d, ideal)
-    except ValueError as e:
-        want = str(e)
-    else:
-        want = (c, j_rows, want_rep.to_dict())
-    assert got == want
+        assert dense_table(projected_brackets(d, ideal), m) == c
+        assert list(zip(*(unscaled(densify(row, m), sJ) for row in J))) == j_rows
 
 
 def rescaled_ideal(d, ideal, q):

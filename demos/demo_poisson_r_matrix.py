@@ -23,9 +23,8 @@ def main():
     print(check_pseudo_poisson(d).to_text())
     print(check_j_invariance(d).to_text())
 
-    r = payloads.poisson_r
     print("\ncoboundary tensor: pi = right_invariant(r) - left_invariant(r)")
-    print(coboundary_pi(g, r, d.U).to_text())
+    print(coboundary_pi(d).to_text())
 
 
 if __name__ == "__main__":

@@ -42,8 +42,8 @@ def run_checks(p: Payloads) -> Report:
     if p.poisson is not None:
         rep.extend(check_pseudo_poisson(p.poisson))
         rep.extend(check_j_invariance(p.poisson))
-        if p.poisson_r is not None:
-            rep.extend(coboundary_pi(p.algebra, p.poisson_r, p.poisson.U))
+        if p.poisson.r is not None:
+            rep.extend(coboundary_pi(p.poisson))
 
     if p.ideal is not None:
         rep.extend(ideal_complement_complex(p.cr, p.ideal))

@@ -82,7 +82,7 @@ def cmd_schouten(args):
     # the verdict is `crlie check`'s, and [Lambda, Lambda] the one it built
     verdict = check_pseudo_poisson(d).passed
     return (EXIT_PASS if verdict else EXIT_CHECK_FAILED), [
-        f"[Lambda, Lambda] = {d.Lambda.square(d.algebra).format(d.algebra.names)}",
+        f"[Lambda, Lambda] = {d.square.format(d.algebra.names)}",
         f"membership in U^Lambda^2: {'pass' if verdict else 'fail'}"]
 
 

@@ -32,7 +32,7 @@ class Payloads:
 
     def __init__(self, document: dict, algebra: LieAlgebra):
         self.document, self.algebra = document, algebra
-        self.cr = self.kahler = self.poisson = self.poisson_r = self.ideal = None
+        self.cr = self.kahler = self.poisson = self.ideal = None
         self.extension = None  # the IntTable of alpha, alpha(e_a, e_b) in V
 
 
@@ -209,16 +209,15 @@ def parse_document(doc: dict) -> Payloads:
             U = _subspace(block.get("U", []), dim, "poisson.U", diags)
             lam = _bivector(_list(block, "lambda", "poisson.lambda", diags), dim,
                             "poisson.lambda", diags)
+            at = len(diags)  # the bundle's diagnostic goes before those of r
+            r = (_bivector(_list(block, "r", "poisson.r", diags), dim, "poisson.r", diags)
+                 if "r" in block else None)
             if U is not None and lam is not None:
                 try:
                     payloads.poisson = PseudoPoissonData(
-                        algebra, payloads.cr.H, U, payloads.cr.j, lam)
+                        algebra, payloads.cr.H, U, payloads.cr.j, lam, r)
                 except ValueError as e:
-                    diags.append(f"poisson: {e}")
-            if "r" in block:
-                r = _bivector(_list(block, "r", "poisson.r", diags), dim, "poisson.r", diags)
-                # r = Lambda shares Lambda's object, and with it the kept [r, r]
-                payloads.poisson_r = lam if r == lam else r
+                    diags.insert(at, f"poisson: {e}")
 
     if "ideal" in doc:
         if payloads.cr is None:

@@ -16,10 +16,10 @@ their pivot columns, visiting only the vector's own entries.  `pack` makes a
 vector one integer (Kronecker substitution: D. Harvey, J. Symbolic Comput.
 44 (2009) 1502-1510), so that a combination of vectors is one big-integer
 expression.  One fraction-free Gauss-Jordan elimination, `_echelon`, built
-on `remainder`, serves `Subspace.supplements`, the leading minors and,
-except on monomial rows (whose reduced form `rref` reads off their
-columns, and whose systems `solve` reads off row by row), `rref`, `kernel`,
-`solve` and the Killing form's rank: Bareiss's
+on `remainder`, serves the leading minors and, except on monomial rows
+(whose reduced form `rref` reads off their columns, and whose systems
+`solve` reads off row by row), `rref`, `kernel`, `solve` and the Killing
+form's rank: Bareiss's
 exact division (Math. Comp. 22 (1968) 565-578) in the Gauss-Jordan form of
 Nakos, Turner and Williams (ACM SIGSAM Bull. 31(3), 1997).  Rationals are
 read by `read_row`, straight into one integer row over its least common
@@ -500,14 +500,6 @@ class Subspace(Frozen):
             return self
         return kernel(Matrix.from_ints(n, 1, _perp(self.scale, self.ints, self.pivots, n)
                                        + _perp(other.scale, other.ints, other.pivots, n)))
-
-    def supplements(self, other: "Subspace") -> bool:
-        """Whether self + other is the whole space, direct.  The remainders of
-        other's basis against self span self + other together with self, and
-        vanish at self's pivots, so dim (self + other) = dim self + their rank."""
-        n = self.ambient_dim
-        return (other.ambient_dim == n and self.dim + other.dim == n
-                and len(_echelon(map(self.reduce, other.ints), n)[1]) == other.dim)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)

@@ -17,7 +17,8 @@ Lambda^3 R_U kills U ^ Lambda^2 G and moves each t only by an element of it,
 and its image has no component on a triple holding a pivot of U; those
 triples are exactly the pivots of the RREF span of all u ^ e_a ^ e_b.  So
 Lambda^3 R_U (t) is the canonical remainder of t against that span, and is
-zero iff t is a member.
+zero iff t is a member.  `PseudoPoissonData` keeps R_U (built by
+`quotient_columns`), [Lambda, Lambda] and [r, r]; a bivector keeps no square.
 """
 
 from __future__ import annotations
@@ -61,13 +62,7 @@ class _Alternating(Frozen):
 
 
 class Bivector(_Alternating):
-    def square(self, algebra: LieAlgebra) -> "Trivector":
-        """[self, self], the `schouten` square, kept for the last algebra it
-        was taken on, so that the checks reading one bivector build it once."""
-        kept = self.__dict__.get("_square")
-        if kept is None or kept[0] is not algebra:
-            kept = self.__dict__["_square"] = algebra, schouten(algebra, self, self)
-        return kept[1]
+    """An element of Lambda^2 G, where Lambda and r live."""
 
 
 class Trivector(_Alternating):
@@ -183,10 +178,10 @@ def schouten(algebra: LieAlgebra, p: Bivector, q: Bivector) -> Trivector:
 # ---------------------------------------------------------------------------
 # membership in U ^ Lambda^2 G
 
-def wedge_subspace_residual(t: Trivector, u: Subspace) -> Trivector:
+def wedge_subspace_residual(t: Trivector, quotient: tuple[int, dict]) -> Trivector:
     """Canonical remainder of t modulo U ^ Lambda^2 G, its image under the
-    quotient map (see the module docstring); zero iff t is a member."""
-    if u.ambient_dim != t.dim:
+    quotient map (s, cols) = `quotient_columns`(U); zero iff t is a member."""
+    sr, cols = quotient
+    if len(cols) != t.dim:
         raise ValueError("dimension mismatch in wedge-subspace membership")
-    sr, cols = quotient_columns(u)
     return Trivector.from_ints(t.dim, t.scale * sr ** 3, push_ints(cols, t.ints))

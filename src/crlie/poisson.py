@@ -9,28 +9,48 @@ multivectors.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .lie import LieAlgebra
-from .linalg import Frozen, Matrix, Subspace
-from .multivector import (
-    Bivector, Trivector, derive_ints, push_ints, quotient_columns, wedge_subspace_residual,
-)
+from .linalg import Frozen, Matrix, Subspace, rref
+from .multivector import (Bivector, Trivector, derive_ints, push_ints, quotient_columns,
+                          schouten, wedge_subspace_residual)
 from .report import Report
 
 
 class PseudoPoissonData(Frozen):
+    """(H, U, j, Lambda) and the optional r of a poisson block.  H + U = G is
+    direct when the dimensions add up to n and the stacked RREF rows of H and
+    U have n pivots (monomial rows on unit bases, so no elimination).
+    [Lambda, Lambda] (`square`), [r, r] (`r_square`, `square` itself when
+    r = Lambda) and the quotient map G -> G/U (`quotient`) are built on first
+    use and kept, so the checks of one document build each once."""
+
     def __init__(self, algebra: LieAlgebra, H: Subspace, U: Subspace, j: Matrix,
-                 Lambda: Bivector):
-        self.__dict__.update(algebra=algebra, H=H, U=U, j=j, Lambda=Lambda)
+                 Lambda: Bivector, r: Bivector | None = None):
+        self.__dict__.update(algebra=algebra, H=H, U=U, j=j, Lambda=Lambda, r=r)
         n = algebra.dim
         for s in (H, U):
             if s.ambient_dim != n:
                 raise ValueError("subspace ambient dimension mismatch")
-        if not H.supplements(U):
+        if H.dim + U.dim != n or len(rref([*H.ints, *U.ints], n)[2]) != n:
             raise ValueError("H and U must be supplementary")
         if j.rows != n or j.cols != n:
             raise ValueError("j must be an endomorphism of the full algebra")
-        if Lambda.dim != n:
+        if Lambda.dim != n or (r is not None and r.dim != n):
             raise ValueError("bivector dimension mismatch")
+
+    @cached_property
+    def square(self) -> Trivector:
+        return schouten(self.algebra, self.Lambda, self.Lambda)
+
+    @cached_property
+    def r_square(self) -> Trivector:
+        return self.square if self.r == self.Lambda else schouten(self.algebra, self.r, self.r)
+
+    @cached_property
+    def quotient(self) -> tuple[int, dict]:
+        return quotient_columns(self.U)
 
 
 def check_pseudo_poisson(d: PseudoPoissonData) -> Report:
@@ -38,11 +58,10 @@ def check_pseudo_poisson(d: PseudoPoissonData) -> Report:
     canonical residual trivector is reported."""
     rep = Report()
     names = d.algebra.names
-    t = d.Lambda.square(d.algebra)
-    res = wedge_subspace_residual(t, d.U)
+    res = wedge_subspace_residual(d.square, d.quotient)
     ok = res.is_zero()
     w = [] if ok else [dict(residual=res.format(names))]
-    rep.add("poisson.schouten_membership", ok, w, detail=f"[L,L] = {t.format(names)}")
+    rep.add("poisson.schouten_membership", ok, w, detail=f"[L,L] = {d.square.format(names)}")
     return rep
 
 
@@ -60,20 +79,15 @@ def check_j_invariance(d: PseudoPoissonData) -> Report:
     return rep
 
 
-def coboundary_pi(algebra: LieAlgebra, r: Bivector, U: Subspace) -> Report:
+def coboundary_pi(d: PseudoPoissonData) -> Report:
     """The algebra-level condition on the coboundary tensor
-    pi = right_invariant(r) - left_invariant(r): the infinitesimal invariance
-    of [r, r].  For every basis generator e_i, the derivation extension of
-    ad e_i must send [r, r] into U ^ Lambda^2 G.  [r, r] and the quotient map
-    are built once, and each generator is tested on integer coefficients;
-    when r is the document's Lambda, [r, r] is the one the membership check
-    built.
-    """
-    if r.dim != algebra.dim or U.ambient_dim != algebra.dim:
-        raise ValueError("dimension mismatch in coboundary_pi")
+    pi = right_invariant(r) - left_invariant(r) of a bundle given an r: the
+    infinitesimal invariance of [r, r].  For every basis generator e_i, the
+    derivation extension of ad e_i must send the bundle's [r, r] into
+    U ^ Lambda^2 G, tested on integers through the bundle's quotient map."""
     rep = Report()
-    n, names, table = algebra.dim, algebra.names, algebra.table
-    rr, (su, Q) = r.square(algebra), quotient_columns(U)
+    n, names, table = d.algebra.dim, d.algebra.names, d.algebra.table
+    rr, (su, Q) = d.r_square, d.quotient
     bad = []
     for i, row in enumerate(table.rows):
         res = push_ints(Q, derive_ints(row, rr.ints))
@@ -82,4 +96,3 @@ def coboundary_pi(algebra: LieAlgebra, r: Bivector, U: Subspace) -> Report:
             bad.append(dict(generator=names[i], residual=residual.format(names)))
     rep.add("poisson.coboundary_invariance", not bad, bad, detail=f"[r,r] = {rr.format(names)}")
     return rep
-

@@ -357,7 +357,7 @@ def intersect_over_fractions(s_rows, t_rows, n: int):
 
 
 def supplementary_by_intersection(H: Subspace, U: Subspace) -> bool:
-    """H + U = G direct, as the library tested it before `Subspace.supplements`:
+    """H + U = G direct, as the library tested it before it took one rank:
     the dimensions add up to n and the intersection, the common kernel of
     the `_perp` functionals, is zero."""
     return H.dim + U.dim == H.ambient_dim and H.intersect(U).dim == 0

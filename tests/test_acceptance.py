@@ -24,6 +24,7 @@ from oracles import (
     dense_tensor, det_over_fractions, direct_sum, from_columns, from_pair, identity, int_table,
     matvec, omega, rows_of, schouten_decomposable, vdot, vector,
 )
+from test_poisson import coboundary_data
 
 
 @contextlib.contextmanager
@@ -164,7 +165,7 @@ def test_criterion_6_poisson_fixtures():
                   Subspace.span([basis_vector(3, 1)], 3),
                   Subspace.span([basis_vector(3, 2)], 3),
                   Subspace.from_ints(3, [{0: 1}, {1: 1}, {2: 1}])):
-            assert coboundary_pi(sl2g, r, u).passed
+            assert coboundary_pi(coboundary_data(sl2g, r, u)).passed
 
 
 def product_data(d1, d2) -> PseudoPoissonData:

@@ -1216,7 +1216,7 @@ def test_reports_match_fraction_oracle_layers(name, monkeypatch):
                           ("semisimple_exactness", semisimple_exactness_full_system),
                           ("check_pseudo_poisson", check_pseudo_poisson_ambient),
                           ("check_j_invariance", check_j_invariance_ambient),
-                          ("coboundary_pi", coboundary_pi_ambient),
+                          ("coboundary_pi", lambda d: coboundary_pi_ambient(d.algebra, d.r, d.U)),
                           ("ideal_complement_complex",
                            lambda *args: ideal_complement_complex_ambient(*args)[2]),
                           ("build_extension", lambda *args: build_extension_lifted(*args)[1])]:
@@ -1226,12 +1226,11 @@ def test_reports_match_fraction_oracle_layers(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(ORACLE_DOCS))
 def test_run_checks_builds_nothing_it_discards(name, monkeypatch):
-    # after the parse, no layer builds a LieAlgebra (the ideal layer reads its
-    # projected table alone) or tests supplementarity apart from a projection
+    # after the parse, no layer builds a LieAlgebra: the ideal layer reads its
+    # projected table alone
     built, init = [], LieAlgebra.__init__
     p = parse_document(ORACLE_DOCS[name])
     monkeypatch.setattr(LieAlgebra, "__init__", lambda *a, **kw: built.append(a) or init(*a, **kw))
-    monkeypatch.setattr(Subspace, "supplements", lambda *a: built.append(a))
     run_checks(p)
     assert built == []
 
@@ -1286,11 +1285,11 @@ def test_derived_matrices_are_built_once_per_document(name, monkeypatch):
 @pytest.mark.parametrize("family, eliminations", [
     # the metric's leading minors and [G | I]
     ("aff_power", 2), ("heisenberg", 2),
-    # supplements, the leading minors and [G | I]; both solves of exactness
-    # are monomial, and `solve` reads them off their rows
-    ("so3_power", 3),
-    # supplements
-    ("so3_plus_abelian", 1)])
+    # the leading minors and [G | I]; both solves of exactness are monomial,
+    # and `solve` reads them off their rows
+    ("so3_power", 2),
+    # nothing: the stacked rows of H and U are monomial too
+    ("so3_plus_abelian", 0)])
 def test_only_rows_with_two_entries_are_eliminated(family, eliminations, k, monkeypatch):
     # on the unit bases of the bench families every other row reduction (the
     # spans of H and U, both eliminations of each kernel, the Killing rank)

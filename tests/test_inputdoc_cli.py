@@ -233,7 +233,11 @@ def test_invalid_blocks_exit_two(tmp_path, capsys, doc, message):
      "error: poisson.U: row of wrong dimension (ambient is 3)\n"),
     ({**catalog.get("rn_flat").document, "ideal": [["0", "0", "1"]]},
      "error: ideal: row of wrong dimension (ambient is 4)\n"),
-], ids=["short_H_row", "long_H_row", "short_U_row", "short_ideal_row"])
+    # r is read before the bundle is built, and its diagnostic still comes after
+    (_with_block("sl2", "poisson", U=[], r="x"),
+     "error: poisson: H and U must be supplementary\n"
+     "error: poisson.r: must be a list\n"),
+], ids=["short_H_row", "long_H_row", "short_U_row", "short_ideal_row", "bad_U_then_bad_r"])
 def test_subspace_row_of_wrong_dimension_exits_two(tmp_path, capsys, doc, err):
     assert main(["check", write(tmp_path, doc)]) == 2
     assert capsys.readouterr().err == err
@@ -535,8 +539,8 @@ def payload_parts(p):
         out["metric"] = p.kahler.metric
     if p.poisson is not None:
         out["U"], out["lambda"] = p.poisson.U, p.poisson.Lambda
-    if p.poisson_r is not None:
-        out["r"] = p.poisson_r
+        if p.poisson.r is not None:
+            out["r"] = p.poisson.r
     if p.ideal is not None:
         out["ideal"] = p.ideal
     if p.extension is not None:

@@ -17,8 +17,7 @@ from oracles import (
     basis_of, basis_vector, first_nonpositive_minor_over_fractions, format_rat_over_fractions,
     format_terms_over_fractions, from_columns, from_pair, identity, intersect_over_fractions,
     is_zero, kernel_over_fractions, mat_add, matvec, reduce_over_fractions, rref_over_fractions,
-    rows_of, scaled_sparse, solve_over_fractions, sparse, supplementary_by_intersection, vector,
-    zeros,
+    rows_of, scaled_sparse, solve_over_fractions, sparse, vector, zeros,
 )
 from strategies import fractions
 
@@ -583,9 +582,7 @@ def test_subspace_operations_match_fraction_oracles(case):
     # the sparse remainder and the `Fraction` one
     assert S.reduce(sparse(v)) == sparse(S.scale * x for x in reduce_over_fractions(span, v))
     assert S.contains(sparse(v)) == is_zero(reduce_over_fractions(span, v))
-    # the whole space skips the elimination in contains and intersect, and
-    # supplements replaces the intersection by one rank
+    # the whole space skips the elimination in contains and intersect
     assert S.contains(sparse(v)) == (not S.reduce(sparse(v)))
     assert S.intersect(T) == kernel(Matrix.from_ints(n, 1, _perp(S.scale, S.ints, S.pivots, n)
                                                      + _perp(T.scale, T.ints, T.pivots, n)))
-    assert S.supplements(T) == T.supplements(S) == supplementary_by_intersection(S, T)

@@ -15,11 +15,13 @@ applied to a vector), and `remainder` reduces a vector against rows keyed by
 their pivot columns, visiting only the vector's own entries.  `pack` makes a
 vector one integer (Kronecker substitution: D. Harvey, J. Symbolic Comput.
 44 (2009) 1502-1510), so that a combination of vectors is one big-integer
-expression.  One fraction-free Gauss-Jordan elimination, `_echelon`, built
-on `remainder`, serves the leading minors and, except on monomial rows
-(whose reduced form `rref` reads off their columns, and whose systems
-`solve` reads off row by row), `rref`, `kernel`, `solve` and the Killing
-form's rank: Bareiss's
+expression: `check_cr` packs each bracket with its image under j, and
+`IntTable.cyclic_defects` packs the outer table of a dense table, so that
+its cyclic identities cost one product per bracket pair.  One
+fraction-free Gauss-Jordan elimination, `_echelon`, built on `remainder`,
+serves the leading minors and, except on monomial rows (whose reduced form
+`rref` reads off their columns, and whose systems `solve` reads off row by
+row), `rref`, `kernel`, `solve` and the Killing form's rank: Bareiss's
 exact division (Math. Comp. 22 (1968) 565-578) in the Gauss-Jordan form of
 Nakos, Turner and Williams (ACM SIGSAM Bull. 31(3), 1997).  Rationals are
 read by `read_row`, straight into one integer row over its least common

@@ -46,6 +46,8 @@ class PseudoPoissonData(Frozen):
 
     @cached_property
     def r_square(self) -> Trivector:
+        if self.r is None:
+            raise ValueError("the poisson block gives no r, so [r, r] is undefined")
         return self.square if self.r == self.Lambda else schouten(self.algebra, self.r, self.r)
 
     @cached_property
@@ -84,7 +86,8 @@ def coboundary_pi(d: PseudoPoissonData) -> Report:
     pi = right_invariant(r) - left_invariant(r) of a bundle given an r: the
     infinitesimal invariance of [r, r].  For every basis generator e_i, the
     derivation extension of ad e_i must send the bundle's [r, r] into
-    U ^ Lambda^2 G, tested on integers through the bundle's quotient map."""
+    U ^ Lambda^2 G, tested on integers through the bundle's quotient map.
+    A bundle built without an r raises `ValueError`."""
     rep = Report()
     n, names, table = d.algebra.dim, d.algebra.names, d.algebra.table
     rr, (su, Q) = d.r_square, d.quotient

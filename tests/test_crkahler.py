@@ -848,6 +848,30 @@ def test_cyclic_defects_sum_no_triple_on_sparse_families(family, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("family, k", [("aff_power", 4), ("so3_power", 3),
+                                       ("aff_coupled_metric", 4)])
+def test_cyclic_defects_pack_dense_families_without_contraction(family, k, monkeypatch):
+    # the dense twin of the test above: in a seeded det-1 basis the bracket
+    # table has 4 nnz >= n^3, so Jacobi validation and dw = 0 are read from
+    # one packed product per bracket pair and make no contraction; Jacobi
+    # holds, and dw = 0 fails only on the coupled metric, with the
+    # witnesses of the definition
+    families = bench_families()
+    case = getattr(families, family)(k)
+    case = families.rebase(case, *families.dense_basis(case.dim, random.Random(1)))
+    kd = parse_document(case.document).kahler
+    table = kd.algebra.table
+    assert 4 * sum(len(v) for row in table.rows for v in row.values()) >= table.dim ** 3
+    calls = []
+    monkeypatch.setattr(lie, "contraction",
+                        lambda terms: calls.append(terms) or linalg.contraction(terms))
+    assert table.cyclic_defects(table.rows) == []
+    closed = kd.omega_defects[1]
+    assert calls == []
+    assert bool(closed) == (case.expected["kahler.omega_closed"] == "fail")
+    assert check_kahler(kd).to_dict() == check_kahler_by_triples(kd).to_dict()
+
+
 @pytest.mark.parametrize("k", [2, 5])
 def test_evaluate_contracts_no_zero_pair_on_heisenberg(k, monkeypatch):
     # the base table of heisenberg(k) is empty, so no pair of H or of U meets a

@@ -5,6 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crlie import InputError, LieAlgebra, StructureError, catalog, parse_document, sl2, so3
+from crlie import lie, linalg
+from crlie.lie import IntTable
 from crlie.linalg import Matrix, Subspace, format_rat, read_row, solve
 
 from oracles import (
@@ -130,6 +132,46 @@ def test_validate_structure_matches_entrywise_jacobiator(data):
     outer, width = data.draw(outer_tables(c))
     found = int_table(c).cyclic_defects(int_table(outer).rows)
     assert found == cyclic_defects_by_sums(c, outer, width)
+
+
+# units of 20 and more digits: as basis units they keep which triples fail
+# Jacobi, and as the scale of an outer table they make every packed slot
+# wider than 64 bits
+large_units = st.sampled_from([Fraction(10 ** 25, 7), Fraction(-7, 10 ** 25),
+                               Fraction(3 ** 50, 2 ** 40), Fraction(-(10 ** 21) - 1, 3),
+                               Fraction(1), Fraction(-2)])
+large_scales = st.sampled_from([Fraction(10 ** 25, 7), Fraction(3 ** 50, 2 ** 40),
+                                Fraction(-(10 ** 21) - 1, 3)])
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["sparse", "dense"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cyclic_defects_match_sums_on_both_sides_of_the_density_rule(packed, data):
+    # a table with 4 nnz >= n^3 takes the packed path, any other the
+    # contraction path; both give the triples of the definition, in the
+    # basis e_i -> u_i e_i, against an outer table of width 1 or 2 whose
+    # integers have more than 20 digits
+    c = data.draw(st.one_of(dense_tensors(), dense_basis_algebras()) if packed
+                  else perturbed_algebras())
+    n = len(c)
+    u = data.draw(st.lists(large_units, min_size=n, max_size=n))
+    c = [[tuple(u[i] * u[j] / u[k] * x for k, x in enumerate(c[i][j])) for j in range(n)]
+         for i in range(n)]
+    table = int_table(c)
+    assume((4 * sum(len(v) for row in table.rows for v in row.values()) >= n ** 3) == packed)
+    outer, width = data.draw(outer_tables(c))
+    scale = data.draw(large_scales)
+    outer = [[tuple(scale * x for x in v) for v in row] for row in outer]
+    paths, widths = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IntTable, "_packed_cyclic_defects",
+                   lambda self, o, f=IntTable._packed_cyclic_defects: paths.append(o) or f(self, o))
+        mp.setattr(lie, "pack", lambda v, w: widths.append(w) or linalg.pack(v, w))
+        assert table.cyclic_defects(int_table(outer).rows) == cyclic_defects_by_sums(
+            c, outer, width)
+        assert all(w > 64 for w in widths) and len(paths) == packed
+        assert table.violations() == structure_violations(c)
 
 
 @st.composite

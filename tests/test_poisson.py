@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crlie import (
-    Bivector, PseudoPoissonData, check_j_invariance, check_pseudo_poisson, coboundary_pi,
-    parse_document, run_checks, schouten, sl2, so3,
+    Bivector, PseudoPoissonData, catalog, check_j_invariance, check_pseudo_poisson,
+    coboundary_pi, parse_document, run_checks, schouten, sl2, so3,
 )
 from crlie import multivector, poisson
 from crlie.linalg import Matrix, Subspace
@@ -167,6 +167,14 @@ def test_coboundary_pi_refuses_a_complement_of_another_dimension():
     with pytest.raises(ValueError, match="subspace ambient dimension mismatch"):
         coboundary_pi(coboundary_data(so3(), alternating(Bivector, 3, {(0, 1): 1}),
                                       Subspace.from_ints(4, [{3: 1}])))
+
+
+def test_coboundary_pi_refuses_a_bundle_without_r():
+    # so3_x_r2 has a poisson block without r, so it has no [r, r] to test
+    d = parse_document(catalog.get("so3_x_r2").document).poisson
+    assert d.r is None
+    with pytest.raises(ValueError, match=r"no r, so \[r, r\] is undefined"):
+        coboundary_pi(d)
 
 
 @pytest.mark.parametrize("k", [1, 4])
